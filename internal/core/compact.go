@@ -412,6 +412,10 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 		db.mu.Unlock()
 		return fmt.Errorf("manifest: %w", err)
 	}
+	// Decide on a repository rebuild under the same lock hold that removed
+	// the table: the store must not look idle — to WaitIdle, or to the
+	// release queue below — between this absorb and the rebuild it causes.
+	rebuild := db.claimRepoCompactionLocked()
 	// The paper's lazy memory freeing: every arena the absorbed table
 	// accumulated across its zero-copy merges is returned at once, after
 	// the last reader drains — and only now that the absorption is
@@ -421,34 +425,37 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 	})
 	db.mu.Unlock()
 
-	if err := db.maybeCompactRepo(); err != nil {
-		return err
+	if rebuild != nil {
+		if err := db.compactRepo(rebuild); err != nil {
+			return err
+		}
 	}
 	db.st.AddCompaction(time.Since(start))
 	db.kickValueLogGC()
 	return nil
 }
 
-// maybeCompactRepo rebuilds the repository when superseded nodes dominate
-// it, bounding the NVM footprint of update-heavy workloads. Triggering
-// only when garbage exceeds 2× live data keeps the amortized extra write
-// traffic below 0.5× of the updates that created the garbage.
-func (db *DB) maybeCompactRepo() error {
-	db.mu.Lock()
+// claimRepoCompactionLocked latches a repository rebuild when superseded
+// nodes dominate the repository, bounding the NVM footprint of update-heavy
+// workloads. Triggering only when garbage exceeds 2× live data keeps the
+// amortized extra write traffic below 0.5× of the updates that created the
+// garbage. The caller holds db.mu and owes compactRepo the repository
+// returned (nil: no rebuild).
+func (db *DB) claimRepoCompactionLocked() *pmtable.Repository {
 	repo := db.repo
-	compacting := db.repoCompacting
-	db.mu.Unlock()
-	if repo == nil || compacting {
+	if repo == nil || db.repoCompacting {
 		return nil
 	}
 	garbage, live := repo.GarbageBytes(), repo.UserBytes()
 	if garbage < 4*db.opts.MemTableSize || garbage < 2*live {
 		return nil
 	}
-	db.mu.Lock()
 	db.repoCompacting = true
-	db.mu.Unlock()
+	return repo
+}
 
+// compactRepo runs the rebuild claimRepoCompactionLocked latched.
+func (db *DB) compactRepo(repo *pmtable.Repository) error {
 	// Capture the tombstone set before rebuilding: the fresh repository
 	// applies exactly these (registration is seq-ordered, so the captured
 	// slice is the complete prefix up to its last seq — the basis for the

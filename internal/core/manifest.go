@@ -558,7 +558,7 @@ func (db *DB) logFlushDoneLocked(ts tableState, walRegion uint32, hadWal bool, r
 
 // logRangeDropLocked records that the range tombstone committed at seq has
 // been fully applied and is no longer needed for correctness (tombstone
-// garbage collection; see maybeCompactRepo).
+// garbage collection; see compactRepo).
 func (db *DB) logRangeDropLocked(seq uint64) error {
 	return db.appendManifestLocked(recRangeDrop, func(e *encoder) {
 		e.u64(seq)

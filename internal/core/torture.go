@@ -334,6 +334,9 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 			if _, gcErr := db.RunValueLogGC(); gcErr != nil && db.Err() == nil {
 				return nil, fmt.Errorf("cycle %d: post-recovery vlog GC: %w", cycle, gcErr)
 			}
+			// Relocations are writes: they rotate memtables, and the flushes
+			// and merges that follow must drain before the structural checks.
+			db.WaitIdle()
 		}
 
 		// Verify: sequence floor, every key's value, structure, regions.

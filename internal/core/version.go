@@ -153,9 +153,19 @@ func (db *DB) sweepVersionsLocked() {
 // is the only mutable one (a retired version's queue is frozen), and the
 // retire stamp in editVersionLocked is the release point the sweeper
 // synchronizes with, so the append is always visible before the run.
+//
+// A queue runs only after its version retires, and a version retires at
+// the next edit. Every background job queues its garbage after its own
+// edit (manifest record durable first, queue second), so when that edit
+// was the one that left the store idle no later edit is coming: the
+// version is retired here with an empty edit, or the arenas a finished
+// lazy copy freed would stay committed for as long as the store rests.
 func (db *DB) queueReleaseLocked(fn func()) {
 	cur := db.current.Load()
 	cur.releaseFns = append(cur.releaseFns, fn)
+	if db.idleLocked() {
+		db.editVersionLocked(func(*version) {})
+	}
 }
 
 // editVersion clones the current version, applies edit, and installs the

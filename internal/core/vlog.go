@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"miodb/internal/keys"
 	"miodb/internal/vlog"
 )
@@ -56,10 +58,11 @@ func (db *DB) stopValueLogGC() {
 	db.stopVlog.Do(func() { close(db.vlogStop) })
 }
 
-// vlogGCLoop runs in the background and reclaims eligible segments
+// vlogGCLoop runs in the background and makes one paced reclamation pass
 // whenever compaction activity kicks it.
 func (db *DB) vlogGCLoop() {
 	defer db.wg.Done()
+	seen := db.vlog.NextID()
 	for {
 		select {
 		case <-db.vlogStop:
@@ -68,47 +71,85 @@ func (db *DB) vlogGCLoop() {
 		}
 		// Errors are sticky elsewhere (degraded mode) or transient to this
 		// round; either way the loop keeps serving later kicks.
-		_, _ = db.RunValueLogGC()
+		_, _ = db.vlogGCPass(&seen)
 	}
+}
+
+// vlogGCPass is one background pass, paced by log growth: it reclaims at
+// most one victim per segment created since the previous pass, plus one
+// so a backlog always drains — deadest first, PickGC's order. *seen is
+// the pacer's only state, the next segment id at the previous pass.
+//
+// Why paced: dead bytes are only detected when a merge drops a pointer
+// node, so a segment crosses GCDeadRatio as early as merges are fast, and
+// a collector that takes every candidate at once relocates entries that
+// the next few merges would have reported dead. Tying reclamation to the
+// rate segments are created keeps the collector from outrunning the
+// writer (it frees about as fast as the log grows, counting the segments
+// its own relocations fill) while each victim, picked later, is deader.
+// An idle log still drains one segment per kick.
+func (db *DB) vlogGCPass(seen *uint32) (int, error) {
+	next := db.vlog.NextID()
+	budget := int(next-*seen) + 1
+	*seen = next
+	return db.reclaimValueLog(budget)
 }
 
 // RunValueLogGC reclaims value-log segments until none qualifies: every
 // sealed segment whose dead-space ratio is at or above the configured
 // GCDeadRatio has its live values relocated through the write path and
 // its memory queued for epoch-deferred release. It returns the number of
-// segments reclaimed. Tests and the torture harness call it directly for
-// deterministic GC placement; the background loop calls it on compaction
-// kicks. Safe to call concurrently with reads, writes, and snapshots.
+// segments reclaimed. Tests, the torture harness and drains call it
+// directly for deterministic, complete GC; the background loop makes paced
+// passes instead (vlogGCPass). Safe to call concurrently with reads,
+// writes, and snapshots.
 func (db *DB) RunValueLogGC() (int, error) {
 	if db.vlog == nil {
 		return 0, nil
 	}
+	return db.reclaimValueLog(math.MaxInt)
+}
+
+// reclaimValueLog reclaims up to limit qualifying segments, deadest first.
+func (db *DB) reclaimValueLog(limit int) (int, error) {
 	freed := 0
-	for {
+	for freed < limit {
 		select {
 		case <-db.vlogStop:
 			return freed, nil
 		default:
 		}
-		id, ok := db.vlog.PickGC()
-		if !ok {
-			return freed, nil
-		}
-		if err := db.gcSegment(id); err != nil {
+		picked, err := db.gcSegment()
+		if err != nil {
 			return freed, err
+		}
+		if !picked {
+			return freed, nil
 		}
 		freed++
 	}
+	return freed, nil
 }
 
-// gcSegment relocates the live entries of one segment and frees it.
-func (db *DB) gcSegment(id uint32) error {
-	// Pre-scan under a reader pin: collect copies of the still-live
-	// entries. Slices yielded by Scan alias log storage, and relocation
-	// appends could (for the active segment) never touch them — but the
-	// entries outlive the pin, so copy.
+// gcSegment picks the deadest qualifying segment, relocates its live
+// entries and frees it; it reports false when no segment qualifies.
+func (db *DB) gcSegment() (bool, error) {
+	// Pick and pre-scan under one reader pin: collect copies of the
+	// still-live entries. The pin comes first because collectors run
+	// concurrently (the background loop beside an explicit RunValueLogGC):
+	// a segment offered under the pin cannot be freed before the pin is
+	// dropped — its free is queued on this version or a later one — so the
+	// scan never finds the segment another collector just reclaimed.
+	// Slices yielded by Scan alias log storage, and relocation appends
+	// could (for the active segment) never touch them — but the entries
+	// outlive the pin, so copy.
 	var entries []vlog.Entry
 	pin := db.acquireVersion()
+	id, ok := db.vlog.PickGC()
+	if !ok {
+		db.releaseVersion(pin)
+		return false, nil
+	}
 	err := db.vlog.Scan(id, func(e vlog.Entry) bool {
 		if db.vlogEntryLive(pin.v, e) {
 			entries = append(entries, vlog.Entry{
@@ -122,13 +163,13 @@ func (db *DB) gcSegment(id uint32) error {
 	})
 	db.releaseVersion(pin)
 	if err != nil {
-		return err
+		return false, err
 	}
 
 	for _, e := range entries {
 		select {
 		case <-db.vlogStop:
-			return nil
+			return false, nil
 		default:
 		}
 		db.commitMu.Lock()
@@ -138,7 +179,7 @@ func (db *DB) gcSegment(id uint32) error {
 			// Closed, degraded, or a device fault: leave the segment in
 			// place — a half-relocated segment is fully consistent (the
 			// moved entries are dead, the rest still referenced).
-			return rerr
+			return false, rerr
 		}
 	}
 
@@ -146,22 +187,22 @@ func (db *DB) gcSegment(id uint32) error {
 	// the version chain for a while, and PickGC must not re-offer it (nor
 	// may a concurrent GC runner free it twice).
 	if !db.vlog.Condemn(id) {
-		return nil
+		return true, nil
 	}
 	// Make the free durable, then defer the in-memory reclamation onto the
 	// version chain (see file comment).
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed || db.abandon || db.bgErr != nil {
-		return nil
+		return false, nil
 	}
 	if err := db.logVlogFreeLocked(id); err != nil {
 		db.degradeLocked("vlog free", err)
-		return err
+		return false, err
 	}
 	segID := id
 	db.queueReleaseLocked(func() { db.vlog.Free(segID) })
-	return nil
+	return true, nil
 }
 
 // vlogEntryLive reports whether the LSM structure, as seen through v,

@@ -268,7 +268,7 @@ func TestValueLogOnSSDRefusals(t *testing.T) {
 	opts.ValueLog.OnSSD = true
 	db := mustOpen(t, opts)
 	defer db.Close()
-	large := bigVal("ssd", 4 << 10)
+	large := bigVal("ssd", 4<<10)
 	if err := db.Put([]byte("k"), large); err != nil {
 		t.Fatal(err)
 	}

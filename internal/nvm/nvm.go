@@ -150,11 +150,20 @@ func (d *Device) Clone(src *vaddr.Region) *vaddr.Region {
 func (d *Device) Release(r *vaddr.Region) { d.space.Release(r) }
 
 // OnRead implements vaddr.Meter.
-func (d *Device) OnRead(n int) {
+func (d *Device) OnRead(n int) { d.OnReads(1, n) }
+
+// OnReads implements vaddr.Meter: count reads totalling n bytes, charged
+// as one. The metering contract (DESIGN.md §1): a multi-step walk — a
+// skip-list search — settles here once when it ends, a single access and
+// every write charge as they happen. The counters grow by exactly what
+// count OnRead calls would have added, and the modeled delay is the same
+// because it is linear in operations and bytes; what a search saves is
+// count-1 rounds of atomics on the one cache line every thread shares.
+func (d *Device) OnReads(count, n int) {
 	d.bytesRead.Add(int64(n))
-	d.reads.Add(1)
+	d.reads.Add(int64(count))
 	if !d.free && d.simulate.Load() {
-		d.charge(d.profile.ReadLatency, d.profile.ReadNanosPerByte, n)
+		d.charge(d.profile.ReadLatency, d.profile.ReadNanosPerByte, count, n)
 	}
 }
 
@@ -163,20 +172,20 @@ func (d *Device) OnWrite(n int) {
 	d.bytesWritten.Add(int64(n))
 	d.writes.Add(1)
 	if !d.free && d.simulate.Load() {
-		d.charge(d.profile.WriteLatency, d.profile.WriteNanosPerByte, n)
+		d.charge(d.profile.WriteLatency, d.profile.WriteNanosPerByte, 1, n)
 	}
 }
 
-// charge injects latency + bandwidth delay, scaled by the time scale.
-// Delays below the granularity threshold accumulate in debt and are paid in
-// bulk, so that metering 8-byte atomic stores stays cheap and the aggregate
-// bandwidth model remains accurate.
-func (d *Device) charge(lat time.Duration, nsPerByte float64, n int) {
+// charge injects the latency of ops operations plus the bandwidth delay of
+// n bytes, scaled by the time scale. Delays below the granularity threshold
+// accumulate in debt and are paid in bulk, so that metering 8-byte atomic
+// stores stays cheap and the aggregate bandwidth model remains accurate.
+func (d *Device) charge(lat time.Duration, nsPerByte float64, ops, n int) {
 	scale := float64(d.timeScaleMicro.Load()) / 1e6
 	if scale <= 0 {
 		return
 	}
-	ns := int64(scale * (float64(lat) + nsPerByte*float64(n)))
+	ns := int64(scale * (float64(lat)*float64(ops) + nsPerByte*float64(n)))
 	if ns <= 0 {
 		return
 	}

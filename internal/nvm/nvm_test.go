@@ -123,3 +123,32 @@ func TestProfiles(t *testing.T) {
 		t.Error("NVM latency unrealistically low")
 	}
 }
+
+// TestCountedReadEqualsSingleReads pins the counted charge a search
+// settles with: the counters grow by exactly what the same reads charged
+// one by one add, and the modeled delay (read off the debt word, below the
+// pay-out granularity) differs by at most the per-call rounding.
+func TestCountedReadEqualsSingleReads(t *testing.T) {
+	const count, each = 12, 8
+	for _, profile := range []Profile{DRAMProfile(), NVMProfile()} {
+		one := NewDevice(vaddr.NewSpace(), profile)
+		batched := NewDevice(vaddr.NewSpace(), profile)
+		one.SetSimulation(true)
+		batched.SetSimulation(true)
+		for i := 0; i < count; i++ {
+			one.OnRead(each)
+		}
+		batched.OnReads(count, count*each)
+		a, b := one.Counters(), batched.Counters()
+		if a.Reads != count || a != b {
+			t.Errorf("%s: single reads %+v, counted read %+v", profile.Name, a, b)
+		}
+		da, db := one.debt.Load(), batched.debt.Load()
+		if diff := db - da; diff < 0 || diff > count {
+			t.Errorf("%s: modeled delay %d ns one by one, %d ns counted", profile.Name, da, db)
+		}
+		if profile.ReadLatency > 0 && db == 0 {
+			t.Errorf("%s: counted read modeled no delay", profile.Name)
+		}
+	}
+}

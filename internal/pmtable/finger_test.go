@@ -1,0 +1,333 @@
+package pmtable
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"miodb/internal/iterx"
+	"miodb/internal/keys"
+	"miodb/internal/memtable"
+	"miodb/internal/nvm"
+	"miodb/internal/skiplist"
+	"miodb/internal/vaddr"
+)
+
+// The zero-copy merge carries its oldtable splice from node to node (a
+// finger search) and unlinks superseded versions with that same splice.
+// These tests hold its output, entry for entry, to the merged iterator of
+// its two inputs, and its crash states to what Resume can repair.
+
+type version struct {
+	key, value string
+	seq        uint64
+	kind       keys.Kind
+}
+
+func (v version) String() string { return fmt.Sprintf("(%s, %d, kind %d)", v.key, v.seq, v.kind) }
+
+// newSeqBase separates the pair's sequence ranges: every newtable version
+// is at or above it, every oldtable version below.
+const newSeqBase = 10_000
+
+// randomVersions draws n versions over a key space small enough that keys
+// repeat — inside one table (runs of equal keys) and across the pair.
+func randomVersions(rnd *rand.Rand, n, keySpace int, seqBase uint64) []version {
+	vs := make([]version, 0, n)
+	for i := 0; i < n; i++ {
+		v := version{
+			key:  fmt.Sprintf("key-%04d", rnd.Intn(keySpace)),
+			seq:  seqBase + uint64(i),
+			kind: keys.KindSet,
+		}
+		if rnd.Intn(8) == 0 {
+			v.kind = keys.KindDelete
+		} else {
+			v.value = fmt.Sprintf("%s@%d", v.key, v.seq)
+		}
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// flushVersions builds a PMTable the real way: memtable → one-piece flush.
+func flushVersions(t testing.TB, dram, nv *nvm.Device, id uint64, vs []version) *Table {
+	t.Helper()
+	mt, err := memtable.New(dram, 1<<30, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs {
+		if err := mt.Add([]byte(v.key), []byte(v.value), v.seq, v.kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl := Flush(nv, mt, id, vs[0].seq, vs[len(vs)-1].seq, fp())
+	mt.Release()
+	return tbl
+}
+
+func collect(it iterx.Iterator) []version {
+	var out []version
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		out = append(out, version{string(it.Key()), string(it.Value()), it.Seq(), it.Kind()})
+	}
+	return out
+}
+
+// expectMerged applies the merge's rules to the merged iterator of its two
+// inputs (key ascending, sequence descending): a newtable version
+// superseded by the newtable version migrated before it is dropped when
+// the gate allows, a dead one is dropped outright, and oldtable versions
+// behind a migrated newtable version of their key are unlinked when the
+// gate allows at that version's sequence. Oldtable versions of keys the
+// newtable does not touch all stay.
+func expectMerged(inputs []version, drop func(uint64) bool, dead func(version) bool) []version {
+	var out []version
+	var last *version
+	for i := range inputs {
+		v := inputs[i]
+		superseded := last != nil && last.key == v.key && drop(last.seq)
+		if v.seq < newSeqBase {
+			if !superseded {
+				out = append(out, v)
+			}
+			continue
+		}
+		if superseded || dead(v) {
+			continue
+		}
+		out = append(out, v)
+		last = &inputs[i]
+	}
+	return out
+}
+
+func diffVersions(t *testing.T, what string, got, want []version) {
+	t.Helper()
+	for i := 0; i < len(got) || i < len(want); i++ {
+		switch {
+		case i >= len(got):
+			t.Fatalf("%s: entry %d missing, want %v (%d entries, want %d)", what, i, want[i], len(got), len(want))
+		case i >= len(want):
+			t.Fatalf("%s: extra entry %d %v (%d entries, want %d)", what, i, got[i], len(got), len(want))
+		case got[i] != want[i]:
+			t.Fatalf("%s: entry %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestMergeMatchesMergedIterator(t *testing.T) {
+	always := func(uint64) bool { return true }
+	never := func(uint64) bool { return false }
+	nothing := func(version) bool { return false }
+	cases := []struct {
+		name string
+		drop func(horizon uint64) func(uint64) bool
+		dead func(version) bool
+	}{
+		{"duplicates dropped", func(uint64) func(uint64) bool { return always }, nothing},
+		{"duplicates retained", func(uint64) func(uint64) bool { return never }, nothing},
+		{"snapshot horizon", func(h uint64) func(uint64) bool {
+			return func(newerSeq uint64) bool { return newerSeq <= h }
+		}, nothing},
+		{"dead entries", func(uint64) func(uint64) bool { return always }, func(v version) bool {
+			return v.key[len(v.key)-1]%3 == 0 && v.seq%2 == 0
+		}},
+		{"dead entries under a horizon", func(h uint64) func(uint64) bool {
+			return func(newerSeq uint64) bool { return newerSeq <= h }
+		}, func(v version) bool { return v.seq%5 == 0 }},
+	}
+	for _, tc := range cases {
+		for seed := int64(1); seed <= 8; seed++ {
+			what := fmt.Sprintf("%s, seed %d", tc.name, seed)
+			rnd := rand.New(rand.NewSource(seed))
+			// From a handful of keys (long runs of equal keys) to mostly
+			// distinct ones.
+			keySpace := []int{3, 12, 60, 400}[seed%4]
+			nOld, nNew := 1+rnd.Intn(300), 1+rnd.Intn(300)
+			dram, nv := devices()
+			old := flushVersions(t, dram, nv, 1, randomVersions(rnd, nOld, keySpace, 1))
+			newer := flushVersions(t, dram, nv, 2, randomVersions(rnd, nNew, keySpace, newSeqBase))
+			drop := tc.drop(newSeqBase + uint64(rnd.Intn(nNew)))
+			inputs := collect(iterx.NewMerging(newer.NewIterator(), old.NewIterator()))
+			want := expectMerged(inputs, drop, tc.dead)
+
+			m := NewMerge(newer, old)
+			m.Drop = drop
+			m.Dead = func(key []byte, seq uint64, kind keys.Kind) bool {
+				return tc.dead(version{key: string(key), seq: seq, kind: kind})
+			}
+			dropped := 0
+			m.OnDrop = func([]byte, keys.Kind) { dropped++ }
+			merged := m.Run()
+
+			diffVersions(t, what, collect(merged.NewIterator()), want)
+			if n, err := merged.List().CheckInvariants(); err != nil || n != len(want) {
+				t.Fatalf("%s: %d nodes linked, want %d: %v", what, n, len(want), err)
+			}
+			if merged.Count() != int64(len(want)) || dropped != len(inputs)-len(want) {
+				t.Fatalf("%s: Count %d (want %d), %d drops observed (want %d)",
+					what, merged.Count(), len(want), dropped, len(inputs)-len(want))
+			}
+			if !newer.List().Empty() {
+				t.Fatalf("%s: newtable not drained", what)
+			}
+			moved := int64(0)
+			for _, v := range want {
+				if v.seq >= newSeqBase {
+					moved++
+				}
+			}
+			if m.Moved() != moved {
+				t.Fatalf("%s: %d nodes moved, want %d", what, m.Moved(), moved)
+			}
+		}
+	}
+}
+
+// powerCut is what cutMeter panics with.
+type powerCut struct{}
+
+// cutMeter meters the pair's arenas and the mark slot and cuts the power —
+// a panic out of the merger — before the store after the left-th one.
+type cutMeter struct {
+	left   int // stores until the cut; negative = never
+	writes int
+}
+
+func (c *cutMeter) OnRead(int)       {}
+func (c *cutMeter) OnReads(int, int) {}
+func (c *cutMeter) OnWrite(int) {
+	if c.left == 0 {
+		panic(powerCut{})
+	}
+	if c.left > 0 {
+		c.left--
+	}
+	c.writes++
+}
+
+// linkVersions builds a table node by node in one arena metered by meter.
+func linkVersions(t testing.TB, space *vaddr.Space, meter vaddr.Meter, id uint64, vs []version) *Table {
+	t.Helper()
+	region := space.NewRegion(1<<20, meter)
+	list, err := skiplist.New(region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := fp().newFilter()
+	for _, v := range vs {
+		if err := list.Insert([]byte(v.key), []byte(v.value), v.seq, v.kind); err != nil {
+			t.Fatal(err)
+		}
+		filter.Add([]byte(v.key))
+	}
+	return &Table{
+		ID: id, list: list, filter: filter, regions: []*vaddr.Region{region},
+		MinSeq: vs[0].seq, MaxSeq: vs[len(vs)-1].seq,
+	}
+}
+
+// TestMergeResumeAfterEveryStore cuts the power after each pointer store
+// of a whole merge in turn — mark stores, newtable unlinks, oldtable links
+// and the splice-driven unlinks of superseded versions, all but the first
+// step's taken with the carried finger — recovers the way the engine does
+// (re-attach both lists from their heads, read the persisted mark, Resume)
+// and checks the result: every key reads its newest version, everything
+// the uninterrupted merge keeps is there, and whatever else survived is an
+// older version of a key that is (an unlink the cut came before).
+func TestMergeResumeAfterEveryStore(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		keySpace := []int{4, 25, 90}[seed%3]
+		oldVs := randomVersions(rnd, 40, keySpace, 1)
+		newVs := randomVersions(rnd, 40, keySpace, newSeqBase)
+
+		// run builds the pair afresh (deterministic, so every run sees the
+		// same lists) and merges it with the power cut after cutAfter
+		// stores; it reports the stores made and whether the cut came.
+		var space *vaddr.Space
+		var old, newer *Table
+		var slotRegion *vaddr.Region
+		var slot vaddr.Addr
+		run := func(cutAfter int) (stores int, cut bool) {
+			space = vaddr.NewSpace()
+			meter := &cutMeter{left: -1}
+			old = linkVersions(t, space, meter, 1, oldVs)
+			newer = linkVersions(t, space, meter, 2, newVs)
+			slotRegion = space.NewRegion(4096, meter)
+			slot, _ = slotRegion.Alloc(8)
+			m := NewMerge(newer, old)
+			m.SetPersistSlot(slotRegion, slot)
+			meter.writes, meter.left = 0, cutAfter
+			defer func() {
+				stores, meter.left = meter.writes, -1
+				if r := recover(); r != nil {
+					if _, ok := r.(powerCut); !ok {
+						panic(r)
+					}
+					cut = true
+				}
+			}()
+			m.Run()
+			return
+		}
+
+		total, cut := run(-1)
+		if cut || total == 0 {
+			t.Fatalf("seed %d: uninterrupted merge made %d stores, cut=%v", seed, total, cut)
+		}
+		want := collect(old.NewIterator())
+		newest := map[string]version{}
+		for _, v := range want {
+			if _, ok := newest[v.key]; !ok {
+				newest[v.key] = v
+			}
+		}
+
+		for cutAfter := 0; cutAfter < total; cutAfter++ {
+			what := fmt.Sprintf("seed %d, power cut after store %d of %d", seed, cutAfter, total)
+			if _, cut := run(cutAfter); !cut {
+				t.Fatalf("%s: no cut", what)
+			}
+			mark := vaddr.Addr(slotRegion.Load64(slot))
+			oldA := Attach(space, old.list.Head(), 1, old.regions, fp())
+			newA := Attach(space, newer.list.Head(), 2, newer.regions, fp())
+			m := NewMerge(newA, oldA)
+			m.SetPersistSlot(slotRegion, slot)
+			merged := m.Resume(mark)
+
+			if _, err := merged.List().CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !newA.List().Empty() || !vaddr.Addr(slotRegion.Load64(slot)).IsNil() {
+				t.Fatalf("%s: newtable or mark not cleared", what)
+			}
+			got := collect(merged.NewIterator())
+			i := 0
+			for _, v := range got {
+				if i < len(want) && v == want[i] {
+					i++
+					continue
+				}
+				if nv, ok := newest[v.key]; !ok || v.seq >= nv.seq {
+					t.Fatalf("%s: survivor %v is not an older version of a kept key", what, v)
+				}
+			}
+			if i != len(want) {
+				t.Fatalf("%s: %v lost", what, want[i])
+			}
+			for k, v := range newest {
+				value, seq, kind, ok := merged.Get([]byte(k))
+				if !ok || seq != v.seq || kind != v.kind || !bytes.Equal(value, []byte(v.value)) {
+					t.Fatalf("%s: Get(%s) = (%q, %d, %d, %v), want %v", what, k, value, seq, kind, ok, v)
+				}
+				if !merged.MayContain([]byte(k)) {
+					t.Fatalf("%s: merged filter misses %s", what, k)
+				}
+			}
+		}
+	}
+}

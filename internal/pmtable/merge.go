@@ -101,16 +101,28 @@ func (m *Merge) setMark(a vaddr.Addr) {
 	}
 }
 
+// drain is what the merger carries from one step to the next.
+type drain struct {
+	// The last node migrated (not dropped): the version that supersedes
+	// the next node if their user keys match.
+	lastKey   []byte
+	lastSeq   uint64
+	lastValid bool
+
+	// splice is the oldtable insertion position of the last node migrated,
+	// kept as the finger for the next one: the newtable drains in sorted
+	// order, so each target lies at or just past it. Valid once warm. It
+	// lives only in the merger's memory — Run (and therefore Resume, after
+	// its repair) always starts cold with one full FindSplice.
+	splice [skiplist.MaxHeight]skiplist.Node
+	warm   bool
+}
+
 // Run drains the newtable into the oldtable and returns the merged table.
 // It must be called exactly once, from the level's compaction goroutine.
 func (m *Merge) Run() *Table {
-	var lastKey []byte
-	var lastSeq uint64
-	lastValid := false
-	for {
-		if !m.step(&lastKey, &lastSeq, &lastValid) {
-			break
-		}
+	var d drain
+	for m.step(&d) {
 	}
 	return m.finish()
 }
@@ -122,13 +134,23 @@ func (m *Merge) canDrop(newerSeq uint64) bool {
 
 // step migrates one node; it reports false when the newtable is empty.
 //
-// The expensive parts of a migration — the oldtable splice searches, each
-// O(log n) metered NVM reads — run *outside* the locked, seqlock-odd
-// windows: only this merger mutates the two lists, so a splice computed
-// between windows stays valid. The locked windows contain nothing but
-// pointer stores, keeping reader fallback waits to a microsecond — the
-// paper's lock-free spirit with the seqlock safety net.
-func (m *Merge) step(lastKey *[]byte, lastSeq *uint64, lastValid *bool) bool {
+// The expensive part of a migration — the oldtable splice search, metered
+// NVM reads — runs *outside* the locked, seqlock-odd windows: only this
+// merger mutates the two lists, so a splice computed between windows stays
+// valid. The locked windows contain nothing but pointer stores, keeping
+// reader fallback waits to a microsecond — the paper's lock-free spirit
+// with the seqlock safety net.
+//
+// The search itself is a finger search (skiplist.AdvanceSplice): the
+// splice of the previous migration is advanced to this node's position
+// instead of descending from the oldtable's head again. What keeps the
+// carried splice valid between steps: targets strictly ascend (the
+// newtable is drained from its head); a migrated node becomes the splice
+// entry at its own levels; and the only nodes this merger ever unlinks
+// from the oldtable — superseded versions directly behind the node just
+// migrated — order after every splice entry, so no entry is ever
+// unlinked. Dropped nodes never touch the oldtable at all.
+func (m *Merge) step(d *drain) bool {
 	n := m.New.list.First()
 	if n.IsNil() {
 		return false
@@ -138,14 +160,18 @@ func (m *Merge) step(lastKey *[]byte, lastSeq *uint64, lastValid *bool) bool {
 	// N_d5 case) unless a snapshot still pins it; an entry covered by a
 	// settled range tombstone is droppable outright. A dup the snapshot
 	// gate refuses to drop is migrated as a retained duplicate instead.
-	dup := *lastValid && bytes.Equal(key, *lastKey)
-	drop := (dup && m.canDrop(*lastSeq)) ||
+	dup := d.lastValid && bytes.Equal(key, d.lastKey)
+	drop := (dup && m.canDrop(d.lastSeq)) ||
 		(m.Dead != nil && m.Dead(key, n.Seq(), n.Kind()))
 
-	// Phase 0 (unlocked): compute the oldtable insertion splice.
-	var prev [skiplist.MaxHeight]skiplist.Node
+	// Phase 0 (unlocked): bring the oldtable splice to n's position.
 	if !drop {
-		m.Old.list.FindSplice(key, n.Seq(), &prev)
+		if d.warm {
+			m.Old.list.AdvanceSplice(key, n.Seq(), &d.splice)
+		} else {
+			m.Old.list.FindSplice(key, n.Seq(), &d.splice)
+			d.warm = true
+		}
 	}
 
 	// Phase 1 (locked, pos odd): the migration itself — mark, unlink
@@ -162,8 +188,9 @@ func (m *Merge) step(lastKey *[]byte, lastSeq *uint64, lastValid *bool) bool {
 		// arena after lazy-copy compaction.
 		m.garbage += n.Size()
 	} else {
-		// 3. Insert into the oldtable at its (key, seq) position.
-		m.Old.list.InsertNodeWithSplice(n, &prev)
+		// 3. Insert into the oldtable at its (key, seq) position; the
+		//    splice moves past n.
+		m.Old.list.InsertNodeWithSplice(n, &d.splice)
 		m.moved++
 	}
 	m.setMark(vaddr.NilAddr)
@@ -174,16 +201,18 @@ func (m *Merge) step(lastKey *[]byte, lastSeq *uint64, lastValid *bool) bool {
 		if m.OnDrop != nil {
 			m.OnDrop(n.Value(), n.Kind())
 		}
-		// lastKey/lastSeq deliberately unchanged: a dropped node was not
-		// migrated, so it cannot be the superseding version for the next
-		// node's dup decision.
+		// The last-migrated record deliberately stays: a dropped node was
+		// not migrated, so it cannot be the superseding version for the
+		// next node's dup decision.
 		return true
 	}
 
 	// Phase 2: unlink superseded versions now directly behind n (the
-	// N_d4/N_d3 case) — search unlocked, unlink in a short locked window.
-	// The snapshot gate applies: successors superseded at n.Seq() stay
-	// put while a snapshot's bound is below it.
+	// N_d4/N_d3 case) in a short locked window each. No search: a
+	// successor directly follows n, so at every level its predecessor is
+	// the splice entry (n itself below n's height, n's own predecessor
+	// above). The snapshot gate applies: successors superseded at n.Seq()
+	// stay put while a snapshot's bound is below it.
 	for m.canDrop(n.Seq()) {
 		succAddr := n.NextAddr0()
 		if succAddr.IsNil() {
@@ -193,11 +222,9 @@ func (m *Merge) step(lastKey *[]byte, lastSeq *uint64, lastValid *bool) bool {
 		if !bytes.Equal(succ.Key(), key) {
 			break
 		}
-		var dprev [skiplist.MaxHeight]skiplist.Node
-		m.Old.list.FindSplice(key, succ.Seq(), &dprev)
 		m.mu.Lock()
 		m.pos.Add(1)
-		m.Old.list.RemoveWithSplice(succ, &dprev)
+		m.Old.list.RemoveWithSplice(succ, &d.splice)
 		m.garbage += succ.Size()
 		m.pos.Add(1)
 		m.mu.Unlock()
@@ -205,9 +232,9 @@ func (m *Merge) step(lastKey *[]byte, lastSeq *uint64, lastValid *bool) bool {
 			m.OnDrop(succ.Value(), succ.Kind())
 		}
 	}
-	*lastKey = append((*lastKey)[:0], key...)
-	*lastSeq = n.Seq()
-	*lastValid = true
+	d.lastKey = append(d.lastKey[:0], key...)
+	d.lastSeq = n.Seq()
+	d.lastValid = true
 	return true
 }
 

@@ -87,16 +87,18 @@ func Swizzle(dst, src *vaddr.Region, oldHead vaddr.Addr) vaddr.Addr {
 // O(log n), the same technique LevelDB's memtable uses for backward
 // iteration.
 func (l *List) findLast() Node {
+	var w walk
 	cur := l.headNode()
 	for level := MaxHeight - 1; level >= 0; level-- {
 		for {
-			next := cur.nextAddr(level)
+			next := w.next(cur, level)
 			if next.IsNil() {
 				break
 			}
 			cur = l.Node(next)
 		}
 	}
+	w.done()
 	if cur.addr == l.head {
 		return Node{}
 	}
@@ -106,20 +108,12 @@ func (l *List) findLast() Node {
 // findLT returns the rightmost node ordered strictly before (key, seq),
 // or the nil node.
 func (l *List) findLT(key []byte, seq uint64) Node {
+	var w walk
 	cur := l.headNode()
 	for level := MaxHeight - 1; level >= 0; level-- {
-		for {
-			nextAddr := cur.nextAddr(level)
-			if nextAddr.IsNil() {
-				break
-			}
-			next := l.Node(nextAddr)
-			if keys.Compare(next.Key(), next.Seq(), key, seq) >= 0 {
-				break
-			}
-			cur = next
-		}
+		cur, _ = l.walkLevel(&w, cur, level, key, seq)
 	}
+	w.done()
 	if cur.addr == l.head {
 		return Node{}
 	}

@@ -123,6 +123,50 @@ func (n Node) nextAddr(level int) vaddr.Addr {
 	return n.region.LoadAddr(n.towerAddr(level))
 }
 
+// walk tallies the device reads of one multi-step traversal — a search
+// descending the towers — and settles them with the device once, when the
+// traversal ends (done). Per step it counts exactly what the single-access
+// forms charge: one 8-byte read per pointer chased (nextAddr) and one read
+// of the key bytes per key compared (Key), so the device totals are those
+// of per-node charging; only the number of trips to the device's shared
+// counters changes. A list whose nodes sit on more than one meter settles
+// whenever the walk crosses from one to the other.
+type walk struct {
+	meter        vaddr.Meter
+	reads, bytes int
+}
+
+func (w *walk) count(r *vaddr.Region, n int) {
+	if m := r.Meter(); m != w.meter {
+		w.done()
+		w.meter = m
+	}
+	w.reads++
+	w.bytes += n
+}
+
+// done settles the tally; the walk may be reused afterwards.
+func (w *walk) done() {
+	if w.meter != nil && w.reads > 0 {
+		w.meter.OnReads(w.reads, w.bytes)
+	}
+	w.reads, w.bytes = 0, 0
+}
+
+// next is nextAddr tallied on w instead of charged.
+func (w *walk) next(n Node, level int) vaddr.Addr {
+	w.count(n.region, 8)
+	return n.region.LoadAddr(n.towerAddr(level))
+}
+
+// key is Key tallied on w instead of charged.
+func (w *walk) key(n Node) []byte {
+	m := n.meta()
+	h, kl := int(m&0xff), int(m>>16&0xffff)
+	w.count(n.region, kl)
+	return n.region.Bytes(n.addr.Add(n.keyOff(h)), kl)
+}
+
 // setNext atomically publishes the level-th successor (an 8-byte NVM
 // write — the unit of zero-copy compaction traffic).
 func (n Node) setNext(level int, v vaddr.Addr) {

@@ -115,28 +115,44 @@ func (l *List) randomHeight() int {
 // findSplice locates the insertion position for (key, seq): prev[i] is the
 // rightmost node at level i ordered strictly before (key, seq), and the
 // returned node is the overall successor (first node ≥ (key, seq)), or the
-// nil node.
+// nil node. The whole descent is one device charge.
 func (l *List) findSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
+	var w walk
 	cur := l.headNode()
 	var next Node
 	for level := MaxHeight - 1; level >= 0; level-- {
-		for {
-			nextAddr := cur.nextAddr(level)
-			if nextAddr.IsNil() {
-				next = Node{}
-				break
-			}
-			next = l.Node(nextAddr)
-			if keys.Compare(next.Key(), next.Seq(), key, seq) >= 0 {
-				break
-			}
-			cur = next
-		}
+		cur, next = l.walkLevel(&w, cur, level, key, seq)
 		if prev != nil {
 			prev[level] = cur
 		}
 	}
+	w.done()
 	return next
+}
+
+// walkLevel moves right from cur along one level while the next node
+// orders strictly before (key, seq). It returns the last such node (cur
+// itself if none) and the node that stopped the walk — the first at this
+// level ≥ (key, seq), or the nil node at the end of the level.
+func (l *List) walkLevel(w *walk, cur Node, level int, key []byte, seq uint64) (Node, Node) {
+	for {
+		next, before := l.ahead(w, cur, level, key, seq)
+		if !before {
+			return cur, next
+		}
+		cur = next
+	}
+}
+
+// ahead looks one step right of cur at level: the node there (nil at the
+// end of the level) and whether it orders strictly before (key, seq).
+func (l *List) ahead(w *walk, cur Node, level int, key []byte, seq uint64) (Node, bool) {
+	nextAddr := w.next(cur, level)
+	if nextAddr.IsNil() {
+		return Node{}, false
+	}
+	next := l.Node(nextAddr)
+	return next, keys.Compare(w.key(next), next.Seq(), key, seq) < 0
 }
 
 // seekGE returns the first node ≥ (key, seq) without recording the splice.
@@ -297,8 +313,56 @@ func (l *List) FindSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
 	return l.findSplice(key, seq, prev)
 }
 
+// AdvanceSplice moves a splice forward to (key, seq) — the finger search
+// of a sorted drain — and returns the successor exactly as FindSplice
+// would. prev must be a splice of this list for some position P ≤ (key,
+// seq): one FindSplice computed, advanced by earlier calls, or moved past
+// a node by InsertNodeWithSplice. Three invariants make it equal to a
+// fresh FindSplice at a fraction of the reads:
+//
+//  1. every entry orders strictly before the target (targets only ascend);
+//  2. every entry is still linked at its level — the single writer unlinks
+//     only nodes behind the splice position (RemoveWithSplice targets),
+//     never an entry;
+//  3. if level b's entry still brackets the target (its successor is nil
+//     or ≥ the target), no node of level b lies in [P, target), hence
+//     none of any level above either (a node linked at a level is linked
+//     at every lower one): the entries above b are already final.
+//
+// So the search finds the lowest bracketing level bottom-up and
+// re-descends only below it. Each lower level resumes from whichever of
+// the level above's result and its own old entry is further along, decided
+// without a comparison: a node the walk advanced onto lies in [P, target)
+// and so beyond every old entry (all before P); until the walk advances,
+// a level's own entry is at or beyond the one above it.
+func (l *List) AdvanceSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
+	var w walk
+	var next Node
+	b := 0
+	for before := true; b < MaxHeight; b++ {
+		if next, before = l.ahead(&w, prev[b], b, key, seq); !before {
+			break
+		}
+	}
+	advanced := false
+	var cur Node
+	for level := b - 1; level >= 0; level-- {
+		if !advanced {
+			cur = prev[level]
+		}
+		prev[level], next = l.walkLevel(&w, cur, level, key, seq)
+		if prev[level] != cur {
+			cur, advanced = prev[level], true
+		}
+	}
+	w.done()
+	return next
+}
+
 // InsertNodeWithSplice links n using a precomputed splice: pointer stores
-// only, no searching.
+// only, no searching. On return the splice has moved past n — n is the
+// entry at each of its own levels — so it stays a valid AdvanceSplice
+// finger for any later, larger target.
 func (l *List) InsertNodeWithSplice(n Node, prev *[MaxHeight]Node) {
 	height := n.Height()
 	for i := 0; i < height; i++ {
@@ -306,6 +370,7 @@ func (l *List) InsertNodeWithSplice(n Node, prev *[MaxHeight]Node) {
 	}
 	for i := 0; i < height; i++ {
 		prev[i].setNext(i, n.addr)
+		prev[i] = n
 	}
 	l.count.Add(1)
 	l.bytes.Add(int64(n.KeyLen() + n.ValueLen()))

@@ -14,6 +14,12 @@ package vaddr
 //
 // The destination meter is charged once for the full transfer, modeling a
 // single streaming write at device bandwidth.
+//
+// The clone commits only what it copies: its last chunk is cut to the
+// (8-byte rounded) extent instead of the source's full chunk size, so a
+// small memtable does not pin a whole chunk of NVM for as long as its
+// nodes live. A clone is therefore sealed — Alloc on it fails; lists over
+// it only ever re-link the copied nodes.
 func (s *Space) Clone(src *Region, meter Meter) *Region {
 	dst := s.NewRegion(src.chunkSize, meter)
 
@@ -21,30 +27,26 @@ func (s *Space) Clone(src *Region, meter Meter) *Region {
 	extent := src.allocOff
 	src.mu.Unlock()
 
-	dst.mu.Lock()
-	if err := dst.ensureLocked(extent); err != nil {
-		dst.mu.Unlock()
-		panic(err)
+	if meter != nil && extent > 0 {
+		meter.OnWrite(int(extent))
 	}
-	dst.allocOff = extent
-	dst.mu.Unlock()
+	srcChunks := *src.chunks.Load()
+	chunks := make([][]byte, 0, (extent+src.chunkMask)>>src.chunkShift)
+	for off := int64(0); off < extent; off += int64(src.chunkSize) {
+		n := extent - off
+		if n > int64(src.chunkSize) {
+			n = int64(src.chunkSize)
+		}
+		c := alignedChunk(int((n + 7) &^ 7))
+		copy(c, srcChunks[len(chunks)][:n])
+		chunks = append(chunks, c)
+	}
 
-	if extent > 0 {
-		if meter != nil {
-			meter.OnWrite(int(extent))
-		}
-		srcChunks := *src.chunks.Load()
-		dstChunks := *dst.chunks.Load()
-		remaining := extent
-		for i := 0; remaining > 0; i++ {
-			n := int64(src.chunkSize)
-			if n > remaining {
-				n = remaining
-			}
-			copy(dstChunks[i][:n], srcChunks[i][:n])
-			remaining -= n
-		}
-	}
+	dst.mu.Lock()
+	dst.clone = true
+	dst.allocOff = extent
+	dst.chunks.Store(&chunks)
+	dst.mu.Unlock()
 	return dst
 }
 

@@ -24,6 +24,7 @@ package vaddr
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -70,6 +71,11 @@ func (a Addr) String() string {
 type Meter interface {
 	// OnRead is invoked before n bytes are read from the region.
 	OnRead(n int)
+	// OnReads charges count reads totalling n bytes in one call. A
+	// multi-step walk (a skip-list search) tallies its accesses and
+	// settles them here once, instead of paying a call — and the device's
+	// shared counters — per node; the totals equal count OnRead calls.
+	OnReads(count, n int)
 	// OnWrite is invoked before n bytes are written to the region.
 	OnWrite(n int)
 }
@@ -93,14 +99,6 @@ func NewSpace() *Space {
 // power of two, minimum 4 KiB). Objects allocated in the region must fit in
 // a single chunk. meter may be nil.
 func (s *Space) NewRegion(chunkSize int, meter Meter) *Region {
-	if chunkSize < 4096 {
-		chunkSize = 4096
-	}
-	// Round up to a power of two so offset math stays cheap.
-	cs := 4096
-	for cs < chunkSize {
-		cs <<= 1
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := *s.regions.Load()
@@ -108,16 +106,7 @@ func (s *Space) NewRegion(chunkSize int, meter Meter) *Region {
 	if int64(idx) >= 1<<24 {
 		panic("vaddr: region index space exhausted")
 	}
-	r := &Region{
-		space:     s,
-		index:     idx,
-		base:      Addr(uint64(idx) << offsetBits),
-		chunkSize: cs,
-		chunkMask: int64(cs - 1),
-		meter:     meter,
-	}
-	chunks := make([][]byte, 0, 8)
-	r.chunks.Store(&chunks)
+	r := s.makeRegion(idx, chunkSize, meter)
 	if idx == 0 {
 		// Reserve the first word of region 0 so that Addr 0 is never a
 		// live object: the nil-address invariant.
@@ -137,29 +126,13 @@ func (s *Space) NewRegion(chunkSize int, meter Meter) *Region {
 // virtual addresses. The slot must be vacant; gaps below it are filled
 // with nil entries (they were volatile regions not captured in the image).
 func (s *Space) Restore(index uint32, chunkSize int, meter Meter) (*Region, error) {
-	if chunkSize < 4096 {
-		chunkSize = 4096
-	}
-	cs := 4096
-	for cs < chunkSize {
-		cs <<= 1
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := *s.regions.Load()
 	if int(index) < len(cur) && cur[index] != nil {
 		return nil, fmt.Errorf("vaddr: restore into occupied region slot %d", index)
 	}
-	r := &Region{
-		space:     s,
-		index:     index,
-		base:      Addr(uint64(index) << offsetBits),
-		chunkSize: cs,
-		chunkMask: int64(cs - 1),
-		meter:     meter,
-	}
-	chunks := make([][]byte, 0, 8)
-	r.chunks.Store(&chunks)
+	r := s.makeRegion(index, chunkSize, meter)
 	n := len(cur)
 	if int(index) >= n {
 		n = int(index) + 1
@@ -169,6 +142,28 @@ func (s *Space) Restore(index uint32, chunkSize int, meter Meter) (*Region, erro
 	next[index] = r
 	s.regions.Store(&next)
 	return r, nil
+}
+
+// makeRegion builds an empty, not yet published region. The chunk size is
+// rounded up to a power of two (minimum 4 KiB) so offset math is a shift
+// and a mask, both fixed here once.
+func (s *Space) makeRegion(index uint32, chunkSize int, meter Meter) *Region {
+	cs := 4096
+	for cs < chunkSize {
+		cs <<= 1
+	}
+	r := &Region{
+		space:      s,
+		index:      index,
+		base:       Addr(uint64(index) << offsetBits),
+		chunkSize:  cs,
+		chunkShift: uint(bits.TrailingZeros(uint(cs))),
+		chunkMask:  int64(cs - 1),
+		meter:      meter,
+	}
+	chunks := make([][]byte, 0, 8)
+	r.chunks.Store(&chunks)
+	return r
 }
 
 // Region returns the region with the given index, or nil if none exists.
@@ -227,13 +222,17 @@ func (s *Space) Regions() []*Region {
 // individual objects are never freed — the whole region is released at once
 // when the structures inside it become garbage.
 type Region struct {
-	space     *Space
-	index     uint32
-	base      Addr
-	chunkSize int
-	chunkMask int64
-	meter     Meter
-	released  atomic.Bool
+	space      *Space
+	index      uint32
+	base       Addr
+	chunkSize  int
+	chunkShift uint // log2(chunkSize)
+	chunkMask  int64
+	meter      Meter
+	released   atomic.Bool
+	// clone marks a region made by Space.Clone: a sealed copy whose last
+	// chunk is cut to the copied extent, so it can never be allocated from.
+	clone bool
 
 	mu       sync.Mutex // guards allocOff and chunk growth
 	allocOff int64
@@ -259,9 +258,15 @@ func (r *Region) Size() int64 {
 	return r.allocOff
 }
 
-// Footprint returns the bytes of backing memory currently committed.
+// Footprint returns the bytes of backing memory currently committed. Every
+// chunk is chunkSize long except a clone's last one, which is cut to the
+// copied extent.
 func (r *Region) Footprint() int64 {
-	return int64(len(*r.chunks.Load())) * int64(r.chunkSize)
+	chunks := *r.chunks.Load()
+	if len(chunks) == 0 {
+		return 0
+	}
+	return int64(len(chunks)-1)*int64(r.chunkSize) + int64(len(chunks[len(chunks)-1]))
 }
 
 // Released reports whether the region's memory has been dropped.
@@ -284,6 +289,9 @@ func (r *Region) Alloc(n int) (Addr, error) {
 	if r.released.Load() {
 		return NilAddr, fmt.Errorf("vaddr: allocation in released region %d", r.index)
 	}
+	if r.clone {
+		return NilAddr, fmt.Errorf("vaddr: allocation in cloned region %d", r.index)
+	}
 	off := r.allocOff
 	// Pad to the next chunk if the object would straddle a boundary.
 	if off&^r.chunkMask != (off+int64(n)-1)&^r.chunkMask {
@@ -302,7 +310,7 @@ func (r *Region) Alloc(n int) (Addr, error) {
 
 // ensureLocked commits chunks to cover [0, end). Caller holds r.mu.
 func (r *Region) ensureLocked(end int64) error {
-	need := int((end + r.chunkMask) >> uint(trailingZeros(r.chunkSize)))
+	need := int((end + r.chunkMask) >> r.chunkShift)
 	cur := *r.chunks.Load()
 	if len(cur) >= need {
 		return nil
@@ -316,19 +324,10 @@ func (r *Region) ensureLocked(end int64) error {
 	return nil
 }
 
-func trailingZeros(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 // chunkFor returns the chunk and intra-chunk offset for a region offset.
 func (r *Region) chunkFor(off int64) ([]byte, int) {
 	chunks := *r.chunks.Load()
-	ci := int(off >> uint(trailingZeros(r.chunkSize)))
+	ci := int(off >> r.chunkShift)
 	if ci >= len(chunks) {
 		panic(fmt.Sprintf("vaddr: access past end of region %d at offset %#x (released=%v)",
 			r.index, off, r.released.Load()))

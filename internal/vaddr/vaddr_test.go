@@ -194,6 +194,11 @@ func TestCloneAndRebase(t *testing.T) {
 	if dst.Size() != src.Size() {
 		t.Fatalf("clone size %d != src size %d", dst.Size(), src.Size())
 	}
+	// 50 × 256 B over 4 KiB chunks: three whole chunks and a short tail.
+	// The clone commits exactly that, the source a fourth whole chunk.
+	if src.Size() <= 3*4096 || dst.Footprint() != src.Size() || src.Footprint() != 4*4096 {
+		t.Fatalf("extent %d: clone footprint %d, source footprint %d", src.Size(), dst.Footprint(), src.Footprint())
+	}
 	for i, a := range addrs {
 		ra := Rebase(a, src, dst)
 		if ra.Region() != dst.Index() || ra.Offset() != a.Offset() {
@@ -220,6 +225,50 @@ func TestCloneAndRebase(t *testing.T) {
 	oa, _ := other.Alloc(8)
 	if Rebase(oa, src, dst) != oa {
 		t.Error("Rebase of foreign address changed it")
+	}
+}
+
+// TestCloneCommitsOnlyItsExtent covers the single-chunk case a memtable
+// flush is (an extent well inside one chunk), the empty clone, and the
+// property that makes cutting the last chunk safe: a clone is sealed.
+func TestCloneCommitsOnlyItsExtent(t *testing.T) {
+	s := NewSpace()
+	m := &countingMeter{}
+	src := s.NewRegion(256<<10, nil)
+	var last Addr
+	for i := 0; i < 100; i++ {
+		a, err := src.Alloc(100 + i) // odd sizes: Alloc rounds each to 8
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.PutUint64(a, uint64(i))
+		last = a
+	}
+	dst := s.Clone(src, m)
+	if dst.Footprint() != src.Size() || dst.Footprint()%8 != 0 {
+		t.Fatalf("clone footprint %d, extent %d", dst.Footprint(), src.Size())
+	}
+	if src.Footprint() != 256<<10 {
+		t.Fatalf("source footprint %d", src.Footprint())
+	}
+	if m.writes != 1 || int64(m.writeBytes) != src.Size() {
+		t.Fatalf("clone charged %d writes / %d B, want one of %d B", m.writes, m.writeBytes, src.Size())
+	}
+	if v := dst.Uint64(Rebase(last, src, dst)); v != 99 {
+		t.Fatalf("last object reads %d through the clone", v)
+	}
+	dst.Store64(Rebase(last, src, dst), 7) // in-place stores still work
+	if _, err := dst.Alloc(8); err == nil {
+		t.Fatal("Alloc on a clone succeeded")
+	}
+	if dst.Size() != src.Size() {
+		t.Fatalf("refused Alloc moved the clone's extent to %d", dst.Size())
+	}
+
+	m.writes = 0
+	empty := s.Clone(s.NewRegion(4096, nil), m)
+	if empty.Footprint() != 0 || empty.Size() != 0 || m.writes != 0 {
+		t.Fatalf("empty clone: footprint %d size %d writes %d", empty.Footprint(), empty.Size(), m.writes)
 	}
 }
 
@@ -259,8 +308,9 @@ type countingMeter struct {
 	reads, writes, readBytes, writeBytes int
 }
 
-func (m *countingMeter) OnRead(n int)  { m.reads++; m.readBytes += n }
-func (m *countingMeter) OnWrite(n int) { m.writes++; m.writeBytes += n }
+func (m *countingMeter) OnRead(n int)         { m.OnReads(1, n) }
+func (m *countingMeter) OnReads(count, n int) { m.reads += count; m.readBytes += n }
+func (m *countingMeter) OnWrite(n int)        { m.writes++; m.writeBytes += n }
 
 func TestMeterCharges(t *testing.T) {
 	s := NewSpace()

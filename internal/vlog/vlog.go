@@ -639,6 +639,15 @@ func (s *Store) SnapshotState() (next uint32, segs []SegmentRef) {
 	return next, segs
 }
 
+// NextID returns the id the next segment will get. Ids are never reused,
+// so the difference between two readings is the number of segments
+// created in between — the log growth background GC paces itself by.
+func (s *Store) NextID() uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nextID
+}
+
 // SetNextID raises the next segment id to at least id. Recovery restores
 // the persisted counter so reclaimed segment ids are never reused.
 func (s *Store) SetNextID(id uint32) {
