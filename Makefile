@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize profile repro clean
+.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire profile repro clean
 
 all: check
 
@@ -103,6 +103,17 @@ bench-membalance:
 # memory budget; writes BENCH_valuesize.json.
 bench-valuesize:
 	$(GO) run ./cmd/miodb-repro -experiment valuesize -json_dir .
+
+# The wire front end alone: one request through client, loopback socket
+# and server over a store that does nothing, closed loops of 1 and 16
+# callers on one connection, with allocations and the client's socket
+# writes and reads per request. Leaves a CPU profile; inspect with:
+#   go tool pprof profiles/wire.test profiles/wire-cpu.out
+bench-wire:
+	mkdir -p profiles
+	$(GO) test ./internal/client -run xxx -bench RoundTrip -benchmem \
+		-cpuprofile wire-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/wire.test
 
 # Capture mutex/block contention profiles from 8-thread read-only
 # readscale runs of both read-path arms (epoch-pinned and the

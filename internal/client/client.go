@@ -3,17 +3,20 @@
 // responses matched to requests by tag, with a connection pool on top.
 //
 // A Conn multiplexes any number of goroutines over one TCP connection:
-// each call claims a window slot and a fresh tag, hands its encoded
-// frame to the connection's writer (which coalesces everything ready
-// into single socket writes), and parks until the reader delivers the
-// response bearing its tag — so N callers see N concurrent round trips
-// over one socket instead of N sockets or N serialized round trips.
+// each call claims a window slot and a fresh tag, encodes its frame
+// straight into the connection's outgoing buffer (which the writer sends
+// whole, so one socket write carries every request that was ready), and
+// parks until the reader delivers the response bearing its tag — so N
+// callers see N concurrent round trips over one socket instead of N
+// sockets or N serialized round trips.
 package client
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -46,17 +49,30 @@ type tresp struct {
 	payload []byte
 }
 
+// replies recycles the one-slot channels callers park on. A channel
+// goes back only after its caller received the reply: the reader sends
+// at most once per registered tag, so the channel is then empty and
+// unreferenced. A caller that gives up leaves its channel to the
+// collector, because the reader may still deliver into it.
+var replies = sync.Pool{New: func() any { return make(chan tresp, 1) }}
+
 // Conn is one pipelined connection. All methods are safe for concurrent
 // use by any number of goroutines.
 type Conn struct {
 	nc     net.Conn
 	window chan struct{}
-	reqCh  chan []byte
 
 	mu      sync.Mutex
 	pending map[uint64]chan tresp
 	nextTag uint64
 	err     error // terminal transport error, set once under mu
+
+	// The hand-off to the writer: callers append whole frames to out and
+	// the writer takes the lot, leaving its own emptied buffer behind.
+	outMu   sync.Mutex
+	out     []byte
+	frames  int           // frames in out
+	outWake chan struct{} // cap 1: out went from empty to not
 
 	done     chan struct{}
 	doneOnce sync.Once
@@ -65,11 +81,17 @@ type Conn struct {
 
 // Dial connects and negotiates protocol v2.
 func Dial(addr string, opts Options) (*Conn, error) {
-	opts = opts.withDefaults()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return newConn(nc, opts)
+}
+
+// newConn negotiates protocol v2 over an established transport, which it
+// owns from here on (and closes on failure).
+func newConn(nc net.Conn, opts Options) (*Conn, error) {
+	opts = opts.withDefaults()
 	if _, err := nc.Write(server.MagicV2[:]); err != nil {
 		nc.Close()
 		return nil, err
@@ -77,8 +99,8 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	c := &Conn{
 		nc:      nc,
 		window:  make(chan struct{}, opts.Window),
-		reqCh:   make(chan []byte, opts.Window),
 		pending: make(map[uint64]chan tresp),
+		outWake: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	c.wg.Add(2)
@@ -112,27 +134,62 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// writeLoop coalesces queued request frames into single socket writes —
+// send encodes one request frame into the outgoing buffer and wakes the
+// writer if the buffer was empty.
+func (c *Conn) send(tag uint64, op byte, key, val []byte) {
+	c.outMu.Lock()
+	c.out = server.AppendTaggedRequest(c.out, tag, op, key, val)
+	c.frames++
+	first := c.frames == 1
+	c.outMu.Unlock()
+	if first {
+		select {
+		case c.outWake <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
+}
+
+// queued returns how many frames await the writer.
+func (c *Conn) queued() int {
+	c.outMu.Lock()
+	defer c.outMu.Unlock()
+	return c.frames
+}
+
+// takeOut trades the writer's emptied buffer for everything callers have
+// queued.
+func (c *Conn) takeOut(empty []byte) []byte {
+	c.outMu.Lock()
+	out := c.out
+	c.out, c.frames = empty, 0
+	c.outMu.Unlock()
+	return out
+}
+
+// writeLoop sends whatever callers have queued in one socket write —
 // with many callers in flight, one syscall carries many requests.
 func (c *Conn) writeLoop() {
 	defer c.wg.Done()
-	buf := make([]byte, 0, 16<<10)
+	var buf []byte
 	for {
-		var frame []byte
 		select {
-		case frame = <-c.reqCh:
+		case <-c.outWake:
 		case <-c.done:
 			return
 		}
-		buf = append(buf[:0], frame...)
-	coalesce:
-		for len(buf) < 256<<10 {
-			select {
-			case f := <-c.reqCh:
-				buf = append(buf, f...)
-			default:
-				break coalesce
-			}
+		// A single frame while other calls hold window slots: they are
+		// likely a scheduler slice from sending too (a burst of replies
+		// wakes its callers in a row), so yield once before taking rather
+		// than pay one write per request. Gated like the engine's commit
+		// leader (commitOps in internal/core): a lone caller never donates
+		// its slice.
+		if c.queued() == 1 && len(c.window) > 1 {
+			runtime.Gosched()
+		}
+		buf = c.takeOut(buf[:0])
+		if len(buf) == 0 {
+			continue // an earlier take already sent what this wake-up announced
 		}
 		if _, err := c.nc.Write(buf); err != nil {
 			c.fail(err)
@@ -142,11 +199,13 @@ func (c *Conn) writeLoop() {
 }
 
 // readLoop matches tagged responses (possibly out of request order) to
-// their parked callers.
+// their parked callers. It reads the socket through a buffer, so one
+// read delivers every reply the server sent in one write.
 func (c *Conn) readLoop() {
 	defer c.wg.Done()
+	br := bufio.NewReaderSize(c.nc, 64<<10)
 	for {
-		tag, status, payload, err := server.ReadTaggedResponse(c.nc)
+		tag, status, payload, err := server.ReadTaggedResponse(br)
 		if err != nil {
 			c.fail(err)
 			return
@@ -172,11 +231,12 @@ func (c *Conn) do(op byte, key, val []byte) (byte, []byte, error) {
 	}
 	defer func() { <-c.window }()
 
-	ch := make(chan tresp, 1)
+	ch := replies.Get().(chan tresp)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		replies.Put(ch) // never registered
 		return 0, nil, err
 	}
 	c.nextTag++
@@ -184,15 +244,10 @@ func (c *Conn) do(op byte, key, val []byte) (byte, []byte, error) {
 	c.pending[tag] = ch
 	c.mu.Unlock()
 
-	frame := server.AppendTaggedRequest(nil, tag, op, key, val)
-	select {
-	case c.reqCh <- frame:
-	case <-c.done:
-		c.abandon(tag)
-		return 0, nil, c.Err()
-	}
+	c.send(tag, op, key, val)
 	select {
 	case r := <-ch:
+		replies.Put(ch)
 		return r.status, r.payload, nil
 	case <-c.done:
 		// The reader may have delivered concurrently with teardown.

@@ -310,17 +310,79 @@ func TestGracefulCloseDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestCrossConnectionCoalescing drives concurrent single-Put traffic
-// from many pipelined connections and checks the shared batcher merged
-// them: the store's group-commit accounting must show multi-record
-// commits even though every client request carried exactly one record.
+// commitChecker sits between the batcher and the store and checks what
+// the batcher's reused merge slice could break: the operations of one
+// commit must not change while the store has them, an MPUT's operations
+// must arrive whole and adjacent in one commit, and (through committed) a
+// reply must not precede the commit that carries its operation.
+type commitChecker struct {
+	kvstore.Store
+	mu   sync.Mutex
+	done map[string]bool // keys whose commit has returned
+	errs []string
+}
+
+func (cc *commitChecker) fail(format string, args ...any) {
+	cc.mu.Lock()
+	cc.errs = append(cc.errs, fmt.Sprintf(format, args...))
+	cc.mu.Unlock()
+}
+
+func (cc *commitChecker) committed(key string) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.done[key]
+}
+
+func (cc *commitChecker) WriteBatch(ops []kvstore.BatchOp) error {
+	seen := make([]string, len(ops))
+	for i, op := range ops {
+		seen[i] = string(op.Key) + "=" + string(op.Value)
+	}
+	// An MPUT's keys end in -m0, -m1, -m2.
+	for i := 0; i < len(ops); i++ {
+		k := string(ops[i].Key)
+		if !strings.HasSuffix(k, "-m0") {
+			if strings.Contains(k, "-m") { // a whole batch is skipped below
+				cc.fail("commit of %d ops: %s arrived without the head of its batch", len(ops), k)
+			}
+			continue
+		}
+		for j := 1; j <= 2; j++ {
+			want := fmt.Sprintf("%s-m%d", strings.TrimSuffix(k, "-m0"), j)
+			if i+j >= len(ops) || string(ops[i+j].Key) != want {
+				cc.fail("commit of %d ops: batch %s split or reordered at op %d", len(ops), k, i+j)
+			}
+		}
+		i += 2
+	}
+	err := cc.Store.(kvstore.BatchWriter).WriteBatch(ops)
+	cc.mu.Lock()
+	for i, op := range ops {
+		if got := string(op.Key) + "=" + string(op.Value); got != seen[i] {
+			cc.errs = append(cc.errs, fmt.Sprintf("op %d changed under the store: %s, was %s", i, got, seen[i]))
+		}
+		cc.done[string(op.Key)] = true
+	}
+	cc.mu.Unlock()
+	return err
+}
+
+// TestCrossConnectionCoalescing drives concurrent single-Put and small
+// MPUT traffic from many pipelined connections and checks the shared
+// batcher merged them: the store's group-commit accounting must show
+// multi-record commits even though most client requests carried exactly
+// one record. The merges reuse one slice, so it also checks (see
+// commitChecker) that every submission stays atomic and that no reply
+// overtakes its commit.
 func TestCrossConnectionCoalescing(t *testing.T) {
 	db, err := core.Open(core.Options{MemTableSize: 256 << 10, Levels: 3, Simulate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	srv := New(miodbStore{db})
+	cc := &commitChecker{Store: miodbStore{db}, done: map[string]bool{}}
+	srv := New(cc)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -336,14 +398,21 @@ func TestCrossConnectionCoalescing(t *testing.T) {
 		c := dialV2(t, addr.String())
 		var tags sync.Mutex
 		next := uint64(0)
+		lastKey := map[uint64]string{} // tag → the last key its request writes
 		// depth workers share the connection; a private reader fan-in
 		// distributes responses (tags are per-connection here).
 		respCh := make(chan tresp, depth*perWorker)
 		go func() {
 			for {
-				_, status, payload, err := ReadTaggedResponse(c.br)
+				tag, status, payload, err := ReadTaggedResponse(c.br)
 				if err != nil {
 					return
+				}
+				tags.Lock()
+				key := lastKey[tag]
+				tags.Unlock()
+				if status == StatusOK && !cc.committed(key) {
+					status, payload = StatusError, []byte("reply for "+key+" overtook its commit")
 				}
 				respCh <- tresp{status: status, payload: payload}
 			}
@@ -353,12 +422,20 @@ func TestCrossConnectionCoalescing(t *testing.T) {
 			go func(g, w int) {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
+					key := fmt.Sprintf("c%dw%d-%04d", g, w, i)
+					op, val, last := OpPut, []byte("v"), key
+					if i%8 == 7 {
+						last = key + "-m2"
+						op, key, val = OpMPut, "", EncodeBatchPayload([]kvstore.BatchOp{
+							{Key: []byte(key + "-m0"), Value: []byte("v")},
+							{Key: []byte(key + "-m1"), Value: []byte("v")},
+							{Key: []byte(last), Value: []byte("v")},
+						})
+					}
 					tags.Lock()
 					next++
-					tag := next
-					frame := AppendTaggedRequest(nil, tag, OpPut,
-						[]byte(fmt.Sprintf("c%dw%d-%04d", g, w, i)), []byte("v"))
-					_, err := c.nc.Write(frame)
+					lastKey[next] = last
+					_, err := c.nc.Write(AppendTaggedRequest(nil, next, op, []byte(key), val))
 					tags.Unlock()
 					if err != nil {
 						errCh <- err
@@ -378,6 +455,9 @@ func TestCrossConnectionCoalescing(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+	for _, e := range cc.errs {
+		t.Error(e)
 	}
 	st := db.Stats()
 	if st.WriteGroups == 0 {

@@ -33,6 +33,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -143,9 +144,14 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	return readFrameBody(r, int(binary.LittleEndian.Uint32(hdr[:])))
+}
+
+// readFrameBody reads the n bytes of a frame whose length word has been
+// consumed; an empty frame is nil.
+func readFrameBody(r io.Reader, n int) ([]byte, error) {
 	if n > maxFrame {
-		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit", n)
+		return nil, errFrameTooBig(n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -155,6 +161,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return b, nil
+}
+
+func errFrameTooBig(n int) error {
+	return fmt.Errorf("server: frame of %d bytes exceeds limit", n)
 }
 
 // appendFrame appends one length-prefixed byte string to dst.
@@ -171,27 +181,60 @@ type request struct {
 	key, val []byte
 }
 
-// readRequestBody reads the key/value frames that follow an already-read
-// op byte — shared by the legacy reader (which reads the op itself) and
-// the v2 reader (which reads tag+op first).
-func readRequestBody(op byte, r io.Reader) (request, error) {
-	key, err := readFrame(r)
+// readRequestBody decodes the key and value frames that follow an
+// already-consumed op byte — shared by the legacy reader (op first) and
+// the v2 reader (tag and op first). The headers are peeked in br's own
+// buffer, and the key and the value share one allocation: the value's
+// length follows the key on the wire, so it is peeked past the key. A key
+// too long to peek past (longer than br's buffer) gets a buffer of its
+// own. An empty key or value decodes as nil.
+func readRequestBody(op byte, br *bufio.Reader) (request, error) {
+	p, err := br.Peek(4)
 	if err != nil {
 		return request{}, err
 	}
-	val, err := readFrame(r)
-	if err != nil {
+	kl := int(binary.LittleEndian.Uint32(p))
+	if kl > maxFrame {
+		return request{}, errFrameTooBig(kl)
+	}
+	br.Discard(4)
+	if kl+4 > br.Size() {
+		key, err := readFrameBody(br, kl)
+		if err != nil {
+			return request{}, err
+		}
+		val, err := readFrame(br)
+		return request{op: op, key: key, val: val}, err
+	}
+	if p, err = br.Peek(kl + 4); err != nil {
 		return request{}, err
 	}
-	return request{op: op, key: key, val: val}, nil
+	vl := int(binary.LittleEndian.Uint32(p[kl:]))
+	if vl > maxFrame {
+		return request{}, errFrameTooBig(vl)
+	}
+	req := request{op: op}
+	buf := make([]byte, kl+vl)
+	copy(buf, p[:kl])
+	br.Discard(kl + 4)
+	if kl > 0 {
+		req.key = buf[:kl:kl]
+	}
+	if vl > 0 {
+		req.val = buf[kl:]
+		if _, err := io.ReadFull(br, req.val); err != nil {
+			return request{}, err
+		}
+	}
+	return req, nil
 }
 
-func readRequest(r io.Reader) (request, error) {
-	var op [1]byte
-	if _, err := io.ReadFull(r, op[:]); err != nil {
+func readRequest(br *bufio.Reader) (request, error) {
+	op, err := br.ReadByte()
+	if err != nil {
 		return request{}, err
 	}
-	return readRequestBody(op[0], r)
+	return readRequestBody(op, br)
 }
 
 func writeRequest(w io.Writer, op byte, key, val []byte) error {
@@ -238,22 +281,49 @@ type taggedRequest struct {
 	request
 }
 
-// readTaggedRequest decodes one v2 request frame.
-func readTaggedRequest(r io.Reader) (taggedRequest, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// taggedHeaderLen is tag(8) | op(1); minTaggedRequest adds the two
+// length words of an empty key and value.
+const (
+	taggedHeaderLen  = 9
+	minTaggedRequest = taggedHeaderLen + 8
+)
+
+// readTaggedRequest decodes one v2 request frame, blocking until br has
+// all of it.
+func readTaggedRequest(br *bufio.Reader) (taggedRequest, error) {
+	hdr, err := br.Peek(taggedHeaderLen)
+	if err != nil {
 		return taggedRequest{}, err
 	}
-	tag := binary.LittleEndian.Uint64(hdr[:8])
+	tag := binary.LittleEndian.Uint64(hdr)
 	op := hdr[8]
 	if !validOp(op) {
 		return taggedRequest{}, fmt.Errorf("server: unknown op 0x%02x in tagged request", op)
 	}
-	req, err := readRequestBody(op, r)
+	br.Discard(taggedHeaderLen)
+	req, err := readRequestBody(op, br)
 	if err != nil {
 		return taggedRequest{}, err
 	}
 	return taggedRequest{tag: tag, request: req}, nil
+}
+
+// taggedRequestBuffered reports whether br already holds a whole v2
+// request frame, so that readTaggedRequest would return without reading
+// the socket. It judges by the length words alone: a frame it accepts
+// may still fail to decode, but never blocks.
+func taggedRequestBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < minTaggedRequest {
+		return false
+	}
+	p, _ := br.Peek(n)
+	kl := int(binary.LittleEndian.Uint32(p[taggedHeaderLen:]))
+	if kl > n-minTaggedRequest {
+		return false
+	}
+	vl := int(binary.LittleEndian.Uint32(p[taggedHeaderLen+4+kl:]))
+	return vl <= n-minTaggedRequest-kl
 }
 
 // appendTaggedResponse appends one v2 response frame to dst.
@@ -268,14 +338,12 @@ func appendTaggedResponse(dst []byte, tag uint64, status byte, payload []byte) [
 // ReadTaggedResponse decodes one v2 response frame: the tag of the
 // request it answers, the status, and the payload.
 func ReadTaggedResponse(r io.Reader) (tag uint64, status byte, payload []byte, err error) {
-	var hdr [9]byte
+	var hdr [13]byte // tag(8) | status(1) | payloadLen(4)
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	tag = binary.LittleEndian.Uint64(hdr[:8])
-	status = hdr[8]
-	payload, err = readFrame(r)
-	return tag, status, payload, err
+	payload, err = readFrameBody(r, int(binary.LittleEndian.Uint32(hdr[9:])))
+	return binary.LittleEndian.Uint64(hdr[:8]), hdr[8], payload, err
 }
 
 // EncodeBatchPayload packs an MPUT batch:
@@ -477,20 +545,16 @@ func DecodeMGetResponse(b []byte) (values [][]byte, errs []error, err error) {
 }
 
 // EncodeScanPayload packs scan results as keyLen|key|valLen|val pairs.
+// The server appends pair by pair as the store yields them (handleRead);
+// this whole-slice form serves clients and tests.
 func EncodeScanPayload(pairs [][2][]byte) []byte {
 	size := 0
 	for _, p := range pairs {
 		size += 8 + len(p[0]) + len(p[1])
 	}
 	out := make([]byte, 0, size)
-	var hdr [4]byte
 	for _, p := range pairs {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p[0])))
-		out = append(out, hdr[:]...)
-		out = append(out, p[0]...)
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p[1])))
-		out = append(out, hdr[:]...)
-		out = append(out, p[1]...)
+		out = appendFrame(appendFrame(out, p[0]), p[1])
 	}
 	return out
 }

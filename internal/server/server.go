@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -54,7 +55,11 @@ func (o Options) withDefaults() Options {
 // a reader goroutine (decodes and dispatches) and a writer goroutine
 // (serializes tagged responses), so handling never blocks the socket.
 // Writes from every connection funnel through one shared batcher that
-// feeds the store's group-commit pipeline (see batcher.go).
+// feeds the store's group-commit pipeline (see batcher.go). Every
+// hand-off on the pipelined path moves whatever burst is ready, not one
+// request: the reader decodes all the frames one socket read delivered
+// before it dispatches them, and the writer sends all the responses that
+// are ready in one socket write.
 type Server struct {
 	store kvstore.Store
 	opts  Options
@@ -85,7 +90,7 @@ func NewWithOptions(store kvstore.Store, opts Options) *Server {
 		conns:      map[*conn]struct{}{},
 		pendingSem: make(chan struct{}, opts.MaxPending),
 	}
-	s.batch = newBatcher(store, opts.MaxPending, opts.MaxBatchOps)
+	s.batch = newBatcher(store, opts.MaxBatchOps)
 	return s
 }
 
@@ -96,10 +101,16 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.serveOn(ln), nil
+}
+
+// serveOn starts accepting on an established listener, which the server
+// owns from here on.
+func (s *Server) serveOn(ln net.Listener) net.Addr {
 	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return ln.Addr(), nil
+	return ln.Addr()
 }
 
 func (s *Server) acceptLoop() {
@@ -220,6 +231,57 @@ func (c *conn) enqueue(r tresp) {
 	}
 }
 
+// complete answers one request; it runs exactly once per request. On a
+// pipelined connection it also releases what admit claimed, except the
+// window slot, which the write loop frees once the response is on the
+// wire. A legacy connection has one request in flight, whose admission
+// serveLegacy holds itself and whose response process waits for.
+func (c *conn) complete(tag uint64, status byte, payload []byte) {
+	if c.window == nil {
+		c.writeCh <- tresp{status: status, payload: payload}
+		return
+	}
+	c.enqueue(tresp{tag: tag, status: status, payload: payload})
+	<-c.srv.pendingSem
+	c.srv.inflight.Done()
+	c.ops.Done()
+}
+
+// acquire takes one token of sem. With wait false it gives up rather
+// than block; with wait true it gives up only when closed is.
+func acquire(sem chan struct{}, closed <-chan struct{}, wait bool) bool {
+	select {
+	case sem <- struct{}{}:
+		return true
+	default:
+	}
+	if !wait {
+		return false
+	}
+	select {
+	case sem <- struct{}{}:
+		return true
+	case <-closed:
+		return false
+	}
+}
+
+// admit claims, for one decoded request, a slot of the connection's
+// window and then one of the server's pending limit; complete and the
+// write loop release them.
+func (c *conn) admit(wait bool) bool {
+	if !acquire(c.window, c.closed, wait) {
+		return false
+	}
+	if !acquire(c.srv.pendingSem, c.closed, wait) {
+		<-c.window
+		return false
+	}
+	c.srv.inflight.Add(1)
+	c.ops.Add(1)
+	return true
+}
+
 // serve sniffs the protocol version from the first byte: a v2 client
 // leads with the "MIO2" magic, whose first byte is outside the op-code
 // range; anything else is a legacy request stream.
@@ -255,32 +317,53 @@ func (s *Server) forget(c *conn) {
 // servePipelined is the v2 read loop: decode, admit (per-connection
 // window, then global pending limit), dispatch. It never writes to the
 // socket; the write loop owns that side.
+//
+// Requests move in bursts: the loop blocks for one frame, then keeps
+// decoding for as long as a whole frame is already buffered, and only
+// then hands the burst on — its writes to the batcher in one submit, its
+// reads to one goroutine. Nothing held back ever waits on the socket or
+// on admission: the responses of the held requests are what frees the
+// slots the next one may be waiting for.
 func (s *Server) servePipelined(c *conn) {
 	c.writeCh = make(chan tresp, s.opts.Window)
 	c.window = make(chan struct{}, s.opts.Window)
 	s.wg.Add(1)
 	go c.writeLoop()
 
+	var writes []submission   // reused: the batcher copies a burst into its queue
+	var reads []taggedRequest // handed over to the burst's goroutine
+	flush := func() {
+		if len(writes) > 0 {
+			s.batch.submit(writes...)
+			clear(writes)
+			writes = writes[:0]
+		}
+		if len(reads) > 0 {
+			go s.runReads(c, reads)
+			reads = nil
+		}
+	}
 	for {
 		req, err := readTaggedRequest(c.br)
 		if err != nil {
 			break // disconnect, malformed stream, or drain deadline
 		}
-		select {
-		case c.window <- struct{}{}:
-		case <-c.closed:
-			goto out
+		if !c.admit(false) {
+			flush()
+			if !c.admit(true) {
+				break
+			}
 		}
-		select {
-		case s.pendingSem <- struct{}{}:
-		case <-c.closed:
-			goto out
+		if !isWrite(req.op) {
+			reads = append(reads, req)
+		} else if sub, ok := s.stageWrite(c, req); ok {
+			writes = append(writes, sub)
 		}
-		s.inflight.Add(1)
-		c.ops.Add(1)
-		s.dispatch(c, req)
+		if !taggedRequestBuffered(c.br) {
+			flush()
+		}
 	}
-out:
+	flush()
 	// Let every dispatched request finish and enqueue its response,
 	// release the connection's snapshots (nothing can reach them
 	// anymore), then close the queue so the write loop flushes the tail
@@ -291,6 +374,15 @@ out:
 		close(c.writeCh)
 	}()
 	s.forget(c)
+}
+
+// runReads executes one burst's non-mutating requests in arrival order,
+// off the reader goroutine so a device-bound Get cannot stall decoding.
+func (s *Server) runReads(c *conn, reads []taggedRequest) {
+	for _, req := range reads {
+		status, payload := s.handleRead(c, req.request)
+		c.complete(req.tag, status, payload)
+	}
 }
 
 // writeLoop is the single writer for a pipelined connection: it drains
@@ -312,6 +404,15 @@ func (c *conn) writeLoop() {
 			return
 		}
 		buf = appendTaggedResponse(buf[:0], r.tag, r.status, r.payload)
+		// A single response while the connection has other requests in
+		// flight: theirs are likely a scheduler slice away (the batcher
+		// and a burst's reads complete in a row, and the first completion
+		// woke this loop), so yield once before draining rather than pay
+		// one write per response. The gate is commitOps's
+		// (internal/core): a lone request never donates its slice.
+		if len(c.writeCh) == 0 && len(c.window) > 1 {
+			runtime.Gosched()
+		}
 		n := 1
 	coalesce:
 		for len(buf) < 256<<10 {
@@ -336,70 +437,55 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// dispatch routes one admitted request. Writes go to the shared batcher
-// (the reader blocks only on admission, never on the commit); reads run
-// in their own goroutine so a device-bound Get cannot stall decoding.
-// done fires exactly once per request and releases everything the
-// request holds.
-func (s *Server) dispatch(c *conn, req taggedRequest) {
-	op := req.op
-	done := func(status byte, payload []byte) {
-		c.enqueue(tresp{tag: req.tag, status: status, payload: payload})
-		<-s.pendingSem
-		s.inflight.Done()
-		c.ops.Done()
-	}
-	switch op {
+// isWrite reports whether op goes through the batcher.
+func isWrite(op byte) bool {
+	return op == OpPut || op == OpDelete || op == OpMPut || op == OpDelRange
+}
+
+// stageWrite validates one admitted mutating request (isWrite) and turns
+// it into the submission the batcher will commit. A request that is
+// refused, or has nothing to commit, is answered on the spot and ok is
+// false.
+func (s *Server) stageWrite(c *conn, req taggedRequest) (sub submission, ok bool) {
+	sub = submission{c: c, tag: req.tag}
+	var msg string
+	switch req.op {
 	case OpPut:
 		if len(req.key) == 0 {
-			done(StatusError, []byte("put: empty key"))
-			return
+			msg = "put: empty key"
 		}
-		s.batch.submit(submission{
-			ops:     []kvstore.BatchOp{{Key: req.key, Value: req.val}},
-			respond: done,
-		})
+		sub.op = kvstore.BatchOp{Key: req.key, Value: req.val}
 	case OpDelete:
 		if len(req.key) == 0 {
-			done(StatusError, []byte("delete: empty key"))
-			return
+			msg = "delete: empty key"
 		}
-		s.batch.submit(submission{
-			ops:     []kvstore.BatchOp{{Key: req.key, Delete: true}},
-			respond: done,
-		})
+		sub.op = kvstore.BatchOp{Key: req.key, Delete: true}
 	case OpMPut:
 		ops, err := DecodeBatchPayload(req.val)
 		if err != nil {
-			done(StatusError, []byte(err.Error()))
-			return
+			msg = err.Error()
+		} else {
+			msg = s.validateBatch(ops)
 		}
-		if msg := s.validateBatch(ops); msg != "" {
-			done(StatusError, []byte(msg))
-			return
+		if msg == "" && len(ops) == 0 {
+			c.complete(req.tag, StatusOK, nil)
+			return sub, false
 		}
-		if len(ops) == 0 {
-			done(StatusOK, nil)
-			return
-		}
-		s.batch.submit(submission{ops: ops, respond: done})
+		sub.ops = ops
 	case OpDelRange:
-		ops, msg := s.delRangeOps(req.request)
-		if msg != "" {
-			done(StatusError, []byte(msg))
-			return
+		if _, ok := s.store.(kvstore.RangeDeleter); !ok {
+			msg = "delrange: store does not support range deletes"
+		} else if len(req.val) > 0 && string(req.key) >= string(req.val) {
+			c.complete(req.tag, StatusOK, nil) // empty range — a no-op, like the store's
+			return sub, false
 		}
-		if len(ops) == 0 {
-			done(StatusOK, nil) // empty range — a no-op, like the store's
-			return
-		}
-		s.batch.submit(submission{ops: ops, respond: done})
-	default:
-		go func() {
-			status, payload := s.handleRead(c, req.request)
-			done(status, payload)
-		}()
+		sub.op = kvstore.BatchOp{Key: req.key, Value: req.val, RangeDelete: true}
 	}
+	if msg != "" {
+		c.complete(req.tag, StatusError, []byte(msg))
+		return sub, false
+	}
+	return sub, true
 }
 
 // validateBatch screens a decoded MPUT batch: empty keys are refused
@@ -420,19 +506,6 @@ func (s *Server) validateBatch(ops []kvstore.BatchOp) string {
 	return ""
 }
 
-// delRangeOps turns a DELRANGE request into its batch form after the
-// capability check. An empty range returns no ops (a no-op, matching the
-// store's own DeleteRange contract).
-func (s *Server) delRangeOps(req request) ([]kvstore.BatchOp, string) {
-	if _, ok := s.store.(kvstore.RangeDeleter); !ok {
-		return nil, "delrange: store does not support range deletes"
-	}
-	if len(req.val) > 0 && string(req.key) >= string(req.val) {
-		return nil, ""
-	}
-	return []kvstore.BatchOp{{Key: req.key, Value: req.val, RangeDelete: true}}, ""
-}
-
 // serveLegacy is the v1 loop: one request, one synchronous response.
 // Writes still route through the shared batcher, so even legacy
 // connections contribute to (and benefit from) cross-connection
@@ -443,6 +516,7 @@ func (s *Server) serveLegacy(c *conn) {
 		c.shutdown()
 		s.forget(c)
 	}()
+	c.writeCh = make(chan tresp, 1) // the one request in flight answers here (see complete)
 	bw := bufio.NewWriterSize(c.nc, 32<<10)
 	for {
 		req, err := readRequest(c.br)
@@ -469,51 +543,14 @@ func (s *Server) serveLegacy(c *conn) {
 
 // process executes one request synchronously (the legacy path).
 func (s *Server) process(c *conn, req request) (byte, []byte) {
-	switch req.op {
-	case OpPut, OpDelete, OpMPut, OpDelRange:
-		var ops []kvstore.BatchOp
-		switch req.op {
-		case OpPut:
-			if len(req.key) == 0 {
-				return StatusError, []byte("put: empty key")
-			}
-			ops = []kvstore.BatchOp{{Key: req.key, Value: req.val}}
-		case OpDelete:
-			if len(req.key) == 0 {
-				return StatusError, []byte("delete: empty key")
-			}
-			ops = []kvstore.BatchOp{{Key: req.key, Delete: true}}
-		case OpMPut:
-			var err error
-			ops, err = DecodeBatchPayload(req.val)
-			if err != nil {
-				return StatusError, []byte(err.Error())
-			}
-			if msg := s.validateBatch(ops); msg != "" {
-				return StatusError, []byte(msg)
-			}
-			if len(ops) == 0 {
-				return StatusOK, nil
-			}
-		case OpDelRange:
-			var msg string
-			ops, msg = s.delRangeOps(req)
-			if msg != "" {
-				return StatusError, []byte(msg)
-			}
-			if len(ops) == 0 {
-				return StatusOK, nil
-			}
-		}
-		ch := make(chan tresp, 1)
-		s.batch.submit(submission{ops: ops, respond: func(status byte, payload []byte) {
-			ch <- tresp{status: status, payload: payload}
-		}})
-		r := <-ch
-		return r.status, r.payload
-	default:
+	if !isWrite(req.op) {
 		return s.handleRead(c, req)
 	}
+	if sub, ok := s.stageWrite(c, taggedRequest{request: req}); ok {
+		s.batch.submit(sub)
+	}
+	r := <-c.writeCh
+	return r.status, r.payload
 }
 
 // handleRead serves the non-mutating ops (and rejects unknown ones).
@@ -603,18 +640,17 @@ func (s *Server) handleRead(c *conn, req request) (byte, []byte) {
 			return StatusError, []byte("scan: missing limit")
 		}
 		limit := int(binary.LittleEndian.Uint32(req.val))
-		var pairs [][2][]byte
+		// The payload is the pairs end to end with no count in front, so
+		// each is encoded as the store yields it.
+		var payload []byte
 		err := s.store.Scan(req.key, limit, func(k, v []byte) bool {
-			pairs = append(pairs, [2][]byte{
-				append([]byte(nil), k...),
-				append([]byte(nil), v...),
-			})
+			payload = appendFrame(appendFrame(payload, k), v)
 			return true
 		})
 		if err != nil {
 			return StatusError, []byte(err.Error())
 		}
-		return StatusOK, EncodeScanPayload(pairs)
+		return StatusOK, payload
 	case OpStats:
 		return StatusOK, []byte(s.statsLine())
 	default:
