@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire profile repro clean
+.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read profile repro clean
 
 all: check
 
@@ -114,6 +114,24 @@ bench-wire:
 	$(GO) test ./internal/client -run xxx -bench RoundTrip -benchmem \
 		-cpuprofile wire-cpu.out \
 		-outputdir $(CURDIR)/profiles -o profiles/wire.test
+
+# The read path alone, bottom up: one skip-list search at memtable size
+# (384 entries) and repository size (60 000), one SafeIterator step through
+# a settled table and through a merging pair, and the engine's Scan(20)
+# over a preloaded store, with allocations. Leaves a CPU profile per
+# layer; inspect with:
+#   go tool pprof -top profiles/read-skiplist.test profiles/read-skiplist-cpu.out
+bench-read:
+	mkdir -p profiles
+	$(GO) test ./internal/skiplist -run xxx -bench SeekGE -benchmem \
+		-cpuprofile read-skiplist-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/read-skiplist.test
+	$(GO) test ./internal/pmtable -run xxx -bench SafeIteratorNext -benchmem \
+		-cpuprofile read-pmtable-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/read-pmtable.test
+	$(GO) test ./internal/core -run xxx -bench Scan20 -benchmem \
+		-cpuprofile read-core-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/read-core.test
 
 # Capture mutex/block contention profiles from 8-thread read-only
 # readscale runs of both read-path arms (epoch-pinned and the

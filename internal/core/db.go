@@ -110,6 +110,12 @@ type DB struct {
 	// raced by a late snapshot.
 	closedFlag atomic.Bool
 
+	// degraded mirrors db.bgErr != nil (stored under db.mu, beside it).
+	// With closedFlag it lets the per-commit write gate answer from two
+	// atomics instead of queueing on db.mu behind the flusher and the
+	// mergers each rotation has just woken.
+	degraded atomic.Bool
+
 	// Snapshot registry (snapshot.go). snaps holds every open long-lived
 	// Snapshot; snapMin caches the lowest registered bound — the "horizon"
 	// compactions compare superseding sequence numbers against before
@@ -1082,21 +1088,30 @@ func (db *DB) NewIterator() *Iterator {
 // is inserted only when needed, so stores that never call DeleteRange or
 // Snapshot keep today's iterator stack unchanged.
 func (db *DB) versionIterator(v *version, maxSeq uint64) iterx.Iterator {
-	sources := []iterx.Iterator{v.mem.mt.NewIterator()}
+	var ssd []iterx.Iterator
+	if db.ssd != nil {
+		ssd = db.ssd.Iterators()
+	}
+	// One source per memtable, level entry and the repository, counted
+	// first: the list is allocated once and becomes the merge heap.
+	n := 2 + len(v.imms) + len(ssd)
+	for _, level := range v.levels {
+		n += len(level)
+	}
+	sources := make([]iterx.Iterator, 0, n)
+	sources = append(sources, v.mem.mt.NewIterator())
 	for _, imm := range v.imms {
 		sources = append(sources, imm.mt.NewIterator())
 	}
 	for _, level := range v.levels {
 		for _, e := range level {
-			sources = append(sources, e.iterators()...)
+			sources = append(sources, e.iterator())
 		}
 	}
 	if v.repo != nil {
 		sources = append(sources, v.repo.NewIterator())
 	}
-	if db.ssd != nil {
-		sources = append(sources, db.ssd.Iterators()...)
-	}
+	sources = append(sources, ssd...)
 	var inner iterx.Iterator = iterx.NewMerging(sources...)
 	if dead := deadFn(v.rangeDels); dead != nil || maxSeq != keys.MaxSeq {
 		inner = iterx.NewFiltered(inner, maxSeq, dead)

@@ -42,6 +42,7 @@ func (db *DB) degradeLocked(op string, err error) {
 		return
 	}
 	db.bgErr = fmt.Errorf("%w (%s): %w", ErrDegraded, op, err)
+	db.degraded.Store(true)
 	db.st.CountBackgroundError()
 	// Wake background loops (they exit), WaitIdle callers, and writers.
 	db.cond.Broadcast()
@@ -109,8 +110,13 @@ func (db *DB) writeGateLocked() error {
 	return db.bgErr
 }
 
-// writeGate is writeGateLocked for callers not holding db.mu.
+// writeGate is writeGateLocked for callers not holding db.mu. A healthy
+// open store answers from the two latches alone; only a refusal takes
+// db.mu, to read which error it is.
 func (db *DB) writeGate() error {
+	if !db.closedFlag.Load() && !db.degraded.Load() {
+		return nil
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.writeGateLocked()

@@ -19,7 +19,7 @@ type levelEntry interface {
 	// reads). maxSeq = keys.MaxSeq must behave exactly like get.
 	getAt(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool)
 	mayContain(key []byte) bool
-	iterators() []iterx.Iterator
+	iterator() iterx.Iterator
 	newestSeq() uint64
 }
 
@@ -35,15 +35,14 @@ func (e tableEntry) getAt(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind,
 }
 func (e tableEntry) mayContain(key []byte) bool { return e.t.MayContainSafe(key) }
 
-// iterators returns the table's scan source. Always the migration-safe
-// re-seek iterator: even a table that is settled when the scan starts can
-// enter a zero-copy merge mid-scan, and a raw pointer-chasing iterator
-// standing on a node the merge migrates would follow the rewritten tower
-// into the other list — silently skipping the rest of this one.
-func (e tableEntry) iterators() []iterx.Iterator {
-	return []iterx.Iterator{e.t.NewSafeIterator()}
-}
-func (e tableEntry) newestSeq() uint64 { return e.t.MaxSeq }
+// iterator returns the table's scan source. Always the migration-safe
+// iterator: even a table that is settled when the scan starts can enter a
+// zero-copy merge mid-scan, and a raw pointer-chasing iterator standing on
+// a node the merge migrates would follow the rewritten tower into the
+// other list — silently skipping the rest of this one. The safe iterator
+// chases pointers only for as long as the table stays settled.
+func (e tableEntry) iterator() iterx.Iterator { return e.t.NewSafeIterator() }
+func (e tableEntry) newestSeq() uint64        { return e.t.MaxSeq }
 
 type mergeEntry struct{ m *pmtable.Merge }
 
@@ -52,13 +51,12 @@ func (e mergeEntry) getAt(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind,
 	return e.m.GetBounded(key, maxSeq)
 }
 func (e mergeEntry) mayContain(key []byte) bool { return e.m.MayContain(key) }
-func (e mergeEntry) iterators() []iterx.Iterator {
-	// The safe iterator reads both lists plus the in-flight mark node
-	// under the merge's seqlock, re-seeking each step, and follows the
-	// result table once the merge completes mid-scan.
-	return []iterx.Iterator{e.m.NewSafeIterator()}
-}
-func (e mergeEntry) newestSeq() uint64 { return e.m.New.MaxSeq }
+
+// iterator reads both lists plus the in-flight mark node under the
+// merge's seqlock, re-seeking each step, and follows the result table
+// once the merge completes mid-scan.
+func (e mergeEntry) iterator() iterx.Iterator { return e.m.NewSafeIterator() }
+func (e mergeEntry) newestSeq() uint64        { return e.m.New.MaxSeq }
 
 // memHandle pairs a memtable with its write-ahead log.
 type memHandle struct {

@@ -41,16 +41,17 @@ type Merging struct {
 	h mergeHeap
 }
 
-// NewMerging builds a merging iterator over the given sources.
+// NewMerging builds a merging iterator over the given sources (nil ones
+// are ignored). It adopts the slice as its heap: a caller passing
+// list... hands the list over and must not use it afterwards.
 func NewMerging(sources ...Iterator) *Merging {
-	m := &Merging{}
-	m.h = make(mergeHeap, 0, len(sources))
+	h := sources[:0]
 	for _, s := range sources {
 		if s != nil {
-			m.h = append(m.h, s)
+			h = append(h, s)
 		}
 	}
-	return m
+	return &Merging{h: h}
 }
 
 type mergeHeap []Iterator

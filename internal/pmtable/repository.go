@@ -171,6 +171,7 @@ func (r *Repository) AbsorbWith(t *Table, p AbsorbPolicy) error {
 
 	var lastKey []byte
 	lastValid := false
+	var splice [skiplist.MaxHeight]skiplist.Node
 	it := t.NewIterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		key := it.Key()
@@ -185,7 +186,12 @@ func (r *Repository) AbsorbWith(t *Table, p AbsorbPolicy) error {
 			continue // covered by a range tombstone
 		}
 
-		existing := r.list.FindGE(key)
+		// One descent serves the lookup and the insert: the successor of
+		// (key, MaxSeq) is the repository's newest version of key, and
+		// once that is known to be older than the entry (the check below),
+		// no node orders between (key, MaxSeq) and (key, seq) — the splice
+		// of the one position is the splice of the other.
+		existing := r.list.FindSplice(key, keys.MaxSeq, &splice)
 		hasExisting := !existing.IsNil() && bytes.Equal(existing.Key(), key)
 		if hasExisting && existing.Seq() >= it.Seq() {
 			p.onDrop(it.Value(), it.Kind())
@@ -218,7 +224,7 @@ func (r *Repository) AbsorbWith(t *Table, p AbsorbPolicy) error {
 			continue
 		}
 		value := it.Value()
-		n, err := r.list.InsertEntry(key, value, it.Seq(), it.Kind())
+		n, err := r.list.InsertEntryWithSplice(key, value, it.Seq(), it.Kind(), &splice)
 		if err != nil {
 			return err
 		}

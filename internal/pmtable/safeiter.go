@@ -13,49 +13,71 @@ import (
 // the new table's list into the old one mid-walk — silently skipping
 // every not-yet-migrated entry behind it. Point reads solve this with the
 // insertion mark + seqlock protocol (Table.GetSafe); SafeIterator is the
-// scan-side counterpart: it never holds a node across steps. Each
-// positioning operation re-seeks the strict successor of the current
-// (key, seq) position from the live list heads, under the same seqlock
-// validation, following forward/activeMerge indirection at call time —
-// so the iterator stays correct across a merge starting, progressing, or
-// completing mid-scan, at O(log n) per step.
+// scan-side counterpart, built on one fact: *settled is monotone*.
+//
+// A table is settled while it has neither an activeMerge nor a forward.
+// The engine sets each of the two exactly once per merge and never clears
+// them after a node has moved, so a table that reads settled *now* has had
+// an immutable list ever since it was built (a flush output, or a merge
+// result after finish) — and the merger publishes activeMerge strictly
+// before its first pointer store, the ordering Table.GetSafe step 3 relies
+// on. SafeIterator therefore remembers the settled live table its node
+// came from and steps in two ways:
+//
+//   - fast: load the node's level-0 successor, *then* re-read the two
+//     flags. Still settled: no migration store can precede the load, the
+//     pointer is the list's, take it (one 8-byte metered read). The check
+//     comes after the load so that a node a just-started merge migrated —
+//     or dropped — under the iterator is never followed;
+//   - slow: anything else re-seeks the strict successor of the current
+//     (key, seq) from the live list heads under the merge's seqlock,
+//     following forward/activeMerge at call time, at O(log n) per step.
+//     The iterator stays slow until one of those seeks lands on a settled
+//     table again (a drained pair forwards to its result, which is one):
+//     the licence always comes from a fresh seek, never from the table the
+//     iterator left.
 //
 // Node memory itself is stable ground: migrations rewrite tower pointers
 // only, never key/value bytes, and arenas are freed strictly after the
-// reader's pinned version drains. Holding the current node within a step
-// is therefore safe; holding it across steps is not.
+// reader's pinned version drains. Holding the current node is therefore
+// always safe; trusting its pointers is safe only on a settled table.
 
 // succSource yields strict-successor probes: the first entry ≥ (key, seq)
-// in internal order, from live state.
+// in internal order, from live state, and the table the entry was read
+// from if that table was settled throughout the probe (else nil).
 type succSource interface {
-	SuccSafe(key []byte, seq uint64) skiplist.Node
+	succSafe(key []byte, seq uint64) (skiplist.Node, *Table)
 }
 
-// SuccSafe returns the first entry ≥ (key, seq) in the table, reading
+// settled reports that no merge has touched the table's list since the
+// table was built; see the note above.
+func (t *Table) settled() bool { return t.activeMerge.Load() == nil && t.forward.Load() == nil }
+
+// succSafe returns the first entry ≥ (key, seq) in the table, reading
 // through forward pointers and any active merge exactly like GetSafe.
-func (t *Table) SuccSafe(key []byte, seq uint64) skiplist.Node {
+func (t *Table) succSafe(key []byte, seq uint64) (skiplist.Node, *Table) {
 	if f := t.Forward(); f != nil {
-		return f.SuccSafe(key, seq)
+		return f.succSafe(key, seq)
 	}
 	if m := t.ActiveMerge(); m != nil {
-		return m.SuccSafe(key, seq)
+		return m.succSafe(key, seq)
 	}
 	n := t.list.SeekGE(key, seq)
 	// A merge may have started during the raw seek; its migrations could
 	// have slid nodes under the search. Redo through the merge protocol.
 	if m := t.ActiveMerge(); m != nil {
-		return m.SuccSafe(key, seq)
+		return m.succSafe(key, seq)
 	}
-	return n
+	return n, t
 }
 
-// SuccSafe returns the first entry ≥ (key, seq) across the merging pair —
+// succSafe returns the first entry ≥ (key, seq) across the merging pair —
 // both lists plus the in-flight insertion-mark node — under the merge's
 // seqlock; after completion it reads through the result table.
-func (m *Merge) SuccSafe(key []byte, seq uint64) skiplist.Node {
+func (m *Merge) succSafe(key []byte, seq uint64) (skiplist.Node, *Table) {
 	for tries := 0; tries < 4; tries++ {
 		if m.done.Load() {
-			return m.result.SuccSafe(key, seq)
+			return m.result.succSafe(key, seq)
 		}
 		v1 := m.pos.Load()
 		if v1&1 == 1 {
@@ -64,7 +86,7 @@ func (m *Merge) SuccSafe(key []byte, seq uint64) skiplist.Node {
 		}
 		n := m.succOnce(key, seq)
 		if m.pos.Load() == v1 && !m.done.Load() {
-			return n
+			return n, nil
 		}
 	}
 	m.mu.Lock()
@@ -72,9 +94,9 @@ func (m *Merge) SuccSafe(key []byte, seq uint64) skiplist.Node {
 	done := m.done.Load()
 	m.mu.Unlock()
 	if done {
-		return m.result.SuccSafe(key, seq)
+		return m.result.succSafe(key, seq)
 	}
-	return n
+	return n, nil
 }
 
 func (m *Merge) succOnce(key []byte, seq uint64) skiplist.Node {
@@ -94,14 +116,18 @@ func (m *Merge) succOnce(key []byte, seq uint64) skiplist.Node {
 	return best
 }
 
-// SafeIterator walks a table (or an in-flight merge) in internal order by
-// strict-successor re-seeks. It satisfies the iterx.Iterator contract
+// SafeIterator walks a table (or an in-flight merge) in internal order,
+// chasing level-0 pointers while its table is settled and re-seeking the
+// strict successor otherwise. It satisfies the iterx.Iterator contract
 // structurally.
 type SafeIterator struct {
 	src   succSource
 	key   []byte // copy: the position must survive the node migrating
 	node  skiplist.Node
 	valid bool
+	// from is the settled table node was read from — the licence to follow
+	// node's level-0 pointer — or nil when the last probe crossed a merge.
+	from *Table
 }
 
 // NewSafeIterator returns a migration-safe iterator over the table.
@@ -110,7 +136,8 @@ func (t *Table) NewSafeIterator() *SafeIterator { return &SafeIterator{src: t} }
 // NewSafeIterator returns a migration-safe iterator over the merging pair.
 func (m *Merge) NewSafeIterator() *SafeIterator { return &SafeIterator{src: m} }
 
-func (it *SafeIterator) set(n skiplist.Node) {
+func (it *SafeIterator) set(n skiplist.Node, from *Table) {
+	it.from = from
 	if n.IsNil() {
 		it.valid = false
 		return
@@ -121,18 +148,27 @@ func (it *SafeIterator) set(n skiplist.Node) {
 }
 
 // SeekToFirst positions at the first entry.
-func (it *SafeIterator) SeekToFirst() { it.set(it.src.SuccSafe(nil, keys.MaxSeq)) }
+func (it *SafeIterator) SeekToFirst() { it.set(it.src.succSafe(nil, keys.MaxSeq)) }
 
 // Seek positions at the first entry with user key ≥ key.
-func (it *SafeIterator) Seek(key []byte) { it.set(it.src.SuccSafe(key, keys.MaxSeq)) }
+func (it *SafeIterator) Seek(key []byte) { it.set(it.src.succSafe(key, keys.MaxSeq)) }
 
-// Next advances to the strict successor of the current position. Sequence
-// numbers start at 1, so seq-1 never underflows below the head's 0.
+// Next advances to the strict successor of the current position: the
+// node's own level-0 successor if the table is still settled after the
+// pointer was loaded, else a re-seek. Sequence numbers start at 1, so
+// seq-1 never underflows below the head's 0.
 func (it *SafeIterator) Next() {
 	if !it.valid {
 		return
 	}
-	it.set(it.src.SuccSafe(it.key, it.node.Seq()-1))
+	if t := it.from; t != nil {
+		next := it.node.NextAddr0()
+		if t.settled() {
+			it.set(t.list.Node(next), t)
+			return
+		}
+	}
+	it.set(it.src.succSafe(it.key, it.node.Seq()-1))
 }
 
 // Valid reports whether positioned on an entry.

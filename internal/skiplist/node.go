@@ -13,6 +13,14 @@
 // publish nodes with 8-byte atomic stores bottom-up; readers traverse with
 // atomic loads. Removal never modifies the removed node's own towers, so a
 // reader standing on an unlinked node keeps a valid path forward.
+//
+// A Node is a reference resolved once: List.Node looks the address's chunk
+// up and keeps a pointer to the node's first byte and the bytes left in
+// the chunk (a vaddr.Span) beside the region and the address. Header,
+// sequence, tower, key and value are read through it at checked offsets,
+// so a search pays one chunk lookup per node it compares, not one per
+// field. The region stays in the reference for what is not memory: the
+// device meter every access is charged to.
 package skiplist
 
 import (
@@ -49,11 +57,21 @@ func packMeta(height int, kind keys.Kind, keyLen, valLen int) uint64 {
 		uint64(valLen)<<32
 }
 
-// Node is a resolved reference to a skip-list node: the owning region plus
-// the node's virtual address. The zero Node is the nil node.
+// Node is a resolved reference to a skip-list node: the owning region, the
+// node's virtual address, and the node's memory — its chunk looked up once,
+// when the reference is made (List.Node), so that a search comparing the
+// node reads header, sequence, key and tower through one resolution. Every
+// field access is still checked against the chunk's end. Node is
+// comparable (splices compare entries); the zero Node is the nil node.
 type Node struct {
 	region *vaddr.Region
 	addr   vaddr.Addr
+	mem    vaddr.Span
+}
+
+// resolve makes the reference for the node at a in r.
+func resolve(r *vaddr.Region, a vaddr.Addr) Node {
+	return Node{region: r, addr: a, mem: r.Span(a)}
 }
 
 // IsNil reports whether n is the nil node.
@@ -62,7 +80,7 @@ func (n Node) IsNil() bool { return n.addr.IsNil() }
 // Addr returns the node's virtual address.
 func (n Node) Addr() vaddr.Addr { return n.addr }
 
-func (n Node) meta() uint64 { return n.region.Uint64(n.addr.Add(metaOff)) }
+func (n Node) meta() uint64 { return n.mem.Uint64(metaOff) }
 
 // Height returns the tower height.
 func (n Node) Height() int { return int(n.meta() & 0xff) }
@@ -77,10 +95,11 @@ func (n Node) KeyLen() int { return int(n.meta() >> 16 & 0xffff) }
 func (n Node) ValueLen() int { return int(n.meta() >> 32 & 0xffffff) }
 
 // Seq returns the sequence number.
-func (n Node) Seq() uint64 { return n.region.Uint64(n.addr.Add(seqOff)) }
+func (n Node) Seq() uint64 { return n.mem.Uint64(seqOff) }
 
-// keyOff returns the node-relative offset of the key bytes.
-func (n Node) keyOff(height int) int64 { return towerOff + int64(height)*8 }
+// slotOff returns the node-relative offset of the level-th next pointer;
+// the key bytes follow the last slot, at slotOff(height).
+func slotOff(level int) int { return towerOff + level*8 }
 
 // Key returns the user key, charging the device a read of the key bytes.
 // The slice aliases arena memory and must not be retained across region
@@ -88,14 +107,16 @@ func (n Node) keyOff(height int) int64 { return towerOff + int64(height)*8 }
 func (n Node) Key() []byte {
 	m := n.meta()
 	h, kl := int(m&0xff), int(m>>16&0xffff)
-	return n.region.Read(n.addr.Add(n.keyOff(h)), kl)
+	n.region.ChargeRead(kl)
+	return n.mem.Bytes(slotOff(h), kl)
 }
 
 // Value returns the value bytes, charging the device for the read.
 func (n Node) Value() []byte {
 	m := n.meta()
 	h, kl, vl := int(m&0xff), int(m>>16&0xffff), int(m>>32&0xffffff)
-	return n.region.Read(n.addr.Add(n.keyOff(h)+pad8(kl)), vl)
+	n.region.ChargeRead(vl)
+	return n.mem.Bytes(slotOff(h)+int(pad8(kl)), vl)
 }
 
 // Size returns the node's total footprint in bytes.
@@ -105,11 +126,6 @@ func (n Node) Size() int64 {
 	return nodeSize(h, kl, vl)
 }
 
-// towerAddr returns the address of the level-th next pointer.
-func (n Node) towerAddr(level int) vaddr.Addr {
-	return n.addr.Add(towerOff + int64(level)*8)
-}
-
 // NextAddr0 returns the level-0 successor address — exported for the
 // zero-copy merge, which walks duplicates behind a just-inserted node.
 func (n Node) NextAddr0() vaddr.Addr { return n.nextAddr(0) }
@@ -117,10 +133,8 @@ func (n Node) NextAddr0() vaddr.Addr { return n.nextAddr(0) }
 // nextAddr atomically loads the level-th successor address, charging an
 // 8-byte device read (one pointer chase in NVM).
 func (n Node) nextAddr(level int) vaddr.Addr {
-	if m := n.region.Meter(); m != nil {
-		m.OnRead(8)
-	}
-	return n.region.LoadAddr(n.towerAddr(level))
+	n.region.ChargeRead(8)
+	return vaddr.Addr(n.mem.Load64(slotOff(level)))
 }
 
 // walk tallies the device reads of one multi-step traversal — a search
@@ -130,16 +144,21 @@ func (n Node) nextAddr(level int) vaddr.Addr {
 // of the key bytes per key compared (Key), so the device totals are those
 // of per-node charging; only the number of trips to the device's shared
 // counters changes. A list whose nodes sit on more than one meter settles
-// whenever the walk crosses from one to the other.
+// whenever the walk crosses from one to the other; the meters are compared
+// only when the region changes, which within one table is almost never.
 type walk struct {
+	region       *vaddr.Region // whose meter is the one below
 	meter        vaddr.Meter
 	reads, bytes int
 }
 
 func (w *walk) count(r *vaddr.Region, n int) {
-	if m := r.Meter(); m != w.meter {
-		w.done()
-		w.meter = m
+	if r != w.region {
+		if m := r.Meter(); m != w.meter {
+			w.done()
+			w.meter = m
+		}
+		w.region = r
 	}
 	w.reads++
 	w.bytes += n
@@ -156,7 +175,7 @@ func (w *walk) done() {
 // next is nextAddr tallied on w instead of charged.
 func (w *walk) next(n Node, level int) vaddr.Addr {
 	w.count(n.region, 8)
-	return n.region.LoadAddr(n.towerAddr(level))
+	return vaddr.Addr(n.mem.Load64(slotOff(level)))
 }
 
 // key is Key tallied on w instead of charged.
@@ -164,19 +183,20 @@ func (w *walk) key(n Node) []byte {
 	m := n.meta()
 	h, kl := int(m&0xff), int(m>>16&0xffff)
 	w.count(n.region, kl)
-	return n.region.Bytes(n.addr.Add(n.keyOff(h)), kl)
+	return n.mem.Bytes(slotOff(h), kl)
 }
 
 // setNext atomically publishes the level-th successor (an 8-byte NVM
 // write — the unit of zero-copy compaction traffic).
 func (n Node) setNext(level int, v vaddr.Addr) {
-	n.region.StoreAddr(n.towerAddr(level), v)
+	n.region.ChargeWrite(8)
+	n.mem.Store64(slotOff(level), uint64(v))
 }
 
 // initNext initializes a tower slot on an unpublished node without
 // metering an extra write (the node fill was charged in bulk).
 func (n Node) initNext(level int, v vaddr.Addr) {
-	n.region.PutUint64(n.towerAddr(level), uint64(v))
+	n.mem.PutUint64(slotOff(level), uint64(v))
 }
 
 func nodeSize(height, keyLen, valLen int) int64 {

@@ -84,13 +84,13 @@ func (l *List) Node(a vaddr.Addr) Node {
 		return Node{}
 	}
 	if l.home != nil && a.Region() == l.home.Index() {
-		return Node{region: l.home, addr: a}
+		return resolve(l.home, a)
 	}
 	r := l.space.RegionOf(a)
 	if r == nil {
 		panic(fmt.Sprintf("skiplist: dangling node address %v", a))
 	}
-	return Node{region: r, addr: a}
+	return resolve(r, a)
 }
 
 func (l *List) headNode() Node { return l.Node(l.head) }
@@ -171,18 +171,27 @@ func (l *List) Insert(key, value []byte, seq uint64, kind keys.Kind) error {
 // as the repository's lazy-copy compaction can immediately unlink older
 // duplicates behind it.
 func (l *List) InsertEntry(key, value []byte, seq uint64, kind keys.Kind) (Node, error) {
+	var prev [MaxHeight]Node
+	next := l.findSplice(key, seq, &prev)
+	if !next.IsNil() && next.Seq() == seq && keys.Compare(next.Key(), next.Seq(), key, seq) == 0 {
+		return Node{}, fmt.Errorf("skiplist: duplicate (key, seq=%d)", seq)
+	}
+	return l.InsertEntryWithSplice(key, value, seq, kind, &prev)
+}
+
+// InsertEntryWithSplice is InsertEntry for a caller that has already
+// searched: prev must be the splice FindSplice computes for (key, seq),
+// and the list must not hold (key, seq). The repository's lazy copy looks
+// a key's newest version up and inserts above it with the one descent.
+// Unlike InsertNodeWithSplice it leaves prev where it was — still the
+// splice of (key, seq), now with the new node as its successor.
+func (l *List) InsertEntryWithSplice(key, value []byte, seq uint64, kind keys.Kind, prev *[MaxHeight]Node) (Node, error) {
 	if err := validateKV(key, value); err != nil {
 		return Node{}, err
 	}
 	if l.home == nil {
 		return Node{}, fmt.Errorf("skiplist: insert into read-only list")
 	}
-	var prev [MaxHeight]Node
-	next := l.findSplice(key, seq, &prev)
-	if !next.IsNil() && next.Seq() == seq && keys.Compare(next.Key(), next.Seq(), key, seq) == 0 {
-		return Node{}, fmt.Errorf("skiplist: duplicate (key, seq=%d)", seq)
-	}
-
 	height := l.randomHeight()
 	n, err := l.newNode(key, value, seq, kind, height)
 	if err != nil {
@@ -220,14 +229,12 @@ func (l *List) newNode(key, value []byte, seq uint64, kind keys.Kind, height int
 	if err != nil {
 		return Node{}, err
 	}
-	n := Node{region: l.home, addr: addr}
-	l.home.PutUint64(addr.Add(metaOff), packMeta(height, kind, len(key), len(value)))
-	l.home.PutUint64(addr.Add(seqOff), seq)
-	keyAddr := addr.Add(n.keyOff(height))
-	copy(l.home.Bytes(keyAddr, len(key)), key)
-	if len(value) > 0 {
-		copy(l.home.Bytes(keyAddr.Add(pad8(len(key))), len(value)), value)
-	}
+	n := resolve(l.home, addr)
+	n.mem.PutUint64(metaOff, packMeta(height, kind, len(key), len(value)))
+	n.mem.PutUint64(seqOff, seq)
+	keyOff := slotOff(height)
+	copy(n.mem.Bytes(keyOff, len(key)), key)
+	copy(n.mem.Bytes(keyOff+int(pad8(len(key))), len(value)), value)
 	l.home.ChargeWrite(size)
 	return n, nil
 }

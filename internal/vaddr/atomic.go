@@ -2,6 +2,7 @@ package vaddr
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -10,9 +11,10 @@ import (
 // It provides 8-byte atomic loads and stores on arena memory, the analogue
 // of the 8-byte atomic writes to persistent memory that the paper's
 // zero-copy compaction relies on ("we exploit atomic writes to update
-// pointers in a lock-free manner", §4.3). Chunks are allocated 8-byte
-// aligned (see alignedChunk), and Alloc rounds every reservation to 8
-// bytes, so any word-offset access is aligned.
+// pointers in a lock-free manner", §4.3), and Span, an address resolved
+// to its chunk once. Chunks are allocated 8-byte aligned (see
+// alignedChunk), and Alloc rounds every reservation to 8 bytes, so any
+// word-offset access is aligned.
 
 // alignedChunk allocates a chunk of the given size whose first byte is
 // 8-byte aligned. Go's allocator aligns large byte slices far more strictly
@@ -75,3 +77,70 @@ func (r *Region) PutUint64(addr Addr, v uint64) {
 func (r *Region) Uint64(addr Addr) uint64 {
 	return binary.LittleEndian.Uint64(r.Bytes(addr, 8))
 }
+
+// Span is an address resolved to memory: a pointer to the byte at the
+// address and the number of bytes from there to the end of its chunk. A
+// structure that reads one object many times (a skip-list node: header,
+// tower, key, value) resolves it once and reads through the Span, instead
+// of looking the chunk up per field. Every access is an offset from the
+// resolved address and is checked against the extent, so it panics where
+// Bytes and the atomic word accessors would. A Span is comparable and
+// unmetered; its owner charges the region's meter.
+//
+// The extent keeps the 8 spare bytes alignedChunk leaves behind every
+// chunk out of reach, and makes the one-past-the-end pointer of an empty
+// range at the very end of a chunk point into the same allocation.
+type Span struct {
+	p unsafe.Pointer
+	n int
+}
+
+// Span resolves addr, which must lie inside a committed chunk.
+func (r *Region) Span(addr Addr) Span {
+	c, o := r.chunkFor(addr.Offset())
+	if o >= len(c) {
+		panic(fmt.Sprintf("vaddr: address %v past the end of its chunk", addr))
+	}
+	return Span{p: unsafe.Pointer(&c[o]), n: len(c) - o}
+}
+
+// spanFault is the panic value of an access the extent or the alignment
+// rules out. Building the message in Error keeps the accessors inlinable.
+type spanFault struct{ off, n, extent int }
+
+func (f spanFault) Error() string {
+	if f.off >= 0 && f.n >= 0 && f.off+f.n <= f.extent {
+		return fmt.Sprintf("vaddr: unaligned atomic access at +%d", f.off)
+	}
+	return fmt.Sprintf("vaddr: range [+%d,+%d) crosses chunk boundary (%d bytes left)", f.off, f.off+f.n, f.extent)
+}
+
+// word returns the aligned 8-byte word at off.
+func (s Span) word(off int) *uint64 {
+	if off < 0 || off > s.n-8 || (uintptr(s.p)+uintptr(off))&7 != 0 {
+		panic(spanFault{off, 8, s.n})
+	}
+	return (*uint64)(unsafe.Add(s.p, off))
+}
+
+// Bytes returns the n bytes at off as a slice aliasing the chunk.
+func (s Span) Bytes(off, n int) []byte {
+	if uint(off) > uint(s.n) || uint(n) > uint(s.n-off) {
+		panic(spanFault{off, n, s.n})
+	}
+	return unsafe.Slice((*byte)(unsafe.Add(s.p, off)), n)
+}
+
+// Uint64 reads the word at off non-atomically (little endian); safe for
+// fields that are immutable after publication.
+func (s Span) Uint64(off int) uint64 { return binary.LittleEndian.Uint64(s.Bytes(off, 8)) }
+
+// PutUint64 writes the word at off non-atomically (little endian); for
+// objects not yet published.
+func (s Span) PutUint64(off int, v uint64) { binary.LittleEndian.PutUint64(s.Bytes(off, 8), v) }
+
+// Load64 atomically loads the aligned word at off.
+func (s Span) Load64(off int) uint64 { return atomic.LoadUint64(s.word(off)) }
+
+// Store64 atomically stores v to the aligned word at off.
+func (s Span) Store64(off int, v uint64) { atomic.StoreUint64(s.word(off), v) }

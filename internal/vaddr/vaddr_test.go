@@ -410,3 +410,62 @@ func TestRestoreSparseRegions(t *testing.T) {
 		t.Errorf("restored region data = %q", got)
 	}
 }
+
+// A Span is the chunk lookup done once: its accessors never consult the
+// region again, and refuse what lies outside the resolved extent.
+func TestSpanReadsWithoutLookingTheChunkUpAgain(t *testing.T) {
+	s := NewSpace()
+	r := s.NewRegion(4096, nil)
+	a, err := r.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.PutUint64(a.Add(8), 0xfeedface)
+	copy(r.Bytes(a.Add(16), 5), "hello")
+	sp := r.Span(a)
+
+	// Take the chunk table away: whatever still reads, reads through the
+	// resolution made above.
+	table := r.chunks.Load()
+	r.chunks.Store(&[][]byte{})
+	if got := sp.Uint64(8); got != 0xfeedface {
+		t.Errorf("Uint64 = %#x", got)
+	}
+	if got := sp.Load64(8); got != 0xfeedface {
+		t.Errorf("Load64 = %#x", got)
+	}
+	if got := string(sp.Bytes(16, 5)); got != "hello" {
+		t.Errorf("Bytes = %q", got)
+	}
+	sp.Store64(24, 7)
+	sp.PutUint64(32, 9)
+	r.chunks.Store(table)
+	if r.Load64(a.Add(24)) != 7 || r.Uint64(a.Add(32)) != 9 {
+		t.Error("stores through the span did not reach the region")
+	}
+
+	left := 4096 - int(a.Offset())
+	for what, f := range map[string]func(){
+		"bytes past the extent":    func() { sp.Bytes(left-4, 5) },
+		"bytes at a negative off":  func() { sp.Bytes(-1, 1) },
+		"negative length":          func() { sp.Bytes(0, -1) },
+		"word past the extent":     func() { sp.Load64(left - 4) },
+		"word at a negative off":   func() { sp.Store64(-8, 0) },
+		"misaligned word":          func() { sp.Load64(4) },
+		"address outside a chunk":  func() { r.Span(r.Base().Add(1 << 20)) },
+		"plain word past the end":  func() { sp.Uint64(left) },
+		"plain store past the end": func() { sp.PutUint64(left-7, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", what)
+				}
+			}()
+			f()
+		}()
+	}
+	if got := len(sp.Bytes(left, 0)); got != 0 {
+		t.Errorf("empty range at the extent's end has %d bytes", got)
+	}
+}
