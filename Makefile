@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read profile repro clean
+.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog profile repro clean
 
 all: check
 
@@ -19,7 +19,7 @@ test:
 # pipelined network front end (reader/writer split, cross-connection
 # batcher, tag-matched client) must stay race-clean.
 race:
-	$(GO) test -race ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm
+	$(GO) test -race ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog
 
 # Crash-torture: randomized power failures, torn writes, and interrupted
 # recoveries under the race detector (50+ cycles; deterministic per seed).
@@ -35,7 +35,7 @@ COUNT ?= 100
 torture-rate:
 	@for t in TestCrashTorture TestCrashTortureValueLog; do \
 		$(GO) test ./internal/core -run "^$$t$$" -count=$(COUNT) > .torture-rate.log 2>&1; \
-		echo "$$t: $$(grep -c -- '--- FAIL' .torture-rate.log) of $(COUNT) runs failed"; \
+		echo "$$t: $$(grep -c -- '--- FAIL' .torture-rate.log) of $(COUNT) runs failed, $$(grep -c '^panic:' .torture-rate.log) panicked (a panic ends the batch: the runs after it never ran)"; \
 		grep -A1 -- '--- FAIL' .torture-rate.log | grep -v -- '^--' | sed 's/[0-9][0-9]*/N/g' | cut -c1-100 | sort | uniq -c; \
 	done; rm -f .torture-rate.log
 
@@ -132,6 +132,21 @@ bench-read:
 	$(GO) test ./internal/core -run xxx -bench Scan20 -benchmem \
 		-cpuprofile read-core-cpu.out \
 		-outputdir $(CURDIR)/profiles -o profiles/read-core.test
+
+# The value-log data path alone, bottom up: one 4 KB append into an NVM
+# segment, the collector's walk over a sealed segment nine tenths marked
+# dead (internal/vlog), and RunValueLogGC to completion over a preloaded,
+# overwritten store (internal/core), with allocations. Leaves a CPU
+# profile per layer; inspect with:
+#   go tool pprof -top profiles/vlog-store.test profiles/vlog-store-cpu.out
+bench-vlog:
+	mkdir -p profiles
+	$(GO) test ./internal/vlog -run xxx -bench 'Append|GCScan' -benchmem \
+		-cpuprofile vlog-store-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/vlog-store.test
+	$(GO) test ./internal/core -run xxx -bench RunValueLogGC -benchmem \
+		-cpuprofile vlog-core-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/vlog-core.test
 
 # Capture mutex/block contention profiles from 8-thread read-only
 # readscale runs of both read-path arms (epoch-pinned and the

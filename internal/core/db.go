@@ -747,7 +747,7 @@ func (db *DB) commitSerial(ops []batchOp) error {
 func (db *DB) separateOps(ops []batchOp, firstSeq uint64) ([]batchOp, int64, error) {
 	threshold := db.opts.ValueLog.Threshold
 	out := ops
-	copied := false
+	var ptrs []byte // every pointer of the commit, in one backing array
 	var sepBytes int64
 	seq := firstSeq
 	for i := range ops {
@@ -757,11 +757,12 @@ func (db *DB) separateOps(ops []batchOp, firstSeq uint64) ([]batchOp, int64, err
 			if err != nil {
 				return nil, 0, err
 			}
-			if !copied {
+			if ptrs == nil {
 				out = append([]batchOp(nil), ops...)
-				copied = true
+				ptrs = make([]byte, 0, (len(ops)-i)*vlog.AddrSize)
 			}
-			out[i] = batchOp{key: op.key, value: addr.Encode(nil), kind: keys.KindValuePtr}
+			ptrs = addr.Encode(ptrs)
+			out[i] = batchOp{key: op.key, value: ptrs[len(ptrs)-vlog.AddrSize : len(ptrs) : len(ptrs)], kind: keys.KindValuePtr}
 			sepBytes += int64(len(op.value) - vlog.AddrSize)
 		}
 		seq++

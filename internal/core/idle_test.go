@@ -91,8 +91,8 @@ func TestValueLogGCPacing(t *testing.T) {
 		}
 	}
 	for _, id := range db.vlog.Segments() {
-		if err := db.vlog.Scan(id, func(e vlog.Entry) bool {
-			db.vlog.MarkDead(e.Addr)
+		if err := db.vlog.Walk(id, func(_ []byte, _ uint64, a vlog.Addr) bool {
+			db.vlog.MarkDead(a)
 			return true
 		}); err != nil {
 			t.Fatal(err)

@@ -9,16 +9,18 @@ import (
 
 // Value-log garbage collection (DESIGN.md §14).
 //
-// A sealed segment whose advisory dead ratio crosses the configured
-// threshold is reclaimed in three steps:
+// A sealed segment whose dead ratio crosses the configured threshold is
+// reclaimed in three steps:
 //
-//  1. Pre-scan: walk the segment under a reader pin and collect entries
-//     that are still live — the LSM's newest version of their key is a
-//     pointer naming exactly this address and no range tombstone covers
-//     it.
-//  2. Relocate: for each collected entry, under commitMu, recheck
+//  1. Pre-scan: walk the segment's keys under a reader pin and collect
+//     the addresses that are still live — the LSM's newest version of
+//     their key is a pointer naming exactly this address and no range
+//     tombstone covers it. The walk reads no value and skips, without a
+//     lookup, entries whose dead mark is proof (vlog.Store.Walk).
+//  2. Relocate: for each collected address, under commitMu, recheck
 //     liveness (commits are serialized by commitMu, so the recheck
-//     cannot be raced) and re-commit the value through the normal write
+//     cannot be raced), read the entry — this is where its checksum is
+//     verified — and re-commit the value through the normal write
 //     pipeline: value bytes appended to the active segment, then a WAL
 //     pointer record at a fresh sequence number, then the memtable
 //     insert. Live readers see the same value throughout; the old
@@ -134,30 +136,24 @@ func (db *DB) reclaimValueLog(limit int) (int, error) {
 // gcSegment picks the deadest qualifying segment, relocates its live
 // entries and frees it; it reports false when no segment qualifies.
 func (db *DB) gcSegment() (bool, error) {
-	// Pick and pre-scan under one reader pin: collect copies of the
-	// still-live entries. The pin comes first because collectors run
-	// concurrently (the background loop beside an explicit RunValueLogGC):
-	// a segment offered under the pin cannot be freed before the pin is
-	// dropped — its free is queued on this version or a later one — so the
-	// scan never finds the segment another collector just reclaimed.
-	// Slices yielded by Scan alias log storage, and relocation appends
-	// could (for the active segment) never touch them — but the entries
-	// outlive the pin, so copy.
-	var entries []vlog.Entry
+	// Pick and pre-scan under one reader pin: collect the still-live
+	// entries. The pin comes first because collectors run concurrently (the
+	// background loop beside an explicit RunValueLogGC): a segment offered
+	// under the pin cannot be freed before the pin is dropped — its free is
+	// queued on this version or a later one — so the walk never finds the
+	// segment another collector just reclaimed. Keys yielded by Walk alias
+	// log storage and the survivors outlive the pin, so copy them; values
+	// are read at relocation time.
+	var live []liveEntry
 	pin := db.acquireVersion()
 	id, ok := db.vlog.PickGC()
 	if !ok {
 		db.releaseVersion(pin)
 		return false, nil
 	}
-	err := db.vlog.Scan(id, func(e vlog.Entry) bool {
-		if db.vlogEntryLive(pin.v, e) {
-			entries = append(entries, vlog.Entry{
-				Key:   append([]byte(nil), e.Key...),
-				Value: append([]byte(nil), e.Value...),
-				Seq:   e.Seq,
-				Addr:  e.Addr,
-			})
+	err := db.vlog.Walk(id, func(key []byte, _ uint64, a vlog.Addr) bool {
+		if db.vlogEntryLive(pin.v, key, a) {
+			live = append(live, liveEntry{key: append([]byte(nil), key...), addr: a})
 		}
 		return true
 	})
@@ -166,7 +162,7 @@ func (db *DB) gcSegment() (bool, error) {
 		return false, err
 	}
 
-	for _, e := range entries {
+	for _, e := range live {
 		select {
 		case <-db.vlogStop:
 			return false, nil
@@ -205,20 +201,27 @@ func (db *DB) gcSegment() (bool, error) {
 	return true, nil
 }
 
+// liveEntry is a log entry the pre-scan found referenced: its key (a
+// private copy) and its address.
+type liveEntry struct {
+	key  []byte
+	addr vlog.Addr
+}
+
 // vlogEntryLive reports whether the LSM structure, as seen through v,
-// still references the log entry e: the newest version of e.Key must be
-// a pointer naming exactly e.Addr and not be covered by a range
+// still references the log entry at addr: the newest version of key must
+// be a pointer naming exactly addr and not be covered by a range
 // tombstone.
-func (db *DB) vlogEntryLive(v *version, e vlog.Entry) bool {
-	value, seq, kind, ok := db.rawNewest(v, e.Key)
+func (db *DB) vlogEntryLive(v *version, key []byte, addr vlog.Addr) bool {
+	value, seq, kind, ok := db.rawNewest(v, key)
 	if !ok || kind != keys.KindValuePtr {
 		return false
 	}
 	a, ok := vlog.DecodeAddr(value)
-	if !ok || a != e.Addr {
+	if !ok || a != addr {
 		return false
 	}
-	return !covered(v.rangeDels, e.Key, seq)
+	return !covered(v.rangeDels, key, seq)
 }
 
 // rawNewest is getFrom's probe order without resolution or tombstone
@@ -260,30 +263,43 @@ func (db *DB) rawNewest(v *version, key []byte) ([]byte, uint64, keys.Kind, bool
 // memtable insert — the same durability order as a client write. Callers
 // hold commitMu. Relocations charge the device meters (they are real
 // write amplification) but not the user-byte or op counters.
-func (db *DB) relocateLocked(e vlog.Entry) error {
+//
+// The value is copied segment to segment, with no pin held: an entry live
+// under commitMu keeps its segment installed, because whichever collector
+// frees the segment must first relocate this entry — under commitMu — or
+// see it dead.
+func (db *DB) relocateLocked(e liveEntry) error {
 	if err := db.writeGate(); err != nil {
 		return err
 	}
 	if err := db.makeRoomForWrite(); err != nil {
 		return err
 	}
-	v := db.current.Load()
 	// Recheck under commitMu: a client commit may have superseded or
 	// deleted the key since the pre-scan. Once live here, nothing can
-	// supersede it before our own insert — commits hold commitMu.
-	if !db.vlogEntryLive(v, e) {
+	// supersede it before our own insert — commits hold commitMu. The
+	// lookup walks tables a finishing merge may retire, so it needs a pin
+	// like any reader; the memtable handle is stable under commitMu.
+	pin := db.acquireVersion()
+	live, mem := db.vlogEntryLive(pin.v, e.key, e.addr), pin.v.mem
+	db.releaseVersion(pin)
+	if !live {
 		return nil
 	}
-	mem := v.mem
+	_, value, _, err := db.vlog.Read(e.addr) // verifies the checksum
+	if err != nil {
+		return err
+	}
 	seq := db.seq.Load() + 1
-	addr, err := db.vlog.Append(e.Key, e.Value, seq)
+	addr, err := db.vlog.Append(e.key, value, seq)
 	if err != nil {
 		db.seq.Store(seq) // the seq is stamped in the log: burn it
 		return err
 	}
-	ptr := addr.Encode(nil)
+	var pb [vlog.AddrSize]byte
+	ptr := addr.Encode(pb[:0])
 	if mem.log != nil {
-		if err := mem.log.Append(e.Key, ptr, seq, keys.KindValuePtr); err != nil {
+		if err := mem.log.Append(e.key, ptr, seq, keys.KindValuePtr); err != nil {
 			db.seq.Store(seq)
 			if mem.log.Poisoned() {
 				db.degrade("wal append", err)
@@ -291,7 +307,7 @@ func (db *DB) relocateLocked(e vlog.Entry) error {
 			return err
 		}
 	}
-	if err := mem.mt.Add(e.Key, ptr, seq, keys.KindValuePtr); err != nil {
+	if err := mem.mt.Add(e.key, ptr, seq, keys.KindValuePtr); err != nil {
 		db.seq.Store(seq)
 		return err
 	}
@@ -300,14 +316,15 @@ func (db *DB) relocateLocked(e vlog.Entry) error {
 		mem.minSeq = seq
 	}
 	mem.maxSeq = seq
-	db.vlog.MarkDead(e.Addr)
-	db.vlog.AddRelocation(int64(len(e.Value)))
+	db.vlog.MarkDead(e.addr)
+	db.vlog.AddRelocation(int64(len(value)))
 	return nil
 }
 
 // onEntryDrop is the compaction drop hook: a merge, absorb, or rebuild
 // physically dropped a superseded/covered entry. Pointer entries feed
-// the advisory dead-byte accounting that steers GC candidate selection.
+// the dead marks that steer GC candidate selection and, on segments this
+// incarnation created, let the GC walk skip the entry.
 func (db *DB) onEntryDrop(value []byte, kind keys.Kind) {
 	if kind != keys.KindValuePtr || db.vlog == nil {
 		return

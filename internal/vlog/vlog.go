@@ -7,13 +7,13 @@
 // is known for, applied to the paper's NVM-resident design.
 //
 // A segment is append-only and immutable once sealed. Liveness is tracked
-// per segment as advisory dead-byte counts (fed by the engine's compaction
-// drop hooks and by GC relocation itself); reclamation is a scan of a
-// sealed candidate segment that re-commits still-live values through the
-// normal write path and then frees the segment. The engine defers the
-// actual free onto its epoch/version machinery so that no pinned snapshot
-// or in-flight reader can observe a reclaimed address — see core's
-// value-log GC for the safety argument.
+// per segment as a set of dead entry offsets (fed by the engine's
+// compaction drop hooks and by GC relocation itself); reclamation is a
+// walk over the keys of a sealed candidate segment that re-commits
+// still-live values through the normal write path and then frees the
+// segment. The engine defers the actual free onto its epoch/version
+// machinery so that no pinned snapshot or in-flight reader can observe a
+// reclaimed address — see core's value-log GC for the safety argument.
 package vlog
 
 import (
@@ -110,6 +110,54 @@ type segment struct {
 	// is queued (epoch-deferred), so PickGC must stop offering it — the
 	// segment stays installed and readable until the free actually runs.
 	condemned atomic.Bool
+
+	// dead holds one bit per 8-byte slot of the segment, set when the entry
+	// starting there has been marked dead. It makes MarkDead idempotent, so
+	// live is an exact count however often one address is reported.
+	dead []atomic.Uint64
+	// trusted says a set bit proves the entry dead, so Walk may skip it
+	// unseen. True only for segments this incarnation created: every
+	// pointer into one was committed exactly once, so a drop report means
+	// the last reference is gone. A recovered segment's pointers may be
+	// held twice (a WAL-replayed record beside the flushed copy, a re-run
+	// absorb beside the repository's), and the merge that drops one copy
+	// reports an address the other still names (DESIGN.md §14) — Attach
+	// leaves it false.
+	trusted bool
+}
+
+// newDeadSet sizes a dead set for entry offsets up to and including cap
+// (an SSD segment's last entry may be padded a few bytes past it).
+func newDeadSet(cap int64) []atomic.Uint64 {
+	return make([]atomic.Uint64, cap>>9+1)
+}
+
+// deadBit locates the dead-set bit of the entry at off.
+func (g *segment) deadBit(off int64) (*atomic.Uint64, uint64) {
+	return &g.dead[off>>9], 1 << (uint(off>>3) & 63)
+}
+
+// markDead sets the bit of the entry at off and reports whether this call
+// set it.
+func (g *segment) markDead(off int64) bool {
+	if off < 0 || off&7 != 0 || off >= g.size.Load() {
+		return false
+	}
+	w, bit := g.deadBit(off)
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|bit) {
+			return true
+		}
+	}
+}
+
+func (g *segment) markedDead(off int64) bool {
+	w, bit := g.deadBit(off)
+	return w.Load()&bit != 0
 }
 
 func (g *segment) deadRatio() float64 {
@@ -141,13 +189,6 @@ func (c Counters) DeadRatio() float64 {
 	return float64(c.SegmentBytes-c.LiveBytes) / float64(c.SegmentBytes)
 }
 
-// Entry is one decoded log record, yielded by Scan.
-type Entry struct {
-	Key, Value []byte
-	Seq        uint64
-	Addr       Addr
-}
-
 // Store is a segmented value log. Appends are serialized by the caller
 // (they run under the engine's commit lock); reads are lock-free against
 // a copy-on-write segment map, mirroring how vaddr resolves regions.
@@ -167,8 +208,13 @@ type Store struct {
 
 	mu     sync.Mutex
 	segs   atomic.Pointer[map[uint32]*segment]
-	active *segment
 	nextID uint32
+	// active is the segment appends land in. Only the serialized appender
+	// installs one (newSegment); sealers and Free reach it without s.mu.
+	active atomic.Pointer[segment]
+	// stage is the SSD path's encode buffer, owned by the appender: a file
+	// write takes a whole entry, so it cannot be encoded in place.
+	stage []byte
 
 	appends, appendedBytes        atomic.Int64
 	relocations, relocatedBytes   atomic.Int64
@@ -263,13 +309,13 @@ func (s *Store) newSegment(minCap int64) (*segment, error) {
 		}
 		g.r = r
 	}
-	if s.active != nil {
-		// The segment being rolled past is full (or errored): seal it so it
-		// becomes a GC candidate.
-		s.active.sealed.Store(true)
-	}
+	g.dead = newDeadSet(g.cap)
+	g.trusted = true
+	// The segment being rolled past is full (or errored): seal it so it
+	// becomes a GC candidate.
+	s.SealActive()
 	s.installLocked(g)
-	s.active = g
+	s.active.Store(g)
 	s.mu.Unlock()
 
 	if s.OnNewSegment != nil {
@@ -282,10 +328,8 @@ func (s *Store) newSegment(minCap int64) (*segment, error) {
 		if err != nil {
 			s.mu.Lock()
 			s.removeLocked(id)
-			if s.active == g {
-				s.active = nil
-			}
 			s.mu.Unlock()
+			s.active.CompareAndSwap(g, nil)
 			if g.region != nil {
 				s.dev.Release(g.region)
 			} else {
@@ -297,23 +341,28 @@ func (s *Store) newSegment(minCap int64) (*segment, error) {
 	return g, nil
 }
 
-// Append stores (key, value, seq) and returns the entry's address. Any
-// write error seals the current segment so torn bytes only ever sit at a
-// sealed segment's tail — where the recovery scan stops — and later
-// appends land in a fresh segment.
+// encodeEntry writes the entry for (key, value, seq) into dst, which is
+// exactly the entry's length. The checksum is computed last, over the
+// bytes where they lie.
+func encodeEntry(dst, key, value []byte, seq uint64) {
+	binary.LittleEndian.PutUint32(dst[4:8], uint32(len(key)))
+	binary.LittleEndian.PutUint32(dst[8:12], uint32(len(value)))
+	binary.LittleEndian.PutUint64(dst[12:20], seq)
+	copy(dst[entryHeaderSize:], key)
+	copy(dst[entryHeaderSize+len(key):], value)
+	binary.LittleEndian.PutUint32(dst[0:4], crc32.ChecksumIEEE(dst[4:]))
+}
+
+// Append stores (key, value, seq) and returns the entry's address. The
+// segment's size is published only once the whole entry is on the media,
+// so every byte below it belongs to a complete entry: readers and Walk
+// never see a partial one, and a crash image taken mid-append holds a
+// checksum-failing tail, where the recovery scan stops. Any write error
+// seals the segment with its size where it was — torn bytes only ever sit
+// past a sealed segment's extent — and later appends land in a fresh one.
 func (s *Store) Append(key, value []byte, seq uint64) (Addr, error) {
 	entryLen := entryHeaderSize + len(key) + len(value)
-	buf := make([]byte, entryLen)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(value)))
-	binary.LittleEndian.PutUint64(buf[12:20], seq)
-	copy(buf[entryHeaderSize:], key)
-	copy(buf[entryHeaderSize+len(key):], value)
-	binary.LittleEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(buf[4:]))
-
-	s.mu.Lock()
-	g := s.active
-	s.mu.Unlock()
+	g := s.active.Load()
 	if g == nil || g.sealed.Load() || g.size.Load()+int64(entryLen) > g.cap ||
 		g.size.Load() >= int64(s.cfg.SegmentSize) {
 		var err error
@@ -322,40 +371,78 @@ func (s *Store) Append(key, value []byte, seq uint64) (Addr, error) {
 		}
 	}
 
-	off := g.size.Load()
+	var off int64
+	var err error
 	if g.region != nil {
-		// Gate the whole entry against the fault plan up front; a torn
-		// outcome leaves a prefix on the media, exactly like a torn file
-		// write, and the crc catches it at scan time.
-		if out := s.dev.CheckWrite(entryLen); out.Err != nil {
-			if out.Torn > 0 {
-				if a, aerr := g.region.Alloc(entryLen); aerr == nil {
-					g.region.Write(a, buf[:out.Torn])
-					g.size.Store(off + alignUp(int64(entryLen)))
-				}
-			}
-			g.sealed.Store(true)
-			return Addr{}, out.Err
-		}
-		a, err := g.region.Alloc(entryLen)
-		if err != nil {
-			g.sealed.Store(true)
-			return Addr{}, err
-		}
-		g.region.Write(a, buf)
-		off = a.Offset()
+		off, err = s.appendNVM(g, key, value, seq, entryLen)
 	} else {
-		if _, err := g.w.Write(buf); err != nil {
-			g.size.Store(g.w.Offset())
-			g.sealed.Store(true)
-			return Addr{}, err
-		}
+		off, err = s.appendSSD(g, key, value, seq, entryLen)
+	}
+	if err != nil {
+		g.sealed.Store(true)
+		return Addr{}, err
 	}
 	g.size.Store(off + alignUp(int64(entryLen)))
 	g.live.Add(int64(entryLen))
 	s.appends.Add(1)
 	s.appendedBytes.Add(int64(entryLen))
 	return Addr{Seg: g.id, Off: off, Len: uint32(entryLen)}, nil
+}
+
+// appendNVM reserves the entry's extent and encodes it there: one device
+// charge for the whole entry, no staging copy, no heap allocation.
+func (s *Store) appendNVM(g *segment, key, value []byte, seq uint64, entryLen int) (int64, error) {
+	// Gate the whole entry against the fault plan up front; a torn outcome
+	// leaves exactly its first Torn bytes on the media, like a torn file
+	// write, and the crc catches it at recovery.
+	if out := s.dev.CheckWrite(entryLen); out.Err != nil {
+		if out.Torn > 0 {
+			if a, aerr := g.region.Alloc(entryLen); aerr == nil {
+				entry := make([]byte, entryLen)
+				encodeEntry(entry, key, value, seq)
+				g.region.Write(a, entry[:out.Torn])
+			}
+		}
+		return 0, out.Err
+	}
+	a, err := g.region.Alloc(entryLen)
+	if err != nil {
+		return 0, err
+	}
+	g.region.ChargeWrite(entryLen)
+	encodeEntry(g.region.Bytes(a, entryLen), key, value, seq)
+	return a.Offset(), nil
+}
+
+// appendSSD encodes the entry in the store's staging buffer and writes it
+// to the segment file, padded to the 8-byte grid addresses live on so file
+// offsets and segment offsets stay equal.
+func (s *Store) appendSSD(g *segment, key, value []byte, seq uint64, entryLen int) (int64, error) {
+	padded := int(alignUp(int64(entryLen)))
+	if cap(s.stage) < padded {
+		s.stage = make([]byte, padded)
+	}
+	buf := s.stage[:padded]
+	encodeEntry(buf[:entryLen], key, value, seq)
+	clear(buf[entryLen:])
+	off := g.size.Load()
+	if _, err := g.w.Write(buf); err != nil {
+		return 0, err
+	}
+	return off, nil
+}
+
+// read returns the n bytes at off: an alias of log storage on NVM, a
+// fresh copy from the file on SSD.
+func (g *segment) read(off int64, n int) ([]byte, error) {
+	if g.region != nil {
+		return g.region.Read(g.region.Base().Add(off), n), nil
+	}
+	buf := make([]byte, n)
+	if _, err := g.r.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return buf, nil
 }
 
 // Read resolves a pointer to its (key, value, seq). The returned slices
@@ -370,24 +457,22 @@ func (s *Store) Read(a Addr) (key, value []byte, seq uint64, err error) {
 	if a.Len < entryHeaderSize || a.Off < 0 || a.Off+int64(a.Len) > g.size.Load() {
 		return nil, nil, 0, fmt.Errorf("%w: address %d:%d+%d out of bounds", ErrCorrupt, a.Seg, a.Off, a.Len)
 	}
-	var buf []byte
-	if g.region != nil {
-		buf = g.region.Read(g.region.Base().Add(a.Off), int(a.Len))
-	} else {
-		buf = make([]byte, a.Len)
-		if _, rerr := g.r.ReadAt(buf, a.Off); rerr != nil {
-			return nil, nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, rerr)
-		}
+	buf, err := g.read(a.Off, int(a.Len))
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	return decodeEntry(buf, a)
 }
 
 func decodeEntry(buf []byte, a Addr) (key, value []byte, seq uint64, err error) {
+	if len(buf) < entryHeaderSize {
+		return nil, nil, 0, fmt.Errorf("%w: entry at %d:%d shorter than its header", ErrCorrupt, a.Seg, a.Off)
+	}
 	crc := binary.LittleEndian.Uint32(buf[0:4])
 	keyLen := binary.LittleEndian.Uint32(buf[4:8])
 	valLen := binary.LittleEndian.Uint32(buf[8:12])
 	seq = binary.LittleEndian.Uint64(buf[12:20])
-	if entryHeaderSize+int(keyLen)+int(valLen) != len(buf) {
+	if int64(entryHeaderSize)+int64(keyLen)+int64(valLen) != int64(len(buf)) {
 		return nil, nil, 0, fmt.Errorf("%w: entry at %d:%d length mismatch", ErrCorrupt, a.Seg, a.Off)
 	}
 	if crc32.ChecksumIEEE(buf[4:]) != crc {
@@ -399,52 +484,33 @@ func decodeEntry(buf []byte, a Addr) (key, value []byte, seq uint64, err error) 
 }
 
 // MarkDead records that the entry at a is no longer referenced by the LSM
-// structure (dropped by a merge, superseded, or relocated). The count is
-// advisory — it steers GC candidate selection; the GC scan itself decides
-// per-entry liveness. Unknown segments (already reclaimed) are ignored.
+// structure (dropped by a merge, superseded, or relocated). It is
+// idempotent: replays and duplicate drop notifications for one address
+// count once, so a segment's live bytes are exact. The count steers GC
+// candidate selection; whether a mark also lets Walk skip the entry is the
+// segment's trust rule. Unknown segments (already reclaimed) are ignored.
 func (s *Store) MarkDead(a Addr) {
-	g := s.lookup(a.Seg)
-	if g == nil {
-		return
-	}
-	// Clamp at zero: double-marks (replays, duplicate drop notifications)
-	// must not drive the advisory count negative.
-	for {
-		cur := g.live.Load()
-		next := cur - int64(a.Len)
-		if next < 0 {
-			next = 0
-		}
-		if g.live.CompareAndSwap(cur, next) {
-			return
-		}
+	if g := s.lookup(a.Seg); g != nil && g.markDead(a.Off) {
+		g.live.Add(-int64(a.Len))
 	}
 }
 
 // SealActive closes the current segment; the next append opens a fresh
 // one. Recovery calls it so replayed segments are never appended to.
 func (s *Store) SealActive() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active != nil {
-		s.active.sealed.Store(true)
-	}
-}
-
-// sealFullLocked is used by PickGC so a filled-but-active segment can
-// become a candidate without waiting for the next append.
-func (s *Store) sealFullLocked() {
-	if s.active != nil && !s.active.sealed.Load() && s.active.size.Load() >= int64(s.cfg.SegmentSize) {
-		s.active.sealed.Store(true)
+	if g := s.active.Load(); g != nil {
+		g.sealed.Store(true)
 	}
 }
 
 // PickGC returns the sealed segment with the highest dead ratio at or
 // above the configured threshold, or ok=false when nothing qualifies.
 func (s *Store) PickGC() (id uint32, ok bool) {
-	s.mu.Lock()
-	s.sealFullLocked()
-	s.mu.Unlock()
+	// A filled-but-active segment becomes a candidate without waiting for
+	// the next append (which would roll past it anyway).
+	if g := s.active.Load(); g != nil && g.size.Load() >= int64(s.cfg.SegmentSize) {
+		g.sealed.Store(true)
+	}
 	best := -1.0
 	for _, g := range *s.segs.Load() {
 		if !g.sealed.Load() || g.condemned.Load() {
@@ -459,48 +525,41 @@ func (s *Store) PickGC() (id uint32, ok bool) {
 	return id, ok
 }
 
-// Scan iterates the entries of one segment in append order, stopping at
-// the first invalid entry (a torn tail) or when fn returns false. The
-// Entry's slices are only valid during the callback.
-func (s *Store) Scan(id uint32, fn func(e Entry) bool) error {
+// Walk visits, in append order, every entry of one segment that may still
+// be referenced, until fn returns false. It reads headers and keys only:
+// no value byte is touched and no checksum verified — everything below the
+// segment's size is a complete entry (Append publishes the size last,
+// Attach takes it from a checksum-validated scan), and a caller that wants
+// the value calls Read, which verifies it. On a trusted segment an entry
+// already marked dead is passed over at the cost of its header; elsewhere
+// marks are advisory and every entry is yielded. key is only valid during
+// the callback.
+func (s *Store) Walk(id uint32, fn func(key []byte, seq uint64, a Addr) bool) error {
 	g := s.lookup(id)
 	if g == nil {
-		return fmt.Errorf("%w: scan of unknown segment %d", ErrCorrupt, id)
+		return fmt.Errorf("%w: walk of unknown segment %d", ErrCorrupt, id)
 	}
 	size := g.size.Load()
-	var off int64
-	for off+entryHeaderSize <= size {
-		var hdr []byte
-		if g.region != nil {
-			hdr = g.region.Read(g.region.Base().Add(off), entryHeaderSize)
-		} else {
-			hdr = make([]byte, entryHeaderSize)
-			if _, err := g.r.ReadAt(hdr, off); err != nil {
-				return nil // torn tail
-			}
+	for off := int64(0); off+entryHeaderSize <= size; {
+		hdr, err := g.read(off, entryHeaderSize)
+		if err != nil {
+			return err
 		}
 		keyLen := binary.LittleEndian.Uint32(hdr[4:8])
 		valLen := binary.LittleEndian.Uint32(hdr[8:12])
+		seq := binary.LittleEndian.Uint64(hdr[12:20])
 		entryLen := int64(entryHeaderSize) + int64(keyLen) + int64(valLen)
 		if keyLen == 0 || off+entryLen > size {
-			return nil // zero-fill or truncated: end of valid data
+			return fmt.Errorf("%w: malformed entry at %d:%d inside the segment's extent", ErrCorrupt, id, off)
 		}
-		a := Addr{Seg: id, Off: off, Len: uint32(entryLen)}
-		var buf []byte
-		if g.region != nil {
-			buf = g.region.Read(g.region.Base().Add(off), int(entryLen))
-		} else {
-			buf = make([]byte, entryLen)
-			if _, err := g.r.ReadAt(buf, off); err != nil {
+		if !(g.trusted && g.markedDead(off)) {
+			key, err := g.read(off+entryHeaderSize, int(keyLen))
+			if err != nil {
+				return err
+			}
+			if !fn(key, seq, Addr{Seg: id, Off: off, Len: uint32(entryLen)}) {
 				return nil
 			}
-		}
-		key, value, seq, err := decodeEntry(buf, a)
-		if err != nil {
-			return nil // torn entry: nothing after it was ever acknowledged
-		}
-		if !fn(Entry{Key: key, Value: value, Seq: seq, Addr: a}) {
-			return nil
 		}
 		off += alignUp(entryLen)
 	}
@@ -533,13 +592,11 @@ func (s *Store) Condemn(id uint32) bool {
 func (s *Store) Free(id uint32) {
 	s.mu.Lock()
 	g := s.removeLocked(id)
-	if g != nil && s.active == g {
-		s.active = nil
-	}
 	s.mu.Unlock()
 	if g == nil {
 		return
 	}
+	s.active.CompareAndSwap(g, nil)
 	if g.region != nil {
 		s.dev.Release(g.region)
 	} else {
@@ -557,13 +614,15 @@ func (s *Store) AddRelocation(bytes int64) {
 // its extent with a checksum-validated scan (torn tails are excluded).
 // Live bytes are conservatively reset to the full extent — GC relearns
 // dead space from compaction drops; it can only be delayed, never unsafe.
-// The segment is sealed: recovery never appends to replayed segments.
+// The segment is sealed: recovery never appends to replayed segments. It
+// is not trusted: its dead marks count bytes, but Walk yields every entry.
 func (s *Store) Attach(id uint32, region *vaddr.Region) {
 	g := &segment{id: id, region: region, cap: int64(region.ChunkSize())}
 	g.sealed.Store(true)
 	size := scanExtent(region)
 	g.size.Store(size)
 	g.live.Store(size)
+	g.dead = newDeadSet(size)
 	s.mu.Lock()
 	s.installLocked(g)
 	if id >= s.nextID {
