@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog profile repro clean
+.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg profile repro clean
 
 all: check
 
@@ -147,6 +147,26 @@ bench-vlog:
 	$(GO) test ./internal/core -run xxx -bench RunValueLogGC -benchmem \
 		-cpuprofile vlog-core-cpu.out \
 		-outputdir $(CURDIR)/profiles -o profiles/vlog-core.test
+
+# The background kernel alone: one zero-copy merge of two 4000-entry
+# tables, one lazy copy of such a table into a repository of 30 000 keys
+# (keys all present, and all absent) and one flush's pointer swizzle, each
+# as ns/node and device calls/node, quiet and beside a goroutine hammering
+# the same device's counters, at GOMAXPROCS 1 and 2 — the cache line a
+# drain shares with the write path shows as contended-2 against quiet-2.
+# Leaves a CPU profile per drain; inspect with:
+#   go tool pprof -top profiles/bg-pmtable.test profiles/bg-merge-cpu.out
+bench-bg:
+	mkdir -p profiles
+	$(GO) test ./internal/pmtable -run xxx -bench MergeRun -benchtime 50x -cpu 1,2 \
+		-cpuprofile bg-merge-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/bg-pmtable.test
+	$(GO) test ./internal/pmtable -run xxx -bench Absorb -benchtime 50x -cpu 1,2 \
+		-cpuprofile bg-absorb-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/bg-pmtable.test
+	$(GO) test ./internal/pmtable -run xxx -bench FlushSwizzle -benchtime 2000x -cpu 1,2 \
+		-cpuprofile bg-swizzle-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/bg-pmtable.test
 
 # Capture mutex/block contention profiles from 8-thread read-only
 # readscale runs of both read-path arms (epoch-pinned and the

@@ -265,12 +265,12 @@ func (db *DB) mergeOnce(level int) error {
 		// version referencing the pair drains.
 		db.queueReleaseLocked(release)
 	}
+	// Dropped pointer entries may have pushed a segment past the GC
+	// threshold.
+	db.kickValueLogGCLocked()
 	db.mu.Unlock()
 
 	db.st.AddCompaction(time.Since(start))
-	// Dropped pointer entries may have pushed a segment past the GC
-	// threshold.
-	db.kickValueLogGC()
 	return nil
 }
 
@@ -423,6 +423,9 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 	db.queueReleaseLocked(func() {
 		t.ReleaseRegions(db.nvm)
 	})
+	if rebuild == nil {
+		db.kickValueLogGCLocked() // else compactRepo kicks, after its own drops
+	}
 	db.mu.Unlock()
 
 	if rebuild != nil {
@@ -431,7 +434,6 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 		}
 	}
 	db.st.AddCompaction(time.Since(start))
-	db.kickValueLogGC()
 	return nil
 }
 
@@ -518,6 +520,7 @@ func (db *DB) compactRepo(repo *pmtable.Repository) error {
 		db.mu.Unlock()
 		return fmt.Errorf("manifest: %w", err)
 	}
+	db.kickValueLogGCLocked()
 	db.cond.Broadcast()
 	db.mu.Unlock()
 	return nil

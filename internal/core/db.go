@@ -45,14 +45,17 @@ type DB struct {
 
 	// vlog is the value log behind key-value separation (nil when
 	// Options.ValueLog is nil — the byte-for-byte inline engine). The GC
-	// loop wakes on vlogKick (non-blocking sends from compaction drops
-	// and segment seals) and exits when vlogStop closes; stopVlog latches
-	// the close exactly once across Close and CrashForTest.
-	vlog     *vlog.Store
-	vlogDisk *vfs.Disk // SSD-offload backing (OnSSD); nil otherwise
-	vlogStop chan struct{}
-	vlogKick chan struct{}
-	stopVlog sync.Once
+	// loop wakes on vlogKick (non-blocking sends from compaction drops)
+	// and exits when vlogStop closes; stopVlog latches the close exactly
+	// once across Close and CrashForTest. vlogPasses counts the passes
+	// queued on vlogKick or running (guarded by mu): the store is not
+	// idle while it is non-zero.
+	vlog       *vlog.Store
+	vlogDisk   *vfs.Disk // SSD-offload backing (OnSSD); nil otherwise
+	vlogStop   chan struct{}
+	vlogKick   chan struct{}
+	vlogPasses int
+	stopVlog   sync.Once
 
 	// Group commit (LevelDB/RocksDB-style writer queue): concurrent
 	// callers of Put/Delete/Write enqueue a groupWriter under writeMu and
@@ -1198,9 +1201,9 @@ func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) err
 	return it.err
 }
 
-// WaitIdle blocks until all queued flushes, zero-copy merges, and
-// lazy-copy compactions have drained (benchmarks call it between load and
-// read phases).
+// WaitIdle blocks until all queued flushes, zero-copy merges, lazy-copy
+// compactions and value-log GC passes have drained (benchmarks call it
+// between load and read phases).
 func (db *DB) WaitIdle() {
 	db.mu.Lock()
 	// A degraded store's background loops have stopped: queued work will
@@ -1219,7 +1222,7 @@ func (db *DB) idleLocked() bool {
 	if len(v.imms) > 0 {
 		return false
 	}
-	if len(db.merges) > 0 || db.repoCompacting {
+	if len(db.merges) > 0 || db.repoCompacting || db.vlogPasses > 0 {
 		return false
 	}
 	for level := 0; level < len(v.levels)-1; level++ {

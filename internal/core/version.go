@@ -161,6 +161,12 @@ func (db *DB) sweepVersionsLocked() {
 func (db *DB) queueReleaseLocked(fn func()) {
 	cur := db.current.Load()
 	cur.releaseFns = append(cur.releaseFns, fn)
+	db.retireIfIdleLocked()
+}
+
+// retireIfIdleLocked retires the current version with an empty edit when
+// the store is idle, so the releases queued on it can run.
+func (db *DB) retireIfIdleLocked() {
 	if db.idleLocked() {
 		db.editVersionLocked(func(*version) {})
 	}

@@ -39,15 +39,21 @@ import (
 // relocations only target the active segment), so the pre-scan's live
 // set can only shrink before step 2's recheck.
 
-// kickValueLogGC nudges the GC loop (non-blocking). Compaction drops and
-// segment seals call it.
-func (db *DB) kickValueLogGC() {
+// kickValueLogGCLocked nudges the GC loop (non-blocking) and counts the
+// pass it queues. Compactions call it for the drops they reported, under
+// the same db.mu hold that takes them off the books (db.merges, the last
+// level's table, repoCompacting): between a compaction's end and the pass
+// it prompts the store never looks idle, so WaitIdle cannot return — nor
+// CrashForTest cut, nor a consistency check run — with a collector queued
+// or relocating behind it.
+func (db *DB) kickValueLogGCLocked() {
 	if db.vlog == nil {
 		return
 	}
 	select {
 	case db.vlogKick <- struct{}{}:
-	default:
+		db.vlogPasses++
+	default: // a pass is already queued; it will see these drops too
 	}
 }
 
@@ -74,6 +80,15 @@ func (db *DB) vlogGCLoop() {
 		// Errors are sticky elsewhere (degraded mode) or transient to this
 		// round; either way the loop keeps serving later kicks.
 		_, _ = db.vlogGCPass(&seen)
+		db.mu.Lock()
+		db.vlogPasses--
+		// A release queued while the pass was on the books (its own segment
+		// frees, a lazy copy's arenas) skipped the retire-at-idle edit.
+		if len(db.current.Load().releaseFns) > 0 {
+			db.retireIfIdleLocked()
+		}
+		db.cond.Broadcast()
+		db.mu.Unlock()
 	}
 }
 

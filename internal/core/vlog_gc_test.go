@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"miodb/internal/keys"
 )
@@ -96,6 +97,95 @@ func TestValueLogGCAfterReplayDuplicates(t *testing.T) {
 		}
 	}
 	if err := re.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitIdleCoversValueLogGC pins ROADMAP item 1's failure mode (a): the
+// value-log collector runs off its own kick channel, and idleLocked did not
+// know it, so WaitIdle could return — and CrashForTest cut, and the
+// structural checks run — with a pass queued or relocating ("version chain
+// not drained; quiesce first"). A queued pass is on the books now: WaitIdle
+// must not return before the pass has.
+func TestWaitIdleCoversValueLogGC(t *testing.T) {
+	db := mustOpen(t, vlogOpts())
+	defer db.Close()
+
+	// Fill a couple of segments and settle them into the repository.
+	const n = 16
+	key := func(i int) []byte { return []byte(fmt.Sprintf("idle%03d", i)) }
+	golden := map[string]string{}
+	for i := 0; i < n; i++ {
+		v := bigVal(string(key(i)), 1<<10)
+		if err := db.Put(key(i), v); err != nil {
+			t.Fatal(err)
+		}
+		golden[string(key(i))] = string(v)
+	}
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Supersede three quarters of them in the memtable — no flush, so no
+	// merge runs and nothing kicks the collector — and report the old
+	// pointers dropped, as the merge that meets them eventually will: the
+	// first segments now qualify, each with live entries left to relocate.
+	v := db.current.Load()
+	for i := 0; i < n; i++ {
+		if i%4 == 0 {
+			continue
+		}
+		old, _, kind, ok := db.rawNewest(v, key(i))
+		if !ok || kind != keys.KindValuePtr {
+			t.Fatalf("%s: settled entry is not a pointer (kind %v, found %v)", key(i), kind, ok)
+		}
+		old = append([]byte(nil), old...)
+		nv := bigVal(string(key(i))+"-v2", 1<<10)
+		if err := db.Put(key(i), nv); err != nil {
+			t.Fatal(err)
+		}
+		golden[string(key(i))] = string(nv)
+		db.onEntryDrop(old, keys.KindValuePtr)
+	}
+	if _, ok := db.vlog.PickGC(); !ok {
+		t.Fatal("no segment qualifies for GC: the test no longer builds its scenario")
+	}
+	before := db.ValueLogCounters().GCSegmentsReclaimed
+
+	// Relocation commits under commitMu: holding it parks the pass midway.
+	db.commitMu.Lock()
+	db.mu.Lock()
+	db.kickValueLogGCLocked()
+	db.mu.Unlock()
+	var reclaimedAtReturn int64
+	done := make(chan struct{})
+	go func() {
+		db.WaitIdle()
+		reclaimedAtReturn = db.ValueLogCounters().GCSegmentsReclaimed
+		close(done)
+	}()
+	select {
+	case <-done:
+		db.commitMu.Unlock()
+		t.Fatal("WaitIdle returned while the GC pass it should cover was parked on commitMu")
+	case <-time.After(50 * time.Millisecond):
+	}
+	db.commitMu.Unlock()
+	<-done
+	if reclaimedAtReturn <= before {
+		t.Fatalf("WaitIdle returned before the pass reclaimed anything (%d segments, %d before)", reclaimedAtReturn, before)
+	}
+
+	for k, want := range golden {
+		got, err := db.Get([]byte(k))
+		if err != nil || string(got) != want {
+			t.Fatalf("Get(%s) after the pass: err=%v", k, err)
+		}
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CheckRegionAccounting(); err != nil {
 		t.Fatal(err)
 	}
 }

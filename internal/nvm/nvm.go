@@ -154,10 +154,11 @@ func (d *Device) OnRead(n int) { d.OnReads(1, n) }
 
 // OnReads implements vaddr.Meter: count reads totalling n bytes, charged
 // as one. The metering contract (DESIGN.md §1): a multi-step walk — a
-// skip-list search — settles here once when it ends, a single access and
-// every write charge as they happen. The counters grow by exactly what
+// skip-list search, one step of a merge or an absorb, a flush's swizzle —
+// tallies its loads and its stores and settles here once when it ends; a
+// lone access charges as it happens. The counters grow by exactly what
 // count OnRead calls would have added, and the modeled delay is the same
-// because it is linear in operations and bytes; what a search saves is
+// because it is linear in operations and bytes; what a walk saves is
 // count-1 rounds of atomics on the one cache line every thread shares.
 func (d *Device) OnReads(count, n int) {
 	d.bytesRead.Add(int64(n))
@@ -168,11 +169,14 @@ func (d *Device) OnReads(count, n int) {
 }
 
 // OnWrite implements vaddr.Meter.
-func (d *Device) OnWrite(n int) {
+func (d *Device) OnWrite(n int) { d.OnWrites(1, n) }
+
+// OnWrites implements vaddr.Meter: OnReads for stores.
+func (d *Device) OnWrites(count, n int) {
 	d.bytesWritten.Add(int64(n))
-	d.writes.Add(1)
+	d.writes.Add(int64(count))
 	if !d.free && d.simulate.Load() {
-		d.charge(d.profile.WriteLatency, d.profile.WriteNanosPerByte, 1, n)
+		d.charge(d.profile.WriteLatency, d.profile.WriteNanosPerByte, count, n)
 	}
 }
 

@@ -124,31 +124,45 @@ func TestProfiles(t *testing.T) {
 	}
 }
 
-// TestCountedReadEqualsSingleReads pins the counted charge a search
-// settles with: the counters grow by exactly what the same reads charged
-// one by one add, and the modeled delay (read off the debt word, below the
-// pay-out granularity) differs by at most the per-call rounding.
+// TestCountedReadEqualsSingleReads pins the counted charge a search or a
+// drain step settles with, loads and stores alike: the counters grow by
+// exactly what the same accesses charged one by one add, and the modeled
+// delay (read off the debt word, below the pay-out granularity) differs by
+// at most the per-call rounding.
 func TestCountedReadEqualsSingleReads(t *testing.T) {
 	const count, each = 12, 8
 	for _, profile := range []Profile{DRAMProfile(), NVMProfile()} {
-		one := NewDevice(vaddr.NewSpace(), profile)
-		batched := NewDevice(vaddr.NewSpace(), profile)
-		one.SetSimulation(true)
-		batched.SetSimulation(true)
-		for i := 0; i < count; i++ {
-			one.OnRead(each)
-		}
-		batched.OnReads(count, count*each)
-		a, b := one.Counters(), batched.Counters()
-		if a.Reads != count || a != b {
-			t.Errorf("%s: single reads %+v, counted read %+v", profile.Name, a, b)
-		}
-		da, db := one.debt.Load(), batched.debt.Load()
-		if diff := db - da; diff < 0 || diff > count {
-			t.Errorf("%s: modeled delay %d ns one by one, %d ns counted", profile.Name, da, db)
-		}
-		if profile.ReadLatency > 0 && db == 0 {
-			t.Errorf("%s: counted read modeled no delay", profile.Name)
+		for _, dir := range []struct {
+			name    string
+			single  func(d *Device)
+			counted func(d *Device)
+			ops     func(c Counters) int64
+			latency time.Duration
+		}{
+			{"read", func(d *Device) { d.OnRead(each) }, func(d *Device) { d.OnReads(count, count*each) },
+				func(c Counters) int64 { return c.Reads }, profile.ReadLatency},
+			{"write", func(d *Device) { d.OnWrite(each) }, func(d *Device) { d.OnWrites(count, count*each) },
+				func(c Counters) int64 { return c.Writes }, profile.WriteLatency},
+		} {
+			one := NewDevice(vaddr.NewSpace(), profile)
+			batched := NewDevice(vaddr.NewSpace(), profile)
+			one.SetSimulation(true)
+			batched.SetSimulation(true)
+			for i := 0; i < count; i++ {
+				dir.single(one)
+			}
+			dir.counted(batched)
+			a, b := one.Counters(), batched.Counters()
+			if dir.ops(a) != count || a != b {
+				t.Errorf("%s %s: one by one %+v, counted %+v", profile.Name, dir.name, a, b)
+			}
+			da, db := one.debt.Load(), batched.debt.Load()
+			if diff := db - da; diff < 0 || diff > count {
+				t.Errorf("%s %s: modeled delay %d ns one by one, %d ns counted", profile.Name, dir.name, da, db)
+			}
+			if dir.latency > 0 && db == 0 {
+				t.Errorf("%s %s: counted charge modeled no delay", profile.Name, dir.name)
+			}
 		}
 	}
 }

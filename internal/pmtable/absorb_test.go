@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"miodb/internal/keys"
+	"miodb/internal/nvm"
 )
 
-// absorbTwoSearches is AbsorbWith as it was before it shared one descent
-// between the lookup and the insert: FindGE for the repository's newest
-// version of the key, then InsertEntry, which searches again. Kept as the
-// reference the one-descent form is held to.
+// absorbTwoSearches is AbsorbWith searching for every entry from the
+// repository's head: FindGE for the repository's newest version of the
+// key, then InsertEntry, which searches again, and RemoveAfter / Remove,
+// which search once more per node unlinked. Kept as the reference the
+// fingered form — one cold search, then a carried splice — is held to.
 func absorbTwoSearches(r *Repository, t *Table, p AbsorbPolicy) error {
 	var lastKey []byte
 	lastValid := false
@@ -77,6 +79,43 @@ func absorbTwoSearches(r *Repository, t *Table, p AbsorbPolicy) error {
 	return nil
 }
 
+// absorbSide is one of the two repositories an equivalence test feeds the
+// same tables: its own device, and the drops its absorbs reported.
+type absorbSide struct {
+	nv    *nvm.Device
+	repo  *Repository
+	drops []string
+}
+
+func newAbsorbSide(t *testing.T) absorbSide {
+	t.Helper()
+	_, nv := devices()
+	repo, err := NewRepository(nv, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return absorbSide{nv: nv, repo: repo}
+}
+
+// sameAbsorb requires got to equal the reference: the list entry for
+// entry, the drops observed in order, the accounting.
+func sameAbsorb(t *testing.T, what string, got, want *absorbSide) {
+	t.Helper()
+	diffVersions(t, what, collect(got.repo.NewIterator()), collect(want.repo.NewIterator()))
+	if n, err := got.repo.List().CheckInvariants(); err != nil || int64(n) != got.repo.Count() {
+		t.Fatalf("%s: %d nodes linked, Count %d: %v", what, n, got.repo.Count(), err)
+	}
+	if fmt.Sprint(got.drops) != fmt.Sprint(want.drops) {
+		t.Fatalf("%s: drops observed %v, reference %v", what, got.drops, want.drops)
+	}
+	if got.repo.GarbageBytes() != want.repo.GarbageBytes() || got.repo.CopiedBytes() != want.repo.CopiedBytes() ||
+		got.repo.UserBytes() != want.repo.UserBytes() {
+		t.Fatalf("%s: garbage/copied/user bytes %d/%d/%d, reference %d/%d/%d", what,
+			got.repo.GarbageBytes(), got.repo.CopiedBytes(), got.repo.UserBytes(),
+			want.repo.GarbageBytes(), want.repo.CopiedBytes(), want.repo.UserBytes())
+	}
+}
+
 // TestAbsorbMatchesTwoSearchAbsorb feeds the same randomized tables, under
 // the same policy, to two repositories — one through AbsorbWith, one
 // through the reference — and compares them entry for entry after every
@@ -108,20 +147,8 @@ func TestAbsorbMatchesTwoSearchAbsorb(t *testing.T) {
 			order := []int{0, 1, 3, 4, 2}
 			horizon := uint64(rnd.Intn(tables * newSeqBase))
 
-			type side struct {
-				repo  *Repository
-				drops []string
-			}
-			var got, want side
-			for _, s := range []*side{&got, &want} {
-				_, nv := devices()
-				repo, err := NewRepository(nv, 1<<20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.repo = repo
-			}
-			policy := func(s *side) AbsorbPolicy {
+			got, want := newAbsorbSide(t), newAbsorbSide(t)
+			policy := func(s *absorbSide) AbsorbPolicy {
 				return AbsorbPolicy{Skip: tc.skip, Drop: tc.drop(horizon), OnDrop: func(value []byte, kind keys.Kind) {
 					s.drops = append(s.drops, fmt.Sprintf("%q/%d", value, kind))
 				}}
@@ -139,20 +166,93 @@ func TestAbsorbMatchesTwoSearchAbsorb(t *testing.T) {
 				if err := absorbTwoSearches(want.repo, flushVersions(t, dram, nv, uint64(i+1), versions[i]), policy(&want)); err != nil {
 					t.Fatalf("%s: reference: %v", what, err)
 				}
-				diffVersions(t, what, collect(got.repo.NewIterator()), collect(want.repo.NewIterator()))
-				if n, err := got.repo.List().CheckInvariants(); err != nil || int64(n) != got.repo.Count() {
-					t.Fatalf("%s: %d nodes linked, Count %d: %v", what, n, got.repo.Count(), err)
-				}
-				if fmt.Sprint(got.drops) != fmt.Sprint(want.drops) {
-					t.Fatalf("%s: drops observed %v, reference %v", what, got.drops, want.drops)
-				}
-				if got.repo.GarbageBytes() != want.repo.GarbageBytes() || got.repo.CopiedBytes() != want.repo.CopiedBytes() ||
-					got.repo.UserBytes() != want.repo.UserBytes() {
-					t.Fatalf("%s: garbage/copied/user bytes %d/%d/%d, reference %d/%d/%d", what,
-						got.repo.GarbageBytes(), got.repo.CopiedBytes(), got.repo.UserBytes(),
-						want.repo.GarbageBytes(), want.repo.CopiedBytes(), want.repo.UserBytes())
-				}
+				sameAbsorb(t, what, &got, &want)
 			}
 		}
+	}
+}
+
+// mix is a cheap deterministic hash for the property test's predicates.
+func mix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return x
+}
+
+// TestAbsorbFingerMatchesFindSplice is the property the absorb's finger
+// rests on: over random tables — tombstones from none to most, key ranges
+// that overlap the repository's, interleave with them or miss them
+// entirely, gates that retain some duplicates (Drop false) and skip some
+// entries — draining with a carried splice leaves the list, the garbage
+// and copied accounting and the OnDrop sequence of a search from the head
+// per entry. The stores are the same stores (device writes and bytes
+// written equal: write amplification cannot move); only reads are saved.
+func TestAbsorbFingerMatchesFindSplice(t *testing.T) {
+	var fingerReads, searchReads int64
+	for seed := int64(1); seed <= 40; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		salt := rnd.Uint64()
+		tombstoneIn := 1 + rnd.Intn(8)
+		dropOneIn, skipOneIn := uint64(1+rnd.Intn(4)), uint64(2+rnd.Intn(6))
+		policy := func(drops *[]string) AbsorbPolicy {
+			p := AbsorbPolicy{
+				Drop: func(newerSeq uint64) bool { return mix(newerSeq^salt)%dropOneIn != 0 },
+				Skip: func(key []byte, seq uint64, _ keys.Kind) bool {
+					return mix(seq^salt^uint64(key[len(key)-1]))%skipOneIn == 0
+				},
+				OnDrop: func(value []byte, kind keys.Kind) {
+					*drops = append(*drops, fmt.Sprintf("%q/%d", value, kind))
+				},
+			}
+			if seed%5 == 0 {
+				p.Drop = nil // always drop
+			}
+			if seed%7 == 0 {
+				p.Skip = nil
+			}
+			return p
+		}
+
+		got, want := newAbsorbSide(t), newAbsorbSide(t)
+		for table := 0; table < 6; table++ {
+			// A window of the key space per table: present in, absent from
+			// and straddling what the repository holds so far.
+			lo, width := rnd.Intn(300), 1+rnd.Intn(200)
+			vs := make([]version, 1+rnd.Intn(250))
+			for i := range vs {
+				v := version{
+					key:  fmt.Sprintf("key-%04d", lo+rnd.Intn(width)),
+					seq:  1 + uint64(table)*newSeqBase + uint64(i),
+					kind: keys.KindSet,
+				}
+				if rnd.Intn(tombstoneIn) == 0 {
+					v.kind = keys.KindDelete
+				} else {
+					v.value = fmt.Sprintf("%s@%d", v.key, v.seq)
+				}
+				vs[i] = v
+			}
+			what := fmt.Sprintf("seed %d, table %d", seed, table)
+			dram, nv := devices()
+			if err := got.repo.AbsorbWith(flushVersions(t, dram, nv, uint64(table+1), vs), policy(&got.drops)); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if err := absorbTwoSearches(want.repo, flushVersions(t, dram, nv, uint64(table+1), vs), policy(&want.drops)); err != nil {
+				t.Fatalf("%s: reference: %v", what, err)
+			}
+			sameAbsorb(t, what, &got, &want)
+			g, w := got.nv.Counters(), want.nv.Counters()
+			if g.Writes != w.Writes || g.BytesWritten != w.BytesWritten {
+				t.Fatalf("%s: %d device writes / %d B, reference %d / %d B", what, g.Writes, g.BytesWritten, w.Writes, w.BytesWritten)
+			}
+		}
+		fingerReads += got.nv.Counters().Reads
+		searchReads += want.nv.Counters().Reads
+	}
+	// Table by table a tiny repository can cost the finger a read more
+	// than a descent from the head; over the whole run it must save.
+	if fingerReads >= searchReads {
+		t.Fatalf("the finger saved nothing: %d repository reads, %d searching per entry", fingerReads, searchReads)
 	}
 }

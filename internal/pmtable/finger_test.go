@@ -191,14 +191,19 @@ func TestMergeMatchesMergedIterator(t *testing.T) {
 type powerCut struct{}
 
 // cutMeter meters the pair's arenas and the mark slot and cuts the power —
-// a panic out of the merger — before the store after the left-th one.
+// a panic out of the drain — before the store after the left-th one. It
+// asks every tally for the per-access seam (skiplist.EachAccessMeter), so
+// OnWrite fires ahead of each individual store, not once per step after
+// them; a tallied settlement reaching it would mean the seam is gone.
 type cutMeter struct {
 	left   int // stores until the cut; negative = never
 	writes int
 }
 
-func (c *cutMeter) OnRead(int)       {}
-func (c *cutMeter) OnReads(int, int) {}
+func (c *cutMeter) ChargeEachAccess() {}
+func (c *cutMeter) OnRead(int)        {}
+func (c *cutMeter) OnReads(int, int)  { panic("cutMeter: loads settled in a tally") }
+func (c *cutMeter) OnWrites(int, int) { panic("cutMeter: stores settled in a tally") }
 func (c *cutMeter) OnWrite(int) {
 	if c.left == 0 {
 		panic(powerCut{})
@@ -227,6 +232,39 @@ func linkVersions(t testing.TB, space *vaddr.Space, meter vaddr.Meter, id uint64
 	return &Table{
 		ID: id, list: list, filter: filter, regions: []*vaddr.Region{region},
 		MinSeq: vs[0].seq, MaxSeq: vs[len(vs)-1].seq,
+	}
+}
+
+// newestVersions maps each key of a list (key ascending, sequence
+// descending) to its first, newest, version.
+func newestVersions(vs []version) map[string]version {
+	newest := map[string]version{}
+	for _, v := range vs {
+		if _, ok := newest[v.key]; !ok {
+			newest[v.key] = v
+		}
+	}
+	return newest
+}
+
+// checkSurvivors holds a list recovered after a power cut to the one the
+// uninterrupted drain leaves: everything in want is there, in order, and
+// whatever else survived is an older version of a key want keeps (an
+// unlink the cut came before).
+func checkSurvivors(t *testing.T, what string, got, want []version, newest map[string]version) {
+	t.Helper()
+	i := 0
+	for _, v := range got {
+		if i < len(want) && v == want[i] {
+			i++
+			continue
+		}
+		if nv, ok := newest[v.key]; !ok || v.seq >= nv.seq {
+			t.Fatalf("%s: survivor %v is not an older version of a kept key", what, v)
+		}
+	}
+	if i != len(want) {
+		t.Fatalf("%s: %v lost", what, want[i])
 	}
 }
 
@@ -279,13 +317,13 @@ func TestMergeResumeAfterEveryStore(t *testing.T) {
 		if cut || total == 0 {
 			t.Fatalf("seed %d: uninterrupted merge made %d stores, cut=%v", seed, total, cut)
 		}
-		want := collect(old.NewIterator())
-		newest := map[string]version{}
-		for _, v := range want {
-			if _, ok := newest[v.key]; !ok {
-				newest[v.key] = v
-			}
+		// The cut points are every individual store, as they were when
+		// each store charged the meter itself (dea5655: 239, 245, 210).
+		if floor := []int{0, 239, 245, 210}[seed]; total < floor {
+			t.Fatalf("seed %d: %d cut points, %d before stores were tallied", seed, total, floor)
 		}
+		want := collect(old.NewIterator())
+		newest := newestVersions(want)
 
 		for cutAfter := 0; cutAfter < total; cutAfter++ {
 			what := fmt.Sprintf("seed %d, power cut after store %d of %d", seed, cutAfter, total)
@@ -305,20 +343,7 @@ func TestMergeResumeAfterEveryStore(t *testing.T) {
 			if !newA.List().Empty() || !vaddr.Addr(slotRegion.Load64(slot)).IsNil() {
 				t.Fatalf("%s: newtable or mark not cleared", what)
 			}
-			got := collect(merged.NewIterator())
-			i := 0
-			for _, v := range got {
-				if i < len(want) && v == want[i] {
-					i++
-					continue
-				}
-				if nv, ok := newest[v.key]; !ok || v.seq >= nv.seq {
-					t.Fatalf("%s: survivor %v is not an older version of a kept key", what, v)
-				}
-			}
-			if i != len(want) {
-				t.Fatalf("%s: %v lost", what, want[i])
-			}
+			checkSurvivors(t, what, collect(merged.NewIterator()), want, newest)
 			for k, v := range newest {
 				value, seq, kind, ok := merged.Get([]byte(k))
 				if !ok || seq != v.seq || kind != v.kind || !bytes.Equal(value, []byte(v.value)) {
@@ -326,6 +351,109 @@ func TestMergeResumeAfterEveryStore(t *testing.T) {
 				}
 				if !merged.MayContain([]byte(k)) {
 					t.Fatalf("%s: merged filter misses %s", what, k)
+				}
+			}
+		}
+	}
+}
+
+// TestAbsorbReabsorbAfterEveryStore is the absorb's twin of the test
+// above: cut the power before each store of a whole lazy copy in turn —
+// node fills, links into the repository, the splice-driven unlinks of
+// superseded versions and of versions a tombstone deletes — then recover
+// the way the engine does (re-attach the repository from its head and the
+// table from its own, absorb the table again: its manifest record was
+// never written) and check the result. An absorb keeps no mark, so what
+// recovery rests on is its idempotence: an entry already in is skipped, a
+// tombstone already applied finds nothing left. Every key reads its newest
+// version, everything the uninterrupted absorb keeps is there, and
+// whatever else survived is an older version of a kept key.
+func TestAbsorbReabsorbAfterEveryStore(t *testing.T) {
+	policies := []struct {
+		name string
+		drop func(uint64) bool
+	}{
+		{"always drop", nil},
+		// Below the horizon versions are unlinked and tombstones applied;
+		// above it duplicates stay and tombstones land as nodes.
+		{"snapshot horizon", func(newerSeq uint64) bool { return newerSeq <= newSeqBase+20 }},
+	}
+	for _, pol := range policies {
+		for seed := int64(1); seed <= 3; seed++ {
+			rnd := rand.New(rand.NewSource(seed))
+			keySpace := []int{4, 25, 90}[seed%3]
+			// Two tables under a never-drop gate leave the repository with
+			// retained duplicates and tombstone nodes for the absorb to clear.
+			repoVs := [2][]version{randomVersions(rnd, 25, keySpace, 1), randomVersions(rnd, 25, keySpace, 5000)}
+			tableVs := randomVersions(rnd, 40, keySpace, newSeqBase)
+			policy := AbsorbPolicy{Drop: pol.drop}
+
+			// run builds repository and table afresh (deterministic) and
+			// absorbs the table with the power cut after cutAfter stores.
+			var space *vaddr.Space
+			var repo *Repository
+			var table *Table
+			run := func(cutAfter int) (stores int, cut bool) {
+				space = vaddr.NewSpace()
+				meter := &cutMeter{left: -1}
+				region := space.NewRegion(1<<20, meter)
+				list, err := skiplist.New(region)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repo = &Repository{region: region, list: list}
+				for i, vs := range repoVs {
+					if err := repo.AbsorbWith(linkVersions(t, space, meter, uint64(i+1), vs), AbsorbPolicy{Drop: func(uint64) bool { return false }}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				table = linkVersions(t, space, meter, 3, tableVs)
+				meter.writes, meter.left = 0, cutAfter
+				defer func() {
+					stores, meter.left = meter.writes, -1
+					if r := recover(); r != nil {
+						if _, ok := r.(powerCut); !ok {
+							panic(r)
+						}
+						cut = true
+					}
+				}()
+				if err := repo.AbsorbWith(table, policy); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+
+			total, cut := run(-1)
+			if cut || total == 0 {
+				t.Fatalf("%s, seed %d: uninterrupted absorb made %d stores, cut=%v", pol.name, seed, total, cut)
+			}
+			want := collect(repo.NewIterator())
+			newest := newestVersions(want)
+
+			for cutAfter := 0; cutAfter < total; cutAfter++ {
+				what := fmt.Sprintf("%s, seed %d, power cut after store %d of %d", pol.name, seed, cutAfter, total)
+				if _, cut := run(cutAfter); !cut {
+					t.Fatalf("%s: no cut", what)
+				}
+				dev := nvm.NewDevice(space, nvm.NVMProfile()) // for its space only
+				repoA := AttachRepository(dev, repo.region, repo.list.Head())
+				tableA := Attach(space, table.list.Head(), 3, table.regions, fp())
+				if err := repoA.AbsorbWith(tableA, policy); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+
+				if n, err := repoA.List().CheckInvariants(); err != nil || int64(n) != repoA.Count() {
+					t.Fatalf("%s: %d nodes linked, Count %d: %v", what, n, repoA.Count(), err)
+				}
+				checkSurvivors(t, what, collect(repoA.NewIterator()), want, newest)
+				for k := 0; k < keySpace; k++ {
+					key := fmt.Sprintf("key-%04d", k)
+					value, seq, kind, ok := repoA.Get([]byte(key))
+					v, kept := newest[key]
+					if ok != kept || (ok && (seq != v.seq || kind != v.kind || !bytes.Equal(value, []byte(v.value)))) {
+						t.Fatalf("%s: Get(%s) = (%q, %d, %d, %v), want %v (kept=%v)", what, key, value, seq, kind, ok, v, kept)
+					}
 				}
 			}
 		}

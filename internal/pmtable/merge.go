@@ -68,9 +68,10 @@ type Merge struct {
 	mu   sync.Mutex    // merger holds per migration; reader fallback path
 	mark atomic.Uint64 // vaddr.Addr of the in-flight node (0 = none)
 
-	// Optional persistence of the mark for crash recovery.
+	// Optional persistence of the mark for crash recovery: the slot's
+	// region (for its meter) and the slot itself, resolved once.
 	markRegion *vaddr.Region
-	markSlot   vaddr.Addr
+	markSlot   vaddr.Span
 
 	garbage int64 // bytes of duplicate nodes logically deleted
 	moved   int64 // nodes migrated
@@ -91,13 +92,15 @@ func NewMerge(newT, oldT *Table) *Merge {
 // given 8-byte NVM slot, enabling crash recovery of an interrupted merge.
 func (m *Merge) SetPersistSlot(region *vaddr.Region, slot vaddr.Addr) {
 	m.markRegion = region
-	m.markSlot = slot
+	m.markSlot = region.Span(slot)
 }
 
-func (m *Merge) setMark(a vaddr.Addr) {
+// setMark records the in-flight node for readers and, persisted, for
+// recovery; the persisted store is counted on w like any other of the step.
+func (m *Merge) setMark(w *skiplist.Walk, a vaddr.Addr) {
 	m.mark.Store(uint64(a))
 	if m.markRegion != nil {
-		m.markRegion.Store64(m.markSlot, uint64(a))
+		w.Store64(m.markRegion, m.markSlot, uint64(a))
 	}
 }
 
@@ -111,11 +114,15 @@ type drain struct {
 
 	// splice is the oldtable insertion position of the last node migrated,
 	// kept as the finger for the next one: the newtable drains in sorted
-	// order, so each target lies at or just past it. Valid once warm. It
-	// lives only in the merger's memory — Run (and therefore Resume, after
-	// its repair) always starts cold with one full FindSplice.
+	// order, so each target lies at or just past it. It lives only in the
+	// merger's memory — Run (and therefore Resume, after its repair) always
+	// starts cold, from the zero splice: one full search from the head.
 	splice [skiplist.MaxHeight]skiplist.Node
-	warm   bool
+
+	// w tallies a step's device accesses — the splice search, the mark and
+	// link stores, the duplicate checks — and settles them once, when the
+	// step ends.
+	w skiplist.Walk
 }
 
 // Run drains the newtable into the oldtable and returns the merged table.
@@ -139,7 +146,10 @@ func (m *Merge) canDrop(newerSeq uint64) bool {
 // merger mutates the two lists, so a splice computed between windows stays
 // valid. The locked windows contain nothing but pointer stores, keeping
 // reader fallback waits to a microsecond — the paper's lock-free spirit
-// with the seqlock safety net.
+// with the seqlock safety net. Not even the device is visited inside them:
+// the step's loads and stores are tallied (d.w) and settled once, after
+// the last window closes — the device's counters are a cache line the
+// foreground writes too, and under Simulate a charge may wait.
 //
 // The search itself is a finger search (skiplist.AdvanceSplice): the
 // splice of the previous migration is advanced to this node's position
@@ -151,11 +161,14 @@ func (m *Merge) canDrop(newerSeq uint64) bool {
 // migrated — order after every splice entry, so no entry is ever
 // unlinked. Dropped nodes never touch the oldtable at all.
 func (m *Merge) step(d *drain) bool {
-	n := m.New.list.First()
+	w := &d.w
+	defer w.Done()
+	newL, oldL := m.New.list, m.Old.list
+	n := newL.First(w)
 	if n.IsNil() {
 		return false
 	}
-	key := n.Key()
+	key := w.Key(n)
 	// An older version of the key just migrated is droppable (the paper's
 	// N_d5 case) unless a snapshot still pins it; an entry covered by a
 	// settled range tombstone is droppable outright. A dup the snapshot
@@ -166,12 +179,7 @@ func (m *Merge) step(d *drain) bool {
 
 	// Phase 0 (unlocked): bring the oldtable splice to n's position.
 	if !drop {
-		if d.warm {
-			m.Old.list.AdvanceSplice(key, n.Seq(), &d.splice)
-		} else {
-			m.Old.list.FindSplice(key, n.Seq(), &d.splice)
-			d.warm = true
-		}
+		oldL.AdvanceSplice(w, key, n.Seq(), &d.splice)
 	}
 
 	// Phase 1 (locked, pos odd): the migration itself — mark, unlink
@@ -180,9 +188,9 @@ func (m *Merge) step(d *drain) bool {
 	m.pos.Add(1)
 	// 1. Record the node in the insertion mark (persisted first, §4.3),
 	//    so it stays visible while belonging to neither list.
-	m.setMark(n.Addr())
+	m.setMark(w, n.Addr())
 	// 2. Remove it from the newtable: atomic head-pointer stores.
-	m.New.list.RemoveFirst()
+	newL.RemoveFirst(w)
 	if drop {
 		// Logically delete the node. Its bytes are reclaimed with the
 		// arena after lazy-copy compaction.
@@ -190,16 +198,16 @@ func (m *Merge) step(d *drain) bool {
 	} else {
 		// 3. Insert into the oldtable at its (key, seq) position; the
 		//    splice moves past n.
-		m.Old.list.InsertNodeWithSplice(n, &d.splice)
+		oldL.InsertNodeWithSplice(w, n, &d.splice)
 		m.moved++
 	}
-	m.setMark(vaddr.NilAddr)
+	m.setMark(w, vaddr.NilAddr)
 	m.pos.Add(1)
 	m.mu.Unlock()
 
 	if drop {
 		if m.OnDrop != nil {
-			m.OnDrop(n.Value(), n.Kind())
+			m.OnDrop(w.Value(n), n.Kind())
 		}
 		// The last-migrated record deliberately stays: a dropped node was
 		// not migrated, so it cannot be the superseding version for the
@@ -214,22 +222,18 @@ func (m *Merge) step(d *drain) bool {
 	// above). The snapshot gate applies: successors superseded at n.Seq()
 	// stay put while a snapshot's bound is below it.
 	for m.canDrop(n.Seq()) {
-		succAddr := n.NextAddr0()
-		if succAddr.IsNil() {
-			break
-		}
-		succ := m.Old.list.Node(succAddr)
-		if !bytes.Equal(succ.Key(), key) {
+		succ := oldL.Next(w, n)
+		if succ.IsNil() || !bytes.Equal(w.Key(succ), key) {
 			break
 		}
 		m.mu.Lock()
 		m.pos.Add(1)
-		m.Old.list.RemoveWithSplice(succ, &d.splice)
+		oldL.RemoveWithSplice(w, succ, &d.splice)
 		m.garbage += succ.Size()
 		m.pos.Add(1)
 		m.mu.Unlock()
 		if m.OnDrop != nil {
-			m.OnDrop(succ.Value(), succ.Kind())
+			m.OnDrop(w.Value(succ), succ.Kind())
 		}
 	}
 	d.lastKey = append(d.lastKey[:0], key...)
@@ -415,8 +419,10 @@ func (m *Merge) Garbage() int64 {
 // duplicate-drop case (§4.7's corner cases 1–3 all reduce to this).
 func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
 	if !markAddr.IsNil() {
+		// Cold: the repair searches from the heads and settles at once.
+		var w skiplist.Walk
 		n := m.New.list.Node(markAddr)
-		key := append([]byte(nil), n.Key()...)
+		key := append([]byte(nil), w.Key(n)...)
 		seq := n.Seq()
 
 		// The in-flight node belonged to neither list at crash time, so
@@ -430,19 +436,17 @@ func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
 
 		// If the node is still (fully or partially) linked in the
 		// newtable, its only predecessor is the head: redo the removal.
-		if first := m.New.list.First(); !first.IsNil() && first.Addr() == markAddr {
-			m.New.list.RemoveFirst()
+		if first := m.New.list.First(&w); !first.IsNil() && first.Addr() == markAddr {
+			m.New.list.RemoveFirst(&w)
 		}
 		// If level-0 linkage into the oldtable happened, unlink whatever
 		// levels were completed so we can re-insert cleanly.
-		if !m.Old.list.Remove(key, seq).IsNil() {
-			// removed; will re-insert below
-		}
+		m.Old.list.Remove(key, seq)
 		// Re-decide: does the oldtable already hold a newer version?
-		if ex := m.Old.list.FindGE(key); !ex.IsNil() && bytes.Equal(ex.Key(), key) && ex.Seq() > seq {
+		if ex := m.Old.list.FindGE(key); !ex.IsNil() && bytes.Equal(w.Key(ex), key) && ex.Seq() > seq {
 			m.garbage += n.Size() // duplicate: drop for good
 			if m.OnDrop != nil {
-				m.OnDrop(n.Value(), n.Kind())
+				m.OnDrop(w.Value(n), n.Kind())
 			}
 		} else {
 			m.Old.list.InsertNode(n)
@@ -453,12 +457,13 @@ func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
 				}
 				m.garbage += d.Size()
 				if m.OnDrop != nil {
-					m.OnDrop(d.Value(), d.Kind())
+					m.OnDrop(w.Value(d), d.Kind())
 				}
 			}
 			m.moved++
 		}
-		m.setMark(vaddr.NilAddr)
+		m.setMark(&w, vaddr.NilAddr)
+		w.Done()
 	}
 	return m.Run()
 }

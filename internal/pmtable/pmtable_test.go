@@ -352,10 +352,10 @@ func TestMergeResumeAfterCrash(t *testing.T) {
 
 		// Manually perform the first migration up to the crash point,
 		// mimicking Merge.step on the first node of the newtable ("b").
-		n := newer.List().First()
+		n := newer.List().First(nil)
 		markAddr := n.Addr()
 		if cp >= afterRemove {
-			newer.List().RemoveFirst()
+			newer.List().RemoveFirst(nil)
 		}
 		if cp >= afterInsert {
 			old.List().InsertNode(n)

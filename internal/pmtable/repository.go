@@ -169,77 +169,116 @@ func (r *Repository) AbsorbWith(t *Table, p AbsorbPolicy) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	var lastKey []byte
-	lastValid := false
-	var splice [skiplist.MaxHeight]skiplist.Node
-	it := t.NewIterator()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		key := it.Key()
-		if lastValid && bytes.Equal(key, lastKey) {
-			p.onDrop(it.Value(), it.Kind())
-			continue // older version within the same table
-		}
-		lastKey = append(lastKey[:0], key...)
-		lastValid = true
-		if p.Skip != nil && p.Skip(key, it.Seq(), it.Kind()) {
-			p.onDrop(it.Value(), it.Kind())
-			continue // covered by a range tombstone
-		}
-
-		// One descent serves the lookup and the insert: the successor of
-		// (key, MaxSeq) is the repository's newest version of key, and
-		// once that is known to be older than the entry (the check below),
-		// no node orders between (key, MaxSeq) and (key, seq) — the splice
-		// of the one position is the splice of the other.
-		existing := r.list.FindSplice(key, keys.MaxSeq, &splice)
-		hasExisting := !existing.IsNil() && bytes.Equal(existing.Key(), key)
-		if hasExisting && existing.Seq() >= it.Seq() {
-			p.onDrop(it.Value(), it.Kind())
-			continue // repository already newer (defensive)
-		}
-		if it.Kind() == keys.KindDelete {
-			if !hasExisting {
-				continue // nothing below to shadow: tombstone is spent
-			}
-			if p.canDrop(it.Seq()) {
-				for {
-					ex := r.list.FindGE(key)
-					if ex.IsNil() || !bytes.Equal(ex.Key(), key) {
-						break
-					}
-					if removed := r.list.Remove(key, ex.Seq()); !removed.IsNil() {
-						r.garbage += removed.Size()
-						p.onDrop(removed.Value(), removed.Kind())
-					}
-				}
-				continue
-			}
-			// A snapshot still reads the shadowed version: retain it and
-			// land the tombstone as a repository node above it. finishGet
-			// hides it from point reads; compaction clears both later.
-			if _, err := r.list.InsertEntry(key, nil, it.Seq(), keys.KindDelete); err != nil {
-				return err
-			}
-			r.copied += int64(len(key))
-			continue
-		}
-		value := it.Value()
-		n, err := r.list.InsertEntryWithSplice(key, value, it.Seq(), it.Kind(), &splice)
-		if err != nil {
+	d := absorbDrain{repo: r, policy: p}
+	w := &d.w
+	defer w.Done()
+	for n := t.list.First(w); !n.IsNil(); n = t.list.Next(w, n) {
+		// One settlement per table entry: what the last one did to the
+		// repository and the step onto this one.
+		w.Done()
+		if err := d.step(n); err != nil {
 			return err
-		}
-		r.copied += int64(len(key) + len(value))
-		for p.canDrop(it.Seq()) {
-			d := r.list.RemoveAfter(n)
-			if d.IsNil() {
-				break
-			}
-			r.garbage += d.Size()
-			p.onDrop(d.Value(), d.Kind())
 		}
 	}
 	t.MarkReclaimable()
 	return nil
+}
+
+// absorbDrain is what an absorb carries from one table entry to the next.
+type absorbDrain struct {
+	repo   *Repository
+	policy AbsorbPolicy
+
+	// The key of the last entry considered: the table is multi-version,
+	// and only the first — newest — version of a key is absorbed.
+	lastKey   []byte
+	lastValid bool
+
+	// splice is the repository position of the last key searched for, kept
+	// as the finger for the next one exactly as a merge keeps its oldtable
+	// splice (Merge.step): the table drains in key order, so every target
+	// (key, MaxSeq) lies past the last; a node the absorb inserts becomes
+	// the splice entry at its own levels; and the only nodes it unlinks —
+	// the repository's versions of the key in hand, superseded or deleted
+	// — are successors of the splice, never an entry of it. Zero until the
+	// first search, which AdvanceSplice then makes from the head.
+	splice [skiplist.MaxHeight]skiplist.Node
+
+	// w tallies one entry's device accesses, table and repository side.
+	w skiplist.Walk
+}
+
+// step absorbs one table entry.
+func (d *absorbDrain) step(n skiplist.Node) error {
+	r, p, w := d.repo, d.policy, &d.w
+	key, seq, kind := w.Key(n), n.Seq(), n.Kind()
+	if d.lastValid && bytes.Equal(key, d.lastKey) {
+		p.onDrop(w.Value(n), kind)
+		return nil // older version within the same table
+	}
+	d.lastKey = append(d.lastKey[:0], key...)
+	d.lastValid = true
+	if p.Skip != nil && p.Skip(key, seq, kind) {
+		p.onDrop(w.Value(n), kind)
+		return nil // covered by a range tombstone
+	}
+
+	// One search serves the lookup and the insert: the successor of
+	// (key, MaxSeq) is the repository's newest version of key, and once
+	// that is known to be older than the entry (the check below), no node
+	// orders between (key, MaxSeq) and (key, seq) — the splice of the one
+	// position is the splice of the other.
+	existing := r.list.AdvanceSplice(w, key, keys.MaxSeq, &d.splice)
+	hasExisting := !existing.IsNil() && bytes.Equal(w.Key(existing), key)
+	if hasExisting && existing.Seq() >= seq {
+		p.onDrop(w.Value(n), kind)
+		return nil // repository already newer (defensive)
+	}
+	if kind == keys.KindDelete {
+		if !hasExisting {
+			return nil // nothing below to shadow: tombstone is spent
+		}
+		if p.canDrop(seq) {
+			// Every version of the key goes; each is the splice's
+			// successor in turn.
+			d.unlinkVersions(key)
+			return nil
+		}
+		// A snapshot still reads the shadowed version: retain it and
+		// land the tombstone as a repository node above it. finishGet
+		// hides it from point reads; compaction clears both later.
+		if _, err := r.list.InsertEntryWithSplice(w, key, nil, seq, keys.KindDelete, &d.splice); err != nil {
+			return err
+		}
+		r.copied += int64(len(key))
+		return nil
+	}
+	value := w.Value(n)
+	if _, err := r.list.InsertEntryWithSplice(w, key, value, seq, kind, &d.splice); err != nil {
+		return err
+	}
+	r.copied += int64(len(key) + len(value))
+	if p.canDrop(seq) {
+		d.unlinkVersions(key)
+	}
+	return nil
+}
+
+// unlinkVersions unlinks the run of versions of key directly behind the
+// splice — behind the node just inserted, which is its level-0 entry, or
+// from the key's newest version on when a tombstone applies — with the
+// carried splice: no search.
+func (d *absorbDrain) unlinkVersions(key []byte) {
+	r, w := d.repo, &d.w
+	for {
+		succ := r.list.Next(w, d.splice[0])
+		if succ.IsNil() || !bytes.Equal(w.Key(succ), key) {
+			return
+		}
+		r.list.RemoveWithSplice(w, succ, &d.splice)
+		r.garbage += succ.Size()
+		d.policy.onDrop(w.Value(succ), succ.Kind())
+	}
 }
 
 // Release frees the repository arena (store shutdown).
@@ -278,25 +317,31 @@ func (r *Repository) CompactedWith(chunkSize int, dead func(key []byte, seq uint
 			onDrop(value, kind)
 		}
 	}
+	// The fresh list is built by appending a sorted stream: the splice of
+	// each insert, moved past the new node, is one step from the next.
 	var lastKey []byte
 	lastValid := false
-	it := r.NewIterator()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		key := it.Key()
+	var splice [skiplist.MaxHeight]skiplist.Node
+	var w skiplist.Walk
+	defer w.Done()
+	for n := r.list.First(&w); !n.IsNil(); n = r.list.Next(&w, n) {
+		w.Done() // once per entry
+		key, seq, kind := w.Key(n), n.Seq(), n.Kind()
 		if lastValid && bytes.Equal(key, lastKey) {
-			drop(it.Value(), it.Kind())
+			drop(w.Value(n), kind)
 			continue // superseded version retained for a snapshot
 		}
 		lastKey = append(lastKey[:0], key...)
 		lastValid = true
-		if it.Kind() == keys.KindDelete {
+		if kind == keys.KindDelete {
 			continue
 		}
-		if dead != nil && dead(key, it.Seq(), it.Kind()) {
-			drop(it.Value(), it.Kind())
+		if dead != nil && dead(key, seq, kind) {
+			drop(w.Value(n), kind)
 			continue
 		}
-		if err := nr.list.Insert(key, it.Value(), it.Seq(), it.Kind()); err != nil {
+		nr.list.AdvanceSplice(&w, key, seq, &splice)
+		if _, err := nr.list.InsertEntryWithSplice(&w, key, w.Value(n), seq, kind, &splice); err != nil {
 			return nil, err
 		}
 	}

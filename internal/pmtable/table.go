@@ -116,11 +116,13 @@ func Flush(dev *nvm.Device, mt *memtable.MemTable, id uint64, minSeq, maxSeq uin
 	list.AddUserBytes(mt.UserBytes())
 
 	filter := fp.newFilter()
-	it := list.NewIterator()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		if filter != nil {
-			filter.Add(it.Key())
+	if filter != nil {
+		// One walk, one device charge for all its key reads.
+		var w skiplist.Walk
+		for n := list.First(&w); !n.IsNil(); n = list.Next(&w, n) {
+			filter.Add(w.Key(n))
 		}
+		w.Done()
 	}
 	return &Table{
 		ID:      id,
@@ -138,19 +140,20 @@ func Attach(space *vaddr.Space, head vaddr.Addr, id uint64, regions []*vaddr.Reg
 	filter := fp.newFilter()
 	count := int64(0)
 	var minSeq, maxSeq uint64 = keys.MaxSeq, 0
-	it := list.NewIterator()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
+	var w skiplist.Walk
+	for n := list.First(&w); !n.IsNil(); n = list.Next(&w, n) {
 		if filter != nil {
-			filter.Add(it.Key())
+			filter.Add(w.Key(n))
 		}
 		count++
-		if s := it.Seq(); s < minSeq {
+		if s := n.Seq(); s < minSeq {
 			minSeq = s
 		}
-		if s := it.Seq(); s > maxSeq {
+		if s := n.Seq(); s > maxSeq {
 			maxSeq = s
 		}
 	}
+	w.Done()
 	list.SetCount(count)
 	return &Table{
 		ID:      id,

@@ -20,7 +20,7 @@ func (l *List) NewIterator() *Iterator { return &Iterator{l: l} }
 func (it *Iterator) Valid() bool { return !it.n.IsNil() }
 
 // SeekToFirst positions on the first entry.
-func (it *Iterator) SeekToFirst() { it.n = it.l.First() }
+func (it *Iterator) SeekToFirst() { it.n = it.l.First(nil) }
 
 // Seek positions on the first entry with user key ≥ key (its newest
 // version first).
@@ -31,12 +31,7 @@ func (it *Iterator) Next() {
 	if it.n.IsNil() {
 		return
 	}
-	a := it.n.nextAddr(0)
-	if a.IsNil() {
-		it.n = Node{}
-		return
-	}
-	it.n = it.l.Node(a)
+	it.n = it.l.Next(nil, it.n)
 }
 
 // Key returns the current user key (aliases arena memory).
@@ -63,22 +58,21 @@ func (it *Iterator) Node() Node { return it.n }
 // the MemTable. We can update all pointers in the PMTable according to the
 // relative address." It runs in the background; the copied list is not
 // published to readers until Swizzle returns. Each rewritten pointer is an
-// 8-byte metered NVM write.
+// 8-byte metered NVM write; the whole pass settles with the device once.
 func Swizzle(dst, src *vaddr.Region, oldHead vaddr.Addr) vaddr.Addr {
+	var w Walk
 	head := vaddr.Rebase(oldHead, src, dst)
-	cur := head
-	for !cur.IsNil() {
-		meta := dst.Uint64(cur.Add(metaOff))
-		height := int(meta & 0xff)
-		for i := 0; i < height; i++ {
-			slot := cur.Add(towerOff + int64(i)*8)
-			old := vaddr.Addr(dst.Uint64(slot))
+	for cur := head; !cur.IsNil(); {
+		n := resolve(dst, cur)
+		for i, height := 0, n.Height(); i < height; i++ {
+			old := vaddr.Addr(n.mem.Uint64(slotOff(i)))
 			if nw := vaddr.Rebase(old, src, dst); nw != old {
-				dst.Store64(slot, uint64(nw))
+				w.setNext(n, i, nw)
 			}
 		}
-		cur = vaddr.Addr(dst.Uint64(cur.Add(towerOff))) // level-0 next, already rebased
+		cur = vaddr.Addr(n.mem.Uint64(slotOff(0))) // level-0 next, already rebased
 	}
+	w.Done()
 	return head
 }
 
@@ -87,7 +81,7 @@ func Swizzle(dst, src *vaddr.Region, oldHead vaddr.Addr) vaddr.Addr {
 // O(log n), the same technique LevelDB's memtable uses for backward
 // iteration.
 func (l *List) findLast() Node {
-	var w walk
+	var w Walk
 	cur := l.headNode()
 	for level := MaxHeight - 1; level >= 0; level-- {
 		for {
@@ -98,7 +92,7 @@ func (l *List) findLast() Node {
 			cur = l.Node(next)
 		}
 	}
-	w.done()
+	w.Done()
 	if cur.addr == l.head {
 		return Node{}
 	}
@@ -108,12 +102,12 @@ func (l *List) findLast() Node {
 // findLT returns the rightmost node ordered strictly before (key, seq),
 // or the nil node.
 func (l *List) findLT(key []byte, seq uint64) Node {
-	var w walk
+	var w Walk
 	cur := l.headNode()
 	for level := MaxHeight - 1; level >= 0; level-- {
 		cur, _ = l.walkLevel(&w, cur, level, key, seq)
 	}
-	w.done()
+	w.Done()
 	if cur.addr == l.head {
 		return Node{}
 	}

@@ -104,20 +104,10 @@ func slotOff(level int) int { return towerOff + level*8 }
 // Key returns the user key, charging the device a read of the key bytes.
 // The slice aliases arena memory and must not be retained across region
 // release.
-func (n Node) Key() []byte {
-	m := n.meta()
-	h, kl := int(m&0xff), int(m>>16&0xffff)
-	n.region.ChargeRead(kl)
-	return n.mem.Bytes(slotOff(h), kl)
-}
+func (n Node) Key() []byte { return (*Walk)(nil).Key(n) }
 
 // Value returns the value bytes, charging the device for the read.
-func (n Node) Value() []byte {
-	m := n.meta()
-	h, kl, vl := int(m&0xff), int(m>>16&0xffff), int(m>>32&0xffffff)
-	n.region.ChargeRead(vl)
-	return n.mem.Bytes(slotOff(h)+int(pad8(kl)), vl)
-}
+func (n Node) Value() []byte { return (*Walk)(nil).Value(n) }
 
 // Size returns the node's total footprint in bytes.
 func (n Node) Size() int64 {
@@ -126,71 +116,148 @@ func (n Node) Size() int64 {
 	return nodeSize(h, kl, vl)
 }
 
-// NextAddr0 returns the level-0 successor address — exported for the
-// zero-copy merge, which walks duplicates behind a just-inserted node.
+// NextAddr0 returns the level-0 successor address — exported for readers
+// that chase level-0 pointers themselves (pmtable.SafeIterator).
 func (n Node) NextAddr0() vaddr.Addr { return n.nextAddr(0) }
 
 // nextAddr atomically loads the level-th successor address, charging an
 // 8-byte device read (one pointer chase in NVM).
-func (n Node) nextAddr(level int) vaddr.Addr {
-	n.region.ChargeRead(8)
-	return vaddr.Addr(n.mem.Load64(slotOff(level)))
+func (n Node) nextAddr(level int) vaddr.Addr { return (*Walk)(nil).next(n, level) }
+
+// Walk tallies the device accesses of one multi-step piece of work — a
+// search descending the towers, one node's migration in a merge, one
+// entry's absorb, a flush's swizzle — and settles them with the device
+// once, when the piece ends (Done). Per access it counts exactly what the
+// single-access forms charge: one 8-byte read per pointer chased, one read
+// of the key or value bytes per key compared or value fetched, one 8-byte
+// write per pointer stored, one write of its size per node filled. So the
+// device totals are those of per-access charging; only the number of trips
+// to the device's shared counters changes, and a drain makes them between
+// its reader-visible windows instead of inside them. Stores are therefore
+// charged after they are made.
+//
+// A nil *Walk is the single-access form: every access charges as it
+// happens. A list whose nodes sit on more than one meter settles whenever
+// the walk crosses from one to the other; the meters are compared only
+// when the region changes, which within one table is almost never.
+//
+// A meter that implements ChargeEachAccess is charged access by access,
+// each before it is made, as under a nil Walk. That is the seam crash
+// tests cut the power through — before each individual pointer store of a
+// whole merge — and the reference exactness tests hold a tallied drain to.
+// It is looked for once, when the walk meets the meter.
+type Walk struct {
+	region *vaddr.Region // whose meter is the one below; nil while each
+	meter  vaddr.Meter
+	each   bool // meter asked to be charged per access
+
+	reads, readBytes   int
+	writes, writeBytes int
 }
 
-// walk tallies the device reads of one multi-step traversal — a search
-// descending the towers — and settles them with the device once, when the
-// traversal ends (done). Per step it counts exactly what the single-access
-// forms charge: one 8-byte read per pointer chased (nextAddr) and one read
-// of the key bytes per key compared (Key), so the device totals are those
-// of per-node charging; only the number of trips to the device's shared
-// counters changes. A list whose nodes sit on more than one meter settles
-// whenever the walk crosses from one to the other; the meters are compared
-// only when the region changes, which within one table is almost never.
-type walk struct {
-	region       *vaddr.Region // whose meter is the one below
-	meter        vaddr.Meter
-	reads, bytes int
-}
+// EachAccessMeter is the optional interface a vaddr.Meter implements to be
+// charged per access by every Walk, never in a tally.
+type EachAccessMeter interface{ ChargeEachAccess() }
 
-func (w *walk) count(r *vaddr.Region, n int) {
-	if r != w.region {
-		if m := r.Meter(); m != w.meter {
-			w.done()
-			w.meter = m
-		}
-		w.region = r
+// load counts an n-byte read of r, about to be made.
+func (w *Walk) load(r *vaddr.Region, n int) {
+	if w == nil || r != w.region {
+		w.slow(r, n, false)
+		return
 	}
 	w.reads++
-	w.bytes += n
+	w.readBytes += n
 }
 
-// done settles the tally; the walk may be reused afterwards.
-func (w *walk) done() {
-	if w.meter != nil && w.reads > 0 {
-		w.meter.OnReads(w.reads, w.bytes)
+// store counts an n-byte write to r, about to be made.
+func (w *Walk) store(r *vaddr.Region, n int) {
+	if w == nil || r != w.region {
+		w.slow(r, n, true)
+		return
 	}
-	w.reads, w.bytes = 0, 0
+	w.writes++
+	w.writeBytes += n
 }
 
-// next is nextAddr tallied on w instead of charged.
-func (w *walk) next(n Node, level int) vaddr.Addr {
-	w.count(n.region, 8)
+// slow is the access that cannot just be added to the tally: there is no
+// tally, or the region is not the one last counted on. (It repeats the two
+// increments so that load and store stay within the inlining budget.)
+func (w *Walk) slow(r *vaddr.Region, n int, write bool) {
+	m := r.Meter()
+	if w != nil && m != w.meter {
+		w.Done()
+		w.meter, w.region = m, nil
+		_, w.each = m.(EachAccessMeter)
+	}
+	if w == nil || w.each {
+		if m == nil {
+			return
+		}
+		if write {
+			m.OnWrite(n)
+		} else {
+			m.OnRead(n)
+		}
+		return
+	}
+	w.region = r
+	if write {
+		w.writes++
+		w.writeBytes += n
+	} else {
+		w.reads++
+		w.readBytes += n
+	}
+}
+
+// Done settles the tally; the walk may be reused afterwards.
+func (w *Walk) Done() {
+	if w.meter != nil {
+		if w.reads > 0 {
+			w.meter.OnReads(w.reads, w.readBytes)
+		}
+		if w.writes > 0 {
+			w.meter.OnWrites(w.writes, w.writeBytes)
+		}
+	}
+	w.reads, w.readBytes, w.writes, w.writeBytes = 0, 0, 0, 0
+}
+
+// next loads n's level-th successor address: one pointer chase.
+func (w *Walk) next(n Node, level int) vaddr.Addr {
+	w.load(n.region, 8)
 	return vaddr.Addr(n.mem.Load64(slotOff(level)))
 }
 
-// key is Key tallied on w instead of charged.
-func (w *walk) key(n Node) []byte {
+// Key is Node.Key counted on w.
+func (w *Walk) Key(n Node) []byte {
 	m := n.meta()
 	h, kl := int(m&0xff), int(m>>16&0xffff)
-	w.count(n.region, kl)
+	w.load(n.region, kl)
 	return n.mem.Bytes(slotOff(h), kl)
 }
 
-// setNext atomically publishes the level-th successor (an 8-byte NVM
+// Value is Node.Value counted on w.
+func (w *Walk) Value(n Node) []byte {
+	m := n.meta()
+	h, kl, vl := int(m&0xff), int(m>>16&0xffff), int(m>>32&0xffffff)
+	w.load(n.region, vl)
+	return n.mem.Bytes(slotOff(h)+int(pad8(kl)), vl)
+}
+
+// setNext atomically publishes n's level-th successor (an 8-byte NVM
 // write — the unit of zero-copy compaction traffic).
-func (n Node) setNext(level int, v vaddr.Addr) {
-	n.region.ChargeWrite(8)
+func (w *Walk) setNext(n Node, level int, v vaddr.Addr) {
+	w.store(n.region, 8)
 	n.mem.Store64(slotOff(level), uint64(v))
+}
+
+// Store64 atomically stores v to the word at (the resolved address of a
+// word of r), counted on w as the 8-byte write Region.Store64 charges. A
+// merge persists its insertion mark with it.
+func (w *Walk) Store64(r *vaddr.Region, at vaddr.Span, v uint64) {
+	w.store(r, 8)
+	at.Store64(0, v)
 }
 
 // initNext initializes a tower slot on an unpublished node without

@@ -68,14 +68,14 @@ func TestNodeAccessStaysInsideItsChunk(t *testing.T) {
 
 	forgeNode(r, at, 1, 17, 0)
 	mustPanic(t, "key crossing the chunk's end", func() { l.Node(at).Key() })
-	var w walk
-	mustPanic(t, "key crossing the chunk's end, in a search", func() { w.key(l.Node(at)) })
+	var w Walk
+	mustPanic(t, "key crossing the chunk's end, in a search", func() { w.Key(l.Node(at)) })
 	forgeNode(r, at, 1, 8, 9)
 	mustPanic(t, "value crossing the chunk's end", func() { l.Node(at).Value() })
 	forgeNode(r, at, 1, 8, 8)
 	mustPanic(t, "tower slot past the chunk's end", func() { l.Node(at).nextAddr(3) })
 	mustPanic(t, "tower slot past the chunk's end, in a search", func() { w.next(l.Node(at), 3) })
-	mustPanic(t, "tower store past the chunk's end", func() { l.Node(at).setNext(3, vaddr.NilAddr) })
+	mustPanic(t, "tower store past the chunk's end", func() { w.setNext(l.Node(at), 3, vaddr.NilAddr) })
 
 	// A header that does not fit: the meta word is the chunk's last.
 	mustPanic(t, "sequence word past the chunk's end", func() { l.Node(end.Add(-8)).Seq() })
@@ -84,7 +84,7 @@ func TestNodeAccessStaysInsideItsChunk(t *testing.T) {
 	odd := l.Node(at.Add(4))
 	odd.meta()
 	mustPanic(t, "misaligned tower load", func() { odd.nextAddr(0) })
-	mustPanic(t, "misaligned tower store", func() { odd.setNext(0, vaddr.NilAddr) })
+	mustPanic(t, "misaligned tower store", func() { w.setNext(odd, 0, vaddr.NilAddr) })
 
 	// Past the end: of the committed chunks, of a clone's cut last chunk,
 	// and of the address space (no such region).
@@ -109,7 +109,7 @@ func TestNodeIsComparable(t *testing.T) {
 	if err := l.Insert([]byte("k"), []byte("v"), 1, keys.KindSet); err != nil {
 		t.Fatal(err)
 	}
-	a, b := l.First(), l.FindGE([]byte("k"))
+	a, b := l.First(nil), l.FindGE([]byte("k"))
 	if a != b || a == l.headNode() || (Node{}) != l.Node(vaddr.NilAddr) {
 		t.Fatalf("node identity: First %v, FindGE %v", a.addr, b.addr)
 	}

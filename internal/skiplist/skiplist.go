@@ -115,18 +115,16 @@ func (l *List) randomHeight() int {
 // findSplice locates the insertion position for (key, seq): prev[i] is the
 // rightmost node at level i ordered strictly before (key, seq), and the
 // returned node is the overall successor (first node ≥ (key, seq)), or the
-// nil node. The whole descent is one device charge.
-func (l *List) findSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
-	var w walk
+// nil node. The descent is counted on w.
+func (l *List) findSplice(w *Walk, key []byte, seq uint64, prev *[MaxHeight]Node) Node {
 	cur := l.headNode()
 	var next Node
 	for level := MaxHeight - 1; level >= 0; level-- {
-		cur, next = l.walkLevel(&w, cur, level, key, seq)
+		cur, next = l.walkLevel(w, cur, level, key, seq)
 		if prev != nil {
 			prev[level] = cur
 		}
 	}
-	w.done()
 	return next
 }
 
@@ -134,7 +132,7 @@ func (l *List) findSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
 // orders strictly before (key, seq). It returns the last such node (cur
 // itself if none) and the node that stopped the walk — the first at this
 // level ≥ (key, seq), or the nil node at the end of the level.
-func (l *List) walkLevel(w *walk, cur Node, level int, key []byte, seq uint64) (Node, Node) {
+func (l *List) walkLevel(w *Walk, cur Node, level int, key []byte, seq uint64) (Node, Node) {
 	for {
 		next, before := l.ahead(w, cur, level, key, seq)
 		if !before {
@@ -146,18 +144,22 @@ func (l *List) walkLevel(w *walk, cur Node, level int, key []byte, seq uint64) (
 
 // ahead looks one step right of cur at level: the node there (nil at the
 // end of the level) and whether it orders strictly before (key, seq).
-func (l *List) ahead(w *walk, cur Node, level int, key []byte, seq uint64) (Node, bool) {
+func (l *List) ahead(w *Walk, cur Node, level int, key []byte, seq uint64) (Node, bool) {
 	nextAddr := w.next(cur, level)
 	if nextAddr.IsNil() {
 		return Node{}, false
 	}
 	next := l.Node(nextAddr)
-	return next, keys.Compare(w.key(next), next.Seq(), key, seq) < 0
+	return next, keys.Compare(w.Key(next), next.Seq(), key, seq) < 0
 }
 
 // seekGE returns the first node ≥ (key, seq) without recording the splice.
+// The whole descent is one device charge.
 func (l *List) seekGE(key []byte, seq uint64) Node {
-	return l.findSplice(key, seq, nil)
+	var w Walk
+	n := l.findSplice(&w, key, seq, nil)
+	w.Done()
+	return n
 }
 
 // Insert adds a new entry. (key, seq) must be unique within the list —
@@ -167,25 +169,25 @@ func (l *List) Insert(key, value []byte, seq uint64, kind keys.Kind) error {
 	return err
 }
 
-// InsertEntry is Insert returning the freshly linked node, so callers such
-// as the repository's lazy-copy compaction can immediately unlink older
-// duplicates behind it.
+// InsertEntry is Insert returning the freshly linked node. Search, node
+// fill and links settle with the device together.
 func (l *List) InsertEntry(key, value []byte, seq uint64, kind keys.Kind) (Node, error) {
+	var w Walk
+	defer w.Done()
 	var prev [MaxHeight]Node
-	next := l.findSplice(key, seq, &prev)
-	if !next.IsNil() && next.Seq() == seq && keys.Compare(next.Key(), next.Seq(), key, seq) == 0 {
+	next := l.findSplice(&w, key, seq, &prev)
+	if !next.IsNil() && next.Seq() == seq && keys.Compare(w.Key(next), next.Seq(), key, seq) == 0 {
 		return Node{}, fmt.Errorf("skiplist: duplicate (key, seq=%d)", seq)
 	}
-	return l.InsertEntryWithSplice(key, value, seq, kind, &prev)
+	return l.InsertEntryWithSplice(&w, key, value, seq, kind, &prev)
 }
 
 // InsertEntryWithSplice is InsertEntry for a caller that has already
 // searched: prev must be the splice FindSplice computes for (key, seq),
 // and the list must not hold (key, seq). The repository's lazy copy looks
 // a key's newest version up and inserts above it with the one descent.
-// Unlike InsertNodeWithSplice it leaves prev where it was — still the
-// splice of (key, seq), now with the new node as its successor.
-func (l *List) InsertEntryWithSplice(key, value []byte, seq uint64, kind keys.Kind, prev *[MaxHeight]Node) (Node, error) {
+// Like InsertNodeWithSplice it moves prev past the new node.
+func (l *List) InsertEntryWithSplice(w *Walk, key, value []byte, seq uint64, kind keys.Kind, prev *[MaxHeight]Node) (Node, error) {
 	if err := validateKV(key, value); err != nil {
 		return Node{}, err
 	}
@@ -193,21 +195,28 @@ func (l *List) InsertEntryWithSplice(key, value []byte, seq uint64, kind keys.Ki
 		return Node{}, fmt.Errorf("skiplist: insert into read-only list")
 	}
 	height := l.randomHeight()
-	n, err := l.newNode(key, value, seq, kind, height)
+	n, err := l.newNode(w, key, value, seq, kind, height)
 	if err != nil {
 		return Node{}, err
 	}
-	// Link the fresh (unpublished) node to its successors, then publish
-	// bottom-up with atomic stores so readers always see a consistent list.
+	// Link the fresh (unpublished) node to its successors, then publish.
 	for i := 0; i < height; i++ {
-		n.initNext(i, prev[i].nextAddr(i))
+		n.initNext(i, w.next(prev[i], i))
 	}
+	l.publish(w, n, height, len(key)+len(value), prev)
+	return n, nil
+}
+
+// publish makes n, already linked to its successors, reachable: bottom-up
+// atomic stores into the splice, so readers always see a consistent list.
+// The splice moves past n — n is the entry at each of its own levels.
+func (l *List) publish(w *Walk, n Node, height, userBytes int, prev *[MaxHeight]Node) {
 	for i := 0; i < height; i++ {
-		prev[i].setNext(i, n.addr)
+		w.setNext(prev[i], i, n.addr)
+		prev[i] = n
 	}
 	l.count.Add(1)
-	l.bytes.Add(int64(len(key) + len(value)))
-	return n, nil
+	l.bytes.Add(int64(userBytes))
 }
 
 // FindGE returns the first node whose user key is ≥ key (the newest
@@ -221,21 +230,21 @@ func (l *List) FindGE(key []byte) Node { return l.seekGE(key, keys.MaxSeq) }
 // (k, s)), instead of chasing node pointers a migration may rewrite.
 func (l *List) SeekGE(key []byte, seq uint64) Node { return l.seekGE(key, seq) }
 
-// newNode allocates and fills a node in the home region, charging the
-// device one bulk write for the fill.
-func (l *List) newNode(key, value []byte, seq uint64, kind keys.Kind, height int) (Node, error) {
+// newNode allocates and fills a node in the home region, counting one
+// bulk write for the fill on w.
+func (l *List) newNode(w *Walk, key, value []byte, seq uint64, kind keys.Kind, height int) (Node, error) {
 	size := int(nodeSize(height, len(key), len(value)))
 	addr, err := l.home.Alloc(size)
 	if err != nil {
 		return Node{}, err
 	}
 	n := resolve(l.home, addr)
+	w.store(l.home, size)
 	n.mem.PutUint64(metaOff, packMeta(height, kind, len(key), len(value)))
 	n.mem.PutUint64(seqOff, seq)
 	keyOff := slotOff(height)
 	copy(n.mem.Bytes(keyOff, len(key)), key)
 	copy(n.mem.Bytes(keyOff+int(pad8(len(key))), len(value)), value)
-	l.home.ChargeWrite(size)
 	return n, nil
 }
 
@@ -266,9 +275,17 @@ func (l *List) GetBounded(key []byte, maxSeq uint64) (value []byte, seq uint64, 
 	return n.Value(), n.Seq(), n.Kind(), true
 }
 
+// The operations below are what a sorted drain — a zero-copy merge, a lazy
+// copy, a recovery walk — is made of. Each counts its device accesses on
+// the caller's Walk, who settles once per step (a nil Walk charges access
+// by access).
+
 // First returns the first node after the head, or the nil node.
-func (l *List) First() Node {
-	a := l.headNode().nextAddr(0)
+func (l *List) First(w *Walk) Node { return l.Next(w, l.headNode()) }
+
+// Next returns n's level-0 successor, or the nil node.
+func (l *List) Next(w *Walk, n Node) Node {
+	a := w.next(n, 0)
 	if a.IsNil() {
 		return Node{}
 	}
@@ -276,7 +293,7 @@ func (l *List) First() Node {
 }
 
 // Empty reports whether the list has no entries.
-func (l *List) Empty() bool { return l.headNode().nextAddr(0).IsNil() }
+func (l *List) Empty() bool { return l.First(nil).IsNil() }
 
 // RemoveFirst unlinks and returns the first node. Because the first node's
 // only predecessor at every tower level below its height is the head, the
@@ -284,19 +301,23 @@ func (l *List) Empty() bool { return l.headNode().nextAddr(0).IsNil() }
 // "remove from the newtable" step of zero-copy compaction. The removed
 // node's own towers are left untouched so an in-flight reader standing on
 // it keeps a valid forward path.
-func (l *List) RemoveFirst() Node {
+func (l *List) RemoveFirst(w *Walk) Node {
 	head := l.headNode()
-	firstAddr := head.nextAddr(0)
-	if firstAddr.IsNil() {
+	n := l.Next(w, head)
+	if n.IsNil() {
 		return Node{}
 	}
-	n := l.Node(firstAddr)
 	for level := n.Height() - 1; level >= 0; level-- {
-		head.setNext(level, n.nextAddr(level))
+		w.setNext(head, level, w.next(n, level))
 	}
+	l.unlinked(n)
+	return n
+}
+
+// unlinked books a node out of the list's bookkeeping.
+func (l *List) unlinked(n Node) {
 	l.count.Add(-1)
 	l.bytes.Add(-int64(n.KeyLen() + n.ValueLen()))
-	return n
 }
 
 // InsertNode links an existing node (typically just removed from another
@@ -304,9 +325,11 @@ func (l *List) RemoveFirst() Node {
 // insertion of zero-copy compaction. The node's towers are rewritten with
 // atomic stores; no key or value bytes move.
 func (l *List) InsertNode(n Node) {
+	var w Walk
 	var prev [MaxHeight]Node
-	l.findSplice(n.Key(), n.Seq(), &prev)
-	l.InsertNodeWithSplice(n, &prev)
+	l.findSplice(&w, w.Key(n), n.Seq(), &prev)
+	l.InsertNodeWithSplice(&w, n, &prev)
+	w.Done()
 }
 
 // FindSplice computes the insertion splice for (key, seq) — the rightmost
@@ -316,16 +339,19 @@ func (l *List) InsertNode(n Node) {
 // the actual relink is a handful of pointer stores. The splice stays
 // valid as long as no other writer touches the list (the single-merger
 // discipline).
-func (l *List) FindSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
-	return l.findSplice(key, seq, prev)
+func (l *List) FindSplice(w *Walk, key []byte, seq uint64, prev *[MaxHeight]Node) Node {
+	return l.findSplice(w, key, seq, prev)
 }
 
 // AdvanceSplice moves a splice forward to (key, seq) — the finger search
 // of a sorted drain — and returns the successor exactly as FindSplice
 // would. prev must be a splice of this list for some position P ≤ (key,
 // seq): one FindSplice computed, advanced by earlier calls, or moved past
-// a node by InsertNodeWithSplice. Three invariants make it equal to a
-// fresh FindSplice at a fraction of the reads:
+// a node by InsertNodeWithSplice or InsertEntryWithSplice — or the zero
+// splice, the cold start of a drain, which is searched for from the head
+// (every entry of a real splice is at least the head node). Three
+// invariants make the advance equal to a fresh FindSplice at a fraction of
+// the reads:
 //
 //  1. every entry orders strictly before the target (targets only ascend);
 //  2. every entry is still linked at its level — the single writer unlinks
@@ -342,12 +368,14 @@ func (l *List) FindSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
 // without a comparison: a node the walk advanced onto lies in [P, target)
 // and so beyond every old entry (all before P); until the walk advances,
 // a level's own entry is at or beyond the one above it.
-func (l *List) AdvanceSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node {
-	var w walk
+func (l *List) AdvanceSplice(w *Walk, key []byte, seq uint64, prev *[MaxHeight]Node) Node {
+	if prev[0].IsNil() {
+		return l.findSplice(w, key, seq, prev)
+	}
 	var next Node
 	b := 0
 	for before := true; b < MaxHeight; b++ {
-		if next, before = l.ahead(&w, prev[b], b, key, seq); !before {
+		if next, before = l.ahead(w, prev[b], b, key, seq); !before {
 			break
 		}
 	}
@@ -357,12 +385,11 @@ func (l *List) AdvanceSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node
 		if !advanced {
 			cur = prev[level]
 		}
-		prev[level], next = l.walkLevel(&w, cur, level, key, seq)
+		prev[level], next = l.walkLevel(w, cur, level, key, seq)
 		if prev[level] != cur {
 			cur, advanced = prev[level], true
 		}
 	}
-	w.done()
 	return next
 }
 
@@ -370,61 +397,47 @@ func (l *List) AdvanceSplice(key []byte, seq uint64, prev *[MaxHeight]Node) Node
 // only, no searching. On return the splice has moved past n — n is the
 // entry at each of its own levels — so it stays a valid AdvanceSplice
 // finger for any later, larger target.
-func (l *List) InsertNodeWithSplice(n Node, prev *[MaxHeight]Node) {
+func (l *List) InsertNodeWithSplice(w *Walk, n Node, prev *[MaxHeight]Node) {
 	height := n.Height()
 	for i := 0; i < height; i++ {
-		n.setNext(i, prev[i].nextAddr(i))
+		w.setNext(n, i, w.next(prev[i], i))
 	}
-	for i := 0; i < height; i++ {
-		prev[i].setNext(i, n.addr)
-		prev[i] = n
-	}
-	l.count.Add(1)
-	l.bytes.Add(int64(n.KeyLen() + n.ValueLen()))
+	l.publish(w, n, height, n.KeyLen()+n.ValueLen(), prev)
 }
 
 // RemoveWithSplice unlinks target using a precomputed splice (prev[i] is
 // target's predecessor at every level where target is linked). The
 // removed node's towers are not modified.
-func (l *List) RemoveWithSplice(target Node, prev *[MaxHeight]Node) {
+func (l *List) RemoveWithSplice(w *Walk, target Node, prev *[MaxHeight]Node) {
 	for level := target.Height() - 1; level >= 0; level-- {
-		if prev[level].nextAddr(level) == target.addr {
-			prev[level].setNext(level, target.nextAddr(level))
+		if w.next(prev[level], level) == target.addr {
+			w.setNext(prev[level], level, w.next(target, level))
 		}
 	}
-	l.count.Add(-1)
-	l.bytes.Add(-int64(target.KeyLen() + target.ValueLen()))
+	l.unlinked(target)
 }
 
 // Remove unlinks the node with exactly (key, seq), returning it, or the
 // nil node if absent. The removed node's towers are not modified.
 func (l *List) Remove(key []byte, seq uint64) Node {
+	var w Walk
+	defer w.Done()
 	var prev [MaxHeight]Node
-	next := l.findSplice(key, seq, &prev)
-	if next.IsNil() || next.Seq() != seq || keys.Compare(next.Key(), 0, key, 0) != 0 {
+	next := l.findSplice(&w, key, seq, &prev)
+	if next.IsNil() || next.Seq() != seq || keys.Compare(w.Key(next), 0, key, 0) != 0 {
 		return Node{}
 	}
-	for level := next.Height() - 1; level >= 0; level-- {
-		if prev[level].nextAddr(level) == next.addr {
-			prev[level].setNext(level, next.nextAddr(level))
-		}
-	}
-	l.count.Add(-1)
-	l.bytes.Add(-int64(next.KeyLen() + next.ValueLen()))
+	l.RemoveWithSplice(&w, next, &prev)
 	return next
 }
 
 // RemoveAfter unlinks the immediate level-0 successor of n if it has the
 // same user key (an older version). It returns the removed node or the nil
-// node. Used by merges to drop superseded duplicates that directly follow
-// the newly inserted newest version.
+// node. A search per call: the cold form of what a drain does with its
+// carried splice (merge recovery uses it).
 func (l *List) RemoveAfter(n Node) Node {
-	succAddr := n.nextAddr(0)
-	if succAddr.IsNil() {
-		return Node{}
-	}
-	succ := l.Node(succAddr)
-	if keys.Compare(succ.Key(), 0, n.Key(), 0) != 0 {
+	succ := l.Next(nil, n)
+	if succ.IsNil() || keys.Compare(succ.Key(), 0, n.Key(), 0) != 0 {
 		return Node{}
 	}
 	return l.Remove(succ.Key(), succ.Seq())
@@ -438,7 +451,7 @@ func (l *List) CheckInvariants() (int, error) {
 	// Collect level-0 order and positions.
 	pos := make(map[vaddr.Addr]int)
 	var order []Node
-	for n := l.First(); !n.IsNil(); {
+	for n := l.First(nil); !n.IsNil(); {
 		if _, dup := pos[n.addr]; dup {
 			return 0, fmt.Errorf("skiplist: cycle at %v", n.addr)
 		}

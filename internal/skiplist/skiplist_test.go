@@ -32,10 +32,10 @@ func TestEmptyList(t *testing.T) {
 	if _, _, _, ok := l.Get([]byte("a")); ok {
 		t.Error("Get on empty list found something")
 	}
-	if !l.First().IsNil() {
+	if !l.First(nil).IsNil() {
 		t.Error("First on empty list not nil")
 	}
-	if !l.RemoveFirst().IsNil() {
+	if !l.RemoveFirst(nil).IsNil() {
 		t.Error("RemoveFirst on empty list not nil")
 	}
 	it := l.NewIterator()
@@ -219,7 +219,7 @@ func TestRemoveFirstDrain(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		node := l.RemoveFirst()
+		node := l.RemoveFirst(nil)
 		if node.IsNil() {
 			t.Fatalf("RemoveFirst returned nil at %d", i)
 		}
@@ -272,7 +272,7 @@ func TestInsertNodeMovesBetweenLists(t *testing.T) {
 	}
 	// Move every node from src into dst: the zero-copy primitive.
 	for {
-		n := src.RemoveFirst()
+		n := src.RemoveFirst(nil)
 		if n.IsNil() {
 			break
 		}
@@ -299,7 +299,7 @@ func TestRemoveAfter(t *testing.T) {
 	l.Insert([]byte("a"), []byte("v1"), 1, keys.KindSet)
 	l.Insert([]byte("a"), []byte("v2"), 2, keys.KindSet)
 	l.Insert([]byte("b"), []byte("v3"), 3, keys.KindSet)
-	newest := l.First() // (a, 2)
+	newest := l.First(nil) // (a, 2)
 	if newest.Seq() != 2 {
 		t.Fatalf("first seq = %d", newest.Seq())
 	}
@@ -390,7 +390,7 @@ func TestSwizzleAfterClone(t *testing.T) {
 		t.Fatalf("flushed invariants: n=%d err=%v", n, err)
 	}
 	// No pointer in the clone may still reference the source region.
-	for n := flushed.First(); !n.IsNil(); {
+	for n := flushed.First(nil); !n.IsNil(); {
 		for i := 0; i < n.Height(); i++ {
 			next := n.nextAddr(i)
 			if !next.IsNil() && next.Region() == src.Index() {
@@ -526,17 +526,17 @@ func TestSpliceAPIsMatchSearchBased(t *testing.T) {
 	}
 	// Move all src nodes into dst via precomputed splices.
 	for {
-		n := src.First()
+		n := src.First(nil)
 		if n.IsNil() {
 			break
 		}
 		var prev [MaxHeight]Node
-		next := dst.FindSplice(n.Key(), n.Seq(), &prev)
+		next := dst.FindSplice(nil, n.Key(), n.Seq(), &prev)
 		if !next.IsNil() && keys.Compare(next.Key(), next.Seq(), n.Key(), n.Seq()) < 0 {
 			t.Fatal("FindSplice successor precedes target")
 		}
-		src.RemoveFirst()
-		dst.InsertNodeWithSplice(n, &prev)
+		src.RemoveFirst(nil)
+		dst.InsertNodeWithSplice(nil, n, &prev)
 	}
 	if dst.Count() != 200 {
 		t.Fatalf("count = %d", dst.Count())
@@ -548,11 +548,11 @@ func TestSpliceAPIsMatchSearchBased(t *testing.T) {
 	for i := 0; i < 100; i += 2 {
 		k := []byte(fmt.Sprintf("s-%03d", i))
 		var prev [MaxHeight]Node
-		target := dst.FindSplice(k, uint64(100+i), &prev)
+		target := dst.FindSplice(nil, k, uint64(100+i), &prev)
 		if target.IsNil() || target.Seq() != uint64(100+i) {
 			t.Fatalf("FindSplice missed %s", k)
 		}
-		dst.RemoveWithSplice(target, &prev)
+		dst.RemoveWithSplice(nil, target, &prev)
 	}
 	if dst.Count() != 150 {
 		t.Fatalf("count after removals = %d", dst.Count())

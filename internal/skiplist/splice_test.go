@@ -46,28 +46,21 @@ func TestAdvanceSpliceMatchesFindSplice(t *testing.T) {
 			add(src, entry{fmt.Sprintf("k%04d", rnd.Intn(keySpace)), seq})
 		}
 
-		var splice [MaxHeight]Node
-		warm := false
+		var splice [MaxHeight]Node // zero: the first advance is the cold start
 		for step := 0; ; step++ {
-			n := src.First()
+			n := src.First(nil)
 			if n.IsNil() {
 				break
 			}
 			key, seq := n.Key(), n.Seq()
-			src.RemoveFirst()
+			src.RemoveFirst(nil)
 			if rnd.Intn(5) == 0 {
 				continue // a dropped node: the finger skips a target
 			}
 
-			var succ Node
-			if warm {
-				succ = dst.AdvanceSplice(key, seq, &splice)
-			} else {
-				succ = dst.FindSplice(key, seq, &splice)
-				warm = true
-			}
+			succ := dst.AdvanceSplice(nil, key, seq, &splice)
 			var fresh [MaxHeight]Node
-			freshSucc := dst.FindSplice(key, seq, &fresh)
+			freshSucc := dst.FindSplice(nil, key, seq, &fresh)
 			if succ != freshSucc {
 				t.Fatalf("seed %d step %d: successor %v, fresh search %v", seed, step, succ.addr, freshSucc.addr)
 			}
@@ -78,7 +71,7 @@ func TestAdvanceSpliceMatchesFindSplice(t *testing.T) {
 				}
 			}
 
-			dst.InsertNodeWithSplice(n, &splice)
+			dst.InsertNodeWithSplice(nil, n, &splice)
 			model = append(model, entry{string(key), seq})
 			if rnd.Intn(2) == 0 {
 				// Unlink the older versions directly behind n, no search.
@@ -91,7 +84,7 @@ func TestAdvanceSpliceMatchesFindSplice(t *testing.T) {
 					if string(d.Key()) != string(key) {
 						break
 					}
-					dst.RemoveWithSplice(d, &splice)
+					dst.RemoveWithSplice(nil, d, &splice)
 					for i, e := range model {
 						if e.key == string(key) && e.seq == d.Seq() {
 							model = append(model[:i], model[i+1:]...)
@@ -116,7 +109,7 @@ func TestAdvanceSpliceMatchesFindSplice(t *testing.T) {
 		}
 		for _, e := range model {
 			var prev [MaxHeight]Node
-			n := dst.FindSplice([]byte(e.key), e.seq, &prev)
+			n := dst.FindSplice(nil, []byte(e.key), e.seq, &prev)
 			if n.IsNil() || string(n.Key()) != e.key || n.Seq() != e.seq {
 				t.Fatalf("seed %d: (%s, %d) missing from the drained list", seed, e.key, e.seq)
 			}
@@ -192,11 +185,16 @@ func TestSearchChargeIsExact(t *testing.T) {
 }
 
 // splitMeter records how the reads it is charged arrived.
-type splitMeter struct{ calls, reads, bytes int }
+type splitMeter struct{ calls, reads, bytes, writes, writeBytes int }
 
 func (m *splitMeter) OnRead(n int)         { m.OnReads(1, n) }
 func (m *splitMeter) OnReads(count, n int) { m.calls++; m.reads += count; m.bytes += n }
-func (m *splitMeter) OnWrite(int)          {}
+func (m *splitMeter) OnWrite(n int)        { m.OnWrites(1, n) }
+func (m *splitMeter) OnWrites(count, n int) {
+	m.calls++
+	m.writes += count
+	m.writeBytes += n
+}
 
 // TestWalkSettlesOncePerMeter covers the tally itself: any number of
 // counted accesses is one charge, a walk that crosses onto a region of
@@ -207,21 +205,21 @@ func TestWalkSettlesOncePerMeter(t *testing.T) {
 	ma, mb := &splitMeter{}, &splitMeter{}
 	ra, rb, free := space.NewRegion(4096, ma), space.NewRegion(4096, mb), space.NewRegion(4096, nil)
 
-	var w walk
+	var w Walk
 	for i := 0; i < 10; i++ {
-		w.count(ra, 8)
+		w.load(ra, 8)
 	}
-	w.count(free, 100)
-	w.count(rb, 16)
-	w.count(rb, 3)
+	w.load(free, 100)
+	w.load(rb, 16)
+	w.load(rb, 3)
 	if ma.calls != 1 || ma.reads != 10 || ma.bytes != 80 {
 		t.Fatalf("first meter after the walk left it: %+v", *ma)
 	}
 	if mb.calls != 0 {
 		t.Fatalf("second meter charged before the walk ended: %+v", *mb)
 	}
-	w.done()
-	w.done() // settled: nothing left to charge
+	w.Done()
+	w.Done() // settled: nothing left to charge
 	if mb.calls != 1 || mb.reads != 2 || mb.bytes != 19 {
 		t.Fatalf("second meter: %+v", *mb)
 	}

@@ -72,12 +72,17 @@ type Meter interface {
 	// OnRead is invoked before n bytes are read from the region.
 	OnRead(n int)
 	// OnReads charges count reads totalling n bytes in one call. A
-	// multi-step walk (a skip-list search) tallies its accesses and
-	// settles them here once, instead of paying a call — and the device's
-	// shared counters — per node; the totals equal count OnRead calls.
+	// multi-step walk (a skip-list search, one step of a sorted drain)
+	// tallies its accesses and settles them here once, instead of paying a
+	// call — and the device's shared counters — per node; the totals equal
+	// count OnRead calls.
 	OnReads(count, n int)
 	// OnWrite is invoked before n bytes are written to the region.
 	OnWrite(n int)
+	// OnWrites is OnReads for stores: count writes totalling n bytes,
+	// already made, settled in one call; the totals equal count OnWrite
+	// calls.
+	OnWrites(count, n int)
 }
 
 // Space is a collection of regions forming one virtual address space.

@@ -308,9 +308,10 @@ type countingMeter struct {
 	reads, writes, readBytes, writeBytes int
 }
 
-func (m *countingMeter) OnRead(n int)         { m.OnReads(1, n) }
-func (m *countingMeter) OnReads(count, n int) { m.reads += count; m.readBytes += n }
-func (m *countingMeter) OnWrite(n int)        { m.writes++; m.writeBytes += n }
+func (m *countingMeter) OnRead(n int)          { m.OnReads(1, n) }
+func (m *countingMeter) OnReads(count, n int)  { m.reads += count; m.readBytes += n }
+func (m *countingMeter) OnWrite(n int)         { m.OnWrites(1, n) }
+func (m *countingMeter) OnWrites(count, n int) { m.writes += count; m.writeBytes += n }
 
 func TestMeterCharges(t *testing.T) {
 	s := NewSpace()
