@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture torture-rate benchcheck apicheck bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg profile repro clean
+.PHONY: all build vet test race check torture torture-rate benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg profile repro clean
 
 all: check
 
@@ -52,6 +52,11 @@ benchcheck:
 # tool, warns without APIDIFF_STRICT=1 — CI sets both.
 apicheck:
 	sh scripts/apidiff.sh
+
+# Non-test Go lines: the root module, each top-level package, and the
+# benchmark module. Print-only; the figure simplicity changes report.
+loc:
+	@sh scripts/loc.sh
 
 # check is the gate for every change: build, vet, full tests, the race
 # detector over the concurrency-heavy packages, the crash-torture run,

@@ -1,16 +1,14 @@
 // Command miodb-server exposes any of the four stores over TCP with the
 // repository's binary protocol (internal/server), turning the
-// reproduction into a network-attachable KV service. Both protocol
-// versions are served on one port: the legacy lockstep framing and the
-// tagged pipelined framing (many requests in flight per connection,
-// all connections' writes feeding shared group commits).
+// reproduction into a network-attachable KV service. Each connection
+// holds many tagged requests in flight, and all connections' writes feed
+// shared group commits.
 //
 // Example:
 //
 //	miodb-server -addr 127.0.0.1:7707 -store miodb -window 256
 //
-// The matching Go clients are internal/client (pipelined) and
-// internal/server.Client (legacy).
+// The matching Go client is internal/client.
 package main
 
 import (
@@ -34,7 +32,7 @@ func main() {
 		shards   = flag.Int("shards", 1, "miodb shard count (hash-partitioned engines; 1 = single engine)")
 		ssd      = flag.Bool("ssd", false, "use the DRAM-NVM-SSD hierarchy")
 		simulate = flag.Bool("simulate", false, "enable device latency models")
-		window   = flag.Int("window", 0, "per-connection in-flight request cap for pipelined connections (0 = default)")
+		window   = flag.Int("window", 0, "per-connection in-flight request cap (0 = default)")
 		pending  = flag.Int("max_pending", 0, "global in-flight request cap across all connections (0 = default)")
 		drain    = flag.Duration("drain_timeout", 0, "how long shutdown waits for in-flight requests (0 = default)")
 		softImms = flag.Int("soft_imms", 0, "miodb admission control: throttle commits at this imms backlog (0 = off)")

@@ -1,6 +1,6 @@
-// Package client is the pipelined network client for the miodb server's
-// protocol v2 (internal/server): many requests in flight per connection,
-// responses matched to requests by tag, with a connection pool on top.
+// Package client is the network client for the miodb server
+// (internal/server): many requests in flight per connection, responses
+// matched to requests by tag.
 //
 // A Conn multiplexes any number of goroutines over one TCP connection:
 // each call claims a window slot and a fresh tag, encodes its frame
@@ -24,21 +24,16 @@ import (
 	"miodb/internal/server"
 )
 
-// Options tunes a connection (or every connection of a pool).
+// Options tunes a connection.
 type Options struct {
 	// Window caps in-flight requests per connection; a caller beyond
 	// the window blocks until a response frees a slot. Default 64.
 	Window int
-	// Conns is the pool size for DialPool. Default 1.
-	Conns int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 64
-	}
-	if o.Conns <= 0 {
-		o.Conns = 1
 	}
 	return o
 }
@@ -56,7 +51,7 @@ type tresp struct {
 // collector, because the reader may still deliver into it.
 var replies = sync.Pool{New: func() any { return make(chan tresp, 1) }}
 
-// Conn is one pipelined connection. All methods are safe for concurrent
+// Conn is one connection. All methods are safe for concurrent
 // use by any number of goroutines.
 type Conn struct {
 	nc     net.Conn
@@ -79,7 +74,7 @@ type Conn struct {
 	wg       sync.WaitGroup
 }
 
-// Dial connects and negotiates protocol v2.
+// Dial connects and sends the protocol preamble.
 func Dial(addr string, opts Options) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -88,8 +83,8 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	return newConn(nc, opts)
 }
 
-// newConn negotiates protocol v2 over an established transport, which it
-// owns from here on (and closes on failure).
+// newConn sends the protocol preamble over an established transport,
+// which it owns from here on (and closes on failure).
 func newConn(nc net.Conn, opts Options) (*Conn, error) {
 	opts = opts.withDefaults()
 	if _, err := nc.Write(server.MagicV2[:]); err != nil {

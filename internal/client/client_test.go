@@ -170,45 +170,6 @@ func TestWindowLimitsInflight(t *testing.T) {
 	}
 }
 
-func TestPoolRoundTripAndFanout(t *testing.T) {
-	addr := startServer(t, server.Options{})
-	p, err := DialPool(addr, Options{Conns: 4, Window: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Size() != 4 {
-		t.Fatalf("pool size %d", p.Size())
-	}
-
-	const n = 200
-	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < n/8; i++ {
-				k := []byte(fmt.Sprintf("p%d-%d", w, i))
-				if err := p.Put(k, k); err != nil {
-					errCh <- err
-					return
-				}
-				if v, err := p.Get(k); err != nil || !bytes.Equal(v, k) {
-					errCh <- fmt.Errorf("pool get %s: %q %v", k, v, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-}
-
 // TestClosePropagates checks callers in flight when the connection dies
 // get errors, not hangs.
 func TestClosePropagates(t *testing.T) {

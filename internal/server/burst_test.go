@@ -29,22 +29,30 @@ func (noopStore) WriteBatch(_ []kvstore.BatchOp) error                 { return 
 // TestBatcherCommitAllocation pins the cost of a merged commit: the
 // batcher lays a burst's operations end to end in a slice it keeps, so a
 // commit allocates next to nothing. (It once sized a fresh slice to
-// MaxBatchOps for every merge: 229 KB to commit three operations.)
+// maxBatchOps for every merge: 229 KB to commit three operations.)
 func TestBatcherCommitAllocation(t *testing.T) {
 	b := newBatcher(noopStore{}, 4096)
 	defer b.stop()
 	const burst = 8
-	c := &conn{writeCh: make(chan tresp, burst)} // no window: complete only queues the response
+	srv := New(noopStore{})
+	defer srv.Close()
+	c := srv.newConn(nil) // no socket: the test admits, and frees the window as the write loop would
 	subs := make([]submission, burst)
 	for i := range subs {
 		subs[i] = submission{c: c, tag: uint64(i), op: kvstore.BatchOp{Key: []byte("key"), Value: []byte("value")}}
 	}
 	round := func() {
+		for range subs {
+			if !c.admit(false) {
+				t.Fatal("admission refused")
+			}
+		}
 		b.submit(subs...)
 		for i := 0; i < burst; i++ {
 			if r := <-c.writeCh; r.status != StatusOK {
 				t.Fatalf("submission %d: status %d (%s)", i, r.status, r.payload)
 			}
+			<-c.window
 		}
 	}
 	round() // grow the queue and the merge slice to this burst's size

@@ -3,6 +3,7 @@ package server_test
 import (
 	"fmt"
 
+	"miodb/internal/client"
 	"miodb/internal/core"
 	"miodb/internal/server"
 )
@@ -12,7 +13,7 @@ type store struct{ *core.DB }
 func (s store) Flush() error { return s.DB.FlushAll() }
 
 // Example demonstrates serving a MioDB store over TCP and talking to it
-// with the bundled client.
+// with its client.
 func Example() {
 	db, err := core.Open(core.Options{})
 	if err != nil {
@@ -27,7 +28,7 @@ func Example() {
 	}
 	defer srv.Close()
 
-	c, err := server.Dial(addr.String())
+	c, err := client.Dial(addr.String(), client.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -1,30 +1,22 @@
 // Package server provides the TCP key-value service over any store in the
-// repository (MioDB or a baseline), plus the matching clients. It turns
-// the single-process reproduction into something a downstream user can
-// actually deploy and benchmark over a network.
+// repository (MioDB or a baseline). It turns the single-process
+// reproduction into something a downstream user can actually deploy and
+// benchmark over a network; internal/client is its client.
 //
-// Two wire formats share the port (all integers little-endian):
-//
-// Legacy (protocol v1), one request in flight per round trip:
-//
-//	request  := op(1) | keyLen(4) | key | valLen(4) | val
-//	response := status(1) | payloadLen(4) | payload
-//
-// Pipelined (protocol v2), negotiated by the client sending the 4-byte
-// magic "MIO2" immediately after connect. Every request carries a
-// client-chosen 8-byte tag; many requests may be in flight per
-// connection and responses return in completion order, each echoing the
-// tag of the request it answers:
+// A connection opens with the 4-byte magic "MIO2"; the server closes a
+// connection that opens with anything else, without a reply. After it,
+// every request carries a client-chosen 8-byte tag, many requests may be
+// in flight per connection, and responses return in completion order,
+// each echoing the tag of the request it answers (all integers
+// little-endian):
 //
 //	request  := tag(8) | op(1) | keyLen(4) | key | valLen(4) | val
 //	response := tag(8) | status(1) | payloadLen(4) | payload
 //
-// The magic's first byte (0x4D, 'M') is outside the op-code range, so a
-// server can sniff the version from the first byte of a connection.
-// internal/client speaks v2; the Client in this package speaks v1.
-//
 // For SCAN, key is the start key and val carries the 4-byte limit; the
-// response payload is a sequence of keyLen|key|valLen|val pairs.
+// response payload is a sequence of keyLen|key|valLen|val pairs. A reply
+// whose payload would exceed the frame limit is answered with
+// StatusError instead.
 //
 // The versioned read ops (SNAP, SNAPGET, MGET, SNAPREL) and DELRANGE ride
 // the same frames; see the op-code constants for their key/val layouts.
@@ -73,9 +65,6 @@ const (
 	OpDelRange
 	// OpSnapRel releases a snapshot: val is the 8-byte snapshot id.
 	OpSnapRel
-
-	// opCount bounds the op-code space for per-op accounting tables.
-	opCount = OpSnapRel + 1
 )
 
 // Status codes.
@@ -85,8 +74,7 @@ const (
 	StatusError
 )
 
-// MagicV2 is the preamble a pipelined (protocol v2) client sends right
-// after connect. Its first byte is distinct from every op code.
+// MagicV2 is the preamble a client sends right after connect.
 var MagicV2 = [4]byte{'M', 'I', 'O', '2'}
 
 // maxFrame bounds any key/value/payload length on the wire.
@@ -94,49 +82,6 @@ const maxFrame = 64 << 20
 
 // validOp reports whether b is a defined op code.
 func validOp(b byte) bool { return b >= OpGet && b <= OpSnapRel }
-
-// opName names an op code for stats lines.
-func opName(op byte) string {
-	switch op {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDelete:
-		return "delete"
-	case OpScan:
-		return "scan"
-	case OpStats:
-		return "stats"
-	case OpMPut:
-		return "mput"
-	case OpSnap:
-		return "snap"
-	case OpSnapGet:
-		return "snapget"
-	case OpMGet:
-		return "mget"
-	case OpDelRange:
-		return "delrange"
-	case OpSnapRel:
-		return "snaprel"
-	}
-	return fmt.Sprintf("op%d", op)
-}
-
-// writeFrame writes one length-prefixed byte string.
-func writeFrame(w io.Writer, b []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := w.Write(b)
-	return err
-}
 
 // readFrame reads one length-prefixed byte string.
 func readFrame(r io.Reader) ([]byte, error) {
@@ -175,95 +120,7 @@ func appendFrame(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// request is one decoded client request.
-type request struct {
-	op       byte
-	key, val []byte
-}
-
-// readRequestBody decodes the key and value frames that follow an
-// already-consumed op byte — shared by the legacy reader (op first) and
-// the v2 reader (tag and op first). The headers are peeked in br's own
-// buffer, and the key and the value share one allocation: the value's
-// length follows the key on the wire, so it is peeked past the key. A key
-// too long to peek past (longer than br's buffer) gets a buffer of its
-// own. An empty key or value decodes as nil.
-func readRequestBody(op byte, br *bufio.Reader) (request, error) {
-	p, err := br.Peek(4)
-	if err != nil {
-		return request{}, err
-	}
-	kl := int(binary.LittleEndian.Uint32(p))
-	if kl > maxFrame {
-		return request{}, errFrameTooBig(kl)
-	}
-	br.Discard(4)
-	if kl+4 > br.Size() {
-		key, err := readFrameBody(br, kl)
-		if err != nil {
-			return request{}, err
-		}
-		val, err := readFrame(br)
-		return request{op: op, key: key, val: val}, err
-	}
-	if p, err = br.Peek(kl + 4); err != nil {
-		return request{}, err
-	}
-	vl := int(binary.LittleEndian.Uint32(p[kl:]))
-	if vl > maxFrame {
-		return request{}, errFrameTooBig(vl)
-	}
-	req := request{op: op}
-	buf := make([]byte, kl+vl)
-	copy(buf, p[:kl])
-	br.Discard(kl + 4)
-	if kl > 0 {
-		req.key = buf[:kl:kl]
-	}
-	if vl > 0 {
-		req.val = buf[kl:]
-		if _, err := io.ReadFull(br, req.val); err != nil {
-			return request{}, err
-		}
-	}
-	return req, nil
-}
-
-func readRequest(br *bufio.Reader) (request, error) {
-	op, err := br.ReadByte()
-	if err != nil {
-		return request{}, err
-	}
-	return readRequestBody(op, br)
-}
-
-func writeRequest(w io.Writer, op byte, key, val []byte) error {
-	if _, err := w.Write([]byte{op}); err != nil {
-		return err
-	}
-	if err := writeFrame(w, key); err != nil {
-		return err
-	}
-	return writeFrame(w, val)
-}
-
-func writeResponse(w io.Writer, status byte, payload []byte) error {
-	if _, err := w.Write([]byte{status}); err != nil {
-		return err
-	}
-	return writeFrame(w, payload)
-}
-
-func readResponse(r io.Reader) (byte, []byte, error) {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return 0, nil, err
-	}
-	payload, err := readFrame(r)
-	return status[0], payload, err
-}
-
-// AppendTaggedRequest appends one protocol-v2 request frame to dst and
+// AppendTaggedRequest appends one request frame to dst and
 // returns the extended slice. Encoding into a single buffer lets callers
 // hand the whole frame to the transport in one write.
 func AppendTaggedRequest(dst []byte, tag uint64, op byte, key, val []byte) []byte {
@@ -275,10 +132,11 @@ func AppendTaggedRequest(dst []byte, tag uint64, op byte, key, val []byte) []byt
 	return appendFrame(dst, val)
 }
 
-// taggedRequest is one decoded v2 request.
+// taggedRequest is one decoded request.
 type taggedRequest struct {
-	tag uint64
-	request
+	tag      uint64
+	op       byte
+	key, val []byte
 }
 
 // taggedHeaderLen is tag(8) | op(1); minTaggedRequest adds the two
@@ -288,28 +146,60 @@ const (
 	minTaggedRequest = taggedHeaderLen + 8
 )
 
-// readTaggedRequest decodes one v2 request frame, blocking until br has
-// all of it.
+// readTaggedRequest decodes one request frame, blocking until br has all
+// of it. The headers are peeked in br's own buffer, and the key and the
+// value share one allocation: the value's length follows the key on the
+// wire, so it is peeked past the key. A key too long to peek past (longer
+// than br's buffer) gets a buffer of its own. An empty key or value
+// decodes as nil.
 func readTaggedRequest(br *bufio.Reader) (taggedRequest, error) {
-	hdr, err := br.Peek(taggedHeaderLen)
+	hdr, err := br.Peek(taggedHeaderLen + 4)
 	if err != nil {
 		return taggedRequest{}, err
 	}
-	tag := binary.LittleEndian.Uint64(hdr)
-	op := hdr[8]
-	if !validOp(op) {
-		return taggedRequest{}, fmt.Errorf("server: unknown op 0x%02x in tagged request", op)
+	req := taggedRequest{tag: binary.LittleEndian.Uint64(hdr), op: hdr[8]}
+	if !validOp(req.op) {
+		return taggedRequest{}, fmt.Errorf("server: unknown op 0x%02x in tagged request", req.op)
 	}
-	br.Discard(taggedHeaderLen)
-	req, err := readRequestBody(op, br)
+	kl := int(binary.LittleEndian.Uint32(hdr[taggedHeaderLen:]))
+	if kl > maxFrame {
+		return taggedRequest{}, errFrameTooBig(kl)
+	}
+	br.Discard(taggedHeaderLen + 4)
+	if kl+4 > br.Size() {
+		if req.key, err = readFrameBody(br, kl); err != nil {
+			return taggedRequest{}, err
+		}
+		if req.val, err = readFrame(br); err != nil {
+			return taggedRequest{}, err
+		}
+		return req, nil
+	}
+	p, err := br.Peek(kl + 4)
 	if err != nil {
 		return taggedRequest{}, err
 	}
-	return taggedRequest{tag: tag, request: req}, nil
+	vl := int(binary.LittleEndian.Uint32(p[kl:]))
+	if vl > maxFrame {
+		return taggedRequest{}, errFrameTooBig(vl)
+	}
+	buf := make([]byte, kl+vl)
+	copy(buf, p[:kl])
+	br.Discard(kl + 4)
+	if kl > 0 {
+		req.key = buf[:kl:kl]
+	}
+	if vl > 0 {
+		req.val = buf[kl:]
+		if _, err := io.ReadFull(br, req.val); err != nil {
+			return taggedRequest{}, err
+		}
+	}
+	return req, nil
 }
 
-// taggedRequestBuffered reports whether br already holds a whole v2
-// request frame, so that readTaggedRequest would return without reading
+// taggedRequestBuffered reports whether br already holds a whole request
+// frame, so that readTaggedRequest would return without reading
 // the socket. It judges by the length words alone: a frame it accepts
 // may still fail to decode, but never blocks.
 func taggedRequestBuffered(br *bufio.Reader) bool {
@@ -326,7 +216,7 @@ func taggedRequestBuffered(br *bufio.Reader) bool {
 	return vl <= n-minTaggedRequest-kl
 }
 
-// appendTaggedResponse appends one v2 response frame to dst.
+// appendTaggedResponse appends one response frame to dst.
 func appendTaggedResponse(dst []byte, tag uint64, status byte, payload []byte) []byte {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], tag)
@@ -335,7 +225,7 @@ func appendTaggedResponse(dst []byte, tag uint64, status byte, payload []byte) [
 	return appendFrame(dst, payload)
 }
 
-// ReadTaggedResponse decodes one v2 response frame: the tag of the
+// ReadTaggedResponse decodes one response frame: the tag of the
 // request it answers, the status, and the payload.
 func ReadTaggedResponse(r io.Reader) (tag uint64, status byte, payload []byte, err error) {
 	var hdr [13]byte // tag(8) | status(1) | payloadLen(4)
@@ -483,11 +373,7 @@ func DecodeMGetRequest(b []byte) (snapID uint64, mkeys [][]byte, err error) {
 // caller must have screened errs down to nil / kvstore.ErrNotFound —
 // any other per-key error fails the whole request with StatusError.
 func EncodeMGetResponse(values [][]byte, errs []error) []byte {
-	size := 4
-	for _, v := range values {
-		size += 5 + len(v)
-	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, mgetResponseSize(values))
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(values)))
 	out = append(out, hdr[:]...)
@@ -503,6 +389,15 @@ func EncodeMGetResponse(values [][]byte, errs []error) []byte {
 		out = append(out, v...)
 	}
 	return out
+}
+
+// mgetResponseSize bounds the length of EncodeMGetResponse's output.
+func mgetResponseSize(values [][]byte) int {
+	size := 4
+	for _, v := range values {
+		size += 5 + len(v)
+	}
+	return size
 }
 
 // DecodeMGetResponse unpacks positional MGET results: values[i] is the

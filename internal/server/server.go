@@ -15,20 +15,17 @@ import (
 	"miodb/internal/stats"
 )
 
-// Options tunes the pipelined front end. The zero value takes defaults.
+// Options tunes the front end. The zero value takes defaults.
 type Options struct {
-	// Window caps in-flight requests per pipelined connection. A
-	// connection whose client stops consuming responses fills its
-	// window and stops being read — backpressure lands on the slow
-	// consumer, never on the server or its neighbors. Default 128.
+	// Window caps in-flight requests per connection. A connection whose
+	// client stops consuming responses fills its window and stops being
+	// read — backpressure lands on the slow consumer, never on the
+	// server or its neighbors. Default 128.
 	Window int
 	// MaxPending caps requests being processed at once across all
 	// connections (the global admission limit in front of the store).
 	// Default 4096.
 	MaxPending int
-	// MaxBatchOps caps how many operations the cross-connection
-	// batcher merges into one store commit. Default 4096.
-	MaxBatchOps int
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// to complete before force-closing connections. Default 5s.
 	DrainTimeout time.Duration
@@ -41,25 +38,25 @@ func (o Options) withDefaults() Options {
 	if o.MaxPending <= 0 {
 		o.MaxPending = 4096
 	}
-	if o.MaxBatchOps <= 0 {
-		o.MaxBatchOps = 4096
-	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
 	}
 	return o
 }
 
-// Server serves a kvstore.Store over TCP. Legacy (v1) connections run
-// one request per round trip; pipelined (v2) connections are split into
-// a reader goroutine (decodes and dispatches) and a writer goroutine
+// maxBatchOps caps how many operations the cross-connection batcher
+// merges into one store commit.
+const maxBatchOps = 4096
+
+// Server serves a kvstore.Store over TCP. Each connection is split into a
+// reader goroutine (decodes and dispatches) and a writer goroutine
 // (serializes tagged responses), so handling never blocks the socket.
 // Writes from every connection funnel through one shared batcher that
 // feeds the store's group-commit pipeline (see batcher.go). Every
-// hand-off on the pipelined path moves whatever burst is ready, not one
-// request: the reader decodes all the frames one socket read delivered
-// before it dispatches them, and the writer sends all the responses that
-// are ready in one socket write.
+// hand-off moves whatever burst is ready, not one request: the reader
+// decodes all the frames one socket read delivered before it dispatches
+// them, and the writer sends all the responses that are ready in one
+// socket write.
 type Server struct {
 	store kvstore.Store
 	opts  Options
@@ -90,7 +87,7 @@ func NewWithOptions(store kvstore.Store, opts Options) *Server {
 		conns:      map[*conn]struct{}{},
 		pendingSem: make(chan struct{}, opts.MaxPending),
 	}
-	s.batch = newBatcher(store, opts.MaxBatchOps)
+	s.batch = newBatcher(store, maxBatchOps)
 	return s
 }
 
@@ -120,12 +117,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		c := &conn{
-			srv:    s,
-			nc:     nc,
-			br:     bufio.NewReaderSize(nc, 64<<10),
-			closed: make(chan struct{}),
-		}
+		c := s.newConn(nc)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -139,13 +131,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// conn is one client connection in either protocol mode.
+// conn is one client connection.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
 
-	// Pipelined mode only:
 	writeCh chan tresp    // responses awaiting serialization (cap Window)
 	window  chan struct{} // in-flight slots (cap Window)
 	ops     sync.WaitGroup
@@ -161,6 +152,18 @@ type conn struct {
 
 	closed    chan struct{}
 	closeOnce sync.Once
+}
+
+// newConn wraps an accepted socket; serve starts its write loop.
+func (s *Server) newConn(nc net.Conn) *conn {
+	return &conn{
+		srv:     s,
+		nc:      nc,
+		br:      bufio.NewReaderSize(nc, 64<<10),
+		writeCh: make(chan tresp, s.opts.Window),
+		window:  make(chan struct{}, s.opts.Window),
+		closed:  make(chan struct{}),
+	}
 }
 
 // registerSnapshot stores a captured view and returns its id (never 0 —
@@ -231,16 +234,10 @@ func (c *conn) enqueue(r tresp) {
 	}
 }
 
-// complete answers one request; it runs exactly once per request. On a
-// pipelined connection it also releases what admit claimed, except the
-// window slot, which the write loop frees once the response is on the
-// wire. A legacy connection has one request in flight, whose admission
-// serveLegacy holds itself and whose response process waits for.
+// complete answers one request; it runs exactly once per request. It
+// also releases what admit claimed, except the window slot, which the
+// write loop frees once the response is on the wire.
 func (c *conn) complete(tag uint64, status byte, payload []byte) {
-	if c.window == nil {
-		c.writeCh <- tresp{status: status, payload: payload}
-		return
-	}
 	c.enqueue(tresp{tag: tag, status: status, payload: payload})
 	<-c.srv.pendingSem
 	c.srv.inflight.Done()
@@ -282,41 +279,16 @@ func (c *conn) admit(wait bool) bool {
 	return true
 }
 
-// serve sniffs the protocol version from the first byte: a v2 client
-// leads with the "MIO2" magic, whose first byte is outside the op-code
-// range; anything else is a legacy request stream.
-func (s *Server) serve(c *conn) {
-	defer s.wg.Done()
-	first, err := c.br.ReadByte()
-	if err != nil {
-		c.shutdown()
-		s.forget(c)
-		return
-	}
-	if first == MagicV2[0] {
-		var rest [3]byte
-		if _, err := io.ReadFull(c.br, rest[:]); err != nil ||
-			rest != [3]byte{MagicV2[1], MagicV2[2], MagicV2[3]} {
-			c.shutdown()
-			s.forget(c)
-			return
-		}
-		s.servePipelined(c)
-		return
-	}
-	c.br.UnreadByte()
-	s.serveLegacy(c)
-}
-
 func (s *Server) forget(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
 }
 
-// servePipelined is the v2 read loop: decode, admit (per-connection
-// window, then global pending limit), dispatch. It never writes to the
-// socket; the write loop owns that side.
+// serve is a connection's read loop: check the preamble, then decode,
+// admit (per-connection window, then global pending limit), dispatch. A
+// connection that does not open with MagicV2 is closed without a reply.
+// The loop never writes to the socket; the write loop owns that side.
 //
 // Requests move in bursts: the loop blocks for one frame, then keeps
 // decoding for as long as a whole frame is already buffered, and only
@@ -324,9 +296,14 @@ func (s *Server) forget(c *conn) {
 // reads to one goroutine. Nothing held back ever waits on the socket or
 // on admission: the responses of the held requests are what frees the
 // slots the next one may be waiting for.
-func (s *Server) servePipelined(c *conn) {
-	c.writeCh = make(chan tresp, s.opts.Window)
-	c.window = make(chan struct{}, s.opts.Window)
+func (s *Server) serve(c *conn) {
+	defer s.wg.Done()
+	var magic [4]byte
+	if _, err := io.ReadFull(c.br, magic[:]); err != nil || magic != MagicV2 {
+		c.shutdown()
+		s.forget(c)
+		return
+	}
 	s.wg.Add(1)
 	go c.writeLoop()
 
@@ -380,12 +357,12 @@ func (s *Server) servePipelined(c *conn) {
 // off the reader goroutine so a device-bound Get cannot stall decoding.
 func (s *Server) runReads(c *conn, reads []taggedRequest) {
 	for _, req := range reads {
-		status, payload := s.handleRead(c, req.request)
+		status, payload := s.handleRead(c, req)
 		c.complete(req.tag, status, payload)
 	}
 }
 
-// writeLoop is the single writer for a pipelined connection: it drains
+// writeLoop is the single writer for a connection: it drains
 // queued responses, coalescing everything ready into one socket write,
 // and releases window slots once responses are on the wire.
 func (c *conn) writeLoop() {
@@ -506,57 +483,10 @@ func (s *Server) validateBatch(ops []kvstore.BatchOp) string {
 	return ""
 }
 
-// serveLegacy is the v1 loop: one request, one synchronous response.
-// Writes still route through the shared batcher, so even legacy
-// connections contribute to (and benefit from) cross-connection
-// group commit.
-func (s *Server) serveLegacy(c *conn) {
-	defer func() {
-		c.releaseSnapshots()
-		c.shutdown()
-		s.forget(c)
-	}()
-	c.writeCh = make(chan tresp, 1) // the one request in flight answers here (see complete)
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
-	for {
-		req, err := readRequest(c.br)
-		if err != nil {
-			return
-		}
-		select {
-		case s.pendingSem <- struct{}{}:
-		case <-c.closed:
-			return
-		}
-		s.inflight.Add(1)
-		status, payload := s.process(c, req)
-		<-s.pendingSem
-		s.inflight.Done()
-		if err := writeResponse(bw, status, payload); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// process executes one request synchronously (the legacy path).
-func (s *Server) process(c *conn, req request) (byte, []byte) {
-	if !isWrite(req.op) {
-		return s.handleRead(c, req)
-	}
-	if sub, ok := s.stageWrite(c, taggedRequest{request: req}); ok {
-		s.batch.submit(sub)
-	}
-	r := <-c.writeCh
-	return r.status, r.payload
-}
-
 // handleRead serves the non-mutating ops (and rejects unknown ones).
 // The conn carries the connection's snapshot registry for the SNAP
 // family.
-func (s *Server) handleRead(c *conn, req request) (byte, []byte) {
+func (s *Server) handleRead(c *conn, req taggedRequest) (byte, []byte) {
 	switch req.op {
 	case OpGet:
 		v, err := s.store.Get(req.key)
@@ -634,6 +564,9 @@ func (s *Server) handleRead(c *conn, req request) (byte, []byte) {
 				return StatusError, []byte(err.Error())
 			}
 		}
+		if mgetResponseSize(values) > maxFrame {
+			return StatusError, []byte("mget: result exceeds frame limit")
+		}
 		return StatusOK, EncodeMGetResponse(values, errs)
 	case OpScan:
 		if len(req.val) != 4 {
@@ -641,14 +574,22 @@ func (s *Server) handleRead(c *conn, req request) (byte, []byte) {
 		}
 		limit := int(binary.LittleEndian.Uint32(req.val))
 		// The payload is the pairs end to end with no count in front, so
-		// each is encoded as the store yields it.
+		// each is encoded as the store yields it — until the next pair
+		// would pass the frame limit, which the client refuses to read.
 		var payload []byte
+		tooBig := false
 		err := s.store.Scan(req.key, limit, func(k, v []byte) bool {
+			if tooBig = len(payload)+8+len(k)+len(v) > maxFrame; tooBig {
+				return false
+			}
 			payload = appendFrame(appendFrame(payload, k), v)
 			return true
 		})
 		if err != nil {
 			return StatusError, []byte(err.Error())
+		}
+		if tooBig {
+			return StatusError, []byte("scan: result exceeds frame limit")
 		}
 		return StatusOK, payload
 	case OpStats:
@@ -805,230 +746,4 @@ func (s *Server) Close() error {
 	// batcher after it finishes the queued tail.
 	s.batch.stop()
 	return nil
-}
-
-// Client is a synchronous protocol-v1 client for one connection: one
-// request in flight per round trip. It is kept for backward
-// compatibility and as the non-pipelined reference point; use
-// internal/client for the pipelined client. It is safe for serialized
-// use; open one client per goroutine for concurrency.
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-// Dial connects to a server with the legacy protocol.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-func (c *Client) roundTrip(op byte, key, val []byte) (byte, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := writeRequest(c.conn, op, key, val); err != nil {
-		return 0, nil, err
-	}
-	return readResponse(c.conn)
-}
-
-// Get fetches the newest value for key; kvstore.ErrNotFound if absent.
-func (c *Client) Get(key []byte) ([]byte, error) {
-	status, payload, err := c.roundTrip(OpGet, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case StatusOK:
-		return payload, nil
-	case StatusNotFound:
-		return nil, kvstore.ErrNotFound
-	default:
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-}
-
-// Put stores a key-value pair.
-func (c *Client) Put(key, value []byte) error {
-	status, payload, err := c.roundTrip(OpPut, key, value)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// Delete removes a key.
-func (c *Client) Delete(key []byte) error {
-	status, payload, err := c.roundTrip(OpDelete, key, nil)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// MPut applies a batch of writes in one round trip. With a batch-capable
-// store behind the server the whole batch commits atomically (one WAL
-// append, consecutive sequence numbers); otherwise it is applied as
-// individual writes in order.
-func (c *Client) MPut(ops []kvstore.BatchOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	status, payload, err := c.roundTrip(OpMPut, nil, EncodeBatchPayload(ops))
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// DeleteRange deletes every key k with start ≤ k < end (empty end =
-// unbounded) in one round trip. The server refuses if its store has no
-// range-delete support.
-func (c *Client) DeleteRange(start, end []byte) error {
-	status, payload, err := c.roundTrip(OpDelRange, start, end)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// GetMulti reads several keys in one round trip. Results are
-// positional: values[i] and errs[i] answer keys[i], with
-// kvstore.ErrNotFound per missing key; a transport or server failure is
-// reported in every errs[i].
-func (c *Client) GetMulti(keys [][]byte) ([][]byte, []error) {
-	return c.mget(0, keys)
-}
-
-func (c *Client) mget(snapID uint64, keys [][]byte) ([][]byte, []error) {
-	values := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	if len(keys) == 0 {
-		return values, errs
-	}
-	fail := func(err error) ([][]byte, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return values, errs
-	}
-	status, payload, err := c.roundTrip(OpMGet, nil, EncodeMGetRequest(snapID, keys))
-	if err != nil {
-		return fail(err)
-	}
-	if status != StatusOK {
-		return fail(fmt.Errorf("server: %s", payload))
-	}
-	vs, es, err := DecodeMGetResponse(payload)
-	if err != nil {
-		return fail(err)
-	}
-	if len(vs) != len(keys) {
-		return fail(fmt.Errorf("server: mget answered %d of %d keys", len(vs), len(keys)))
-	}
-	return vs, es
-}
-
-// ClientSnap is a server-side snapshot captured over a legacy
-// connection; see the pipelined client's Snap for the full story.
-type ClientSnap struct {
-	c  *Client
-	id uint64
-}
-
-// Snapshot captures a consistent snapshot on the server.
-func (c *Client) Snapshot() (*ClientSnap, error) {
-	status, payload, err := c.roundTrip(OpSnap, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-	if len(payload) != 8 {
-		return nil, fmt.Errorf("server: malformed snapshot id")
-	}
-	return &ClientSnap{c: c, id: binary.LittleEndian.Uint64(payload)}, nil
-}
-
-// Get returns the value key had when the snapshot was captured.
-func (s *ClientSnap) Get(key []byte) ([]byte, error) {
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], s.id)
-	status, payload, err := s.c.roundTrip(OpSnapGet, key, id[:])
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case StatusOK:
-		return payload, nil
-	case StatusNotFound:
-		return nil, kvstore.ErrNotFound
-	default:
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-}
-
-// GetMulti reads several keys from the snapshot's cut; all answers are
-// mutually consistent.
-func (s *ClientSnap) GetMulti(keys [][]byte) ([][]byte, []error) {
-	return s.c.mget(s.id, keys)
-}
-
-// Close releases the snapshot on the server.
-func (s *ClientSnap) Close() error {
-	var id [8]byte
-	binary.LittleEndian.PutUint64(id[:], s.id)
-	status, payload, err := s.c.roundTrip(OpSnapRel, nil, id[:])
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("server: %s", payload)
-	}
-	return nil
-}
-
-// Scan returns up to limit ordered key-value pairs starting at start.
-func (c *Client) Scan(start []byte, limit int) ([][2][]byte, error) {
-	var lim [4]byte
-	binary.LittleEndian.PutUint32(lim[:], uint32(limit))
-	status, payload, err := c.roundTrip(OpScan, start, lim[:])
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("server: %s", payload)
-	}
-	return DecodeScanPayload(payload)
-}
-
-// Stats returns the server's cost-accounting line.
-func (c *Client) Stats() (string, error) {
-	status, payload, err := c.roundTrip(OpStats, nil, nil)
-	if err != nil {
-		return "", err
-	}
-	if status != StatusOK {
-		return "", fmt.Errorf("server: %s", payload)
-	}
-	return string(payload), nil
 }

@@ -1,66 +1,79 @@
-package server
+// External test package: internal/client imports internal/server, so a
+// test that drives the server through the client must live outside
+// package server to avoid an import cycle.
+package server_test
 
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"miodb/internal/client"
 	"miodb/internal/core"
 	"miodb/internal/kvstore"
+	"miodb/internal/server"
 	"miodb/internal/shard"
+	"miodb/internal/stats"
 )
 
-type miodbStore struct{ *core.DB }
+// coreStore adapts *core.DB to the harness store contract (FlushAll
+// drains background compaction too).
+type coreStore struct{ *core.DB }
 
-func (s miodbStore) Flush() error { return s.DB.FlushAll() }
+func (s coreStore) Flush() error { return s.DB.FlushAll() }
 
-func startServer(t *testing.T) (*Server, *Client) {
+// openCore opens a small single-engine store.
+func openCore(t *testing.T) kvstore.Store {
 	t.Helper()
 	db, err := core.Open(core.Options{MemTableSize: 16 << 10, Levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(miodbStore{db})
+	return coreStore{db}
+}
+
+// openShards opens a small four-shard store.
+func openShards(t *testing.T) kvstore.Store {
+	t.Helper()
+	r, err := shard.Open(4, core.Options{MemTableSize: 16 << 10, Levels: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// serve starts a server over store and returns it with its address; the
+// server and then the store are closed with the test.
+func serve(t *testing.T, store kvstore.Store) (*server.Server, string) {
+	t.Helper()
+	srv := server.New(store)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		srv.Close()
-		db.Close()
+		store.Close()
 	})
-	c, err := Dial(addr.String())
+	return srv, addr.String()
+}
+
+// dial opens a client connection that is closed with the test.
+func dial(t *testing.T, addr string) *client.Conn {
+	t.Helper()
+	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return srv, c
-}
-
-func TestClientServerRoundTrip(t *testing.T) {
-	_, c := startServer(t)
-
-	if err := c.Put([]byte("hello"), []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Get([]byte("hello"))
-	if err != nil || string(v) != "world" {
-		t.Fatalf("Get = %q, %v", v, err)
-	}
-	if _, err := c.Get([]byte("absent")); err != kvstore.ErrNotFound {
-		t.Fatalf("Get(absent) = %v", err)
-	}
-	if err := c.Delete([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get([]byte("hello")); err != kvstore.ErrNotFound {
-		t.Fatalf("Get after Delete = %v", err)
-	}
+	return c
 }
 
 func TestServerScan(t *testing.T) {
-	_, c := startServer(t)
+	_, addr := serve(t, openCore(t))
+	c := dial(t, addr)
 	for i := 0; i < 50; i++ {
 		if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -87,36 +100,35 @@ func TestServerScan(t *testing.T) {
 }
 
 func TestServerStats(t *testing.T) {
-	_, c := startServer(t)
+	_, addr := serve(t, openCore(t))
+	c := dial(t, addr)
 	c.Put([]byte("k"), []byte("v"))
 	c.Get([]byte("k"))
 	line, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains([]byte(line), []byte("puts=1")) || !bytes.Contains([]byte(line), []byte("gets=1")) {
-		t.Errorf("stats line = %q", line)
+	for _, want := range []string{"puts=1", "gets=1", "lat_put_p50_us="} {
+		if !strings.Contains(line, want) {
+			t.Errorf("stats line missing %s: %q", want, line)
+		}
 	}
 }
 
+// TestConcurrentClients runs one connection per goroutine, so the
+// server's connections, not one connection's window, carry the load.
 func TestConcurrentClients(t *testing.T) {
-	srv, _ := startServer(t)
-	addr := srv.ln.Addr().String()
+	_, addr := serve(t, openCore(t))
 
 	const clients = 4
 	const perClient = 200
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
 	for g := 0; g < clients; g++ {
+		c := dial(t, addr)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer c.Close()
 			for i := 0; i < perClient; i++ {
 				k := []byte(fmt.Sprintf("c%d-k%04d", g, i))
 				if err := c.Put(k, []byte("v")); err != nil {
@@ -139,14 +151,15 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestClientMPut(t *testing.T) {
-	_, c := startServer(t)
+	_, addr := serve(t, openCore(t))
+	c := dial(t, addr)
 
 	ops := []kvstore.BatchOp{
 		{Key: []byte("m1"), Value: []byte("v1")},
 		{Key: []byte("m2"), Value: []byte("v2")},
 		{Key: []byte("m3"), Value: []byte("v3")},
 	}
-	if err := c.MPut(ops); err != nil {
+	if err := c.Batch(ops); err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range ops {
@@ -156,7 +169,7 @@ func TestClientMPut(t *testing.T) {
 		}
 	}
 	// A batch mixing writes and deletes applies in order.
-	if err := c.MPut([]kvstore.BatchOp{
+	if err := c.Batch([]kvstore.BatchOp{
 		{Key: []byte("m1"), Value: []byte("v1b")},
 		{Key: []byte("m2"), Delete: true},
 	}); err != nil {
@@ -169,14 +182,13 @@ func TestClientMPut(t *testing.T) {
 		t.Fatalf("Get(m2) after batched delete = %v", err)
 	}
 	// Empty batch is a no-op.
-	if err := c.MPut(nil); err != nil {
+	if err := c.Batch(nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestConcurrentMPutClients(t *testing.T) {
-	srv, _ := startServer(t)
-	addr := srv.ln.Addr().String()
+	_, addr := serve(t, openCore(t))
 
 	const clients = 4
 	const batches = 40
@@ -184,15 +196,10 @@ func TestConcurrentMPutClients(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
 	for g := 0; g < clients; g++ {
+		c := dial(t, addr)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer c.Close()
 			for b := 0; b < batches; b++ {
 				ops := make([]kvstore.BatchOp, batchSize)
 				for i := range ops {
@@ -201,7 +208,7 @@ func TestConcurrentMPutClients(t *testing.T) {
 						Value: []byte(fmt.Sprintf("v%d.%d.%d", g, b, i)),
 					}
 				}
-				if err := c.MPut(ops); err != nil {
+				if err := c.Batch(ops); err != nil {
 					errCh <- fmt.Errorf("client %d: %w", g, err)
 					return
 				}
@@ -216,11 +223,7 @@ func TestConcurrentMPutClients(t *testing.T) {
 	}
 
 	// Every batched write from every client is visible.
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dial(t, addr)
 	for g := 0; g < clients; g++ {
 		for b := 0; b < batches; b++ {
 			for i := 0; i < batchSize; i++ {
@@ -235,70 +238,9 @@ func TestConcurrentMPutClients(t *testing.T) {
 	}
 }
 
-func TestBatchPayloadRoundTrip(t *testing.T) {
-	in := []kvstore.BatchOp{
-		{Key: []byte("a"), Value: []byte("1")},
-		{Key: []byte("del"), Delete: true},
-		{Key: []byte("big"), Value: bytes.Repeat([]byte("v"), 4096)},
-		{Key: []byte("empty"), Value: nil},
-	}
-	out, err := DecodeBatchPayload(EncodeBatchPayload(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d ops", len(out))
-	}
-	for i := range in {
-		if !bytes.Equal(in[i].Key, out[i].Key) || !bytes.Equal(in[i].Value, out[i].Value) || in[i].Delete != out[i].Delete {
-			t.Fatalf("op %d mismatch: %+v vs %+v", i, in[i], out[i])
-		}
-	}
-	for _, bad := range [][]byte{{1}, {1, 0, 0, 0}, {1, 0, 0, 0, 0, 5, 0, 0, 0}} {
-		if _, err := DecodeBatchPayload(bad); err == nil {
-			t.Errorf("truncated batch payload %v accepted", bad)
-		}
-	}
-}
-
-func TestScanPayloadRoundTrip(t *testing.T) {
-	in := [][2][]byte{
-		{[]byte("a"), []byte("1")},
-		{[]byte(""), []byte("")},
-		{[]byte("key"), bytes.Repeat([]byte("v"), 1000)},
-	}
-	out, err := DecodeScanPayload(EncodeScanPayload(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d pairs", len(out))
-	}
-	for i := range in {
-		if !bytes.Equal(in[i][0], out[i][0]) || !bytes.Equal(in[i][1], out[i][1]) {
-			t.Fatalf("pair %d mismatch", i)
-		}
-	}
-	if _, err := DecodeScanPayload([]byte{1, 2}); err == nil {
-		t.Error("truncated payload accepted")
-	}
-}
-
 func TestServerCloseIsClean(t *testing.T) {
-	db, err := core.Open(core.Options{MemTableSize: 16 << 10, Levels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	srv := New(miodbStore{db})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, addr := serve(t, openCore(t))
+	c := dial(t, addr)
 	c.Put([]byte("k"), []byte("v"))
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -317,24 +259,8 @@ func TestServerCloseIsClean(t *testing.T) {
 // changes — and checks the whole client surface plus the sharded stats
 // extension (partition count and per-shard op tallies).
 func TestServerOverShardedStore(t *testing.T) {
-	r, err := shard.Open(4, core.Options{MemTableSize: 16 << 10, Levels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(r)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		r.Close()
-	})
-	c, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	_, addr := serve(t, openShards(t))
+	c := dial(t, addr)
 
 	for i := 0; i < 100; i++ {
 		if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -349,7 +275,7 @@ func TestServerOverShardedStore(t *testing.T) {
 	for i := 100; i < 120; i++ {
 		batch = append(batch, kvstore.BatchOp{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("b")})
 	}
-	if err := c.MPut(batch); err != nil {
+	if err := c.Batch(batch); err != nil {
 		t.Fatal(err)
 	}
 	// The scan is served by the merged cross-shard iterator: globally
@@ -370,12 +296,63 @@ func TestServerOverShardedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains([]byte(line), []byte("shards=4")) {
+	if !strings.Contains(line, "shards=4") {
 		t.Errorf("stats line missing shards=4: %q", line)
 	}
 	for i := 0; i < 4; i++ {
-		if !bytes.Contains([]byte(line), []byte(fmt.Sprintf("shard%d_ops=", i))) {
+		if !strings.Contains(line, fmt.Sprintf("shard%d_ops=", i)) {
 			t.Errorf("stats line missing shard%d_ops: %q", i, line)
 		}
+	}
+}
+
+// hugeStore answers a Scan with one shared 1 MB value 65 times and an
+// MGET with it 65 times over: either reply passes the 64 MB frame limit.
+type hugeStore struct{ value []byte }
+
+func (h hugeStore) Put(key, value []byte) error    { return nil }
+func (h hugeStore) Get(key []byte) ([]byte, error) { return []byte("small"), nil }
+func (h hugeStore) Delete(key []byte) error        { return nil }
+func (h hugeStore) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
+	for i := 0; i < 65; i++ {
+		if !fn([]byte(fmt.Sprintf("k%02d", i)), h.value) {
+			break
+		}
+	}
+	return nil
+}
+func (h hugeStore) GetMulti(keys [][]byte) ([][]byte, []error) {
+	values := make([][]byte, len(keys))
+	for i := range values {
+		values[i] = h.value
+	}
+	return values, make([]error, len(keys))
+}
+func (h hugeStore) Flush() error          { return nil }
+func (h hugeStore) Stats() stats.Snapshot { return stats.Snapshot{} }
+func (h hugeStore) Close() error          { return nil }
+
+// TestOversizeReplyRefused checks that a SCAN or MGET whose reply would
+// pass the frame limit is answered with an error, and that the
+// connection survives it: the client refuses an oversize frame by
+// failing the whole connection, so the server must never send one.
+func TestOversizeReplyRefused(t *testing.T) {
+	_, addr := serve(t, hugeStore{value: make([]byte, 1<<20)})
+	c := dial(t, addr)
+	if pairs, err := c.Scan(nil, 0); err == nil || !strings.Contains(err.Error(), "exceeds frame limit") {
+		t.Fatalf("oversize scan = %d pairs, %v; want a frame-limit error", len(pairs), err)
+	}
+	if v, err := c.Get([]byte("k")); err != nil || string(v) != "small" {
+		t.Fatalf("Get after oversize scan = %q, %v", v, err)
+	}
+	keys := make([][]byte, 65)
+	for i := range keys {
+		keys[i] = []byte("k")
+	}
+	if _, errs := c.GetMulti(keys); errs[0] == nil || !strings.Contains(errs[0].Error(), "exceeds frame limit") {
+		t.Fatalf("oversize mget err = %v; want a frame-limit error", errs[0])
+	}
+	if v, err := c.Get([]byte("k")); err != nil || string(v) != "small" {
+		t.Fatalf("Get after oversize mget = %q, %v", v, err)
 	}
 }

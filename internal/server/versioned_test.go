@@ -1,6 +1,3 @@
-// External test package: internal/client imports internal/server, so a
-// test that drives the pipelined client must live outside package server
-// to avoid an import cycle.
 package server_test
 
 import (
@@ -12,175 +9,103 @@ import (
 	"miodb/internal/core"
 	"miodb/internal/kvstore"
 	"miodb/internal/server"
-	"miodb/internal/shard"
 	"miodb/internal/stats"
 )
 
-// coreStore adapts *core.DB to the harness store contract (FlushAll
-// drains background compaction too).
-type coreStore struct{ *core.DB }
-
-func (s coreStore) Flush() error { return s.DB.FlushAll() }
-
-// serveCore starts a server over a fresh single-engine store and
-// returns it with a legacy client; both are cleaned up with the test.
-func serveCore(t *testing.T) (*server.Server, *server.Client) {
-	t.Helper()
-	db, err := core.Open(core.Options{MemTableSize: 16 << 10, Levels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(coreStore{db})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		db.Close()
-	})
-	c, err := server.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return srv, c
-}
-
-// TestVersionedOpsLegacy drives the SNAP family and DELRANGE over the
-// legacy (v1) protocol: snapshot isolation across later writes,
-// consistent snapshot multi-get, live multi-get, range deletes, and
+// TestVersionedOpsPipelined drives the SNAP family and DELRANGE against a
+// single engine and a sharded store: snapshot isolation across later
+// writes (an MPUT batch that carries a range delete among them), live
+// and snapshot multi-get, range deletes bounded and unbounded, and
 // release semantics.
-func TestVersionedOpsLegacy(t *testing.T) {
-	_, c := serveCore(t)
-
-	for i := 0; i < 20; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("old")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("new")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The snapshot answers as of capture; the live store sees the update.
-	if v, err := snap.Get([]byte("k07")); err != nil || string(v) != "old" {
-		t.Fatalf("snap.Get = %q, %v", v, err)
-	}
-	if v, err := c.Get([]byte("k07")); err != nil || string(v) != "new" {
-		t.Fatalf("live Get = %q, %v", v, err)
-	}
-
-	// Multi-get: positional, ErrNotFound per missing key, and the
-	// snapshot variant answers from the cut.
-	mkeys := [][]byte{[]byte("k01"), []byte("absent"), []byte("k19")}
-	values, errs := c.GetMulti(mkeys)
-	if string(values[0]) != "new" || errs[0] != nil {
-		t.Fatalf("live mget[0] = %q, %v", values[0], errs[0])
-	}
-	if errs[1] != kvstore.ErrNotFound {
-		t.Fatalf("live mget[1] err = %v", errs[1])
-	}
-	values, errs = snap.GetMulti(mkeys)
-	if string(values[0]) != "old" || errs[0] != nil || errs[1] != kvstore.ErrNotFound || string(values[2]) != "old" {
-		t.Fatalf("snap mget = %q %v / %v / %q %v", values[0], errs[0], errs[1], values[2], errs[2])
-	}
-
-	// Range delete over the wire removes [k05, k10) from the live view
-	// but not from the snapshot.
-	if err := c.DeleteRange([]byte("k05"), []byte("k10")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get([]byte("k07")); err != kvstore.ErrNotFound {
-		t.Fatalf("live Get after DeleteRange = %v", err)
-	}
-	if v, err := snap.Get([]byte("k07")); err != nil || string(v) != "old" {
-		t.Fatalf("snap.Get after DeleteRange = %q, %v", v, err)
-	}
-
-	// Release; further snapshot reads are refused.
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.Get([]byte("k07")); err == nil {
-		t.Fatal("Get on released snapshot succeeded")
-	}
-	if err := snap.Close(); err == nil {
-		t.Fatal("double release succeeded")
-	}
-}
-
-// TestVersionedOpsPipelined drives the same family through the
-// pipelined (v2) client against a sharded store, including an MPUT
-// batch that carries a range delete.
 func TestVersionedOpsPipelined(t *testing.T) {
-	r, err := shard.Open(4, core.Options{MemTableSize: 16 << 10, Levels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(r)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		r.Close()
-	})
-	c, err := client.Dial(addr.String(), client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	for _, tc := range []struct {
+		name string
+		open func(*testing.T) kvstore.Store
+	}{
+		{"single-engine", openCore},
+		{"shards=4", openShards},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr := serve(t, tc.open(t))
+			c := dial(t, addr)
 
-	for i := 0; i < 100; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("old")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A batch that overwrites some keys and range-deletes others, in one
-	// MPUT round trip.
-	if err := c.Batch([]kvstore.BatchOp{
-		{Key: []byte("k010"), Value: []byte("new")},
-		{Key: []byte("k050"), Value: []byte("k060"), RangeDelete: true},
-	}); err != nil {
-		t.Fatal(err)
-	}
+			for i := 0; i < 100; i++ {
+				if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("old")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A batch that overwrites some keys and range-deletes others, in
+			// one MPUT round trip.
+			if err := c.Batch([]kvstore.BatchOp{
+				{Key: []byte("k010"), Value: []byte("new")},
+				{Key: []byte("k050"), Value: []byte("k060"), RangeDelete: true},
+			}); err != nil {
+				t.Fatal(err)
+			}
 
-	if v, err := c.Get([]byte("k010")); err != nil || string(v) != "new" {
-		t.Fatalf("live Get = %q, %v", v, err)
-	}
-	if _, err := c.Get([]byte("k055")); err != kvstore.ErrNotFound {
-		t.Fatalf("range-deleted Get = %v", err)
-	}
-	// The snapshot still reads the pre-batch world, consistently across
-	// shards.
-	values, errs := snap.GetMulti([][]byte{[]byte("k010"), []byte("k055"), []byte("k099")})
-	for i, v := range values {
-		if errs[i] != nil || string(v) != "old" {
-			t.Fatalf("snap mget[%d] = %q, %v", i, v, errs[i])
-		}
-	}
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// The live store sees the batch; the snapshot answers as of
+			// capture.
+			if v, err := c.Get([]byte("k010")); err != nil || string(v) != "new" {
+				t.Fatalf("live Get = %q, %v", v, err)
+			}
+			if _, err := c.Get([]byte("k055")); err != kvstore.ErrNotFound {
+				t.Fatalf("range-deleted Get = %v", err)
+			}
+			if v, err := snap.Get([]byte("k010")); err != nil || string(v) != "old" {
+				t.Fatalf("snap.Get = %q, %v", v, err)
+			}
 
-	// DELRANGE op form, with an unbounded end.
-	if err := c.DeleteRange([]byte("k090"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get([]byte("k099")); err != kvstore.ErrNotFound {
-		t.Fatalf("Get after unbounded DeleteRange = %v", err)
+			// Multi-get: positional, ErrNotFound per missing key, and the
+			// snapshot variant answers from the cut (consistently across
+			// shards).
+			values, errs := c.GetMulti([][]byte{[]byte("k010"), []byte("absent"), []byte("k099")})
+			if string(values[0]) != "new" || errs[0] != nil || errs[1] != kvstore.ErrNotFound ||
+				string(values[2]) != "old" || errs[2] != nil {
+				t.Fatalf("live mget = %q %v / %v / %q %v", values[0], errs[0], errs[1], values[2], errs[2])
+			}
+			values, errs = snap.GetMulti([][]byte{[]byte("k010"), []byte("k055"), []byte("k099")})
+			for i, v := range values {
+				if errs[i] != nil || string(v) != "old" {
+					t.Fatalf("snap mget[%d] = %q, %v", i, v, errs[i])
+				}
+			}
+
+			// DELRANGE op form removes [k020, k030) from the live view but
+			// not from the snapshot.
+			if err := c.DeleteRange([]byte("k020"), []byte("k030")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Get([]byte("k025")); err != kvstore.ErrNotFound {
+				t.Fatalf("live Get after DeleteRange = %v", err)
+			}
+			if v, err := snap.Get([]byte("k025")); err != nil || string(v) != "old" {
+				t.Fatalf("snap.Get after DeleteRange = %q, %v", v, err)
+			}
+
+			// Release; further snapshot reads and a second release are
+			// refused.
+			if err := snap.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Get([]byte("k025")); err == nil {
+				t.Fatal("Get on released snapshot succeeded")
+			}
+			if err := snap.Close(); err == nil {
+				t.Fatal("double release succeeded")
+			}
+
+			// DELRANGE with an unbounded end.
+			if err := c.DeleteRange([]byte("k090"), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Get([]byte("k099")); err != kvstore.ErrNotFound {
+				t.Fatalf("Get after unbounded DeleteRange = %v", err)
+			}
+		})
 	}
 }
 
@@ -251,17 +176,8 @@ func (p plainStore) Close() error          { return nil }
 // TestVersionedOpsCapabilityGates: a store without snapshot / range
 // delete / multi-get support is refused descriptively, not crashed.
 func TestVersionedOpsCapabilityGates(t *testing.T) {
-	srv := server.New(plainStore{m: map[string]string{}})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c, err := server.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	_, addr := serve(t, plainStore{m: map[string]string{}})
+	c := dial(t, addr)
 
 	if _, err := c.Snapshot(); err == nil {
 		t.Fatal("Snapshot on plain store succeeded")
