@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture torture-rate benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg profile repro clean
+.PHONY: all build vet test race check torture torture-rate benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
 
 all: check
 
@@ -108,6 +108,16 @@ bench-membalance:
 # memory budget; writes BENCH_valuesize.json.
 bench-valuesize:
 	$(GO) run ./cmd/miodb-repro -experiment valuesize -json_dir .
+
+# The write path's Go heap: TestWriteHeapPerPut, the test that gates the
+# bytes allocated per Put, with every allocation in its heap profile.
+# Inspect with:
+#   go tool pprof -sample_index=alloc_space -top profiles/alloc.test profiles/alloc-heap.out
+alloc-profile:
+	mkdir -p profiles
+	$(GO) test ./internal/core -run '^TestWriteHeapPerPut$$' -count=1 -v \
+		-memprofile alloc-heap.out -memprofilerate 1 \
+		-outputdir $(CURDIR)/profiles -o profiles/alloc.test
 
 # The wire front end alone: one request through client, loopback socket
 # and server over a store that does nothing, closed loops of 1 and 16

@@ -91,7 +91,7 @@ func (db *DB) Write(b *Batch) error {
 		}
 	}
 	start := time.Now()
-	err := db.commit(b.ops)
+	err := db.commit(batchOp{}, b.ops)
 	if err == nil {
 		// One commit sample per batch (on top of commit's per-record
 		// put/delete samples): the latency an MPUT caller experienced.
@@ -131,7 +131,7 @@ func (db *DB) WriteBatch(ops []kvstore.BatchOp) error {
 		return nil
 	}
 	start := time.Now()
-	err := db.commit(bops)
+	err := db.commit(batchOp{}, bops)
 	if err == nil {
 		db.st.RecordOp(stats.OpCommit, time.Since(start))
 	}

@@ -292,7 +292,10 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 	}
 	h := &memHandle{mt: mt, bornSeq: db.seq.Load()}
 	if !db.opts.DisableWAL {
-		h.log = wal.New(db.nvm, db.opts.ChunkSize)
+		// The log is sized like its memtable: a record never outgrows the
+		// node that holds the same entry, so the log spills past its first
+		// chunk only when the memtable does.
+		h.log = wal.Attach(db.nvm, db.nvm.NewRegionGrain(db.opts.ChunkSize, mt.Region().Grain()))
 	}
 	return h, nil
 }
@@ -357,15 +360,14 @@ func (db *DB) write(key, value []byte, kind keys.Kind) error {
 	if len(key) == 0 {
 		return fmt.Errorf("miodb: empty key")
 	}
-	var ops [1]batchOp
-	ops[0] = batchOp{key: key, value: value, kind: kind}
-	return db.commit(ops[:])
+	return db.commit(batchOp{key: key, value: value, kind: kind}, nil)
 }
 
 // groupWriter is one parked write request in the commit queue.
 type groupWriter struct {
 	ops  []batchOp
-	cv   sync.Cond // on db.writeMu
+	one  [1]batchOp // backs ops for a single-op request
+	cv   sync.Cond  // on db.writeMu
 	done bool
 	err  error
 }
@@ -387,23 +389,38 @@ func opsBytes(ops []batchOp) int {
 // record with the measured latency under its own op type. Recording per
 // record (not per batch) keeps the put/delete distributions meaningful
 // under group commit: each rider experienced the group's latency.
-func (db *DB) commit(ops []batchOp) error {
+//
+// A request is either one op (Put, Delete, DeleteRange), passed by value
+// with ops nil, or a batch's ops. Keeping the single op out of a slice
+// lets the lone writer commit it from the stack: a slice that reaches the
+// commit queue escapes, so the op is copied to the heap (into its
+// groupWriter) only when it has to queue.
+func (db *DB) commit(op batchOp, ops []batchOp) error {
 	start := time.Now()
-	err := db.commitOps(ops)
+	err := db.commitOps(op, ops)
 	if err == nil {
 		d := time.Since(start)
-		var puts, deletes int64
-		for _, op := range ops {
-			if op.kind == keys.KindSet {
-				puts++
-			} else {
-				deletes++ // point and range tombstones both count as deletes
-			}
-		}
+		puts, deletes := countKinds(op, ops)
 		db.st.RecordOpN(stats.OpPut, d, puts)
 		db.st.RecordOpN(stats.OpDelete, d, deletes)
 	}
 	return err
+}
+
+// countKinds splits a commit request's records into puts and deletes;
+// point and range tombstones both count as deletes.
+func countKinds(op batchOp, ops []batchOp) (puts, deletes int64) {
+	if ops == nil {
+		ops = []batchOp{op}
+	}
+	for _, op := range ops {
+		if op.kind == keys.KindSet {
+			puts++
+		} else {
+			deletes++
+		}
+	}
+	return puts, deletes
 }
 
 // commitOps enqueues ops and parks until they are durable and visible.
@@ -411,9 +428,9 @@ func (db *DB) commit(ops []batchOp) error {
 // to maxGroupBytes), commits the combined group under commitMu, then
 // pops the group and hands leadership to the new head. Followers return
 // the group's shared result without touching the WAL or memtable.
-func (db *DB) commitOps(ops []batchOp) error {
+func (db *DB) commitOps(op batchOp, ops []batchOp) error {
 	if !*db.opts.GroupCommit {
-		return db.commitSerial(ops)
+		return db.commitDirect(op, ops)
 	}
 	db.inflight.Add(1)
 	defer db.inflight.Add(-1)
@@ -430,8 +447,8 @@ func (db *DB) commitOps(ops []batchOp) error {
 	// as a group of one, keeping the invariant that every write in this
 	// configuration is accounted to exactly one commit (GroupedWrites
 	// equals total writes; mean group size ≈ 1 when writers are alone).
-	if len(ops) == 1 && db.inflight.Load() == 1 {
-		err := db.commitSerial(ops)
+	if len(ops) <= 1 && db.inflight.Load() == 1 {
+		err := db.commitDirect(op, ops)
 		if err == nil {
 			db.st.AddWriteGroup(1)
 		}
@@ -439,6 +456,10 @@ func (db *DB) commitOps(ops []batchOp) error {
 	}
 
 	w := &groupWriter{ops: ops}
+	if ops == nil {
+		w.one[0] = op
+		w.ops = w.one[:]
+	}
 	w.cv.L = &db.writeMu
 
 	db.writeMu.Lock()
@@ -470,7 +491,7 @@ func (db *DB) commitOps(ops []batchOp) error {
 
 	// Leader: snapshot the group — self plus queued followers, capped.
 	group := []*groupWriter{w}
-	size := opsBytes(ops)
+	size := opsBytes(w.ops)
 	for _, f := range db.writers[1:] {
 		fb := opsBytes(f.ops)
 		if size+fb > maxGroupBytes {
@@ -640,6 +661,16 @@ func (db *DB) commitGroup(group []*groupWriter) error {
 	return nil
 }
 
+// commitDirect commits a request with commitSerial: a batch as it is, a
+// single op from the stack.
+func (db *DB) commitDirect(op batchOp, ops []batchOp) error {
+	if ops != nil {
+		return db.commitSerial(ops)
+	}
+	one := [1]batchOp{op}
+	return db.commitSerial(one[:])
+}
+
 // commitSerial is the GroupCommit=false ablation: every write commits
 // individually under commitMu with one WAL append per record — the
 // serialized write path the seed used and the concurrent-writer
@@ -800,9 +831,7 @@ func (db *DB) DeleteRange(start, end []byte) error {
 	if len(end) > 0 && bytes.Compare(start, end) >= 0 {
 		return nil // empty range
 	}
-	var ops [1]batchOp
-	ops[0] = batchOp{key: start, value: end, kind: keys.KindRangeDelete}
-	return db.commit(ops[:])
+	return db.commit(batchOp{key: start, value: end, kind: keys.KindRangeDelete}, nil)
 }
 
 // makeRoomForWrite rotates a full memtable into the immutable queue. It

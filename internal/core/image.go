@@ -24,7 +24,9 @@ import (
 //	magic(8) | regionCount(4)
 //	per region: index(4) | chunkSize(4) | extent(8) | crc32(4) | data
 //
-// The data of each region is its allocated extent, written chunk by chunk.
+// The data of each region is its allocated extent, written chunk by chunk;
+// a chunk backed by less than the chunk size is padded with zeros, so a
+// loaded region backs every chunk in full.
 const imageMagic = 0x4d696f4442696d67 // "MioDBimg"
 
 // WriteImage serializes the store's persistent (NVM) state. The store
@@ -69,15 +71,24 @@ func (db *DB) WriteImage(w io.Writer) error {
 	return bw.Flush()
 }
 
+// writeRegionData writes the region's first extent bytes chunk by chunk,
+// the unbacked tail of a short chunk as zeros.
 func writeRegionData(w io.Writer, r *vaddr.Region, extent int64) error {
 	chunk := int64(r.ChunkSize())
+	var zeros []byte
 	for off := int64(0); off < extent; off += chunk {
-		n := chunk
-		if off+n > extent {
-			n = extent - off
-		}
-		if _, err := w.Write(r.Bytes(r.Base().Add(off), int(n))); err != nil {
+		n := min(chunk, extent-off)
+		backed := min(n, r.ChunkEnd(off)-off)
+		if _, err := w.Write(r.Bytes(r.Base().Add(off), int(backed))); err != nil {
 			return err
+		}
+		if backed < n {
+			if zeros == nil {
+				zeros = make([]byte, chunk)
+			}
+			if _, err := w.Write(zeros[:n-backed]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -21,15 +21,28 @@ type MemTable struct {
 }
 
 // New creates a memtable with the given soft capacity. chunkSize is the
-// arena chunk size and bounds the largest single entry; it should comfortably
-// exceed the largest value the store accepts.
+// arena's stride and bounds the largest single entry; it should comfortably
+// exceed the largest value the store accepts. The arena's chunks are backed
+// by grain(capacity) bytes, not by the stride: a rotation commits what the
+// memtable will fill.
 func New(dev *nvm.Device, capacity int64, chunkSize int) (*MemTable, error) {
-	region := dev.NewRegion(chunkSize)
+	region := dev.NewRegionGrain(chunkSize, grain(capacity, chunkSize))
 	list, err := skiplist.New(region)
 	if err != nil {
 		return nil, err
 	}
 	return &MemTable{dev: dev, region: region, list: list, limit: capacity}, nil
+}
+
+// grain returns the backing size of a memtable arena's chunks: the
+// capacity plus an eighth for the entries that land after the arena first
+// reads Full — the rotation check runs before each commit, not inside it —
+// rounded up to 8 KiB and capped at the stride. A memtable that overshoots
+// further spills into another chunk of the same grain.
+func grain(capacity int64, chunkSize int) int {
+	const page = 8 << 10
+	g := (capacity + capacity/8 + page - 1) &^ (page - 1)
+	return int(min(g, int64(chunkSize)))
 }
 
 // Add inserts one entry.
@@ -50,10 +63,11 @@ func (m *MemTable) GetBounded(key []byte, maxSeq uint64) (value []byte, seq uint
 
 // Full reports whether the arena has reached its soft capacity and the
 // memtable should be rotated.
-func (m *MemTable) Full() bool { return m.region.Size() >= m.limit }
+func (m *MemTable) Full() bool { return m.region.Used() >= m.limit }
 
-// ApproximateBytes returns the arena bytes consumed.
-func (m *MemTable) ApproximateBytes() int64 { return m.region.Size() }
+// ApproximateBytes returns the arena bytes consumed: the arena's Used,
+// which is exactly what a one-piece flush copies and charges.
+func (m *MemTable) ApproximateBytes() int64 { return m.region.Used() }
 
 // UserBytes returns the key+value payload bytes inserted.
 func (m *MemTable) UserBytes() int64 { return m.list.UserBytes() }

@@ -89,3 +89,55 @@ func TestReleaseKeepsReaders(t *testing.T) {
 		t.Error("region not detached")
 	}
 }
+
+func TestGrainFollowsCapacity(t *testing.T) {
+	for _, c := range []struct {
+		capacity    int64
+		chunk, want int
+	}{
+		{64 << 10, 256 << 10, 72 << 10},
+		{8 << 10, 32 << 10, 16 << 10},
+		{100 << 10, 128 << 10, 120 << 10},
+		{200 << 10, 256 << 10, 232 << 10},
+		{240 << 10, 256 << 10, 256 << 10}, // capped at the stride
+		{1 << 40, 256 << 10, 256 << 10},
+	} {
+		if got := grain(c.capacity, c.chunk); got != c.want {
+			t.Errorf("grain(%d, %d) = %d, want %d", c.capacity, c.chunk, got, c.want)
+		}
+	}
+	if g := newMT(t, 16<<10).Region().Grain(); g != 24<<10 {
+		t.Errorf("arena grain %d", g)
+	}
+}
+
+// TestSpilledArenaChargesWhatItReports: a memtable filled far past its
+// capacity spills into further short chunks, and the bytes it reports —
+// what the flush path gates, accounts and admits by — are exactly what
+// the one-piece flush's Clone copies and charges.
+func TestSpilledArenaChargesWhatItReports(t *testing.T) {
+	space := vaddr.NewSpace()
+	dram := nvm.NewDevice(space, nvm.DRAMProfile())
+	nv := nvm.NewDevice(space, nvm.NVMProfile())
+	mt, err := New(dram, 8<<10, 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		if err := mt.Add([]byte(fmt.Sprintf("key-%06d", i)), make([]byte, 100+i%50), uint64(i+1), keys.KindSet); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := mt.Region()
+	if r.Size() <= 2*int64(r.ChunkSize()) || mt.ApproximateBytes() >= r.Size() {
+		t.Fatalf("arena did not spill: size %d, reports %d", r.Size(), mt.ApproximateBytes())
+	}
+	before := nv.Counters().BytesWritten
+	clone := nv.Clone(r)
+	if charged := nv.Counters().BytesWritten - before; charged != mt.ApproximateBytes() {
+		t.Fatalf("Clone charged %d B, memtable reports %d B", charged, mt.ApproximateBytes())
+	}
+	if clone.Footprint() != mt.ApproximateBytes() {
+		t.Fatalf("clone commits %d B, memtable reports %d B", clone.Footprint(), mt.ApproximateBytes())
+	}
+}

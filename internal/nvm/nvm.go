@@ -135,9 +135,16 @@ func (d *Device) CheckRead(n int) error {
 	return d.faults.Load().CheckRead(n)
 }
 
-// NewRegion allocates a fresh metered region on this device.
+// NewRegion allocates a fresh metered region on this device, every chunk
+// backed in full.
 func (d *Device) NewRegion(chunkSize int) *vaddr.Region {
-	return d.space.NewRegion(chunkSize, d)
+	return d.NewRegionGrain(chunkSize, chunkSize)
+}
+
+// NewRegionGrain allocates a fresh metered region whose chunks are
+// chunkSize apart but backed by grain bytes each (see vaddr.Region).
+func (d *Device) NewRegionGrain(chunkSize, grain int) *vaddr.Region {
+	return d.space.NewRegionGrain(chunkSize, grain, d)
 }
 
 // Clone bulk-copies src into a new region on this device (the one-piece

@@ -16,16 +16,17 @@ import (
 // alignedChunk), and Alloc rounds every reservation to 8 bytes, so any
 // word-offset access is aligned.
 
-// alignedChunk allocates a chunk of the given size whose first byte is
-// 8-byte aligned. Go's allocator aligns large byte slices far more strictly
-// than this in practice; the trim below makes the guarantee unconditional.
+// alignedChunk allocates a chunk of the given size (at least 8) whose
+// first byte is 8-byte aligned. Go's allocator returns 8-aligned blocks for
+// every size of 8 or more, so the chunk is allocated at exactly its size —
+// a spare word would push a page-sized chunk into the next size class —
+// and the check only guards that property.
 func alignedChunk(size int) []byte {
-	b := make([]byte, size+8)
-	off := int(uintptr(unsafe.Pointer(&b[0])) & 7)
-	if off != 0 {
-		off = 8 - off
+	b := make([]byte, size)
+	if uintptr(unsafe.Pointer(&b[0]))&7 != 0 {
+		panic("vaddr: chunk not 8-byte aligned")
 	}
-	return b[off : off+size : off+size]
+	return b
 }
 
 // word returns a pointer to the aligned 8-byte word at addr.
@@ -87,9 +88,7 @@ func (r *Region) Uint64(addr Addr) uint64 {
 // Bytes and the atomic word accessors would. A Span is comparable and
 // unmetered; its owner charges the region's meter.
 //
-// The extent keeps the 8 spare bytes alignedChunk leaves behind every
-// chunk out of reach, and makes the one-past-the-end pointer of an empty
-// range at the very end of a chunk point into the same allocation.
+// The extent keeps the bytes past a chunk's backing out of reach.
 type Span struct {
 	p unsafe.Pointer
 	n int
@@ -127,6 +126,11 @@ func (s Span) word(off int) *uint64 {
 func (s Span) Bytes(off, n int) []byte {
 	if uint(off) > uint(s.n) || uint(n) > uint(s.n-off) {
 		panic(spanFault{off, n, s.n})
+	}
+	if n == 0 {
+		// An empty range may start at the very end of the chunk, and
+		// unsafe.Add must not point past the allocation.
+		return unsafe.Slice((*byte)(s.p), 0)
 	}
 	return unsafe.Slice((*byte)(unsafe.Add(s.p, off)), n)
 }

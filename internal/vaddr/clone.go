@@ -1,9 +1,9 @@
 package vaddr
 
-// Clone creates a new region in the space with the same chunk size as src,
-// bulk-copies src's entire allocated extent into it chunk-by-chunk, and
-// returns the new region. Intra-region offsets are preserved exactly, so an
-// address a pointing into src maps to the identical offset in the clone:
+// Clone creates a new region in the space with the same stride as src,
+// bulk-copies src's used bytes into it chunk-by-chunk, and returns the new
+// region. Intra-region offsets are preserved exactly, so an address a
+// pointing into src maps to the identical offset in the clone:
 //
 //	clone.Base() + a.Offset()
 //
@@ -13,33 +13,32 @@ package vaddr
 // index — see pmtable.Swizzle.
 //
 // The destination meter is charged once for the full transfer, modeling a
-// single streaming write at device bandwidth.
+// single streaming write at device bandwidth: src.Used() bytes.
 //
-// The clone commits only what it copies: its last chunk is cut to the
-// (8-byte rounded) extent instead of the source's full chunk size, so a
-// small memtable does not pin a whole chunk of NVM for as long as its
-// nodes live. A clone is therefore sealed — Alloc on it fails; lists over
-// it only ever re-link the copied nodes.
+// The clone commits only what it copies: each chunk is cut to the bytes
+// of its source chunk below the extent (Used's per-chunk rule), so a small
+// memtable does not pin a whole chunk of NVM for as long as its nodes
+// live, and the holes of a short-grain source stay holes. A clone is
+// therefore sealed — Alloc on it fails; lists over it only ever re-link
+// the copied nodes.
 func (s *Space) Clone(src *Region, meter Meter) *Region {
 	dst := s.NewRegion(src.chunkSize, meter)
 
 	src.mu.Lock()
-	extent := src.allocOff
+	extent, srcChunks := src.allocOff, *src.chunks.Load()
 	src.mu.Unlock()
 
-	if meter != nil && extent > 0 {
-		meter.OnWrite(int(extent))
-	}
-	srcChunks := *src.chunks.Load()
-	chunks := make([][]byte, 0, (extent+src.chunkMask)>>src.chunkShift)
-	for off := int64(0); off < extent; off += int64(src.chunkSize) {
-		n := extent - off
-		if n > int64(src.chunkSize) {
-			n = int64(src.chunkSize)
-		}
+	chunks := make([][]byte, 0, len(srcChunks))
+	var used int64
+	for i, sc := range srcChunks {
+		n := src.chunkUsed(i, sc, extent)
 		c := alignedChunk(int((n + 7) &^ 7))
-		copy(c, srcChunks[len(chunks)][:n])
+		copy(c, sc[:n])
 		chunks = append(chunks, c)
+		used += n
+	}
+	if meter != nil && used > 0 {
+		meter.OnWrite(int(used))
 	}
 
 	dst.mu.Lock()

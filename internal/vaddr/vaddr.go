@@ -13,10 +13,11 @@
 //
 //	[ region index : 24 bits ][ offset within region : 40 bits ]
 //
-// Each region owns up to 1 TiB of virtual space, backed lazily by fixed-size
-// chunks. Chunks never move once allocated, so readers may hold byte slices
-// into a region while other goroutines allocate — the single-writer /
-// many-reader discipline used throughout the store.
+// Each region owns up to 1 TiB of virtual space, backed lazily by chunks
+// laid out at a fixed stride; a chunk may be backed by fewer bytes than
+// the stride (see Region). Chunks never move once allocated, so readers
+// may hold byte slices into a region while other goroutines allocate —
+// the single-writer / many-reader discipline used throughout the store.
 //
 // Addr 0 is the nil address: region 0 reserves its first word so that no
 // live object is ever placed at address 0.
@@ -87,31 +88,47 @@ type Meter interface {
 
 // Space is a collection of regions forming one virtual address space.
 // A Space is safe for concurrent use.
+//
+// The region table is an array of atomic slots that doubles when it
+// fills: NewRegion and Release store one slot in place, so neither costs
+// more as regions accumulate, and a lookup is one load and an index.
+// Slots are written only under mu; a grown table is published only after
+// every slot has been copied into it.
 type Space struct {
-	mu      sync.Mutex
-	regions atomic.Pointer[[]*Region]
+	mu    sync.Mutex
+	slots atomic.Pointer[[]atomic.Pointer[Region]]
+	next  uint32 // index of the next NewRegion; guarded by mu
 }
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
 	s := &Space{}
-	empty := make([]*Region, 0, 16)
-	s.regions.Store(&empty)
+	slots := make([]atomic.Pointer[Region], 16)
+	s.slots.Store(&slots)
 	return s
 }
 
 // NewRegion creates a region with the given chunk size (rounded up to a
-// power of two, minimum 4 KiB). Objects allocated in the region must fit in
-// a single chunk. meter may be nil.
+// power of two, minimum 4 KiB), every chunk backed in full. Objects
+// allocated in the region must fit in a single chunk. meter may be nil.
 func (s *Space) NewRegion(chunkSize int, meter Meter) *Region {
+	return s.NewRegionGrain(chunkSize, chunkSize, meter)
+}
+
+// NewRegionGrain creates a region whose chunks are chunkSize apart (the
+// stride, rounded up to a power of two, minimum 4 KiB) but backed by only
+// grain bytes each (rounded up to 8, capped at the stride): an arena that
+// is meant to fill a fraction of one chunk commits that fraction. An
+// allocation larger than the grain opens a chunk backed by its own size.
+// With grain equal to the stride this is NewRegion.
+func (s *Space) NewRegionGrain(chunkSize, grain int, meter Meter) *Region {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := *s.regions.Load()
-	idx := uint32(len(cur))
+	idx := s.next
 	if int64(idx) >= 1<<24 {
 		panic("vaddr: region index space exhausted")
 	}
-	r := s.makeRegion(idx, chunkSize, meter)
+	r := s.makeRegion(idx, chunkSize, grain, meter)
 	if idx == 0 {
 		// Reserve the first word of region 0 so that Addr 0 is never a
 		// live object: the nil-address invariant.
@@ -119,43 +136,66 @@ func (s *Space) NewRegion(chunkSize int, meter Meter) *Region {
 			panic(err)
 		}
 	}
-	next := make([]*Region, len(cur)+1)
-	copy(next, cur)
-	next[idx] = r
-	s.regions.Store(&next)
+	s.slotLocked(idx).Store(r)
+	s.next++
 	return r
 }
 
 // Restore places a region at a specific index — the checkpoint-image
 // loader rebuilding a space whose region indices are baked into persisted
-// virtual addresses. The slot must be vacant; gaps below it are filled
-// with nil entries (they were volatile regions not captured in the image).
+// virtual addresses. The slot must be vacant; slots below it stay empty
+// (they were volatile regions not captured in the image). A restored
+// region's chunks are backed in full.
 func (s *Space) Restore(index uint32, chunkSize int, meter Meter) (*Region, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := *s.regions.Load()
-	if int(index) < len(cur) && cur[index] != nil {
+	slot := s.slotLocked(index)
+	if slot.Load() != nil {
 		return nil, fmt.Errorf("vaddr: restore into occupied region slot %d", index)
 	}
-	r := s.makeRegion(index, chunkSize, meter)
-	n := len(cur)
-	if int(index) >= n {
-		n = int(index) + 1
+	r := s.makeRegion(index, chunkSize, chunkSize, meter)
+	slot.Store(r)
+	if index >= s.next {
+		s.next = index + 1
 	}
-	next := make([]*Region, n)
-	copy(next, cur)
-	next[index] = r
-	s.regions.Store(&next)
 	return r, nil
 }
+
+// slotLocked returns the table slot of index, doubling the table until it
+// has one. Caller holds s.mu.
+func (s *Space) slotLocked(index uint32) *atomic.Pointer[Region] {
+	t := *s.slots.Load()
+	if int(index) >= len(t) {
+		n := 2 * len(t)
+		for n <= int(index) {
+			n *= 2
+		}
+		grown := make([]atomic.Pointer[Region], n)
+		for i := range t {
+			grown[i].Store(t[i].Load())
+		}
+		s.slots.Store(&grown)
+		t = grown
+	}
+	return &t[index]
+}
+
+// noChunks is the chunk table of a region that has committed nothing.
+// It has no capacity, so the first append to it allocates a table of the
+// region's own and every such region can share it.
+var noChunks = new([][]byte)
 
 // makeRegion builds an empty, not yet published region. The chunk size is
 // rounded up to a power of two (minimum 4 KiB) so offset math is a shift
 // and a mask, both fixed here once.
-func (s *Space) makeRegion(index uint32, chunkSize int, meter Meter) *Region {
+func (s *Space) makeRegion(index uint32, chunkSize, grain int, meter Meter) *Region {
 	cs := 4096
 	for cs < chunkSize {
 		cs <<= 1
+	}
+	grain = (grain + 7) &^ 7
+	if grain <= 0 || grain > cs {
+		grain = cs
 	}
 	r := &Region{
 		space:      s,
@@ -164,20 +204,20 @@ func (s *Space) makeRegion(index uint32, chunkSize int, meter Meter) *Region {
 		chunkSize:  cs,
 		chunkShift: uint(bits.TrailingZeros(uint(cs))),
 		chunkMask:  int64(cs - 1),
+		grain:      grain,
 		meter:      meter,
 	}
-	chunks := make([][]byte, 0, 8)
-	r.chunks.Store(&chunks)
+	r.chunks.Store(noChunks)
 	return r
 }
 
 // Region returns the region with the given index, or nil if none exists.
 func (s *Space) Region(index uint32) *Region {
-	cur := *s.regions.Load()
-	if int(index) >= len(cur) {
+	t := *s.slots.Load()
+	if int(index) >= len(t) {
 		return nil
 	}
-	return cur[index]
+	return t[index].Load()
 }
 
 // RegionOf resolves the region containing addr, or nil for NilAddr or a
@@ -200,23 +240,20 @@ func (s *Space) RegionOf(addr Addr) *Region {
 func (s *Space) Release(r *Region) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := *s.regions.Load()
-	if int(r.index) >= len(cur) || cur[r.index] != r {
+	t := *s.slots.Load()
+	if int(r.index) >= len(t) || t[r.index].Load() != r {
 		return // already released
 	}
-	next := make([]*Region, len(cur))
-	copy(next, cur)
-	next[r.index] = nil
-	s.regions.Store(&next)
+	t[r.index].Store(nil)
 	r.released.Store(true)
 }
 
-// Regions returns a snapshot of the live regions (nil entries elided).
+// Regions returns a snapshot of the live regions.
 func (s *Space) Regions() []*Region {
-	cur := *s.regions.Load()
-	out := make([]*Region, 0, len(cur))
-	for _, r := range cur {
-		if r != nil {
+	t := *s.slots.Load()
+	out := make([]*Region, 0, len(t))
+	for i := range t {
+		if r := t[i].Load(); r != nil {
 			out = append(out, r)
 		}
 	}
@@ -226,6 +263,15 @@ func (s *Space) Regions() []*Region {
 // Region is a growable arena inside a Space. Allocation is bump-pointer;
 // individual objects are never freed — the whole region is released at once
 // when the structures inside it become garbage.
+//
+// A region has two sizes. The stride (ChunkSize) spaces its chunks in the
+// virtual address space: it fixes the offset arithmetic and bounds the
+// largest object. The grain is how many bytes actually back a chunk: a
+// chunk is committed with max(grain, n) bytes, n being the allocation
+// that opens it, and an allocation that does not fit the rest of its
+// chunk's backing starts at the next stride. Between a chunk's backing
+// end and the next stride lies a hole that no address resolves into.
+// With grain equal to the stride every chunk is backed in full.
 type Region struct {
 	space      *Space
 	index      uint32
@@ -233,15 +279,16 @@ type Region struct {
 	chunkSize  int
 	chunkShift uint // log2(chunkSize)
 	chunkMask  int64
+	grain      int
 	meter      Meter
 	released   atomic.Bool
-	// clone marks a region made by Space.Clone: a sealed copy whose last
-	// chunk is cut to the copied extent, so it can never be allocated from.
+	// clone marks a region made by Space.Clone: a sealed copy whose chunks
+	// are cut to the copied bytes, so it can never be allocated from.
 	clone bool
 
 	mu       sync.Mutex // guards allocOff and chunk growth
 	allocOff int64
-	chunks   atomic.Pointer[[][]byte] // copy-on-append; chunks never move
+	chunks   atomic.Pointer[[][]byte] // republished on growth; chunks never move
 }
 
 // Index returns the region's index within its Space.
@@ -253,34 +300,75 @@ func (r *Region) Space() *Space { return r.space }
 // Base returns the first virtual address of the region.
 func (r *Region) Base() Addr { return r.base }
 
-// ChunkSize returns the backing chunk size in bytes.
+// ChunkSize returns the stride between chunks, which bounds the largest
+// object.
 func (r *Region) ChunkSize() int { return r.chunkSize }
 
-// Size returns the number of bytes allocated so far.
+// Grain returns the bytes that back a chunk opened by an allocation no
+// larger than it.
+func (r *Region) Grain() int { return r.grain }
+
+// Size returns the virtual end of the allocations so far: the offset the
+// next allocation starts from, holes included.
 func (r *Region) Size() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.allocOff
 }
 
-// Footprint returns the bytes of backing memory currently committed. Every
-// chunk is chunkSize long except a clone's last one, which is cut to the
-// copied extent.
+// Used returns the bytes of committed chunks that lie below Size — the
+// bytes a Clone copies and charges. It equals Size for a region whose
+// chunks are all backed in full, and leaves out the holes of one that is
+// not.
+func (r *Region) Used() int64 {
+	r.mu.Lock()
+	extent, chunks := r.allocOff, *r.chunks.Load()
+	r.mu.Unlock()
+	return r.usedBelow(chunks, extent)
+}
+
+// Footprint returns the bytes of backing memory currently committed.
 func (r *Region) Footprint() int64 {
-	chunks := *r.chunks.Load()
-	if len(chunks) == 0 {
-		return 0
+	return r.usedBelow(*r.chunks.Load(), MaxRegionSize)
+}
+
+// usedBelow sums chunkUsed over chunks.
+func (r *Region) usedBelow(chunks [][]byte, extent int64) int64 {
+	var n int64
+	for i, c := range chunks {
+		n += r.chunkUsed(i, c, extent)
 	}
-	return int64(len(chunks)-1)*int64(r.chunkSize) + int64(len(chunks[len(chunks)-1]))
+	return n
+}
+
+// chunkUsed is the one per-chunk length rule Used, Footprint and Clone
+// share: the bytes of chunk i, backed by c, that lie below extent.
+func (r *Region) chunkUsed(i int, c []byte, extent int64) int64 {
+	return max(0, min(int64(len(c)), extent-int64(i)<<r.chunkShift))
+}
+
+// ChunkEnd returns the end of the backing of the chunk holding off: an
+// object starting at off that would run past it is placed at the next
+// stride instead. For a chunk not committed yet it is the chunk's start,
+// and for an offset inside a hole it is below off.
+func (r *Region) ChunkEnd(off int64) int64 {
+	chunks := *r.chunks.Load()
+	ci := int(off >> r.chunkShift)
+	start := int64(ci) << r.chunkShift
+	if ci >= len(chunks) {
+		return start
+	}
+	return start + int64(len(chunks[ci]))
 }
 
 // Released reports whether the region's memory has been dropped.
 func (r *Region) Released() bool { return r.released.Load() }
 
 // Alloc reserves n bytes (rounded up to 8-byte alignment) and returns the
-// address of the reservation. The reservation never spans a chunk boundary;
-// n must be at most ChunkSize. Alloc charges the region's meter for the
-// allocation write traffic lazily — callers charge on actual writes.
+// address of the reservation. The reservation never runs past the backing
+// of its chunk; n must be at most ChunkSize. Alloc charges the region's
+// meter for the allocation write traffic lazily — callers charge on
+// actual writes.
 func (r *Region) Alloc(n int) (Addr, error) {
 	if n <= 0 {
 		return NilAddr, fmt.Errorf("vaddr: invalid allocation size %d", n)
@@ -298,35 +386,35 @@ func (r *Region) Alloc(n int) (Addr, error) {
 		return NilAddr, fmt.Errorf("vaddr: allocation in cloned region %d", r.index)
 	}
 	off := r.allocOff
-	// Pad to the next chunk if the object would straddle a boundary.
-	if off&^r.chunkMask != (off+int64(n)-1)&^r.chunkMask {
-		off = (off + r.chunkMask) &^ r.chunkMask
+	ci := int(off >> r.chunkShift)
+	if ci < len(*r.chunks.Load()) && off+int64(n) > r.ChunkEnd(off) {
+		// The object would run past its chunk's backing: start it at the
+		// next stride, where it opens a new chunk.
+		ci++
+		off = int64(ci) << r.chunkShift
 	}
 	end := off + int64(n)
 	if end > MaxRegionSize {
 		return NilAddr, fmt.Errorf("vaddr: region %d virtual space exhausted", r.index)
 	}
-	if err := r.ensureLocked(end); err != nil {
-		return NilAddr, err
-	}
+	r.ensureLocked(ci+1, max(r.grain, n))
 	r.allocOff = end
 	return r.base.Add(off), nil
 }
 
-// ensureLocked commits chunks to cover [0, end). Caller holds r.mu.
-func (r *Region) ensureLocked(end int64) error {
-	need := int((end + r.chunkMask) >> r.chunkShift)
+// ensureLocked commits chunks until there are need of them, each new one
+// backed by size bytes. Caller holds r.mu. The table is appended to in
+// place: a reader holding the old table never indexes past its length.
+func (r *Region) ensureLocked(need, size int) {
 	cur := *r.chunks.Load()
 	if len(cur) >= need {
-		return nil
+		return
 	}
-	next := make([][]byte, need)
-	copy(next, cur)
-	for i := len(cur); i < need; i++ {
-		next[i] = alignedChunk(r.chunkSize)
+	next := cur
+	for len(next) < need {
+		next = append(next, alignedChunk(size))
 	}
 	r.chunks.Store(&next)
-	return nil
 }
 
 // chunkFor returns the chunk and intra-chunk offset for a region offset.
@@ -341,9 +429,9 @@ func (r *Region) chunkFor(off int64) ([]byte, int) {
 }
 
 // Bytes returns the n bytes at addr as a slice aliasing the backing chunk.
-// The range must lie within one chunk (guaranteed for any single Alloc
-// reservation). No meter charge is applied; use Read/Write for metered
-// access.
+// The range must lie within the backing of one chunk (guaranteed for any
+// single Alloc reservation). No meter charge is applied; use Read/Write
+// for metered access.
 func (r *Region) Bytes(addr Addr, n int) []byte {
 	c, o := r.chunkFor(addr.Offset())
 	if o+n > len(c) {
@@ -368,31 +456,6 @@ func (r *Region) Write(addr Addr, data []byte) {
 	copy(r.Bytes(addr, len(data)), data)
 }
 
-// CopyFrom bulk-copies length bytes from src at srcAddr to dst at dstAddr.
-// It is the "one memcpy" primitive behind one-piece flushing: the copy
-// proceeds chunk-by-chunk at full memory bandwidth and charges dst's meter
-// once for the whole transfer.
-func (r *Region) CopyFrom(dstAddr Addr, src *Region, srcAddr Addr, length int64) {
-	if r.meter != nil {
-		r.meter.OnWrite(int(length))
-	}
-	for length > 0 {
-		sc, so := src.chunkFor(srcAddr.Offset())
-		dc, do := r.chunkFor(dstAddr.Offset())
-		n := int64(len(sc) - so)
-		if m := int64(len(dc) - do); m < n {
-			n = m
-		}
-		if n > length {
-			n = length
-		}
-		copy(dc[do:do+int(n)], sc[so:so+int(n)])
-		srcAddr = srcAddr.Add(n)
-		dstAddr = dstAddr.Add(n)
-		length -= n
-	}
-}
-
 // Meter returns the region's meter (may be nil).
 func (r *Region) Meter() Meter { return r.meter }
 
@@ -412,15 +475,13 @@ func (r *Region) ChargeWrite(n int) {
 	}
 }
 
-// RestoreExtent commits backing chunks covering [0, extent) and sets the
-// allocation cursor — the second half of checkpoint-image loading, before
-// the loader copies the saved bytes in.
+// RestoreExtent commits chunks covering [0, extent), each backed in full,
+// and sets the allocation cursor — the second half of checkpoint-image
+// loading, before the loader copies the saved bytes in.
 func (r *Region) RestoreExtent(extent int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.ensureLocked(extent); err != nil {
-		return err
-	}
+	r.ensureLocked(int((extent+r.chunkMask)>>r.chunkShift), r.chunkSize)
 	if extent > r.allocOff {
 		r.allocOff = extent
 	}

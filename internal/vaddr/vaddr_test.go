@@ -345,36 +345,6 @@ func TestMeterCharges(t *testing.T) {
 	}
 }
 
-func TestCopyFromCrossChunks(t *testing.T) {
-	s := NewSpace()
-	src := s.NewRegion(4096, nil)
-	dst := s.NewRegion(4096, nil)
-	// Build a multi-chunk source payload.
-	var srcAddrs []Addr
-	payload := make([]byte, 0, 3*4096)
-	for i := 0; i < 3; i++ {
-		a, _ := src.Alloc(4096)
-		chunk := bytes.Repeat([]byte{byte('a' + i)}, 4096)
-		src.Write(a, chunk)
-		srcAddrs = append(srcAddrs, a)
-		payload = append(payload, chunk...)
-	}
-	// Destination spanning the same extent.
-	var dstAddrs []Addr
-	for i := 0; i < 3; i++ {
-		a, _ := dst.Alloc(4096)
-		dstAddrs = append(dstAddrs, a)
-	}
-	dst.CopyFrom(dstAddrs[0], src, srcAddrs[0], 3*4096)
-	got := make([]byte, 0, 3*4096)
-	for _, a := range dstAddrs {
-		got = append(got, dst.Bytes(a, 4096)...)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Error("CopyFrom corrupted multi-chunk payload")
-	}
-}
-
 func TestRestoreSparseRegions(t *testing.T) {
 	s := NewSpace()
 	// Restore regions at sparse indices, as the checkpoint loader does

@@ -9,10 +9,15 @@
 //	[ crc32(IEEE) uint32 | payloadLen uint32 ]  — 8-byte header
 //	[ seq uint64 | kind uint8 | keyLen uint32 | key... | value... ]
 //
-// Records are bump-allocated; a record that would straddle a chunk boundary
-// is placed at the next chunk start (the allocator's rule), and the replay
-// cursor reproduces that rule. Fresh chunks are zero-filled, so a zero
-// header terminates replay; the CRC catches partial records.
+// Records are bump-allocated; a record that would run past the backing of
+// its chunk is placed at the next chunk start (the allocator's rule, see
+// vaddr.Region), and the replay cursor reproduces that rule. A log may
+// live on a short-grain region — the store sizes each memtable's log like
+// the memtable — and a restored image backs the same chunks in full with
+// zeros past the old backing end; either way a zero header or a header
+// that does not fit before the backing end sends the cursor to the next
+// chunk. Fresh chunks are zero-filled, so a zero header terminates replay;
+// the CRC catches partial records.
 package wal
 
 import (
@@ -49,7 +54,8 @@ func New(dev *nvm.Device, chunkSize int) *Log {
 	return &Log{dev: dev, region: dev.NewRegion(chunkSize)}
 }
 
-// Attach reopens an existing log arena for replay after a crash.
+// Attach wraps a region as a log, fresh or recovered: appends go to its
+// end and Replay reads it from the start.
 func Attach(dev *nvm.Device, region *vaddr.Region) *Log {
 	return &Log{dev: dev, region: region}
 }
@@ -150,11 +156,11 @@ func (l *Log) tear(b []byte, torn int) {
 }
 
 // AppendBatch durably logs a group of updates — the WAL half of group
-// commit. All records of a run that fits the current arena chunk are
-// framed into one encode buffer and written with a single region write,
-// so the NVM device is charged one sequential append (one per-operation
-// latency) for the whole run instead of one per record. Groups larger
-// than a chunk are split at chunk boundaries, exactly where the
+// commit. All records of a run that fits the backing of the current arena
+// chunk are framed into one encode buffer and written with a single
+// region write, so the NVM device is charged one sequential append (one
+// per-operation latency) for the whole run instead of one per record.
+// Groups larger than that are split at the backing end, exactly where the
 // bump allocator would split them anyway.
 //
 // The resulting bytes are identical to calling Append once per record:
@@ -171,18 +177,18 @@ func (l *Log) AppendBatch(recs []Record) error {
 	chunk := int64(l.region.ChunkSize())
 	i := 0
 	for i < len(recs) {
-		// Room left in the chunk the next allocation lands in. If the
-		// first record of the run does not fit the remainder, the
-		// allocator pads to the next chunk start, so a full chunk is
-		// available there.
+		// Room left in the backing of the chunk the next allocation lands
+		// in. If the first record of the run does not fit it, the
+		// allocator opens a chunk at the next stride backed by the grain,
+		// or by the record if that is larger.
 		off := l.region.Size()
-		room := chunk - off%chunk
+		room := l.region.ChunkEnd(off) - off
 		first := int64(recordTotal(recs[i].Key, recs[i].Value))
 		if first > chunk {
 			return fmt.Errorf("wal: record of %d bytes exceeds max %d", first, chunk)
 		}
 		if alignUp8(first) > room {
-			room = chunk
+			room = max(int64(l.region.Grain()), alignUp8(first))
 		}
 
 		// Extend the run greedily while aligned records keep fitting.
@@ -266,10 +272,12 @@ func (l *Log) Replay(fn func(key, value []byte, seq uint64, kind keys.Kind) erro
 		if off+headerSize > size {
 			return st, nil
 		}
-		// Reproduce the allocator's straddle rule: a header crossing a
-		// chunk boundary means the record was placed at the next chunk.
-		if off/chunk != (off+headerSize-1)/chunk {
-			off = (off + chunk - 1) / chunk * chunk
+		// Reproduce the allocator's rule: a header that does not fit
+		// before the chunk's backing end means the record was placed at
+		// the next chunk.
+		end := l.region.ChunkEnd(off)
+		if off+headerSize > end {
+			off = (off/chunk + 1) * chunk
 			continue
 		}
 		hdr := l.region.Read(l.region.Base().Add(off), headerSize)
@@ -293,7 +301,7 @@ func (l *Log) Replay(fn func(key, value []byte, seq uint64, kind keys.Kind) erro
 			continue
 		}
 		total := headerSize + payloadLen
-		if payloadLen < 13 || off/chunk != (off+total-1)/chunk || off+total > size {
+		if payloadLen < 13 || off+total > end || off+total > size {
 			st.TornTail = true // malformed tail: interrupted mid-record
 			return st, nil
 		}
