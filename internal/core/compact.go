@@ -169,8 +169,9 @@ func (db *DB) mergeOnce(level int) error {
 		v.levels[level] = append(lv[:len(lv)-2:len(lv)-2], mergeEntry{m})
 	})
 	if err := db.logMergeStartLocked(level, am.newID, am.oldID); err != nil {
-		// Unwind under the same mu hold: acquireVersion needs mu, so no
-		// reader has observed the merge version, and no node migrated.
+		// Unwind under the same mu hold: no node has migrated, so a
+		// reader that pinned the merge version still finds both tables
+		// whole through the merge's read protocol.
 		for i, a := range db.merges {
 			if a == am {
 				db.merges = append(db.merges[:i], db.merges[i+1:]...)
@@ -198,9 +199,7 @@ func (db *DB) mergeOnce(level int) error {
 
 	var result *pmtable.Table
 	var release func()
-	if *db.opts.ZeroCopyMerge {
-		result = m.Run()
-	} else {
+	if db.opts.DisableZeroCopyMerge {
 		var err error
 		result, release, err = db.copyMerge(m)
 		if err != nil {
@@ -210,6 +209,8 @@ func (db *DB) mergeOnce(level int) error {
 			// mark. The store is about to degrade anyway.
 			return fmt.Errorf("copy merge: %w", err)
 		}
+	} else {
+		result = m.Run()
 	}
 
 	// Install: drop the merge entry from this level, publish the result

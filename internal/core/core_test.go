@@ -486,9 +486,9 @@ func TestAblationModesProduceSameData(t *testing.T) {
 		name string
 		mod  func(*Options)
 	}{
-		{"no-parallel-compaction", func(o *Options) { o.ParallelCompaction = Bool(false) }},
-		{"no-zero-copy", func(o *Options) { o.ZeroCopyMerge = Bool(false) }},
-		{"no-one-piece-flush", func(o *Options) { o.OnePieceFlush = Bool(false) }},
+		{"no-parallel-compaction", func(o *Options) { o.DisableParallelCompaction = true }},
+		{"no-zero-copy", func(o *Options) { o.DisableZeroCopyMerge = true }},
+		{"no-one-piece-flush", func(o *Options) { o.DisableOnePieceFlush = true }},
 		{"no-wal", func(o *Options) { o.DisableWAL = true }},
 		{"two-levels", func(o *Options) { o.Levels = 2 }},
 		{"ten-levels", func(o *Options) { o.Levels = 10 }},

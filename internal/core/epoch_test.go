@@ -123,58 +123,51 @@ func TestVersionChainGaugeUnderPins(t *testing.T) {
 
 // TestBloomCountersMeasureReads verifies the per-level read counters:
 // hits for present keys, skips for absent ones, and internal consistency
-// (skips+fps never exceed probes), in both read-path modes.
+// (skips+fps never exceed probes).
 func TestBloomCountersMeasureReads(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		epoch bool
-	}{{"epoch", true}, {"mutexread", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := smallOpts()
-			opts.EpochReads = Bool(mode.epoch)
-			db := mustOpen(t, opts)
-			defer db.Close()
+	t.Run("epoch", func(t *testing.T) {
+		db := mustOpen(t, smallOpts())
+		defer db.Close()
 
-			const n = 600
-			for i := 0; i < n; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("bl-%05d", i)), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
+		const n = 600
+		for i := 0; i < n; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("bl-%05d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
 			}
-			db.WaitIdle()
-			for i := 0; i < n; i++ {
-				if _, err := db.Get([]byte(fmt.Sprintf("bl-%05d", i))); err != nil {
-					t.Fatalf("Get(bl-%05d): %v", i, err)
-				}
+		}
+		db.WaitIdle()
+		for i := 0; i < n; i++ {
+			if _, err := db.Get([]byte(fmt.Sprintf("bl-%05d", i))); err != nil {
+				t.Fatalf("Get(bl-%05d): %v", i, err)
 			}
-			for i := 0; i < n; i++ {
-				if _, err := db.Get([]byte(fmt.Sprintf("zz-%05d", i))); err != ErrNotFound {
-					t.Fatalf("Get(zz-%05d) = %v, want ErrNotFound", i, err)
-				}
+		}
+		for i := 0; i < n; i++ {
+			if _, err := db.Get([]byte(fmt.Sprintf("zz-%05d", i))); err != ErrNotFound {
+				t.Fatalf("Get(zz-%05d) = %v, want ErrNotFound", i, err)
 			}
-			st := db.Stats()
-			if st.BloomProbes == 0 {
-				t.Fatal("no bloom probes recorded despite buffered tables")
-			}
-			if st.BloomSkips == 0 {
-				t.Fatal("no bloom skips recorded despite absent-key reads")
-			}
-			if st.BloomSkips+st.BloomFalsePositives > st.BloomProbes {
-				t.Fatalf("skips %d + fps %d > probes %d",
-					st.BloomSkips, st.BloomFalsePositives, st.BloomProbes)
-			}
-			var hits int64
-			for _, bl := range st.BloomLevels {
-				hits += bl.Hits
-			}
-			if hits == 0 {
-				t.Fatal("no level hits recorded despite present-key reads")
-			}
-			if st.BloomFalsePositiveRate < 0 || st.BloomFalsePositiveRate > 1 {
-				t.Fatalf("FP rate = %v out of range", st.BloomFalsePositiveRate)
-			}
-		})
-	}
+		}
+		st := db.Stats()
+		if st.BloomProbes == 0 {
+			t.Fatal("no bloom probes recorded despite buffered tables")
+		}
+		if st.BloomSkips == 0 {
+			t.Fatal("no bloom skips recorded despite absent-key reads")
+		}
+		if st.BloomSkips+st.BloomFalsePositives > st.BloomProbes {
+			t.Fatalf("skips %d + fps %d > probes %d",
+				st.BloomSkips, st.BloomFalsePositives, st.BloomProbes)
+		}
+		var hits int64
+		for _, bl := range st.BloomLevels {
+			hits += bl.Hits
+		}
+		if hits == 0 {
+			t.Fatal("no level hits recorded despite present-key reads")
+		}
+		if st.BloomFalsePositiveRate < 0 || st.BloomFalsePositiveRate > 1 {
+			t.Fatalf("FP rate = %v out of range", st.BloomFalsePositiveRate)
+		}
+	})
 }
 
 // TestRegionAccountingAfterReads ensures the epoch sweep leaks nothing:

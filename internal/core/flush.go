@@ -51,9 +51,7 @@ func (db *DB) flushOne(h *memHandle) error {
 	}
 
 	var table *pmtable.Table
-	if *db.opts.OnePieceFlush {
-		table = pmtable.Flush(db.nvm, h.mt, db.tableID.Add(1), h.minSeq, h.maxSeq, db.fp)
-	} else {
+	if db.opts.DisableOnePieceFlush {
 		// Ablation: copy entries one by one into a fresh NVM skip list —
 		// each insert pays an NVM-resident position search plus a copy,
 		// the cost profile Fig 12 attributes to NoveLSM/MatrixKV.
@@ -63,6 +61,8 @@ func (db *DB) flushOne(h *memHandle) error {
 		}
 		t.MinSeq, t.MaxSeq = h.minSeq, h.maxSeq
 		table = t
+	} else {
+		table = pmtable.Flush(db.nvm, h.mt, db.tableID.Add(1), h.minSeq, h.maxSeq, db.fp)
 	}
 	db.st.AddFlush(time.Since(start), h.mt.ApproximateBytes())
 

@@ -16,49 +16,45 @@ import (
 // merge install, a lazy copy); before, only the rounds that happened to
 // end on an edit after the last queue read clean.
 func TestReleaseAtIdle(t *testing.T) {
-	for _, epoch := range []bool{true, false} {
-		opts := smallOpts()
-		opts.EpochReads = Bool(epoch)
-		db := mustOpen(t, opts)
-		written := 0
-		for round := 0; round < 14; round++ {
-			for n := 120 + 83*round; n > 0; n-- {
-				k := fmt.Sprintf("key-%05d", written%700)
-				if err := db.Put([]byte(k), []byte(fmt.Sprintf("value-%d-%060d", round, written))); err != nil {
-					t.Fatal(err)
-				}
-				written++
-			}
-			if err := db.FlushAll(); err != nil {
+	db := mustOpen(t, smallOpts())
+	written := 0
+	for round := 0; round < 14; round++ {
+		for n := 120 + 83*round; n > 0; n-- {
+			k := fmt.Sprintf("key-%05d", written%700)
+			if err := db.Put([]byte(k), []byte(fmt.Sprintf("value-%d-%060d", round, written))); err != nil {
 				t.Fatal(err)
 			}
-
-			what := fmt.Sprintf("epochReads=%v round %d", epoch, round)
-			versions, pending, _ := db.versionChainGauge()
-			db.mu.Lock()
-			queued := len(db.current.Load().releaseFns)
-			live, err := db.liveRegionsLocked()
-			db.mu.Unlock()
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if versions != 1 || pending != 0 || queued != 0 {
-				t.Fatalf("%s: %d versions on the chain, %d releases pending on retired ones, %d queued on the current one",
-					what, versions, pending, queued)
-			}
-			var owned int64
-			for _, r := range db.space.Regions() {
-				if live[r.Index()] && r.Meter() == vaddr.Meter(db.nvm) {
-					owned += r.Footprint()
-				}
-			}
-			if usage := db.NVMUsage(); usage != owned {
-				t.Fatalf("%s: NVMUsage %d B, live structures own %d B", what, usage, owned)
-			}
+			written++
 		}
-		if err := db.Close(); err != nil {
+		if err := db.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
+
+		what := fmt.Sprintf("round %d", round)
+		versions, pending, _ := db.versionChainGauge()
+		db.mu.Lock()
+		queued := len(db.current.Load().releaseFns)
+		live, err := db.liveRegionsLocked()
+		db.mu.Unlock()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if versions != 1 || pending != 0 || queued != 0 {
+			t.Fatalf("%s: %d versions on the chain, %d releases pending on retired ones, %d queued on the current one",
+				what, versions, pending, queued)
+		}
+		var owned int64
+		for _, r := range db.space.Regions() {
+			if live[r.Index()] && r.Meter() == vaddr.Meter(db.nvm) {
+				owned += r.Footprint()
+			}
+		}
+		if usage := db.NVMUsage(); usage != owned {
+			t.Fatalf("%s: NVMUsage %d B, live structures own %d B", what, usage, owned)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

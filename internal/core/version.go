@@ -98,11 +98,6 @@ type version struct {
 	// it (see epoch.go).
 	retireEpoch atomic.Uint64
 
-	// refs backs the mutex-refcount ablation (Options.EpochReads=false):
-	// the store's own reference plus one per in-flight reader, all
-	// manipulated under db.mu. Unused in epoch mode.
-	refs atomic.Int32
-
 	mem    *memHandle
 	imms   []*memHandle   // newest first
 	levels [][]levelEntry // per level, newest first
@@ -125,24 +120,7 @@ type version struct {
 func newRootVersion() *version {
 	v := &version{}
 	v.retireEpoch.Store(notRetired)
-	v.refs.Store(1) // the store's own reference (mutex ablation)
 	return v
-}
-
-// sweepVersionsLocked is the mutex-refcount ablation's sweep: free dead
-// versions from the oldest end of the chain, stopping at the first one a
-// reader still references. Callers hold db.mu (which serializes every
-// refcount transition in that mode).
-func (db *DB) sweepVersionsLocked() {
-	cur := db.current.Load()
-	for db.oldest != cur && db.oldest.refs.Load() == 0 {
-		for _, fn := range db.oldest.releaseFns {
-			fn()
-		}
-		db.oldest.releaseFns = nil
-		db.oldest = db.oldest.next
-		db.st.CountVersionSwept()
-	}
 }
 
 // queueReleaseLocked appends fn to the current version's release queue:
@@ -197,23 +175,16 @@ func (db *DB) editVersionLocked(edit func(v *version), garbage ...func()) {
 	cur.releaseFns = append(cur.releaseFns, garbage...)
 	cur.next = nv
 
-	if db.epochReads {
-		db.current.Store(nv)
-		// Retire strictly after the install: a reader that loaded cur
-		// pinned it before this stamp, so its entry epoch is ≤ the stamp
-		// and the grace period covers it.
-		db.retireVersionLocked(cur)
-		// Writers sweep synchronously (blocking on sweepMu is fine here —
-		// reader-side sweeps are try-lock only) so structural churn can
-		// never outrun reclamation even if no reader ever exits.
-		db.sweepMu.Lock()
-		db.advanceAndSweepLocked()
-		db.sweepMu.Unlock()
-	} else {
-		nv.refs.Store(1) // the store's own reference
-		db.current.Store(nv)
-		cur.refs.Add(-1) // drop the store's reference on the old version
-		db.sweepVersionsLocked()
-	}
+	db.current.Store(nv)
+	// Retire strictly after the install: a reader that loaded cur pinned
+	// it before this stamp, so its entry epoch is ≤ the stamp and the
+	// grace period covers it.
+	db.retireVersionLocked(cur)
+	// Writers sweep synchronously (blocking on sweepMu is fine here —
+	// reader-side sweeps are try-lock only) so structural churn can never
+	// outrun reclamation even if no reader ever exits.
+	db.sweepMu.Lock()
+	db.advanceAndSweepLocked()
+	db.sweepMu.Unlock()
 	db.cond.Broadcast()
 }

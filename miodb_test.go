@@ -137,6 +137,8 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 		{"negative-vlog-segment", &Options{ValueLog: &ValueLogOptions{SegmentSize: -1}}, "ValueLog.SegmentSize"},
 		{"vlog-ratio-above-one", &Options{ValueLog: &ValueLogOptions{GCDeadRatio: 1.5}}, "ValueLog.GCDeadRatio"},
 		{"vlog-ratio-negative", &Options{ValueLog: &ValueLogOptions{GCDeadRatio: -0.1}}, "ValueLog.GCDeadRatio"},
+		{"disable-group-commit", &Options{DisableGroupCommit: true}, "DisableGroupCommit"},
+		{"disable-epoch-reads", &Options{DisableEpochReads: true}, "DisableEpochReads"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -388,37 +390,5 @@ func TestPublicValueLog(t *testing.T) {
 	}
 	if n, err := plain.RunValueLogGC(); n != 0 || err != nil {
 		t.Fatalf("RunValueLogGC on plain store = %d, %v", n, err)
-	}
-}
-
-// TestToggleForms: the plain Disable* toggles must configure a working
-// store, alone and together (the deprecated GroupCommit pointer form and
-// its Bool helper were removed from the public surface; internal/core
-// keeps the pointer option for its ablation tests).
-func TestToggleForms(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts *Options
-	}{
-		{"disable-group-commit", &Options{DisableGroupCommit: true}},
-		{"disable-epoch-reads", &Options{DisableEpochReads: true}},
-		{"both-ablations", &Options{DisableGroupCommit: true, DisableEpochReads: true}},
-		{"sharded-ablations", &Options{Shards: 2, DisableGroupCommit: true, DisableEpochReads: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			db, err := Open(tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			for i := 0; i < 200; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if v, err := db.Get([]byte("k007")); err != nil || string(v) != "v" {
-				t.Fatalf("Get = %q, %v", v, err)
-			}
-		})
 	}
 }
