@@ -1,8 +1,8 @@
 // Command miodb-server exposes any of the four stores over TCP with the
 // repository's binary protocol (internal/server), turning the
 // reproduction into a network-attachable KV service. Each connection
-// holds many tagged requests in flight, and all connections' writes feed
-// shared group commits.
+// holds many tagged requests in flight, and all connections' writes are
+// merged into shared batch commits.
 //
 // Example:
 //

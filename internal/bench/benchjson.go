@@ -57,7 +57,7 @@ type JSONResult struct {
 	// Timeline holds the best rep's latency-over-time trace when the
 	// run recorded one (the stability experiment always does).
 	Timeline *JSONTimeline `json:"timeline,omitempty"`
-	// Extra carries sweep-specific scalars (e.g. mean group-commit size).
+	// Extra carries sweep-specific scalars (e.g. mean commit batch size).
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 

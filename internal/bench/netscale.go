@@ -111,10 +111,10 @@ func netScaleRep(addr string, conns, depth, total int, keySpace uint64, valueSiz
 // NetScale is the network front-end experiment behind the pipelined
 // protocol: loopback fill throughput and latency vs connections ×
 // pipeline window, against one MioDB server whose cross-connection
-// batcher feeds every connection's writes into shared group commits.
+// batcher merges every connection's writes into shared batch commits.
 // The window=1 arm is the ablation (one request in flight per
 // connection, as a non-pipelined client behaves), and a local 8-writer
-// ConcurrentFill reference shows what group commit alone achieves
+// ConcurrentFill reference shows what the engine alone achieves
 // without the network — its group-size column is the comparison the
 // server-side batcher has to beat.
 func NetScale(p Params) (*Report, error) {
@@ -181,8 +181,8 @@ func NetScale(p Params) (*Report, error) {
 		)
 	}
 
-	// Local reference: PR 1's 8-writer direct fill on the same store
-	// build — no sockets, group commit formed only by writer contention.
+	// Local reference: an 8-writer direct fill on the same store build —
+	// no sockets, every write its own commit.
 	var localRuns []RunResult
 	var localBest RunResult
 	localGroup := 0.0
@@ -237,7 +237,7 @@ func NetScale(p Params) (*Report, error) {
 		r.Printf("pipelining speedup at %d conns (window≥16 vs window=1): %.2f×", atConns, speedup)
 		jr.Note(fmt.Sprintf("speedup_conns%d=%.3f", atConns, speedup))
 	}
-	r.Printf("shape: at window=1 every request pays a full syscall round trip on both sides, so throughput is capped by per-op socket costs no matter how many connections pile up. Raising the window lets the client writer coalesce many requests per write() and the server writer many responses — and the cross-connection batcher turns concurrent singles into large shared group commits (group-size far above the local 8-writer reference, which can merge at most 8). Tails grow with depth (requests queue behind their own window); the win is throughput per connection, not per-request latency.")
+	r.Printf("shape: at window=1 every request pays a full syscall round trip on both sides, so throughput is capped by per-op socket costs no matter how many connections pile up. Raising the window lets the client writer coalesce many requests per write() and the server writer many responses — and the cross-connection batcher turns concurrent singles into large shared batch commits (group-size far above the local 8-writer reference, whose every write commits alone). Tails grow with depth (requests queue behind their own window); the win is throughput per connection, not per-request latency.")
 
 	if p.JSONDir != "" {
 		path := filepath.Join(p.JSONDir, "BENCH_netscale.json")

@@ -176,9 +176,8 @@ func (c *Conn) writeLoop() {
 		// A single frame while other calls hold window slots: they are
 		// likely a scheduler slice from sending too (a burst of replies
 		// wakes its callers in a row), so yield once before taking rather
-		// than pay one write per request. Gated like the engine's commit
-		// leader (commitOps in internal/core): a lone caller never donates
-		// its slice.
+		// than pay one write per request. Gated so that a lone caller
+		// never donates its slice.
 		if c.queued() == 1 && len(c.window) > 1 {
 			runtime.Gosched()
 		}

@@ -26,7 +26,7 @@ type AdmissionOptions struct {
 	// SoftImms is the immutable-memtable queue depth at or above which
 	// each commit pays one SlowdownDelay before proceeding.
 	SoftImms int
-	// HardImms is the queue depth at or above which the committing leader
+	// HardImms is the queue depth at or above which the committing writer
 	// blocks until flushing retires a memtable (or the store closes or
 	// degrades). It bounds DRAM held by rotated memtables to roughly
 	// HardImms+1 arenas.
@@ -73,15 +73,14 @@ func (ac *AdmissionOptions) overSoft(imms int, l0Bytes int64) bool {
 		(ac.SoftL0Bytes > 0 && l0Bytes >= ac.SoftL0Bytes)
 }
 
-// admitWrite applies admission control ahead of a commit. It runs on the
-// committing leader (commitMu held, writeGate already passed) so one
-// check covers the whole group and followers never wait twice.
+// admitWrite applies admission control ahead of a commit. It runs under
+// commitMu, writeGate already passed, so one check covers a whole batch.
 //
-// In the hard band the leader sleeps on db.cond, which every
+// In the hard band the writer sleeps on db.cond, which every
 // editVersionLocked broadcast wakes — flush retiring an imm or a merge
 // shrinking L0 re-opens admission. Holding commitMu here is safe: the
 // flusher and compactors only need db.mu to publish progress, and the
-// only rotation that could want commitMu is the blocked leader's own.
+// only rotation that could want commitMu is the blocked writer's own.
 // The wait also ends if the store closes or degrades mid-stall, returning
 // the gate error so the writer fails the same way writeGate would.
 func (db *DB) admitWrite() error {

@@ -72,13 +72,11 @@ func (b *Batch) Each(fn func(key, value []byte, del, rangeDel bool)) {
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() { b.ops = b.ops[:0] }
 
-// Write applies a batch through the group-commit queue: all operations
-// receive consecutive sequence numbers, are framed into the leader's
-// single coalesced WAL append, and are inserted into the memtable
-// together. A reader either sees none of the batch or a consistent
-// prefix while it is being inserted, and all of it afterwards. The batch
-// may share its commit group (and its WAL append) with other concurrent
-// writers.
+// Write applies a batch as one commit: all operations receive
+// consecutive sequence numbers, are framed into a single WAL append, and
+// are inserted into the memtable together. A reader either sees none of
+// the batch or a consistent prefix while it is being inserted, and all of
+// it afterwards.
 func (db *DB) Write(b *Batch) error {
 	if b == nil || len(b.ops) == 0 {
 		return nil

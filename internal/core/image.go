@@ -130,7 +130,7 @@ func (db *DB) CheckpointTo(w io.Writer) error {
 	if err := db.FlushAll(); err != nil {
 		return err
 	}
-	// Hold the commit lock (WAL appends + group inserts happen under it)
+	// Hold the commit lock (WAL appends + memtable inserts happen under it)
 	// and the structural lock so nothing mutates the NVM during the copy;
 	// reads keep flowing.
 	db.commitMu.Lock()

@@ -143,7 +143,7 @@ func TestCheckpointWithConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestSpilledLogRecovers: a group commit larger than the memtable's grain
+// TestSpilledLogRecovers: a batch commit larger than the memtable's grain
 // spills the memtable and its log into further short chunks. The log
 // replays every record after a crash, and after a checkpoint-image round
 // trip, where the image pads each short chunk with zeros and the loader

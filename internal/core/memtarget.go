@@ -8,7 +8,7 @@ import "miodb/internal/stats"
 // SetMemTableTarget only changes what the *next* memtable is built with
 // at the next rotation boundary (makeRoomForWrite, FlushAll, Checkpoint).
 // This keeps the resize protocol trivially safe — no arena ever grows or
-// shrinks under a concurrent group insert — at the cost of one memtable
+// shrinks under a concurrent insert — at the cost of one memtable
 // of lag between a governor decision and its effect, which is exactly
 // the granularity the governor's heat signal (rotations, flushes) moves
 // at anyway.

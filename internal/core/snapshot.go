@@ -53,7 +53,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures a consistent view of the store. The capture runs
-// under commitMu — the group-commit leader lock — so the bound is exact:
+// under commitMu — the commit lock — so the bound is exact:
 // every commit is either entirely at or below it, or entirely above.
 // O(1): no data is copied, no flush is forced.
 func (db *DB) Snapshot() (*Snapshot, error) {

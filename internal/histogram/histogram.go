@@ -61,8 +61,8 @@ func bucketValue(i int) time.Duration {
 func (h *Histogram) Record(d time.Duration) { h.RecordN(d, 1) }
 
 // RecordN adds n samples of the same duration under one lock acquisition —
-// the group-commit write path records one measured latency for every
-// record that rode the same commit.
+// the write path records one measured latency for every record of the
+// same commit.
 func (h *Histogram) RecordN(d time.Duration, n int64) {
 	if n <= 0 {
 		return

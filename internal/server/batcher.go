@@ -29,16 +29,15 @@ func (s *submission) size() int {
 // batcher is the server's cross-connection group-former: every write
 // from every connection lands in one queue, and a single leader
 // goroutine takes whatever has accumulated and applies it as one merged
-// WriteBatch. With a group-commit store behind it, the merged batch
-// reaches the commit queue as a single writer, so the engine's leader
-// sees one large group instead of hundreds of single-record commits —
-// the coalescing a fleet of independent connections can never produce
-// on their own.
+// WriteBatch. With a batch-writing store behind it, the merged batch is
+// one engine commit — one WAL append — instead of hundreds of
+// single-record commits: the coalescing a fleet of independent
+// connections can never produce on their own.
 //
 // There is no timer: waiting would add latency without adding
 // coalescing, because while the store commits one merge the next
-// accumulates behind it (the same leader/follower dynamic as the
-// engine's own group commit, one level up).
+// accumulates behind it (a leader/follower group commit in front of the
+// engine).
 //
 // Each submission keeps its own atomicity (its ops are contiguous in the
 // merged batch and the store applies the whole merged batch as one

@@ -377,7 +377,7 @@ func (cc *commitChecker) WriteBatch(ops []kvstore.BatchOp) error {
 
 // TestCrossConnectionCoalescing drives concurrent single-Put and small
 // MPUT traffic from many pipelined connections and checks the shared
-// batcher merged them: the store's group-commit accounting must show
+// batcher merged them: the store's commit accounting must show
 // multi-record commits even though most client requests carried exactly
 // one record. The merges reuse one slice, so it also checks (see
 // commitChecker) that every submission stays atomic and that no reply
@@ -471,7 +471,7 @@ func TestCrossConnectionCoalescing(t *testing.T) {
 		t.Fatal("no write groups recorded")
 	}
 	mean := float64(st.GroupedWrites) / float64(st.WriteGroups)
-	t.Logf("server-fed group commit: %d records in %d groups (mean %.2f)",
+	t.Logf("server-fed commits: %d records in %d commits (mean %.2f)",
 		st.GroupedWrites, st.WriteGroups, mean)
 	if mean < 1.5 {
 		t.Errorf("mean group size %.2f: cross-connection batcher produced no coalescing", mean)

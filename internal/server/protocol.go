@@ -42,8 +42,8 @@ const (
 	OpStats
 	// OpMPut applies a batch of writes atomically in one round trip. The
 	// request key frame is empty; the value frame carries the batch payload
-	// (see EncodeBatchPayload). Batches feed the store's group-commit
-	// pipeline directly when it implements kvstore.BatchWriter.
+	// (see EncodeBatchPayload). Batches reach the store as one batch
+	// commit when it implements kvstore.BatchWriter.
 	OpMPut
 
 	// OpSnap captures a consistent snapshot on the server and returns its

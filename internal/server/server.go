@@ -52,7 +52,7 @@ const maxBatchOps = 4096
 // reader goroutine (decodes and dispatches) and a writer goroutine
 // (serializes tagged responses), so handling never blocks the socket.
 // Writes from every connection funnel through one shared batcher that
-// feeds the store's group-commit pipeline (see batcher.go). Every
+// merges them into batch commits (see batcher.go). Every
 // hand-off moves whatever burst is ready, not one request: the reader
 // decodes all the frames one socket read delivered before it dispatches
 // them, and the writer sends all the responses that are ready in one
@@ -657,7 +657,7 @@ func (s *Server) statsLine() string {
 }
 
 // applyBatch hands a merged batch to the store. Stores with a batch
-// write path (MioDB's group-commit pipeline) get the whole batch in one
+// write path (MioDB's) get the whole batch in one
 // commit — one WAL append, consecutive sequence numbers; others fall
 // back to per-operation writes, which keeps every kvstore.Store
 // servable.

@@ -78,10 +78,8 @@ type Recorder struct {
 	userBytes atomic.Int64
 	// Operation counts.
 	puts, gets, deletes, scans atomic.Int64
-	// Group commit: number of leader-committed write groups and the
-	// records they carried. groupedWrites / writeGroups is the mean
-	// coalescing factor; > 1 means concurrent writers actually shared
-	// WAL appends.
+	// Commits and the records they carried. groupedWrites / writeGroups
+	// is the mean batch size; > 1 means records shared WAL appends.
 	writeGroups   atomic.Int64
 	groupedWrites atomic.Int64
 	// Robustness: transparently retried transient device errors, and
@@ -104,7 +102,7 @@ type Recorder struct {
 // RecordOp adds one latency sample for the given op type.
 func (r *Recorder) RecordOp(op Op, d time.Duration) { r.RecordOpN(op, d, 1) }
 
-// RecordOpN adds n samples of the same latency for op — the group-commit
+// RecordOpN adds n samples of the same latency for op — the commit
 // path charges every record in a batch with the batch's measured latency
 // in one call.
 func (r *Recorder) RecordOpN(op Op, d time.Duration, n int64) {
@@ -170,21 +168,21 @@ func (r *Recorder) CountDelete() { r.deletes.Add(1) }
 // CountScan tallies one range scan.
 func (r *Recorder) CountScan() { r.scans.Add(1) }
 
-// CountPuts tallies n write operations in one step (group commit).
+// CountPuts tallies n write operations in one step (one commit).
 func (r *Recorder) CountPuts(n int64) {
 	if n != 0 {
 		r.puts.Add(n)
 	}
 }
 
-// CountDeletes tallies n deletes in one step (group commit).
+// CountDeletes tallies n deletes in one step (one commit).
 func (r *Recorder) CountDeletes(n int64) {
 	if n != 0 {
 		r.deletes.Add(n)
 	}
 }
 
-// AddWriteGroup records one group commit carrying n writes.
+// AddWriteGroup records one commit carrying n writes.
 func (r *Recorder) AddWriteGroup(n int) {
 	r.writeGroups.Add(1)
 	r.groupedWrites.Add(int64(n))
@@ -337,8 +335,9 @@ type Snapshot struct {
 	MemTableTargetBytes int64
 	MemTableUsedBytes   int64
 
-	// WriteGroups counts leader commits; GroupedWrites counts the records
-	// they carried. MeanGroupSize is their ratio (0 when no groups).
+	// WriteGroups counts commits (one per Put, Delete, DeleteRange or
+	// batch); GroupedWrites counts the records they carried. MeanGroupSize
+	// is their ratio (0 when no groups): the mean batch size.
 	WriteGroups   int64
 	GroupedWrites int64
 	MeanGroupSize float64

@@ -74,7 +74,7 @@ func TestRecordOpLatencies(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		r.RecordOp(OpGet, time.Duration(i)*time.Microsecond)
 	}
-	r.RecordOpN(OpPut, 40*time.Microsecond, 8) // one group commit, 8 records
+	r.RecordOpN(OpPut, 40*time.Microsecond, 8) // one commit, 8 records
 	r.RecordOpN(OpPut, time.Microsecond, 0)    // no-op
 	r.RecordOp(Op(-1), time.Microsecond)       // out of range, ignored
 	r.RecordOp(NumOps, time.Microsecond)       // out of range, ignored

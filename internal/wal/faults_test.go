@@ -81,7 +81,7 @@ func TestAppendLostWriteRetryable(t *testing.T) {
 // TestBatchSerialTornEquivalence: under the same byte-budget crash
 // trigger, the batched and serial append paths must tear at the same
 // media offset and recover the same record prefix — the property that
-// keeps group commit crash-equivalent to serialized logging.
+// keeps batch commits crash-equivalent to serialized logging.
 func TestBatchSerialTornEquivalence(t *testing.T) {
 	mkRecs := func(n int) []Record {
 		recs := make([]Record, n)
