@@ -17,9 +17,10 @@ test:
 # zero-copy merges under readers), the shard router (cross-shard
 # batch splits, merged iterators, parallel flush/close), and the
 # pipelined network front end (reader/writer split, cross-connection
-# batcher, tag-matched client) must stay race-clean.
+# batcher, tag-matched client) and the bloom filters merged in place
+# under concurrent probes must stay race-clean.
 race:
-	$(GO) test -race ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog
+	$(GO) test -race ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom
 
 # Crash-torture: randomized power failures, torn writes, and interrupted
 # recoveries under the race detector (50+ cycles; deterministic per seed).

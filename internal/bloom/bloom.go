@@ -9,26 +9,39 @@
 // false-positive rate is ≈ 4.6×10⁻⁴ — and doubles in effect each time two
 // full filters merge, which is exactly the level-count trade-off Fig 9
 // studies.
+//
+// Every filter holds a power-of-two number of bits, so a probe position is
+// h & mask rather than h % n. A zero-copy merge ORs the drained table's
+// bits into the surviving table's filter in place: OR only adds bits, so
+// a reader probing that filter mid-merge sees a superset of its keys and
+// never a false negative. Readers load words atomically and the one
+// merging writer stores each changed word atomically, which makes the
+// in-place merge race-clean.
 package bloom
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync/atomic"
 )
 
-// Filter is a fixed-size mergeable bloom filter. It is not safe for
-// concurrent mutation; the store mutates filters only from the single
-// goroutine that owns the table being built or merged.
+// Filter is a fixed-size mergeable bloom filter. One goroutine owns it and
+// is its only writer: the one building the table (Add) or merging into it
+// (Merge). MayContain and FillRatio are safe beside that writer; Add,
+// Merge, Keys and Encode are for the owner only.
 type Filter struct {
 	bits   []uint64
+	mask   uint64 // len(bits)*64 - 1: the bit count is a power of two
 	probes int
 	nkeys  int
 }
 
 // New creates a filter sized for expectedKeys at bitsPerKey (the paper uses
-// 16). All PMTable filters in one store are created with identical
-// parameters so that Merge is well defined.
+// 16), rounded up to a power-of-two bit count. All PMTable filters in one
+// store are created with identical parameters so that Merge is well
+// defined.
 func New(expectedKeys, bitsPerKey int) *Filter {
 	if expectedKeys < 1 {
 		expectedKeys = 1
@@ -47,19 +60,21 @@ func New(expectedKeys, bitsPerKey int) *Filter {
 	if probes > 30 {
 		probes = 30
 	}
+	nbits = 1 << bits.Len(uint(nbits-1))
 	return &Filter{
-		bits:   make([]uint64, (nbits+63)/64),
+		bits:   make([]uint64, nbits/64),
+		mask:   uint64(nbits - 1),
 		probes: probes,
 	}
 }
 
-// Add inserts key into the filter.
+// Add inserts key into the filter. It is for a filter no reader can reach
+// yet (a table being built) or one the caller alone holds.
 func (f *Filter) Add(key []byte) {
 	h := hash64(key)
 	delta := h>>17 | h<<47
-	n := uint64(len(f.bits)) * 64
 	for i := 0; i < f.probes; i++ {
-		pos := h % n
+		pos := h & f.mask
 		f.bits[pos/64] |= 1 << (pos % 64)
 		h += delta
 	}
@@ -67,14 +82,13 @@ func (f *Filter) Add(key []byte) {
 }
 
 // MayContain reports whether key was possibly added. False means definitely
-// absent.
+// absent. It is safe beside a concurrent Merge into f.
 func (f *Filter) MayContain(key []byte) bool {
 	h := hash64(key)
 	delta := h>>17 | h<<47
-	n := uint64(len(f.bits)) * 64
 	for i := 0; i < f.probes; i++ {
-		pos := h % n
-		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
+		pos := h & f.mask
+		if atomic.LoadUint64(&f.bits[pos/64])&(1<<(pos%64)) == 0 {
 			return false
 		}
 		h += delta
@@ -82,9 +96,12 @@ func (f *Filter) MayContain(key []byte) bool {
 	return true
 }
 
-// Merge ORs other into f. Both filters must have been created with the same
-// size and probe count; Merge returns an error otherwise. This is the
-// paper's "OR operations to implement a mergeable bloom filter".
+// Merge ORs other into f in place. Both filters must have been created
+// with the same size and probe count; Merge returns an error otherwise.
+// This is the paper's "OR operations to implement a mergeable bloom
+// filter". Readers may probe f meanwhile: each word only gains bits, and
+// a changed word is stored atomically. other must not change during the
+// call.
 func (f *Filter) Merge(other *Filter) error {
 	if other == nil {
 		return nil
@@ -94,21 +111,26 @@ func (f *Filter) Merge(other *Filter) error {
 			len(f.bits)*64, len(other.bits)*64, f.probes, other.probes)
 	}
 	for i, w := range other.bits {
-		f.bits[i] |= w
+		// f's owner is its only writer, so a plain read of its own word
+		// is current.
+		if old := f.bits[i]; old|w != old {
+			atomic.StoreUint64(&f.bits[i], old|w)
+		}
 	}
 	f.nkeys += other.nkeys
 	return nil
 }
 
-// Keys returns the number of keys added (including via Merge).
+// Keys returns the number of keys added (including via Merge). It is for
+// the filter's owner only.
 func (f *Filter) Keys() int { return f.nkeys }
 
 // FillRatio returns the fraction of set bits, a proxy for the
 // false-positive rate ((fill)^probes).
 func (f *Filter) FillRatio() float64 {
 	set := 0
-	for _, w := range f.bits {
-		set += popcount(w)
+	for i := range f.bits {
+		set += bits.OnesCount64(atomic.LoadUint64(&f.bits[i]))
 	}
 	return float64(set) / float64(len(f.bits)*64)
 }
@@ -118,7 +140,8 @@ func (f *Filter) FalsePositiveRate() float64 {
 	return math.Pow(f.FillRatio(), float64(f.probes))
 }
 
-// Encode serializes the filter for storage in an SSTable or superblock.
+// Encode serializes the filter for storage in an SSTable or superblock. It
+// is for the filter's owner only.
 func (f *Filter) Encode() []byte {
 	out := make([]byte, 12+len(f.bits)*8)
 	binary.LittleEndian.PutUint32(out[0:4], uint32(f.probes))
@@ -129,15 +152,18 @@ func (f *Filter) Encode() []byte {
 	return out
 }
 
-// Decode reconstructs a filter serialized by Encode.
+// Decode reconstructs a filter serialized by Encode. It refuses a word
+// count that is not a power of two, which no New filter has.
 func Decode(data []byte) (*Filter, error) {
-	if len(data) < 12 || (len(data)-12)%8 != 0 {
+	words := (len(data) - 12) / 8
+	if len(data) < 12 || (len(data)-12)%8 != 0 || words == 0 || words&(words-1) != 0 {
 		return nil, fmt.Errorf("bloom: malformed filter encoding (%d bytes)", len(data))
 	}
 	f := &Filter{
 		probes: int(binary.LittleEndian.Uint32(data[0:4])),
 		nkeys:  int(binary.LittleEndian.Uint64(data[4:12])),
-		bits:   make([]uint64, (len(data)-12)/8),
+		bits:   make([]uint64, words),
+		mask:   uint64(words*64 - 1),
 	}
 	for i := range f.bits {
 		f.bits[i] = binary.LittleEndian.Uint64(data[12+i*8:])
@@ -154,26 +180,4 @@ func hash64(key []byte) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
-}
-
-// Clone returns an independent copy of the filter. Merges build their
-// result on a clone so that readers concurrently probing the source
-// filters never observe a mutation.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{
-		bits:   make([]uint64, len(f.bits)),
-		probes: f.probes,
-		nkeys:  f.nkeys,
-	}
-	copy(c.bits, f.bits)
-	return c
 }

@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -136,5 +137,116 @@ func TestTinyAndDegenerateFilters(t *testing.T) {
 	empty := New(100, 16)
 	if empty.FillRatio() != 0 {
 		t.Error("empty filter has set bits")
+	}
+}
+
+// TestMaskProbesMatchModulo is the golden test for the probe position: at
+// power-of-two sizes h & mask is h % n, so a filter sets exactly the bits
+// the modulo construction sets, and the default filters did not change.
+func TestMaskProbesMatchModulo(t *testing.T) {
+	for _, nbits := range []int{64, 1 << 10, 1 << 18} {
+		f := New(nbits/16, 16)
+		if got := len(f.bits) * 64; got != nbits {
+			t.Fatalf("New(%d, 16) holds %d bits, want %d", nbits/16, got, nbits)
+		}
+		ref := make([]uint64, nbits/64)
+		for i := 0; i < nbits/16; i++ {
+			k := key(i)
+			f.Add(k)
+			h := hash64(k)
+			delta := h>>17 | h<<47
+			for p := 0; p < f.probes; p++ {
+				pos := h % uint64(nbits)
+				ref[pos/64] |= 1 << (pos % 64)
+				h += delta
+			}
+		}
+		for i := range ref {
+			if f.bits[i] != ref[i] {
+				t.Fatalf("%d bits: word %d is %#x, the modulo reference sets %#x", nbits, i, f.bits[i], ref[i])
+			}
+		}
+	}
+}
+
+func TestNewRoundsToPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct{ keys, bitsPerKey, want int }{
+		{1000, 16, 1 << 14},
+		{1 << 14, 16, 1 << 18},
+		{1 << 14, 10, 1 << 18},
+		{1, 1, 64},
+	} {
+		f := New(tc.keys, tc.bitsPerKey)
+		if got := len(f.bits) * 64; got != tc.want || f.mask != uint64(tc.want-1) {
+			t.Errorf("New(%d, %d): %d bits, mask %#x; want %d bits", tc.keys, tc.bitsPerKey, got, f.mask, tc.want)
+		}
+	}
+}
+
+func TestDecodeRejectsNonPowerOfTwo(t *testing.T) {
+	enc := New(256, 16).Encode()
+	if _, err := Decode(enc[:len(enc)-8]); err == nil {
+		t.Error("Decode accepted a word count that is not a power of two")
+	}
+	if _, err := Decode(enc[:12]); err == nil {
+		t.Error("Decode accepted a filter of no words")
+	}
+}
+
+// TestConcurrentProbesDuringMerge probes a filter from several goroutines
+// while Merge ORs another into it in place (run it with -race): a key of
+// the target never reads absent, a key of the source is found in one of
+// the two filters while the merge runs, and in the target once it is done.
+func TestConcurrentProbesDuringMerge(t *testing.T) {
+	const n, readers = 1 << 14, 4
+	ks := make([][]byte, 2*n)
+	for i := range ks {
+		ks[i] = key(i)
+	}
+	for round := 0; round < 10; round++ {
+		dst, src := New(n, 16), New(n, 16)
+		for i := 0; i < n; i++ {
+			dst.Add(ks[2*i])
+			src.Add(ks[2*i+1])
+		}
+		done := make(chan struct{})
+		errs := make(chan error, readers)
+		var started, wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			started.Add(1)
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				started.Done()
+				for i := g; ; i = (i + readers) % len(ks) {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					k := ks[i]
+					if i%2 == 0 && !dst.MayContain(k) || i%2 == 1 && !dst.MayContain(k) && !src.MayContain(k) {
+						errs <- fmt.Errorf("false negative for %s during the merge", k)
+						return
+					}
+				}
+			}(g)
+		}
+		started.Wait()
+		if err := dst.Merge(src); err != nil {
+			t.Fatal(err)
+		}
+		close(done)
+		wg.Wait()
+		select {
+		case err := <-errs:
+			t.Fatal(err)
+		default:
+		}
+		for _, k := range ks {
+			if !dst.MayContain(k) {
+				t.Fatalf("false negative for %s after the merge", k)
+			}
+		}
 	}
 }

@@ -99,7 +99,8 @@ func (m *manifestLog) append(payload []byte) error {
 
 // scan walks every intact record in order from scanFrom (the offset of
 // the first record, past the mark slots), invoking fn with each payload.
-// A zero header ends the log; a CRC mismatch discards the torn tail.
+// A zero header ends the log unless a later chunk up to the allocation
+// edge opens with a record; a CRC mismatch discards the torn tail.
 //
 // The returned tornAt/torn pair reports how the walk ended: torn=true
 // means it stopped at a damaged record (the signature of an append
@@ -123,12 +124,14 @@ func (m *manifestLog) scan(scanFrom int64, fn func(payload []byte) error) (tornA
 		crc := binary.LittleEndian.Uint32(hdr[0:4])
 		plen := int64(binary.LittleEndian.Uint32(hdr[4:8]))
 		if crc == 0 && plen == 0 {
+			// The rest of this chunk is empty. A repaired tear zeroes a
+			// chunk's head and pads the allocation past it, so the log
+			// goes on at the first later chunk whose head is not zero.
 			next := (off/chunk + 1) * chunk
-			if next+8 > size {
-				return 0, false, nil
+			for next+8 <= size && binary.LittleEndian.Uint64(m.reg.Read(m.reg.Base().Add(next), 8)) == 0 {
+				next += chunk
 			}
-			nh := m.reg.Read(m.reg.Base().Add(next), 8)
-			if binary.LittleEndian.Uint32(nh[0:4]) == 0 && binary.LittleEndian.Uint32(nh[4:8]) == 0 {
+			if next+8 > size {
 				return 0, false, nil
 			}
 			off = next
@@ -155,9 +158,9 @@ func (m *manifestLog) scan(scanFrom int64, fn func(payload []byte) error) (tornA
 // The repair zeroes everything from the damaged record to the current
 // allocation edge (idempotent — a crash mid-repair just leaves a shorter
 // damaged tail for the next attempt) and then pads the allocation to the
-// next chunk boundary, which is exactly where the scan's zero-header
-// probe looks for a continuation. Subsequent appends land there and are
-// reachable again.
+// next chunk boundary, where the scan's zero-header probe finds the
+// continuation however many zeroed chunk heads lie before it.
+// Subsequent appends land there and are reachable again.
 func (m *manifestLog) repairTornTail(tornAt int64) error {
 	size := m.reg.Size()
 	if tornAt < size {

@@ -139,10 +139,10 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 		db.vlog.SetNextID(state.vlogNext)
 	}
 
-	// Every NVM resource this attempt allocates is tracked so a failed
-	// (or crashed-again) recovery releases it: the crash image must stay
-	// exactly as recoverable for the next attempt, with no fresh regions
-	// leaked into the space.
+	// Every NVM resource this attempt allocates is tracked so a recovery
+	// that fails (or crashes again) before its publish snapshot releases
+	// it: the crash image must stay exactly as recoverable for the next
+	// attempt, with no fresh regions leaked into the space.
 	var freshHandles []*memHandle
 	var freshRepo *pmtable.Repository
 	fail := func(err error) (*DB, error) {
@@ -258,7 +258,7 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 	for _, ri := range state.walRegions {
 		r := img.Space.Region(ri)
 		if r == nil {
-			continue // already released before the crash
+			return fail(fmt.Errorf("miodb: WAL region %d missing", ri))
 		}
 		log := wal.Attach(db.nvm, r)
 		_, err := log.Replay(func(key, value []byte, seq uint64, kind keys.Kind) error {
@@ -340,12 +340,17 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 	// Publish the recovered state as one full snapshot. Until this
 	// append lands, the manifest still describes the pre-crash state and
 	// the old WAL regions are still live — a failure here (or a crash
-	// during it) leaves the image recoverable by a fresh attempt.
+	// during it) leaves the image recoverable by a fresh attempt. A
+	// failed append may still have reached the media whole (the device
+	// died right after it), and then the snapshot names this attempt's
+	// fresh regions: from here on nothing is released on failure, and the
+	// next attempt's orphan sweep frees whatever its manifest does not
+	// name.
 	db.mu.Lock()
 	err = db.writeManifestLocked()
 	db.mu.Unlock()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 
 	// Old WAL regions are now redundant (content re-logged).
@@ -366,7 +371,7 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 	live, lerr := db.liveRegionsLocked()
 	db.mu.Unlock()
 	if lerr != nil {
-		return fail(lerr)
+		return nil, lerr
 	}
 	for _, r := range img.Space.Regions() {
 		if !live[r.Index()] {

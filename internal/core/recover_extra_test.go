@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"miodb/internal/nvm"
@@ -184,5 +185,90 @@ func TestRecoveryLongDeltaChain(t *testing.T) {
 		if err != nil || string(got) != v {
 			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
 		}
+	}
+}
+
+// TestRecoveryRefusesMissingWALRegion: a WAL region the manifest lists
+// but the image lacks is lost acknowledged data, and recovery must name
+// it instead of replaying around it.
+func TestRecoveryRefusesMissingWALRegion(t *testing.T) {
+	opts := smallOpts()
+	db := mustOpen(t, opts)
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	walRegion := db.current.Load().mem.log.Region()
+	img := db.CrashForTest()
+	img.Space.Release(walRegion)
+	re, err := Recover(img, opts)
+	if err == nil {
+		re.Close()
+		t.Fatal("recovered with the active WAL region gone")
+	}
+	if want := fmt.Sprintf("WAL region %d missing", walRegion.Index()); !strings.Contains(err.Error(), want) {
+		t.Fatalf("recover: %v, want %q", err, want)
+	}
+}
+
+// TestRecoveryCrashRightAfterPublishSnapshot crashes a recovery on the
+// byte that completes its publish snapshot: the append reports the crash,
+// yet the whole record is on the media and names the attempt's fresh WAL
+// regions. The failed attempt must leave those regions in place, so the
+// next attempt replays them and keeps every acknowledged write.
+func TestRecoveryCrashRightAfterPublishSnapshot(t *testing.T) {
+	opts := smallOpts()
+	// A few Puts that fit one memtable: no background work, so every
+	// image is the same and so is the byte count of its recovery.
+	image := func() (*CrashImage, map[string]string) {
+		db := mustOpen(t, opts)
+		golden := map[string]string{}
+		for i := 0; i < 20; i++ {
+			k, v := fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i)
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			golden[k] = v
+		}
+		return db.CrashForTest(), golden
+	}
+	crashes := func(budget int64) bool {
+		img, _ := image()
+		img.NVM.SetFaultPlan(nvm.NewFaultPlan(1).CrashAfterBytes(budget))
+		re, err := Recover(img, opts)
+		if err == nil {
+			re.Close()
+		}
+		return err != nil
+	}
+	// The smallest budget recovery survives is one past the bytes it
+	// writes; the publish snapshot is its last write.
+	lo, hi := int64(1), int64(1<<20)
+	for lo < hi {
+		if mid := (lo + hi) / 2; crashes(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+
+	img, golden := image()
+	plan := nvm.NewFaultPlan(1).CrashAfterBytes(lo - 1)
+	img.NVM.SetFaultPlan(plan)
+	if _, err := Recover(img, opts); err == nil || !plan.Crashed() {
+		t.Fatalf("recovery with a %d-byte budget: %v, crashed %v", lo-1, err, plan.Crashed())
+	}
+	img.NVM.SetFaultPlan(nil)
+	re, err := Recover(img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for k, v := range golden {
+		if got, err := re.Get([]byte(k)); err != nil || string(got) != v {
+			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
+		}
+	}
+	if err := re.CheckRegionAccounting(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -305,7 +305,9 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 			if err == nil {
 				break
 			}
-			if img.NVM.Faults() == nil {
+			// Only the armed crash firing excuses a failed attempt; any
+			// other recovery error is a bug the retry must not hide.
+			if p := img.NVM.Faults(); p == nil || !p.Crashed() {
 				return nil, fmt.Errorf("cycle %d: recover (attempt %d): %w", cycle, attempt, err)
 			}
 			rep.DoubleCrashes++

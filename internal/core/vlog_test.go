@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -236,6 +237,104 @@ func TestValueLogCrashRecovery(t *testing.T) {
 		v, err := re.Get([]byte(k))
 		if err != nil || string(v) != want {
 			t.Fatalf("Get(%s) after post-recovery writes: err=%v", k, err)
+		}
+	}
+}
+
+// TestValueLogAnnouncementFailsAfterSnapshot fails a new segment's
+// manifest announcement after a snapshot rolled between the segment's
+// install and the announcement, so the durable snapshot names the
+// segment's region. The store must keep that region, and recovery must
+// open the image with every acknowledged value.
+func TestValueLogAnnouncementFailsAfterSnapshot(t *testing.T) {
+	opts := vlogOpts()
+	db := mustOpen(t, opts)
+	golden := map[string]string{}
+	put := func(i int) error {
+		k := fmt.Sprintf("ann%03d", i)
+		v := bigVal(k, 600)
+		err := db.Put([]byte(k), v)
+		if err == nil {
+			golden[k] = string(v)
+		}
+		return err
+	}
+	if err := put(0); err != nil {
+		t.Fatal(err)
+	}
+
+	refused := errors.New("announcement refused")
+	db.commitMu.Lock() // every value-log append runs under commitMu
+	db.vlog.OnNewSegment = func(uint32, uint32, string) error {
+		db.mu.Lock()
+		err := db.writeManifestLocked()
+		db.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		return refused
+	}
+	db.commitMu.Unlock()
+	for i := 1; ; i++ {
+		err := put(i)
+		if errors.Is(err, refused) {
+			break
+		}
+		if err != nil || i == 100 {
+			t.Fatalf("put %d: %v (want the announcement refused)", i, err)
+		}
+	}
+
+	re, err := Recover(db.CrashForTest(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for k, want := range golden {
+		if v, err := re.Get([]byte(k)); err != nil || string(v) != want {
+			t.Fatalf("Get(%s) after recovery: err=%v", k, err)
+		}
+	}
+}
+
+// TestValueLogSnapshotOmitsCondemnedSegment: a segment the collector has
+// condemned is freed once the version chain drains, so a manifest
+// snapshot rolled after the condemnation (every snapshotEvery edits, the
+// free record itself can become one) must not name it; otherwise a crash
+// after the free leaves the snapshot naming a released region.
+func TestValueLogSnapshotOmitsCondemnedSegment(t *testing.T) {
+	opts := vlogOpts()
+	db := mustOpen(t, opts)
+	defer db.Close()
+	for i := 0; i < 40; i++ {
+		k := fmt.Sprintf("cond%03d", i)
+		if err := db.Put([]byte(k), bigVal(k, 600)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.WaitIdle()
+	_, segs := db.vlog.SnapshotState()
+	if len(segs) < 2 {
+		t.Fatalf("%d segments, want at least 2", len(segs))
+	}
+	victim := segs[0].ID
+	if !db.vlog.Condemn(victim) {
+		t.Fatalf("segment %d could not be condemned", victim)
+	}
+
+	db.mu.Lock()
+	err := db.writeManifestLocked()
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, _, _, err := db.manifest.replayManifest(int64(8 + 8*opts.Levels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range state.vlogSegs {
+		if g.id == victim {
+			t.Fatalf("the snapshot names condemned segment %d", victim)
 		}
 	}
 }

@@ -5,14 +5,10 @@ import (
 	"testing"
 )
 
-// TestDrainedTableForwarding is the regression test for a reader
-// visibility bug: after a zero-copy merge, the Old table's skip list
-// holds every node (the New side's nodes were migrated in), but its
-// bloom filter still only covers its original keys. A stale version
-// snapshot probing the drained Old table through the raw filter would
-// get a false negative for migrated keys — Get returned NotFound for a
-// key the store holds. The fix forwards every safe read on a drained
-// table to the merge result, whose OR-merged filter is authoritative.
+// TestDrainedTableForwarding checks that every safe read on a drained
+// table is forwarded to the merge result, transitively: once the result
+// enters a later merge, its shared list is migrating again, and a raw
+// probe through a stale snapshot's skeleton would race that migration.
 func TestDrainedTableForwarding(t *testing.T) {
 	dram, nv := devices()
 
@@ -35,8 +31,7 @@ func TestDrainedTableForwarding(t *testing.T) {
 	old.SetForward(result)
 
 	for k, want := range newKVs {
-		// The heart of the bug: Old's raw filter does not cover keys
-		// migrated in from New, yet Old's list now holds them.
+		// Old's list now holds the keys migrated in from New.
 		if !old.MayContainSafe([]byte(k)) {
 			t.Fatalf("MayContainSafe(%s) = false on drained old table", k)
 		}
@@ -91,5 +86,37 @@ func TestDrainedTableForwarding(t *testing.T) {
 		if !ok || string(v) != want {
 			t.Fatalf("chained GetSafe(%s) = %q, %v; want %q", k, v, ok, want)
 		}
+	}
+}
+
+// TestMergeORsIntoOldFilter: a zero-copy merge ORs the New table's filter
+// into the Old table's in place and hands the result that same filter, so
+// the drained Old skeleton's raw probe covers every key its list holds,
+// the migrated ones included.
+func TestMergeORsIntoOldFilter(t *testing.T) {
+	dram, nv := devices()
+	oldKVs := map[string]string{}
+	newKVs := map[string]string{}
+	for i := 0; i < 64; i++ {
+		oldKVs[fmt.Sprintf("old-%03d", i)] = "ov"
+		newKVs[fmt.Sprintf("new-%03d", i)] = "nv"
+	}
+	old := buildTable(t, dram, nv, 1, 1, oldKVs)
+	newer := buildTable(t, dram, nv, 2, 1000, newKVs)
+	oldFilter := old.Filter()
+
+	result := NewMerge(newer, old).Run()
+	if result.Filter() != oldFilter || old.Filter() != oldFilter {
+		t.Fatal("the merge result does not share the Old table's filter")
+	}
+	for _, kvs := range []map[string]string{oldKVs, newKVs} {
+		for k := range kvs {
+			if !old.MayContain([]byte(k)) {
+				t.Fatalf("drained Old table's raw MayContain(%s) = false", k)
+			}
+		}
+	}
+	if got, want := oldFilter.Keys(), len(oldKVs)+len(newKVs); got != want {
+		t.Fatalf("merged filter counts %d keys, want %d", got, want)
 	}
 }

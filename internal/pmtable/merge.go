@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"miodb/internal/bloom"
-
 	"miodb/internal/keys"
 	"miodb/internal/skiplist"
 	"miodb/internal/vaddr"
@@ -242,13 +240,14 @@ func (m *Merge) step(d *drain) bool {
 	return true
 }
 
-// finish publishes the merged table.
+// finish publishes the merged table. Its filter is the Old table's, with
+// the New table's bits ORed in place: the result shares the Old list, and
+// now its filter too, so readers still probing the Old skeleton see a
+// superset of its keys, never a false negative.
 func (m *Merge) finish() *Table {
-	var filter *bloom.Filter
 	if m.Old.filter != nil {
-		filter = m.Old.filter.Clone()
 		// Same-parameter filters by construction; Merge cannot fail.
-		if err := filter.Merge(m.New.filter); err != nil {
+		if err := m.Old.filter.Merge(m.New.filter); err != nil {
 			panic(err)
 		}
 	}
@@ -259,7 +258,7 @@ func (m *Merge) finish() *Table {
 	result := &Table{
 		ID:      m.New.ID,
 		list:    m.Old.list,
-		filter:  filter,
+		filter:  m.Old.filter,
 		regions: regions,
 		MinSeq:  m.Old.MinSeq,
 		MaxSeq:  m.New.MaxSeq,

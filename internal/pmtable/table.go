@@ -58,16 +58,14 @@ type Table struct {
 	// that superseded this table. It is set exactly once, when the
 	// table's zero-copy merge completes, and never cleared: a drained
 	// table is a permanent skeleton that only stale version snapshots
-	// still reference. Forwarding matters twice over. First, the Old
-	// side of a merge shares its skip list with the result, but keeps
-	// its original bloom filter — nodes migrated in from the New side
-	// are not covered, so a raw MayContain on the skeleton yields false
-	// negatives for keys the list does hold. Second, once the result
-	// enters a later merge of its own, the shared list is being
-	// migrated again; raw probes through the skeleton would race that
-	// migration with no mark protection. Following forward (transitively)
-	// always lands on the live table, whose own filter and activeMerge
-	// state are authoritative.
+	// still reference. The Old side of a merge shares its skip list and
+	// its bloom filter with the result (the New filter is ORed into it
+	// in place, so the skeleton's raw MayContain covers every migrated
+	// key). Forwarding matters because once the result enters a later
+	// merge of its own, the shared list is being migrated again; raw
+	// probes through the skeleton would race that migration with no
+	// mark protection. Following forward (transitively) always lands on
+	// the live table, whose activeMerge state is authoritative.
 	forward atomic.Pointer[Table]
 }
 
@@ -250,9 +248,7 @@ func (t *Table) MayContain(key []byte) bool {
 
 // MayContainSafe is the filter probe matching GetSafe's protocol: a
 // drained table answers with its successor's (merged) filter, a merging
-// table with the union of the pair's filters. Using the raw filter on a
-// drained Old table would yield false negatives for keys its list
-// received from the New side.
+// table with the union of the pair's filters.
 func (t *Table) MayContainSafe(key []byte) bool {
 	if f := t.Forward(); f != nil {
 		return f.MayContainSafe(key)

@@ -278,8 +278,10 @@ func (s *Store) removeLocked(id uint32) *segment {
 // newSegment creates, installs, and announces a fresh segment whose
 // capacity is at least minCap bytes. Install happens before the
 // OnNewSegment announcement so a concurrently rolled manifest snapshot
-// can never miss the segment; on announcement failure the (still empty)
-// segment is uninstalled and its backing released. Callers are the
+// can never miss the segment. On announcement failure the (still empty)
+// segment is uninstalled, but an NVM segment's region is left allocated:
+// that snapshot may already be durable and name it, and recovery's
+// orphan sweep frees the region if nothing durable does. Callers are the
 // serialized appender — never holding s.mu.
 func (s *Store) newSegment(minCap int64) (*segment, error) {
 	s.mu.Lock()
@@ -330,9 +332,7 @@ func (s *Store) newSegment(minCap int64) (*segment, error) {
 			s.removeLocked(id)
 			s.mu.Unlock()
 			s.active.CompareAndSwap(g, nil)
-			if g.region != nil {
-				s.dev.Release(g.region)
-			} else {
+			if g.region == nil {
 				s.disk.Remove(g.name)
 			}
 			return nil, err
@@ -684,13 +684,16 @@ type SegmentRef struct {
 
 // SnapshotState returns the next segment id and the installed NVM
 // segments sorted by id — what a manifest full-state snapshot embeds.
-// SSD segments are excluded (not crash-recoverable).
+// SSD segments are excluded (not crash-recoverable), and so are condemned
+// ones: their live entries are already relocated and their region is
+// about to be freed, so a snapshot that named one (say, rolled in place
+// of its free record) would outlive the region.
 func (s *Store) SnapshotState() (next uint32, segs []SegmentRef) {
 	s.mu.Lock()
 	next = s.nextID
 	s.mu.Unlock()
 	for id, g := range *s.segs.Load() {
-		if g.region != nil {
+		if g.region != nil && !g.condemned.Load() {
 			segs = append(segs, SegmentRef{ID: id, Region: g.region.Index()})
 		}
 	}
