@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check torture torture-rate benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
+.PHONY: all build vet test race test-1cpu check torture torture-rate benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
 
 all: check
 
@@ -21,6 +21,12 @@ test:
 # under concurrent probes must stay race-clean.
 race:
 	$(GO) test -race ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom
+
+# One CPU: the runners that share it (one per background job, or one for
+# every merge under DisableParallelCompaction) must neither starve a job
+# nor deadlock when only one goroutine runs at a time.
+test-1cpu:
+	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade' -count=1
 
 # Crash-torture: randomized power failures, torn writes, and interrupted
 # recoveries under the race detector (50+ cycles; deterministic per seed).
@@ -60,9 +66,9 @@ loc:
 	@sh scripts/loc.sh
 
 # check is the gate for every change: build, vet, full tests, the race
-# detector over the concurrency-heavy packages, the crash-torture run,
-# the nested benchmark module, and the public-API diff.
-check: vet build test race torture benchcheck apicheck
+# detector over the concurrency-heavy packages, the one-CPU pass, the
+# crash-torture run, the nested benchmark module, and the public-API diff.
+check: vet build test race test-1cpu torture benchcheck apicheck
 
 # Multi-writer throughput sweep (MioDB vs the baselines).
 bench-concurrent:

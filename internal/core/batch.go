@@ -89,7 +89,7 @@ func (db *DB) Write(b *Batch) error {
 		}
 	}
 	start := time.Now()
-	err := db.commit(batchOp{}, b.ops)
+	_, err := db.commit(batchOp{}, b.ops)
 	if err == nil {
 		// One commit sample per batch (on top of commit's per-record
 		// put/delete samples): the latency an MPUT caller experienced.
@@ -129,7 +129,7 @@ func (db *DB) WriteBatch(ops []kvstore.BatchOp) error {
 		return nil
 	}
 	start := time.Now()
-	err := db.commit(batchOp{}, bops)
+	_, err := db.commit(batchOp{}, bops)
 	if err == nil {
 		db.st.RecordOp(stats.OpCommit, time.Since(start))
 	}

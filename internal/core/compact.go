@@ -10,101 +10,17 @@ import (
 	"miodb/internal/vaddr"
 )
 
-// compactLoop is the per-level zero-copy compaction thread (§4.5): as soon
-// as its level holds two PMTables, it merges the two oldest and pushes the
-// result into the level below. Levels are unbounded, so a slow merge below
-// never blocks a merge above — the non-blocking parallel compaction that
-// distinguishes MioDB from RocksDB-style parallel compaction.
-//
-// A persistent device or manifest failure latches the store degraded and
-// stops the loop (reads keep being served through the version chain).
-func (db *DB) compactLoop(level int) {
-	defer db.wg.Done()
-	for {
-		db.mu.Lock()
-		for !db.levelNeedsMergeLocked(level) && !db.closed && db.bgErr == nil {
-			db.cond.Wait()
-		}
-		if db.abandon || db.bgErr != nil || (db.closed && !db.levelNeedsMergeLocked(level)) {
-			db.mu.Unlock()
-			return
-		}
-		db.mu.Unlock()
-		if err := db.mergeOnce(level); err != nil {
-			db.degrade(fmt.Sprintf("compaction L%d", level), err)
-			return
-		}
-	}
-}
-
-// singleCompactLoop is the ablation counterpart: one goroutine serves
-// every level round-robin, plus the lazy-copy duty.
-func (db *DB) singleCompactLoop() {
-	defer db.wg.Done()
-	for {
-		worked := false
-		for level := 0; level < db.opts.Levels-1; level++ {
-			db.mu.Lock()
-			need := db.levelNeedsMergeLocked(level) && db.bgErr == nil
-			db.mu.Unlock()
-			if need {
-				if err := db.mergeOnce(level); err != nil {
-					db.degrade(fmt.Sprintf("compaction L%d", level), err)
-					return
-				}
-				worked = true
-			}
-		}
-		if worked {
-			continue
-		}
-		db.mu.Lock()
-		if db.closed || db.abandon || db.bgErr != nil {
-			db.mu.Unlock()
-			return
-		}
-		if !db.anyMergeNeededLocked() {
-			db.cond.Wait()
-		}
-		stop := db.closed || db.abandon || db.bgErr != nil
-		db.mu.Unlock()
-		if stop {
-			return
-		}
-	}
-}
-
-func (db *DB) anyMergeNeededLocked() bool {
-	for level := 0; level < db.opts.Levels-1; level++ {
-		if db.levelNeedsMergeLocked(level) {
-			return true
-		}
-	}
-	return false
-}
-
-// levelNeedsMergeLocked reports whether the level has two settled tables
-// ready to merge (an in-flight merge in the level defers further picks).
+// levelNeedsMergeLocked reports whether the level's two oldest entries
+// (the tail of the newest-first list) are settled tables: the pair its
+// merge job takes next. While that job runs the tail is its merge entry.
 func (db *DB) levelNeedsMergeLocked(level int) bool {
-	if db.mergeActiveLocked(level) {
+	lv := db.current.Load().levels[level]
+	if len(lv) < 2 {
 		return false
 	}
-	n := 0
-	for _, e := range db.current.Load().levels[level] {
-		if _, ok := e.(tableEntry); ok {
-			n++
-		}
-	}
-	return n >= 2
-}
-
-func (db *DB) mergeActiveLocked(level int) bool {
-	for _, am := range db.merges {
-		if am.level == level {
-			return true
-		}
-	}
-	return false
+	_, ok1 := lv[len(lv)-1].(tableEntry)
+	_, ok2 := lv[len(lv)-2].(tableEntry)
+	return ok1 && ok2
 }
 
 // mergeOnce zero-copy-merges the two oldest tables of the level and
@@ -123,17 +39,13 @@ func (db *DB) mergeOnce(level int) error {
 	// Pick the two oldest settled tables (the tail of the newest-first
 	// list) and replace them by a merge entry readers know how to probe.
 	db.mu.Lock()
+	if !db.levelNeedsMergeLocked(level) {
+		db.mu.Unlock()
+		return nil
+	}
 	entries := db.current.Load().levels[level]
-	if db.mergeActiveLocked(level) || len(entries) < 2 {
-		db.mu.Unlock()
-		return nil
-	}
-	oldE, ok1 := entries[len(entries)-1].(tableEntry)
-	newE, ok2 := entries[len(entries)-2].(tableEntry)
-	if !ok1 || !ok2 {
-		db.mu.Unlock()
-		return nil
-	}
+	oldE := entries[len(entries)-1].(tableEntry)
+	newE := entries[len(entries)-2].(tableEntry)
 	m := pmtable.NewMerge(newE.t, oldE.t)
 	// Reclamation gates (evaluated by the merge goroutine against live
 	// atomics): a superseded version is physically dropped only when every
@@ -157,8 +69,6 @@ func (db *DB) mergeOnce(level int) error {
 	// and the merge's first own mark write must not resume from a stale
 	// address.
 	db.manifest.region().Store64(db.markSlots[level], uint64(vaddr.NilAddr))
-	am := &activeMerge{level: level, merge: m, newID: newE.t.ID, oldID: oldE.t.ID}
-	db.merges = append(db.merges, am)
 	// Publish the merge on both tables before any node migrates, so
 	// readers holding pre-merge version snapshots switch to the
 	// mark-aware read protocol (see pmtable.Table.GetSafe).
@@ -168,16 +78,10 @@ func (db *DB) mergeOnce(level int) error {
 		lv := v.levels[level]
 		v.levels[level] = append(lv[:len(lv)-2:len(lv)-2], mergeEntry{m})
 	})
-	if err := db.logMergeStartLocked(level, am.newID, am.oldID); err != nil {
+	if err := db.logMergeStartLocked(level, newE.t.ID, oldE.t.ID); err != nil {
 		// Unwind under the same mu hold: no node has migrated, so a
 		// reader that pinned the merge version still finds both tables
 		// whole through the merge's read protocol.
-		for i, a := range db.merges {
-			if a == am {
-				db.merges = append(db.merges[:i], db.merges[i+1:]...)
-				break
-			}
-		}
 		db.editVersionLocked(func(v *version) {
 			lv := v.levels[level]
 			for i, e := range lv {
@@ -217,12 +121,6 @@ func (db *DB) mergeOnce(level int) error {
 	// as the newest table of the next level (everything arriving from
 	// above is newer than the level's current content).
 	db.mu.Lock()
-	for i, a := range db.merges {
-		if a == am {
-			db.merges = append(db.merges[:i], db.merges[i+1:]...)
-			break
-		}
-	}
 	db.editVersionLocked(func(v *version) {
 		lv := v.levels[level]
 		for i, e := range lv {
@@ -238,7 +136,7 @@ func (db *DB) mergeOnce(level int) error {
 	// would be wrong twice over — the Old skeleton's bloom filter does
 	// not cover nodes migrated in from the New side (false negatives for
 	// keys its list does hold), and the shared list may soon be migrating
-	// again under the result's own next merge. The activeMerge pointers
+	// again under the result's own next merge. The active-merge pointers
 	// stay set so no reader can ever observe a drained table as a plain
 	// one; Merge.Get and the forward chain both land on the live result.
 	m.New.SetForward(result)
@@ -251,7 +149,7 @@ func (db *DB) mergeOnce(level int) error {
 	db.levelStats[level].merges++
 	db.levelStats[level].nodesMoved += m.Moved()
 	db.levelStats[level].garbageBytes += m.Garbage()
-	if err := db.logMergeDoneLocked(level, am.newID, am.oldID, tableToState(result)); err != nil {
+	if err := db.logMergeDoneLocked(level, newE.t.ID, oldE.t.ID, tableToState(result)); err != nil {
 		// In-memory state is already final and consistent for readers;
 		// recovery replays the durable mergeStart and resumes the merge
 		// from its persisted mark (an already-drained merge resumes as a
@@ -306,33 +204,6 @@ func (db *DB) copyMerge(m *pmtable.Merge) (*pmtable.Table, func(), error) {
 	}, nil
 }
 
-// lazyLoop drains the last buffer level into the repository (in-memory
-// mode) or into L0 SSTables on the SSD (hierarchy mode), oldest table
-// first — the lazy-copy compaction of §4.4. Afterwards it releases every
-// arena the absorbed table owned, once no reader version references them.
-func (db *DB) lazyLoop() {
-	defer db.wg.Done()
-	last := db.opts.Levels - 1
-	for {
-		db.mu.Lock()
-		for !db.lazyWorkLocked(last) && !db.closed && db.bgErr == nil {
-			db.cond.Wait()
-		}
-		if db.abandon || db.bgErr != nil || (db.closed && !db.lazyWorkLocked(last)) {
-			db.mu.Unlock()
-			return
-		}
-		entries := db.current.Load().levels[last]
-		e := entries[len(entries)-1].(tableEntry) // oldest
-		db.mu.Unlock()
-
-		if err := db.lazyOne(last, e.t); err != nil {
-			db.degrade("lazy compaction", err)
-			return
-		}
-	}
-}
-
 // lazyWorkLocked reports whether the bottom buffer level has a settled
 // table to absorb.
 func (db *DB) lazyWorkLocked(last int) bool {
@@ -344,6 +215,11 @@ func (db *DB) lazyWorkLocked(last int) bool {
 	return ok
 }
 
+// lazyOne drains the oldest table t of the last buffer level into the
+// repository (in-memory mode) or into L0 SSTables on the SSD (hierarchy
+// mode) — the lazy-copy compaction of §4.4 — then releases every arena t
+// owned once no reader version references them, and rebuilds the
+// repository when garbage dominates it.
 func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 	start := time.Now()
 	db.mu.Lock()
@@ -413,10 +289,7 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 		db.mu.Unlock()
 		return fmt.Errorf("manifest: %w", err)
 	}
-	// Decide on a repository rebuild under the same lock hold that removed
-	// the table: the store must not look idle — to WaitIdle, or to the
-	// release queue below — between this absorb and the rebuild it causes.
-	rebuild := db.claimRepoCompactionLocked()
+	rebuild := db.repoRebuildDueLocked()
 	// The paper's lazy memory freeing: every arena the absorbed table
 	// accumulated across its zero-copy merges is returned at once, after
 	// the last reader drains — and only now that the absorption is
@@ -438,26 +311,26 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 	return nil
 }
 
-// claimRepoCompactionLocked latches a repository rebuild when superseded
-// nodes dominate the repository, bounding the NVM footprint of update-heavy
-// workloads. Triggering only when garbage exceeds 2× live data keeps the
-// amortized extra write traffic below 0.5× of the updates that created the
-// garbage. The caller holds db.mu and owes compactRepo the repository
-// returned (nil: no rebuild).
-func (db *DB) claimRepoCompactionLocked() *pmtable.Repository {
+// repoRebuildDueLocked returns the repository when superseded nodes
+// dominate it (nil otherwise): rebuilding then bounds the NVM footprint of
+// update-heavy workloads, and triggering only when garbage exceeds 2× live
+// data keeps the amortized extra write traffic below 0.5× of the updates
+// that created the garbage. Only the lazy-copy job rebuilds, so no two
+// rebuilds overlap, and its busy bit keeps the store from looking idle
+// until the rebuild is done.
+func (db *DB) repoRebuildDueLocked() *pmtable.Repository {
 	repo := db.repo
-	if repo == nil || db.repoCompacting {
+	if repo == nil {
 		return nil
 	}
 	garbage, live := repo.GarbageBytes(), repo.UserBytes()
 	if garbage < 4*db.opts.MemTableSize || garbage < 2*live {
 		return nil
 	}
-	db.repoCompacting = true
 	return repo
 }
 
-// compactRepo runs the rebuild claimRepoCompactionLocked latched.
+// compactRepo rebuilds repo without its garbage and swaps the result in.
 func (db *DB) compactRepo(repo *pmtable.Repository) error {
 	// Capture the tombstone set before rebuilding: the fresh repository
 	// applies exactly these (registration is seq-ordered, so the captured
@@ -486,17 +359,10 @@ func (db *DB) compactRepo(repo *pmtable.Repository) error {
 		fresh, err = repo.CompactedWith(db.opts.ChunkSize, dead, onDrop)
 	}
 	if err != nil {
-		// Clear the latch on the failure path too: leaving it set would
-		// wedge WaitIdle and block any future rebuild for good.
-		db.mu.Lock()
-		db.repoCompacting = false
-		db.cond.Broadcast()
-		db.mu.Unlock()
 		return fmt.Errorf("repo compact: %w", err)
 	}
 
 	db.mu.Lock()
-	db.repoCompacting = false
 	old := db.repo
 	db.repo = fresh
 	db.editVersionLocked(func(v *version) {
@@ -506,7 +372,6 @@ func (db *DB) compactRepo(repo *pmtable.Repository) error {
 		// The durable manifest still points at the old repository; it
 		// must never be released (reads go through the fresh one, which
 		// holds the same live content).
-		db.cond.Broadcast()
 		db.mu.Unlock()
 		return fmt.Errorf("manifest: %w", err)
 	}
@@ -517,12 +382,10 @@ func (db *DB) compactRepo(repo *pmtable.Repository) error {
 		db.repoAppliedSeq = dels[len(dels)-1].seq
 	}
 	if err := db.gcRangeTombstonesLocked(); err != nil {
-		db.cond.Broadcast()
 		db.mu.Unlock()
 		return fmt.Errorf("manifest: %w", err)
 	}
 	db.kickValueLogGCLocked()
-	db.cond.Broadcast()
 	db.mu.Unlock()
 	return nil
 }

@@ -43,24 +43,15 @@ type DB struct {
 	fp    pmtable.FilterParams
 
 	// vlog is the value log behind key-value separation (nil when
-	// Options.ValueLog is nil — the byte-for-byte inline engine). The GC
-	// loop wakes on vlogKick (non-blocking sends from compaction drops)
-	// and exits when vlogStop closes; stopVlog latches the close exactly
-	// once across Close and CrashForTest. vlogPasses counts the passes
-	// queued on vlogKick or running (guarded by mu): the store is not
-	// idle while it is non-zero.
-	vlog       *vlog.Store
-	vlogDisk   *vfs.Disk // SSD-offload backing (OnSSD); nil otherwise
-	vlogStop   chan struct{}
-	vlogKick   chan struct{}
-	vlogPasses int
-	stopVlog   sync.Once
+	// Options.ValueLog is nil — the byte-for-byte inline engine).
+	vlog     *vlog.Store
+	vlogDisk *vfs.Disk // SSD-offload backing (OnSSD); nil otherwise
 
-	// commitMu serializes client commits: every Put, Delete, DeleteRange
-	// and batch runs the one commit body (commitLocked) under it, and so
-	// does every memtable rotation (makeRoomForWrite, FlushAll,
-	// Checkpoint), so rotation and an insert can never interleave. Lock
-	// order: commitMu → mu.
+	// commitMu serializes commits: every Put, Delete, DeleteRange, batch
+	// and value-log GC relocation runs the one commit body (commitLocked)
+	// under it, and so does every memtable rotation (makeRoomForWrite,
+	// FlushAll, Checkpoint), so rotation and an insert can never
+	// interleave. Lock order: commitMu → mu.
 	commitMu sync.Mutex
 
 	seq     atomic.Uint64
@@ -122,13 +113,15 @@ type DB struct {
 	readLevels []readLevelWork
 
 	// mu guards the version-chain edits and all structural state below.
-	mu             sync.Mutex
-	cond           *sync.Cond
-	oldest         *version
-	merges         []*activeMerge // at most one per level
-	repoCompacting bool           // a repository garbage rebuild is running
-	closed         bool
-	abandon        bool // simulated crash: background loops exit without draining
+	mu      sync.Mutex
+	cond    *sync.Cond
+	oldest  *version
+	jobs    []*bgJob // the background job table (runner.go)
+	closed  bool
+	abandon bool // simulated crash: runners exit without draining
+	// vlogPending asks the value-log GC job for a pass
+	// (kickValueLogGCLocked); the store is not idle while it is set.
+	vlogPending bool
 	// bgErr is the sticky background error: once a background I/O path
 	// fails persistently the store degrades to read-only (see degrade.go).
 	bgErr error
@@ -169,12 +162,6 @@ type readLevelWork struct {
 	// hits counts Gets satisfied at this level.
 	hits atomic.Int64
 	_    [128 - 4*8]byte
-}
-
-type activeMerge struct {
-	level        int
-	merge        *pmtable.Merge
-	newID, oldID uint64
 }
 
 // Open creates a fresh DB.
@@ -283,29 +270,9 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 	return h, nil
 }
 
-func (db *DB) startBackground() {
-	db.wg.Add(1)
-	go db.flushLoop()
-	if db.opts.DisableParallelCompaction {
-		db.wg.Add(1)
-		go db.singleCompactLoop()
-	} else {
-		for level := 0; level < db.opts.Levels-1; level++ {
-			db.wg.Add(1)
-			go db.compactLoop(level)
-		}
-	}
-	db.wg.Add(1)
-	go db.lazyLoop()
-	if db.vlog != nil {
-		db.wg.Add(1)
-		go db.vlogGCLoop()
-	}
-}
-
-// initValueLog builds the value-log store and its GC plumbing. The
-// manifest must already exist: every new segment is announced through a
-// manifest record before the first pointer into it can commit.
+// initValueLog builds the value-log store. The manifest must already
+// exist: every new segment is announced through a manifest record before
+// the first pointer into it can commit.
 func (db *DB) initValueLog() {
 	vc := db.opts.ValueLog
 	cfg := vlog.Config{SegmentSize: vc.SegmentSize, GCDeadRatio: vc.GCDeadRatio}
@@ -319,8 +286,6 @@ func (db *DB) initValueLog() {
 		db.vlog = vlog.NewNVM(db.nvm, cfg)
 	}
 	db.vlog.OnNewSegment = db.logVlogSegment
-	db.vlogStop = make(chan struct{})
-	db.vlogKick = make(chan struct{}, 1)
 }
 
 // Put writes a key-value pair.
@@ -342,7 +307,8 @@ func (db *DB) write(key, value []byte, kind keys.Kind) error {
 	if len(key) == 0 {
 		return fmt.Errorf("miodb: empty key")
 	}
-	return db.commit(batchOp{key: key, value: value, kind: kind}, nil)
+	_, err := db.commit(batchOp{key: key, value: value, kind: kind}, nil)
+	return err
 }
 
 // commit times one client write request end to end — any admission
@@ -352,15 +318,15 @@ func (db *DB) write(key, value []byte, kind keys.Kind) error {
 // A request is either one op (Put, Delete, DeleteRange), passed by value
 // with ops nil, or a batch's ops. Keeping the single op out of a slice
 // lets it commit from a one-element array on the stack, so a Put does
-// not allocate.
-func (db *DB) commit(op batchOp, ops []batchOp) error {
+// not allocate. It returns the request's last sequence number.
+func (db *DB) commit(op batchOp, ops []batchOp) (uint64, error) {
 	start := time.Now()
 	if ops == nil {
 		one := [1]batchOp{op}
 		ops = one[:]
 	}
 	db.commitMu.Lock()
-	err := db.commitLocked(ops)
+	seq, err := db.commitLocked(ops, false)
 	db.commitMu.Unlock()
 	if err == nil {
 		d := time.Since(start)
@@ -368,7 +334,7 @@ func (db *DB) commit(op batchOp, ops []batchOp) error {
 		db.st.RecordOpN(stats.OpPut, d, puts)
 		db.st.RecordOpN(stats.OpDelete, d, deletes)
 	}
-	return err
+	return seq, err
 }
 
 // countKinds splits a commit request's records into puts and deletes;
@@ -384,19 +350,25 @@ func countKinds(ops []batchOp) (puts, deletes int64) {
 	return puts, deletes
 }
 
-// commitLocked is the one commit body for client writes: it applies ops
-// — a single op or a batch — with consecutive sequence numbers, a single
-// WAL append framing every record, then memtable inserts. Callers hold
-// commitMu, so rotation cannot interleave with the insert.
-func (db *DB) commitLocked(ops []batchOp) error {
+// commitLocked is the one commit body: it applies ops — a single op or a
+// batch — with consecutive sequence numbers, a single WAL append framing
+// every record, then memtable inserts, and returns the last sequence
+// number it assigned. Callers hold commitMu, so rotation cannot
+// interleave with the insert. A system write (sys: a value-log GC
+// relocation) skips admission and the user-byte, op and write-group
+// counters: it charges the device meters, as real write amplification,
+// but is not a client write.
+func (db *DB) commitLocked(ops []batchOp, sys bool) (uint64, error) {
 	if err := db.writeGate(); err != nil {
-		return err
+		return 0, err
 	}
-	if err := db.admitWrite(); err != nil {
-		return err
+	if !sys {
+		if err := db.admitWrite(); err != nil {
+			return 0, err
+		}
 	}
 	if err := db.makeRoomForWrite(); err != nil {
-		return err
+		return 0, err
 	}
 
 	// commitMu (held by every caller) also serializes rotation, so the
@@ -421,7 +393,7 @@ func (db *DB) commitLocked(ops []batchOp) error {
 			// stamped into those entries are never reused by an acked
 			// commit.
 			db.seq.Store(lastSeq)
-			return err
+			return 0, err
 		}
 	}
 
@@ -459,7 +431,7 @@ func (db *DB) commitLocked(ops []batchOp) error {
 				// acknowledging writes.
 				db.degrade("wal append", err)
 			}
-			return err
+			return 0, err
 		}
 	}
 
@@ -493,7 +465,7 @@ func (db *DB) commitLocked(ops []batchOp) error {
 					mem.maxSeq = seq - 1
 				}
 			}
-			return err
+			return 0, err
 		}
 		userBytes += int64(len(op.key) + len(op.value))
 		if op.kind == keys.KindDelete {
@@ -509,14 +481,16 @@ func (db *DB) commitLocked(ops []batchOp) error {
 	}
 	mem.maxSeq = lastSeq
 
-	// sepBytes restores the user-byte count of separated values (the ops
-	// only carry their 16-byte pointers) so write amplification keeps
-	// dividing by what the client actually wrote.
-	db.st.AddUserBytes(userBytes + sepBytes)
-	db.st.CountPuts(puts)
-	db.st.CountDeletes(deletes)
-	db.st.AddWriteGroup(nops)
-	return nil
+	if !sys {
+		// sepBytes restores the user-byte count of separated values (the
+		// ops only carry their 16-byte pointers) so write amplification
+		// keeps dividing by what the client actually wrote.
+		db.st.AddUserBytes(userBytes + sepBytes)
+		db.st.CountPuts(puts)
+		db.st.CountDeletes(deletes)
+		db.st.AddWriteGroup(nops)
+	}
+	return lastSeq, nil
 }
 
 // separateOps implements the key-value split on a committing op slice:
@@ -581,7 +555,8 @@ func (db *DB) DeleteRange(start, end []byte) error {
 	if len(end) > 0 && bytes.Compare(start, end) >= 0 {
 		return nil // empty range
 	}
-	return db.commit(batchOp{key: start, value: end, kind: keys.KindRangeDelete}, nil)
+	_, err := db.commit(batchOp{key: start, value: end, kind: keys.KindRangeDelete}, nil)
+	return err
 }
 
 // makeRoomForWrite rotates a full memtable into the immutable queue. It
@@ -985,7 +960,7 @@ func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) err
 // between load and read phases).
 func (db *DB) WaitIdle() {
 	db.mu.Lock()
-	// A degraded store's background loops have stopped: queued work will
+	// A degraded store's background runners have stopped: queued work will
 	// never drain, so waiting on it would hang forever.
 	for !db.idleLocked() && !db.closed && db.bgErr == nil {
 		db.cond.Wait()
@@ -994,22 +969,6 @@ func (db *DB) WaitIdle() {
 	if db.ssd != nil {
 		db.ssd.WaitIdle()
 	}
-}
-
-func (db *DB) idleLocked() bool {
-	v := db.current.Load()
-	if len(v.imms) > 0 {
-		return false
-	}
-	if len(db.merges) > 0 || db.repoCompacting || db.vlogPasses > 0 {
-		return false
-	}
-	for level := 0; level < len(v.levels)-1; level++ {
-		if len(v.levels[level]) >= 2 {
-			return false
-		}
-	}
-	return len(v.levels[len(v.levels)-1]) == 0
 }
 
 // FlushAll forces the active memtable out and waits for the store to
@@ -1068,7 +1027,7 @@ func (db *DB) Close() error {
 	}
 	db.mu.Unlock()
 
-	// Let queued work drain before stopping the loops.
+	// Let queued work drain before stopping the runners.
 	db.WaitIdle()
 
 	db.mu.Lock()
@@ -1080,7 +1039,6 @@ func (db *DB) Close() error {
 	db.closedFlag.Store(true)
 	db.cond.Broadcast()
 	db.mu.Unlock()
-	db.stopValueLogGC()
 	db.wg.Wait()
 	db.waitReadersDrained()
 	if db.ssd != nil {

@@ -44,9 +44,9 @@ func (db *DB) degradeLocked(op string, err error) {
 	db.bgErr = fmt.Errorf("%w (%s): %w", ErrDegraded, op, err)
 	db.degraded.Store(true)
 	db.st.CountBackgroundError()
-	// Wake background loops (they exit), WaitIdle callers, and writers.
+	// Wake background runners (they exit), WaitIdle callers, and writers.
 	db.cond.Broadcast()
-	// Background loops stop on the latch, so no further version edits (and
+	// Background runners stop on the latch, so no further version edits (and
 	// their synchronous sweeps) may ever run; kick one last opportunistic
 	// sweep so retired versions whose grace period has already elapsed are
 	// reclaimed rather than parked until Close.

@@ -7,39 +7,17 @@ import (
 	"miodb/internal/pmtable"
 )
 
-// flushLoop is the background flusher: it drains the immutable-memtable
-// queue oldest-first, one-piece-flushing each into a new L0 PMTable.
+// flushOne one-piece-flushes the oldest immutable memtable h into a new
+// L0 PMTable; the flush job drains the queue oldest-first.
 //
 // Timeline per memtable (§4.2): bulk arena copy to NVM + background
 // pointer swizzling + bloom build, all inside pmtable.Flush. The memtable
 // keeps serving reads until the version without it drains; only then are
 // its DRAM arena and WAL region released.
 //
-// A persistent device or manifest failure latches the store degraded and
-// stops the loop; the flushed-but-unreleased state is intentionally
-// leaked so the last recoverable manifest image stays self-consistent.
-func (db *DB) flushLoop() {
-	defer db.wg.Done()
-	for {
-		db.mu.Lock()
-		for len(db.current.Load().imms) == 0 && !db.closed && db.bgErr == nil {
-			db.cond.Wait()
-		}
-		if db.abandon || db.bgErr != nil || (db.closed && len(db.current.Load().imms) == 0) {
-			db.mu.Unlock()
-			return
-		}
-		imms := db.current.Load().imms
-		h := imms[len(imms)-1] // oldest
-		db.mu.Unlock()
-
-		if err := db.flushOne(h); err != nil {
-			db.degrade("flush", err)
-			return
-		}
-	}
-}
-
+// A persistent device or manifest failure degrades the store; the
+// flushed-but-unreleased state is intentionally leaked so the last
+// recoverable manifest image stays self-consistent.
 func (db *DB) flushOne(h *memHandle) error {
 	start := time.Now()
 

@@ -23,16 +23,18 @@ type CrashImage struct {
 	NVM   *nvm.Device
 }
 
-// CrashForTest simulates a power failure: background goroutines are
-// abandoned at their next checkpoint (queued flushes and lazy copies are
-// dropped on the floor, exactly as a crash would), and the NVM state is
-// handed back for recovery. The DB is unusable afterwards.
+// CrashForTest simulates a power failure: every background runner exits
+// at its next pick without starting another job (queued flushes, merges,
+// lazy copies and GC passes are dropped on the floor, exactly as a crash
+// would), and the NVM state is handed back for recovery. The DB is
+// unusable afterwards.
 //
-// An in-flight zero-copy merge completes its current Run before the
-// goroutine observes the abandon flag — goroutines cannot be killed
-// mid-instruction in-process. Mid-merge crash recovery is exercised
-// directly at the pmtable level (Merge.Resume) and through manifest-driven
-// recovery tests that construct interrupted states.
+// A job already running completes before its runner observes the abandon
+// flag — goroutines cannot be killed mid-instruction in-process — except
+// a value-log GC pass, which stops before its next relocation. Mid-merge
+// crash recovery is exercised directly at the pmtable level (Merge.Resume)
+// and through manifest-driven recovery tests that construct interrupted
+// states.
 func (db *DB) CrashForTest() *CrashImage {
 	db.mu.Lock()
 	db.closed = true
@@ -40,7 +42,6 @@ func (db *DB) CrashForTest() *CrashImage {
 	db.abandon = true
 	db.cond.Broadcast()
 	db.mu.Unlock()
-	db.stopValueLogGC()
 	db.wg.Wait()
 	if db.ssd != nil {
 		db.ssd.Close()

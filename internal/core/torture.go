@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"miodb/internal/keys"
 	"miodb/internal/nvm"
 )
 
@@ -175,7 +176,11 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 	model := make(map[string]string) // acked live values
 	ever := make(map[string]bool)    // every key ever written
 	var pending pendingOp
-	var seqFloor uint64 // seq of the newest acked update
+	// seqFloor is the newest acked update's own sequence number, as its
+	// commit reported it. db.LastSeq() read after the ack is no floor: a
+	// background value-log relocation can burn a seq in between that is
+	// never logged, so recovery rightly comes back below it.
+	var seqFloor uint64
 
 	for cycle := 0; cycle < cfg.Cycles; cycle++ {
 		_, dev := db.Devices()
@@ -205,7 +210,8 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 				a := rng.Intn(keyspace)
 				start := fmt.Sprintf("k%04d", a)
 				end := fmt.Sprintf("k%04d", a+1+rng.Intn(24))
-				if err := db.DeleteRange([]byte(start), []byte(end)); err != nil {
+				seq, err := db.commit(batchOp{key: []byte(start), value: []byte(end), kind: keys.KindRangeDelete}, nil)
+				if err != nil {
 					if dev.Faults() == nil {
 						return nil, fmt.Errorf("cycle %d op %d: range delete failed with no fault armed: %w", cycle, op, err)
 					}
@@ -220,16 +226,14 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 				}
 				rep.OpsAcked++
 				rep.RangeDeletes++
-				seqFloor = db.LastSeq()
+				seqFloor = seq
 				continue
 			}
 			k := fmt.Sprintf("k%04d", rng.Intn(keyspace))
 			del := rng.Intn(10) == 0
 			var v string
-			var err error
-			if del {
-				err = db.Delete([]byte(k))
-			} else {
+			w := batchOp{key: []byte(k), kind: keys.KindDelete}
+			if !del {
 				v = fmt.Sprintf("v-%s-c%d-o%d-%0*d", k, cycle, op, rng.Intn(90), 0)
 				if cfg.ValueLog {
 					// Pad to straddle the separation threshold: roughly half
@@ -238,8 +242,9 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 					// threshold comparison.
 					v = fmt.Sprintf("%s%0*d", v, 1+rng.Intn(400), 0)
 				}
-				err = db.Put([]byte(k), []byte(v))
+				w = batchOp{key: []byte(k), value: []byte(v), kind: keys.KindSet}
 			}
+			seq, err := db.commit(w, nil)
 			if err != nil {
 				if dev.Faults() == nil {
 					return nil, fmt.Errorf("cycle %d op %d: write failed with no fault armed: %w", cycle, op, err)
@@ -255,7 +260,7 @@ func RunTorture(cfg TortureConfig) (*TortureReport, error) {
 				model[k] = v
 			}
 			rep.OpsAcked++
-			seqFloor = db.LastSeq()
+			seqFloor = seq
 
 			// Occasionally force a full GC pass mid-workload, racing the
 			// cycle's armed crash plan: relocations go through the same

@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"miodb/internal/keys"
+	"miodb/internal/nvm"
+)
 
 // TestCrashTorture is the randomized crash-recovery harness: dozens of
 // write / crash / recover / verify cycles with injected device crashes,
@@ -95,5 +101,84 @@ func TestCrashTortureNoWAL(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		db2.Close()
+	}
+}
+
+// TestFailedRelocationSeqIsNoFloor pins why RunTorture floors on the acked
+// op's own sequence number: a value-log relocation whose append fails
+// burns a seq that no log ever records, so LastSeq() read after an ack can
+// exceed what recovery restores while every acked write survives.
+func TestFailedRelocationSeqIsNoFloor(t *testing.T) {
+	opts := vlogOpts()
+	db := mustOpen(t, opts)
+	const n = 16
+	key := func(i int) []byte { return []byte(fmt.Sprintf("floor%03d", i)) }
+	golden := map[string]string{}
+	for i := 0; i < n; i++ {
+		v := bigVal(string(key(i)), 1<<10)
+		if err := db.Put(key(i), v); err != nil {
+			t.Fatal(err)
+		}
+		golden[string(key(i))] = string(v)
+	}
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Supersede three quarters in the memtable and report the old pointers
+	// dropped, as the merge that meets them eventually will: a segment now
+	// qualifies for GC with live entries left to relocate.
+	v := db.current.Load()
+	for i := 0; i < n; i++ {
+		if i%4 == 0 {
+			continue
+		}
+		old, _, _, ok := db.rawNewest(v, key(i))
+		if !ok {
+			t.Fatalf("%s not found", key(i))
+		}
+		old = append([]byte(nil), old...)
+		nv := bigVal(string(key(i))+"-v2", 1<<10)
+		if err := db.Put(key(i), nv); err != nil {
+			t.Fatal(err)
+		}
+		golden[string(key(i))] = string(nv)
+		db.onEntryDrop(old, keys.KindValuePtr)
+	}
+	if _, ok := db.vlog.PickGC(); !ok {
+		t.Fatal("no segment qualifies for GC: the test no longer builds its scenario")
+	}
+
+	acked, err := db.commit(batchOp{key: []byte("acked"), value: []byte("last"), kind: keys.KindSet}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden["acked"] = "last"
+
+	// The relocation's value-log append is the next device write; failing
+	// it burns the seq the entry was stamped with.
+	_, dev := db.Devices()
+	dev.SetFaultPlan(nvm.NewFaultPlan(1).FailWritesEvery(1))
+	if _, err := db.RunValueLogGC(); err == nil {
+		t.Fatal("GC relocated with every device write failing")
+	}
+	last := db.LastSeq()
+	if last <= acked {
+		t.Fatalf("LastSeq %d after the failed relocation, acked seq %d: no seq burned", last, acked)
+	}
+
+	img := db.CrashForTest()
+	img.NVM.SetFaultPlan(nil)
+	re, err := Recover(img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.LastSeq(); got >= last || got < acked {
+		t.Fatalf("recovered seq %d: want at least the acked %d and below LastSeq %d before the crash", got, acked, last)
+	}
+	for k, want := range golden {
+		if got, err := re.Get([]byte(k)); err != nil || string(got) != want {
+			t.Fatalf("acked %s lost after recovery: err=%v", k, err)
+		}
 	}
 }

@@ -131,20 +131,16 @@ func newRootVersion() *version {
 // synchronizes with, so the append is always visible before the run.
 //
 // A queue runs only after its version retires, and a version retires at
-// the next edit. Every background job queues its garbage after its own
-// edit (manifest record durable first, queue second), so when that edit
-// was the one that left the store idle no later edit is coming: the
-// version is retired here with an empty edit, or the arenas a finished
-// lazy copy freed would stay committed for as long as the store rests.
+// the next edit. Garbage is queued after its own edit (manifest record
+// durable first, queue second), so when that edit left the store idle no
+// later edit is coming: the version is retired with an empty edit, or the
+// arenas a finished lazy copy freed would stay committed for as long as
+// the store rests. A background job is still busy here, so its runner
+// retires the version when the job ends (runner.go); an explicit
+// RunValueLogGC's segment free retires it here.
 func (db *DB) queueReleaseLocked(fn func()) {
 	cur := db.current.Load()
 	cur.releaseFns = append(cur.releaseFns, fn)
-	db.retireIfIdleLocked()
-}
-
-// retireIfIdleLocked retires the current version with an empty edit when
-// the store is idle, so the releases queued on it can run.
-func (db *DB) retireIfIdleLocked() {
 	if db.idleLocked() {
 		db.editVersionLocked(func(*version) {})
 	}

@@ -39,57 +39,17 @@ import (
 // relocations only target the active segment), so the pre-scan's live
 // set can only shrink before step 2's recheck.
 
-// kickValueLogGCLocked nudges the GC loop (non-blocking) and counts the
-// pass it queues. Compactions call it for the drops they reported, under
-// the same db.mu hold that takes them off the books (db.merges, the last
-// level's table, repoCompacting): between a compaction's end and the pass
-// it prompts the store never looks idle, so WaitIdle cannot return — nor
-// CrashForTest cut, nor a consistency check run — with a collector queued
-// or relocating behind it.
+// kickValueLogGCLocked asks the value-log GC job for a pass. Compactions
+// call it for the drops they reported, while their own job is still busy:
+// between a compaction's end and the pass it prompts the store never looks
+// idle, so WaitIdle cannot return — nor CrashForTest cut, nor a
+// consistency check run — with a pass queued or relocating behind it.
 func (db *DB) kickValueLogGCLocked() {
 	if db.vlog == nil {
 		return
 	}
-	select {
-	case db.vlogKick <- struct{}{}:
-		db.vlogPasses++
-	default: // a pass is already queued; it will see these drops too
-	}
-}
-
-// stopValueLogGC latches the GC stop channel closed (idempotent across
-// Close and CrashForTest).
-func (db *DB) stopValueLogGC() {
-	if db.vlog == nil {
-		return
-	}
-	db.stopVlog.Do(func() { close(db.vlogStop) })
-}
-
-// vlogGCLoop runs in the background and makes one paced reclamation pass
-// whenever compaction activity kicks it.
-func (db *DB) vlogGCLoop() {
-	defer db.wg.Done()
-	seen := db.vlog.NextID()
-	for {
-		select {
-		case <-db.vlogStop:
-			return
-		case <-db.vlogKick:
-		}
-		// Errors are sticky elsewhere (degraded mode) or transient to this
-		// round; either way the loop keeps serving later kicks.
-		_, _ = db.vlogGCPass(&seen)
-		db.mu.Lock()
-		db.vlogPasses--
-		// A release queued while the pass was on the books (its own segment
-		// frees, a lazy copy's arenas) skipped the retire-at-idle edit.
-		if len(db.current.Load().releaseFns) > 0 {
-			db.retireIfIdleLocked()
-		}
-		db.cond.Broadcast()
-		db.mu.Unlock()
-	}
+	db.vlogPending = true
+	db.cond.Broadcast()
 }
 
 // vlogGCPass is one background pass, paced by log growth: it reclaims at
@@ -117,7 +77,7 @@ func (db *DB) vlogGCPass(seen *uint32) (int, error) {
 // GCDeadRatio has its live values relocated through the write path and
 // its memory queued for epoch-deferred release. It returns the number of
 // segments reclaimed. Tests, the torture harness and drains call it
-// directly for deterministic, complete GC; the background loop makes paced
+// directly for deterministic, complete GC; the background GC job makes paced
 // passes instead (vlogGCPass). Safe to call concurrently with reads,
 // writes, and snapshots.
 func (db *DB) RunValueLogGC() (int, error) {
@@ -130,12 +90,7 @@ func (db *DB) RunValueLogGC() (int, error) {
 // reclaimValueLog reclaims up to limit qualifying segments, deadest first.
 func (db *DB) reclaimValueLog(limit int) (int, error) {
 	freed := 0
-	for freed < limit {
-		select {
-		case <-db.vlogStop:
-			return freed, nil
-		default:
-		}
+	for freed < limit && !db.closedFlag.Load() {
 		picked, err := db.gcSegment()
 		if err != nil {
 			return freed, err
@@ -153,7 +108,7 @@ func (db *DB) reclaimValueLog(limit int) (int, error) {
 func (db *DB) gcSegment() (bool, error) {
 	// Pick and pre-scan under one reader pin: collect the still-live
 	// entries. The pin comes first because collectors run concurrently (the
-	// background loop beside an explicit RunValueLogGC): a segment offered
+	// background GC job beside an explicit RunValueLogGC): a segment offered
 	// under the pin cannot be freed before the pin is dropped — its free is
 	// queued on this version or a later one — so the walk never finds the
 	// segment another collector just reclaimed. Keys yielded by Walk alias
@@ -177,20 +132,39 @@ func (db *DB) gcSegment() (bool, error) {
 		return false, err
 	}
 
+	// Relocate each entry still live under commitMu: commits hold it, so
+	// once the recheck finds the entry live nothing can supersede it
+	// before the re-commit. The recheck walks tables a finishing merge may
+	// retire, so it needs a pin like any reader. The value is copied
+	// segment to segment with no pin held: an entry live under commitMu
+	// keeps its segment installed, because whichever collector frees the
+	// segment must first relocate this entry — under commitMu — or see it
+	// dead.
 	for _, e := range live {
-		select {
-		case <-db.vlogStop:
+		if db.closedFlag.Load() {
 			return false, nil
-		default:
 		}
 		db.commitMu.Lock()
-		rerr := db.relocateLocked(e)
+		pin := db.acquireVersion()
+		still := db.vlogEntryLive(pin.v, e.key, e.addr)
+		db.releaseVersion(pin)
+		var err error
+		if still {
+			var value []byte
+			if _, value, _, err = db.vlog.Read(e.addr); err == nil { // verifies the checksum
+				one := [1]batchOp{{key: e.key, value: value, kind: keys.KindSet}}
+				if _, err = db.commitLocked(one[:], true); err == nil {
+					db.vlog.MarkDead(e.addr)
+					db.vlog.AddRelocation(int64(len(value)))
+				}
+			}
+		}
 		db.commitMu.Unlock()
-		if rerr != nil {
+		if err != nil {
 			// Closed, degraded, or a device fault: leave the segment in
 			// place — a half-relocated segment is fully consistent (the
 			// moved entries are dead, the rest still referenced).
-			return false, rerr
+			return false, err
 		}
 	}
 
@@ -271,69 +245,6 @@ func (db *DB) rawNewest(v *version, key []byte) ([]byte, uint64, keys.Kind, bool
 		}
 	}
 	return nil, 0, 0, false
-}
-
-// relocateLocked re-commits one live log entry under a fresh sequence
-// number: value bytes into the active segment, WAL pointer record,
-// memtable insert — the same durability order as a client write. Callers
-// hold commitMu. Relocations charge the device meters (they are real
-// write amplification) but not the user-byte or op counters.
-//
-// The value is copied segment to segment, with no pin held: an entry live
-// under commitMu keeps its segment installed, because whichever collector
-// frees the segment must first relocate this entry — under commitMu — or
-// see it dead.
-func (db *DB) relocateLocked(e liveEntry) error {
-	if err := db.writeGate(); err != nil {
-		return err
-	}
-	if err := db.makeRoomForWrite(); err != nil {
-		return err
-	}
-	// Recheck under commitMu: a client commit may have superseded or
-	// deleted the key since the pre-scan. Once live here, nothing can
-	// supersede it before our own insert — commits hold commitMu. The
-	// lookup walks tables a finishing merge may retire, so it needs a pin
-	// like any reader; the memtable handle is stable under commitMu.
-	pin := db.acquireVersion()
-	live, mem := db.vlogEntryLive(pin.v, e.key, e.addr), pin.v.mem
-	db.releaseVersion(pin)
-	if !live {
-		return nil
-	}
-	_, value, _, err := db.vlog.Read(e.addr) // verifies the checksum
-	if err != nil {
-		return err
-	}
-	seq := db.seq.Load() + 1
-	addr, err := db.vlog.Append(e.key, value, seq)
-	if err != nil {
-		db.seq.Store(seq) // the seq is stamped in the log: burn it
-		return err
-	}
-	var pb [vlog.AddrSize]byte
-	ptr := addr.Encode(pb[:0])
-	if mem.log != nil {
-		if err := mem.log.Append(e.key, ptr, seq, keys.KindValuePtr); err != nil {
-			db.seq.Store(seq)
-			if mem.log.Poisoned() {
-				db.degrade("wal append", err)
-			}
-			return err
-		}
-	}
-	if err := mem.mt.Add(e.key, ptr, seq, keys.KindValuePtr); err != nil {
-		db.seq.Store(seq)
-		return err
-	}
-	db.seq.Store(seq)
-	if mem.minSeq == 0 {
-		mem.minSeq = seq
-	}
-	mem.maxSeq = seq
-	db.vlog.MarkDead(e.addr)
-	db.vlog.AddRelocation(int64(len(value)))
-	return nil
 }
 
 // onEntryDrop is the compaction drop hook: a merge, absorb, or rebuild
