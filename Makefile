@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race test-1cpu check torture torture-rate benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
+.PHONY: all build vet test race test-1cpu check torture torture-rate torture-stress benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
 
 all: check
 
@@ -35,16 +35,30 @@ torture:
 
 # Crash-torture health as a rate, not a single run: both torture tests
 # COUNT times each (race off), failures tallied by mode with the numbers
-# masked so equal modes group. The tests are flaky at a known low rate
-# (ROADMAP item 1); compare the rate and the modes of a change with its
-# parent's — a new mode is a bug, the old modes at a similar rate are not.
-COUNT ?= 100
+# masked so equal modes group. Compare the rate and the modes of a change
+# with its parent's: any failure is news, a new mode is a bug.
+COUNT ?= 200
+TORTURE_TESTS = TestCrashTorture TestCrashTortureValueLog
+# torture_tally prints test $$t's tally from .torture-rate.log.
+torture_tally = echo "$$t: $$(grep -c -- '--- FAIL' .torture-rate.log) of $(COUNT) runs failed, $$(grep -c '^panic:' .torture-rate.log) panicked (a panic ends the batch: the runs after it never ran)"; \
+	grep -A1 -- '--- FAIL' .torture-rate.log | grep -v -- '^--' | sed 's/[0-9][0-9]*/N/g' | cut -c1-100 | sort | uniq -c
 torture-rate:
-	@for t in TestCrashTorture TestCrashTortureValueLog; do \
+	@for t in $(TORTURE_TESTS); do \
 		$(GO) test ./internal/core -run "^$$t$$" -count=$(COUNT) > .torture-rate.log 2>&1; \
-		echo "$$t: $$(grep -c -- '--- FAIL' .torture-rate.log) of $(COUNT) runs failed, $$(grep -c '^panic:' .torture-rate.log) panicked (a panic ends the batch: the runs after it never ran)"; \
-		grep -A1 -- '--- FAIL' .torture-rate.log | grep -v -- '^--' | sed 's/[0-9][0-9]*/N/g' | cut -c1-100 | sort | uniq -c; \
+		$(torture_tally); \
 	done; rm -f .torture-rate.log
+
+# torture-rate as a gate: fails if any of the COUNT runs of either test
+# fails or panics, and then prints that test's tally by mode.
+torture-stress:
+	@status=0; for t in $(TORTURE_TESTS); do \
+		if $(GO) test ./internal/core -run "^$$t$$" -count=$(COUNT) > .torture-rate.log 2>&1 && \
+			! grep -q -e '--- FAIL' -e '^panic:' .torture-rate.log; then \
+			echo "$$t: $(COUNT) of $(COUNT) runs passed"; \
+		else \
+			status=1; $(torture_tally); tail -n 20 .torture-rate.log; \
+		fi; \
+	done; rm -f .torture-rate.log; exit $$status
 
 # The repository benchmark is a module of its own (benchmark/go.mod, with
 # a replace onto this one), so `go test ./...` here never enters it. It
@@ -67,8 +81,9 @@ loc:
 
 # check is the gate for every change: build, vet, full tests, the race
 # detector over the concurrency-heavy packages, the one-CPU pass, the
-# crash-torture run, the nested benchmark module, and the public-API diff.
-check: vet build test race test-1cpu torture benchcheck apicheck
+# crash-torture run under the race detector and COUNT times each without
+# it, the nested benchmark module, and the public-API diff.
+check: vet build test race test-1cpu torture torture-stress benchcheck apicheck
 
 # Multi-writer throughput sweep (MioDB vs the baselines).
 bench-concurrent:

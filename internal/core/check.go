@@ -125,12 +125,13 @@ func (db *DB) CheckRegionAccounting() error {
 }
 
 // liveRegionsLocked computes the set of region indexes reachable from the
-// current version: the superblock/manifest, the live and immutable
-// memtable arenas plus their WAL regions, every settled PMTable's
-// arenas, and the repository. Callers hold db.mu; the current version
-// must hold no in-flight merges (its entries must all be tableEntry).
+// current version: the superblock and its current manifest generation,
+// the live and immutable memtable arenas plus their WAL regions, every
+// settled PMTable's arenas, and the repository. Callers hold db.mu; the
+// current version must hold no in-flight merges (its entries must all be
+// tableEntry).
 func (db *DB) liveRegionsLocked() (map[uint32]bool, error) {
-	live := map[uint32]bool{db.manifest.region().Index(): true}
+	live := map[uint32]bool{db.manifest.super.Index(): true, db.manifest.gen.Index(): true}
 	v := db.current.Load()
 	addMem := func(h *memHandle) {
 		live[h.mt.Region().Index()] = true

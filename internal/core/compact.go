@@ -63,12 +63,12 @@ func (db *DB) mergeOnce(level int) error {
 	if db.vlog != nil {
 		m.OnDrop = db.onEntryDrop
 	}
-	m.SetPersistSlot(db.manifest.region(), db.markSlots[level])
+	m.SetPersistSlot(db.manifest.super, db.markSlots[level])
 	// Clear any mark a previous merge of this level left behind before
 	// the pairing becomes durable: a crash between the mergeStart record
 	// and the merge's first own mark write must not resume from a stale
 	// address.
-	db.manifest.region().Store64(db.markSlots[level], uint64(vaddr.NilAddr))
+	db.manifest.super.Store64(db.markSlots[level], uint64(vaddr.NilAddr))
 	// Publish the merge on both tables before any node migrates, so
 	// readers holding pre-merge version snapshots switch to the
 	// mark-aware read protocol (see pmtable.Table.GetSafe).

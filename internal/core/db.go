@@ -127,7 +127,7 @@ type DB struct {
 	bgErr error
 
 	manifest      *manifestLog
-	manifestEdits int          // delta records since the last snapshot
+	manifestEdits int          // delta records in the current generation
 	markSlots     []vaddr.Addr // persisted insertion-mark slot per level
 	levelStats    []levelWork  // per-level compaction counters (under mu)
 
@@ -186,9 +186,9 @@ func Open(opts Options) (*DB, error) {
 	db.initEpochs()
 	db.applySimulation()
 
-	// The superblock/manifest occupies the space's first region so that
-	// recovery can find it without any external root.
-	db.manifest = newManifestLog(db.nvm)
+	// The superblock occupies the space's first region so that recovery
+	// can find it without any external root.
+	db.manifest = newManifestLog(db.nvm, opts.Levels)
 	db.markSlots = make([]vaddr.Addr, opts.Levels)
 	for i := range db.markSlots {
 		slot, err := db.manifest.allocSlot()

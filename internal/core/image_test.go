@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,6 +74,42 @@ func TestOpenImageRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenImage(filepath.Join(dir, "missing.img"), smallOpts()); err == nil {
 		t.Error("missing image accepted")
+	}
+}
+
+// TestRecoverRefusesSuperblockWithoutGeneration: a superblock whose
+// pointer word is zero (as in an image written before the superblock held
+// one) or names a region that does not open with a snapshot is refused
+// with a named error, never decoded as manifest records.
+func TestRecoverRefusesSuperblockWithoutGeneration(t *testing.T) {
+	opts := smallOpts()
+	db := mustOpen(t, opts)
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	walBase := uint64(db.current.Load().mem.log.Region().Base())
+	img := db.CrashForTest()
+	super := img.Space.Region(0)
+	ptr := super.Base().Add(genPtrOff)
+	gen := super.Load64(ptr)
+
+	for _, bad := range []uint64{0, walBase, gen + 8} {
+		super.Store64(ptr, bad)
+		if re, err := Recover(img, opts); !errors.Is(err, errNoGeneration) {
+			if err == nil {
+				re.Close()
+			}
+			t.Fatalf("pointer %#x: recover: %v, want %v", bad, err, errNoGeneration)
+		}
+	}
+	super.Store64(ptr, gen)
+	re, err := Recover(img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if v, err := re.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get(k) = %q, %v after restoring the pointer", v, err)
 	}
 }
 

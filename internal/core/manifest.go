@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -11,24 +12,32 @@ import (
 	"miodb/internal/vaddr"
 )
 
-// manifestLog is MioDB's superblock: an append-only log of full structural
-// snapshots in the *first* NVM region of the store, so recovery can find
-// it without any external root. Each record frames one encoded state:
+// manifestLog is MioDB's superblock. Region 0, the first region of the
+// space, is a fixed header recovery finds without any external root:
+//
+//	[ nil word | generation pointer | insertion-mark slot per level ]
+//
+// The mark slots are the 8-byte words zero-copy merges persist through
+// (§4.7); their addresses are carried inside every snapshot. The pointer
+// holds the base address of the current generation: one NVM region of
+// exactly one chunk whose first record is a full snapshot, followed by at
+// most snapshotEvery-1 deltas. Each record frames one payload:
 //
 //	[ crc32 uint32 | len uint32 | payload ]
 //
-// The last intact record wins (a torn tail write is ignored). The region
-// also hosts the per-level insertion-mark slots that zero-copy merges
-// persist through (§4.7); their addresses are carried inside every state
-// record.
+// A roll writes the next snapshot into a fresh generation, swings the
+// pointer with one 8-byte store and releases the old generation, so
+// nothing is ever appended behind a torn record: a torn tail just ends
+// the replay, and the recovery that finds it rolls past it.
 type manifestLog struct {
-	dev *nvm.Device
-	reg *vaddr.Region
+	dev   *nvm.Device
+	super *vaddr.Region // region 0
+	gen   *vaddr.Region // current generation
 
-	// poisoned latches once a failed append left a torn prefix on the
-	// media: the last-intact-record scan stops there forever, so any
-	// further append could never be recovered. Appending to a poisoned
-	// manifest is refused with a persistent error.
+	// poisoned latches once a failed write left a torn prefix on the
+	// media: replay stops at it, so an append behind it could never be
+	// recovered. Every further append or roll is refused with a persistent
+	// error; the store is degraded anyway.
 	poisoned bool
 }
 
@@ -36,145 +45,140 @@ type manifestLog struct {
 // transient marker) even when the underlying injected fault was
 // transient: a torn record is already on the media, and retrying an
 // append behind it would write state recovery can never see.
-var errManifestPoisoned = fmt.Errorf("manifest: log poisoned by torn append")
+var errManifestPoisoned = fmt.Errorf("manifest: log poisoned by torn write")
 
-const manifestChunk = 1 << 20
+// errNoGeneration refuses a superblock whose pointer does not name a
+// present region opening with an intact snapshot: a zeroed pointer, or a
+// checkpoint image written before the superblock held one.
+var errNoGeneration = errors.New("manifest: superblock names no generation")
 
-func newManifestLog(dev *nvm.Device) *manifestLog {
-	return &manifestLog{dev: dev, reg: dev.NewRegion(manifestChunk)}
+const (
+	genPtrOff   = 8        // the generation pointer's offset in region 0
+	genMinChunk = 16 << 10 // floor of a generation's one chunk
+)
+
+// newManifestLog lays down region 0 with its nil word and generation
+// pointer; Open allocates the mark slots and rolls the first generation.
+func newManifestLog(dev *nvm.Device, levels int) *manifestLog {
+	super := dev.NewRegion(genPtrOff + 8 + 8*levels) // a 4 KiB stride, backed by just these words
+	if _, err := super.Alloc(8); err != nil {
+		panic(err)
+	}
+	return &manifestLog{dev: dev, super: super}
 }
 
-func attachManifestLog(dev *nvm.Device, reg *vaddr.Region) *manifestLog {
-	return &manifestLog{dev: dev, reg: reg}
+// attachManifestLog opens the generation region 0 points at.
+func attachManifestLog(dev *nvm.Device, super *vaddr.Region) (*manifestLog, error) {
+	if super == nil || super.Size() < genPtrOff+8 {
+		return nil, errNoGeneration
+	}
+	ptr := vaddr.Addr(super.Load64(super.Base().Add(genPtrOff)))
+	gen := super.Space().RegionOf(ptr)
+	if gen == nil || ptr != gen.Base() {
+		return nil, errNoGeneration
+	}
+	return &manifestLog{dev: dev, super: super, gen: gen}, nil
 }
-
-func (m *manifestLog) region() *vaddr.Region { return m.reg }
 
 // allocSlot reserves an 8-byte persisted slot (insertion marks).
 func (m *manifestLog) allocSlot() (vaddr.Addr, error) {
-	a, err := m.reg.Alloc(8)
+	a, err := m.super.Alloc(8)
 	if err != nil {
 		return vaddr.NilAddr, err
 	}
-	m.reg.PutUint64(a, 0)
+	m.super.PutUint64(a, 0)
 	return a, nil
 }
 
-// append durably adds one state record, gated on the device fault plan.
-// An injected torn write persists exactly the torn prefix (recovery
-// discards it as a damaged tail) and poisons the log.
-func (m *manifestLog) append(payload []byte) error {
+// fits reports whether a record of n payload bytes fits in what remains
+// of the generation's one chunk.
+func (m *manifestLog) fits(n int) bool {
+	return m.gen.Size()+int64(8+n) <= int64(m.gen.ChunkSize())
+}
+
+// write durably places one record at the end of reg, gated on the device
+// fault plan. An injected torn write persists exactly the torn prefix
+// (replay ends at it) and poisons the log.
+func (m *manifestLog) write(reg *vaddr.Region, payload []byte) error {
 	if m.poisoned {
 		return errManifestPoisoned
 	}
 	total := 8 + len(payload)
-	if total > m.reg.ChunkSize() {
-		return fmt.Errorf("manifest: record of %d bytes exceeds chunk %d", total, m.reg.ChunkSize())
-	}
 	buf := make([]byte, total)
 	binary.LittleEndian.PutUint32(buf[0:4], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
 	copy(buf[8:], payload)
-	if out := m.dev.CheckWrite(total); out.Err != nil {
-		if out.Torn > 0 {
-			torn := out.Torn
-			if torn > total {
-				torn = total
-			}
-			if addr, err := m.reg.Alloc(total); err == nil {
-				m.reg.Write(addr, buf[:torn])
-			}
-			m.poisoned = true
-			return fmt.Errorf("%w: %v", errManifestPoisoned, out.Err)
-		}
-		return fmt.Errorf("manifest: append: %w", out.Err)
+	out := m.dev.CheckWrite(total)
+	if out.Err != nil && out.Torn <= 0 {
+		return fmt.Errorf("manifest: write: %w", out.Err)
 	}
-	addr, err := m.reg.Alloc(total)
+	addr, err := reg.Alloc(total)
 	if err != nil {
 		return err
 	}
-	m.reg.Write(addr, buf)
+	if out.Err != nil {
+		reg.Write(addr, buf[:min(out.Torn, total)])
+		m.poisoned = true
+		return fmt.Errorf("%w: %v", errManifestPoisoned, out.Err)
+	}
+	reg.Write(addr, buf)
 	return nil
 }
 
-// scan walks every intact record in order from scanFrom (the offset of
-// the first record, past the mark slots), invoking fn with each payload.
-// A zero header ends the log unless a later chunk up to the allocation
-// edge opens with a record; a CRC mismatch discards the torn tail.
-//
-// The returned tornAt/torn pair reports how the walk ended: torn=true
-// means it stopped at a damaged record (the signature of an append
-// interrupted mid-record) starting at offset tornAt, torn=false means a
-// clean zero-header EOF. Recovery uses the distinction to repair the
-// media (repairTornTail) — records appended behind torn garbage would
-// otherwise be invisible to every future scan.
-func (m *manifestLog) scan(scanFrom int64, fn func(payload []byte) error) (tornAt int64, torn bool, err error) {
-	chunk := int64(m.reg.ChunkSize())
-	off := scanFrom
-	size := m.reg.Size()
-	for {
-		if off+8 > size {
-			return 0, false, nil
-		}
-		if off/chunk != (off+8-1)/chunk {
-			off = (off + chunk - 1) / chunk * chunk
-			continue
-		}
-		hdr := m.reg.Read(m.reg.Base().Add(off), 8)
-		crc := binary.LittleEndian.Uint32(hdr[0:4])
-		plen := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-		if crc == 0 && plen == 0 {
-			// The rest of this chunk is empty. A repaired tear zeroes a
-			// chunk's head and pads the allocation past it, so the log
-			// goes on at the first later chunk whose head is not zero.
-			next := (off/chunk + 1) * chunk
-			for next+8 <= size && binary.LittleEndian.Uint64(m.reg.Read(m.reg.Base().Add(next), 8)) == 0 {
-				next += chunk
-			}
-			if next+8 > size {
-				return 0, false, nil
-			}
-			off = next
-			continue
-		}
-		total := 8 + plen
-		if plen <= 0 || off/chunk != (off+total-1)/chunk || off+total > size {
-			return off, true, nil
-		}
-		payload := m.reg.Read(m.reg.Base().Add(off+8), int(plen))
-		if crc32.ChecksumIEEE(payload) != crc {
-			return off, true, nil
-		}
-		if err := fn(payload); err != nil {
-			return 0, false, err
-		}
-		off += (total + 7) &^ 7
+// roll opens a new generation with snapshot as its first record, its one
+// chunk the next power of two of at least four times the snapshot so the
+// deltas after it fit, points region 0 at it and releases the old one.
+// Until the pointer store lands nothing durable names the new region, so
+// a failure before it releases the new region; a pointer store that
+// reached the media although the device reported a crash still
+// publishes.
+func (m *manifestLog) roll(snapshot []byte) error {
+	chunk := genMinChunk
+	for chunk < 4*(8+len(snapshot)) {
+		chunk <<= 1
 	}
+	gen := m.dev.NewRegion(chunk)
+	if err := m.write(gen, snapshot); err != nil {
+		m.dev.Release(gen)
+		return err
+	}
+	out := m.dev.CheckWrite(8)
+	if out.Err != nil && out.Torn < 8 {
+		m.dev.Release(gen)
+	} else {
+		m.super.Store64(m.super.Base().Add(genPtrOff), uint64(gen.Base()))
+		if m.gen != nil {
+			m.dev.Release(m.gen)
+		}
+		m.gen = gen
+	}
+	if out.Err != nil {
+		return fmt.Errorf("manifest: generation pointer: %w", out.Err)
+	}
+	return nil
 }
 
-// repairTornTail makes a manifest with a damaged tail appendable again.
-// A torn append leaves a partial record on the media; the scan stops
-// there forever, so a record appended behind it could never be recovered.
-// The repair zeroes everything from the damaged record to the current
-// allocation edge (idempotent — a crash mid-repair just leaves a shorter
-// damaged tail for the next attempt) and then pads the allocation to the
-// next chunk boundary, where the scan's zero-header probe finds the
-// continuation however many zeroed chunk heads lie before it.
-// Subsequent appends land there and are reachable again.
-func (m *manifestLog) repairTornTail(tornAt int64) error {
-	size := m.reg.Size()
-	if tornAt < size {
-		n := size - tornAt
-		if out := m.dev.CheckWrite(int(n)); out.Err != nil {
-			return fmt.Errorf("manifest: tail repair: %w", out.Err)
+// scan walks the generation's intact records in order, invoking fn with
+// each payload. A zero header, a record running past the allocation edge
+// or a CRC mismatch ends the walk: that is the tail a crashed append
+// leaves, and no record ever follows it.
+func (m *manifestLog) scan(fn func(payload []byte) error) error {
+	size := min(m.gen.Size(), int64(m.gen.ChunkSize()))
+	for off := int64(0); off+8 <= size; {
+		hdr := m.gen.Read(m.gen.Base().Add(off), 8)
+		crc := binary.LittleEndian.Uint32(hdr[0:4])
+		total := 8 + int64(binary.LittleEndian.Uint32(hdr[4:8]))
+		if total == 8 || off+total > size {
+			return nil
 		}
-		m.reg.Write(m.reg.Base().Add(tornAt), make([]byte, n))
-	}
-	chunk := int64(m.reg.ChunkSize())
-	if rem := m.reg.Size() % chunk; rem != 0 {
-		if _, err := m.reg.Alloc(int(chunk - rem)); err != nil {
-			return fmt.Errorf("manifest: tail repair: %w", err)
+		payload := m.gen.Read(m.gen.Base().Add(off+8), int(total-8))
+		if crc32.ChecksumIEEE(payload) != crc {
+			return nil
 		}
+		if err := fn(payload); err != nil {
+			return err
+		}
+		off += (total + 7) &^ 7
 	}
 	return nil
 }
@@ -271,15 +275,11 @@ type manifestState struct {
 	repoHead    uint64
 	levels      [][]entryState
 
-	// rangeDels are the live range tombstones, seq-ascending. Encoded at
-	// the very end of the snapshot body so a state written before range
-	// deletes existed (no trailing bytes) still decodes.
+	// rangeDels are the live range tombstones, seq-ascending.
 	rangeDels []rangeTombstone
 
 	// Value-log state: installed NVM segments and the next segment id.
-	// Encoded as a second trailing section after the tombstones, with the
-	// same backward-compatibility rule (absent in older states). SSD
-	// segments are not crash-recoverable and never appear here.
+	// SSD segments are not crash-recoverable and never appear here.
 	vlogSegs []vlogSegState
 	vlogNext uint32
 }
@@ -414,11 +414,7 @@ func (s *manifestState) encode() []byte {
 			}
 		}
 	}
-	// Trailing section: range tombstones (absent in pre-range-delete
-	// states — the decoder treats end-of-payload here as empty).
 	encodeRangeDels(&e, s.rangeDels)
-	// Second trailing section: value-log segments (absent in pre-vlog
-	// states — same end-of-payload rule).
 	encodeVlogState(&e, s.vlogNext, s.vlogSegs)
 	return e.buf.Bytes()
 }
@@ -466,12 +462,8 @@ func decodeManifestState(payload []byte) (*manifestState, error) {
 		}
 		s.levels = append(s.levels, lvl)
 	}
-	if d.err == nil && len(d.b) > 0 {
-		s.rangeDels = decodeRangeDels(d)
-	}
-	if d.err == nil && len(d.b) > 0 {
-		s.vlogNext, s.vlogSegs = decodeVlogState(d)
-	}
+	s.rangeDels = decodeRangeDels(d)
+	s.vlogNext, s.vlogSegs = decodeVlogState(d)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -481,8 +473,10 @@ func decodeManifestState(payload []byte) (*manifestState, error) {
 // Delta records. A full-state snapshot on every structural event would
 // write more superblock traffic than user data (and would show up as
 // bogus write amplification), so the manifest logs small deltas — rotate,
-// flush-done, merge-start/done, lazy-done, repo-swap — with a fresh full
-// snapshot every snapshotEvery records to bound recovery replay.
+// flush-done, merge-start/done, lazy-done, repo-swap — and rolls a new
+// generation opening with a full snapshot every snapshotEvery edits,
+// which bounds recovery replay to one snapshot and snapshotEvery-1
+// deltas.
 const (
 	recSnapshot   = 0
 	recRotate     = 1
@@ -498,32 +492,26 @@ const (
 	snapshotEvery = 64
 )
 
-// appendManifestLocked appends one delta record (or a rolling snapshot),
+// appendManifestLocked appends one delta record, or rolls a new
+// generation in its place once the generation holds snapshotEvery-1
+// deltas or the record does not fit in what remains of its chunk,
 // retrying transient device errors. A persistent failure latches the
 // store degraded and is returned: the caller must not queue the release
 // of any resource the failed record would have retired — the last
 // recoverable manifest state still references it.
 func (db *DB) appendManifestLocked(kind uint8, body func(e *encoder)) error {
-	db.manifestEdits++
-	if kind != recSnapshot && db.manifestEdits >= snapshotEvery {
-		// Roll a snapshot instead of the delta when it fits. Under an
-		// extreme table backlog a full snapshot can exceed the record
-		// cap — then we must keep appending deltas (replay just walks a
-		// longer chain) and retry the snapshot later.
-		ok, err := db.trySnapshotLocked()
-		if err != nil {
-			db.degradeLocked("manifest snapshot", err)
-			return err
-		}
-		if ok {
-			return nil
-		}
-		db.manifestEdits = 0 // retry after another snapshotEvery edits
-	}
 	var e encoder
 	e.u8(kind)
 	body(&e)
-	if err := db.runDeviceOp(func() error { return db.manifest.append(e.buf.Bytes()) }); err != nil {
+	db.manifestEdits++
+	if db.manifestEdits >= snapshotEvery || !db.manifest.fits(e.buf.Len()) {
+		if err := db.writeManifestLocked(); err != nil {
+			db.degradeLocked("manifest snapshot", err)
+			return err
+		}
+		return nil
+	}
+	if err := db.runDeviceOp(func() error { return db.manifest.write(db.manifest.gen, e.buf.Bytes()) }); err != nil {
 		db.degradeLocked("manifest append", err)
 		return err
 	}
@@ -544,8 +532,7 @@ func (db *DB) logRotateLocked(h *memHandle) error {
 // logFlushDoneLocked records a completed one-piece flush: the new L0
 // table and the retirement of its WAL region. rangeDels are the range
 // tombstones whose durability the retired WAL carried — from here on the
-// manifest owns them (trailing section, so pre-range-delete records
-// decode unchanged).
+// manifest owns them.
 func (db *DB) logFlushDoneLocked(ts tableState, walRegion uint32, hadWal bool, rangeDels []rangeTombstone) error {
 	return db.appendManifestLocked(recFlushDone, func(e *encoder) {
 		if hadWal {
@@ -648,10 +635,7 @@ func (s *manifestState) applyDelta(kind uint8, d *decoder) error {
 			wr = d.u32()
 		}
 		ts := decodeTable(d)
-		var dels []rangeTombstone
-		if d.err == nil && len(d.b) > 0 {
-			dels = decodeRangeDels(d)
-		}
+		dels := decodeRangeDels(d)
 		if d.err != nil {
 			return d.err
 		}
@@ -796,58 +780,33 @@ func (s *manifestState) applyDelta(kind uint8, d *decoder) error {
 	return d.err
 }
 
-// replayManifest reads all records from scanFrom, folding deltas into the
-// most recent snapshot, and returns the reconstructed state plus the
-// scan's torn-tail report (tornAt/torn; see scan).
-func (m *manifestLog) replayManifest(scanFrom int64) (*manifestState, int64, bool, error) {
+// replay folds the current generation's deltas into the snapshot that
+// opens it. A generation that does not open with an intact snapshot is
+// refused with errNoGeneration.
+func (m *manifestLog) replay() (*manifestState, error) {
 	var state *manifestState
-	tornAt, torn, err := m.scan(scanFrom, func(payload []byte) error {
-		if len(payload) == 0 {
-			return fmt.Errorf("manifest: empty record")
-		}
+	err := m.scan(func(payload []byte) error {
 		kind, body := payload[0], payload[1:]
-		if kind == recSnapshot {
-			s, err := decodeManifestState(body)
-			if err != nil {
-				return err
-			}
-			state = s
-			return nil
-		}
 		if state == nil {
-			return fmt.Errorf("manifest: delta record before any snapshot")
+			if kind != recSnapshot {
+				return errNoGeneration
+			}
+			s, err := decodeManifestState(body)
+			state = s
+			return err
 		}
 		return state.applyDelta(kind, &decoder{b: body})
 	})
-	if err != nil {
-		return nil, 0, false, err
+	if err == nil && state == nil {
+		err = errNoGeneration
 	}
-	if state == nil {
-		return nil, 0, false, fmt.Errorf("manifest: no intact snapshot record")
-	}
-	return state, tornAt, torn, nil
+	return state, err
 }
 
-// writeManifestLocked snapshots the current structure into the
-// superblock. It fails if the snapshot cannot be written — a device
-// fault, or a snapshot exceeding the record capacity (only possible
-// with an absurd table backlog; the delta path handles that case
-// instead). Callers hold db.mu.
+// writeManifestLocked rolls a new generation opening with a snapshot of
+// the current structure. SSD-mode table state lives in the lsm tree and
+// is not covered by crash recovery (see Recover). Callers hold db.mu.
 func (db *DB) writeManifestLocked() error {
-	ok, err := db.trySnapshotLocked()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("miodb: manifest snapshot exceeds record capacity")
-	}
-	return nil
-}
-
-// trySnapshotLocked writes a full-state snapshot record if it fits,
-// reporting success. SSD-mode table state lives in the lsm tree and is
-// not covered by crash recovery (see Recover).
-func (db *DB) trySnapshotLocked() (bool, error) {
 	s := &manifestState{
 		lastSeq:     db.seq.Load(),
 		nextTableID: db.tableID.Load(),
@@ -898,14 +857,11 @@ func (db *DB) trySnapshotLocked() (bool, error) {
 		}
 	}
 	payload := append([]byte{recSnapshot}, s.encode()...)
-	if len(payload)+8 > db.manifest.region().ChunkSize() {
-		return false, nil
-	}
-	if err := db.runDeviceOp(func() error { return db.manifest.append(payload) }); err != nil {
-		return false, err
+	if err := db.runDeviceOp(func() error { return db.manifest.roll(payload) }); err != nil {
+		return err
 	}
 	db.manifestEdits = 0
-	return true, nil
+	return nil
 }
 
 func tableToState(t *pmtable.Table) tableState {

@@ -49,11 +49,14 @@ func (db *DB) CrashForTest() *CrashImage {
 	return &CrashImage{Space: db.space, NVM: db.nvm}
 }
 
-// Recover rebuilds a DB from a crash image: it locates the superblock in
-// the space's first region, decodes the latest intact manifest state,
-// re-attaches every PMTable and the repository, resumes any interrupted
-// zero-copy merge via its persisted insertion mark, and replays the
-// write-ahead logs (oldest first) into a fresh memtable.
+// Recover rebuilds a DB from a crash image: it follows the superblock's
+// pointer (in the space's first region) to the current manifest
+// generation, replays that one generation — its opening snapshot and the
+// intact deltas after it; a torn tail just ends it — re-attaches every
+// PMTable and the repository, resumes any interrupted zero-copy merge via
+// its persisted insertion mark, replays the write-ahead logs (oldest
+// first) into a fresh memtable, and publishes the result by rolling a new
+// generation, so nothing is ever appended behind a torn record.
 //
 // opts must match the crashed store's structural options (Levels). The
 // DRAM-NVM-SSD mode is not recoverable (the simulated SSD carries no
@@ -66,10 +69,6 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 	}
 	if opts.ValueLog != nil && opts.ValueLog.OnSSD {
 		return nil, fmt.Errorf("miodb: SSD-resident value log is not crash-recoverable")
-	}
-	superRegion := img.Space.Region(0)
-	if superRegion == nil {
-		return nil, fmt.Errorf("miodb: crash image has no superblock region")
 	}
 
 	db := &DB{
@@ -89,24 +88,14 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 	db.readLevels = make([]readLevelWork, opts.Levels)
 	db.initEpochs()
 	db.applySimulation()
-	db.manifest = attachManifestLog(db.nvm, superRegion)
-
-	// Records start after the nil-address word and the mark slots laid
-	// down at original Open time.
-	scanFrom := int64(8 + 8*opts.Levels)
-	state, tornAt, torn, err := db.manifest.replayManifest(scanFrom)
+	manifest, err := attachManifestLog(db.nvm, img.Space.Region(0))
+	if err != nil {
+		return nil, fmt.Errorf("miodb: %w", err)
+	}
+	db.manifest = manifest
+	state, err := manifest.replay()
 	if err != nil {
 		return nil, fmt.Errorf("miodb: manifest replay: %w", err)
-	}
-	if torn {
-		// A crashed (or fault-injected) append left a partial record on
-		// the superblock. Appending behind it would write state no future
-		// scan could see; repair the tail before this recovery logs
-		// anything. The repair is idempotent, so a crash inside it leaves
-		// the image exactly as recoverable.
-		if err := db.manifest.repairTornTail(tornAt); err != nil {
-			return nil, fmt.Errorf("miodb: manifest repair: %w", err)
-		}
 	}
 	if len(state.levels) != opts.Levels {
 		return nil, fmt.Errorf("miodb: crash image has %d levels, options say %d",
@@ -225,8 +214,8 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 			}
 			m := pmtable.NewMerge(newT, oldT)
 			slot := vaddr.Addr(ent.merge.markSlot)
-			m.SetPersistSlot(superRegion, slot)
-			mark := vaddr.Addr(superRegion.Load64(slot))
+			m.SetPersistSlot(manifest.super, slot)
+			mark := vaddr.Addr(manifest.super.Load64(slot))
 			pending = append(pending, pendingMerge{level: level, merge: m, mark: mark})
 			// Placeholder entry; replaced by the resumed result below.
 			root.levels[level] = append(root.levels[level], mergeEntry{m})
@@ -338,15 +327,14 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 		db.mu.Unlock()
 	}
 
-	// Publish the recovered state as one full snapshot. Until this
-	// append lands, the manifest still describes the pre-crash state and
-	// the old WAL regions are still live — a failure here (or a crash
+	// Publish the recovered state by rolling a new generation. Until its
+	// pointer store lands, region 0 still names the pre-crash generation
+	// and the old WAL regions are still live — a failure here (or a crash
 	// during it) leaves the image recoverable by a fresh attempt. A
-	// failed append may still have reached the media whole (the device
-	// died right after it), and then the snapshot names this attempt's
-	// fresh regions: from here on nothing is released on failure, and the
-	// next attempt's orphan sweep frees whatever its manifest does not
-	// name.
+	// pointer store may reach the media although the device reported the
+	// crash, and then the new generation names this attempt's fresh
+	// regions: from here on nothing is released on failure, and the next
+	// attempt's orphan sweep frees whatever its generation does not name.
 	db.mu.Lock()
 	err = db.writeManifestLocked()
 	db.mu.Unlock()

@@ -8,9 +8,9 @@ import (
 	"miodb/internal/nvm"
 )
 
-// TestRecoveryTornManifestTail simulates a crash that tore the last
-// superblock record: recovery must fall back to the previous intact state
-// and still serve everything durable up to it.
+// TestRecoveryTornManifestTail simulates a crash that tore the last record
+// of the live manifest generation: recovery must fall back to the previous
+// intact state and still serve everything durable up to it.
 func TestRecoveryTornManifestTail(t *testing.T) {
 	opts := smallOpts()
 	db := mustOpen(t, opts)
@@ -19,14 +19,8 @@ func TestRecoveryTornManifestTail(t *testing.T) {
 	}
 	img := db.CrashForTest()
 
-	// Tear the manifest tail: append a record header that claims more
-	// payload than exists, as an interrupted append would leave behind.
-	super := img.Space.Region(0)
-	addr, err := super.Alloc(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	super.Write(addr, []byte{0xde, 0xad, 0xbe, 0xef, 0xff, 0xff, 0x0f, 0x00, 1, 2, 3, 4, 5, 6, 7, 8})
+	// Tear the live generation's tail, as an interrupted append would.
+	tearGeneration(t, img)
 
 	re, err := Recover(img, opts)
 	if err != nil {
@@ -160,9 +154,9 @@ func TestRecoveryRejectsWrongLevels(t *testing.T) {
 	}
 }
 
-// TestRecoveryManyDeltasNoSnapshot exercises replay across a long delta
-// chain (more edits than the snapshot interval, including merges through
-// every level).
+// TestRecoveryLongDeltaChain recovers after more edits than the snapshot
+// interval, merges through every level included: replay reads only the
+// last generation, its snapshot and the deltas after it.
 func TestRecoveryLongDeltaChain(t *testing.T) {
 	opts := smallOpts()
 	opts.MemTableSize = 4 << 10 // many rotations → many delta records

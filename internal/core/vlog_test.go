@@ -328,7 +328,7 @@ func TestValueLogSnapshotOmitsCondemnedSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, _, _, err := db.manifest.replayManifest(int64(8 + 8*opts.Levels))
+	state, err := db.manifest.replay()
 	if err != nil {
 		t.Fatal(err)
 	}
