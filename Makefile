@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race test-1cpu check torture torture-rate torture-stress benchcheck apicheck loc bench-concurrent bench-readscale bench-shardscale bench-netscale bench-multiget bench-stability bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
+.PHONY: all build vet test race test-1cpu check torture torture-rate torture-stress benchcheck apicheck loc bench-shardscale bench-netscale bench-multiget bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
 
 all: check
 
@@ -29,7 +29,9 @@ test-1cpu:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade' -count=1
 
 # Crash-torture: randomized power failures, torn writes, and interrupted
-# recoveries under the race detector (50+ cycles; deterministic per seed).
+# recoveries under the race detector (50+ cycles). The seed fixes the
+# workload, not the goroutine schedule, so a run is not deterministic
+# per seed; torture-stress below measures it as a rate.
 torture:
 	$(GO) test -race ./internal/core -run 'TestCrashTorture|TestDoubleCrashDuringRecovery' -v
 
@@ -85,16 +87,6 @@ loc:
 # it, the nested benchmark module, and the public-API diff.
 check: vet build test race test-1cpu torture torture-stress benchcheck apicheck
 
-# Multi-writer throughput sweep (MioDB vs the baselines).
-bench-concurrent:
-	$(GO) test ./internal/bench -run xxx -bench ConcurrentWrites -benchtime 1x
-
-# Multi-reader throughput sweep (epoch-pinned reads, one engine and four
-# shards, read-only + YCSB-B/C mixes, 1..16 threads); also writes the
-# machine-readable BENCH_readscale.json artifact to the repo root.
-bench-readscale:
-	$(GO) run ./cmd/miodb-repro -experiment readscale -json_dir .
-
 # Shard-scaling sweep (fill + readrandom vs shard count, 8 threads);
 # emits the EXPERIMENTS.md shard table and BENCH_shardscale.json.
 bench-shardscale:
@@ -111,12 +103,6 @@ bench-netscale:
 # BENCH_multiget.json.
 bench-multiget:
 	$(GO) run ./cmd/miodb-repro -experiment multiget -json_dir .
-
-# Sustained-fill stability: throughput-over-time and tail traces for
-# MioDB (unbounded vs admission-bounded) against the baselines; writes
-# BENCH_stability.json with the per-bin timelines.
-bench-stability:
-	$(GO) run ./cmd/miodb-repro -experiment stability -json_dir .
 
 # Adaptive memory governor: skewed zipfian traffic over 8 shards,
 # adaptive vs static budget split at equal total memory; writes
@@ -206,8 +192,8 @@ bench-bg:
 		-outputdir $(CURDIR)/profiles -o profiles/bg-pmtable.test
 
 # Capture mutex/block contention profiles from an 8-thread read-only
-# readscale run of the epoch-pinned read path (no reader should show up
-# on db.mu). Inspect with:
+# run of the epoch-pinned read path (BenchmarkConcurrentReads; no reader
+# should show up on db.mu). Inspect with:
 #   go tool pprof profiles/readscale.test profiles/mutex.out
 #   go tool pprof profiles/readscale.test profiles/block.out
 profile:

@@ -37,8 +37,6 @@ func main() {
 		threads    = flag.Int("threads", 1, "concurrent goroutines for fill and readrandom benchmarks")
 		batch      = flag.Int("batch", 1, "client-side batch size for concurrent fills (uses MPUT-style batches when > 1)")
 		zipfian    = flag.Bool("zipfian", false, "use zipfian keys for concurrent fills (default uniform)")
-		softImms   = flag.Int("soft_imms", 0, "miodb admission control: throttle commits at this imms backlog (0 = off)")
-		hardImms   = flag.Int("hard_imms", 0, "miodb admission control: block commits at this imms backlog (0 = off)")
 		memBudget  = flag.Int64("memory_budget", 0, "global memtable budget in bytes split across shards (0 = per-shard write_buffer_size)")
 		governor   = flag.Bool("governor", false, "adaptively rebalance the memtable budget across shards by write heat (requires -shards > 1)")
 		valueLog   = flag.Bool("value_log", false, "miodb key-value separation: append large values to a value log, store 16-byte pointers in the LSM")
@@ -63,9 +61,6 @@ func main() {
 		Shards:       *shards,
 		SSD:          *ssd,
 		Simulate:     true,
-	}
-	if *softImms > 0 || *hardImms > 0 {
-		cfg.Admission = &core.AdmissionOptions{SoftImms: *softImms, HardImms: *hardImms}
 	}
 	cfg.MemoryBudget = *memBudget
 	if *governor {

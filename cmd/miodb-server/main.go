@@ -35,8 +35,6 @@ func main() {
 		window   = flag.Int("window", 0, "per-connection in-flight request cap (0 = default)")
 		pending  = flag.Int("max_pending", 0, "global in-flight request cap across all connections (0 = default)")
 		drain    = flag.Duration("drain_timeout", 0, "how long shutdown waits for in-flight requests (0 = default)")
-		softImms = flag.Int("soft_imms", 0, "miodb admission control: throttle commits at this imms backlog (0 = off)")
-		hardImms = flag.Int("hard_imms", 0, "miodb admission control: block commits at this imms backlog (0 = off)")
 		budget   = flag.Int64("memory_budget", 0, "global memtable budget in bytes split across shards (0 = per-shard write_buffer_size)")
 		governor = flag.Bool("governor", false, "adaptively rebalance the memtable budget across shards by write heat (requires -shards > 1)")
 		valueLog = flag.Bool("value_log", false, "miodb key-value separation: append large values to a value log, store 16-byte pointers in the LSM")
@@ -55,9 +53,6 @@ func main() {
 		Shards:       *shards,
 		SSD:          *ssd,
 		Simulate:     *simulate,
-	}
-	if *softImms > 0 || *hardImms > 0 {
-		cfg.Admission = &core.AdmissionOptions{SoftImms: *softImms, HardImms: *hardImms}
 	}
 	cfg.MemoryBudget = *budget
 	if *governor {

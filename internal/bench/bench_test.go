@@ -118,7 +118,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig2", "fig6", "table1", "fig7", "table2", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "table3", "fig14", "ablation",
-		"concurrent", "readscale", "shardscale", "netscale", "multiget", "stability", "membalance", "valuesize", "torture", "extra-escan", "extra-novelsm",
+		"shardscale", "netscale", "multiget", "membalance", "valuesize", "torture", "extra-escan", "extra-novelsm",
 	}
 	got := Experiments()
 	if len(got) != len(want) {

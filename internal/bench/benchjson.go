@@ -55,7 +55,8 @@ type JSONResult struct {
 	KIOPS   JSONKIOPS              `json:"kiops"`
 	Latency *JSONLatency           `json:"latency_us,omitempty"`
 	// Timeline holds the best rep's latency-over-time trace when the
-	// run recorded one (the stability experiment always does).
+	// run recorded one (membalance records its memtable-target traces
+	// this way).
 	Timeline *JSONTimeline `json:"timeline,omitempty"`
 	// Extra carries sweep-specific scalars (e.g. mean commit batch size).
 	Extra map[string]float64 `json:"extra,omitempty"`

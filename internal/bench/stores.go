@@ -59,11 +59,6 @@ type Config struct {
 	// TimeScale scales injected latencies.
 	TimeScale float64
 
-	// Admission bounds MioDB's elastic-buffer backlog (nil = the paper's
-	// stall-free unbounded rotation; baselines ignore it). The stability
-	// experiment uses it to compare bounded vs unbounded arms.
-	Admission *core.AdmissionOptions
-
 	// ValueLog enables MioDB's key-value separation (nil = value-inline;
 	// baselines ignore it). The valuesize experiment compares the two
 	// arms at equal memory across value sizes.
@@ -156,7 +151,6 @@ func OpenStore(c Config) (Store, error) {
 			DisableZeroCopyMerge:      c.DisableZeroCopyMerge,
 			DisableOnePieceFlush:      c.DisableOnePieceFlush,
 			DisableWAL:                c.DisableWAL,
-			Admission:                 c.Admission,
 			ValueLog:                  c.ValueLog,
 		}
 		if c.DisableBloom {

@@ -301,8 +301,8 @@ func (db *DB) Delete(key []byte) error {
 // write is the client write path: it returns once the operation is
 // logged and inserted. MioDB's elastic buffer means it never throttles
 // or blocks on compaction here — the property behind the flat latency
-// trace of Fig 8 — unless Options.Admission bounds the backlog, in which
-// case any wait is recorded as a measured stall (see admission.go).
+// trace of Fig 8. The backlog a burst defers shows in the Stats gauges
+// (backlogOf), not as a stall.
 func (db *DB) write(key, value []byte, kind keys.Kind) error {
 	if len(key) == 0 {
 		return fmt.Errorf("miodb: empty key")
@@ -311,8 +311,8 @@ func (db *DB) write(key, value []byte, kind keys.Kind) error {
 	return err
 }
 
-// commit times one client write request end to end — any admission
-// throttling, WAL append, memtable insert — and charges every record
+// commit times one client write request end to end — WAL append and
+// memtable insert — and charges every record
 // with the measured latency under its own op type.
 //
 // A request is either one op (Put, Delete, DeleteRange), passed by value
@@ -355,17 +355,11 @@ func countKinds(ops []batchOp) (puts, deletes int64) {
 // every record, then memtable inserts, and returns the last sequence
 // number it assigned. Callers hold commitMu, so rotation cannot
 // interleave with the insert. A system write (sys: a value-log GC
-// relocation) skips admission and the user-byte, op and write-group
-// counters: it charges the device meters, as real write amplification,
+// relocation) skips the user-byte, op and write-group counters: it charges the device meters, as real write amplification,
 // but is not a client write.
 func (db *DB) commitLocked(ops []batchOp, sys bool) (uint64, error) {
 	if err := db.writeGate(); err != nil {
 		return 0, err
-	}
-	if !sys {
-		if err := db.admitWrite(); err != nil {
-			return 0, err
-		}
 	}
 	if err := db.makeRoomForWrite(); err != nil {
 		return 0, err
@@ -1080,7 +1074,8 @@ func (db *DB) Stats() stats.Snapshot {
 	}
 	live, pending, epoch := db.versionChainGauge()
 	s.AttachReadPath(levels, live, pending, epoch)
-	db.attachBacklog(&s)
+	imms, immBytes, l0Tables, l0Bytes := backlogOf(db.current.Load())
+	s.AttachBacklog(int64(imms), immBytes, int64(l0Tables), l0Bytes)
 	s.AttachMemory(db.memTarget.Load(), db.current.Load().mem.mt.ApproximateBytes())
 	if db.vlog != nil {
 		c := db.vlog.Counters()
@@ -1098,6 +1093,29 @@ func (db *DB) Stats() stats.Snapshot {
 		})
 	}
 	return s
+}
+
+// backlogOf measures a version's write-path debt: the rotated memtables
+// awaiting flush and the level-0 tables awaiting merge. Tables currently
+// being merged count both sides (the bytes exist until the merge retires
+// the sources).
+func backlogOf(v *version) (imms int, immBytes int64, l0Tables int, l0Bytes int64) {
+	imms = len(v.imms)
+	for _, h := range v.imms {
+		immBytes += h.mt.ApproximateBytes()
+	}
+	if len(v.levels) > 0 {
+		for _, e := range v.levels[0] {
+			l0Tables++
+			switch t := e.(type) {
+			case tableEntry:
+				l0Bytes += t.t.UserBytes()
+			case mergeEntry:
+				l0Bytes += t.m.New.UserBytes() + t.m.Old.UserBytes()
+			}
+		}
+	}
+	return imms, immBytes, l0Tables, l0Bytes
 }
 
 // ResetCounters clears device and cost counters (between bench phases).

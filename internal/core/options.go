@@ -57,15 +57,6 @@ type Options struct {
 	// engine byte-for-byte value-inline.
 	ValueLog *ValueLogOptions
 
-	// Admission enables backlog-aware write admission control; nil (the
-	// default) keeps the paper's stall-free behavior: makeRoomForWrite
-	// rotates into the immutable queue without bound and a burst trades a
-	// visible stall for unbounded DRAM growth. With it set, the committing
-	// writer throttles (soft) or blocks until flush progress (hard) when
-	// the backlog crosses the thresholds, and the waits are recorded as
-	// measured cumulative/interval stalls.
-	Admission *AdmissionOptions
-
 	// Simulate enables device latency injection (benchmarks); unit tests
 	// leave it off.
 	Simulate bool
@@ -152,15 +143,6 @@ func (o Options) withDefaults() Options {
 			vc.GCDeadRatio = 0.5
 		}
 		o.ValueLog = &vc
-	}
-	if o.Admission != nil {
-		// Clone so defaulting never mutates a literal the caller may share
-		// across shards.
-		ac := *o.Admission
-		if ac.SlowdownDelay <= 0 {
-			ac.SlowdownDelay = defaultSlowdownDelay
-		}
-		o.Admission = &ac
 	}
 	return o
 }

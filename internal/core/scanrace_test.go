@@ -17,7 +17,7 @@ import (
 // scans overlap heavy structural churn.
 func TestScanDuringCompactionComplete(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
-		db := mustOpen(t, admissionOpts(nil))
+		db := mustOpen(t, burstOpts())
 		value := make([]byte, 128)
 		want := map[string]bool{}
 		for i := 0; i < 300; i++ {
@@ -51,4 +51,16 @@ func TestScanDuringCompactionComplete(t *testing.T) {
 			return
 		}
 	}
+}
+
+func scanAll(t *testing.T, db *DB) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	if err := db.Scan(nil, 0, func(k, v []byte) bool {
+		out[string(k)] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

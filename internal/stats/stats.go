@@ -377,7 +377,7 @@ type Snapshot struct {
 	// memtables awaiting flush (the queue makeRoomForWrite grows without
 	// bound when flushing falls behind) and PendingImmBytes their payload;
 	// L0Tables/L0Bytes measure the flush output the compactor hasn't
-	// merged down yet. Admission control thresholds against these.
+	// merged down yet.
 	PendingImms     int64
 	PendingImmBytes int64
 	L0Tables        int64

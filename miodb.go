@@ -53,6 +53,8 @@ package miodb
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"miodb/internal/core"
 	"miodb/internal/kvstore"
@@ -135,13 +137,11 @@ type Options struct {
 	// value-inline. See DESIGN.md §14.
 	ValueLog *ValueLogOptions
 
-	// Admission bounds the write path's elastic-buffer backlog (per shard
-	// when Shards > 1). Nil — the default — is the paper's stall-free
-	// behavior: writers rotate full MemTables into the unbounded elastic
-	// buffer without ever waiting, and the backlog shows up only in the
-	// Stats gauges. A non-nil config enables soft throttling and/or hard
-	// blocking at the configured thresholds, with every wait measured
-	// into the stall counters. See DESIGN.md §11.
+	// Admission once enabled backlog-aware write admission control.
+	//
+	// Deprecated: admission control has been removed; writers never wait
+	// on the elastic buffer, whose backlog shows in the Stats gauges.
+	// Open and OpenImage refuse a non-nil value.
 	Admission *AdmissionOptions
 
 	// DisableGroupCommit once selected the serialized-write ablation.
@@ -163,12 +163,15 @@ type Options struct {
 // shard.OpenGoverned. See shard.GovernorOptions for field semantics.
 type GovernorOptions = shard.GovernorOptions
 
-// AdmissionOptions configures backlog-aware write admission control: a
-// soft band that injects per-commit throttling delays and a hard band
-// that blocks the committing writer until flush progress. Thresholds of
-// zero disable the corresponding trigger; see core.AdmissionOptions for
-// field semantics.
-type AdmissionOptions = core.AdmissionOptions
+// AdmissionOptions once configured Options.Admission.
+//
+// Deprecated: admission control has been removed; the type remains so
+// old callers compile, and Open refuses any Options.Admission.
+type AdmissionOptions struct {
+	SoftImms, HardImms       int
+	SoftL0Bytes, HardL0Bytes int64
+	SlowdownDelay            time.Duration
+}
 
 // ValueLogOptions configures key-value separation (Options.ValueLog).
 // Zero fields select defaults: Threshold 1 KiB, SegmentSize 4× the
@@ -200,7 +203,7 @@ func (opts *Options) validate() error {
 	if opts.Levels != 0 && (opts.Levels < 2 || opts.Levels > maxLevels) {
 		return fmt.Errorf("miodb: invalid Levels %d: must be 0 (default) or in [2, %d]", opts.Levels, maxLevels)
 	}
-	if opts.TimeScale < 0 {
+	if opts.TimeScale < 0 || math.IsNaN(opts.TimeScale) {
 		return fmt.Errorf("miodb: invalid TimeScale %g: must be ≥ 0 (0 selects the default)", opts.TimeScale)
 	}
 	if opts.DisableGroupCommit {
@@ -209,23 +212,24 @@ func (opts *Options) validate() error {
 	if opts.DisableEpochReads {
 		return fmt.Errorf("miodb: DisableEpochReads is no longer supported: the mutex-refcount read ablation was removed and every read is epoch-pinned")
 	}
+	if opts.Admission != nil {
+		return fmt.Errorf("miodb: Admission is no longer supported: write admission control was removed; writers never wait on the elastic buffer, whose backlog shows in the Stats gauges")
+	}
 	if opts.Shards < 0 || opts.Shards > maxShards {
 		return fmt.Errorf("miodb: invalid Shards %d: must be in [0, %d] (0 and 1 select the single-engine path)", opts.Shards, maxShards)
 	}
 	if opts.MemoryBudget < 0 {
 		return fmt.Errorf("miodb: invalid MemoryBudget %d: must be ≥ 0 (0 keeps per-shard MemTableSize)", opts.MemoryBudget)
 	}
-	if opts.MemoryBudget > 0 {
-		if per := opts.MemoryBudget / int64(opts.shardCount()); per < 4<<10 {
-			return fmt.Errorf("miodb: MemoryBudget %d over %d shards leaves %d B per shard (need ≥ 4096)", opts.MemoryBudget, opts.shardCount(), per)
-		}
-	}
 	if g := opts.Governor; g != nil {
 		if opts.shardCount() < 2 {
 			return fmt.Errorf("miodb: Governor requires Shards ≥ 2: rebalancing one global budget needs more than one shard (use MemoryBudget alone to size a single engine)")
 		}
-		if g.Budget < 0 || g.FloorBytes < 0 || g.Interval < 0 || g.HysteresisFrac < 0 || g.Alpha < 0 || g.Alpha > 1 {
-			return fmt.Errorf("miodb: invalid Governor options: Budget/FloorBytes/Interval/HysteresisFrac must be ≥ 0 and Alpha in [0, 1] (0 selects each default)")
+		if g.Budget < 0 || g.FloorBytes < 0 || g.Interval < 0 || g.HysteresisFrac < 0 || math.IsNaN(g.HysteresisFrac) {
+			return fmt.Errorf("miodb: invalid Governor options: Budget/FloorBytes/Interval/HysteresisFrac must be ≥ 0 (0 selects each default)")
+		}
+		if g.Alpha < 0 || g.Alpha > 1 || math.IsNaN(g.Alpha) {
+			return fmt.Errorf("miodb: invalid Governor.Alpha %g: must be in [0, 1] (0 selects the default)", g.Alpha)
 		}
 	}
 	if vc := opts.ValueLog; vc != nil {
@@ -235,41 +239,39 @@ func (opts *Options) validate() error {
 		if vc.SegmentSize < 0 {
 			return fmt.Errorf("miodb: invalid ValueLog.SegmentSize %d: must be ≥ 0 (0 selects the default)", vc.SegmentSize)
 		}
-		if vc.GCDeadRatio < 0 || vc.GCDeadRatio > 1 {
+		if vc.GCDeadRatio < 0 || vc.GCDeadRatio > 1 || math.IsNaN(vc.GCDeadRatio) {
 			return fmt.Errorf("miodb: invalid ValueLog.GCDeadRatio %g: must be in [0, 1] (0 selects the default)", vc.GCDeadRatio)
-		}
-	}
-	if ac := opts.Admission; ac != nil {
-		if ac.SoftImms < 0 || ac.HardImms < 0 || ac.SoftL0Bytes < 0 || ac.HardL0Bytes < 0 {
-			return fmt.Errorf("miodb: invalid Admission thresholds: must be ≥ 0 (0 disables a trigger)")
-		}
-		if ac.SlowdownDelay < 0 {
-			return fmt.Errorf("miodb: invalid Admission.SlowdownDelay %v: must be ≥ 0 (0 selects the default)", ac.SlowdownDelay)
 		}
 	}
 	return nil
 }
 
 // coreOptions is the single opts → core.Options translation, shared by
-// Open and OpenImage so the two entry points can never drift (OpenImage
-// once dropped UseSSD on the floor). opts may be nil.
-func (opts *Options) coreOptions() core.Options {
+// Open and OpenImage so the two entry points can never drift. shards is
+// the number of engines the store runs, which MemoryBudget is split
+// across. opts may be nil.
+func (opts *Options) coreOptions(shards int) (core.Options, error) {
 	var co core.Options
 	if opts == nil {
-		return co
+		return co, nil
 	}
 	co.MemTableSize = opts.MemTableSize
+	if opts.MemoryBudget > 0 {
+		co.MemTableSize = opts.MemoryBudget / int64(shards)
+		if co.MemTableSize < 4<<10 {
+			return co, fmt.Errorf("miodb: MemoryBudget %d over %d shards leaves %d B per shard (need ≥ 4096)", opts.MemoryBudget, shards, co.MemTableSize)
+		}
+	}
 	co.Levels = opts.Levels
 	co.BloomBitsPerKey = opts.BloomBitsPerKey
 	co.DisableWAL = opts.DisableWAL
-	co.Admission = opts.Admission
 	co.ValueLog = opts.ValueLog
 	co.Simulate = opts.Simulate
 	co.TimeScale = opts.TimeScale
 	if opts.UseSSD {
 		co.SSD = &core.SSDOptions{}
 	}
-	return co
+	return co, nil
 }
 
 func (opts *Options) shardCount() int {
@@ -318,42 +320,35 @@ func Open(opts *Options) (*DB, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	co := opts.coreOptions()
-	ssd := opts != nil && opts.UseSSD
-	if n := opts.shardCount(); n > 1 {
-		if opts.Governor != nil {
-			// Copy so Open never mutates the caller's literal; the
-			// budget knob is Options.MemoryBudget unless the caller set
-			// one on the governor directly.
-			g := *opts.Governor
-			if g.Budget == 0 {
-				g.Budget = opts.MemoryBudget
-			}
-			router, err := shard.OpenGoverned(n, co, &g)
-			if err != nil {
-				return nil, err
-			}
-			return &DB{router: router, ssd: ssd}, nil
-		}
-		if opts.MemoryBudget > 0 {
-			// Static even split of the budget, same total memory as the
-			// governed configuration.
-			co.MemTableSize = opts.MemoryBudget / int64(n)
-		}
-		router, err := shard.Open(n, co)
-		if err != nil {
-			return nil, err
-		}
-		return &DB{router: router, ssd: ssd}, nil
-	}
-	if opts != nil && opts.MemoryBudget > 0 {
-		co.MemTableSize = opts.MemoryBudget
-	}
-	inner, err := core.Open(co)
+	n := opts.shardCount()
+	co, err := opts.coreOptions(n)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{single: inner, ssd: ssd}, nil
+	ssd := opts != nil && opts.UseSSD
+	if n == 1 {
+		inner, err := core.Open(co)
+		if err != nil {
+			return nil, err
+		}
+		return &DB{single: inner, ssd: ssd}, nil
+	}
+	var gov *GovernorOptions
+	if opts.Governor != nil {
+		// Copy so Open never mutates the caller's literal; the budget
+		// knob is Options.MemoryBudget unless the caller set one on the
+		// governor directly.
+		g := *opts.Governor
+		if g.Budget == 0 {
+			g.Budget = opts.MemoryBudget
+		}
+		gov = &g
+	}
+	router, err := shard.OpenGoverned(n, co, gov)
+	if err != nil {
+		return nil, err
+	}
+	return &DB{router: router, ssd: ssd}, nil
 }
 
 // Put stores a key-value pair. The value is durable (in the simulated
@@ -598,7 +593,9 @@ func (db *DB) Checkpoint(path string) error {
 // recorded shard count is validated: restoring a sharded image with a
 // mismatched Shards value is rejected (Shards = 0 adopts the recorded
 // count), as is restoring a single-engine image with Shards > 1.
-// Restoring with UseSSD is rejected — images hold the NVM state only.
+// MemoryBudget is split across the restored shards as Open splits it.
+// Restoring with UseSSD or a Governor is rejected: images hold the NVM
+// state only, and a restored store runs ungoverned.
 func OpenImage(path string, opts *Options) (*DB, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -610,24 +607,32 @@ func OpenImage(path string, opts *Options) (*DB, error) {
 		// different configuration.
 		return nil, fmt.Errorf("miodb: cannot restore with UseSSD: checkpoint images capture the NVM state only, and SSD-mode recovery is not supported")
 	}
-	co := opts.coreOptions()
-	_, sharded, err := shard.ImageInfo(path)
+	if opts != nil && opts.Governor != nil {
+		return nil, fmt.Errorf("miodb: cannot restore with a Governor: a restored store runs with a static split of MemoryBudget")
+	}
+	count, sharded, err := shard.ImageInfo(path)
 	if err != nil {
 		return nil, err
 	}
-	want := opts.shardCount()
+	n := opts.shardCount()
+	if !sharded && n > 1 {
+		return nil, fmt.Errorf("miodb: shard-count mismatch: image is single-engine, options request %d shards", n)
+	}
+	if sharded && (opts == nil || opts.Shards == 0) {
+		n = count // defaults adopt the image's recorded count
+	}
+	// max: a corrupt image's count of 0 reaches shard.OpenImage, which
+	// refuses it, rather than dividing MemoryBudget by zero here.
+	co, err := opts.coreOptions(max(n, 1))
+	if err != nil {
+		return nil, err
+	}
 	if sharded {
-		if opts == nil || opts.Shards == 0 {
-			want = 0 // defaults adopt the image's recorded count
-		}
-		router, err := shard.OpenImage(path, want, co)
+		router, err := shard.OpenImage(path, n, co)
 		if err != nil {
 			return nil, err
 		}
 		return &DB{router: router}, nil
-	}
-	if want > 1 {
-		return nil, fmt.Errorf("miodb: shard-count mismatch: image is single-engine, options request %d shards", want)
 	}
 	inner, err := core.OpenImage(path, co)
 	if err != nil {

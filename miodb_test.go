@@ -3,6 +3,7 @@ package miodb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -139,6 +140,11 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 		{"vlog-ratio-negative", &Options{ValueLog: &ValueLogOptions{GCDeadRatio: -0.1}}, "ValueLog.GCDeadRatio"},
 		{"disable-group-commit", &Options{DisableGroupCommit: true}, "DisableGroupCommit"},
 		{"disable-epoch-reads", &Options{DisableEpochReads: true}, "DisableEpochReads"},
+		{"admission", &Options{Admission: &AdmissionOptions{}}, "Admission"},
+		{"nan-timescale", &Options{TimeScale: math.NaN()}, "TimeScale"},
+		{"nan-vlog-ratio", &Options{ValueLog: &ValueLogOptions{GCDeadRatio: math.NaN()}}, "ValueLog.GCDeadRatio"},
+		{"nan-governor-alpha", &Options{Shards: 2, Governor: &GovernorOptions{Alpha: math.NaN()}}, "Governor.Alpha"},
+		{"nan-governor-hysteresis", &Options{Shards: 2, Governor: &GovernorOptions{HysteresisFrac: math.NaN()}}, "HysteresisFrac"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,6 +217,61 @@ func TestOpenImageHonorsUseSSD(t *testing.T) {
 	defer re.Close()
 	if v, err := re.Get([]byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("plain restore Get = %q, %v", v, err)
+	}
+}
+
+// TestOpenImageKeepsMemoryBudget: OpenImage splits MemoryBudget across
+// the restored shards exactly as Open does — a sharded image opened with
+// Shards 0 takes the count from the image — and refuses a Governor
+// rather than restoring an ungoverned store. Earlier versions dropped
+// both options silently.
+func TestOpenImageKeepsMemoryBudget(t *testing.T) {
+	const budget = 1 << 20
+	dir := t.TempDir()
+	for _, shards := range []int{1, 4} {
+		path := fmt.Sprintf("%s/budget-%d.img", dir, shards)
+		db, err := Open(&Options{MemoryBudget: budget, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Stats().MemTableTargetBytes; got != budget {
+			t.Fatalf("%d shards: Open's memtable target = %d, want %d", shards, got, budget)
+		}
+		db.Put([]byte("k"), []byte("v"))
+		if err := db.Checkpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		for _, opts := range []*Options{{MemoryBudget: budget, Shards: shards}, {MemoryBudget: budget}} {
+			re, err := OpenImage(path, opts)
+			if err != nil {
+				t.Fatalf("%d shards: OpenImage(%+v): %v", shards, opts, err)
+			}
+			if got := re.Stats().MemTableTargetBytes; got != budget {
+				t.Errorf("%d shards: OpenImage(%+v) memtable target = %d, want %d", shards, opts, got, budget)
+			}
+			if v, err := re.Get([]byte("k")); err != nil || string(v) != "v" {
+				t.Errorf("%d shards: restored Get = %q, %v", shards, v, err)
+			}
+			re.Close()
+		}
+	}
+
+	governed := &Options{Shards: 2, Governor: &GovernorOptions{}}
+	db, err := Open(governed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := dir + "/governed.img"
+	if err := db.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if re, err := OpenImage(path, governed); err == nil {
+		re.Close()
+		t.Fatal("OpenImage accepted a Governor")
+	} else if !strings.Contains(err.Error(), "Governor") {
+		t.Fatalf("OpenImage with a Governor: err = %v, want one naming Governor", err)
 	}
 }
 
