@@ -15,7 +15,9 @@ import (
 
 // The background kernel alone (make bench-bg): one zero-copy merge, one
 // lazy copy into a repository of 30 000 keys and one flush's swizzle, each
-// reported per node with the trips it made to the device, quiet and beside
+// reported per node with the trips it made to the device and the bytes it
+// wrote there (the drain's own: the foreground goroutine below writes to
+// the device directly, not through the counting wrapper), quiet and beside
 // a foreground goroutine hammering the same device's counters — the one
 // cache line a drain shares with the write path. Run with -cpu 1,2: on one
 // core the writer only takes time slices, on two it takes the line.
@@ -91,20 +93,22 @@ func bgBench(b *testing.B, setup func(b *testing.B, space *vaddr.Space, dram *nv
 				defer func() { close(stop); wg.Wait() }()
 			}
 			var nodes int64
-			calls := 0
+			calls, written := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				drain := setup(b, space, dram, dev)
-				c0 := dev.calls
+				c0, w0 := dev.calls, dev.written
 				b.StartTimer()
 				nodes += drain()
 				b.StopTimer()
 				calls += dev.calls - c0
+				written += dev.written - w0
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 			b.ReportMetric(float64(calls)/float64(nodes), "devcalls/node")
+			b.ReportMetric(float64(written)/float64(nodes), "nvmB/node")
 		})
 	}
 }

@@ -17,16 +17,22 @@ import (
 // settle with the device once, outside any reader-visible window, and the
 // device's counters cannot tell.
 
-// calledDevice forwards to a device and counts the trips made to it.
+// calledDevice forwards to a device and counts the trips made to it and
+// the bytes written through it.
 type calledDevice struct {
 	*nvm.Device
-	calls int
+	calls   int
+	written int
 }
 
-func (c *calledDevice) OnRead(n int)          { c.calls++; c.Device.OnRead(n) }
-func (c *calledDevice) OnReads(count, n int)  { c.calls++; c.Device.OnReads(count, n) }
-func (c *calledDevice) OnWrite(n int)         { c.calls++; c.Device.OnWrite(n) }
-func (c *calledDevice) OnWrites(count, n int) { c.calls++; c.Device.OnWrites(count, n) }
+func (c *calledDevice) OnRead(n int)         { c.calls++; c.Device.OnRead(n) }
+func (c *calledDevice) OnReads(count, n int) { c.calls++; c.Device.OnReads(count, n) }
+func (c *calledDevice) OnWrite(n int)        { c.calls++; c.written += n; c.Device.OnWrite(n) }
+func (c *calledDevice) OnWrites(count, n int) {
+	c.calls++
+	c.written += n
+	c.Device.OnWrites(count, n)
+}
 
 // eachAccess is the same meter asking every tally to charge it access by
 // access: the reference a tallied drain's totals are held to.

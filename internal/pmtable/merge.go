@@ -32,9 +32,12 @@ import (
 // contention. The common case is uncontended and lock-free, preserving the
 // paper's design intent; the difference is documented here for fidelity.
 //
-// Crash consistency (§4.7). The insertion mark is persisted to an NVM slot
-// before the in-flight node is unlinked; Resume repairs a half-migrated
-// node and continues the drain after a crash.
+// Crash consistency (§4.7). Each step persists the address of the node
+// about to leave the newtable to an NVM slot before unlinking it, and Run
+// clears the slot once, after the last step. The slot therefore names
+// either the node in flight or the last node finished (nil before the
+// first step and after the drain); Resume redoes the node it names, which
+// is idempotent in both cases, and continues the drain.
 type Merge struct {
 	// New is the newer table being drained; Old receives its nodes and
 	// becomes the merged result. Every sequence number in New exceeds
@@ -67,7 +70,8 @@ type Merge struct {
 	mark atomic.Uint64 // vaddr.Addr of the in-flight node (0 = none)
 
 	// Optional persistence of the mark for crash recovery: the slot's
-	// region (for its meter) and the slot itself, resolved once.
+	// region (for its meter) and the slot itself, resolved once. Unlike
+	// mark, the slot is not cleared when a step ends, only when Run does.
 	markRegion *vaddr.Region
 	markSlot   vaddr.Span
 
@@ -93,10 +97,9 @@ func (m *Merge) SetPersistSlot(region *vaddr.Region, slot vaddr.Addr) {
 	m.markSlot = region.Span(slot)
 }
 
-// setMark records the in-flight node for readers and, persisted, for
-// recovery; the persisted store is counted on w like any other of the step.
-func (m *Merge) setMark(w *skiplist.Walk, a vaddr.Addr) {
-	m.mark.Store(uint64(a))
+// persistMark stores a to the mark slot, if the merge has one; the store
+// is counted on w like any other of the step.
+func (m *Merge) persistMark(w *skiplist.Walk, a vaddr.Addr) {
 	if m.markRegion != nil {
 		w.Store64(m.markRegion, m.markSlot, uint64(a))
 	}
@@ -125,10 +128,16 @@ type drain struct {
 
 // Run drains the newtable into the oldtable and returns the merged table.
 // It must be called exactly once, from the level's compaction goroutine.
-func (m *Merge) Run() *Table {
-	var d drain
-	for m.step(&d) {
+func (m *Merge) Run() *Table { return m.run(&drain{}) }
+
+// run drains from d's state, clears the persisted mark once the newtable is
+// empty — outside every seqlock window, settled on the drain's walk — and
+// publishes the result.
+func (m *Merge) run(d *drain) *Table {
+	for m.step(d) {
 	}
+	m.persistMark(&d.w, vaddr.NilAddr)
+	d.w.Done()
 	return m.finish()
 }
 
@@ -185,8 +194,10 @@ func (m *Merge) step(d *drain) bool {
 	m.mu.Lock()
 	m.pos.Add(1)
 	// 1. Record the node in the insertion mark (persisted first, §4.3),
-	//    so it stays visible while belonging to neither list.
-	m.setMark(w, n.Addr())
+	//    so it stays visible while belonging to neither list. The slot
+	//    keeps naming n after the window; the next step overwrites it.
+	m.mark.Store(uint64(n.Addr()))
+	m.persistMark(w, n.Addr())
 	// 2. Remove it from the newtable: atomic head-pointer stores.
 	newL.RemoveFirst(w)
 	if drop {
@@ -199,7 +210,7 @@ func (m *Merge) step(d *drain) bool {
 		oldL.InsertNodeWithSplice(w, n, &d.splice)
 		m.moved++
 	}
-	m.setMark(w, vaddr.NilAddr)
+	m.mark.Store(uint64(vaddr.NilAddr))
 	m.pos.Add(1)
 	m.mu.Unlock()
 
@@ -410,13 +421,32 @@ func (m *Merge) Garbage() int64 {
 	return m.garbage
 }
 
-// Resume repairs the state of a merge interrupted by a crash — the mark
-// slot still names an in-flight node — and then drains the remainder.
-// The repair makes the interrupted migration idempotent: the node is
-// unlinked from whichever list(s) partially reference it and re-migrated
-// from scratch, using the oldtable's content to re-decide the
-// duplicate-drop case (§4.7's corner cases 1–3 all reduce to this).
+// Resume repairs a merge interrupted by a crash and drains the remainder.
+// markAddr is the persisted slot: nil if the crash came before the first
+// step stored it or after Run cleared it, else the node of the last step
+// begun, in flight or finished. Resume redoes that step from scratch:
+// it unlinks the node from whichever list(s) reference it, re-decides the
+// duplicate against the oldtable, relinks the node and unlinks the older
+// versions behind it (§4.7's corner cases 1–3 all reduce to this). Redoing
+// a finished step is idempotent too:
+//
+//   - a migrated node, its Phase-2 unlinks partly or fully done, is
+//     unlinked and relinked at the same position, and the unlinks are
+//     completed;
+//   - a dropped duplicate is in neither list; the newer version that
+//     superseded it is still in the oldtable, so it is dropped again;
+//   - a duplicate the snapshot gate retained is dropped now: no snapshot
+//     survives a crash;
+//   - a node dropped under a range tombstone is relinked, as a crash inside
+//     its step already leaves it: reads stay hidden by the tombstone, and
+//     the level's next merge drops it.
+//
+// The node's key, with the newest version the repair leaves for it, seeds
+// the drain as the last migration, so the older versions still in the
+// newtable are dropped just as the uninterrupted drain drops them. OnDrop
+// observes a node dropped before the crash a second time.
 func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
+	var d drain
 	if !markAddr.IsNil() {
 		// Cold: the repair searches from the heads and settles at once.
 		var w skiplist.Walk
@@ -424,11 +454,11 @@ func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
 		key := append([]byte(nil), w.Key(n)...)
 		seq := n.Seq()
 
-		// The in-flight node belonged to neither list at crash time, so
-		// the filters rebuilt from list scans at attach time are missing
-		// its key; restore it before the merged filter is derived.
-		// Recovery is single-threaded here, so mutating the filter is
-		// safe.
+		// An in-flight node belonged to neither list at crash time, and a
+		// dropped one belongs to none, so the filters rebuilt from list
+		// scans at attach time may miss its key; restore it before the
+		// merged filter is derived. Recovery is single-threaded here, so
+		// mutating the filter is safe.
 		if m.Old.filter != nil {
 			m.Old.filter.Add(key)
 		}
@@ -438,8 +468,8 @@ func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
 		if first := m.New.list.First(&w); !first.IsNil() && first.Addr() == markAddr {
 			m.New.list.RemoveFirst(&w)
 		}
-		// If level-0 linkage into the oldtable happened, unlink whatever
-		// levels were completed so we can re-insert cleanly.
+		// Unlink whatever levels of the oldtable it was linked at, so it
+		// can be re-inserted cleanly.
 		m.Old.list.Remove(key, seq)
 		// Re-decide: does the oldtable already hold a newer version?
 		if ex := m.Old.list.FindGE(key); !ex.IsNil() && bytes.Equal(w.Key(ex), key) && ex.Seq() > seq {
@@ -447,22 +477,24 @@ func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
 			if m.OnDrop != nil {
 				m.OnDrop(w.Value(n), n.Kind())
 			}
+			d.lastSeq = ex.Seq()
 		} else {
 			m.Old.list.InsertNode(n)
 			for {
-				d := m.Old.list.RemoveAfter(n)
-				if d.IsNil() {
+				del := m.Old.list.RemoveAfter(n)
+				if del.IsNil() {
 					break
 				}
-				m.garbage += d.Size()
+				m.garbage += del.Size()
 				if m.OnDrop != nil {
-					m.OnDrop(w.Value(d), d.Kind())
+					m.OnDrop(w.Value(del), del.Kind())
 				}
 			}
 			m.moved++
+			d.lastSeq = seq
 		}
-		m.setMark(&w, vaddr.NilAddr)
 		w.Done()
+		d.lastKey, d.lastValid = key, true
 	}
-	return m.Run()
+	return m.run(&d)
 }
