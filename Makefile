@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race test-1cpu check torture torture-rate torture-stress benchcheck apicheck loc bench-shardscale bench-netscale bench-multiget bench-membalance bench-valuesize bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
+.PHONY: all build vet test race test-1cpu check torture torture-rate torture-stress benchcheck apicheck loc bench-shardscale bench-membalance bench-wire bench-read bench-vlog bench-bg alloc-profile profile repro clean
 
 all: check
 
@@ -92,30 +92,12 @@ check: vet build test race test-1cpu torture torture-stress benchcheck apicheck
 bench-shardscale:
 	$(GO) run ./cmd/miodb-repro -experiment shardscale -json_dir .
 
-# Network front-end sweep (loopback connections × pipeline window vs a
-# window=1 ablation and a local 8-writer reference); also writes the
-# machine-readable BENCH_netscale.json artifact to the repo root.
-bench-netscale:
-	$(GO) run ./cmd/miodb-repro -experiment netscale -json_dir .
-
-# Versioned read API: GetMulti vs the same lookups as N concurrent
-# pipelined Gets, group sizes 1-16 over loopback; writes
-# BENCH_multiget.json.
-bench-multiget:
-	$(GO) run ./cmd/miodb-repro -experiment multiget -json_dir .
-
 # Adaptive memory governor: skewed zipfian traffic over 8 shards,
 # adaptive vs static budget split at equal total memory; writes
 # BENCH_membalance.json with per-shard flush counts and memtable-target
 # timelines.
 bench-membalance:
 	$(GO) run ./cmd/miodb-repro -experiment membalance -json_dir .
-
-# Key-value separation: fillrandom/readrandom and write amplification
-# across value sizes (128 B – 256 KB), value log on vs off at equal
-# memory budget; writes BENCH_valuesize.json.
-bench-valuesize:
-	$(GO) run ./cmd/miodb-repro -experiment valuesize -json_dir .
 
 # The write path's Go heap: TestWriteHeapPerPut, the test that gates the
 # bytes allocated per Put, with every allocation in its heap profile.

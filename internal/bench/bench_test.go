@@ -2,8 +2,13 @@ package bench
 
 import (
 	"io"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"miodb/internal/core"
 )
 
 // tiny returns the smallest sensible experiment parameters for tests.
@@ -114,26 +119,94 @@ func TestYCSBRunnerAllWorkloads(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRefusesValueLogOnBaselines pins the capability refusal:
+// only MioDB has a value log, and asking a baseline for one fails
+// descriptively instead of silently running inline.
+func TestOpenStoreRefusesValueLogOnBaselines(t *testing.T) {
+	for _, kind := range []StoreKind{LevelDB, NoveLSM, MatrixKV} {
+		_, err := OpenStore(Config{Kind: kind, ValueLog: &core.ValueLogOptions{}})
+		if err == nil || !strings.Contains(err.Error(), "ValueLog") {
+			t.Errorf("%s: err = %v, want descriptive ValueLog refusal", kind, err)
+		}
+	}
+}
+
+// TestOpenStoreRefusesMemTableBelowFloor: the harness opens MioDB
+// through core.Open, so a memtable under the engine's floor is refused
+// however the harness arrives at it.
+func TestOpenStoreRefusesMemTableBelowFloor(t *testing.T) {
+	for _, c := range []Config{
+		{Kind: MioDB, MemTableSize: 100},
+		{Kind: MioDB, MemoryBudget: 1000},
+		{Kind: MioDB, Shards: 8, MemoryBudget: 1000},
+		{Kind: MioDB, Shards: 8, MemoryBudget: 7},
+	} {
+		if s, err := OpenStore(c); err == nil {
+			s.Close()
+			t.Errorf("OpenStore accepted %+v", c)
+		}
+	}
+}
+
+// TestExperimentRegistryComplete pins the registry: every paper figure
+// and table in paper order, then the design ablations and the experiments
+// past the paper that still have no benchmark workload or gated test of
+// their own.
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig2", "fig6", "table1", "fig7", "table2", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "table3", "fig14", "ablation",
-		"shardscale", "netscale", "multiget", "membalance", "valuesize", "torture", "extra-escan", "extra-novelsm",
+		"fig10", "fig11", "fig12", "fig13", "table3", "fig14",
+		"ablation",
+		"shardscale", "membalance",
+		"extra-escan", "extra-novelsm",
 	}
-	got := Experiments()
-	if len(got) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))
+	var got []string
+	for _, e := range Experiments() {
+		got = append(got, e.ID)
 	}
-	for i, id := range want {
-		if got[i].ID != id {
-			t.Errorf("experiment %d = %s, want %s", i, got[i].ID, id)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("registry = %v\nwant       %v", got, want)
+	}
+	for _, id := range want {
 		if _, ok := FindExperiment(id); !ok {
 			t.Errorf("FindExperiment(%s) failed", id)
 		}
 	}
 	if _, ok := FindExperiment("nope"); ok {
 		t.Error("FindExperiment(nope) succeeded")
+	}
+}
+
+// TestDocumentedCommandsExist reads the Makefile and README.md and checks
+// that every `-experiment X` they name is registered and every `make T`
+// the README names as a command (in a code span or at the start of a
+// line) is a Makefile target, so deleting an experiment or a target
+// cannot leave a command behind that no longer runs.
+func TestDocumentedCommandsExist(t *testing.T) {
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	experiment := regexp.MustCompile(`-experiment ([a-z0-9-]+)`)
+	for name, text := range map[string][]byte{"Makefile": makefile, "README.md": readme} {
+		for _, m := range experiment.FindAllSubmatch(text, -1) {
+			if _, ok := FindExperiment(string(m[1])); !ok {
+				t.Errorf("%s runs -experiment %s, which is not registered", name, m[1])
+			}
+		}
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z0-9-]+):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	for _, m := range regexp.MustCompile("(?m)(?:^|`)make ([a-z0-9-]+)").FindAllSubmatch(readme, -1) {
+		if !targets[string(m[1])] {
+			t.Errorf("README.md names make %s, which is not a Makefile target", m[1])
+		}
 	}
 }
 
@@ -168,5 +241,23 @@ func TestReportTableFormatting(t *testing.T) {
 	}
 	if len(r.Lines()) != 5 { // title + header + sep + 2 rows
 		t.Errorf("got %d lines", len(r.Lines()))
+	}
+}
+
+func TestMedian(t *testing.T) {
+	cases := []struct {
+		in   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{3}, 3},
+		{[]float64{5, 1}, 3},
+		{[]float64{9, 1, 5}, 5},
+		{[]float64{4, 1, 3, 2}, 2.5},
+	}
+	for _, c := range cases {
+		if got := median(c.in); got != c.want {
+			t.Errorf("median(%v) = %v, want %v", c.in, got, c.want)
+		}
 	}
 }

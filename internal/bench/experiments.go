@@ -86,11 +86,7 @@ func Experiments() []Experiment {
 		{"fig14", "Sensitivity: NVM buffer size (DRAM-NVM-SSD)", Fig14BufferSweep},
 		{"ablation", "MioDB design ablations (one-piece flush, zero-copy, parallelism, bloom)", Ablations},
 		{"shardscale", "Sharded store: fill/readrandom throughput vs shard count", ShardScale},
-		{"netscale", "Pipelined network front end: connections × window sweep over loopback", NetScale},
-		{"multiget", "Versioned read API: GetMulti vs pipelined Gets at group sizes 1-16", MultiGet},
 		{"membalance", "Adaptive memory governor: skewed shard traffic, adaptive vs static split at equal total memory", MemBalance},
-		{"valuesize", "Key-value separation: WA and throughput vs value size, value log on/off at equal memory", ValueSize},
-		{"torture", "Crash torture: randomized power failures, torn writes, recovery invariants", CrashTorture},
 		{"extra-escan", "Bonus: workload E before vs after compactions settle (§5.2 claim)", ExtraScanSettle},
 		{"extra-novelsm", "Bonus: NoveLSM flat vs hierarchical vs NoSST (§3.1 claim)", ExtraNoveLSMVariants},
 	}

@@ -60,8 +60,7 @@ type Config struct {
 	TimeScale float64
 
 	// ValueLog enables MioDB's key-value separation (nil = value-inline;
-	// baselines ignore it). The valuesize experiment compares the two
-	// arms at equal memory across value sizes.
+	// OpenStore refuses it for the baselines).
 	ValueLog *core.ValueLogOptions
 
 	// MemoryBudget is the sharded MioDB store's global memtable budget:
@@ -136,8 +135,8 @@ func (c Config) disk() *vfs.Disk {
 func OpenStore(c Config) (Store, error) {
 	c = c.withDefaults()
 	if c.ValueLog != nil && c.Kind != MioDB {
-		// Only MioDB implements kvstore.ValueLogger; refuse up front
-		// rather than silently benchmarking an arm that isn't there.
+		// Only MioDB has a value log; refuse up front rather than
+		// silently benchmarking an arm that isn't there.
 		return nil, fmt.Errorf("bench: store kind %q does not support key-value separation (ValueLog)", c.Kind)
 	}
 	switch c.Kind {
@@ -177,7 +176,7 @@ func OpenStore(c Config) (Store, error) {
 				return shard.OpenGoverned(c.Shards, opts, &g)
 			}
 			if c.MemoryBudget > 0 {
-				opts.MemTableSize = c.MemoryBudget / int64(c.Shards)
+				opts.MemTableSize = shard.SplitBudget(c.MemoryBudget, c.Shards)
 			}
 			return shard.Open(c.Shards, opts)
 		}

@@ -166,7 +166,10 @@ type readLevelWork struct {
 
 // Open creates a fresh DB.
 func Open(opts Options) (*DB, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	space := vaddr.NewSpace()
 	db := &DB{
 		opts:  opts,

@@ -14,7 +14,8 @@ import "miodb/internal/stats"
 // at anyway.
 
 const (
-	// minMemTableTarget floors SetMemTableTarget: below one 4 KB page a
+	// minMemTableTarget floors SetMemTableTarget, and withDefaults
+	// refuses a configured MemTableSize below it: below one 4 KB page a
 	// memtable cannot hold a single typical entry and the store would
 	// rotate on every write.
 	minMemTableTarget = 4 << 10

@@ -29,7 +29,10 @@ func TestChunkSizeInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := Options{MemTableSize: tc.mem, ChunkSize: tc.chunk}.withDefaults()
+			o, err := Options{MemTableSize: tc.mem, ChunkSize: tc.chunk}.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if tc.wantChunk != 0 && o.ChunkSize != tc.wantChunk {
 				t.Errorf("ChunkSize = %d, want %d", o.ChunkSize, tc.wantChunk)
 			}
@@ -111,4 +114,32 @@ func TestResizeTakesEffectAtRotation(t *testing.T) {
 	if grown <= 0 || grown*2 >= small {
 		t.Errorf("rotations: small=%d grown=%d; want the grown phase well under half", small, grown)
 	}
+}
+
+// TestOpenRefusesMemTableBelowFloor: a configured memtable below
+// minMemTableTarget is refused by Open and by Recover, rather than
+// opening a store that rotates on nearly every write.
+func TestOpenRefusesMemTableBelowFloor(t *testing.T) {
+	tiny := smallOpts()
+	tiny.MemTableSize = 100
+	if db, err := Open(tiny); err == nil {
+		db.Close()
+		t.Fatal("Open accepted a 100 B memtable")
+	}
+	atFloor := smallOpts()
+	atFloor.MemTableSize = minMemTableTarget
+	db := mustOpen(t, atFloor)
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	img := db.CrashForTest()
+	if re, err := Recover(img, tiny); err == nil {
+		re.Close()
+		t.Fatal("Recover accepted a 100 B memtable")
+	}
+	re, err := Recover(img, atFloor)
+	if err != nil {
+		t.Fatalf("Recover at the floor: %v", err)
+	}
+	re.Close()
 }

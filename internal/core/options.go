@@ -6,6 +6,8 @@
 package core
 
 import (
+	"fmt"
+
 	"miodb/internal/lsm"
 	"miodb/internal/nvm"
 	"miodb/internal/vfs"
@@ -90,9 +92,16 @@ type SSDOptions struct {
 	LSM lsm.Options
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills in every zero field, and refuses a memtable below
+// the floor SetMemTableTarget clamps to: Open and Recover both go
+// through it, so every entry point (a MemTableSize, or a MemoryBudget
+// split across shards) meets the same floor.
+func (o Options) withDefaults() (Options, error) {
 	if o.MemTableSize <= 0 {
 		o.MemTableSize = 64 << 10
+	}
+	if o.MemTableSize < minMemTableTarget {
+		return o, fmt.Errorf("miodb: memtable of %d B is below the %d B floor (MemTableSize, or MemoryBudget split across shards)", o.MemTableSize, minMemTableTarget)
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 256 << 10
@@ -144,7 +153,7 @@ func (o Options) withDefaults() Options {
 		}
 		o.ValueLog = &vc
 	}
-	return o
+	return o, nil
 }
 
 // devices bundles the memory devices of one store instance.

@@ -63,7 +63,10 @@ func (db *DB) CrashForTest() *CrashImage {
 // manifest); the paper's recovery discussion (§4.7) likewise covers the
 // NVM-resident state.
 func Recover(img *CrashImage, opts Options) (*DB, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if opts.SSD != nil {
 		return nil, fmt.Errorf("miodb: SSD-mode crash recovery is not supported")
 	}

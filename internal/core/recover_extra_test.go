@@ -57,7 +57,7 @@ func TestRecoveryReplayRotatesMemtable(t *testing.T) {
 	img := db.CrashForTest()
 
 	shrunk := opts
-	shrunk.MemTableSize = 2 << 10 // force many rotations during replay
+	shrunk.MemTableSize = minMemTableTarget // force many rotations during replay
 	re, err := Recover(img, shrunk)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +70,10 @@ func TestRecoveryReplayRotatesMemtable(t *testing.T) {
 		}
 	}
 	re.WaitIdle()
+	// Only memtables replay sealed are flushed: the live one stays put.
+	if f := re.Stats().Flushes; f < 2 {
+		t.Fatalf("replay sealed %d memtables, want several", f)
+	}
 	if err := re.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,13 @@ import (
 // TortureConfig drives RunTorture, the randomized crash-recovery
 // harness. The zero value of every field selects a sensible default.
 type TortureConfig struct {
-	// Seed makes the whole run deterministic: the same seed replays the
-	// same workload, the same fault plans, and the same crash points.
+	// Seed seeds the one random stream the run draws from: each cycle's
+	// crash mode and its byte or write budget, and the keys, values and
+	// op mix. It does not fix the goroutine schedule. Background flushes
+	// and merges write to the same device as the workload, so which write
+	// a budget cuts, and with it where a cycle ends and what the stream
+	// draws next, can differ between two runs of one seed. A failing seed
+	// does not replay; torture is measured as a rate (make torture-rate).
 	Seed int64
 	// Cycles is the number of crash/recover rounds (default 50).
 	Cycles int

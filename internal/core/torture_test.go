@@ -11,7 +11,9 @@ import (
 // TestCrashTorture is the randomized crash-recovery harness: dozens of
 // write / crash / recover / verify cycles with injected device crashes,
 // torn tails, and interrupted recoveries. See RunTorture for the checked
-// invariants. Deterministic per seed — a failure reproduces exactly.
+// invariants. The seed fixes the workload, not the goroutine schedule
+// (see TortureConfig.Seed), so a failure need not reproduce; make
+// torture-stress runs it as a rate.
 func TestCrashTorture(t *testing.T) {
 	cycles := 50
 	if testing.Short() {

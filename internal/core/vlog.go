@@ -260,8 +260,7 @@ func (db *DB) onEntryDrop(value []byte, kind keys.Kind) {
 	}
 }
 
-// ValueLogEnabled reports whether key-value separation is active — the
-// kvstore.ValueLogger capability probe.
+// ValueLogEnabled reports whether key-value separation is active.
 func (db *DB) ValueLogEnabled() bool { return db.vlog != nil }
 
 // ValueLogCounters returns the value log's accounting (zero when

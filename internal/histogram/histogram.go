@@ -167,7 +167,7 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 }
 
 // Snapshot bundles the latency metrics the paper's tables report, plus
-// the median the service-level benchmarks (netscale) need. Buckets carries
+// the median the service-level benchmarks need. Buckets carries
 // the raw counts (nil when Count == 0) so snapshots from different shards
 // merge without percentile-of-percentile error.
 type Snapshot struct {

@@ -85,19 +85,6 @@ type Snapshotter interface {
 	SnapshotView() (SnapshotView, error)
 }
 
-// ValueLogger is implemented by stores with key-value separation: large
-// values live in a segmented value log and the LSM structure stores
-// compact addresses in their place. Tools probe for it to detect
-// value-log-capable stores and refuse descriptively otherwise.
-type ValueLogger interface {
-	// ValueLogEnabled reports whether separation is active (a store may
-	// implement the interface with separation configured off).
-	ValueLogEnabled() bool
-	// RunValueLogGC reclaims eligible value-log segments until none
-	// qualifies and returns the number of segments reclaimed.
-	RunValueLogGC() (int, error)
-}
-
 // Store is the uniform surface the benchmark harness drives.
 type Store interface {
 	// Put stores a key-value pair.

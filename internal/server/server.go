@@ -600,8 +600,8 @@ func (s *Server) handleRead(c *conn, req taggedRequest) (byte, []byte) {
 }
 
 // statsLine renders the store's cost accounting plus the store's per-op
-// latency percentiles, so a plain client sees the same numbers the
-// netscale benchmark and miodb-bench report. The server used to keep
+// latency percentiles, so a plain client sees the same numbers
+// miodb-bench reports. The server used to keep
 // its own service-time histograms here; they double-counted what the
 // core already measures and are replaced by the core distributions.
 func (s *Server) statsLine() string {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +54,11 @@ type GovernorOptions struct {
 	Alpha float64
 }
 
+// SplitBudget is each of n shards' memtable size under a global budget:
+// the even split, but never 0, so a budget too small to split meets
+// core.Open's memtable floor instead of its 0-means-default.
+func SplitBudget(budget int64, n int) int64 { return max(budget/int64(n), 1) }
+
 func (g GovernorOptions) withDefaults(n int) GovernorOptions {
 	if g.Interval <= 0 {
 		g.Interval = 10 * time.Millisecond
@@ -86,11 +90,7 @@ func OpenGoverned(n int, opts core.Options, gov *GovernorOptions) (*Router, erro
 	}
 	g := gov.withDefaults(n)
 	if g.Budget > 0 {
-		per := g.Budget / int64(n)
-		if per < 4<<10 {
-			return nil, fmt.Errorf("miodb/shard: memory budget %d over %d shards leaves %d B per shard (need ≥ 4096)", g.Budget, n, per)
-		}
-		opts.MemTableSize = per
+		opts.MemTableSize = SplitBudget(g.Budget, n)
 	}
 	r, err := Open(n, opts)
 	if err != nil {

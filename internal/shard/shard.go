@@ -342,8 +342,7 @@ func (r *Router) ResetCounters() {
 }
 
 // ValueLogEnabled reports whether key-value separation is active (shards
-// share one configuration, so probing the first is exact) — the
-// kvstore.ValueLogger capability probe.
+// share one configuration, so probing the first is exact).
 func (r *Router) ValueLogEnabled() bool {
 	return len(r.shards) > 0 && r.shards[0].ValueLogEnabled()
 }

@@ -33,7 +33,9 @@ type tortureOp struct {
 //     shards are always present — only the victim's slice may vanish;
 //   - each shard's structural invariants and region accounting hold.
 //
-// Deterministic per seed.
+// The seed fixes the workload and the fault plans, not the goroutine
+// schedule: background writes share the budgeted device, so a failing
+// seed need not replay.
 func TestShardTortureCrossShardBatches(t *testing.T) {
 	const (
 		shards   = 3

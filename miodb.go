@@ -75,7 +75,8 @@ import (
 // silently clamping them; zero values always mean "use the default".
 type Options struct {
 	// MemTableSize is the DRAM write buffer capacity in bytes (per shard
-	// when Shards > 1). 0 selects the default; negative is invalid.
+	// when Shards > 1). 0 selects the default; negative or under 4 KB is
+	// invalid.
 	MemTableSize int64
 	// Levels is the number of elastic-buffer levels (compaction threads)
 	// per shard. 0 selects the default (8); otherwise it must be in
@@ -250,17 +251,14 @@ func (opts *Options) validate() error {
 // Open and OpenImage so the two entry points can never drift. shards is
 // the number of engines the store runs, which MemoryBudget is split
 // across. opts may be nil.
-func (opts *Options) coreOptions(shards int) (core.Options, error) {
+func (opts *Options) coreOptions(shards int) core.Options {
 	var co core.Options
 	if opts == nil {
-		return co, nil
+		return co
 	}
 	co.MemTableSize = opts.MemTableSize
 	if opts.MemoryBudget > 0 {
-		co.MemTableSize = opts.MemoryBudget / int64(shards)
-		if co.MemTableSize < 4<<10 {
-			return co, fmt.Errorf("miodb: MemoryBudget %d over %d shards leaves %d B per shard (need ≥ 4096)", opts.MemoryBudget, shards, co.MemTableSize)
-		}
+		co.MemTableSize = shard.SplitBudget(opts.MemoryBudget, shards)
 	}
 	co.Levels = opts.Levels
 	co.BloomBitsPerKey = opts.BloomBitsPerKey
@@ -271,7 +269,7 @@ func (opts *Options) coreOptions(shards int) (core.Options, error) {
 	if opts.UseSSD {
 		co.SSD = &core.SSDOptions{}
 	}
-	return co, nil
+	return co
 }
 
 func (opts *Options) shardCount() int {
@@ -321,10 +319,7 @@ func Open(opts *Options) (*DB, error) {
 		return nil, err
 	}
 	n := opts.shardCount()
-	co, err := opts.coreOptions(n)
-	if err != nil {
-		return nil, err
-	}
+	co := opts.coreOptions(n)
 	ssd := opts != nil && opts.UseSSD
 	if n == 1 {
 		inner, err := core.Open(co)
@@ -532,8 +527,7 @@ func (db *DB) SnapshotView() (kvstore.SnapshotView, error) {
 }
 
 // ValueLogEnabled reports whether the store was opened with key-value
-// separation (Options.ValueLog) — the kvstore.ValueLogger capability
-// probe tools use to detect value-log-capable stores.
+// separation (Options.ValueLog).
 func (db *DB) ValueLogEnabled() bool {
 	if db.router != nil {
 		return db.router.ValueLogEnabled()
@@ -623,10 +617,7 @@ func OpenImage(path string, opts *Options) (*DB, error) {
 	}
 	// max: a corrupt image's count of 0 reaches shard.OpenImage, which
 	// refuses it, rather than dividing MemoryBudget by zero here.
-	co, err := opts.coreOptions(max(n, 1))
-	if err != nil {
-		return nil, err
-	}
+	co := opts.coreOptions(max(n, 1))
 	if sharded {
 		router, err := shard.OpenImage(path, n, co)
 		if err != nil {

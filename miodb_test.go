@@ -170,6 +170,40 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesMemTableBelowFloor: a memtable under the engine's
+// 4 KiB floor is refused whether it is given directly, split from
+// MemoryBudget (down to a split that rounds to 0), or asked of a
+// restore.
+func TestOpenRefusesMemTableBelowFloor(t *testing.T) {
+	for _, opts := range []*Options{
+		{MemTableSize: 100},
+		{MemTableSize: 100, Shards: 4},
+		{MemoryBudget: 1000},
+		{MemoryBudget: 1000, Shards: 8},
+		{MemoryBudget: 7, Shards: 8},
+	} {
+		if db, err := Open(opts); err == nil {
+			db.Close()
+			t.Errorf("Open accepted %+v", opts)
+		} else if !strings.Contains(err.Error(), "floor") {
+			t.Errorf("Open(%+v) error %q does not name the floor", opts, err)
+		}
+	}
+	path := t.TempDir() + "/floor.img"
+	db, err := Open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if re, err := OpenImage(path, &Options{MemTableSize: 100}); err == nil {
+		re.Close()
+		t.Error("OpenImage accepted a 100 B memtable")
+	}
+}
+
 // TestOpenImageHonorsUseSSD guards the once-dropped option: earlier
 // versions silently ignored UseSSD on restore (and wrote NVM-only
 // images of SSD stores whose repository data they could not carry).
@@ -370,8 +404,8 @@ func TestShardedPublicAPI(t *testing.T) {
 
 // TestPublicValueLog exercises Options.ValueLog end to end through the
 // public surface, single-engine and sharded: large values round-trip
-// through the log, small ones stay inline, the ValueLogger capability
-// probe answers correctly on both arms, and an explicit GC pass after a
+// through the log, small ones stay inline, ValueLogEnabled answers
+// correctly on both arms, and an explicit GC pass after a
 // heavy overwrite succeeds while every key still reads back its newest
 // value.
 func TestPublicValueLog(t *testing.T) {
@@ -392,8 +426,7 @@ func TestPublicValueLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			var probe kvstore.ValueLogger = db
-			if !probe.ValueLogEnabled() {
+			if !db.ValueLogEnabled() {
 				t.Fatal("ValueLogEnabled() = false on a value-log store")
 			}
 			// Overwrite a small working set with large values many times so
