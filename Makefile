@@ -29,11 +29,12 @@ test-1cpu:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade' -count=1
 
 # Crash-torture: randomized power failures, torn writes, and interrupted
-# recoveries under the race detector (50+ cycles). The seed fixes the
-# workload, not the goroutine schedule, so a run is not deterministic
-# per seed; torture-stress below measures it as a rate.
+# recoveries under the race detector (50+ cycles), and the compatibility
+# table's matrix: every supported feature combination tortured. The seed
+# fixes the workload, not the goroutine schedule, so a run is not
+# deterministic per seed; torture-stress below measures it as a rate.
 torture:
-	$(GO) test -race ./internal/core -run 'TestCrashTorture|TestDoubleCrashDuringRecovery' -v
+	$(GO) test -race ./internal/core -run 'TestCrashTorture|TestDoubleCrashDuringRecovery|TestCompatibilityTable$$' -v
 
 # Crash-torture health as a rate, not a single run: both torture tests
 # COUNT times each (race off), failures tallied by mode with the numbers

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"regexp"
@@ -53,6 +54,41 @@ func TestOpenStoreSSDMode(t *testing.T) {
 			t.Fatalf("%s ssd get: %v", kind, err)
 		}
 		s.Close()
+	}
+}
+
+// TestOpenStoreShardedSSD: each shard of a sharded SSD-mode store builds
+// its own SSD disk, so the harness opens one, keys round-trip, and the
+// aggregated stats show traffic on the SSD (two levels, so the lazy copy
+// to the SSD starts early).
+func TestOpenStoreShardedSSD(t *testing.T) {
+	s, err := OpenStore(Config{Kind: MioDB, Shards: 2, SSD: true, Levels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 2000
+	for i := uint64(0); i < n; i++ {
+		if err := s.Put(dbKey(i), dbValue(i, 0, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i += 97 {
+		if v, err := s.Get(dbKey(i)); err != nil || !bytes.Equal(v, dbValue(i, 0, 512)) {
+			t.Fatalf("get %d: %v", i, err)
+		}
+	}
+	var ssd int64
+	for _, d := range s.Stats().Devices {
+		if d.Name == "ssd" {
+			ssd += d.BytesWritten
+		}
+	}
+	if ssd == 0 {
+		t.Fatalf("no bytes written to the SSD: %+v", s.Stats().Devices)
 	}
 }
 

@@ -131,8 +131,4 @@ func TestOpenStoreSharded(t *testing.T) {
 	if st := s.Stats(); st.Puts != 0 {
 		t.Errorf("puts after reset = %d", st.Puts)
 	}
-
-	if _, err := OpenStore(Config{Kind: MioDB, Shards: 4, SSD: true}); err == nil {
-		t.Error("sharded SSD config accepted; want error")
-	}
 }

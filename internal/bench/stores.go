@@ -156,18 +156,12 @@ func OpenStore(c Config) (Store, error) {
 			opts.BloomBitsPerKey = -1
 		}
 		if c.SSD {
-			opts.SSD = &core.SSDOptions{
-				Disk: vfs.NewDisk(vfs.SSDProfile()),
-				LSM:  lsmOptions(),
-			}
+			// Disk is nil: each shard's engine builds a disk of its own.
+			opts.SSD = &core.SSDOptions{LSM: lsmOptions()}
 		}
-		if c.Shards > 1 {
-			// Each shard builds its own SSD tier from opts when enabled,
-			// so the shared Disk handle above must not be reused across
-			// shards; sharded SSD mode is not wired in the harness.
-			if c.SSD {
-				return nil, fmt.Errorf("bench: sharded store does not support -ssd")
-			}
+		// A Governor goes to the router even with one shard, where the
+		// compatibility table refuses it.
+		if c.Shards > 1 || c.Governor != nil {
 			if c.Governor != nil {
 				g := *c.Governor
 				if g.Budget == 0 {
@@ -179,9 +173,6 @@ func OpenStore(c Config) (Store, error) {
 				opts.MemTableSize = shard.SplitBudget(c.MemoryBudget, c.Shards)
 			}
 			return shard.Open(c.Shards, opts)
-		}
-		if c.Governor != nil {
-			return nil, fmt.Errorf("bench: governor requires shards > 1")
 		}
 		if c.MemoryBudget > 0 {
 			opts.MemTableSize = c.MemoryBudget

@@ -141,11 +141,13 @@ func (db *DB) mergeOnce(level int) error {
 	// one; Merge.Get and the forward chain both land on the live result.
 	m.New.SetForward(result)
 	m.Old.SetForward(result)
-	// The result now owns every arena; sever the drained skeletons'
-	// ownership under the structural lock (manifest snapshots read
-	// Regions() under the same lock).
-	m.New.DropRegions()
-	m.Old.DropRegions()
+	// A zero-copy result owns every arena now: sever the skeletons'
+	// ownership under mu (manifest snapshots read Regions() under it). A
+	// copy merge's sources keep theirs until release frees them below.
+	if release == nil {
+		m.New.DropRegions()
+		m.Old.DropRegions()
+	}
 	db.levelStats[level].merges++
 	db.levelStats[level].nodesMoved += m.Moved()
 	db.levelStats[level].garbageBytes += m.Garbage()

@@ -170,6 +170,9 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := Refusal(OpOpen, opts, 1, false); err != nil {
+		return nil, err
+	}
 	space := vaddr.NewSpace()
 	db := &DB{
 		opts:  opts,

@@ -118,10 +118,9 @@ func (db *DB) Checkpoint(path string) error {
 // embedding the image in a larger file (the shard router's multi-shard
 // images) own that. The store keeps running afterwards.
 func (db *DB) CheckpointTo(w io.Writer) error {
-	if db.vlog != nil && db.vlog.OnSSD() {
-		// SSD segment files are outside the NVM image; a restored store
-		// could not resolve their pointers.
-		return fmt.Errorf("miodb: checkpoint does not cover an SSD-resident value log")
+	// The SSD tier and SSD value-log segments are outside the NVM image.
+	if err := Refusal(OpCheckpoint, db.opts, 1, false); err != nil {
+		return err
 	}
 	// Force the volatile buffer out so the image is self-contained even
 	// without WAL replay, then drain background work so no compaction is

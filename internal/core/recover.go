@@ -59,19 +59,15 @@ func (db *DB) CrashForTest() *CrashImage {
 // generation, so nothing is ever appended behind a torn record.
 //
 // opts must match the crashed store's structural options (Levels). The
-// DRAM-NVM-SSD mode is not recoverable (the simulated SSD carries no
-// manifest); the paper's recovery discussion (§4.7) likewise covers the
-// NVM-resident state.
+// compatibility table (compat.go) refuses SSD-resident state: the simulated
+// SSD carries no manifest, and the paper's recovery (§4.7) covers NVM only.
 func Recover(img *CrashImage, opts Options) (*DB, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if opts.SSD != nil {
-		return nil, fmt.Errorf("miodb: SSD-mode crash recovery is not supported")
-	}
-	if opts.ValueLog != nil && opts.ValueLog.OnSSD {
-		return nil, fmt.Errorf("miodb: SSD-resident value log is not crash-recoverable")
+	if err := Refusal(OpRecover, opts, 1, false); err != nil {
+		return nil, err
 	}
 
 	db := &DB{

@@ -14,11 +14,11 @@ import (
 // ErrSnapshotClosed is returned by reads on a closed Snapshot.
 var ErrSnapshotClosed = errors.New("miodb: snapshot closed")
 
-// ErrSnapshotUnsupported is returned by Snapshot on SSD-mode stores: the
-// on-SSD compactor rewrites tables in place with no version pinning, so a
-// long-lived consistent view cannot be guaranteed there. The sentinel
-// lives in kvstore so the network client can map wire errors back onto
-// the same identity.
+// ErrSnapshotUnsupported is returned by Snapshot on SSD-mode stores (the
+// compatibility table's SSD row): the on-SSD compactor rewrites tables in
+// place with no version pinning, so a long-lived consistent view cannot be
+// guaranteed there. The sentinel lives in kvstore so the network client
+// can map wire errors back onto the same identity.
 var ErrSnapshotUnsupported = kvstore.ErrSnapshotUnsupported
 
 // Snapshot is a long-lived consistent read-only view of the store: every
@@ -57,8 +57,8 @@ type Snapshot struct {
 // every commit is either entirely at or below it, or entirely above.
 // O(1): no data is copied, no flush is forced.
 func (db *DB) Snapshot() (*Snapshot, error) {
-	if db.ssd != nil {
-		return nil, ErrSnapshotUnsupported
+	if err := Refusal(OpSnapshot, db.opts, 1, false); err != nil {
+		return nil, err
 	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
@@ -101,8 +101,8 @@ func (db *DB) SnapshotView() (kvstore.SnapshotView, error) {
 // router; single-store callers want DB.Snapshot.
 func SnapshotAll(dbs []*DB) ([]*Snapshot, error) {
 	for _, db := range dbs {
-		if db.ssd != nil {
-			return nil, ErrSnapshotUnsupported
+		if err := Refusal(OpSnapshot, db.opts, len(dbs), false); err != nil {
+			return nil, err
 		}
 	}
 	for _, db := range dbs {

@@ -73,39 +73,6 @@ func TestCrashTortureValueLog(t *testing.T) {
 	t.Log(rep.String())
 }
 
-// TestCrashTortureNoWAL exercises the DisableWAL configuration: acked
-// updates in the DRAM buffer are legitimately lost on crash, but flushed
-// state must still recover consistently and leak no regions.
-func TestCrashTortureNoWAL(t *testing.T) {
-	opts := tortureOpts()
-	opts.DisableWAL = true
-	// With no WAL, an acked write is only crash-durable once flushed;
-	// the generic verifier would call every lost tail a failure. Run the
-	// structural half only: write, crash, recover, check invariants.
-	for seed := int64(0); seed < 3; seed++ {
-		db := mustOpen(t, opts)
-		for i := 0; i < 600; i++ {
-			k := []byte{byte(i), byte(i >> 8), byte(seed)}
-			if err := db.Put(k, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		img := db.CrashForTest()
-		db2, err := Recover(img, opts)
-		if err != nil {
-			t.Fatalf("seed %d: recover: %v", seed, err)
-		}
-		db2.WaitIdle()
-		if err := db2.CheckConsistency(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := db2.CheckRegionAccounting(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		db2.Close()
-	}
-}
-
 // TestFailedRelocationSeqIsNoFloor pins why RunTorture floors on the acked
 // op's own sequence number: a value-log relocation whose append fails
 // burns a seq that no log ever records, so LastSeq() read after an ack can

@@ -318,17 +318,6 @@ func (l *Levels) LevelSizes() []int64 {
 	return out
 }
 
-// TableCount returns the total number of live SSTables.
-func (l *Levels) TableCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, fs := range l.files {
-		n += len(fs)
-	}
-	return n
-}
-
 // WaitIdle blocks until no compaction is needed or running (benchmarks
 // call it to separate load and read phases).
 func (l *Levels) WaitIdle() {

@@ -286,14 +286,6 @@ func (m *Merge) finish() *Table {
 	return result
 }
 
-// Result returns the merged table once Run has completed, else nil.
-func (m *Merge) Result() *Table {
-	if !m.done.Load() {
-		return nil
-	}
-	return m.result
-}
-
 // Done reports whether the merge has completed.
 func (m *Merge) Done() bool { return m.done.Load() }
 

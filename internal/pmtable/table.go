@@ -78,11 +78,6 @@ type FilterParams struct {
 	BitsPerKey int
 }
 
-// DefaultFilterParams mirrors the paper's configuration.
-func DefaultFilterParams() FilterParams {
-	return FilterParams{ExpectedKeys: 1 << 16, BitsPerKey: 16}
-}
-
 // Disabled reports whether bloom filtering is turned off (the paper's
 // read-optimization ablation).
 func (p FilterParams) Disabled() bool { return p.BitsPerKey < 0 }

@@ -85,6 +85,9 @@ func (g GovernorOptions) withDefaults(n int) GovernorOptions {
 // target ever moved. With gov set, shards open at the even split of the
 // budget and the governor loop starts rebalancing immediately.
 func OpenGoverned(n int, opts core.Options, gov *GovernorOptions) (*Router, error) {
+	if err := core.Refusal(core.OpOpen, opts, n, gov != nil); err != nil {
+		return nil, err
+	}
 	if gov == nil {
 		return Open(n, opts)
 	}

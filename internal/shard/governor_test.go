@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"miodb/internal/core"
 )
 
 // keysFor returns count distinct keys that the router hashes onto the
@@ -189,4 +191,27 @@ func TestGovernedRouterLifecycle(t *testing.T) {
 	r.Close()
 	// Close stops the loop; a second stop must be a no-op.
 	r.stopGovernor()
+}
+
+// TestOpenGovernedRefusesOneShard: a governor rebalances one budget
+// across shards, so the compatibility table refuses it with fewer than
+// two, before any shard opens.
+func TestOpenGovernedRefusesOneShard(t *testing.T) {
+	want := core.Refusal(core.OpOpen, testOpts(), 1, true)
+	if want == nil {
+		t.Fatal("the compatibility table accepts a governor over one shard")
+	}
+	for _, n := range []int{0, 1} {
+		if r, err := OpenGoverned(n, testOpts(), &GovernorOptions{}); err != want {
+			if r != nil {
+				r.Close()
+			}
+			t.Errorf("OpenGoverned(%d): err = %v, want %v", n, err, want)
+		}
+	}
+	r, err := OpenGoverned(2, testOpts(), &GovernorOptions{})
+	if err != nil {
+		t.Fatalf("OpenGoverned(2): %v", err)
+	}
+	r.Close()
 }

@@ -57,9 +57,6 @@ func (l *List) Head() vaddr.Addr { return l.head }
 // Space returns the address space the list lives in.
 func (l *List) Space() *vaddr.Space { return l.space }
 
-// Home returns the allocation region (may be nil).
-func (l *List) Home() *vaddr.Region { return l.home }
-
 // Count returns the number of live entries (approximate under concurrent
 // merge; exact when quiescent).
 func (l *List) Count() int64 { return l.count.Load() }

@@ -78,8 +78,6 @@ type Builder struct {
 	lastKey   []byte
 	lastSeq   uint64
 	hasLast   bool
-	entries   int64
-	rawBytes  int64
 	index     []indexEntry
 	filter    *bloom.Filter
 	blockLast []byte // last internal key of the open block
@@ -133,8 +131,6 @@ func (b *Builder) Add(key []byte, seq uint64, kind keys.Kind, value []byte) erro
 	b.block = append(b.block, value...)
 
 	b.counter++
-	b.entries++
-	b.rawBytes += int64(len(key) + len(value))
 	b.lastKey = append(b.lastKey[:0], key...)
 	b.lastSeq = seq
 	b.hasLast = true
@@ -190,12 +186,6 @@ func (b *Builder) finishBlock() error {
 	b.hasLast = false
 	return nil
 }
-
-// Entries returns the number of entries added.
-func (b *Builder) Entries() int64 { return b.entries }
-
-// RawBytes returns the user payload bytes added.
-func (b *Builder) RawBytes() int64 { return b.rawBytes }
 
 // EstimatedSize returns the bytes written plus the open block.
 func (b *Builder) EstimatedSize() int64 { return b.w.Offset() + int64(len(b.block)) }

@@ -61,12 +61,6 @@ func (r *Region) CompareAndSwap64(addr Addr, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(r.word(addr), old, new)
 }
 
-// LoadAddr atomically loads an Addr-typed word.
-func (r *Region) LoadAddr(addr Addr) Addr { return Addr(r.Load64(addr)) }
-
-// StoreAddr atomically stores an Addr-typed word.
-func (r *Region) StoreAddr(addr Addr, v Addr) { r.Store64(addr, uint64(v)) }
-
 // PutUint64 writes v non-atomically (little endian) without metering; used
 // while initializing freshly allocated, not-yet-published objects.
 func (r *Region) PutUint64(addr Addr, v uint64) {

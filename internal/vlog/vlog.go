@@ -237,9 +237,6 @@ func NewSSD(disk *vfs.Disk, cfg Config) *Store {
 	return s
 }
 
-// OnSSD reports whether segments live on the SSD tier.
-func (s *Store) OnSSD() bool { return s.disk != nil }
-
 // Config returns the store's configuration.
 func (s *Store) Config() Config { return s.cfg }
 
@@ -718,16 +715,6 @@ func (s *Store) SetNextID(id uint32) {
 		s.nextID = id
 	}
 	s.mu.Unlock()
-}
-
-// RegionIndex returns the NVM region index of a segment (recovery uses it
-// to match manifest records), or false for SSD segments.
-func (s *Store) RegionIndex(id uint32) (uint32, bool) {
-	g := s.lookup(id)
-	if g == nil || g.region == nil {
-		return 0, false
-	}
-	return g.region.Index(), true
 }
 
 // Counters returns a snapshot of the store's accounting.

@@ -96,10 +96,10 @@ type Options struct {
 	// is then lost on crash).
 	DisableWAL bool
 	// UseSSD enables the DRAM-NVM-SSD hierarchy: the bottom repository
-	// becomes leveled SSTables on a simulated SSD. SSD-mode stores
-	// cannot be checkpointed or restored (images hold the NVM state
-	// only); Checkpoint and OpenImage refuse rather than silently
-	// writing or restoring an incomplete configuration.
+	// becomes leveled SSTables on a simulated SSD. Checkpoint, OpenImage
+	// and Snapshot refuse SSD-mode stores rather than silently writing or
+	// restoring an incomplete configuration (images hold the NVM state
+	// only); DESIGN.md §7, "Feature combinations", lists every refusal.
 	UseSSD bool
 	// Simulate enables device latency injection so measured performance
 	// reflects the modeled hardware; leave false for functional use.
@@ -179,8 +179,8 @@ type AdmissionOptions struct {
 // memtable, GCDeadRatio 0.5. OnSSD places segments on the simulated SSD
 // tier (the large-value offload arm); SSD-resident value logs are not
 // covered by Checkpoint images or crash recovery, and both refuse rather
-// than silently dropping the data. See core.ValueLogOptions for field
-// semantics.
+// than silently dropping the data (DESIGN.md §7, "Feature combinations").
+// See core.ValueLogOptions for field semantics.
 type ValueLogOptions = core.ValueLogOptions
 
 // maxLevels bounds Options.Levels: beyond this each extra level is one
@@ -223,9 +223,6 @@ func (opts *Options) validate() error {
 		return fmt.Errorf("miodb: invalid MemoryBudget %d: must be ≥ 0 (0 keeps per-shard MemTableSize)", opts.MemoryBudget)
 	}
 	if g := opts.Governor; g != nil {
-		if opts.shardCount() < 2 {
-			return fmt.Errorf("miodb: Governor requires Shards ≥ 2: rebalancing one global budget needs more than one shard (use MemoryBudget alone to size a single engine)")
-		}
 		if g.Budget < 0 || g.FloorBytes < 0 || g.Interval < 0 || g.HysteresisFrac < 0 || math.IsNaN(g.HysteresisFrac) {
 			return fmt.Errorf("miodb: invalid Governor options: Budget/FloorBytes/Interval/HysteresisFrac must be ≥ 0 (0 selects each default)")
 		}
@@ -309,7 +306,6 @@ const (
 type DB struct {
 	single *core.DB      // the single-engine path (Shards ≤ 1)
 	router *shard.Router // the sharded path (Shards > 1)
-	ssd    bool          // opened with UseSSD: not checkpointable
 }
 
 // Open creates a store. opts may be nil for defaults. Invalid options
@@ -320,13 +316,14 @@ func Open(opts *Options) (*DB, error) {
 	}
 	n := opts.shardCount()
 	co := opts.coreOptions(n)
-	ssd := opts != nil && opts.UseSSD
-	if n == 1 {
+	// A Governor goes to the router even with one shard: the router's
+	// compatibility check refuses it there.
+	if n == 1 && (opts == nil || opts.Governor == nil) {
 		inner, err := core.Open(co)
 		if err != nil {
 			return nil, err
 		}
-		return &DB{single: inner, ssd: ssd}, nil
+		return &DB{single: inner}, nil
 	}
 	var gov *GovernorOptions
 	if opts.Governor != nil {
@@ -343,7 +340,7 @@ func Open(opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{router: router, ssd: ssd}, nil
+	return &DB{router: router}, nil
 }
 
 // Put stores a key-value pair. The value is durable (in the simulated
@@ -570,11 +567,9 @@ func (db *DB) Flush() error {
 // SSD-mode stores (Options.UseSSD) cannot be checkpointed: images
 // capture the NVM state only, so an image of a store whose repository
 // lives on the simulated SSD would silently miss that data. Checkpoint
-// refuses rather than writing an incomplete image.
+// refuses rather than writing an incomplete image (DESIGN.md §7,
+// "Feature combinations").
 func (db *DB) Checkpoint(path string) error {
-	if db.ssd {
-		return fmt.Errorf("miodb: cannot checkpoint an SSD-mode store: images capture the NVM state only (the SSD-resident repository would be lost)")
-	}
 	if db.router != nil {
 		return db.router.Checkpoint(path)
 	}
@@ -588,21 +583,17 @@ func (db *DB) Checkpoint(path string) error {
 // mismatched Shards value is rejected (Shards = 0 adopts the recorded
 // count), as is restoring a single-engine image with Shards > 1.
 // MemoryBudget is split across the restored shards as Open splits it.
-// Restoring with UseSSD or a Governor is rejected: images hold the NVM
-// state only, and a restored store runs ungoverned.
+// Restoring with UseSSD, an SSD-resident value log or a Governor is
+// rejected, before the file is read: images hold the NVM state only, and
+// a restored store runs ungoverned. DESIGN.md §7, "Feature combinations",
+// lists every refusal.
 func OpenImage(path string, opts *Options) (*DB, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts != nil && opts.UseSSD {
-		// The shared translation means UseSSD reaches core (which
-		// refuses SSD-mode recovery); reject here with the fuller story.
-		// Earlier versions silently dropped the flag and restored a
-		// different configuration.
-		return nil, fmt.Errorf("miodb: cannot restore with UseSSD: checkpoint images capture the NVM state only, and SSD-mode recovery is not supported")
-	}
-	if opts != nil && opts.Governor != nil {
-		return nil, fmt.Errorf("miodb: cannot restore with a Governor: a restored store runs with a static split of MemoryBudget")
+	governed := opts != nil && opts.Governor != nil
+	if err := core.Refusal(core.OpRecover, opts.coreOptions(1), opts.shardCount(), governed); err != nil {
+		return nil, err
 	}
 	count, sharded, err := shard.ImageInfo(path)
 	if err != nil {

@@ -254,6 +254,19 @@ func TestOpenImageHonorsUseSSD(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesGovernorWithoutShards: a Governor rebalances one budget
+// across shards, so Open refuses it with fewer than two, naming it.
+func TestOpenRefusesGovernorWithoutShards(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		if db, err := Open(&Options{Shards: shards, Governor: &GovernorOptions{}}); err == nil {
+			db.Close()
+			t.Errorf("Open accepted a Governor with Shards %d", shards)
+		} else if !strings.Contains(err.Error(), "Governor") {
+			t.Errorf("Shards %d: err = %v, want one naming Governor", shards, err)
+		}
+	}
+}
+
 // TestOpenImageKeepsMemoryBudget: OpenImage splits MemoryBudget across
 // the restored shards exactly as Open does — a sharded image opened with
 // Shards 0 takes the count from the image — and refuses a Governor
