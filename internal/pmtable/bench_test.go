@@ -61,8 +61,9 @@ func flushOnto(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.M
 
 // bgBench runs one drain benchmark quiet and contended. setup builds the
 // iteration's input untimed on the given meter and returns the timed drain,
-// which reports the nodes it moved.
-func bgBench(b *testing.B, setup func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() int64) {
+// which reports the nodes it moved and the runs it moved them in (a drain
+// that moves nodes one by one reports them as its runs).
+func bgBench(b *testing.B, setup func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() (nodes, runs int64)) {
 	for _, contended := range []bool{false, true} {
 		name := "quiet"
 		if contended {
@@ -92,7 +93,7 @@ func bgBench(b *testing.B, setup func(b *testing.B, space *vaddr.Space, dram *nv
 				}()
 				defer func() { close(stop); wg.Wait() }()
 			}
-			var nodes int64
+			var nodes, runs int64
 			calls, written := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -100,8 +101,9 @@ func bgBench(b *testing.B, setup func(b *testing.B, space *vaddr.Space, dram *nv
 				drain := setup(b, space, dram, dev)
 				c0, w0 := dev.calls, dev.written
 				b.StartTimer()
-				nodes += drain()
+				n, r := drain()
 				b.StopTimer()
+				nodes, runs = nodes+n, runs+r
 				calls += dev.calls - c0
 				written += dev.written - w0
 				b.StartTimer()
@@ -109,27 +111,42 @@ func bgBench(b *testing.B, setup func(b *testing.B, space *vaddr.Space, dram *nv
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 			b.ReportMetric(float64(calls)/float64(nodes), "devcalls/node")
 			b.ReportMetric(float64(written)/float64(nodes), "nvmB/node")
+			if runs != nodes {
+				b.ReportMetric(float64(nodes)/float64(runs), "nodes/run")
+			}
 		})
 	}
 }
 
+// BenchmarkMergeRun drains two table shapes. interleaved: the newtable's
+// keys every third, the oldtable's every fourth, every twelfth shared —
+// runs of one or two nodes, some with a superseded version to unlink
+// behind them. dense: the newtable's keys consecutive, the oldtable's every
+// 64th — runs of runCap nodes, the best case.
 func BenchmarkMergeRun(b *testing.B) {
-	bgBench(b, func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() int64 {
-		// Interleaved keys, every fourth shared: migrations with and without
-		// a superseded version to unlink behind them.
-		old := flushOnto(b, space, dram, meter, 1, benchVersions(benchTableKeys, 0, 4, 1))
-		newer := flushOnto(b, space, dram, meter, 2, benchVersions(benchTableKeys, 0, 3, newSeqBase))
-		slotRegion := space.NewRegion(4096, meter)
-		slot, _ := slotRegion.Alloc(8)
-		m := NewMerge(newer, old)
-		m.SetPersistSlot(slotRegion, slot)
-		return func() int64 {
-			merged := m.Run()
-			moved := m.Moved()
-			releaseAll(space, append(merged.Regions(), slotRegion))
-			return moved
-		}
-	})
+	for _, tc := range []struct {
+		name                 string
+		oldStride, newStride int
+	}{
+		{"interleaved", 4, 3},
+		{"dense", 64, 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			bgBench(b, func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() (int64, int64) {
+				old := flushOnto(b, space, dram, meter, 1, benchVersions(benchTableKeys, 0, tc.oldStride, 1))
+				newer := flushOnto(b, space, dram, meter, 2, benchVersions(benchTableKeys, 0, tc.newStride, newSeqBase))
+				slotRegion := space.NewRegion(4096, meter)
+				slot, _ := slotRegion.Alloc(8)
+				m := NewMerge(newer, old)
+				m.SetPersistSlot(slotRegion, slot)
+				return func() (int64, int64) {
+					merged := m.Run()
+					releaseAll(space, append(merged.Regions(), slotRegion))
+					return m.moved, m.runs
+				}
+			})
+		})
+	}
 }
 
 func releaseAll(space *vaddr.Space, regions []*vaddr.Region) {
@@ -147,7 +164,7 @@ func BenchmarkAbsorb(b *testing.B) {
 		{"disjoint", benchRepoKeys * 7},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			bgBench(b, func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() int64 {
+			bgBench(b, func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() (int64, int64) {
 				region := space.NewRegion(1<<20, meter)
 				list, err := skiplist.New(region)
 				if err != nil {
@@ -161,12 +178,12 @@ func BenchmarkAbsorb(b *testing.B) {
 				}
 				repo := &Repository{region: region, list: list}
 				table := flushOnto(b, space, dram, meter, 1, benchVersions(benchTableKeys, tc.first, 7, newSeqBase*10))
-				return func() int64 {
+				return func() (int64, int64) {
 					if err := repo.AbsorbWith(table, AbsorbPolicy{}); err != nil {
 						b.Fatal(err)
 					}
 					releaseAll(space, append(table.Regions(), region))
-					return benchTableKeys
+					return benchTableKeys, benchTableKeys
 				}
 			})
 		})
@@ -174,7 +191,7 @@ func BenchmarkAbsorb(b *testing.B) {
 }
 
 func BenchmarkFlushSwizzle(b *testing.B) {
-	bgBench(b, func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() int64 {
+	bgBench(b, func(b *testing.B, space *vaddr.Space, dram *nvm.Device, meter vaddr.Meter) func() (int64, int64) {
 		mt, err := memtable.New(dram, 1<<30, 1<<20)
 		if err != nil {
 			b.Fatal(err)
@@ -185,11 +202,11 @@ func BenchmarkFlushSwizzle(b *testing.B) {
 			}
 		}
 		clone := space.Clone(mt.Region(), meter)
-		return func() int64 {
+		return func() (int64, int64) {
 			skiplist.Swizzle(clone, mt.Region(), mt.List().Head())
 			space.Release(clone)
 			mt.Release()
-			return benchMemKeys
+			return benchMemKeys, benchMemKeys
 		}
 	})
 }

@@ -214,6 +214,18 @@ func (c *cutMeter) OnWrite(int) {
 	c.writes++
 }
 
+// isCut takes what a deferred recover returned: it reports whether a power
+// cut came, and panics on anything else.
+func isCut(r any) bool {
+	if r == nil {
+		return false
+	}
+	if _, ok := r.(powerCut); !ok {
+		panic(r)
+	}
+	return true
+}
+
 // linkVersions builds a table node by node in one arena metered by meter.
 func linkVersions(t testing.TB, space *vaddr.Space, meter vaddr.Meter, id uint64, vs []version) *Table {
 	t.Helper()
@@ -275,75 +287,135 @@ func checkSurvivors(t *testing.T, what string, got, want []version, newest map[s
 // (re-attach both lists from their heads, read the persisted mark, Resume)
 // and checks the result: every key reads its newest version, everything
 // the uninterrupted merge keeps is there, and whatever else survived is an
-// older version of a key that is (an unlink the cut came before).
+// older version of a key that is (an unlink the cut came before). The
+// fourth seed's newtable is a dense block over a sparse oldtable, so its
+// runs reach runCap and cuts fall inside long runs.
 func TestMergeResumeAfterEveryStore(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 4; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		keySpace := []int{4, 25, 90}[seed%3]
-		oldVs := randomVersions(rnd, 40, keySpace, 1)
-		newVs := randomVersions(rnd, 40, keySpace, newSeqBase)
+		var oldVs, newVs []version
+		if seed <= 3 {
+			keySpace := []int{4, 25, 90}[seed%3]
+			oldVs = randomVersions(rnd, 40, keySpace, 1)
+			newVs = randomVersions(rnd, 40, keySpace, newSeqBase)
+		} else {
+			oldVs = versionsOn(rnd, strideIDs(20, 30), 1)
+			newVs = versionsOn(rnd, blockIDs(rnd, 20, 36, 4), newSeqBase)
+		}
 
-		// run builds the pair afresh (deterministic, so every run sees the
-		// same lists) and merges it with the power cut after cutAfter
-		// stores; it reports the stores made and whether the cut came.
+		// build makes the pair afresh (deterministic, so every run sees the
+		// same lists, tower heights included) with a mark slot, all metered
+		// by meter.
 		var space *vaddr.Space
 		var old, newer *Table
 		var slotRegion *vaddr.Region
 		var slot vaddr.Addr
-		run := func(cutAfter int) (stores int, cut bool) {
+		build := func(meter *cutMeter) {
 			space = vaddr.NewSpace()
-			meter := &cutMeter{left: -1}
 			old = linkVersions(t, space, meter, 1, oldVs)
 			newer = linkVersions(t, space, meter, 2, newVs)
 			slotRegion = space.NewRegion(4096, meter)
 			slot, _ = slotRegion.Alloc(8)
+		}
+		// run builds the pair and merges it with the power cut after
+		// cutAfter stores; it reports the stores made and whether the cut
+		// came.
+		var meter *cutMeter
+		run := func(cutAfter int) (stores int, cut bool) {
+			meter = &cutMeter{left: -1}
+			build(meter)
 			m := NewMerge(newer, old)
 			m.SetPersistSlot(slotRegion, slot)
 			meter.writes, meter.left = 0, cutAfter
 			defer func() {
 				stores, meter.left = meter.writes, -1
-				if r := recover(); r != nil {
-					if _, ok := r.(powerCut); !ok {
-						panic(r)
-					}
-					cut = true
-				}
+				cut = isCut(recover())
 			}()
 			m.Run()
 			return
 		}
-
-		total, cut := run(-1)
-		if cut || total == 0 {
-			t.Fatalf("seed %d: uninterrupted merge made %d stores, cut=%v", seed, total, cut)
-		}
-		// The cut points are every individual store, as they were when
-		// each store charged the meter itself (dea5655: 239, 245, 210),
-		// less the mark slot's clear at the end of each step, which gave
-		// way to one clear at the end of the drain.
-		if floor := []int{0, 239, 245, 210}[seed] - len(newVs) + 1; total < floor {
-			t.Fatalf("seed %d: %d cut points, %d before stores were tallied", seed, total, floor)
-		}
-		want := collect(old.NewIterator())
-		newest := newestVersions(want)
-
-		for cutAfter := 0; cutAfter < total; cutAfter++ {
-			what := fmt.Sprintf("seed %d, power cut after store %d of %d", seed, cutAfter, total)
-			if _, cut := run(cutAfter); !cut {
-				t.Fatalf("%s: no cut", what)
-			}
+		// resume recovers the way the engine does — re-attach both lists
+		// from their heads, read the persisted mark, Resume — with the
+		// power cut again after cutAfter stores.
+		resume := func(what string, cutAfter int) (merged *Table, cut bool) {
 			mark := vaddr.Addr(slotRegion.Load64(slot))
 			oldA := Attach(space, old.list.Head(), 1, old.regions, fp())
 			newA := Attach(space, newer.list.Head(), 2, newer.regions, fp())
 			m := NewMerge(newA, oldA)
 			m.SetPersistSlot(slotRegion, slot)
-			merged := m.Resume(mark)
-
-			if _, err := merged.List().CheckInvariants(); err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
+			meter.left = cutAfter
+			defer func() {
+				meter.left = -1
+				cut = isCut(recover())
+			}()
+			merged = m.Resume(mark)
 			if !newA.List().Empty() || !vaddr.Addr(slotRegion.Load64(slot)).IsNil() {
 				t.Fatalf("%s: newtable or mark not cleared", what)
+			}
+			return merged, false
+		}
+
+		// The stores the drain makes, derived from the model of its steps
+		// and the pair's tower heights: a run whose tallest node has height
+		// H takes 3H + 1 (the mark, H newtable head stores, H stores from
+		// its last nodes and H oldtable predecessor stores), a dropped node
+		// of height h takes h + 1, an unlinked superseded version h, and
+		// the drain's end one clear. Moving every node alone, a migrated
+		// node of height h took 3h + 1: that count is the one the cut
+		// points had when each store charged the meter itself (dea5655:
+		// 239, 245, 210), less the mark slot's clear at the end of each
+		// step, which gave way to one clear at the end of the drain.
+		build(&cutMeter{left: -1})
+		height := map[version]int{}
+		for _, l := range []*skiplist.List{old.list, newer.list} {
+			for n := l.First(nil); !n.IsNil(); n = l.Next(nil, n) {
+				height[nodeVersion(n)] = n.Height()
+			}
+		}
+		steps := expectedSteps(mergedInputs(oldVs, newVs), func(version) bool { return false })
+		stores, nodeByNode := 1, 1
+		migrated := map[string]bool{}
+		for _, st := range steps {
+			tallest := 0
+			for _, v := range st.nodes {
+				tallest = max(tallest, height[v])
+				if !st.dropped {
+					nodeByNode += 3*height[v] + 1
+					migrated[v.key] = true
+				}
+			}
+			if st.dropped {
+				stores += tallest + 1
+				nodeByNode += tallest + 1
+			} else {
+				stores += 3*tallest + 1
+			}
+		}
+		for _, v := range oldVs {
+			if migrated[v.key] {
+				stores += height[v]
+				nodeByNode += height[v]
+			}
+		}
+		if seed <= 3 {
+			if floor := []int{0, 239, 245, 210}[seed] - len(newVs) + 1; nodeByNode != floor {
+				t.Fatalf("seed %d: model has %d stores node by node, %d measured then", seed, nodeByNode, floor)
+			}
+		} else if longestRun(steps) != runCap {
+			t.Fatalf("seed %d: longest run %d, want runCap = %d", seed, longestRun(steps), runCap)
+		}
+
+		t.Logf("seed %d: %d stores in %d steps, %d node by node", seed, stores, len(steps), nodeByNode)
+		total, cut := run(-1)
+		if cut || total != stores {
+			t.Fatalf("seed %d: uninterrupted merge made %d stores (cut=%v), model %d", seed, total, cut, stores)
+		}
+		want := collect(old.NewIterator())
+		newest := newestVersions(want)
+
+		check := func(what string, merged *Table) {
+			if _, err := merged.List().CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
 			checkSurvivors(t, what, collect(merged.NewIterator()), want, newest)
 			for k, v := range newest {
@@ -355,6 +427,36 @@ func TestMergeResumeAfterEveryStore(t *testing.T) {
 					t.Fatalf("%s: merged filter misses %s", what, k)
 				}
 			}
+		}
+
+		longest := 0
+		for cutAfter := 0; cutAfter < total; cutAfter++ {
+			what := fmt.Sprintf("seed %d, power cut after store %d of %d", seed, cutAfter, total)
+			if _, cut := run(cutAfter); !cut {
+				t.Fatalf("%s: no cut", what)
+			}
+			if _, k := splitMark(slotRegion.Load64(slot)); k > longest {
+				longest = k
+			}
+			merged, _ := resume(what, -1)
+			check(what, merged)
+			if seed <= 3 {
+				continue
+			}
+			// A second cut inside the repair of a run: the mark still names
+			// it, and Resume must find the same run again.
+			for again := 0; ; again++ {
+				what := fmt.Sprintf("%s, again after store %d of Resume", what, again)
+				run(cutAfter)
+				if _, cut := resume(what, again); !cut {
+					break
+				}
+				merged, _ := resume(what, -1)
+				check(what, merged)
+			}
+		}
+		if longest != longestRun(steps) {
+			t.Fatalf("seed %d: the slot named runs of up to %d nodes, model %d", seed, longest, longestRun(steps))
 		}
 	}
 }
@@ -462,8 +564,9 @@ func TestAbsorbReabsorbAfterEveryStore(t *testing.T) {
 	}
 }
 
-// TestMergeResumeFromFinishedMark stops a merge just after one chosen step
-// — the persisted mark then names a node whose step is over — and
+// TestMergeResumeFromFinishedMark stops a merge just after the step that
+// moved one chosen node — the persisted mark then names a run or a node
+// whose step is over — and
 // recovers the way the engine does: re-attach both lists and Resume from
 // the slot. The range tombstone outlives the crash and no snapshot does,
 // so the resumed merge keeps the Dead gate and has no Drop gate. Redoing
@@ -526,18 +629,19 @@ func TestMergeResumeFromFinishedMark(t *testing.T) {
 		m.Drop = tc.drop
 		m.Dead = dead
 		var d drain
-		for {
+		for stepped := false; !stepped; {
 			n := newer.List().First(nil)
 			if n.IsNil() {
 				t.Fatalf("%s: %v never drained", tc.name, tc.after)
 			}
-			at := set(string(n.Key()), n.Seq())
+			before := collect(newer.NewIterator())
 			m.step(&d)
-			if at == tc.after {
-				if mark := vaddr.Addr(slotRegion.Load64(slot)); mark != n.Addr() {
-					t.Fatalf("%s: slot names %v after the step of %v at %v", tc.name, mark, at, n.Addr())
-				}
-				break
+			moved := before[:len(before)-len(collect(newer.NewIterator()))]
+			for _, v := range moved {
+				stepped = stepped || v == tc.after
+			}
+			if a, k := splitMark(slotRegion.Load64(slot)); stepped && (a != n.Addr() || k != len(moved)) {
+				t.Fatalf("%s: slot names %d nodes at %v after the step of %v at %v", tc.name, k, a, moved, n.Addr())
 			}
 		}
 		if tc.after == newVs[len(newVs)-1] && !newer.List().Empty() {
@@ -586,37 +690,5 @@ func TestMergeResumeFromFinishedMark(t *testing.T) {
 			got = rest
 		}
 		diffVersions(t, tc.name, got, want)
-	}
-}
-
-// TestMergePersistsMarkOncePerNode puts the mark slot on a device of its
-// own and counts its stores: one per newtable node — migrated, dropped as
-// a duplicate or dropped under a range tombstone — and one clear when the
-// drain ends, which leaves the slot nil.
-func TestMergePersistsMarkOncePerNode(t *testing.T) {
-	rnd := rand.New(rand.NewSource(5))
-	dram, nv := devices()
-	old := flushVersions(t, dram, nv, 1, randomVersions(rnd, 150, 40, 1))
-	newer := flushVersions(t, dram, nv, 2, randomVersions(rnd, 150, 40, newSeqBase))
-	nodes := newer.Count()
-	slotDev := nvm.NewDevice(nv.Space(), nvm.NVMProfile())
-	slotRegion := slotDev.NewRegion(4096)
-	slot, _ := slotRegion.Alloc(8)
-	m := NewMerge(newer, old)
-	m.SetPersistSlot(slotRegion, slot)
-	dropped := 0
-	m.Dead = func(_ []byte, seq uint64, _ keys.Kind) bool { return seq%7 == 0 }
-	m.OnDrop = func([]byte, keys.Kind) { dropped++ }
-	m.Run()
-
-	if dropped == 0 || m.Moved() == 0 {
-		t.Fatalf("%d nodes moved, %d dropped: want both kinds of step", m.Moved(), dropped)
-	}
-	c := slotDev.Counters()
-	if c.Writes != nodes+1 || c.BytesWritten != 8*(nodes+1) {
-		t.Fatalf("mark slot took %d stores (%d B) for %d newtable nodes, want %d", c.Writes, c.BytesWritten, nodes, nodes+1)
-	}
-	if a := vaddr.Addr(slotRegion.Load64(slot)); !a.IsNil() {
-		t.Fatalf("persisted mark = %v after the drain", a)
 	}
 }

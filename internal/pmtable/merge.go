@@ -12,32 +12,46 @@ import (
 )
 
 // Merge is one in-flight zero-copy compaction of two PMTables (§4.3): the
-// newer table ("newtable") is drained node by node into the older table
-// ("oldtable") purely by rewriting skip-list pointers with 8-byte atomic
-// stores. No key or value bytes move, so the only write traffic — and the
-// only write amplification — is pointer words.
+// newer table ("newtable") is drained into the older table ("oldtable")
+// purely by rewriting skip-list pointers with 8-byte atomic stores. No key
+// or value bytes move, so the only write traffic — and the only write
+// amplification — is pointer words.
+//
+// Runs. The paper moves one node at a time. Consecutive newtable nodes that
+// land in one oldtable gap are already linked to each other, though, so
+// the merge moves them as one run (up to runCap nodes): a run whose
+// tallest node has height H costs one mark store and 3H pointer stores —
+// H newtable head stores, H stores from its last nodes into the oldtable
+// and H oldtable predecessor stores — where moving its nodes one by one
+// costs 3h + 1 for each node of height h. A run ends before a node that
+// orders at or after the first node's oldtable successor, a version of the
+// key before it, or a node the merge drops; a dropped node and a retained
+// duplicate move alone.
 //
 // Concurrent reads. While a merge runs, the level exposes the Merge itself
 // as the read source for the pair. A point lookup must observe every node
-// no matter where it currently lives, including the single node in flight
-// between the two lists. The paper's protocol (query newtable → insertion
-// mark → oldtable) closes the two races it describes in §4.3, but a third
+// no matter where it currently lives, including the run in flight between
+// the two lists. The paper's protocol (query newtable → insertion mark →
+// oldtable) closes the two races it describes in §4.3, but a third
 // interleaving remains: a reader that entered the newtable through a stale
-// head pointer can be carried into the oldtable when the in-flight node's
+// head pointer can be carried into the oldtable when the in-flight run's
 // towers are rewritten, silently skipping the newtable's remaining nodes.
 // We therefore strengthen the protocol with a seqlock: the merger brackets
-// each node migration with an odd/even position counter, and a reader
+// each run's migration with an odd/even position counter, and a reader
 // retries its (newtable, mark, oldtable) probe until it completes within a
 // stable window, falling back to the merge mutex under persistent
 // contention. The common case is uncontended and lock-free, preserving the
 // paper's design intent; the difference is documented here for fidelity.
+// The mark names the run's first node and its length; a reader walks the
+// run from it along level 0, links the window rewrites for no node but the
+// run's last, whose link the walk never follows.
 //
-// Crash consistency (§4.7). Each step persists the address of the node
-// about to leave the newtable to an NVM slot before unlinking it, and Run
-// clears the slot once, after the last step. The slot therefore names
-// either the node in flight or the last node finished (nil before the
-// first step and after the drain); Resume redoes the node it names, which
-// is idempotent in both cases, and continues the drain.
+// Crash consistency (§4.7). Each step persists the mark of the run about to
+// leave the newtable to an NVM slot before unlinking it, and Run clears the
+// slot once, after the last step. The slot therefore names either the run
+// in flight or the last run finished (nil before the first step and after
+// the drain); Resume redoes the run it names, which is idempotent in both
+// cases, and continues the drain.
 type Merge struct {
 	// New is the newer table being drained; Old receives its nodes and
 	// becomes the merged result. Every sequence number in New exceeds
@@ -65,9 +79,9 @@ type Merge struct {
 	// so the slice is valid for the call. Set before Run.
 	OnDrop func(value []byte, kind keys.Kind)
 
-	pos  atomic.Uint64 // seqlock; odd while a node migrates
+	pos  atomic.Uint64 // seqlock; odd while a run migrates
 	mu   sync.Mutex    // merger holds per migration; reader fallback path
-	mark atomic.Uint64 // vaddr.Addr of the in-flight node (0 = none)
+	mark atomic.Uint64 // the in-flight run's mark (0 = none); see runMark
 
 	// Optional persistence of the mark for crash recovery: the slot's
 	// region (for its meter) and the slot itself, resolved once. Unlike
@@ -77,6 +91,7 @@ type Merge struct {
 
 	garbage int64 // bytes of duplicate nodes logically deleted
 	moved   int64 // nodes migrated
+	runs    int64 // runs migrated
 	done    atomic.Bool
 	result  *Table
 }
@@ -97,11 +112,29 @@ func (m *Merge) SetPersistSlot(region *vaddr.Region, slot vaddr.Addr) {
 	m.markSlot = region.Span(slot)
 }
 
-// persistMark stores a to the mark slot, if the merge has one; the store
+// runCap bounds a run's length: its length less one is kept in the mark's
+// low markLenBits bits, which a node address leaves zero (nodes are 8-byte
+// aligned).
+const (
+	markLenBits = 3
+	runCap      = 1 << markLenBits
+)
+
+// runMark is the mark that names r: its first node's address, with the
+// run's length less one in the low bits.
+func runMark(r *skiplist.Run) uint64 { return uint64(r.First().Addr()) | uint64(r.Len()-1) }
+
+// splitMark returns the first node's address and the length of the run a
+// mark names; the address is nil for the nil mark.
+func splitMark(v uint64) (vaddr.Addr, int) {
+	return vaddr.Addr(v &^ (runCap - 1)), int(v&(runCap-1)) + 1
+}
+
+// persistMark stores v to the mark slot, if the merge has one; the store
 // is counted on w like any other of the step.
-func (m *Merge) persistMark(w *skiplist.Walk, a vaddr.Addr) {
+func (m *Merge) persistMark(w *skiplist.Walk, v uint64) {
 	if m.markRegion != nil {
-		w.Store64(m.markRegion, m.markSlot, uint64(a))
+		w.Store64(m.markRegion, m.markSlot, v)
 	}
 }
 
@@ -113,12 +146,15 @@ type drain struct {
 	lastSeq   uint64
 	lastValid bool
 
-	// splice is the oldtable insertion position of the last node migrated,
+	// splice is the oldtable insertion position past the last run migrated,
 	// kept as the finger for the next one: the newtable drains in sorted
 	// order, so each target lies at or just past it. It lives only in the
 	// merger's memory — Run (and therefore Resume, after its repair) always
 	// starts cold, from the zero splice: one full search from the head.
 	splice [skiplist.MaxHeight]skiplist.Node
+
+	// run is the step's run, gathered outside the locked window.
+	run skiplist.Run
 
 	// w tallies a step's device accesses — the splice search, the mark and
 	// link stores, the duplicate checks — and settles them once, when the
@@ -136,7 +172,7 @@ func (m *Merge) Run() *Table { return m.run(&drain{}) }
 func (m *Merge) run(d *drain) *Table {
 	for m.step(d) {
 	}
-	m.persistMark(&d.w, vaddr.NilAddr)
+	m.persistMark(&d.w, uint64(vaddr.NilAddr))
 	d.w.Done()
 	return m.finish()
 }
@@ -146,27 +182,37 @@ func (m *Merge) canDrop(newerSeq uint64) bool {
 	return m.Drop == nil || m.Drop(newerSeq)
 }
 
-// step migrates one node; it reports false when the newtable is empty.
+// dead applies the range-tombstone gate to node n, whose key is key.
+func (m *Merge) dead(key []byte, n skiplist.Node) bool {
+	return m.Dead != nil && m.Dead(key, n.Seq(), n.Kind())
+}
+
+// step migrates one run, or drops one node; it reports false when the
+// newtable is empty.
 //
-// The expensive part of a migration — the oldtable splice search, metered
-// NVM reads — runs *outside* the locked, seqlock-odd windows: only this
-// merger mutates the two lists, so a splice computed between windows stays
-// valid. The locked windows contain nothing but pointer stores, keeping
-// reader fallback waits to a microsecond — the paper's lock-free spirit
-// with the seqlock safety net. Not even the device is visited inside them:
-// the step's loads and stores are tallied (d.w) and settled once, after
-// the last window closes — the device's counters are a cache line the
-// foreground writes too, and under Simulate a charge may wait.
+// The expensive part of a migration — the oldtable splice search and the
+// walk that gathers the run, metered NVM reads — runs *outside* the
+// locked, seqlock-odd windows: only this merger mutates the two lists, so
+// a splice and a run computed between windows stay valid. The locked
+// windows contain nothing but pointer stores, keeping reader fallback
+// waits to a microsecond — the paper's lock-free spirit with the seqlock
+// safety net. Not even the device is visited inside them: the step's loads
+// and stores are tallied (d.w) and settled once, after the last window
+// closes — the device's counters are a cache line the foreground writes
+// too, and under Simulate a charge may wait.
 //
 // The search itself is a finger search (skiplist.AdvanceSplice): the
-// splice of the previous migration is advanced to this node's position
+// splice of the previous migration is advanced to the run's first node
 // instead of descending from the oldtable's head again. What keeps the
 // carried splice valid between steps: targets strictly ascend (the
-// newtable is drained from its head); a migrated node becomes the splice
-// entry at its own levels; and the only nodes this merger ever unlinks
-// from the oldtable — superseded versions directly behind the node just
-// migrated — order after every splice entry, so no entry is ever
-// unlinked. Dropped nodes never touch the oldtable at all.
+// newtable is drained from its head); a migrated run's last nodes become
+// the splice entries at their own levels; and the only nodes this merger
+// ever unlinks from the oldtable — superseded versions directly behind
+// the run just migrated — order after every splice entry, so no entry is
+// ever unlinked. Dropped nodes never touch the oldtable at all. Every node
+// of the run orders before the first node's oldtable successor, so the
+// one splice is every node's, and only the last node can have superseded
+// versions behind it.
 func (m *Merge) step(d *drain) bool {
 	w := &d.w
 	defer w.Done()
@@ -181,34 +227,44 @@ func (m *Merge) step(d *drain) bool {
 	// settled range tombstone is droppable outright. A dup the snapshot
 	// gate refuses to drop is migrated as a retained duplicate instead.
 	dup := d.lastValid && bytes.Equal(key, d.lastKey)
-	drop := (dup && m.canDrop(d.lastSeq)) ||
-		(m.Dead != nil && m.Dead(key, n.Seq(), n.Kind()))
+	drop := (dup && m.canDrop(d.lastSeq)) || m.dead(key, n)
+	r := &d.run
+	r.Reset()
+	r.Add(n)
 
-	// Phase 0 (unlocked): bring the oldtable splice to n's position.
+	// Phase 0 (unlocked): bring the oldtable splice to n's position and
+	// gather the run that follows n into the same gap. A retained
+	// duplicate moves alone, so that only a lone node is ever a duplicate
+	// (Resume relies on it).
 	if !drop {
-		oldL.AdvanceSplice(w, key, n.Seq(), &d.splice)
+		succ := oldL.AdvanceSplice(w, key, n.Seq(), &d.splice)
+		if !dup {
+			key = m.gather(d, key, succ)
+		}
 	}
 
 	// Phase 1 (locked, pos odd): the migration itself — mark, unlink
 	// from the newtable, relink into the oldtable. Pointer stores only.
 	m.mu.Lock()
 	m.pos.Add(1)
-	// 1. Record the node in the insertion mark (persisted first, §4.3),
+	// 1. Record the run in the insertion mark (persisted first, §4.3),
 	//    so it stays visible while belonging to neither list. The slot
-	//    keeps naming n after the window; the next step overwrites it.
-	m.mark.Store(uint64(n.Addr()))
-	m.persistMark(w, n.Addr())
+	//    keeps naming it after the window; the next step overwrites it.
+	mark := runMark(r)
+	m.mark.Store(mark)
+	m.persistMark(w, mark)
 	// 2. Remove it from the newtable: atomic head-pointer stores.
-	newL.RemoveFirst(w)
+	newL.RemoveFirstRun(w, r)
 	if drop {
 		// Logically delete the node. Its bytes are reclaimed with the
 		// arena after lazy-copy compaction.
 		m.garbage += n.Size()
 	} else {
 		// 3. Insert into the oldtable at its (key, seq) position; the
-		//    splice moves past n.
-		oldL.InsertNodeWithSplice(w, n, &d.splice)
-		m.moved++
+		//    splice moves past the run.
+		oldL.InsertRunWithSplice(w, r, &d.splice)
+		m.moved += int64(r.Len())
+		m.runs++
 	}
 	m.mark.Store(uint64(vaddr.NilAddr))
 	m.pos.Add(1)
@@ -224,14 +280,15 @@ func (m *Merge) step(d *drain) bool {
 		return true
 	}
 
-	// Phase 2: unlink superseded versions now directly behind n (the
-	// N_d4/N_d3 case) in a short locked window each. No search: a
-	// successor directly follows n, so at every level its predecessor is
-	// the splice entry (n itself below n's height, n's own predecessor
-	// above). The snapshot gate applies: successors superseded at n.Seq()
-	// stay put while a snapshot's bound is below it.
-	for m.canDrop(n.Seq()) {
-		succ := oldL.Next(w, n)
+	// Phase 2: unlink superseded versions now directly behind the run's
+	// last node (the N_d4/N_d3 case) in a short locked window each. No
+	// search: a successor directly follows that node, so at every level
+	// its predecessor is the splice entry. The snapshot gate applies:
+	// successors superseded at the node's sequence stay put while a
+	// snapshot's bound is below it.
+	last := r.Last()
+	for m.canDrop(last.Seq()) {
+		succ := oldL.Next(w, last)
 		if succ.IsNil() || !bytes.Equal(w.Key(succ), key) {
 			break
 		}
@@ -246,9 +303,37 @@ func (m *Merge) step(d *drain) bool {
 		}
 	}
 	d.lastKey = append(d.lastKey[:0], key...)
-	d.lastSeq = n.Seq()
+	d.lastSeq = last.Seq()
 	d.lastValid = true
 	return true
+}
+
+// gather extends d's run, which holds one node with key key, along the
+// newtable's level 0 while the next node orders before succ (the oldtable
+// successor of the splice), is not a version of the key before it, is not
+// dead, and the run is shorter than runCap. It returns the key of the
+// run's last node.
+func (m *Merge) gather(d *drain, key []byte, succ skiplist.Node) []byte {
+	w, r := &d.w, &d.run
+	var succKey []byte
+	if !succ.IsNil() {
+		succKey = w.Key(succ)
+	}
+	for r.Len() < runCap {
+		next := m.New.list.Next(w, r.Last())
+		if next.IsNil() {
+			break
+		}
+		nextKey := w.Key(next)
+		if bytes.Equal(nextKey, key) ||
+			(!succ.IsNil() && keys.Compare(nextKey, next.Seq(), succKey, succ.Seq()) >= 0) ||
+			m.dead(nextKey, next) {
+			break
+		}
+		r.Add(next)
+		key = nextKey
+	}
+	return key
 }
 
 // finish publishes the merged table. Its filter is the Old table's, with
@@ -344,11 +429,8 @@ func (m *Merge) getOnceBounded(key []byte, maxSeq uint64) (value []byte, seq uin
 	if v, s, k, found := m.New.list.GetBounded(key, maxSeq); found {
 		consider(v, s, k)
 	}
-	if a := vaddr.Addr(m.mark.Load()); !a.IsNil() {
-		n := m.New.list.Node(a)
-		if bytes.Equal(n.Key(), key) {
-			consider(n.Value(), n.Seq(), n.Kind())
-		}
+	if n := m.markSeek(key, maxSeq); !n.IsNil() && bytes.Equal(n.Key(), key) {
+		consider(n.Value(), n.Seq(), n.Kind())
 	}
 	if v, s, k, found := m.Old.list.GetBounded(key, maxSeq); found {
 		consider(v, s, k)
@@ -389,14 +471,27 @@ func (m *Merge) MayContain(key []byte) bool {
 	return m.New.MayContain(key) || m.Old.MayContain(key)
 }
 
-// MarkNode returns the in-flight node, if any, for scan paths that must
-// not miss it.
-func (m *Merge) MarkNode() (skiplist.Node, bool) {
-	a := vaddr.Addr(m.mark.Load())
+// markSeek returns the first node of the run in flight that orders at or
+// after (key, seq) — none if no run is in flight or all of it orders
+// before — walking the run from its mark along level 0.
+func (m *Merge) markSeek(key []byte, seq uint64) skiplist.Node {
+	a, k := splitMark(m.mark.Load())
 	if a.IsNil() {
-		return skiplist.Node{}, false
+		return skiplist.Node{}
 	}
-	return m.New.list.Node(a), true
+	for n := m.New.list.Node(a); ; k-- {
+		if keys.Compare(n.Key(), n.Seq(), key, seq) >= 0 {
+			return n
+		}
+		if k == 1 {
+			return skiplist.Node{}
+		}
+		// A mark gone stale under the walk can lead it astray, but only
+		// over nodes of the pinned tables, and the probe fails validation.
+		if n = m.New.list.Next(nil, n); n.IsNil() {
+			return n
+		}
+	}
 }
 
 // Moved returns the number of nodes migrated into the oldtable.
@@ -414,15 +509,15 @@ func (m *Merge) Garbage() int64 {
 }
 
 // Resume repairs a merge interrupted by a crash and drains the remainder.
-// markAddr is the persisted slot: nil if the crash came before the first
-// step stored it or after Run cleared it, else the node of the last step
-// begun, in flight or finished. Resume redoes that step from scratch:
-// it unlinks the node from whichever list(s) reference it, re-decides the
-// duplicate against the oldtable, relinks the node and unlinks the older
-// versions behind it (§4.7's corner cases 1–3 all reduce to this). Redoing
-// a finished step is idempotent too:
+// mark is the persisted slot: nil if the crash came before the first step
+// stored it or after Run cleared it, else the mark of the last step begun,
+// in flight or finished. Resume redoes that step from scratch: it unlinks
+// the run it names from whichever list(s) reference it, relinks it into
+// the oldtable, re-decides the duplicate against the oldtable and unlinks
+// the older versions behind the run (§4.7's corner cases 1–3 all reduce to
+// this). Redoing a finished step is idempotent too:
 //
-//   - a migrated node, its Phase-2 unlinks partly or fully done, is
+//   - a migrated run, its Phase-2 unlinks partly or fully done, is
 //     unlinked and relinked at the same position, and the unlinks are
 //     completed;
 //   - a dropped duplicate is in neither list; the newer version that
@@ -433,47 +528,69 @@ func (m *Merge) Garbage() int64 {
 //     its step already leaves it: reads stay hidden by the tombstone, and
 //     the level's next merge drops it.
 //
-// The node's key, with the newest version the repair leaves for it, seeds
-// the drain as the last migration, so the older versions still in the
-// newtable are dropped just as the uninterrupted drain drops them. OnDrop
-// observes a node dropped before the crash a second time.
-func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
+// The run is found from its first node along level 0, links that hold
+// until the next step's mark replaces this one: the step's window rewrites
+// none of them (only the last node's, which the search does not follow),
+// and neither does this repair, which moves the run whole and so stores
+// only into the heads, the splice entries around it and its nodes' towers
+// at the ends of its levels. A crash inside Resume therefore leaves the
+// same run to repair. While the newtable's head still names the run's
+// first node the run's towers are the newtable's — the step stores into
+// the head top-down, level 0 last, before it stores into any tower — so
+// the head is repaired from them. In the oldtable the run is linked at a
+// prefix of its levels (linked bottom-up, unlinked top-down), with the
+// oldtable successor already in its towers wherever it is linked: it is
+// unlinked from those levels and linked again at all of them. Only a lone
+// node can be a duplicate — a duplicate never starts a longer run — so the
+// duplicate decision unlinks at most that one node again.
+//
+// The last node's key, with the newest version the repair leaves for it,
+// seeds the drain as the last migration, so the older versions still in
+// the newtable are dropped just as the uninterrupted drain drops them.
+// OnDrop observes a node dropped before the crash a second time.
+func (m *Merge) Resume(mark vaddr.Addr) *Table {
 	var d drain
-	if !markAddr.IsNil() {
+	if first, k := splitMark(uint64(mark)); !first.IsNil() {
 		// Cold: the repair searches from the heads and settles at once.
 		var w skiplist.Walk
-		n := m.New.list.Node(markAddr)
-		key := append([]byte(nil), w.Key(n)...)
-		seq := n.Seq()
-
-		// An in-flight node belonged to neither list at crash time, and a
-		// dropped one belongs to none, so the filters rebuilt from list
-		// scans at attach time may miss its key; restore it before the
-		// merged filter is derived. Recovery is single-threaded here, so
-		// mutating the filter is safe.
-		if m.Old.filter != nil {
-			m.Old.filter.Add(key)
+		newL, oldL := m.New.list, m.Old.list
+		r := &d.run
+		for n := newL.Node(first); ; n = newL.Next(&w, n) {
+			// An in-flight node belonged to neither list at crash time, and
+			// a dropped one belongs to none, so the filters rebuilt from
+			// list scans at attach time may miss its key; restore it
+			// before the merged filter is derived. Recovery is
+			// single-threaded here, so mutating the filter is safe.
+			if m.Old.filter != nil {
+				m.Old.filter.Add(w.Key(n))
+			}
+			if r.Add(n); r.Len() == k {
+				break
+			}
 		}
-
-		// If the node is still (fully or partially) linked in the
-		// newtable, its only predecessor is the head: redo the removal.
-		if first := m.New.list.First(&w); !first.IsNil() && first.Addr() == markAddr {
-			m.New.list.RemoveFirst(&w)
+		if f := newL.First(&w); !f.IsNil() && f.Addr() == first {
+			newL.RemoveFirstRun(&w, r)
 		}
-		// Unlink whatever levels of the oldtable it was linked at, so it
-		// can be re-inserted cleanly.
-		m.Old.list.Remove(key, seq)
+		n := r.First()
+		key, seq := w.Key(n), n.Seq()
+		var prev [skiplist.MaxHeight]skiplist.Node
+		oldL.FindSplice(&w, key, seq, &prev)
+		oldL.RemoveRunWithSplice(&w, r, &prev)
+		oldL.InsertRunWithSplice(&w, r, &prev)
+		last := r.Last()
+		d.lastKey = append(d.lastKey, w.Key(last)...)
+		d.lastSeq, d.lastValid = last.Seq(), true
 		// Re-decide: does the oldtable already hold a newer version?
-		if ex := m.Old.list.FindGE(key); !ex.IsNil() && bytes.Equal(w.Key(ex), key) && ex.Seq() > seq {
+		if ex := oldL.FindGE(key); bytes.Equal(w.Key(ex), key) && ex.Seq() > seq {
+			oldL.Remove(key, seq)
 			m.garbage += n.Size() // duplicate: drop for good
 			if m.OnDrop != nil {
 				m.OnDrop(w.Value(n), n.Kind())
 			}
 			d.lastSeq = ex.Seq()
 		} else {
-			m.Old.list.InsertNode(n)
 			for {
-				del := m.Old.list.RemoveAfter(n)
+				del := oldL.RemoveAfter(last)
 				if del.IsNil() {
 					break
 				}
@@ -482,11 +599,9 @@ func (m *Merge) Resume(markAddr vaddr.Addr) *Table {
 					m.OnDrop(w.Value(del), del.Kind())
 				}
 			}
-			m.moved++
-			d.lastSeq = seq
+			m.moved += int64(k)
 		}
 		w.Done()
-		d.lastKey, d.lastValid = key, true
 	}
 	return m.run(&d)
 }

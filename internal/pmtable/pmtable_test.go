@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -329,6 +330,131 @@ func TestConcurrentReadsDuringMerge(t *testing.T) {
 	}
 	if _, err := merged.List().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentReadsDuringRunMerge merges pairs whose newtable keys all
+// fall into a few oldtable gaps, so that nearly every step moves a run of
+// runCap nodes, under readers: Merge.Get, Merge.GetBounded and
+// SafeIterator scans must see every key, a run's interior included, at its
+// newest version. Some newtable keys carry an older version too (dropped
+// as a duplicate), and each gap's lower oldtable key a newtable version
+// (the oldtable version is unlinked behind it).
+func TestConcurrentReadsDuringRunMerge(t *testing.T) {
+	const gaps, width = 4, 50 // oldtable keys every 100; newtable keys fill 50 of each gap
+	key := func(i int) string { return fmt.Sprintf("key-%05d", i) }
+	set := func(k string, seq uint64, tag string) version {
+		return version{key: k, value: tag + k, seq: seq, kind: keys.KindSet}
+	}
+	var oldVs, newVs []version
+	for g := 0; g <= gaps; g++ {
+		oldVs = append(oldVs, set(key(g*100), uint64(g+1), "old-"))
+	}
+	for g := 0; g < gaps; g++ {
+		for i := 0; i <= width; i++ {
+			k := key(g*100 + i)
+			if i%7 == 3 {
+				newVs = append(newVs, set(k, newSeqBase+uint64(len(newVs)), "stale-"))
+			}
+			newVs = append(newVs, set(k, newSeqBase+uint64(len(newVs)), "new-"))
+		}
+	}
+	newest := map[string]version{}
+	for _, v := range append(append([]version(nil), oldVs...), newVs...) {
+		if v.seq > newest[v.key].seq {
+			newest[v.key] = v
+		}
+	}
+	sorted := make([]string, 0, len(newest))
+	for k := range newest {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	maxSeq := newVs[len(newVs)-1].seq
+
+	for round := 0; round < 30; round++ {
+		dram, nv := devices()
+		old := flushVersions(t, dram, nv, 1, oldVs)
+		newer := flushVersions(t, dram, nv, 2, newVs)
+		m := NewMerge(newer, old)
+
+		var wg sync.WaitGroup
+		errCh := make(chan error, 4)
+		fail := func(err error) {
+			select {
+			case errCh <- err:
+			default:
+			}
+		}
+		stop := make(chan struct{})
+		stopped := func() bool {
+			select {
+			case <-stop:
+				return true
+			default:
+				return false
+			}
+		}
+		check := func(what, k string, value []byte, seq uint64, ok bool) bool {
+			if v := newest[k]; !ok || seq != v.seq || string(value) != v.value {
+				fail(fmt.Errorf("round %d: %s(%s) = (%q, %d, %v), want (%q, %d)", round, what, k, value, seq, ok, v.value, v.seq))
+				return false
+			}
+			return true
+		}
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rnd := rand.New(rand.NewSource(int64(round*3 + g)))
+				for !stopped() {
+					i := rnd.Intn(len(sorted))
+					k := sorted[i]
+					switch g {
+					case 0:
+						v, seq, _, ok := m.Get([]byte(k))
+						if !check("Get", k, v, seq, ok) {
+							return
+						}
+					case 1:
+						v, seq, _, ok := m.GetBounded([]byte(k), maxSeq)
+						if !check("GetBounded", k, v, seq, ok) {
+							return
+						}
+					default:
+						// A scan takes each key's first version: the newest,
+						// and the keys in order, none skipped.
+						it := m.NewSafeIterator()
+						last, end := "", min(i+30, len(sorted))
+						for it.Seek([]byte(k)); it.Valid() && i < end; it.Next() {
+							if string(it.Key()) == last {
+								continue
+							}
+							last = string(it.Key())
+							if last != sorted[i] {
+								fail(fmt.Errorf("round %d: scan from %s reached %s, want %s", round, k, last, sorted[i]))
+								return
+							}
+							if !check("scan", last, it.Value(), it.Seq(), true) {
+								return
+							}
+							i++
+						}
+					}
+				}
+			}(g)
+		}
+		merged := m.Run()
+		close(stop)
+		wg.Wait()
+		select {
+		case err := <-errCh:
+			t.Fatal(err)
+		default:
+		}
+		if merged.Count() != int64(len(newest)) || m.runs*2 > int64(len(newVs)) {
+			t.Fatalf("round %d: merged count %d, want %d; %d runs for %d nodes", round, merged.Count(), len(newest), m.runs, len(newVs))
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func (m *Merge) succOnce(key []byte, seq uint64) skiplist.Node {
 		}
 	}
 	consider(m.Old.list.SeekGE(key, seq))
-	if n, ok := m.MarkNode(); ok && keys.Compare(n.Key(), n.Seq(), key, seq) >= 0 {
+	if n := m.markSeek(key, seq); !n.IsNil() {
 		consider(n)
 	}
 	return best
@@ -162,7 +162,7 @@ func (it *SafeIterator) Next() {
 		return
 	}
 	if t := it.from; t != nil {
-		next := it.node.NextAddr0()
+		next := it.node.NextAddr(0)
 		if t.settled() {
 			it.set(t.list.Node(next), t)
 			return

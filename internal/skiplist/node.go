@@ -116,9 +116,10 @@ func (n Node) Size() int64 {
 	return nodeSize(h, kl, vl)
 }
 
-// NextAddr0 returns the level-0 successor address — exported for readers
-// that chase level-0 pointers themselves (pmtable.SafeIterator).
-func (n Node) NextAddr0() vaddr.Addr { return n.nextAddr(0) }
+// NextAddr returns the level-th successor address — exported for readers
+// that chase pointers themselves (pmtable.SafeIterator, level 0) and for
+// tests that compare lists link by link.
+func (n Node) NextAddr(level int) vaddr.Addr { return n.nextAddr(level) }
 
 // nextAddr atomically loads the level-th successor address, charging an
 // 8-byte device read (one pointer chase in NVM).

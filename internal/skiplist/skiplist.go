@@ -292,23 +292,73 @@ func (l *List) Next(w *Walk, n Node) Node {
 // Empty reports whether the list has no entries.
 func (l *List) Empty() bool { return l.First(nil).IsNil() }
 
-// RemoveFirst unlinks and returns the first node. Because the first node's
-// only predecessor at every tower level below its height is the head, the
-// unlink is a top-down sequence of atomic head-pointer stores — the
-// "remove from the newtable" step of zero-copy compaction. The removed
-// node's own towers are left untouched so an in-flight reader standing on
-// it keeps a valid forward path.
+// RemoveFirst unlinks and returns the first node: RemoveFirstRun of a run
+// of that one node.
 func (l *List) RemoveFirst(w *Walk) Node {
-	head := l.headNode()
-	n := l.Next(w, head)
+	n := l.First(w)
 	if n.IsNil() {
 		return Node{}
 	}
-	for level := n.Height() - 1; level >= 0; level-- {
-		w.setNext(head, level, w.next(n, level))
-	}
-	l.unlinked(n)
+	var r Run
+	r.Add(n)
+	l.RemoveFirstRun(w, &r)
 	return n
+}
+
+// Run is a stretch of consecutive level-0 nodes of one list, gathered in
+// order with Add, that a zero-copy merge moves to another list as one
+// unit. The links between its own nodes are already right wherever it
+// goes, so moving it rewrites only its ends at each level below its height
+// (its tallest node's): first[i] and last[i] are its first and last nodes
+// of height > i.
+type Run struct {
+	first, last [MaxHeight]Node
+	height      int
+	len         int
+	userBytes   int
+}
+
+// Reset empties the run for reuse.
+func (r *Run) Reset() { r.height, r.len, r.userBytes = 0, 0, 0 }
+
+// Add appends n, which must be the level-0 successor of the run's last
+// node (any node, to an empty run).
+func (r *Run) Add(n Node) {
+	h := n.Height()
+	for i := r.height; i < h; i++ {
+		r.first[i] = n
+	}
+	r.height = max(r.height, h)
+	for i := 0; i < h; i++ {
+		r.last[i] = n
+	}
+	r.len++
+	r.userBytes += n.KeyLen() + n.ValueLen()
+}
+
+// Len returns the number of nodes in the run.
+func (r *Run) Len() int { return r.len }
+
+// First returns the run's first node.
+func (r *Run) First() Node { return r.first[0] }
+
+// Last returns the run's last node.
+func (r *Run) Last() Node { return r.last[0] }
+
+// RemoveFirstRun unlinks r, which must be the list's first nodes — the
+// "remove from the newtable" step of zero-copy compaction. The run's first
+// node at every level below its height has the head as its only
+// predecessor, so the unlink is one atomic head-pointer store per level,
+// top-down, each taking the successor of the run's last node there. The
+// run's own towers are left untouched, so an in-flight reader standing on
+// one of its nodes keeps a valid forward path.
+func (l *List) RemoveFirstRun(w *Walk, r *Run) {
+	head := l.headNode()
+	for level := r.height - 1; level >= 0; level-- {
+		w.setNext(head, level, w.next(r.last[level], level))
+	}
+	l.count.Add(-int64(r.len))
+	l.bytes.Add(-int64(r.userBytes))
 }
 
 // unlinked books a node out of the list's bookkeeping.
@@ -390,16 +440,51 @@ func (l *List) AdvanceSplice(w *Walk, key []byte, seq uint64, prev *[MaxHeight]N
 	return next
 }
 
-// InsertNodeWithSplice links n using a precomputed splice: pointer stores
-// only, no searching. On return the splice has moved past n — n is the
-// entry at each of its own levels — so it stays a valid AdvanceSplice
-// finger for any later, larger target.
+// InsertNodeWithSplice links n using a precomputed splice:
+// InsertRunWithSplice of a run of that one node.
 func (l *List) InsertNodeWithSplice(w *Walk, n Node, prev *[MaxHeight]Node) {
-	height := n.Height()
-	for i := 0; i < height; i++ {
-		w.setNext(n, i, w.next(prev[i], i))
+	var r Run
+	r.Add(n)
+	l.InsertRunWithSplice(w, &r, prev)
+}
+
+// InsertRunWithSplice links r, whose nodes all order between prev's
+// entries and their successors, using that precomputed splice: pointer
+// stores only, no searching. At each level below the run's height, its
+// last node there takes the splice entry's successor, and then, bottom-up
+// so that readers always see a consistent list, the entry takes the run's
+// first node there. The links inside the run stay as they are. On return
+// the splice has moved past the run — its last node at each level is the
+// entry there — so it stays a valid AdvanceSplice finger for any later,
+// larger target.
+func (l *List) InsertRunWithSplice(w *Walk, r *Run, prev *[MaxHeight]Node) {
+	for i := 0; i < r.height; i++ {
+		w.setNext(r.last[i], i, w.next(prev[i], i))
 	}
-	l.publish(w, n, height, n.KeyLen()+n.ValueLen(), prev)
+	for i := 0; i < r.height; i++ {
+		w.setNext(prev[i], i, r.first[i].addr)
+		prev[i] = r.last[i]
+	}
+	l.count.Add(int64(r.len))
+	l.bytes.Add(int64(r.userBytes))
+}
+
+// RemoveRunWithSplice unlinks r from the levels it is linked at, using a
+// precomputed splice of its first node: at each level below its height
+// where the splice entry links to the run's first node there, the entry
+// takes the successor of the run's last node there, top-down. The run's
+// own towers are not modified, so it can be linked again just as it is.
+func (l *List) RemoveRunWithSplice(w *Walk, r *Run, prev *[MaxHeight]Node) {
+	for level := r.height - 1; level >= 0; level-- {
+		if w.next(prev[level], level) != r.first[level].addr {
+			continue
+		}
+		w.setNext(prev[level], level, w.next(r.last[level], level))
+		if level == 0 {
+			l.count.Add(-int64(r.len))
+			l.bytes.Add(-int64(r.userBytes))
+		}
+	}
 }
 
 // RemoveWithSplice unlinks target using a precomputed splice (prev[i] is

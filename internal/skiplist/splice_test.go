@@ -76,7 +76,7 @@ func TestAdvanceSpliceMatchesFindSplice(t *testing.T) {
 			if rnd.Intn(2) == 0 {
 				// Unlink the older versions directly behind n, no search.
 				for {
-					a := n.NextAddr0()
+					a := n.NextAddr(0)
 					if a.IsNil() {
 						break
 					}
