@@ -18,12 +18,12 @@ test:
 # batch splits, merged iterators, parallel flush/close), and the
 # pipelined network front end (reader/writer split, cross-connection
 # batcher, tag-matched client) and the bloom filters merged in place
-# under concurrent probes must stay race-clean. The merge reader tests run
-# again on one CPU and on two: the merger and its readers interleave
-# differently on each.
+# under concurrent probes must stay race-clean. The merge reader tests —
+# point reads and scans — run again on one CPU and on two: the merger and
+# its readers interleave differently on each.
 race:
 	$(GO) test -race ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom
-	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$' -count=1
+	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$|TestSafeIteratorUnderConcurrentMerge$$' -count=1
 
 # One CPU: the runners that share it (one per background job, or one for
 # every merge under DisableParallelCompaction) must neither starve a job

@@ -70,8 +70,8 @@ func (db *DB) mergeOnce(level int) error {
 	// address.
 	db.manifest.super.Store64(db.markSlots[level], uint64(vaddr.NilAddr))
 	// Publish the merge on both tables before any node migrates, so
-	// readers holding pre-merge version snapshots switch to the
-	// mark-aware read protocol (see pmtable.Table.GetSafe).
+	// readers holding pre-merge version snapshots switch to the merge's
+	// seqlock-validated reads (see pmtable.Table.GetBoundedSafe).
 	newE.t.SetActiveMerge(m)
 	oldE.t.SetActiveMerge(m)
 	db.editVersionLocked(func(v *version) {

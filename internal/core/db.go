@@ -626,14 +626,11 @@ func (db *DB) get(key []byte) ([]byte, error) {
 
 // getFrom is the single point-lookup engine behind DB.Get, Snapshot.Get,
 // and GetMulti: search v's hierarchy for the newest version of key with
-// sequence ≤ bound, then apply v's range tombstones to the hit. bound =
-// keys.MaxSeq is the live path and keeps today's exact probe sequence —
-// the only additions are one bound comparison per source and one
-// len(rangeDels) check per hit. The caller must hold a pin on v (or
-// otherwise guarantee it stays readable).
+// sequence ≤ bound (keys.MaxSeq for a live read), then apply v's range
+// tombstones to the hit. The caller must hold a pin on v (or otherwise
+// guarantee it stays readable).
 func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
 	dels := v.rangeDels
-	live := bound == keys.MaxSeq
 	finish := func(value []byte, seq uint64, kind keys.Kind) ([]byte, error) {
 		// The first hit is the newest visible version; if a tombstone
 		// covers it, every older version has a lower seq and is covered
@@ -643,18 +640,12 @@ func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
 		}
 		return db.finishGet(value, kind)
 	}
-	memGet := func(mt *memtable.MemTable) ([]byte, uint64, keys.Kind, bool) {
-		if live {
-			return mt.Get(key)
-		}
-		return mt.GetBounded(key, bound)
-	}
 
-	if value, seq, kind, ok := memGet(v.mem.mt); ok {
+	if value, seq, kind, ok := v.mem.mt.GetBounded(key, bound); ok {
 		return finish(value, seq, kind)
 	}
 	for _, imm := range v.imms {
-		if value, seq, kind, ok := memGet(imm.mt); ok {
+		if value, seq, kind, ok := imm.mt.GetBounded(key, bound); ok {
 			return finish(value, seq, kind)
 		}
 	}
@@ -674,12 +665,7 @@ func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
 				continue
 			}
 			var ok bool
-			if live {
-				value, seq, kind, ok = e.get(key)
-			} else {
-				value, seq, kind, ok = e.getAt(key, bound)
-			}
-			if ok {
+			if value, seq, kind, ok = e.get(key, bound); ok {
 				hit = true
 				break
 			}
@@ -703,16 +689,7 @@ func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
 		}
 	}
 	if v.repo != nil {
-		var value []byte
-		var seq uint64
-		var kind keys.Kind
-		var ok bool
-		if live {
-			value, seq, kind, ok = v.repo.Get(key)
-		} else {
-			value, seq, kind, ok = v.repo.GetBounded(key, bound)
-		}
-		if ok {
+		if value, seq, kind, ok := v.repo.GetBounded(key, bound); ok {
 			return finish(value, seq, kind)
 		}
 	}
@@ -819,8 +796,8 @@ type Iterator struct {
 //
 // Scans taken while a zero-copy merge is mid-flight may observe a key's
 // version through either of the merging tables — the Visible wrapper
-// collapses duplicates, and the merge's insertion mark is included so no
-// key is skipped.
+// collapses duplicates, and each step re-seeks both lists under the
+// merge's seqlock so no key is skipped.
 func (db *DB) NewIterator() *Iterator {
 	db.st.CountScan()
 	if db.closedFlag.Load() {

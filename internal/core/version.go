@@ -12,12 +12,10 @@ import (
 
 // levelEntry is one read source inside an elastic-buffer level: either a
 // settled PMTable or an in-flight zero-copy merge (which must be read
-// through its mark-aware protocol).
+// under its seqlock).
 type levelEntry interface {
-	get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool)
-	// getAt is get restricted to versions with sequence ≤ maxSeq (snapshot
-	// reads). maxSeq = keys.MaxSeq must behave exactly like get.
-	getAt(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool)
+	// get returns the newest version of key with sequence ≤ maxSeq.
+	get(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool)
 	mayContain(key []byte) bool
 	iterator() iterx.Iterator
 	newestSeq() uint64
@@ -26,11 +24,10 @@ type levelEntry interface {
 type tableEntry struct{ t *pmtable.Table }
 
 // get uses the merge-hardened probe: a reader whose version snapshot
-// predates a zero-copy merge of this table must still observe the node
+// predates a zero-copy merge of this table must still observe the run
 // currently in flight between the pair — or, once the merge completed,
 // be redirected to the result (whose filter covers the migrated nodes).
-func (e tableEntry) get(key []byte) ([]byte, uint64, keys.Kind, bool) { return e.t.GetSafe(key) }
-func (e tableEntry) getAt(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind, bool) {
+func (e tableEntry) get(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind, bool) {
 	return e.t.GetBoundedSafe(key, maxSeq)
 }
 func (e tableEntry) mayContain(key []byte) bool { return e.t.MayContainSafe(key) }
@@ -46,15 +43,13 @@ func (e tableEntry) newestSeq() uint64        { return e.t.MaxSeq }
 
 type mergeEntry struct{ m *pmtable.Merge }
 
-func (e mergeEntry) get(key []byte) ([]byte, uint64, keys.Kind, bool) { return e.m.Get(key) }
-func (e mergeEntry) getAt(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind, bool) {
-	return e.m.GetBounded(key, maxSeq)
+func (e mergeEntry) get(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind, bool) {
+	return e.m.Get(key, maxSeq)
 }
 func (e mergeEntry) mayContain(key []byte) bool { return e.m.MayContain(key) }
 
-// iterator reads both lists plus the in-flight mark node under the
-// merge's seqlock, re-seeking each step, and follows the result table
-// once the merge completes mid-scan.
+// iterator reads both lists under the merge's seqlock, re-seeking each
+// step, and follows the result table once the merge completes mid-scan.
 func (e mergeEntry) iterator() iterx.Iterator { return e.m.NewSafeIterator() }
 func (e mergeEntry) newestSeq() uint64        { return e.m.New.MaxSeq }
 

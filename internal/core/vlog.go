@@ -229,7 +229,7 @@ func (db *DB) rawNewest(v *version, key []byte) ([]byte, uint64, keys.Kind, bool
 			if !e.mayContain(key) {
 				continue
 			}
-			if value, seq, kind, ok := e.get(key); ok {
+			if value, seq, kind, ok := e.get(key, keys.MaxSeq); ok {
 				return value, seq, kind, true
 			}
 		}

@@ -246,44 +246,3 @@ func (f *Filtered) Seq() uint64 { return f.in.Seq() }
 func (f *Filtered) Kind() keys.Kind { return f.in.Kind() }
 
 var _ Iterator = (*Filtered)(nil)
-
-// Single is a one-entry iterator, used to expose a zero-copy merge's
-// in-flight insertion-mark node to scans.
-type Single struct {
-	K     []byte
-	V     []byte
-	S     uint64
-	Kd    keys.Kind
-	valid bool
-}
-
-// NewSingle returns an iterator over exactly one entry.
-func NewSingle(key, value []byte, seq uint64, kind keys.Kind) *Single {
-	return &Single{K: key, V: value, S: seq, Kd: kind}
-}
-
-// SeekToFirst positions on the entry.
-func (s *Single) SeekToFirst() { s.valid = true }
-
-// Seek positions on the entry if its key is ≥ key.
-func (s *Single) Seek(key []byte) { s.valid = bytes.Compare(s.K, key) >= 0 }
-
-// Next exhausts the iterator.
-func (s *Single) Next() { s.valid = false }
-
-// Valid reports whether positioned.
-func (s *Single) Valid() bool { return s.valid }
-
-// Key returns the entry key.
-func (s *Single) Key() []byte { return s.K }
-
-// Value returns the entry value.
-func (s *Single) Value() []byte { return s.V }
-
-// Seq returns the entry sequence.
-func (s *Single) Seq() uint64 { return s.S }
-
-// Kind returns the entry kind.
-func (s *Single) Kind() keys.Kind { return s.Kd }
-
-var _ Iterator = (*Single)(nil)

@@ -10,6 +10,14 @@ import (
 	"miodb/internal/keys"
 )
 
+// Single is one entry of a sliceIter.
+type Single struct {
+	K  []byte
+	V  []byte
+	S  uint64
+	Kd keys.Kind
+}
+
 // sliceIter drives the combinators from plain entry slices.
 type sliceIter struct {
 	entries []Single
@@ -117,27 +125,6 @@ func TestVisibleSeekSkipsHiddenKeys(t *testing.T) {
 	}
 }
 
-func TestSingleIterator(t *testing.T) {
-	s := NewSingle([]byte("m"), []byte("v"), 7, keys.KindSet)
-	s.SeekToFirst()
-	if !s.Valid() || string(s.Key()) != "m" || s.Seq() != 7 {
-		t.Fatal("SeekToFirst broken")
-	}
-	s.Next()
-	if s.Valid() {
-		t.Error("Next did not exhaust")
-	}
-	s.Seek([]byte("a"))
-	if !s.Valid() {
-		t.Error("Seek before key should position")
-	}
-	s.Seek([]byte("z"))
-	if s.Valid() {
-		t.Error("Seek past key should invalidate")
-	}
-}
-
-// Property: merging + visible over random shards == sorted dedup of a map.
 func TestQuickMergeVisibleEqualsModel(t *testing.T) {
 	f := func(raw []uint16) bool {
 		// Build 3 shards of versioned writes; model keeps newest per key.

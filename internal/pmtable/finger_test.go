@@ -194,14 +194,26 @@ type powerCut struct{}
 // a panic out of the drain — before the store after the left-th one. It
 // asks every tally for the per-access seam (skiplist.EachAccessMeter), so
 // OnWrite fires ahead of each individual store, not once per step after
-// them; a tallied settlement reaching it would mean the seam is gone.
+// them; a tallied settlement reaching it would mean the seam is gone. It
+// also counts loads, so that a walk that never ends — a cycle a broken
+// merge or repair linked into a list, which Resume itself would walk —
+// fails at once instead of spinning to the test timeout.
 type cutMeter struct {
 	left   int // stores until the cut; negative = never
 	writes int
+	reads  int
 }
 
+// cutMeterReads bounds the loads one meter sees; the most any of these
+// tests makes on one meter is about 5 000.
+const cutMeterReads = 1 << 20
+
 func (c *cutMeter) ChargeEachAccess() {}
-func (c *cutMeter) OnRead(int)        {}
+func (c *cutMeter) OnRead(int) {
+	if c.reads++; c.reads > cutMeterReads {
+		panic("cutMeter: a walk did not end; is there a cycle in a list?")
+	}
+}
 func (c *cutMeter) OnReads(int, int)  { panic("cutMeter: loads settled in a tally") }
 func (c *cutMeter) OnWrites(int, int) { panic("cutMeter: stores settled in a tally") }
 func (c *cutMeter) OnWrite(int) {
@@ -419,7 +431,7 @@ func TestMergeResumeAfterEveryStore(t *testing.T) {
 			}
 			checkSurvivors(t, what, collect(merged.NewIterator()), want, newest)
 			for k, v := range newest {
-				value, seq, kind, ok := merged.Get([]byte(k))
+				value, seq, kind, ok := merged.GetSafe([]byte(k))
 				if !ok || seq != v.seq || kind != v.kind || !bytes.Equal(value, []byte(v.value)) {
 					t.Fatalf("%s: Get(%s) = (%q, %d, %d, %v), want %v", what, k, value, seq, kind, ok, v)
 				}
@@ -591,11 +603,12 @@ func TestMergeResumeFromFinishedMark(t *testing.T) {
 		return string(key) == deadNode.key && seq == deadNode.seq
 	}
 
-	// pair builds the two tables afresh in a space of their own.
-	pair := func() (*vaddr.Space, *nvm.Device, *Table, *Table) {
+	// pair builds the two tables afresh in a space of their own, metered
+	// by a meter that never cuts but fails a walk that does not end.
+	pair := func() (*vaddr.Space, *cutMeter, *Table, *Table) {
 		space := vaddr.NewSpace()
-		dev := nvm.NewDevice(space, nvm.NVMProfile())
-		return space, dev, linkVersions(t, space, dev, 1, oldVs), linkVersions(t, space, dev, 2, newVs)
+		meter := &cutMeter{left: -1}
+		return space, meter, linkVersions(t, space, meter, 1, oldVs), linkVersions(t, space, meter, 2, newVs)
 	}
 	_, _, old, newer := pair()
 	m := NewMerge(newer, old)
@@ -621,8 +634,8 @@ func TestMergeResumeFromFinishedMark(t *testing.T) {
 			[]version{set("h", newSeqBase+7)}, []version{set("h", 6)}, nil, false},
 	}
 	for _, tc := range cases {
-		space, dev, old, newer := pair()
-		slotRegion := dev.NewRegion(4096)
+		space, meter, old, newer := pair()
+		slotRegion := space.NewRegion(4096, meter)
 		slot, _ := slotRegion.Alloc(8)
 		m := NewMerge(newer, old)
 		m.SetPersistSlot(slotRegion, slot)

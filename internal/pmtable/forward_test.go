@@ -3,6 +3,8 @@ package pmtable
 import (
 	"fmt"
 	"testing"
+
+	"miodb/internal/keys"
 )
 
 // TestDrainedTableForwarding checks that every safe read on a drained
@@ -58,7 +60,7 @@ func TestDrainedTableForwarding(t *testing.T) {
 	// A completed Merge handle (held by stale mergeEntry snapshots) must
 	// delegate to the result as well.
 	for k, want := range newKVs {
-		v, _, _, ok := m.Get([]byte(k))
+		v, _, _, ok := m.Get([]byte(k), keys.MaxSeq)
 		if !ok || string(v) != want {
 			t.Fatalf("Merge.Get(%s) after completion = %q, %v; want %q", k, v, ok, want)
 		}

@@ -30,21 +30,19 @@ import (
 //
 // Concurrent reads. While a merge runs, the level exposes the Merge itself
 // as the read source for the pair. A point lookup must observe every node
-// no matter where it currently lives, including the run in flight between
-// the two lists. The paper's protocol (query newtable → insertion mark →
-// oldtable) closes the two races it describes in §4.3, but a third
-// interleaving remains: a reader that entered the newtable through a stale
-// head pointer can be carried into the oldtable when the in-flight run's
-// towers are rewritten, silently skipping the newtable's remaining nodes.
-// We therefore strengthen the protocol with a seqlock: the merger brackets
-// each run's migration with an odd/even position counter, and a reader
-// retries its (newtable, mark, oldtable) probe until it completes within a
-// stable window, falling back to the merge mutex under persistent
-// contention. The common case is uncontended and lock-free, preserving the
-// paper's design intent; the difference is documented here for fidelity.
-// The mark names the run's first node and its length; a reader walks the
-// run from it along level 0, links the window rewrites for no node but the
-// run's last, whose link the walk never follows.
+// no matter where it currently lives. The paper's protocol probes newtable
+// → insertion mark → oldtable, closing the two races §4.3 describes, but a
+// third interleaving remains: a reader that entered the newtable through a
+// stale head pointer can be carried into the oldtable when the in-flight
+// run's towers are rewritten, silently skipping the newtable's remaining
+// nodes. So the merger brackets each migration with an odd/even position
+// counter (a seqlock), and a reader retries its probe of the two lists
+// until it completes within a stable window, falling back to the merge
+// mutex under persistent contention. A run is between the lists only
+// inside a window, so a validated probe never needs the mark, and readers
+// do not read it: a recorded departure from §4.3, whose mark is kept only
+// for crash recovery. The common case is uncontended and lock-free, as the
+// paper intends.
 //
 // Crash consistency (§4.7). Each step persists the mark of the run about to
 // leave the newtable to an NVM slot before unlinking it, and Run clears the
@@ -79,13 +77,12 @@ type Merge struct {
 	// so the slice is valid for the call. Set before Run.
 	OnDrop func(value []byte, kind keys.Kind)
 
-	pos  atomic.Uint64 // seqlock; odd while a run migrates
-	mu   sync.Mutex    // merger holds per migration; reader fallback path
-	mark atomic.Uint64 // the in-flight run's mark (0 = none); see runMark
+	pos atomic.Uint64 // seqlock; odd while a run migrates
+	mu  sync.Mutex    // merger holds per migration; reader fallback path
 
-	// Optional persistence of the mark for crash recovery: the slot's
-	// region (for its meter) and the slot itself, resolved once. Unlike
-	// mark, the slot is not cleared when a step ends, only when Run does.
+	// Optional persistence of the insertion mark for crash recovery: the
+	// slot's region (for its meter) and the slot itself, resolved once.
+	// The slot is not cleared when a step ends, only when Run does.
 	markRegion *vaddr.Region
 	markSlot   vaddr.Span
 
@@ -247,12 +244,10 @@ func (m *Merge) step(d *drain) bool {
 	// from the newtable, relink into the oldtable. Pointer stores only.
 	m.mu.Lock()
 	m.pos.Add(1)
-	// 1. Record the run in the insertion mark (persisted first, §4.3),
-	//    so it stays visible while belonging to neither list. The slot
-	//    keeps naming it after the window; the next step overwrites it.
-	mark := runMark(r)
-	m.mark.Store(mark)
-	m.persistMark(w, mark)
+	// 1. Persist the run's insertion mark before it leaves the newtable
+	//    (§4.7): Resume redoes the run it names. The slot keeps naming it
+	//    after the window; the next step overwrites it.
+	m.persistMark(w, runMark(r))
 	// 2. Remove it from the newtable: atomic head-pointer stores.
 	newL.RemoveFirstRun(w, r)
 	if drop {
@@ -266,7 +261,6 @@ func (m *Merge) step(d *drain) bool {
 		m.moved += int64(r.Len())
 		m.runs++
 	}
-	m.mark.Store(uint64(vaddr.NilAddr))
 	m.pos.Add(1)
 	m.mu.Unlock()
 
@@ -374,94 +368,58 @@ func (m *Merge) finish() *Table {
 // Done reports whether the merge has completed.
 func (m *Merge) Done() bool { return m.done.Load() }
 
-// Get performs a linearizable point lookup across the merging pair. It
-// probes newtable → insertion mark → oldtable (the §4.3 read protocol)
-// inside a seqlock window, retrying if a node migrated mid-probe.
-func (m *Merge) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	// A probe costs three list searches, a migration only a little more;
+// Get returns the newest version of key with sequence ≤ maxSeq across the
+// merging pair: a linearizable point lookup that probes the newtable, then
+// the oldtable, inside a stable seqlock window (keys.MaxSeq reads the
+// newest version outright).
+func (m *Merge) Get(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool) {
+	if m.validated(func() { value, seq, kind, ok = m.getOnce(key, maxSeq) }) {
+		return m.result.GetBoundedSafe(key, maxSeq)
+	}
+	return value, seq, kind, ok
+}
+
+// validated calls probe until a call completes within a stable seqlock
+// window — no migration step of this merge overlapped it (pos unchanged)
+// and no later merge could have started (done still false: later merges
+// begin strictly after done is set). It reports true, with the probe's
+// effects void, once the merge has completed: the shared list may then be
+// migrating again under a later merge, whose steps do not bump this
+// merge's seqlock, so the caller must read through the result's own
+// protocol instead.
+func (m *Merge) validated(probe func()) (done bool) {
+	// A probe costs two list searches, a migration only a little more;
 	// when the merger is hot, optimistic retries lose the race over and
 	// over, so cut over to the mutex quickly.
 	for tries := 0; tries < 4; tries++ {
-		// A completed merge hands off to the result: the shared list may
-		// already be migrating again under a *later* merge, whose steps do
-		// not bump this merge's seqlock — only the result's own protocol
-		// (its activeMerge / forward chain) covers that.
 		if m.done.Load() {
-			return m.result.GetSafe(key)
+			return true
 		}
 		v1 := m.pos.Load()
 		if v1&1 == 1 {
 			runtime.Gosched()
 			continue
 		}
-		value, seq, kind, ok = m.getOnce(key)
-		// Probe valid only if no migration step of this merge overlapped
-		// (pos unchanged) and no later merge could have started (done
-		// still false — later merges begin strictly after done is set).
+		probe()
 		if m.pos.Load() == v1 && !m.done.Load() {
-			return value, seq, kind, ok
+			return false
 		}
 	}
 	// Persistent contention with the merger: serialize behind one step.
 	m.mu.Lock()
-	value, seq, kind, ok = m.getOnce(key)
-	done := m.done.Load()
+	probe()
+	done = m.done.Load()
 	m.mu.Unlock()
-	if done {
-		return m.result.GetSafe(key)
-	}
-	return value, seq, kind, ok
+	return done
 }
 
-func (m *Merge) getOnce(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	return m.getOnceBounded(key, keys.MaxSeq)
-}
-
-func (m *Merge) getOnceBounded(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	consider := func(v []byte, s uint64, k keys.Kind) {
-		if s > maxSeq {
-			return
-		}
-		if !ok || s > seq {
-			value, seq, kind, ok = v, s, k, true
-		}
-	}
-	if v, s, k, found := m.New.list.GetBounded(key, maxSeq); found {
-		consider(v, s, k)
-	}
-	if n := m.markSeek(key, maxSeq); !n.IsNil() && bytes.Equal(n.Key(), key) {
-		consider(n.Value(), n.Seq(), n.Kind())
-	}
-	if v, s, k, found := m.Old.list.GetBounded(key, maxSeq); found {
-		consider(v, s, k)
-	}
-	return value, seq, kind, ok
-}
-
-// GetBounded is Get restricted to versions with sequence ≤ maxSeq — the
-// snapshot-read variant of the §4.3 probe, under the same seqlock
-// protocol.
-func (m *Merge) GetBounded(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	for tries := 0; tries < 4; tries++ {
-		if m.done.Load() {
-			return m.result.GetBoundedSafe(key, maxSeq)
-		}
-		v1 := m.pos.Load()
-		if v1&1 == 1 {
-			runtime.Gosched()
-			continue
-		}
-		value, seq, kind, ok = m.getOnceBounded(key, maxSeq)
-		if m.pos.Load() == v1 && !m.done.Load() {
-			return value, seq, kind, ok
-		}
-	}
-	m.mu.Lock()
-	value, seq, kind, ok = m.getOnceBounded(key, maxSeq)
-	done := m.done.Load()
-	m.mu.Unlock()
-	if done {
-		return m.result.GetBoundedSafe(key, maxSeq)
+// getOnce is Get's unvalidated probe. A version the merge has moved is
+// newer than the versions of its key still in the newtable, so the newest
+// version may sit in either list.
+func (m *Merge) getOnce(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool) {
+	value, seq, kind, ok = m.New.list.GetBounded(key, maxSeq)
+	if v, s, k, found := m.Old.list.GetBounded(key, maxSeq); found && (!ok || s > seq) {
+		value, seq, kind, ok = v, s, k, true
 	}
 	return value, seq, kind, ok
 }
@@ -469,29 +427,6 @@ func (m *Merge) GetBounded(key []byte, maxSeq uint64) (value []byte, seq uint64,
 // MayContain consults both tables' filters.
 func (m *Merge) MayContain(key []byte) bool {
 	return m.New.MayContain(key) || m.Old.MayContain(key)
-}
-
-// markSeek returns the first node of the run in flight that orders at or
-// after (key, seq) — none if no run is in flight or all of it orders
-// before — walking the run from its mark along level 0.
-func (m *Merge) markSeek(key []byte, seq uint64) skiplist.Node {
-	a, k := splitMark(m.mark.Load())
-	if a.IsNil() {
-		return skiplist.Node{}
-	}
-	for n := m.New.list.Node(a); ; k-- {
-		if keys.Compare(n.Key(), n.Seq(), key, seq) >= 0 {
-			return n
-		}
-		if k == 1 {
-			return skiplist.Node{}
-		}
-		// A mark gone stale under the walk can lead it astray, but only
-		// over nodes of the pinned tables, and the probe fails validation.
-		if n = m.New.list.Next(nil, n); n.IsNil() {
-			return n
-		}
-	}
 }
 
 // Moved returns the number of nodes migrated into the oldtable.

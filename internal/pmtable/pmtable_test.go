@@ -68,7 +68,7 @@ func TestFlushProducesEquivalentTable(t *testing.T) {
 		t.Fatalf("Count = %d, want %d", tbl.Count(), len(kvs))
 	}
 	for k, v := range kvs {
-		got, _, kind, ok := tbl.Get([]byte(k))
+		got, _, kind, ok := tbl.GetSafe([]byte(k))
 		if !ok || string(got) != v || kind != keys.KindSet {
 			t.Fatalf("Get(%s) = %q ok=%v", k, got, ok)
 		}
@@ -76,7 +76,7 @@ func TestFlushProducesEquivalentTable(t *testing.T) {
 			t.Fatalf("bloom false negative for %s", k)
 		}
 	}
-	if _, _, _, ok := tbl.Get([]byte("absent")); ok {
+	if _, _, _, ok := tbl.GetSafe([]byte("absent")); ok {
 		t.Error("Get(absent) found something")
 	}
 	if n, err := tbl.List().CheckInvariants(); err != nil || n != len(kvs) {
@@ -128,9 +128,9 @@ func TestZeroCopyMergeDistinctKeys(t *testing.T) {
 		{"a", "1" + pad}, {"b", "2" + pad}, {"c", "3" + pad},
 		{"d", "4" + pad}, {"e", "5" + pad}, {"f", "6" + pad},
 	} {
-		got, _, _, ok := merged.Get([]byte(kv.k))
+		got, _, _, ok := merged.GetSafe([]byte(kv.k))
 		if !ok || string(got) != kv.v {
-			t.Fatalf("merged.Get(%s) = %q ok=%v", kv.k, got, ok)
+			t.Fatalf("merged.GetSafe(%s) = %q ok=%v", kv.k, got, ok)
 		}
 		if !merged.MayContain([]byte(kv.k)) {
 			t.Fatalf("merged bloom lost %s", kv.k)
@@ -168,9 +168,9 @@ func TestZeroCopyMergeDeduplicates(t *testing.T) {
 		t.Fatalf("merged count = %d, want %d", merged.Count(), len(want))
 	}
 	for k, v := range want {
-		got, _, _, ok := merged.Get([]byte(k))
+		got, _, _, ok := merged.GetSafe([]byte(k))
 		if !ok || string(got) != v {
-			t.Fatalf("merged.Get(%s) = %q ok=%v, want %q", k, got, ok, v)
+			t.Fatalf("merged.GetSafe(%s) = %q ok=%v, want %q", k, got, ok, v)
 		}
 	}
 	if merged.Garbage() == 0 {
@@ -194,9 +194,9 @@ func TestZeroCopyMergeMultiVersionNewtable(t *testing.T) {
 	old := buildTable(t, dram, nv, 1, 1, map[string]string{"k": "v0", "x": "xv"})
 
 	merged := NewMerge(newer, old).Run()
-	got, seq, _, ok := merged.Get([]byte("k"))
+	got, seq, _, ok := merged.GetSafe([]byte("k"))
 	if !ok || string(got) != "v5" || seq != 105 {
-		t.Fatalf("merged.Get(k) = %q seq=%d", got, seq)
+		t.Fatalf("merged.GetSafe(k) = %q seq=%d", got, seq)
 	}
 	// All older versions must be logically gone.
 	if merged.Count() != 3 { // k, q, x
@@ -244,9 +244,9 @@ func TestMergeChainAcrossLevels(t *testing.T) {
 		t.Fatalf("final count = %d, want %d", final.Count(), len(golden))
 	}
 	for k, v := range golden {
-		got, _, _, ok := final.Get([]byte(k))
+		got, _, _, ok := final.GetSafe([]byte(k))
 		if !ok || string(got) != v {
-			t.Fatalf("final.Get(%s) = %q ok=%v, want %q", k, got, ok, v)
+			t.Fatalf("final.GetSafe(%s) = %q ok=%v, want %q", k, got, ok, v)
 		}
 	}
 	if _, err := final.List().CheckInvariants(); err != nil {
@@ -299,7 +299,7 @@ func TestConcurrentReadsDuringMerge(t *testing.T) {
 				}
 				i := rnd.Intn(600)
 				k := fmt.Sprintf("key-%05d", i)
-				v, _, _, ok := m.Get([]byte(k))
+				v, _, _, ok := m.Get([]byte(k), keys.MaxSeq)
 				if !ok {
 					select {
 					case errCh <- fmt.Errorf("reader missed %s during merge", k):
@@ -335,8 +335,8 @@ func TestConcurrentReadsDuringMerge(t *testing.T) {
 
 // TestConcurrentReadsDuringRunMerge merges pairs whose newtable keys all
 // fall into a few oldtable gaps, so that nearly every step moves a run of
-// runCap nodes, under readers: Merge.Get, Merge.GetBounded and
-// SafeIterator scans must see every key, a run's interior included, at its
+// runCap nodes, under readers: Merge.Get unbounded and bounded at the
+// newest sequence, and SafeIterator scans must see every key, a run's interior included, at its
 // newest version. Some newtable keys carry an older version too (dropped
 // as a duplicate), and each gap's lower oldtable key a newtable version
 // (the oldtable version is unlinked behind it).
@@ -412,13 +412,13 @@ func TestConcurrentReadsDuringRunMerge(t *testing.T) {
 					k := sorted[i]
 					switch g {
 					case 0:
-						v, seq, _, ok := m.Get([]byte(k))
+						v, seq, _, ok := m.Get([]byte(k), keys.MaxSeq)
 						if !check("Get", k, v, seq, ok) {
 							return
 						}
 					case 1:
-						v, seq, _, ok := m.GetBounded([]byte(k), maxSeq)
-						if !check("GetBounded", k, v, seq, ok) {
+						v, seq, _, ok := m.Get([]byte(k), maxSeq)
+						if !check("bounded Get", k, v, seq, ok) {
 							return
 						}
 					default:
@@ -467,14 +467,15 @@ func TestMergeResumeAfterCrash(t *testing.T) {
 		afterRemove
 		afterInsert
 	)
+	set := func(key, value string, seq uint64) version {
+		return version{key: key, value: value, seq: seq, kind: keys.KindSet}
+	}
 	for _, cp := range []crashPoint{afterMark, afterRemove, afterInsert} {
-		dram, nv := devices()
-		old := buildTable(t, dram, nv, 1, 1, map[string]string{
-			"a": "old-a", "b": "old-b", "d": "old-d",
-		})
-		newer := buildTable(t, dram, nv, 2, 100, map[string]string{
-			"b": "new-b", "c": "new-c",
-		})
+		// A meter that fails a walk that does not end: a repair that
+		// links a cycle fails at once.
+		space, meter := vaddr.NewSpace(), &cutMeter{left: -1}
+		old := linkVersions(t, space, meter, 1, []version{set("a", "old-a", 1), set("b", "old-b", 2), set("d", "old-d", 3)})
+		newer := linkVersions(t, space, meter, 2, []version{set("b", "new-b", 100), set("c", "new-c", 101)})
 
 		// Manually perform the first migration up to the crash point,
 		// mimicking Merge.step on the first node of the newtable ("b").
@@ -491,18 +492,18 @@ func TestMergeResumeAfterCrash(t *testing.T) {
 		m := NewMerge(newer, old)
 		merged := m.Resume(markAddr)
 
+		if _, err := merged.List().CheckInvariants(); err != nil {
+			t.Fatalf("cp=%d: %v", cp, err)
+		}
 		want := map[string]string{"a": "old-a", "b": "new-b", "c": "new-c", "d": "old-d"}
 		if merged.Count() != int64(len(want)) {
 			t.Fatalf("cp=%d: merged count = %d, want %d", cp, merged.Count(), len(want))
 		}
 		for k, v := range want {
-			got, _, _, ok := merged.Get([]byte(k))
+			got, _, _, ok := merged.GetSafe([]byte(k))
 			if !ok || string(got) != v {
 				t.Fatalf("cp=%d: Get(%s) = %q ok=%v, want %q", cp, k, got, ok, v)
 			}
-		}
-		if _, err := merged.List().CheckInvariants(); err != nil {
-			t.Fatalf("cp=%d: %v", cp, err)
 		}
 	}
 }
@@ -684,7 +685,7 @@ func TestAttachRebuildsTable(t *testing.T) {
 		t.Fatalf("reattached: count=%d seq=[%d,%d]", re.Count(), re.MinSeq, re.MaxSeq)
 	}
 	for k, v := range kvs {
-		got, _, _, ok := re.Get([]byte(k))
+		got, _, _, ok := re.GetSafe([]byte(k))
 		if !ok || string(got) != v {
 			t.Fatalf("reattached Get(%s) = %q", k, got)
 		}
@@ -716,7 +717,7 @@ func TestMergeEmptyTables(t *testing.T) {
 	}
 	full := buildTable(t, dram, nv, 3, 10, map[string]string{"k": "v"})
 	merged2 := NewMerge(full, merged).Run()
-	if v, _, _, ok := merged2.Get([]byte("k")); !ok || !bytes.Equal(v, []byte("v")) {
+	if v, _, _, ok := merged2.GetSafe([]byte("k")); !ok || !bytes.Equal(v, []byte("v")) {
 		t.Fatal("merge with empty old table lost data")
 	}
 }

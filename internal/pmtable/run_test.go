@@ -341,13 +341,12 @@ func (p *probeMeter) OnReads(int, int)  {}
 func (p *probeMeter) OnWrites(int, int) {}
 func (p *probeMeter) OnWrite(int)       { p.probe() }
 
-// TestMergeProbesAtEveryStore stops the merge before each of its stores,
-// inside the locked windows too, and probes the pair the way readers do,
-// short of the seqlock: newtable, the run the mark names, oldtable
-// (Merge.getOnce), and the scan's successor probe (Merge.succOnce). Every
-// key must read its newest version at every store: a run that has left the
-// newtable and not yet reached the oldtable is visible through the mark
-// alone.
+// TestMergeProbesAtEveryStore holds the read protocol's two halves. Every
+// store the merge makes falls inside a seqlock window (pos odd), so a
+// reader's probe that overlaps one fails validation and retries. Between
+// steps the lists alone answer: the point probe (Merge.getOnce) and the
+// scan's successor probe (Merge.succOnce) read every key's newest version
+// from the two lists after each step, runs of several nodes included.
 func TestMergeProbesAtEveryStore(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	oldVs := versionsOn(rnd, strideIDs(12, 30), 1)
@@ -357,20 +356,19 @@ func TestMergeProbesAtEveryStore(t *testing.T) {
 	space := vaddr.NewSpace()
 	old := linkVersions(t, space, meter, 1, oldVs)
 	newer := linkVersions(t, space, meter, 2, newVs)
-	slotRegion := space.NewRegion(4096, meter)
-	slot, _ := slotRegion.Alloc(8)
 	m := NewMerge(newer, old)
-	m.SetPersistSlot(slotRegion, slot)
 
-	stores, inRun := 0, 0
+	stores := 0
 	meter.probe = func() {
-		stores++
-		if _, k := splitMark(m.mark.Load()); k > 1 {
-			inRun++
+		if stores++; m.pos.Load()&1 == 0 {
+			t.Fatalf("store %d outside a seqlock window (pos %d)", stores, m.pos.Load())
 		}
+	}
+	d := &drain{}
+	for step := 0; ; step++ {
 		for k, v := range newest {
-			what := fmt.Sprintf("before store %d", stores)
-			value, seq, kind, ok := m.getOnce([]byte(k))
+			what := fmt.Sprintf("after step %d", step)
+			value, seq, kind, ok := m.getOnce([]byte(k), keys.MaxSeq)
 			if !ok || seq != v.seq || kind != v.kind || string(value) != v.value {
 				t.Fatalf("%s: get(%s) = (%q, %d, %d, %v), want %v", what, k, value, seq, kind, ok, v)
 			}
@@ -378,9 +376,11 @@ func TestMergeProbesAtEveryStore(t *testing.T) {
 				t.Fatalf("%s: successor of (%s, MaxSeq) is %v, want %v", what, k, n.Addr(), v)
 			}
 		}
+		if !m.step(d) {
+			break
+		}
 	}
-	m.Run()
-	if inRun == 0 {
-		t.Fatalf("no store of %d fell inside a run's window", stores)
+	if stores == 0 || m.runs >= m.moved {
+		t.Fatalf("%d stores moved %d nodes in %d runs, want runs of several nodes", stores, m.moved, m.runs)
 	}
 }

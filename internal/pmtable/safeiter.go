@@ -1,8 +1,6 @@
 package pmtable
 
 import (
-	"runtime"
-
 	"miodb/internal/keys"
 	"miodb/internal/skiplist"
 )
@@ -12,8 +10,8 @@ import (
 // so an iterator that chases cached node pointers can be teleported from
 // the new table's list into the old one mid-walk — silently skipping
 // every not-yet-migrated entry behind it. Point reads solve this with the
-// insertion mark + seqlock protocol (Table.GetSafe); SafeIterator is the
-// scan-side counterpart, built on one fact: *settled is monotone*.
+// merge's seqlock (Table.GetSafe); SafeIterator is the scan-side
+// counterpart, built on one fact: *settled is monotone*.
 //
 // A table is settled while it has neither an activeMerge nor a forward.
 // The engine sets each of the two exactly once per merge and never clears
@@ -72,48 +70,23 @@ func (t *Table) succSafe(key []byte, seq uint64) (skiplist.Node, *Table) {
 }
 
 // succSafe returns the first entry ≥ (key, seq) across the merging pair —
-// both lists plus the in-flight insertion-mark node — under the merge's
-// seqlock; after completion it reads through the result table.
-func (m *Merge) succSafe(key []byte, seq uint64) (skiplist.Node, *Table) {
-	for tries := 0; tries < 4; tries++ {
-		if m.done.Load() {
-			return m.result.succSafe(key, seq)
-		}
-		v1 := m.pos.Load()
-		if v1&1 == 1 {
-			runtime.Gosched()
-			continue
-		}
-		n := m.succOnce(key, seq)
-		if m.pos.Load() == v1 && !m.done.Load() {
-			return n, nil
-		}
-	}
-	m.mu.Lock()
-	n := m.succOnce(key, seq)
-	done := m.done.Load()
-	m.mu.Unlock()
-	if done {
+// the nearer of the two lists' — under the merge's seqlock; after
+// completion it reads through the result table.
+func (m *Merge) succSafe(key []byte, seq uint64) (n skiplist.Node, from *Table) {
+	if m.validated(func() { n = m.succOnce(key, seq) }) {
 		return m.result.succSafe(key, seq)
 	}
 	return n, nil
 }
 
+// succOnce is succSafe's unvalidated probe.
 func (m *Merge) succOnce(key []byte, seq uint64) skiplist.Node {
-	best := m.New.list.SeekGE(key, seq)
-	consider := func(n skiplist.Node) {
-		if n.IsNil() {
-			return
-		}
-		if best.IsNil() || keys.Compare(n.Key(), n.Seq(), best.Key(), best.Seq()) < 0 {
-			best = n
-		}
+	n := m.New.list.SeekGE(key, seq)
+	o := m.Old.list.SeekGE(key, seq)
+	if n.IsNil() || (!o.IsNil() && keys.Compare(o.Key(), o.Seq(), n.Key(), n.Seq()) < 0) {
+		return o
 	}
-	consider(m.Old.list.SeekGE(key, seq))
-	if n := m.markSeek(key, seq); !n.IsNil() {
-		consider(n)
-	}
-	return best
+	return n
 }
 
 // SafeIterator walks a table (or an in-flight merge) in internal order,

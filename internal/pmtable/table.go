@@ -7,8 +7,7 @@
 //     background (Flush).
 //   - Zero-copy compaction (§4.3): two PMTables merge by re-linking nodes
 //     with 8-byte atomic pointer stores — no key or value bytes move — while
-//     readers stay lock-free via an insertion mark plus a seqlock
-//     validation (Merge).
+//     readers stay lock-free behind a seqlock validation (Merge).
 //   - Lazy-copy compaction (§4.4): the bottom level physically copies the
 //     newest version of each key into a huge repository PMTable and then
 //     releases the consumed arenas wholesale (Repository.Absorb).
@@ -51,7 +50,7 @@ type Table struct {
 	// activeMerge points at the zero-copy merge currently draining or
 	// filling this table, if any. Readers that reached the table through
 	// a snapshot taken before the merge began must detect it and re-read
-	// through the merge's mark-aware protocol; see Table.GetSafe.
+	// through the merge's seqlock protocol; see Table.GetSafe.
 	activeMerge atomic.Pointer[Merge]
 
 	// forward, once set, redirects every safe read to the merge result
@@ -158,11 +157,6 @@ func Attach(space *vaddr.Space, head vaddr.Addr, id uint64, regions []*vaddr.Reg
 	}
 }
 
-// Get returns the newest version of key in the table.
-func (t *Table) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	return t.list.Get(key)
-}
-
 // SetActiveMerge publishes the merge this table is participating in. The
 // engine calls it under its structural lock before the first node
 // migrates. It is never cleared: completion is published by SetForward
@@ -184,15 +178,22 @@ func (t *Table) SetForward(result *Table) { t.forward.Store(result) }
 // drained by a completed merge.
 func (t *Table) Forward() *Table { return t.forward.Load() }
 
-// GetSafe is Get hardened against a concurrently starting zero-copy
-// merge. A reader whose structural snapshot predates the merge sees this
-// table as a plain table; probing it raw could miss the single node in
-// flight between the pair. The protocol:
+// GetSafe returns the newest version of key in the table; it is
+// GetBoundedSafe at keys.MaxSeq.
+func (t *Table) GetSafe(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool) {
+	return t.GetBoundedSafe(key, keys.MaxSeq)
+}
+
+// GetBoundedSafe returns the newest version of key with sequence ≤ maxSeq,
+// hardened against a concurrently starting zero-copy merge. A reader whose
+// structural snapshot predates the merge sees this table as a plain table;
+// probing it raw could miss the run in flight between the pair. The
+// protocol:
 //
 //  1. if a completed merge has superseded this table, delegate to the
 //     result (whose filter and merge state are authoritative — see the
 //     forward field);
-//  2. if a merge is already published, delegate to its mark-aware Get;
+//  2. if a merge is already published, delegate to its Get;
 //  3. otherwise probe raw, then re-check: the merger publishes the merge
 //     (an atomic store) strictly before the first migration's atomic
 //     pointer stores, so a raw probe that could have observed any
@@ -200,34 +201,16 @@ func (t *Table) Forward() *Table { return t.forward.Load() }
 //     (Go's atomics give acquire/release ordering) — and retries through
 //     the protocol. A probe that sees no merge on the re-check ran
 //     entirely against pre-merge state and is correct as is.
-func (t *Table) GetSafe(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	if f := t.Forward(); f != nil {
-		return f.GetSafe(key)
-	}
-	if m := t.ActiveMerge(); m != nil {
-		return m.Get(key)
-	}
-	value, seq, kind, ok = t.list.Get(key)
-	if m := t.ActiveMerge(); m != nil {
-		return m.Get(key)
-	}
-	return value, seq, kind, ok
-}
-
-// GetBoundedSafe is GetSafe restricted to versions with sequence ≤
-// maxSeq — the snapshot-read probe. It follows the same
-// forward/activeMerge/raw-recheck protocol; only the list lookups are
-// bounded.
 func (t *Table) GetBoundedSafe(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool) {
 	if f := t.Forward(); f != nil {
 		return f.GetBoundedSafe(key, maxSeq)
 	}
 	if m := t.ActiveMerge(); m != nil {
-		return m.GetBounded(key, maxSeq)
+		return m.Get(key, maxSeq)
 	}
 	value, seq, kind, ok = t.list.GetBounded(key, maxSeq)
 	if m := t.ActiveMerge(); m != nil {
-		return m.GetBounded(key, maxSeq)
+		return m.Get(key, maxSeq)
 	}
 	return value, seq, kind, ok
 }

@@ -247,14 +247,7 @@ func (l *List) newNode(w *Walk, key, value []byte, seq uint64, kind keys.Kind, h
 
 // Get returns the newest version of key, if any version exists.
 func (l *List) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	n := l.seekGE(key, keys.MaxSeq)
-	if n.IsNil() {
-		return nil, 0, 0, false
-	}
-	if keys.Compare(n.Key(), 0, key, 0) != 0 {
-		return nil, 0, 0, false
-	}
-	return n.Value(), n.Seq(), n.Kind(), true
+	return l.GetBounded(key, keys.MaxSeq)
 }
 
 // GetBounded returns the newest version of key with sequence ≤ maxSeq, if
