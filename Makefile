@@ -15,14 +15,16 @@ test:
 
 # The concurrent write path (commits under one lock, WAL batch appends,
 # zero-copy merges under readers), the shard router (cross-shard
-# batch splits, merged iterators, parallel flush/close), and the
-# pipelined network front end (reader/writer split, cross-connection
-# batcher, tag-matched client) and the bloom filters merged in place
-# under concurrent probes must stay race-clean. The merge reader tests —
-# point reads and scans — run again on one CPU and on two: the merger and
-# its readers interleave differently on each.
+# batch splits, multi-get fan-out, merged iterators, parallel
+# flush/close, the memory governor), the public DB that forwards to one
+# engine or to the router, the pipelined network front end
+# (reader/writer split, cross-connection batcher, tag-matched client)
+# and the bloom filters merged in place under concurrent probes must stay
+# race-clean. The merge reader tests — point reads and scans — run again
+# on one CPU and on two: the merger and its readers interleave
+# differently on each.
 race:
-	$(GO) test -race ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom
+	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom
 	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$|TestSafeIteratorUnderConcurrentMerge$$' -count=1
 
 # One CPU: the runners that share it (one per background job, or one for

@@ -61,8 +61,8 @@ func (b *Batch) Len() int { return len(b.ops) }
 // Each calls fn for every queued operation in order. The key and value
 // slices alias the batch's internal copies and must not be mutated or
 // retained past the callback. For a range delete, key/value carry the
-// [start, end) bounds. The shard router uses it to split a batch by
-// routing hash without re-copying the payload.
+// [start, end) bounds. The shard router uses it to hand a batch to its
+// one split by routing hash without re-copying the payload.
 func (b *Batch) Each(fn func(key, value []byte, del, rangeDel bool)) {
 	for _, op := range b.ops {
 		fn(op.key, op.value, op.kind == keys.KindDelete, op.kind == keys.KindRangeDelete)
@@ -78,29 +78,16 @@ func (b *Batch) Reset() { b.ops = b.ops[:0] }
 // the batch or a consistent prefix while it is being inserted, and all of
 // it afterwards.
 func (db *DB) Write(b *Batch) error {
-	if b == nil || len(b.ops) == 0 {
+	if b == nil {
 		return nil
 	}
-	for _, op := range b.ops {
-		// Range deletes are exempt: an empty start means "from the first
-		// key" (the end rides in value and may be empty = unbounded).
-		if len(op.key) == 0 && op.kind != keys.KindRangeDelete {
-			return fmt.Errorf("miodb: empty key in batch")
-		}
-	}
-	start := time.Now()
-	_, err := db.commit(batchOp{}, b.ops)
-	if err == nil {
-		// One commit sample per batch (on top of commit's per-record
-		// put/delete samples): the latency an MPUT caller experienced.
-		db.st.RecordOp(stats.OpCommit, time.Since(start))
-	}
-	return err
+	return db.commitBatch(b.ops)
 }
 
 // WriteBatch applies a batch given as kvstore operations — the adapter
-// the network server's MPUT handler and the harness feed. The slices are
-// consumed synchronously; callers may reuse them after return.
+// the network server's MPUT handler and the harness feed. The key and
+// value slices are referenced, not copied, and consumed synchronously;
+// callers may reuse them after return.
 func (db *DB) WriteBatch(ops []kvstore.BatchOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -114,23 +101,33 @@ func (db *DB) WriteBatch(ops []kvstore.BatchOp) error {
 			}
 			bops = append(bops, batchOp{key: op.Key, value: op.Value, kind: keys.KindRangeDelete})
 		case op.Delete:
-			if len(op.Key) == 0 {
-				return fmt.Errorf("miodb: empty key in batch")
-			}
 			bops = append(bops, batchOp{key: op.Key, kind: keys.KindDelete})
 		default:
-			if len(op.Key) == 0 {
-				return fmt.Errorf("miodb: empty key in batch")
-			}
 			bops = append(bops, batchOp{key: op.Key, value: op.Value, kind: keys.KindSet})
 		}
 	}
+	return db.commitBatch(bops)
+}
+
+// commitBatch is the one batch commit behind Write and WriteBatch: it
+// refuses the whole batch on an empty key, commits it, and records one
+// OpCommit sample per batch.
+func (db *DB) commitBatch(bops []batchOp) error {
 	if len(bops) == 0 {
 		return nil
+	}
+	for _, op := range bops {
+		// Range deletes are exempt: an empty start means "from the first
+		// key" (the end rides in value and may be empty = unbounded).
+		if len(op.key) == 0 && op.kind != keys.KindRangeDelete {
+			return fmt.Errorf("miodb: empty key in batch")
+		}
 	}
 	start := time.Now()
 	_, err := db.commit(batchOp{}, bops)
 	if err == nil {
+		// One commit sample per batch (on top of commit's per-record
+		// put/delete samples): the latency an MPUT caller experienced.
 		db.st.RecordOp(stats.OpCommit, time.Since(start))
 	}
 	return err

@@ -625,48 +625,47 @@ func (db *DB) get(key []byte) ([]byte, error) {
 }
 
 // getFrom is the single point-lookup engine behind DB.Get, Snapshot.Get,
-// and GetMulti: search v's hierarchy for the newest version of key with
-// sequence ≤ bound (keys.MaxSeq for a live read), then apply v's range
-// tombstones to the hit. The caller must hold a pin on v (or otherwise
-// guarantee it stays readable).
+// and GetMulti: newest's hit at bound (keys.MaxSeq for a live read), then
+// v's range tombstones, then finishGet. The caller must hold a pin on v
+// (or otherwise guarantee it stays readable).
 func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
-	dels := v.rangeDels
-	finish := func(value []byte, seq uint64, kind keys.Kind) ([]byte, error) {
-		// The first hit is the newest visible version; if a tombstone
-		// covers it, every older version has a lower seq and is covered
-		// too — the key is gone.
-		if len(dels) > 0 && covered(dels, key, seq) {
-			return nil, ErrNotFound
-		}
-		return db.finishGet(value, kind)
+	value, seq, kind, ok := db.newest(v, key, bound)
+	// The first hit is the newest visible version; if a tombstone covers
+	// it, every older version has a lower seq and is covered too — the key
+	// is gone.
+	if !ok || covered(v.rangeDels, key, seq) {
+		return nil, ErrNotFound
 	}
+	return db.finishGet(value, kind)
+}
 
-	if value, seq, kind, ok := v.mem.mt.GetBounded(key, bound); ok {
-		return finish(value, seq, kind)
+// newest is the point-read probe: the newest raw entry for key with
+// sequence ≤ bound reachable through v, unresolved and unfiltered by
+// range tombstones. The search order follows the storage hierarchy, so
+// the first hit wins; the level probes feed the per-level bloom counters.
+// Reads (getFrom) and the value-log collector's liveness check
+// (vlogEntryLive) share it.
+func (db *DB) newest(v *version, key []byte, bound uint64) (value []byte, seq uint64, kind keys.Kind, ok bool) {
+	if value, seq, kind, ok = v.mem.mt.GetBounded(key, bound); ok {
+		return
 	}
 	for _, imm := range v.imms {
-		if value, seq, kind, ok := imm.mt.GetBounded(key, bound); ok {
-			return finish(value, seq, kind)
+		if value, seq, kind, ok = imm.mt.GetBounded(key, bound); ok {
+			return
 		}
 	}
 	for li, level := range v.levels {
 		// Accumulate this level's filter accounting locally and publish
-		// once per touched level: one or two atomic adds per Get instead
-		// of one per table probed.
+		// once per touched level: one or two atomic adds per probe instead
+		// of one per table.
 		var probes, skips, fps int64
-		var value []byte
-		var seq uint64
-		var kind keys.Kind
-		hit := false
 		for _, e := range level {
 			probes++
 			if !e.mayContain(key) {
 				skips++
 				continue
 			}
-			var ok bool
 			if value, seq, kind, ok = e.get(key, bound); ok {
-				hit = true
 				break
 			}
 			fps++
@@ -680,28 +679,26 @@ func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
 			if fps > 0 {
 				rl.falsePositives.Add(fps)
 			}
-			if hit {
+			if ok {
 				rl.hits.Add(1)
 			}
 		}
-		if hit {
-			return finish(value, seq, kind)
+		if ok {
+			return
 		}
 	}
 	if v.repo != nil {
-		if value, seq, kind, ok := v.repo.GetBounded(key, bound); ok {
-			return finish(value, seq, kind)
+		if value, seq, kind, ok = v.repo.GetBounded(key, bound); ok {
+			return
 		}
 	}
 	if db.ssd != nil {
 		// Snapshots are refused on SSD-mode stores (the on-SSD compactor
 		// rewrites tables with no version pinning), so bound is always
 		// MaxSeq here; range tombstones still filter by seq.
-		if value, seq, kind, ok := db.ssd.Get(key); ok {
-			return finish(value, seq, kind)
-		}
+		return db.ssd.Get(key)
 	}
-	return nil, ErrNotFound
+	return nil, 0, 0, false
 }
 
 // GetMulti reads several keys as one consistent cut: every lookup runs
@@ -712,36 +709,42 @@ func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
 // snapshot is registered — the pin is call-scoped, and a bound taken
 // after pinning protects every entry the pinned version can reach.
 func (db *DB) GetMulti(getKeys [][]byte) ([][]byte, []error) {
-	values := make([][]byte, len(getKeys))
-	errs := make([]error, len(getKeys))
-	fail := func(err error) ([][]byte, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return values, errs
-	}
-	if len(getKeys) == 0 {
-		return values, errs
-	}
 	if db.closedFlag.Load() {
-		return fail(ErrClosed)
+		return failAll(len(getKeys), ErrClosed)
 	}
-	start := time.Now()
 	pin := db.acquireVersion()
 	defer db.releaseVersion(pin)
 	if db.closedFlag.Load() {
-		return fail(ErrClosed)
+		return failAll(len(getKeys), ErrClosed)
 	}
 	// Loaded after the pin: the sequence counter is ahead of every entry
 	// reachable through the pinned version, so the bound forms a closed,
 	// consistent prefix of history.
-	bound := db.seq.Load()
+	return db.getAll(pin.v, getKeys, db.seq.Load())
+}
+
+// getAll is the multi-get loop behind DB.GetMulti and Snapshot.GetMulti:
+// every key answered positionally from v at bound, with one OpGet sample
+// per key.
+func (db *DB) getAll(v *version, getKeys [][]byte, bound uint64) ([][]byte, []error) {
+	start := time.Now()
+	values := make([][]byte, len(getKeys))
+	errs := make([]error, len(getKeys))
 	for i, key := range getKeys {
 		db.st.CountGet()
-		values[i], errs[i] = db.getFrom(pin.v, key, bound)
+		values[i], errs[i] = db.getFrom(v, key, bound)
 	}
 	db.st.RecordOpN(stats.OpGet, time.Since(start), int64(len(getKeys)))
 	return values, errs
+}
+
+// failAll answers each of n keys with err.
+func failAll(n int, err error) ([][]byte, []error) {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = err
+	}
+	return make([][]byte, n), errs
 }
 
 func (db *DB) finishGet(value []byte, kind keys.Kind) ([]byte, error) {
@@ -911,25 +914,16 @@ func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) err
 	t0 := time.Now()
 	it := db.NewIterator()
 	defer it.Close()
-	if it.err != nil {
-		return it.err
-	}
-	n := 0
-	for it.Seek(start); it.Valid(); it.Next() {
-		if limit > 0 && n >= limit {
-			break
-		}
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-		n++
-	}
-	// One sample per scan, covering the whole range (snapshot pin through
-	// last key) — the latency a server-side SCAN request experiences.
-	db.st.RecordOp(stats.OpScan, time.Since(t0))
 	// A mid-scan failure (a pointer entry that would not resolve) parks
-	// itself on the iterator; surface it.
-	return it.err
+	// itself on the iterator, and iterx.Scan surfaces it.
+	err := iterx.Scan(it, start, limit, fn)
+	if err != ErrClosed {
+		// One sample per scan, covering the whole range (snapshot pin
+		// through last key) — the latency a server-side SCAN request
+		// experiences.
+		db.st.RecordOp(stats.OpScan, time.Since(t0))
+	}
+	return err
 }
 
 // WaitIdle blocks until all queued flushes, zero-copy merges, lazy-copy

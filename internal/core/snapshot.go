@@ -237,25 +237,11 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // key). All lookups run against the same pinned version and bound, so the
 // reads are mutually consistent by construction.
 func (s *Snapshot) GetMulti(getKeys [][]byte) ([][]byte, []error) {
-	values := make([][]byte, len(getKeys))
-	errs := make([]error, len(getKeys))
-	if len(getKeys) == 0 {
-		return values, errs
-	}
 	if err := s.acquire(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return values, errs
+		return failAll(len(getKeys), err)
 	}
 	defer s.release()
-	start := time.Now()
-	for i, key := range getKeys {
-		s.db.st.CountGet()
-		values[i], errs[i] = s.db.getFrom(s.v, key, s.seq)
-	}
-	s.db.st.RecordOpN(stats.OpGet, time.Since(start), int64(len(getKeys)))
-	return values, errs
+	return s.db.getAll(s.v, getKeys, s.seq)
 }
 
 // NewIterator returns an iterator over the snapshot's cut. The iterator
@@ -282,19 +268,9 @@ func (s *Snapshot) Scan(start []byte, limit int, fn func(key, value []byte) bool
 	t0 := time.Now()
 	it := s.NewIterator()
 	defer it.Close()
-	if it.err != nil {
-		return it.err
+	err := iterx.Scan(it, start, limit, fn)
+	if err != ErrSnapshotClosed {
+		s.db.st.RecordOp(stats.OpScan, time.Since(t0))
 	}
-	n := 0
-	for it.Seek(start); it.Valid(); it.Next() {
-		if limit > 0 && n >= limit {
-			break
-		}
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-		n++
-	}
-	s.db.st.RecordOp(stats.OpScan, time.Since(t0))
-	return it.err
+	return err
 }

@@ -101,7 +101,7 @@ func TestFailedRelocationSeqIsNoFloor(t *testing.T) {
 		if i%4 == 0 {
 			continue
 		}
-		old, _, _, ok := db.rawNewest(v, key(i))
+		old, _, _, ok := db.newest(v, key(i), keys.MaxSeq)
 		if !ok {
 			t.Fatalf("%s not found", key(i))
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"miodb/internal/keys"
+	"miodb/internal/vfs"
 	"miodb/internal/vlog"
 )
 
@@ -200,9 +201,9 @@ type liveEntry struct {
 // vlogEntryLive reports whether the LSM structure, as seen through v,
 // still references the log entry at addr: the newest version of key must
 // be a pointer naming exactly addr and not be covered by a range
-// tombstone.
+// tombstone. It probes through newest, the point read's own probe.
 func (db *DB) vlogEntryLive(v *version, key []byte, addr vlog.Addr) bool {
-	value, seq, kind, ok := db.rawNewest(v, key)
+	value, seq, kind, ok := db.newest(v, key, keys.MaxSeq)
 	if !ok || kind != keys.KindValuePtr {
 		return false
 	}
@@ -211,40 +212,6 @@ func (db *DB) vlogEntryLive(v *version, key []byte, addr vlog.Addr) bool {
 		return false
 	}
 	return !covered(v.rangeDels, key, seq)
-}
-
-// rawNewest is getFrom's probe order without resolution or tombstone
-// filtering: the newest raw entry for key reachable through v.
-func (db *DB) rawNewest(v *version, key []byte) ([]byte, uint64, keys.Kind, bool) {
-	if value, seq, kind, ok := v.mem.mt.Get(key); ok {
-		return value, seq, kind, true
-	}
-	for _, imm := range v.imms {
-		if value, seq, kind, ok := imm.mt.Get(key); ok {
-			return value, seq, kind, true
-		}
-	}
-	for _, level := range v.levels {
-		for _, e := range level {
-			if !e.mayContain(key) {
-				continue
-			}
-			if value, seq, kind, ok := e.get(key, keys.MaxSeq); ok {
-				return value, seq, kind, true
-			}
-		}
-	}
-	if v.repo != nil {
-		if value, seq, kind, ok := v.repo.Get(key); ok {
-			return value, seq, kind, true
-		}
-	}
-	if db.ssd != nil {
-		if value, seq, kind, ok := db.ssd.Get(key); ok {
-			return value, seq, kind, true
-		}
-	}
-	return nil, 0, 0, false
 }
 
 // onEntryDrop is the compaction drop hook: a merge, absorb, or rebuild
@@ -259,6 +226,11 @@ func (db *DB) onEntryDrop(value []byte, kind keys.Kind) {
 		db.vlog.MarkDead(a)
 	}
 }
+
+// ValueLogDiskForTest returns the simulated SSD an SSD-resident value
+// log (ValueLogOptions.OnSSD) lives on, so a test can fail its reads with
+// a fault plan; nil for any other store. Test use only.
+func (db *DB) ValueLogDiskForTest() *vfs.Disk { return db.vlogDisk }
 
 // ValueLogEnabled reports whether key-value separation is active.
 func (db *DB) ValueLogEnabled() bool { return db.vlog != nil }

@@ -45,7 +45,7 @@ func TestValueLogGCAfterReplayDuplicates(t *testing.T) {
 	re.commitMu.Lock()
 	v := re.current.Load()
 	for k := range golden {
-		ptr, seq, kind, ok := re.rawNewest(v, []byte(k))
+		ptr, seq, kind, ok := re.newest(v, []byte(k), keys.MaxSeq)
 		if !ok || kind != keys.KindValuePtr {
 			t.Fatalf("%s: newest entry is not a pointer (kind %v, found %v)", k, kind, ok)
 		}
@@ -135,7 +135,7 @@ func TestWaitIdleCoversValueLogGC(t *testing.T) {
 		if i%4 == 0 {
 			continue
 		}
-		old, _, kind, ok := db.rawNewest(v, key(i))
+		old, _, kind, ok := db.newest(v, key(i), keys.MaxSeq)
 		if !ok || kind != keys.KindValuePtr {
 			t.Fatalf("%s: settled entry is not a pointer (kind %v, found %v)", key(i), kind, ok)
 		}

@@ -51,7 +51,7 @@ func NewMerging(sources ...Iterator) *Merging {
 			h = append(h, s)
 		}
 	}
-	return &Merging{h: h}
+	return &Merging{h: h[:len(h):len(h)]}
 }
 
 type mergeHeap []Iterator
@@ -70,15 +70,22 @@ func (h *mergeHeap) Pop() interface{} {
 	return x
 }
 
+// rebuild repositions every source, exhausted ones included, and heaps
+// the valid ones. The heap only permutes its backing array and pops
+// exhausted sources off its end, so that array still holds every source;
+// rebuild swaps the valid ones to the front rather than overwriting the
+// others.
 func (m *Merging) rebuild(position func(Iterator)) {
-	live := m.h[:0]
-	for _, it := range m.h {
+	all := m.h[:cap(m.h)]
+	live := 0
+	for i, it := range all {
 		position(it)
 		if it.Valid() {
-			live = append(live, it)
+			all[live], all[i] = all[i], all[live]
+			live++
 		}
 	}
-	m.h = live
+	m.h = all[:live]
 	heap.Init(&m.h)
 }
 
@@ -246,3 +253,32 @@ func (f *Filtered) Seq() uint64 { return f.in.Seq() }
 func (f *Filtered) Kind() keys.Kind { return f.in.Kind() }
 
 var _ Iterator = (*Filtered)(nil)
+
+// Cursor is the user-facing iterator surface Scan drives: positioned
+// reads over live keys plus a sticky error.
+type Cursor interface {
+	Seek(key []byte)
+	Next()
+	Valid() bool
+	Key() []byte
+	Value() []byte
+	Err() error
+}
+
+// Scan is the scan loop of every store front end: it calls fn for up to
+// limit entries of it from the first key ≥ start, stopping early when fn
+// returns false; limit ≤ 0 means no limit. It returns the iterator's
+// error, whether the iterator failed to open or raised one mid-scan.
+func Scan(it Cursor, start []byte, limit int, fn func(key, value []byte) bool) error {
+	if err := it.Err(); err != nil {
+		return err
+	}
+	n := 0
+	for it.Seek(start); it.Valid() && (limit <= 0 || n < limit); it.Next() {
+		if !fn(it.Key(), it.Value()) {
+			break
+		}
+		n++
+	}
+	return it.Err()
+}

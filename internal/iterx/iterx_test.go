@@ -67,6 +67,80 @@ func TestMergingInterleavesInOrder(t *testing.T) {
 	}
 }
 
+// TestMergingReseekAfterExhaustion: a source the walk ran off the end of
+// must come back on the next Seek or SeekToFirst; the heap drops it on
+// exhaustion, so a rebuild over the heap alone would lose it for good.
+func TestMergingReseekAfterExhaustion(t *testing.T) {
+	a := newSliceIter(e("a", 1, "av"), e("b", 2, "bv"))
+	b := newSliceIter(e("c", 3, "cv"), e("d", 4, "dv"), e("e", 5, "ev"))
+	m := NewMerging(a, nil, b)
+	walk := func() []string {
+		var got []string
+		for ; m.Valid(); m.Next() {
+			got = append(got, string(m.Key()))
+		}
+		return got
+	}
+	m.SeekToFirst()
+	if got := walk(); fmt.Sprint(got) != "[a b c d e]" {
+		t.Fatalf("first walk %v", got)
+	}
+	m.Seek([]byte("b"))
+	if got := walk(); fmt.Sprint(got) != "[b c d e]" {
+		t.Fatalf("walk after Seek(b) on an exhausted merge: %v", got)
+	}
+	m.Seek([]byte("d")) // a is exhausted by the seek itself
+	m.SeekToFirst()
+	if got := walk(); fmt.Sprint(got) != "[a b c d e]" {
+		t.Fatalf("walk after Seek(d), SeekToFirst: %v", got)
+	}
+}
+
+func TestScanLimitStopAndError(t *testing.T) {
+	src := newSliceIter(e("a", 1, "1"), e("b", 2, "2"), e("c", 3, "3"), e("d", 4, "4"))
+	c := &errCursor{Visible: NewVisible(NewMerging(src))}
+	var got []string
+	collect := func(k, _ []byte) bool { got = append(got, string(k)); return true }
+	if err := Scan(c, []byte("b"), 2, collect); err != nil || fmt.Sprint(got) != "[b c]" {
+		t.Fatalf("Scan(b, 2) = %v, %v", got, err)
+	}
+	got = nil
+	if err := Scan(c, nil, 0, func(k, _ []byte) bool { got = append(got, string(k)); return len(got) < 3 }); err != nil || fmt.Sprint(got) != "[a b c]" {
+		t.Fatalf("Scan stopped after 3 = %v, %v", got, err)
+	}
+	// An error raised mid-scan is returned; one present before the seek
+	// stops the scan before fn runs.
+	boom := fmt.Errorf("boom")
+	got = nil
+	c.failAt = "c"
+	c.boom = boom
+	if err := Scan(c, nil, 0, collect); err != boom {
+		t.Fatalf("mid-scan error: %v", err)
+	}
+	got = nil
+	if err := Scan(c, nil, 0, collect); err != boom || len(got) != 0 {
+		t.Fatalf("Scan over a failed cursor = %v, %v", got, err)
+	}
+}
+
+// errCursor is a Cursor whose Value latches boom at key failAt.
+type errCursor struct {
+	*Visible
+	failAt string
+	boom   error
+	err    error
+}
+
+func (c *errCursor) Value() []byte {
+	if c.failAt != "" && string(c.Key()) == c.failAt {
+		c.err = c.boom
+		return nil
+	}
+	return c.Visible.Value()
+}
+
+func (c *errCursor) Err() error { return c.err }
+
 func TestMergingVersionsNewestFirst(t *testing.T) {
 	a := newSliceIter(e("k", 5, "v5"), e("k", 1, "v1"))
 	b := newSliceIter(e("k", 3, "v3"))

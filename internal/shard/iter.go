@@ -40,16 +40,19 @@ type Iterator struct {
 // k-way heap.
 func (r *Router) NewIterator() *Iterator {
 	subs := make([]*core.Iterator, len(r.shards))
-	srcs := make([]iterx.Iterator, len(r.shards))
-	var firstErr error
 	for i, db := range r.shards {
 		subs[i] = db.NewIterator()
-		if err := subs[i].Err(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		srcs[i] = coreIterSource{subs[i]}
 	}
-	return &Iterator{subs: subs, it: iterx.NewMerging(srcs...), err: firstErr}
+	return newIterator(subs)
+}
+
+// newIterator merges per-shard iterators, the live router's or a cut's.
+func newIterator(subs []*core.Iterator) *Iterator {
+	srcs := make([]iterx.Iterator, len(subs))
+	for i, sub := range subs {
+		srcs[i] = coreIterSource{sub}
+	}
+	return &Iterator{subs: subs, it: iterx.NewMerging(srcs...)}
 }
 
 // SeekToFirst positions at the globally first live key.
@@ -70,9 +73,16 @@ func (it *Iterator) Key() []byte { return it.it.Key() }
 // Value returns the current value (valid until Next/Close).
 func (it *Iterator) Value() []byte { return it.it.Value() }
 
-// Err returns the iterator's sticky error (ErrClosed when any shard was
-// already closed at creation).
-func (it *Iterator) Err() error { return it.err }
+// Err returns the iterator's sticky error: the first shard iterator's
+// error by shard index — ErrClosed when a shard was already closed at
+// creation, or an error a shard raised mid-walk, such as a value-log
+// pointer that failed to resolve.
+func (it *Iterator) Err() error {
+	for i := 0; it.err == nil && i < len(it.subs); i++ {
+		it.err = it.subs[i].Err()
+	}
+	return it.err
+}
 
 // Close releases every shard's version pin.
 func (it *Iterator) Close() {

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"miodb/internal/core"
+	"miodb/internal/iterx"
 	"miodb/internal/kvstore"
 	"miodb/internal/stats"
 )
@@ -135,18 +136,34 @@ func (r *Router) DeleteRange(start, end []byte) error {
 // (mutually consistent within the shard); like Scan, the combined result
 // is not a single cross-shard cut — use Snapshot for that.
 func (r *Router) GetMulti(getKeys [][]byte) ([][]byte, []error) {
-	values := make([][]byte, len(getKeys))
-	errs := make([]error, len(getKeys))
-	if len(getKeys) == 0 {
-		return values, errs
-	}
-	perKeys := make([][][]byte, len(r.shards))
-	perIdx := make([][]int, len(r.shards))
+	return getMulti(len(r.shards), getKeys, func(i int, group [][]byte) ([][]byte, []error) {
+		return r.shards[i].GetMulti(group)
+	})
+}
+
+// getMulti is the one multi-get fan-out, behind Router.GetMulti and
+// Snapshot.GetMulti: it groups keys by routing hash, answers each group
+// with get on its shard, and scatters the answers back to the keys'
+// positions. Like applySplit, a single touched shard runs inline (it
+// answers every key, in order); several run concurrently.
+func getMulti(n int, getKeys [][]byte, get func(shard int, group [][]byte) ([][]byte, []error)) ([][]byte, []error) {
+	perKeys := make([][][]byte, n)
+	perIdx := make([][]int, n)
+	touched, last := 0, -1
 	for i, key := range getKeys {
-		s := shardOf(key, len(r.shards))
+		s := shardOf(key, n)
+		if len(perKeys[s]) == 0 {
+			touched++
+			last = s
+		}
 		perKeys[s] = append(perKeys[s], key)
 		perIdx[s] = append(perIdx[s], i)
 	}
+	if touched == 1 {
+		return get(last, getKeys)
+	}
+	values := make([][]byte, len(getKeys))
+	errs := make([]error, len(getKeys))
 	var wg sync.WaitGroup
 	for s, group := range perKeys {
 		if len(group) == 0 {
@@ -155,7 +172,7 @@ func (r *Router) GetMulti(getKeys [][]byte) ([][]byte, []error) {
 		wg.Add(1)
 		go func(s int, group [][]byte) {
 			defer wg.Done()
-			vs, es := r.shards[s].GetMulti(group)
+			vs, es := get(s, group)
 			for j, i := range perIdx[s] {
 				values[i], errs[i] = vs[j], es[j]
 			}
@@ -166,45 +183,29 @@ func (r *Router) GetMulti(getKeys [][]byte) ([][]byte, []error) {
 }
 
 // Write splits the batch by routing hash and applies each shard's slice
-// as one commit on that shard. Atomicity is per shard: a shard's slice
-// is logged with one WAL append and is all-or-nothing across a crash,
-// but there is no cross-shard transaction — on error (or a crash mid
-// apply) some shards may carry their slice while others do not. Shards
-// are applied concurrently; the first error is returned after every
-// touched shard has been attempted.
+// as one commit on that shard, through WriteBatch. Atomicity is per
+// shard: a shard's slice is logged with one WAL append and is
+// all-or-nothing across a crash, but there is no cross-shard transaction
+// — on error (or a crash mid apply) some shards may carry their slice
+// while others do not. Shards are applied concurrently; the first error
+// is returned after every touched shard has been attempted.
 func (r *Router) Write(b *core.Batch) error {
 	if b == nil || b.Len() == 0 {
 		return nil
 	}
-	per := make([][]kvstore.BatchOp, len(r.shards))
-	emptyKey := false
+	ops := make([]kvstore.BatchOp, 0, b.Len())
 	b.Each(func(key, value []byte, del, rangeDel bool) {
-		if rangeDel {
-			// A range spans hash partitions: broadcast the tombstone to
-			// every shard, in batch order relative to the shard's own ops.
-			for i := range per {
-				per[i] = append(per[i], kvstore.BatchOp{Key: key, Value: value, RangeDelete: true})
-			}
-			return
-		}
-		if len(key) == 0 {
-			emptyKey = true
-			return
-		}
-		i := shardOf(key, len(r.shards))
-		per[i] = append(per[i], kvstore.BatchOp{Key: key, Value: value, Delete: del})
+		ops = append(ops, kvstore.BatchOp{Key: key, Value: value, Delete: del, RangeDelete: rangeDel})
 	})
-	if emptyKey {
-		// Reject before touching any shard, matching core.DB.Write's
-		// pre-validation: an invalid batch applies nowhere.
-		return fmt.Errorf("miodb: empty key in batch")
-	}
-	return r.applySplit(per)
+	return r.WriteBatch(ops)
 }
 
-// WriteBatch is the kvstore.BatchWriter adapter: the server's MPUT and
-// the harness feed batches through it. Same split and same per-shard
-// atomicity contract as Write.
+// WriteBatch is the router's one batch split, behind Write and the
+// kvstore.BatchWriter adapter the server's MPUT and the harness feed:
+// each op goes to its key's shard, and a range delete, which spans hash
+// partitions, is broadcast to every shard in batch order relative to
+// that shard's own ops. A batch with an empty key applies nowhere,
+// matching core.DB's refusal of the whole batch.
 func (r *Router) WriteBatch(ops []kvstore.BatchOp) error {
 	if len(ops) == 0 {
 		return nil
@@ -273,24 +274,12 @@ func (r *Router) applySplit(per [][]kvstore.BatchOp) error {
 // Scan calls fn for up to limit live keys ≥ start in global order across
 // all shards; fn returning false stops early. limit ≤ 0 scans to the
 // end. The slices passed to fn alias store memory and are only valid
-// during the callback.
+// during the callback. It returns the iterator's error, including one a
+// shard raised mid-scan.
 func (r *Router) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
 	it := r.NewIterator()
 	defer it.Close()
-	if it.Err() != nil {
-		return it.Err()
-	}
-	n := 0
-	for it.Seek(start); it.Valid(); it.Next() {
-		if limit > 0 && n >= limit {
-			break
-		}
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-		n++
-	}
-	return nil
+	return iterx.Scan(it, start, limit, fn)
 }
 
 // Flush forces every shard's DRAM buffer out and waits for all
@@ -350,27 +339,13 @@ func (r *Router) ValueLogEnabled() bool {
 // RunValueLogGC reclaims eligible value-log segments on every shard,
 // shard-concurrently, and returns the total number reclaimed.
 func (r *Router) RunValueLogGC() (int, error) {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		total int
-		first error
-	)
-	for _, db := range r.shards {
-		wg.Add(1)
-		go func(db *core.DB) {
-			defer wg.Done()
-			n, err := db.RunValueLogGC()
-			mu.Lock()
-			total += n
-			if err != nil && first == nil {
-				first = err
-			}
-			mu.Unlock()
-		}(db)
-	}
-	wg.Wait()
-	return total, first
+	var total atomic.Int64
+	err := r.each(func(db *core.DB) error {
+		n, err := db.RunValueLogGC()
+		total.Add(int64(n))
+		return err
+	})
+	return int(total.Load()), err
 }
 
 // Err reports the first latched shard error, if any. A non-nil result
@@ -396,15 +371,7 @@ func (r *Router) Err() error {
 
 // WaitIdle blocks until every shard's background work has drained.
 func (r *Router) WaitIdle() {
-	var wg sync.WaitGroup
-	for _, db := range r.shards {
-		wg.Add(1)
-		go func(db *core.DB) {
-			defer wg.Done()
-			db.WaitIdle()
-		}(db)
-	}
-	wg.Wait()
+	r.each(func(db *core.DB) error { db.WaitIdle(); return nil })
 }
 
 // Close shuts every shard down, shard-concurrently. Callers must stop

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"miodb/internal/core"
+	"miodb/internal/kvstore"
 	"miodb/internal/nvm"
 )
 
@@ -364,4 +365,56 @@ func TestIteratorAfterShardClose(t *testing.T) {
 	}
 	it.Close()
 	r.Shard(1).Close()
+}
+
+// TestScanSurfacesShardReadError: a value-log read that fails on one
+// shard in the middle of a sharded scan reaches the caller, as it does
+// through core.DB.Scan — from Router.Scan, from Snapshot.Scan, and from
+// the merged Iterator's Err.
+func TestScanSurfacesShardReadError(t *testing.T) {
+	opts := testOpts()
+	opts.ValueLog = &core.ValueLogOptions{Threshold: 32, OnSSD: true}
+	r, err := Open(4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const n = 64
+	for i := 0; i < n; i++ {
+		if err := r.Put([]byte(fmt.Sprintf("key%03d", i)), []byte(strings.Repeat("v", 64))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	seen := 0
+	if err := r.Scan(nil, 0, func(k, v []byte) bool { seen++; return true }); err != nil || seen != n {
+		t.Fatalf("healthy scan: %d keys, err %v", seen, err)
+	}
+
+	disk := r.Shard(2).ValueLogDiskForTest()
+	if disk == nil {
+		t.Fatal("shard 2 has no SSD-resident value log")
+	}
+	disk.SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(1))
+	defer disk.SetFaultPlan(nil)
+
+	all := func(k, v []byte) bool { return true }
+	if err := r.Scan(nil, 0, all); !errors.Is(err, kvstore.ErrValueLogCorrupt) {
+		t.Errorf("Router.Scan with a failing shard read returned %v; want ErrValueLogCorrupt", err)
+	}
+	if err := snap.Scan(nil, 0, all); !errors.Is(err, kvstore.ErrValueLogCorrupt) {
+		t.Errorf("Snapshot.Scan with a failing shard read returned %v; want ErrValueLogCorrupt", err)
+	}
+	it := r.NewIterator()
+	defer it.Close()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		_ = it.Value()
+	}
+	if err := it.Err(); !errors.Is(err, kvstore.ErrValueLogCorrupt) {
+		t.Errorf("Iterator.Err after a failing shard read = %v; want ErrValueLogCorrupt", err)
+	}
 }

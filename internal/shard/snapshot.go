@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sync"
-
 	"miodb/internal/core"
 	"miodb/internal/iterx"
 	"miodb/internal/kvstore"
@@ -57,34 +55,9 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 // keys[i]. All answers come from the same capture, so they are mutually
 // consistent across shards.
 func (s *Snapshot) GetMulti(getKeys [][]byte) ([][]byte, []error) {
-	values := make([][]byte, len(getKeys))
-	errs := make([]error, len(getKeys))
-	if len(getKeys) == 0 {
-		return values, errs
-	}
-	perKeys := make([][][]byte, len(s.snaps))
-	perIdx := make([][]int, len(s.snaps))
-	for i, key := range getKeys {
-		sh := shardOf(key, len(s.snaps))
-		perKeys[sh] = append(perKeys[sh], key)
-		perIdx[sh] = append(perIdx[sh], i)
-	}
-	var wg sync.WaitGroup
-	for sh, group := range perKeys {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh int, group [][]byte) {
-			defer wg.Done()
-			vs, es := s.snaps[sh].GetMulti(group)
-			for j, i := range perIdx[sh] {
-				values[i], errs[i] = vs[j], es[j]
-			}
-		}(sh, group)
-	}
-	wg.Wait()
-	return values, errs
+	return getMulti(len(s.snaps), getKeys, func(i int, group [][]byte) ([][]byte, []error) {
+		return s.snaps[i].GetMulti(group)
+	})
 }
 
 // NewIterator walks the cut's live keys across every shard in one
@@ -94,38 +67,20 @@ func (s *Snapshot) GetMulti(getKeys [][]byte) ([][]byte, []error) {
 // must itself be Closed before the stores shut down.
 func (s *Snapshot) NewIterator() *Iterator {
 	subs := make([]*core.Iterator, len(s.snaps))
-	srcs := make([]iterx.Iterator, len(s.snaps))
-	var firstErr error
 	for i, snap := range s.snaps {
 		subs[i] = snap.NewIterator()
-		if err := subs[i].Err(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		srcs[i] = coreIterSource{subs[i]}
 	}
-	return &Iterator{subs: subs, it: iterx.NewMerging(srcs...), err: firstErr}
+	return newIterator(subs)
 }
 
 // Scan calls fn for up to limit keys ≥ start as they existed at capture,
 // in global order across all shards; fn returning false stops early.
-// limit ≤ 0 scans to the end.
+// limit ≤ 0 scans to the end. It returns the iterator's error, including
+// one a shard raised mid-scan.
 func (s *Snapshot) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
 	it := s.NewIterator()
 	defer it.Close()
-	if it.Err() != nil {
-		return it.Err()
-	}
-	n := 0
-	for it.Seek(start); it.Valid(); it.Next() {
-		if limit > 0 && n >= limit {
-			break
-		}
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-		n++
-	}
-	return nil
+	return iterx.Scan(it, start, limit, fn)
 }
 
 // Close releases every shard's snapshot. Iterators already derived stay

@@ -291,16 +291,18 @@ type DeviceCounters struct {
 // BloomLevelCounters is one elastic-buffer level's read-path accounting:
 // how often the level's filters were consulted, how many list searches
 // they saved, and the measured (not theoretical) false-positive cost.
+// Every point probe counts: Gets, and the value-log collector's liveness
+// check of each entry it walks, which probes through the same code.
 type BloomLevelCounters struct {
 	Level int
-	// Probes counts tables whose filter was consulted for a Get.
+	// Probes counts tables whose filter was consulted for a point probe.
 	Probes int64
 	// Skips counts probes the filter answered "definitely absent" for.
 	Skips int64
 	// FalsePositives counts probes that passed the filter but found no
 	// key in the table — each one paid a wasted NVM list search.
 	FalsePositives int64
-	// Hits counts Gets satisfied at this level.
+	// Hits counts point probes satisfied at this level.
 	Hits int64
 	// FalsePositiveRate is FalsePositives over the probes that passed the
 	// filter (Probes − Skips); 0 when no probe passed.

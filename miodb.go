@@ -304,8 +304,7 @@ const (
 // a hash-partitioned router over N independent engines behind the same
 // methods.
 type DB struct {
-	single *core.DB      // the single-engine path (Shards ≤ 1)
-	router *shard.Router // the sharded path (Shards > 1)
+	eng engine // the one engine every method forwards to
 }
 
 // Open creates a store. opts may be nil for defaults. Invalid options
@@ -323,7 +322,7 @@ func Open(opts *Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DB{single: inner}, nil
+		return &DB{eng: coreEngine{inner}}, nil
 	}
 	var gov *GovernorOptions
 	if opts.Governor != nil {
@@ -340,32 +339,23 @@ func Open(opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{router: router}, nil
+	return &DB{eng: routerEngine{router}}, nil
 }
 
 // Put stores a key-value pair. The value is durable (in the simulated
 // NVM's write-ahead log) when Put returns.
 func (db *DB) Put(key, value []byte) error {
-	if db.router != nil {
-		return db.router.Put(key, value)
-	}
-	return db.single.Put(key, value)
+	return db.eng.Put(key, value)
 }
 
 // Get returns the newest value for key, or ErrNotFound.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	if db.router != nil {
-		return db.router.Get(key)
-	}
-	return db.single.Get(key)
+	return db.eng.Get(key)
 }
 
 // Delete removes key. Deleting an absent key is not an error.
 func (db *DB) Delete(key []byte) error {
-	if db.router != nil {
-		return db.router.Delete(key)
-	}
-	return db.single.Delete(key)
+	return db.eng.Delete(key)
 }
 
 // DeleteRange deletes every key k with start ≤ k < end in one O(1)
@@ -379,10 +369,7 @@ func (db *DB) Delete(key []byte) error {
 // batch, live readers may observe the broadcast mid-way, but a Snapshot
 // always sees it entirely applied or not at all.
 func (db *DB) DeleteRange(start, end []byte) error {
-	if db.router != nil {
-		return db.router.DeleteRange(start, end)
-	}
-	return db.single.DeleteRange(start, end)
+	return db.eng.DeleteRange(start, end)
 }
 
 // GetMulti reads several keys in one operation. Results are positional:
@@ -392,10 +379,7 @@ func (db *DB) DeleteRange(start, end []byte) error {
 // groups run shard-concurrently (per-shard consistency; use Snapshot for
 // a single cross-shard cut).
 func (db *DB) GetMulti(keys [][]byte) ([][]byte, []error) {
-	if db.router != nil {
-		return db.router.GetMulti(keys)
-	}
-	return db.single.GetMulti(keys)
+	return db.eng.GetMulti(keys)
 }
 
 // Batch collects writes for atomic application via Write.
@@ -407,10 +391,7 @@ type Batch = core.Batch
 // holds per shard — each shard's slice commits as one unit, but a crash
 // can surface some shards' slices without others'.
 func (db *DB) Write(b *Batch) error {
-	if db.router != nil {
-		return db.router.Write(b)
-	}
-	return db.single.Write(b)
+	return db.eng.Write(b)
 }
 
 // Scan calls fn for up to limit live keys ≥ start, in order; fn returning
@@ -419,10 +400,7 @@ func (db *DB) Write(b *Batch) error {
 // The key and value slices passed to fn alias store memory and are only
 // valid for the duration of the callback; copy them to retain.
 func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
-	if db.router != nil {
-		return db.router.Scan(start, limit, fn)
-	}
-	return db.single.Scan(start, limit, fn)
+	return db.eng.Scan(start, limit, fn)
 }
 
 // Iterator walks a store's live keys in order. Close releases its
@@ -450,10 +428,7 @@ type Iterator interface {
 // store, a k-way merge over every shard's snapshot. Callers must Close
 // it to release its snapshot(s).
 func (db *DB) NewIterator() Iterator {
-	if db.router != nil {
-		return db.router.NewIterator()
-	}
-	return db.single.NewIterator()
+	return db.eng.NewIterator()
 }
 
 // Snapshot is a long-lived consistent read-only view of the store: every
@@ -481,6 +456,53 @@ type Snapshot interface {
 	Close() error
 }
 
+// engine is what DB forwards to: coreEngine over one core.DB (Shards ≤
+// 1) or routerEngine over a shard.Router (Shards > 1). Both promote the
+// methods their engine already has and add the two reads whose result
+// types differ between the engines.
+type engine interface {
+	Put(key, value []byte) error
+	Get(key []byte) ([]byte, error)
+	Delete(key []byte) error
+	DeleteRange(start, end []byte) error
+	GetMulti(keys [][]byte) ([][]byte, []error)
+	Write(b *Batch) error
+	Scan(start []byte, limit int, fn func(key, value []byte) bool) error
+	NewIterator() Iterator
+	Snapshot() (Snapshot, error)
+	ValueLogEnabled() bool
+	RunValueLogGC() (int, error)
+	FlushAll() error
+	Checkpoint(path string) error
+	Stats() Stats
+	Err() error
+	Close() error
+}
+
+type coreEngine struct{ *core.DB }
+
+func (e coreEngine) NewIterator() Iterator { return e.DB.NewIterator() }
+
+func (e coreEngine) Snapshot() (Snapshot, error) {
+	s, err := e.DB.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return coreSnapshot{s}, nil
+}
+
+type routerEngine struct{ *shard.Router }
+
+func (e routerEngine) NewIterator() Iterator { return e.Router.NewIterator() }
+
+func (e routerEngine) Snapshot() (Snapshot, error) {
+	s, err := e.Router.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return shardSnapshot{s}, nil
+}
+
 // coreSnapshot adapts *core.Snapshot's concrete iterator to the public
 // interface; shardSnapshot does the same for the cross-shard cut.
 type coreSnapshot struct{ *core.Snapshot }
@@ -498,18 +520,7 @@ func (s shardSnapshot) NewIterator() Iterator { return s.Snapshot.NewIterator() 
 // visible or entirely invisible. Returns ErrSnapshotUnsupported on
 // SSD-mode stores.
 func (db *DB) Snapshot() (Snapshot, error) {
-	if db.router != nil {
-		s, err := db.router.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return shardSnapshot{s}, nil
-	}
-	s, err := db.single.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return coreSnapshot{s}, nil
+	return db.eng.Snapshot()
 }
 
 // SnapshotView adapts Snapshot to the kvstore.Snapshotter capability the
@@ -526,10 +537,7 @@ func (db *DB) SnapshotView() (kvstore.SnapshotView, error) {
 // ValueLogEnabled reports whether the store was opened with key-value
 // separation (Options.ValueLog).
 func (db *DB) ValueLogEnabled() bool {
-	if db.router != nil {
-		return db.router.ValueLogEnabled()
-	}
-	return db.single.ValueLogEnabled()
+	return db.eng.ValueLogEnabled()
 }
 
 // RunValueLogGC reclaims value-log segments until none qualifies: every
@@ -542,19 +550,13 @@ func (db *DB) ValueLogEnabled() bool {
 // pass now. A no-op returning 0 when separation is off. Safe to call
 // concurrently with reads, writes, and snapshots.
 func (db *DB) RunValueLogGC() (int, error) {
-	if db.router != nil {
-		return db.router.RunValueLogGC()
-	}
-	return db.single.RunValueLogGC()
+	return db.eng.RunValueLogGC()
 }
 
 // Flush forces the DRAM buffer(s) out and waits for all background
 // compaction to drain.
 func (db *DB) Flush() error {
-	if db.router != nil {
-		return db.router.FlushAll()
-	}
-	return db.single.FlushAll()
+	return db.eng.FlushAll()
 }
 
 // Checkpoint writes the store's persistent state to a file (atomically).
@@ -570,10 +572,7 @@ func (db *DB) Flush() error {
 // refuses rather than writing an incomplete image (DESIGN.md §7,
 // "Feature combinations").
 func (db *DB) Checkpoint(path string) error {
-	if db.router != nil {
-		return db.router.Checkpoint(path)
-	}
-	return db.single.Checkpoint(path)
+	return db.eng.Checkpoint(path)
 }
 
 // OpenImage restores a store from a checkpoint file written by
@@ -614,23 +613,20 @@ func OpenImage(path string, opts *Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DB{router: router}, nil
+		return &DB{eng: routerEngine{router}}, nil
 	}
 	inner, err := core.OpenImage(path, co)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{single: inner}, nil
+	return &DB{eng: coreEngine{inner}}, nil
 }
 
 // Stats returns the store's cost accounting. For a sharded store the
 // counters aggregate every shard (stalls are maxima — shards stall in
 // parallel) and Stats.Shards holds the per-shard breakdown.
 func (db *DB) Stats() Stats {
-	if db.router != nil {
-		return db.router.Stats()
-	}
-	return db.single.Stats()
+	return db.eng.Stats()
 }
 
 // Err reports the store's latched background error, if any. A non-nil
@@ -640,17 +636,11 @@ func (db *DB) Stats() Stats {
 // sharded store the first shard error latches and stays the reported
 // cause; only that shard refuses writes.
 func (db *DB) Err() error {
-	if db.router != nil {
-		return db.router.Err()
-	}
-	return db.single.Err()
+	return db.eng.Err()
 }
 
 // Close drains background work and shuts the store down. Callers must
 // stop issuing operations first.
 func (db *DB) Close() error {
-	if db.router != nil {
-		return db.router.Close()
-	}
-	return db.single.Close()
+	return db.eng.Close()
 }
