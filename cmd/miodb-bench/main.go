@@ -18,57 +18,36 @@ import (
 
 	"miodb/internal/bench"
 	"miodb/internal/core"
-	"miodb/internal/shard"
-	"miodb/internal/stats"
 )
 
 func main() {
 	var (
-		store      = flag.String("store", "miodb", "store: miodb | leveldb | novelsm | novelsm-nosst | novelsm-hier | matrixkv")
-		benchmarks = flag.String("benchmarks", "fillrandom,readrandom", "comma-separated: fillseq,fillrandom,readseq,readrandom,stats")
-		num        = flag.Int("num", 20000, "number of entries")
-		reads      = flag.Int("reads", 0, "number of reads (default: num)")
-		valueSize  = flag.Int("value_size", 4096, "value size in bytes")
-		memtable   = flag.Int64("write_buffer_size", 64<<10, "memtable size in bytes")
-		levels     = flag.Int("levels", 8, "miodb elastic-buffer levels")
-		shards     = flag.Int("shards", 1, "miodb shard count (hash-partitioned engines; 1 = single engine)")
-		ssd        = flag.Bool("ssd", false, "use the DRAM-NVM-SSD hierarchy")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		threads    = flag.Int("threads", 1, "concurrent goroutines for fill and readrandom benchmarks")
-		batch      = flag.Int("batch", 1, "client-side batch size for concurrent fills (uses MPUT-style batches when > 1)")
-		zipfian    = flag.Bool("zipfian", false, "use zipfian keys for concurrent fills (default uniform)")
-		memBudget  = flag.Int64("memory_budget", 0, "global memtable budget in bytes split across shards (0 = per-shard write_buffer_size)")
-		governor   = flag.Bool("governor", false, "adaptively rebalance the memtable budget across shards by write heat (requires -shards > 1)")
-		valueLog   = flag.Bool("value_log", false, "miodb key-value separation: append large values to a value log, store 16-byte pointers in the LSM")
-		valueThres = flag.Int("value_threshold", 0, "minimum value size in bytes routed to the value log (0 = default 1024; implies -value_log)")
-		valueOnSSD = flag.Bool("value_log_ssd", false, "place value-log segments on the simulated SSD tier (implies -value_log)")
-		jsonOut    = flag.String("json", "", "write a machine-readable record of every run to this path")
-		reps       = flag.Int("reps", 1, "repetitions per benchmark (reported best; all reps recorded in -json output)")
+		benchmarks  = flag.String("benchmarks", "fillrandom,readrandom", "comma-separated: fillseq,fillrandom,readseq,readrandom,stats")
+		num         = flag.Int("num", 20000, "number of entries")
+		reads       = flag.Int("reads", 0, "number of reads (default: num)")
+		valueSize   = flag.Int("value_size", 4096, "value size in bytes")
+		memtable    = flag.Int64("write_buffer_size", 64<<10, "memtable size in bytes")
+		levels      = flag.Int("levels", 8, "miodb elastic-buffer levels")
+		seed        = flag.Int64("seed", 1, "workload seed")
+		threads     = flag.Int("threads", 1, "concurrent goroutines for fill and readrandom benchmarks")
+		batch       = flag.Int("batch", 1, "client-side batch size for concurrent fills (uses MPUT-style batches when > 1)")
+		zipfian     = flag.Bool("zipfian", false, "use zipfian keys for concurrent fills (default uniform)")
+		jsonOut     = flag.String("json", "", "write a machine-readable record of every run to this path")
+		reps        = flag.Int("reps", 1, "repetitions per benchmark (reported best; all reps recorded in -json output)")
+		storeConfig = bench.StoreFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	if *reads <= 0 {
 		*reads = *num
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "-shards %d: must be >= 1 (1 = single engine)\n", *shards)
+	cfg, err := storeConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	cfg := bench.Config{
-		Kind:         bench.StoreKind(*store),
-		MemTableSize: *memtable,
-		Levels:       *levels,
-		Shards:       *shards,
-		SSD:          *ssd,
-		Simulate:     true,
-	}
-	cfg.MemoryBudget = *memBudget
-	if *governor {
-		cfg.Governor = &shard.GovernorOptions{}
-	}
-	if *valueLog || *valueThres > 0 || *valueOnSSD {
-		cfg.ValueLog = &core.ValueLogOptions{Threshold: *valueThres, OnSSD: *valueOnSSD}
-	}
+	cfg.MemTableSize = *memtable
+	cfg.Levels = *levels
+	cfg.Simulate = true
 	s, err := bench.OpenStore(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
@@ -77,7 +56,7 @@ func main() {
 	defer s.Close()
 
 	fmt.Printf("store=%s entries=%d value_size=%d memtable=%d ssd=%v shards=%d\n",
-		*store, *num, *valueSize, *memtable, *ssd, *shards)
+		cfg.Kind, *num, *valueSize, *memtable, cfg.SSD, cfg.Shards)
 
 	report := func(name string, r bench.RunResult) {
 		fmt.Printf("%-12s : %8.1f KIOPS  (%d ops in %v; avg %.1fµs p99 %.1fµs p99.9 %.1fµs)\n",
@@ -91,8 +70,8 @@ func main() {
 	var jr *bench.JSONReport
 	if *jsonOut != "" {
 		jr = bench.NewJSONReport("miodb-bench", map[string]interface{}{
-			"store": *store, "num": *num, "reads": *reads, "value_size": *valueSize,
-			"memtable": *memtable, "levels": *levels, "shards": *shards, "ssd": *ssd,
+			"store": cfg.Kind, "num": *num, "reads": *reads, "value_size": *valueSize,
+			"memtable": *memtable, "levels": *levels, "shards": cfg.Shards, "ssd": cfg.SSD,
 			"threads": *threads, "batch": *batch, "zipfian": *zipfian,
 			"seed": *seed, "reps": *reps,
 		})
@@ -163,52 +142,9 @@ func main() {
 				fmt.Printf("  (%d of %d reads missed — fillrandom leaves key gaps)\n", misses, *reads)
 			}
 		case "stats":
-			st := s.Stats()
-			fmt.Printf("stats        : WA=%.2f interval-stall=%v×%d cumulative-stall=%v flush=%v×%d serialize=%v deserialize=%v\n",
-				st.WriteAmplification, st.IntervalStall.Round(1e6), st.IntervalStalls, st.CumulativeStall.Round(1e6),
-				st.FlushTime.Round(1e6), st.Flushes, st.SerializeTime.Round(1e6), st.DeserializeTime.Round(1e6))
-			// Per-op latency distributions measured inside the store (not
-			// the harness), merged across shards.
-			for op := stats.Op(0); op < stats.NumOps; op++ {
-				snap := st.OpLatencies[op]
-				if snap.Count == 0 {
-					continue
-				}
-				fmt.Printf("  lat %-7s: count=%d p50=%.1fµs p99=%.1fµs p99.9=%.1fµs max=%.1fµs\n",
-					op, snap.Count,
-					snap.P50.Seconds()*1e6, snap.P99.Seconds()*1e6,
-					snap.P999.Seconds()*1e6, snap.Max.Seconds()*1e6)
-			}
-			if st.PendingImms > 0 || st.L0Tables > 0 {
-				fmt.Printf("  backlog: pending-imms=%d (%dKB) l0-tables=%d (%dKB)\n",
-					st.PendingImms, st.PendingImmBytes>>10, st.L0Tables, st.L0Bytes>>10)
-			}
-			if st.WriteGroups > 0 {
-				fmt.Printf("  commits: %d commits / %d writes (mean batch size %.2f)\n",
-					st.WriteGroups, st.GroupedWrites, st.MeanGroupSize)
-			}
-			for i, sh := range st.Shards {
-				fmt.Printf("  shard %d: puts=%d gets=%d deletes=%d WA=%.2f flushes=%d rotations=%d memtarget=%dKB\n",
-					i, sh.Puts, sh.Gets, sh.Deletes, sh.WriteAmplification, sh.Flushes, sh.Rotations, sh.MemTableTargetBytes>>10)
-			}
-			if st.BloomProbes > 0 {
-				fmt.Printf("  bloom: probes=%d skips=%d false-positives=%d measured-fp-rate=%.4f\n",
-					st.BloomProbes, st.BloomSkips, st.BloomFalsePositives, st.BloomFalsePositiveRate)
-				for _, bl := range st.BloomLevels {
-					if bl.Probes == 0 {
-						continue
-					}
-					fmt.Printf("    level %d: probes=%d skips=%d fps=%d hits=%d fp-rate=%.4f\n",
-						bl.Level, bl.Probes, bl.Skips, bl.FalsePositives, bl.Hits, bl.FalsePositiveRate)
-				}
-			}
-			if st.LiveVersions > 0 {
-				fmt.Printf("  versions: live=%d pending-releases=%d epoch=%d swept=%d\n",
-					st.LiveVersions, st.PendingReleases, st.ReadEpoch, st.VersionsSwept)
-			}
-			for _, d := range st.Devices {
-				fmt.Printf("  device %-10s written=%dKB read=%dKB\n", d.Name, d.BytesWritten>>10, d.BytesRead>>10)
-			}
+			// The store's one stats text (the server's stats op returns the
+			// same), then the per-level merge work, which it does not hold.
+			fmt.Println("stats        :", s.Stats())
 			if ms, ok := s.(interface{ CompactionStats() []core.CompactionStats }); ok {
 				for _, ls := range ms.CompactionStats() {
 					if ls.Merges == 0 {

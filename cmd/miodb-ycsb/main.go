@@ -16,48 +16,26 @@ import (
 	"time"
 
 	"miodb/internal/bench"
-	"miodb/internal/core"
 	"miodb/internal/histogram"
-	"miodb/internal/shard"
-	"miodb/internal/stats"
 )
 
 func main() {
 	var (
-		store     = flag.String("store", "miodb", "store: miodb | leveldb | novelsm | novelsm-nosst | novelsm-hier | matrixkv")
-		records   = flag.Uint64("records", 20000, "records to load")
-		ops       = flag.Int("ops", 12000, "operations per workload")
-		valueSize = flag.Int("value_size", 4096, "value size in bytes")
-		workloads = flag.String("workloads", "A,B,C,D,E,F", "comma-separated workload letters (A-F, plus M: 95% 8-key multi-gets / 5% updates)")
-		shards    = flag.Int("shards", 1, "miodb shard count (hash-partitioned engines; 1 = single engine)")
-		ssd       = flag.Bool("ssd", false, "use the DRAM-NVM-SSD hierarchy")
-		timeline  = flag.Bool("timeline", false, "print a latency-over-time sparkline per workload (Fig 8)")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		memBudget = flag.Int64("memory_budget", 0, "global memtable budget in bytes split across shards (0 = per-shard default)")
-		governor  = flag.Bool("governor", false, "adaptively rebalance the memtable budget across shards by write heat (requires -shards > 1)")
-		valueLog  = flag.Bool("value_log", false, "miodb key-value separation: append large values to a value log, store 16-byte pointers in the LSM")
-		valueThr  = flag.Int("value_threshold", 0, "minimum value size in bytes routed to the value log (0 = default 1024; implies -value_log)")
-		valueSSD  = flag.Bool("value_log_ssd", false, "place value-log segments on the simulated SSD tier (implies -value_log)")
+		records     = flag.Uint64("records", 20000, "records to load")
+		ops         = flag.Int("ops", 12000, "operations per workload")
+		valueSize   = flag.Int("value_size", 4096, "value size in bytes")
+		workloads   = flag.String("workloads", "A,B,C,D,E,F", "comma-separated workload letters (A-F, plus M: 95% 8-key multi-gets / 5% updates)")
+		timeline    = flag.Bool("timeline", false, "print a latency-over-time sparkline per workload (Fig 8)")
+		seed        = flag.Int64("seed", 1, "workload seed")
+		storeConfig = bench.StoreFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "-shards %d: must be >= 1 (1 = single engine)\n", *shards)
+	cfg, err := storeConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	cfg := bench.Config{
-		Kind:         bench.StoreKind(*store),
-		Shards:       *shards,
-		SSD:          *ssd,
-		Simulate:     true,
-		MemoryBudget: *memBudget,
-	}
-	if *governor {
-		cfg.Governor = &shard.GovernorOptions{}
-	}
-	if *valueLog || *valueThr > 0 || *valueSSD {
-		cfg.ValueLog = &core.ValueLogOptions{Threshold: *valueThr, OnSSD: *valueSSD}
-	}
+	cfg.Simulate = true
 	s, err := bench.OpenStore(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)
@@ -66,7 +44,7 @@ func main() {
 	defer s.Close()
 
 	fmt.Printf("store=%s records=%d ops=%d value_size=%d shards=%d ssd=%v\n",
-		*store, *records, *ops, *valueSize, *shards, *ssd)
+		cfg.Kind, *records, *ops, *valueSize, cfg.Shards, cfg.SSD)
 
 	loadRes, err := bench.YCSBLoad(s, *records, *valueSize)
 	if err != nil {
@@ -96,26 +74,9 @@ func main() {
 		}
 	}
 
-	st := s.Stats()
-	fmt.Printf("WA=%.2f interval-stall=%v×%d cumulative-stall=%v\n",
-		st.WriteAmplification, st.IntervalStall.Round(1e6), st.IntervalStalls, st.CumulativeStall.Round(1e6))
-	// Per-shard op counts on a sharded store: how evenly the routing hash
-	// spread the workload, plus each shard's flush count and memtable
-	// target (the governor's current division of the budget).
-	for i, sh := range st.Shards {
-		fmt.Printf("shard %d: ops=%d (puts=%d gets=%d deletes=%d scans=%d) flushes=%d memtarget=%dKB\n",
-			i, sh.Puts+sh.Gets+sh.Deletes+sh.Scans,
-			sh.Puts, sh.Gets, sh.Deletes, sh.Scans, sh.Flushes, sh.MemTableTargetBytes>>10)
-	}
-	// The store's own per-op distributions (the harness percentiles above
-	// measure whole YCSB ops, which may bundle a read and a write).
-	for op := stats.Op(0); op < stats.NumOps; op++ {
-		snap := st.OpLatencies[op]
-		if snap.Count == 0 {
-			continue
-		}
-		fmt.Printf("lat %-7s: count=%d p50=%.1fµs p99=%.1fµs p99.9=%.1fµs\n",
-			op, snap.Count,
-			snap.P50.Seconds()*1e6, snap.P99.Seconds()*1e6, snap.P999.Seconds()*1e6)
-	}
+	// The store's one stats text: its cost accounting, its own per-op
+	// distributions (the harness percentiles above measure whole YCSB ops,
+	// which may bundle a read and a write) and, on a sharded store, how
+	// evenly the routing hash spread the workload.
+	fmt.Println("stats:", s.Stats())
 }

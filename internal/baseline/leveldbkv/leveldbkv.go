@@ -169,11 +169,11 @@ func (db *DB) write(key, value []byte, kind keys.Kind) error {
 	if err := mem.mt.Add(key, value, seq, kind); err != nil {
 		return err
 	}
-	db.st.AddUserBytes(int64(len(key) + len(value)))
+	db.st.Add(stats.UserBytes, int64(len(key)+len(value)))
 	if kind == keys.KindDelete {
-		db.st.CountDelete()
+		db.st.Add(stats.Deletes, 1)
 	} else {
-		db.st.CountPut()
+		db.st.Add(stats.Puts, 1)
 	}
 	return nil
 }
@@ -195,7 +195,7 @@ func (db *DB) makeRoomForWrite() error {
 		case sleep > 0 && !slowedDown:
 			db.mu.Unlock()
 			time.Sleep(sleep)
-			db.st.AddCumulativeStall(sleep)
+			db.st.Add(stats.CumulativeStallNs, int64(sleep))
 			slowedDown = true
 			continue
 		case !db.mem.mt.Full():
@@ -265,7 +265,7 @@ func (db *DB) flushLoop() {
 
 // Get returns the newest live value for key.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	db.st.CountGet()
+	db.st.Add(stats.Gets, 1)
 	db.mu.Lock()
 	mem, imm := db.mem, db.imm
 	db.mu.Unlock()
@@ -293,7 +293,7 @@ func finishGet(v []byte, kind keys.Kind) ([]byte, error) {
 
 // Scan walks live keys ≥ start in order.
 func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
-	db.st.CountScan()
+	db.st.Add(stats.Scans, 1)
 	db.mu.Lock()
 	sources := []iterx.Iterator{db.mem.mt.NewIterator()}
 	if db.imm != nil {
@@ -353,15 +353,11 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// Stats returns cost accounting with device traffic attached.
+// Stats returns cost accounting with device traffic and its rates.
 func (db *DB) Stats() stats.Snapshot {
 	s := db.st.Snapshot()
-	nc := db.nvm.Counters()
-	dc := db.disk.Counters()
-	s.AttachDevices(
-		stats.DeviceCounters{Name: nc.Name, BytesRead: nc.BytesRead, BytesWritten: nc.BytesWritten},
-		stats.DeviceCounters{Name: dc.Name, BytesRead: dc.BytesRead, BytesWritten: dc.BytesWritten},
-	)
+	s.Devices = []stats.DeviceCounters{db.nvm.Counters().Stats(), db.disk.Counters().Stats()}
+	s.Derive()
 	return s
 }
 

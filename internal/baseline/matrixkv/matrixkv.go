@@ -181,11 +181,11 @@ func (db *DB) write(key, value []byte, kind keys.Kind) error {
 	if err := mem.mt.Add(key, value, seq, kind); err != nil {
 		return err
 	}
-	db.st.AddUserBytes(int64(len(key) + len(value)))
+	db.st.Add(stats.UserBytes, int64(len(key)+len(value)))
 	if kind == keys.KindDelete {
-		db.st.CountDelete()
+		db.st.Add(stats.Deletes, 1)
 	} else {
-		db.st.CountPut()
+		db.st.Add(stats.Puts, 1)
 	}
 	return nil
 }
@@ -223,7 +223,7 @@ func (db *DB) makeRoomForWrite() error {
 			db.mu.Unlock()
 			delay := over * time.Millisecond
 			time.Sleep(delay)
-			db.st.AddCumulativeStall(delay)
+			db.st.Add(stats.CumulativeStallNs, int64(delay))
 			slowedDown = true
 			continue
 		case !db.mem.mt.Full():
@@ -547,7 +547,7 @@ func (f *filteredIter) Kind() keys.Kind { return f.in.Kind() }
 // Get returns the newest live value: memtables, then the matrix container
 // rows newest-first (paying row deserialization), then L1+.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	db.st.CountGet()
+	db.st.Add(stats.Gets, 1)
 	db.mu.Lock()
 	mem := db.mem
 	imms := append([]*handle(nil), db.imms...)
@@ -589,7 +589,7 @@ func finishGet(v []byte, kind keys.Kind) ([]byte, error) {
 // Scan walks live keys ≥ start in order. Rows are included in full; the
 // visibility wrapper collapses duplicates with L1+ copies (same versions).
 func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
-	db.st.CountScan()
+	db.st.Add(stats.Scans, 1)
 	db.mu.Lock()
 	sources := []iterx.Iterator{db.mem.mt.NewIterator()}
 	for _, h := range db.imms {
@@ -650,15 +650,11 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// Stats returns cost accounting with device traffic attached.
+// Stats returns cost accounting with device traffic and its rates.
 func (db *DB) Stats() stats.Snapshot {
 	s := db.st.Snapshot()
-	nc := db.nvm.Counters()
-	dc := db.disk.Counters()
-	s.AttachDevices(
-		stats.DeviceCounters{Name: nc.Name, BytesRead: nc.BytesRead, BytesWritten: nc.BytesWritten},
-		stats.DeviceCounters{Name: dc.Name, BytesRead: dc.BytesRead, BytesWritten: dc.BytesWritten},
-	)
+	s.Devices = []stats.DeviceCounters{db.nvm.Counters().Stats(), db.disk.Counters().Stats()}
+	s.Derive()
 	return s
 }
 

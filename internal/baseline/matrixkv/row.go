@@ -130,7 +130,7 @@ func buildRow(dev *nvm.Device, id uint64, mt *memtable.MemTable, chunkSize int, 
 	r.indexKeys = append(r.indexKeys, nil) // terminator
 	r.indexOffs = append(r.indexOffs, off)
 	if st != nil {
-		st.AddSerialize(time.Since(start))
+		st.Add(stats.SerializeNs, int64(time.Since(start)))
 	}
 	return r
 }
@@ -219,7 +219,7 @@ func (it *rowIter) decode() {
 	it.value = body[klen:]
 	it.seq, it.kind = seq, kind
 	if it.st != nil {
-		it.st.AddDeserialize(time.Since(start))
+		it.st.Add(stats.DeserializeNs, int64(time.Since(start)))
 	}
 }
 

@@ -223,7 +223,12 @@ func (db *DB) write(key, value []byte, kind keys.Kind) error {
 			if err := active.mt.Add(key, value, seq, kind); err != nil {
 				return err
 			}
-			db.st.AddUserBytesAndCount(int64(len(key)+len(value)), kind == keys.KindDelete)
+			db.st.Add(stats.UserBytes, int64(len(key)+len(value)))
+			if kind == keys.KindDelete {
+				db.st.Add(stats.Deletes, 1)
+			} else {
+				db.st.Add(stats.Puts, 1)
+			}
 			return nil
 		}
 		// Rotate the full active buffer.
@@ -319,12 +324,12 @@ func (db *DB) flushLoop() {
 				sleep, block := db.lsm.WriteDelay()
 				if block {
 					d := db.lsm.WaitL0BelowStop()
-					db.st.AddCumulativeStall(d)
+					db.st.Add(stats.CumulativeStallNs, int64(d))
 					continue
 				}
 				if sleep > 0 {
 					time.Sleep(sleep)
-					db.st.AddCumulativeStall(sleep)
+					db.st.Add(stats.CumulativeStallNs, int64(sleep))
 				}
 				break
 			}
@@ -365,12 +370,12 @@ func (db *DB) spillHierarchical() {
 		sleep, block := db.lsm.WriteDelay()
 		if block {
 			d := db.lsm.WaitL0BelowStop()
-			db.st.AddCumulativeStall(d)
+			db.st.Add(stats.CumulativeStallNs, int64(d))
 			continue
 		}
 		if sleep > 0 {
 			time.Sleep(sleep)
-			db.st.AddCumulativeStall(sleep)
+			db.st.Add(stats.CumulativeStallNs, int64(sleep))
 		}
 		break
 	}
@@ -394,7 +399,7 @@ func (db *DB) spillHierarchical() {
 // Get returns the newest live value for key: active buffer, immutable
 // queue newest-first, the NVM staging list, then the SSTable tree.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	db.st.CountGet()
+	db.st.Add(stats.Gets, 1)
 	db.mu.Lock()
 	active := db.active
 	queue := append([]*buffer(nil), db.queue...)
@@ -431,7 +436,7 @@ func finishGet(v []byte, kind keys.Kind) ([]byte, error) {
 
 // Scan walks live keys ≥ start in order.
 func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
-	db.st.CountScan()
+	db.st.Add(stats.Scans, 1)
 	db.mu.Lock()
 	sources := []iterx.Iterator{db.active.mt.NewIterator()}
 	for _, b := range db.queue {
@@ -473,18 +478,14 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// Stats returns cost accounting with device traffic attached.
+// Stats returns cost accounting with device traffic and its rates.
 func (db *DB) Stats() stats.Snapshot {
 	s := db.st.Snapshot()
-	nc := db.nvm.Counters()
-	devs := []stats.DeviceCounters{
-		{Name: nc.Name, BytesRead: nc.BytesRead, BytesWritten: nc.BytesWritten},
-	}
+	s.Devices = []stats.DeviceCounters{db.nvm.Counters().Stats()}
 	if db.disk != nil {
-		dc := db.disk.Counters()
-		devs = append(devs, stats.DeviceCounters{Name: dc.Name, BytesRead: dc.BytesRead, BytesWritten: dc.BytesWritten})
+		s.Devices = append(s.Devices, db.disk.Counters().Stats())
 	}
-	s.AttachDevices(devs...)
+	s.Derive()
 	return s
 }
 

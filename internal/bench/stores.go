@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 
 	"miodb/internal/baseline/leveldbkv"
@@ -78,6 +79,37 @@ type Config struct {
 	DisableOnePieceFlush      bool
 	DisableBloom              bool
 	DisableWAL                bool
+}
+
+// StoreFlags registers on fs the store flags that miodb-bench, miodb-ycsb
+// and miodb-server share: -store, -shards, -ssd, -memory_budget,
+// -governor and the three value-log flags. The returned function, called
+// after fs is parsed, builds their Config; it refuses -shards below 1.
+// The memtable size and the latency models stay with each tool.
+func StoreFlags(fs *flag.FlagSet) func() (Config, error) {
+	var (
+		store    = fs.String("store", "miodb", "store: miodb | leveldb | novelsm | novelsm-nosst | novelsm-hier | matrixkv")
+		shards   = fs.Int("shards", 1, "miodb shard count (hash-partitioned engines; 1 = single engine)")
+		ssd      = fs.Bool("ssd", false, "use the DRAM-NVM-SSD hierarchy")
+		budget   = fs.Int64("memory_budget", 0, "global memtable budget in bytes split across shards (0 = the per-shard memtable size)")
+		governor = fs.Bool("governor", false, "adaptively rebalance the memtable budget across shards by write heat (requires -shards > 1)")
+		valueLog = fs.Bool("value_log", false, "miodb key-value separation: append large values to a value log, store 16-byte pointers in the LSM")
+		valueThr = fs.Int("value_threshold", 0, "minimum value size in bytes routed to the value log (0 = default 1024; implies -value_log)")
+		valueSSD = fs.Bool("value_log_ssd", false, "place value-log segments on the simulated SSD tier (implies -value_log)")
+	)
+	return func() (Config, error) {
+		if *shards < 1 {
+			return Config{}, fmt.Errorf("-shards %d: must be >= 1 (1 = single engine)", *shards)
+		}
+		cfg := Config{Kind: StoreKind(*store), Shards: *shards, SSD: *ssd, MemoryBudget: *budget}
+		if *governor {
+			cfg.Governor = &shard.GovernorOptions{}
+		}
+		if *valueLog || *valueThr > 0 || *valueSSD {
+			cfg.ValueLog = &core.ValueLogOptions{Threshold: *valueThr, OnSSD: *valueSSD}
+		}
+		return cfg, nil
+	}
 }
 
 func (c Config) withDefaults() Config {

@@ -485,9 +485,9 @@ func (db *DB) commitLocked(ops []batchOp, sys bool) (uint64, error) {
 		// sepBytes restores the user-byte count of separated values (the
 		// ops only carry their 16-byte pointers) so write amplification
 		// keeps dividing by what the client actually wrote.
-		db.st.AddUserBytes(userBytes + sepBytes)
-		db.st.CountPuts(puts)
-		db.st.CountDeletes(deletes)
+		db.st.Add(stats.UserBytes, userBytes+sepBytes)
+		db.st.Add(stats.Puts, puts)
+		db.st.Add(stats.Deletes, deletes)
 		db.st.AddWriteGroup(nops)
 	}
 	return lastSeq, nil
@@ -580,7 +580,7 @@ func (db *DB) makeRoomForWrite() error {
 	})
 	err = db.logRotateLocked(fresh)
 	db.mu.Unlock()
-	db.st.CountRotation()
+	db.st.Add(stats.Rotations, 1)
 	// A failed rotate record has already latched the store degraded (the
 	// fresh WAL region is unknown to the recoverable manifest, so writes
 	// into it could never be replayed); surface the refusal to the writer.
@@ -615,7 +615,7 @@ func (db *DB) get(key []byte) ([]byte, error) {
 	if db.closedFlag.Load() {
 		return nil, ErrClosed
 	}
-	db.st.CountGet()
+	db.st.Add(stats.Gets, 1)
 	pin := db.acquireVersion()
 	defer db.releaseVersion(pin)
 	if db.closedFlag.Load() {
@@ -731,7 +731,7 @@ func (db *DB) getAll(v *version, getKeys [][]byte, bound uint64) ([][]byte, []er
 	values := make([][]byte, len(getKeys))
 	errs := make([]error, len(getKeys))
 	for i, key := range getKeys {
-		db.st.CountGet()
+		db.st.Add(stats.Gets, 1)
 		values[i], errs[i] = db.getFrom(v, key, bound)
 	}
 	db.st.RecordOpN(stats.OpGet, time.Since(start), int64(len(getKeys)))
@@ -802,7 +802,7 @@ type Iterator struct {
 // collapses duplicates, and each step re-seeks both lists under the
 // merge's seqlock so no key is skipped.
 func (db *DB) NewIterator() *Iterator {
-	db.st.CountScan()
+	db.st.Add(stats.Scans, 1)
 	if db.closedFlag.Load() {
 		return &Iterator{db: db, it: iterx.NewMerging(), err: ErrClosed}
 	}
@@ -976,7 +976,7 @@ func (db *DB) FlushAll() error {
 	err = db.logRotateLocked(fresh)
 	db.mu.Unlock()
 	db.commitMu.Unlock()
-	db.st.CountRotation()
+	db.st.Add(stats.Rotations, 1)
 	if err != nil {
 		return err
 	}
@@ -1018,45 +1018,42 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// Stats returns the store's cost accounting with device traffic attached.
+// Stats returns the store's cost accounting: the recorder's counters, the
+// devices' traffic (the volatile "dram" first), the read path, the
+// backlog and memtable gauges of one version and the value log, with the
+// rates derived from them.
 func (db *DB) Stats() stats.Snapshot {
 	s := db.st.Snapshot()
-	devs := []stats.DeviceCounters{
-		{Name: "dram", BytesRead: db.dram.Counters().BytesRead, BytesWritten: db.dram.Counters().BytesWritten},
-	}
-	nc := db.nvm.Counters()
-	persistent := []stats.DeviceCounters{
-		{Name: nc.Name, BytesRead: nc.BytesRead, BytesWritten: nc.BytesWritten},
-	}
+	s.Devices = []stats.DeviceCounters{db.dram.Counters().Stats(), db.nvm.Counters().Stats()}
 	if db.ssd != nil {
-		dc := db.ssd.Options().Disk.Counters()
-		persistent = append(persistent, stats.DeviceCounters{Name: dc.Name, BytesRead: dc.BytesRead, BytesWritten: dc.BytesWritten})
+		s.Devices = append(s.Devices, db.ssd.Options().Disk.Counters().Stats())
 	}
 	if db.vlogDisk != nil {
-		dc := db.vlogDisk.Counters()
-		persistent = append(persistent, stats.DeviceCounters{Name: "vlog-" + dc.Name, BytesRead: dc.BytesRead, BytesWritten: dc.BytesWritten})
+		d := db.vlogDisk.Counters().Stats()
+		d.Name = "vlog-" + d.Name
+		s.Devices = append(s.Devices, d)
 	}
-	s.AttachDevices(persistent...)
-	s.Devices = append(devs, s.Devices...)
-	levels := make([]stats.BloomLevelCounters, len(db.readLevels))
+	s.BloomLevels = make([]stats.BloomLevelCounters, len(db.readLevels))
 	for i := range db.readLevels {
-		rl := &db.readLevels[i]
-		levels[i] = stats.BloomLevelCounters{
+		rl, l := &db.readLevels[i], &s.BloomLevels[i]
+		*l = stats.BloomLevelCounters{
 			Level:          i,
 			Probes:         rl.probes.Load(),
 			Skips:          rl.skips.Load(),
 			FalsePositives: rl.falsePositives.Load(),
 			Hits:           rl.hits.Load(),
 		}
+		s.BloomProbes += l.Probes
+		s.BloomSkips += l.Skips
+		s.BloomFalsePositives += l.FalsePositives
 	}
-	live, pending, epoch := db.versionChainGauge()
-	s.AttachReadPath(levels, live, pending, epoch)
-	imms, immBytes, l0Tables, l0Bytes := backlogOf(db.current.Load())
-	s.AttachBacklog(int64(imms), immBytes, int64(l0Tables), l0Bytes)
-	s.AttachMemory(db.memTarget.Load(), db.current.Load().mem.mt.ApproximateBytes())
+	s.LiveVersions, s.PendingReleases, s.ReadEpoch = db.versionChainGauge()
+	v := db.current.Load()
+	s.PendingImms, s.PendingImmBytes, s.L0Tables, s.L0Bytes = backlogOf(v)
+	s.MemTableTargetBytes, s.MemTableUsedBytes = db.memTarget.Load(), v.mem.mt.ApproximateBytes()
 	if db.vlog != nil {
 		c := db.vlog.Counters()
-		s.AttachValueLog(stats.ValueLogCounters{
+		s.ValueLog = stats.ValueLogCounters{
 			Enabled:             true,
 			Segments:            c.Segments,
 			SegmentBytes:        c.SegmentBytes,
@@ -1067,8 +1064,9 @@ func (db *DB) Stats() stats.Snapshot {
 			GCRelocatedBytes:    c.GCRelocatedBytes,
 			GCSegmentsReclaimed: c.GCSegmentsReclaimed,
 			GCReclaimedBytes:    c.GCReclaimedBytes,
-		})
+		}
 	}
+	s.Derive()
 	return s
 }
 
@@ -1076,8 +1074,8 @@ func (db *DB) Stats() stats.Snapshot {
 // awaiting flush and the level-0 tables awaiting merge. Tables currently
 // being merged count both sides (the bytes exist until the merge retires
 // the sources).
-func backlogOf(v *version) (imms int, immBytes int64, l0Tables int, l0Bytes int64) {
-	imms = len(v.imms)
+func backlogOf(v *version) (imms, immBytes, l0Tables, l0Bytes int64) {
+	imms = int64(len(v.imms))
 	for _, h := range v.imms {
 		immBytes += h.mt.ApproximateBytes()
 	}
@@ -1117,7 +1115,7 @@ func (db *DB) ResetCounters() {
 	}
 }
 
-// NVMUsage returns current and peak NVM footprint in bytes (the elastic
+// NVMUsage returns the current NVM footprint in bytes (the elastic
 // buffer consumption discussion of §5.4).
 func (db *DB) NVMUsage() int64 {
 	var total int64

@@ -19,6 +19,7 @@ import (
 
 	"miodb/internal/kvstore"
 	"miodb/internal/nvm"
+	"miodb/internal/stats"
 )
 
 // ErrDegraded wraps the sticky background error: the store is read-only
@@ -43,7 +44,7 @@ func (db *DB) degradeLocked(op string, err error) {
 	}
 	db.bgErr = fmt.Errorf("%w (%s): %w", ErrDegraded, op, err)
 	db.degraded.Store(true)
-	db.st.CountBackgroundError()
+	db.st.Add(stats.BackgroundErrors, 1)
 	// Wake background runners (they exit), WaitIdle callers, and writers.
 	db.cond.Broadcast()
 	// Background runners stop on the latch, so no further version edits (and
@@ -80,7 +81,7 @@ func (db *DB) runDeviceOp(op func() error) error {
 		if err == nil || !nvm.IsTransient(err) || attempt >= deviceRetries {
 			return err
 		}
-		db.st.AddDeviceRetry()
+		db.st.Add(stats.DeviceRetries, 1)
 		nvm.Spin(backoff)
 		backoff *= 2
 		if backoff > retryBackoffMax {

@@ -58,6 +58,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"miodb/internal/stats"
 )
 
 const (
@@ -198,7 +200,7 @@ func (db *DB) sweepEpochLocked() {
 		db.oldest.releaseFns = nil
 		db.oldest = db.oldest.next
 		db.gracePending.Add(-1)
-		db.st.CountVersionSwept()
+		db.st.Add(stats.VersionsSwept, 1)
 	}
 }
 

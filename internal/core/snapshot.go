@@ -226,7 +226,7 @@ func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	}
 	defer s.release()
 	start := time.Now()
-	s.db.st.CountGet()
+	s.db.st.Add(stats.Gets, 1)
 	value, err := s.db.getFrom(s.v, key, s.seq)
 	s.db.st.RecordOp(stats.OpGet, time.Since(start))
 	return value, err
@@ -249,7 +249,7 @@ func (s *Snapshot) GetMulti(getKeys [][]byte) ([][]byte, []error) {
 // holding its own, so it stays valid even if the Snapshot is closed
 // first; it must itself be Closed before the store shuts down.
 func (s *Snapshot) NewIterator() *Iterator {
-	s.db.st.CountScan()
+	s.db.st.Add(stats.Scans, 1)
 	if err := s.acquire(); err != nil {
 		return &Iterator{db: s.db, it: iterx.NewMerging(), err: err}
 	}

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"miodb/internal/stats"
 	"miodb/internal/vaddr"
 )
 
@@ -215,6 +216,11 @@ type Counters struct {
 	Name                    string
 	BytesRead, BytesWritten int64
 	Reads, Writes           int64
+}
+
+// Stats returns the traffic as one device entry of a stats snapshot.
+func (c Counters) Stats() stats.DeviceCounters {
+	return stats.DeviceCounters{Name: c.Name, BytesRead: c.BytesRead, BytesWritten: c.BytesWritten}
 }
 
 // Counters returns the device's accumulated traffic.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"miodb/internal/kvstore"
-	"miodb/internal/stats"
 )
 
 // Options tunes the front end. The zero value takes defaults.
@@ -593,67 +592,12 @@ func (s *Server) handleRead(c *conn, req taggedRequest) (byte, []byte) {
 		}
 		return StatusOK, payload
 	case OpStats:
-		return StatusOK, []byte(s.statsLine())
+		// The store's one stats text (stats.Snapshot.String): the numbers
+		// miodb-bench prints, from the distributions the engine measures.
+		return StatusOK, []byte(s.store.Stats().String())
 	default:
 		return StatusError, []byte("unknown op")
 	}
-}
-
-// statsLine renders the store's cost accounting plus the store's per-op
-// latency percentiles, so a plain client sees the same numbers
-// miodb-bench reports. The server used to keep
-// its own service-time histograms here; they double-counted what the
-// core already measures and are replaced by the core distributions.
-func (s *Server) statsLine() string {
-	st := s.store.Stats()
-	payload := fmt.Sprintf("puts=%d gets=%d deletes=%d scans=%d wa=%.3f interval_stall_ns=%d cumulative_stall_ns=%d"+
-		" bloom_probes=%d bloom_skips=%d bloom_fps=%d bloom_fp_rate=%.4f"+
-		" live_versions=%d pending_releases=%d read_epoch=%d versions_swept=%d",
-		st.Puts, st.Gets, st.Deletes, st.Scans, st.WriteAmplification,
-		int64(st.IntervalStall), int64(st.CumulativeStall),
-		st.BloomProbes, st.BloomSkips, st.BloomFalsePositives, st.BloomFalsePositiveRate,
-		st.LiveVersions, st.PendingReleases, st.ReadEpoch, st.VersionsSwept)
-	if st.WriteGroups > 0 {
-		payload += fmt.Sprintf(" write_groups=%d grouped_writes=%d mean_group_size=%.2f",
-			st.WriteGroups, st.GroupedWrites, st.MeanGroupSize)
-	}
-	// A sharded store reports its partition count and per-shard op
-	// tallies so a client can see the routing balance.
-	if len(st.Shards) > 0 {
-		payload += fmt.Sprintf(" shards=%d", len(st.Shards))
-		for i, sh := range st.Shards {
-			payload += fmt.Sprintf(" shard%d_ops=%d", i, sh.Puts+sh.Gets+sh.Deletes+sh.Scans)
-		}
-	}
-	// Per-op latency from the core histograms. The protocol's mput maps
-	// to the store's commit distribution (one sample per applied batch);
-	// put/delete report per-record commit latency.
-	for _, m := range []struct {
-		name string
-		op   stats.Op
-	}{
-		{"get", stats.OpGet},
-		{"put", stats.OpPut},
-		{"delete", stats.OpDelete},
-		{"scan", stats.OpScan},
-		{"mput", stats.OpCommit},
-	} {
-		snap := st.OpLatencies[m.op]
-		if snap.Count == 0 {
-			continue
-		}
-		payload += fmt.Sprintf(" lat_%s_count=%d lat_%s_p50_us=%.1f lat_%s_p99_us=%.1f lat_%s_p999_us=%.1f",
-			m.name, snap.Count,
-			m.name, snap.P50.Seconds()*1e6,
-			m.name, snap.P99.Seconds()*1e6,
-			m.name, snap.P999.Seconds()*1e6)
-	}
-	// Backlog gauges: the elastic-buffer debt behind the write path.
-	if st.PendingImms > 0 || st.L0Tables > 0 {
-		payload += fmt.Sprintf(" pending_imms=%d pending_imm_bytes=%d l0_tables=%d l0_bytes=%d",
-			st.PendingImms, st.PendingImmBytes, st.L0Tables, st.L0Bytes)
-	}
-	return payload
 }
 
 // applyBatch hands a merged batch to the store. Stores with a batch

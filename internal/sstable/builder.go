@@ -105,7 +105,7 @@ func (b *Builder) Add(key []byte, seq uint64, kind keys.Kind, value []byte) erro
 	start := time.Now()
 	defer func() {
 		if b.opts.Stats != nil {
-			b.opts.Stats.AddSerialize(time.Since(start))
+			b.opts.Stats.Add(stats.SerializeNs, int64(time.Since(start)))
 		}
 	}()
 
@@ -235,7 +235,7 @@ func (b *Builder) Finish() error {
 	}
 	b.w.Sync()
 	if b.opts.Stats != nil {
-		b.opts.Stats.AddSerialize(time.Since(start))
+		b.opts.Stats.Add(stats.SerializeNs, int64(time.Since(start)))
 	}
 	return nil
 }

@@ -149,7 +149,7 @@ func (t *Table) readBlock(i int) (*block, error) {
 	start := time.Now()
 	defer func() {
 		if t.st != nil {
-			t.st.AddDeserialize(time.Since(start))
+			t.st.Add(stats.DeserializeNs, int64(time.Since(start)))
 		}
 	}()
 	if t.compressed {

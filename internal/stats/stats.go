@@ -5,6 +5,7 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
@@ -51,52 +52,70 @@ func (op Op) String() string {
 // power of two.
 const opStripes = 4
 
+// Counter names one cumulative counter of the Recorder. Each is the source
+// of one Snapshot field, through its row of fields.
+type Counter int
+
+// The counters. Stall and work times are in nanoseconds.
+const (
+	// IntervalStallNs and IntervalStalls: the write path fully blocked
+	// waiting for a flush or compaction (the client-visible stall, §3.1).
+	IntervalStallNs Counter = iota
+	IntervalStalls
+	// CumulativeStallNs: intentional short write delays injected to slow
+	// writers down (L0 slowdown throttling).
+	CumulativeStallNs
+	// SerializeNs: CPU+copy time converting memtables to on-"disk" formats
+	// (SSTable builds, matrix rows); DeserializeNs: decoding them on the
+	// read path.
+	SerializeNs
+	DeserializeNs
+	// Memtable flushes: wall time, volume and count.
+	FlushNs
+	FlushBytes
+	Flushes
+	// Compaction work time across all background threads, and work units.
+	CompactionNs
+	Compactions
+	// UserBytes is the user payload written (key+value), the WA denominator.
+	UserBytes
+	Puts
+	Gets
+	Deletes
+	Scans
+	// Rotations counts full DRAM buffers moved into the immutable queue;
+	// with UserBytes and the flush counters it is the write heat the memory
+	// governor samples (see Heat).
+	Rotations
+	// WriteGroups counts commits and GroupedWrites the records they carried.
+	WriteGroups
+	GroupedWrites
+	// DeviceRetries counts transparently retried transient device errors,
+	// BackgroundErrors background failures that degraded the store.
+	DeviceRetries
+	BackgroundErrors
+	// VersionsSwept counts version snapshots freed by the reclamation sweep
+	// after their reader grace period.
+	VersionsSwept
+	numCounters
+)
+
 // Recorder accumulates cost metrics. All methods are safe for concurrent
 // use; stores share one Recorder across their foreground and background
 // goroutines.
 type Recorder struct {
-	// Interval stalls: time the write path was fully blocked waiting for
-	// a flush or compaction (the client-visible stall, §3.1).
-	intervalStallNs atomic.Int64
-	intervalStalls  atomic.Int64
-	// Cumulative stalls: the sum of intentional short write delays
-	// injected to slow writers down (L0 slowdown throttling).
-	cumulativeStallNs atomic.Int64
-	// Serialization: CPU+copy time converting memtables to on-"disk"
-	// formats (SSTable builds, matrix rows).
-	serializeNs atomic.Int64
-	// Deserialization: time decoding on-"disk" formats on the read path.
-	deserializeNs atomic.Int64
-	// Flushing: wall time of memtable flushes, and flush volume.
-	flushNs    atomic.Int64
-	flushBytes atomic.Int64
-	flushes    atomic.Int64
-	// Compaction work time across all background threads.
-	compactionNs atomic.Int64
-	compactions  atomic.Int64
-	// User-written payload bytes (key+value), the denominator of WA.
-	userBytes atomic.Int64
-	// Operation counts.
-	puts, gets, deletes, scans atomic.Int64
-	// Commits and the records they carried. groupedWrites / writeGroups
-	// is the mean batch size; > 1 means records shared WAL appends.
-	writeGroups   atomic.Int64
-	groupedWrites atomic.Int64
-	// Robustness: transparently retried transient device errors, and
-	// background failures that latched the store into degraded mode.
-	deviceRetries    atomic.Int64
-	backgroundErrors atomic.Int64
-	// Version reclamation: snapshots freed by the epoch (or refcount)
-	// sweep — the lock-free read path's grace-period machinery at work.
-	versionsSwept atomic.Int64
-	// Memtable rotations: full DRAM buffers moved into the immutable
-	// queue (makeRoomForWrite or a forced flush). Together with userBytes
-	// and the flush counters this is the write-heat signal the memory
-	// governor samples (see Heat).
-	rotations atomic.Int64
+	c [numCounters]atomic.Int64
 	// Per-op-type service latency, striped to keep Record cheap on the
 	// concurrent read path. Zero-value histograms, no constructor needed.
 	opLat [NumOps][opStripes]histogram.Histogram
+}
+
+// Add adds n to counter c. A zero n touches nothing, so a commit without
+// deletes does not write the delete counter's cache line.
+func (r *Recorder) Add(c Counter, n int64) {
+	if n != 0 {
+		r.c[c].Add(n)
+	}
 }
 
 // RecordOp adds one latency sample for the given op type.
@@ -114,92 +133,28 @@ func (r *Recorder) RecordOpN(op Op, d time.Duration, n int64) {
 
 // AddIntervalStall records a full write-path block of duration d.
 func (r *Recorder) AddIntervalStall(d time.Duration) {
-	r.intervalStallNs.Add(int64(d))
-	r.intervalStalls.Add(1)
+	r.Add(IntervalStallNs, int64(d))
+	r.Add(IntervalStalls, 1)
 }
-
-// AddCumulativeStall records an intentional write slowdown of duration d.
-func (r *Recorder) AddCumulativeStall(d time.Duration) {
-	r.cumulativeStallNs.Add(int64(d))
-}
-
-// AddSerialize records serialization work time.
-func (r *Recorder) AddSerialize(d time.Duration) { r.serializeNs.Add(int64(d)) }
-
-// AddDeserialize records deserialization work time.
-func (r *Recorder) AddDeserialize(d time.Duration) { r.deserializeNs.Add(int64(d)) }
 
 // AddFlush records one memtable flush of the given duration and volume.
 func (r *Recorder) AddFlush(d time.Duration, bytes int64) {
-	r.flushNs.Add(int64(d))
-	r.flushBytes.Add(bytes)
-	r.flushes.Add(1)
+	r.Add(FlushNs, int64(d))
+	r.Add(FlushBytes, bytes)
+	r.Add(Flushes, 1)
 }
 
 // AddCompaction records one compaction work unit.
 func (r *Recorder) AddCompaction(d time.Duration) {
-	r.compactionNs.Add(int64(d))
-	r.compactions.Add(1)
-}
-
-// AddUserBytes accumulates user payload written (the WA denominator).
-func (r *Recorder) AddUserBytes(n int64) { r.userBytes.Add(n) }
-
-// AddUserBytesAndCount combines the user-byte charge with the put/delete
-// tally for write paths.
-func (r *Recorder) AddUserBytesAndCount(n int64, isDelete bool) {
-	r.userBytes.Add(n)
-	if isDelete {
-		r.deletes.Add(1)
-	} else {
-		r.puts.Add(1)
-	}
-}
-
-// CountPut tallies one write operation.
-func (r *Recorder) CountPut() { r.puts.Add(1) }
-
-// CountGet tallies one point lookup.
-func (r *Recorder) CountGet() { r.gets.Add(1) }
-
-// CountDelete tallies one delete.
-func (r *Recorder) CountDelete() { r.deletes.Add(1) }
-
-// CountScan tallies one range scan.
-func (r *Recorder) CountScan() { r.scans.Add(1) }
-
-// CountPuts tallies n write operations in one step (one commit).
-func (r *Recorder) CountPuts(n int64) {
-	if n != 0 {
-		r.puts.Add(n)
-	}
-}
-
-// CountDeletes tallies n deletes in one step (one commit).
-func (r *Recorder) CountDeletes(n int64) {
-	if n != 0 {
-		r.deletes.Add(n)
-	}
+	r.Add(CompactionNs, int64(d))
+	r.Add(Compactions, 1)
 }
 
 // AddWriteGroup records one commit carrying n writes.
 func (r *Recorder) AddWriteGroup(n int) {
-	r.writeGroups.Add(1)
-	r.groupedWrites.Add(int64(n))
+	r.Add(WriteGroups, 1)
+	r.Add(GroupedWrites, int64(n))
 }
-
-// AddDeviceRetry records one transparently retried transient device error.
-func (r *Recorder) AddDeviceRetry() { r.deviceRetries.Add(1) }
-
-// CountBackgroundError records a background failure that degraded the store.
-func (r *Recorder) CountBackgroundError() { r.backgroundErrors.Add(1) }
-
-// CountVersionSwept records one version snapshot freed by the reclamation
-// sweep after its reader grace period elapsed.
-func (r *Recorder) CountVersionSwept() { r.versionsSwept.Add(1) }
-
-// CountRotation records one memtable rotation into the immutable queue.
-func (r *Recorder) CountRotation() { r.rotations.Add(1) }
 
 // Heat is the cheap write-pressure sample the memory governor polls every
 // tick: cumulative counters only, no histogram merges or device reads (a
@@ -222,10 +177,10 @@ type Heat struct {
 // Heat samples the recorder's write-pressure counters.
 func (r *Recorder) Heat() Heat {
 	return Heat{
-		UserBytes:  r.userBytes.Load(),
-		Flushes:    r.flushes.Load(),
-		FlushBytes: r.flushBytes.Load(),
-		Rotations:  r.rotations.Load(),
+		UserBytes:  r.c[UserBytes].Load(),
+		Flushes:    r.c[Flushes].Load(),
+		FlushBytes: r.c[FlushBytes].Load(),
+		Rotations:  r.c[Rotations].Load(),
 	}
 }
 
@@ -249,32 +204,14 @@ func clampNonNeg(v int64) int64 {
 	return v
 }
 
-// Reset zeroes every counter atomically, field by field. Unlike a struct
-// copy (`*r = Recorder{}`), it is safe while other goroutines are
-// concurrently updating the recorder: each atomic is stored individually,
-// so no atomic word is ever written with a plain (racy) copy.
+// Reset zeroes every counter and histogram, each atomically on its own.
+// Unlike a struct copy (`*r = Recorder{}`), it is safe while other
+// goroutines are concurrently updating the recorder: no atomic word is ever
+// written with a plain (racy) copy.
 func (r *Recorder) Reset() {
-	r.intervalStallNs.Store(0)
-	r.intervalStalls.Store(0)
-	r.cumulativeStallNs.Store(0)
-	r.serializeNs.Store(0)
-	r.deserializeNs.Store(0)
-	r.flushNs.Store(0)
-	r.flushBytes.Store(0)
-	r.flushes.Store(0)
-	r.compactionNs.Store(0)
-	r.compactions.Store(0)
-	r.userBytes.Store(0)
-	r.puts.Store(0)
-	r.gets.Store(0)
-	r.deletes.Store(0)
-	r.scans.Store(0)
-	r.writeGroups.Store(0)
-	r.groupedWrites.Store(0)
-	r.deviceRetries.Store(0)
-	r.backgroundErrors.Store(0)
-	r.versionsSwept.Store(0)
-	r.rotations.Store(0)
+	for i := range r.c {
+		r.c[i].Store(0)
+	}
 	for op := range r.opLat {
 		for i := range r.opLat[op] {
 			r.opLat[op][i].Reset()
@@ -310,7 +247,10 @@ type BloomLevelCounters struct {
 }
 
 // Snapshot is a point-in-time copy of every metric, in the units the
-// paper's tables use.
+// paper's tables use. Every integer field has one row in fields, which
+// Recorder.Snapshot, Aggregate and String read; the float rates are
+// computed from the totals by Derive. The store sets the gauges and the
+// structured parts (levels, devices, value log) itself.
 type Snapshot struct {
 	IntervalStall    time.Duration
 	IntervalStalls   int64
@@ -329,8 +269,7 @@ type Snapshot struct {
 	// write-heat signal behind the adaptive memory governor.
 	Rotations int64
 
-	// Memory-governor gauges (attached by the store via AttachMemory):
-	// the active memtable's dynamic capacity target and its current fill.
+	// Memory-governor gauges: the active memtable's dynamic capacity target and its current fill.
 	// On an aggregated snapshot both are sums across shards, so
 	// MemTableTargetBytes tracks how the governor has divided its global
 	// budget.
@@ -349,8 +288,7 @@ type Snapshot struct {
 	DeviceRetries    int64
 	BackgroundErrors int64
 
-	// Read-path observability (attached by the store via AttachReadPath):
-	// per-level bloom-filter counters plus their totals, and the version
+	// Read-path observability: per-level bloom-filter counters plus their totals, and the version
 	// chain gauge behind the lock-free read path.
 	BloomLevels         []BloomLevelCounters
 	BloomProbes         int64
@@ -374,8 +312,7 @@ type Snapshot struct {
 	// experiment harness — reports the same numbers.
 	OpLatencies [NumOps]histogram.Snapshot
 
-	// Write-path backlog gauges (attached by the store via AttachBacklog):
-	// the elastic buffer's instantaneous debt. PendingImms counts rotated
+	// Write-path backlog gauges: the elastic buffer's instantaneous debt. PendingImms counts rotated
 	// memtables awaiting flush (the queue makeRoomForWrite grows without
 	// bound when flushing falls behind) and PendingImmBytes their payload;
 	// L0Tables/L0Bytes measure the flush output the compactor hasn't
@@ -385,13 +322,13 @@ type Snapshot struct {
 	L0Tables        int64
 	L0Bytes         int64
 
-	// Devices lists per-device traffic; WriteAmplification is total
-	// persistent-device write traffic ÷ user bytes.
+	// Devices lists per-device traffic; WriteAmplification is the write
+	// traffic of every device but the volatile "dram" ÷ user bytes.
 	Devices            []DeviceCounters
 	WriteAmplification float64
 
-	// ValueLog describes the key-value-separation value log (attached by
-	// the store via AttachValueLog; zero when separation is off).
+	// ValueLog describes the key-value-separation value log (zero when
+	// separation is off).
 	ValueLog ValueLogCounters
 
 	// Shards holds the per-shard breakdown when this snapshot aggregates
@@ -419,77 +356,115 @@ type ValueLogCounters struct {
 	GCReclaimedBytes    int64
 }
 
-// AttachValueLog fills the snapshot's value-log section.
-func (s *Snapshot) AttachValueLog(v ValueLogCounters) {
-	if v.SegmentBytes > 0 {
-		v.DeadRatio = float64(v.SegmentBytes-v.LiveBytes) / float64(v.SegmentBytes)
+// rule is how a field combines across shards.
+type rule uint8
+
+const (
+	sum  rule = iota // counts, bytes and CPU work add up
+	peak             // wall-clock stalls overlap across shards, and the epoch is a clock: the largest
+)
+
+// noCounter marks a row whose value the store sets rather than the recorder.
+const noCounter = numCounters
+
+// field is one integer field of Snapshot: its key in String's text, its
+// cross-shard rule, its source counter (noCounter for a gauge) and its
+// accessors.
+type field struct {
+	key string
+	agg rule
+	src Counter
+	get func(*Snapshot) int64
+	set func(*Snapshot, int64)
+}
+
+func row[T ~int64 | ~uint64](key string, agg rule, src Counter, p func(*Snapshot) *T) field {
+	return field{key, agg, src,
+		func(s *Snapshot) int64 { return int64(*p(s)) },
+		func(s *Snapshot, v int64) { *p(s) = T(v) }}
+}
+
+// fields is the table every scalar reader walks.
+var fields = [...]field{
+	row("puts", sum, Puts, func(s *Snapshot) *int64 { return &s.Puts }),
+	row("gets", sum, Gets, func(s *Snapshot) *int64 { return &s.Gets }),
+	row("deletes", sum, Deletes, func(s *Snapshot) *int64 { return &s.Deletes }),
+	row("scans", sum, Scans, func(s *Snapshot) *int64 { return &s.Scans }),
+	row("user_bytes", sum, UserBytes, func(s *Snapshot) *int64 { return &s.UserBytesWritten }),
+	row("interval_stall_ns", peak, IntervalStallNs, func(s *Snapshot) *time.Duration { return &s.IntervalStall }),
+	row("interval_stalls", sum, IntervalStalls, func(s *Snapshot) *int64 { return &s.IntervalStalls }),
+	row("cumulative_stall_ns", peak, CumulativeStallNs, func(s *Snapshot) *time.Duration { return &s.CumulativeStall }),
+	row("serialize_ns", sum, SerializeNs, func(s *Snapshot) *time.Duration { return &s.SerializeTime }),
+	row("deserialize_ns", sum, DeserializeNs, func(s *Snapshot) *time.Duration { return &s.DeserializeTime }),
+	row("flush_ns", sum, FlushNs, func(s *Snapshot) *time.Duration { return &s.FlushTime }),
+	row("flush_bytes", sum, FlushBytes, func(s *Snapshot) *int64 { return &s.FlushBytes }),
+	row("flushes", sum, Flushes, func(s *Snapshot) *int64 { return &s.Flushes }),
+	row("compaction_ns", sum, CompactionNs, func(s *Snapshot) *time.Duration { return &s.CompactionTime }),
+	row("compactions", sum, Compactions, func(s *Snapshot) *int64 { return &s.Compactions }),
+	row("rotations", sum, Rotations, func(s *Snapshot) *int64 { return &s.Rotations }),
+	row("write_groups", sum, WriteGroups, func(s *Snapshot) *int64 { return &s.WriteGroups }),
+	row("grouped_writes", sum, GroupedWrites, func(s *Snapshot) *int64 { return &s.GroupedWrites }),
+	row("device_retries", sum, DeviceRetries, func(s *Snapshot) *int64 { return &s.DeviceRetries }),
+	row("background_errors", sum, BackgroundErrors, func(s *Snapshot) *int64 { return &s.BackgroundErrors }),
+	row("versions_swept", sum, VersionsSwept, func(s *Snapshot) *int64 { return &s.VersionsSwept }),
+	row("memtable_target_bytes", sum, noCounter, func(s *Snapshot) *int64 { return &s.MemTableTargetBytes }),
+	row("memtable_used_bytes", sum, noCounter, func(s *Snapshot) *int64 { return &s.MemTableUsedBytes }),
+	row("bloom_probes", sum, noCounter, func(s *Snapshot) *int64 { return &s.BloomProbes }),
+	row("bloom_skips", sum, noCounter, func(s *Snapshot) *int64 { return &s.BloomSkips }),
+	row("bloom_fps", sum, noCounter, func(s *Snapshot) *int64 { return &s.BloomFalsePositives }),
+	row("live_versions", sum, noCounter, func(s *Snapshot) *int64 { return &s.LiveVersions }),
+	row("pending_releases", sum, noCounter, func(s *Snapshot) *int64 { return &s.PendingReleases }),
+	row("read_epoch", peak, noCounter, func(s *Snapshot) *uint64 { return &s.ReadEpoch }),
+	row("pending_imms", sum, noCounter, func(s *Snapshot) *int64 { return &s.PendingImms }),
+	row("pending_imm_bytes", sum, noCounter, func(s *Snapshot) *int64 { return &s.PendingImmBytes }),
+	row("l0_tables", sum, noCounter, func(s *Snapshot) *int64 { return &s.L0Tables }),
+	row("l0_bytes", sum, noCounter, func(s *Snapshot) *int64 { return &s.L0Bytes }),
+}
+
+// Snapshot captures the recorder's counters and latency distributions. The
+// store sets the gauges, devices and levels, then calls Derive.
+func (r *Recorder) Snapshot() Snapshot {
+	var s Snapshot
+	for op := range r.opLat {
+		for i := range r.opLat[op] {
+			s.OpLatencies[op] = s.OpLatencies[op].Merge(r.opLat[op][i].Snapshot())
+		}
 	}
-	s.ValueLog = v
+	for _, f := range fields {
+		if f.src != noCounter {
+			f.set(&s, r.c[f.src].Load())
+		}
+	}
+	return s
 }
 
 // Aggregate combines per-shard snapshots into one store-level snapshot:
-// counters and byte totals are summed, stall/work durations that overlap
-// in wall time are taken as maxima (IntervalStall, CumulativeStall) while
-// background work times are summed (they measure CPU spent, not
-// wall-clock), per-level bloom counters are summed level-wise, device
-// traffic is merged by device name, and derived rates (write
-// amplification, mean group size, bloom FP rates) are recomputed from the
-// combined totals. The inputs are retained in the result's Shards slice.
+// each field of the table by its rule, latency distributions merged,
+// bloom counters level by level, device traffic by device name and the
+// value log summed; Derive then recomputes the rates from the combined
+// totals. The inputs are retained in the result's Shards slice.
 func Aggregate(shards []Snapshot) Snapshot {
 	var out Snapshot
 	if len(shards) == 0 {
 		return out
 	}
 	devIndex := map[string]int{}
-	var levels []BloomLevelCounters
 	for _, s := range shards {
-		if s.IntervalStall > out.IntervalStall {
-			out.IntervalStall = s.IntervalStall
-		}
-		if s.CumulativeStall > out.CumulativeStall {
-			out.CumulativeStall = s.CumulativeStall
-		}
-		out.IntervalStalls += s.IntervalStalls
-		out.SerializeTime += s.SerializeTime
-		out.DeserializeTime += s.DeserializeTime
-		out.FlushTime += s.FlushTime
-		out.FlushBytes += s.FlushBytes
-		out.Flushes += s.Flushes
-		out.CompactionTime += s.CompactionTime
-		out.Compactions += s.Compactions
-		out.UserBytesWritten += s.UserBytesWritten
-		out.Puts += s.Puts
-		out.Gets += s.Gets
-		out.Deletes += s.Deletes
-		out.Scans += s.Scans
-		out.WriteGroups += s.WriteGroups
-		out.GroupedWrites += s.GroupedWrites
-		out.DeviceRetries += s.DeviceRetries
-		out.BackgroundErrors += s.BackgroundErrors
-		out.BloomProbes += s.BloomProbes
-		out.BloomSkips += s.BloomSkips
-		out.BloomFalsePositives += s.BloomFalsePositives
-		out.LiveVersions += s.LiveVersions
-		out.PendingReleases += s.PendingReleases
-		out.VersionsSwept += s.VersionsSwept
-		out.PendingImms += s.PendingImms
-		out.PendingImmBytes += s.PendingImmBytes
-		out.L0Tables += s.L0Tables
-		out.L0Bytes += s.L0Bytes
-		out.Rotations += s.Rotations
-		out.MemTableTargetBytes += s.MemTableTargetBytes
-		out.MemTableUsedBytes += s.MemTableUsedBytes
-		if s.ReadEpoch > out.ReadEpoch {
-			out.ReadEpoch = s.ReadEpoch
+		for _, f := range fields {
+			if v, o := f.get(&s), f.get(&out); f.agg == sum {
+				f.set(&out, o+v)
+			} else if v > o {
+				f.set(&out, v)
+			}
 		}
 		for op := range s.OpLatencies {
 			out.OpLatencies[op] = out.OpLatencies[op].Merge(s.OpLatencies[op])
 		}
 		for _, l := range s.BloomLevels {
-			for len(levels) <= l.Level {
-				levels = append(levels, BloomLevelCounters{Level: len(levels)})
+			for len(out.BloomLevels) <= l.Level {
+				out.BloomLevels = append(out.BloomLevels, BloomLevelCounters{Level: len(out.BloomLevels)})
 			}
-			dst := &levels[l.Level]
+			dst := &out.BloomLevels[l.Level]
 			dst.Probes += l.Probes
 			dst.Skips += l.Skips
 			dst.FalsePositives += l.FalsePositives
@@ -505,140 +480,91 @@ func Aggregate(shards []Snapshot) Snapshot {
 			out.Devices[i].BytesRead += d.BytesRead
 			out.Devices[i].BytesWritten += d.BytesWritten
 		}
-		if s.ValueLog.Enabled {
-			out.ValueLog.Enabled = true
-		}
-		out.ValueLog.Segments += s.ValueLog.Segments
-		out.ValueLog.SegmentBytes += s.ValueLog.SegmentBytes
-		out.ValueLog.LiveBytes += s.ValueLog.LiveBytes
-		out.ValueLog.Appends += s.ValueLog.Appends
-		out.ValueLog.AppendedBytes += s.ValueLog.AppendedBytes
-		out.ValueLog.GCRelocations += s.ValueLog.GCRelocations
-		out.ValueLog.GCRelocatedBytes += s.ValueLog.GCRelocatedBytes
-		out.ValueLog.GCSegmentsReclaimed += s.ValueLog.GCSegmentsReclaimed
-		out.ValueLog.GCReclaimedBytes += s.ValueLog.GCReclaimedBytes
+		v, o := s.ValueLog, &out.ValueLog
+		o.Enabled = o.Enabled || v.Enabled
+		o.Segments += v.Segments
+		o.SegmentBytes += v.SegmentBytes
+		o.LiveBytes += v.LiveBytes
+		o.Appends += v.Appends
+		o.AppendedBytes += v.AppendedBytes
+		o.GCRelocations += v.GCRelocations
+		o.GCRelocatedBytes += v.GCRelocatedBytes
+		o.GCSegmentsReclaimed += v.GCSegmentsReclaimed
+		o.GCReclaimedBytes += v.GCReclaimedBytes
 	}
-	if out.ValueLog.SegmentBytes > 0 {
-		out.ValueLog.DeadRatio = float64(out.ValueLog.SegmentBytes-out.ValueLog.LiveBytes) / float64(out.ValueLog.SegmentBytes)
-	}
-	for i := range levels {
-		l := &levels[i]
-		if passed := l.Probes - l.Skips; passed > 0 {
-			l.FalsePositiveRate = float64(l.FalsePositives) / float64(passed)
-		}
-	}
-	out.BloomLevels = levels
-	if passed := out.BloomProbes - out.BloomSkips; passed > 0 {
-		out.BloomFalsePositiveRate = float64(out.BloomFalsePositives) / float64(passed)
-	}
-	if out.WriteGroups > 0 {
-		out.MeanGroupSize = float64(out.GroupedWrites) / float64(out.WriteGroups)
-	}
-	// Recompute WA over the persistent devices only — by convention the
-	// per-shard snapshots list the volatile "dram" device first and
-	// persistent devices after it (see core.DB.Stats).
-	var written int64
-	for _, d := range out.Devices {
-		if d.Name != "dram" {
-			written += d.BytesWritten
-		}
-	}
-	if out.UserBytesWritten > 0 {
-		out.WriteAmplification = float64(written) / float64(out.UserBytesWritten)
-	}
+	out.Derive()
 	out.Shards = append([]Snapshot(nil), shards...)
 	return out
 }
 
-// Snapshot captures the recorder. Device traffic and WA are attached by
-// the store, which knows its devices.
-func (r *Recorder) Snapshot() Snapshot {
-	groups := r.writeGroups.Load()
-	grouped := r.groupedWrites.Load()
-	mean := 0.0
-	if groups > 0 {
-		mean = float64(grouped) / float64(groups)
+// Derive computes the snapshot's rates from its totals, by one rule for
+// one engine and for an aggregate of many: the mean group size, each
+// level's and the total bloom false-positive rate (false positives over
+// the probes that passed the filter), write amplification (the bytes
+// written to every device but the volatile "dram" over user bytes) and the
+// value log's dead ratio. A rate with a zero denominator is 0.
+func (s *Snapshot) Derive() {
+	s.MeanGroupSize = ratio(s.GroupedWrites, s.WriteGroups)
+	for i := range s.BloomLevels {
+		l := &s.BloomLevels[i]
+		l.FalsePositiveRate = ratio(l.FalsePositives, l.Probes-l.Skips)
 	}
-	var lat [NumOps]histogram.Snapshot
-	for op := range r.opLat {
-		for i := range r.opLat[op] {
-			lat[op] = lat[op].Merge(r.opLat[op][i].Snapshot())
-		}
-	}
-	return Snapshot{
-		OpLatencies:      lat,
-		WriteGroups:      groups,
-		GroupedWrites:    grouped,
-		MeanGroupSize:    mean,
-		DeviceRetries:    r.deviceRetries.Load(),
-		BackgroundErrors: r.backgroundErrors.Load(),
-		VersionsSwept:    r.versionsSwept.Load(),
-		IntervalStall:    time.Duration(r.intervalStallNs.Load()),
-		IntervalStalls:   r.intervalStalls.Load(),
-		CumulativeStall:  time.Duration(r.cumulativeStallNs.Load()),
-		SerializeTime:    time.Duration(r.serializeNs.Load()),
-		DeserializeTime:  time.Duration(r.deserializeNs.Load()),
-		FlushTime:        time.Duration(r.flushNs.Load()),
-		FlushBytes:       r.flushBytes.Load(),
-		Flushes:          r.flushes.Load(),
-		CompactionTime:   time.Duration(r.compactionNs.Load()),
-		Compactions:      r.compactions.Load(),
-		UserBytesWritten: r.userBytes.Load(),
-		Puts:             r.puts.Load(),
-		Gets:             r.gets.Load(),
-		Deletes:          r.deletes.Load(),
-		Scans:            r.scans.Load(),
-		Rotations:        r.rotations.Load(),
-	}
-}
-
-// AttachReadPath fills the snapshot's read-path observability: per-level
-// bloom counters (with per-level and aggregate measured FP rates) and the
-// version-chain gauge.
-func (s *Snapshot) AttachReadPath(levels []BloomLevelCounters, liveVersions, pendingReleases int64, epoch uint64) {
-	s.BloomLevels = levels
-	for i := range levels {
-		l := &levels[i]
-		if passed := l.Probes - l.Skips; passed > 0 {
-			l.FalsePositiveRate = float64(l.FalsePositives) / float64(passed)
-		}
-		s.BloomProbes += l.Probes
-		s.BloomSkips += l.Skips
-		s.BloomFalsePositives += l.FalsePositives
-	}
-	if passed := s.BloomProbes - s.BloomSkips; passed > 0 {
-		s.BloomFalsePositiveRate = float64(s.BloomFalsePositives) / float64(passed)
-	}
-	s.LiveVersions = liveVersions
-	s.PendingReleases = pendingReleases
-	s.ReadEpoch = epoch
-}
-
-// AttachBacklog fills the snapshot's write-path backlog gauges; the store
-// reads them off its current version (imms queue + level 0).
-func (s *Snapshot) AttachBacklog(imms, immBytes, l0Tables, l0Bytes int64) {
-	s.PendingImms = imms
-	s.PendingImmBytes = immBytes
-	s.L0Tables = l0Tables
-	s.L0Bytes = l0Bytes
-}
-
-// AttachMemory fills the snapshot's memory-governor gauges: the active
-// memtable's dynamic capacity target and its current fill in bytes.
-func (s *Snapshot) AttachMemory(targetBytes, usedBytes int64) {
-	s.MemTableTargetBytes = targetBytes
-	s.MemTableUsedBytes = usedBytes
-}
-
-// AttachDevices fills the snapshot's device traffic and computes write
-// amplification over the given persistent devices' write bytes.
-func (s *Snapshot) AttachDevices(devs ...DeviceCounters) {
-	s.Devices = append(s.Devices, devs...)
+	s.BloomFalsePositiveRate = ratio(s.BloomFalsePositives, s.BloomProbes-s.BloomSkips)
 	var written int64
-	for _, d := range devs {
-		written += d.BytesWritten
+	for _, d := range s.Devices {
+		if d.Name != "dram" {
+			written += d.BytesWritten
+		}
 	}
-	if s.UserBytesWritten > 0 {
-		s.WriteAmplification = float64(written) / float64(s.UserBytesWritten)
-	}
+	s.WriteAmplification = ratio(written, s.UserBytesWritten)
+	s.ValueLog.DeadRatio = ratio(s.ValueLog.SegmentBytes-s.ValueLog.LiveBytes, s.ValueLog.SegmentBytes)
 }
+
+func ratio(num, den int64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// String renders the snapshot as one line of key=value pairs, the text the
+// server's stats op returns and the command-line tools print: every field
+// of the table, the rates, each device's traffic, each probed bloom level,
+// the latency of each op that ran (the commit distribution is "mput", the
+// protocol's name for a batch), and on a sharded store the shard count and
+// each shard's op count.
+func (s Snapshot) String() string {
+	b := make([]byte, 0, 2048)
+	for _, f := range fields {
+		b = fmt.Appendf(b, "%s=%d ", f.key, f.get(&s))
+	}
+	b = fmt.Appendf(b, "wa=%.3f bloom_fp_rate=%.4f mean_group_size=%.2f", s.WriteAmplification, s.BloomFalsePositiveRate, s.MeanGroupSize)
+	for _, d := range s.Devices {
+		b = fmt.Appendf(b, " dev_%[1]s_written=%[2]d dev_%[1]s_read=%[3]d", d.Name, d.BytesWritten, d.BytesRead)
+	}
+	for _, l := range s.BloomLevels {
+		if l.Probes > 0 {
+			b = fmt.Appendf(b, " bloom_l%[1]d_probes=%[2]d bloom_l%[1]d_skips=%[3]d bloom_l%[1]d_fps=%[4]d bloom_l%[1]d_hits=%[5]d bloom_l%[1]d_fp_rate=%.4[6]f",
+				l.Level, l.Probes, l.Skips, l.FalsePositives, l.Hits, l.FalsePositiveRate)
+		}
+	}
+	for op, l := range s.OpLatencies {
+		name := Op(op).String()
+		if Op(op) == OpCommit {
+			name = "mput"
+		}
+		if l.Count > 0 {
+			b = fmt.Appendf(b, " lat_%[1]s_count=%[2]d lat_%[1]s_p50_us=%.1[3]f lat_%[1]s_p99_us=%.1[4]f lat_%[1]s_p999_us=%.1[5]f lat_%[1]s_max_us=%.1[6]f",
+				name, l.Count, us(l.P50), us(l.P99), us(l.P999), us(l.Max))
+		}
+	}
+	if len(s.Shards) > 0 {
+		b = fmt.Appendf(b, " shards=%d", len(s.Shards))
+		for i, sh := range s.Shards {
+			b = fmt.Appendf(b, " shard%d_ops=%d", i, sh.Puts+sh.Gets+sh.Deletes+sh.Scans)
+		}
+	}
+	return string(b)
+}
+
+func us(d time.Duration) float64 { return d.Seconds() * 1e6 }
