@@ -19,13 +19,15 @@ test:
 # flush/close, the memory governor), the public DB that forwards to one
 # engine or to the router, the pipelined network front end
 # (reader/writer split, cross-connection batcher, tag-matched client),
-# the bloom filters merged in place under concurrent probes and the one
-# stats recorder that every foreground and background goroutine writes
-# must stay race-clean. The merge reader tests — point reads and scans —
+# the bloom filters merged in place under concurrent probes, the one
+# stats recorder that every foreground and background goroutine writes,
+# and the baselines' shared engine (one writer against one retire loop,
+# MatrixKV's column compactor and readers across every tier) must stay
+# race-clean. The merge reader tests — point reads and scans —
 # run again on one CPU and on two: the merger and its readers interleave
 # differently on each.
 race:
-	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats
+	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/...
 	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$|TestSafeIteratorUnderConcurrentMerge$$' -count=1
 
 # One CPU: the runners that share it (one per background job, or one for

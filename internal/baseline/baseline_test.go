@@ -54,6 +54,15 @@ func factories() []factory {
 			}
 			return db
 		}},
+		{"novelsm-hier", func(t *testing.T) kvstore.Store {
+			db, err := novelsm.Open(novelsm.Options{
+				MemTableSize: 8 << 10, NVMBufferSize: 64 << 10, Hierarchical: true, LSM: smallLSM(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}},
 		{"matrixkv", func(t *testing.T) kvstore.Store {
 			db, err := matrixkv.Open(matrixkv.Options{
 				MemTableSize: 8 << 10, NVMBufferSize: 64 << 10, LSM: smallLSM(),

@@ -2,20 +2,14 @@ package matrixkv
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
 	"time"
 
+	"miodb/internal/baseline"
 	"miodb/internal/iterx"
 	"miodb/internal/keys"
 	"miodb/internal/kvstore"
 	"miodb/internal/lsm"
-	"miodb/internal/memtable"
-	"miodb/internal/nvm"
-	"miodb/internal/stats"
-	"miodb/internal/vaddr"
 	"miodb/internal/vfs"
-	"miodb/internal/wal"
 )
 
 // Options configures the store.
@@ -24,13 +18,11 @@ type Options struct {
 	MemTableSize int64
 	// NVMBufferSize is the matrix container budget (paper: 8 GB → 8 MB).
 	// Column compaction starts at 60% occupancy; writers throttle above
-	// the budget and block at 2×.
+	// the budget and block at 4×.
 	NVMBufferSize int64
 	// ColumnBytes is the target data volume of one column compaction
 	// (the fine grain that keeps MatrixKV's stalls short).
 	ColumnBytes int64
-	// ChunkSize bounds the largest entry.
-	ChunkSize int
 	// Disk hosts L1+ SSTables (nil: NVM-block profile).
 	Disk *vfs.Disk
 	// LSM tunes the on-disk tree. Its L0 is unused: columns merge
@@ -43,48 +35,20 @@ type Options struct {
 	TimeScale float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.MemTableSize <= 0 {
-		o.MemTableSize = 64 << 10
-	}
-	if o.NVMBufferSize <= 0 {
-		o.NVMBufferSize = 8 << 20
-	}
-	if o.ColumnBytes <= 0 {
-		o.ColumnBytes = 2 * o.MemTableSize
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 256 << 10
-	}
-	if o.ChunkSize < int(o.MemTableSize/4) {
-		o.ChunkSize = int(o.MemTableSize)
-	}
-	if o.TimeScale == 0 {
-		o.TimeScale = 1
-	}
-	return o
-}
+// maxImms bounds the immutable-memtable backlog (RocksDB's
+// max_write_buffer_number analogue): a writer blocks only when several
+// flushes are backlogged.
+const maxImms = 4
 
-// DB is a MatrixKV store.
+// DB is a MatrixKV store: the shared baseline.Engine with the matrix
+// container as the tier between the memtables and L1.
 type DB struct {
-	opts  Options
-	space *vaddr.Space
-	dram  *nvm.Device
-	nvm   *nvm.Device
-	disk  *vfs.Disk
-	lsm   *lsm.Levels
-	st    *stats.Recorder
+	baseline.Engine
+	budget, columnBytes int64
 
-	writeMu sync.Mutex
-	seq     uint64
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	mem    *handle
-	imms   []*handle // immutable memtables pending row build, oldest first
-	rowID  uint64
-	rows   []*row // newest first
-	closed bool
+	// The container, guarded by Mu.
+	rowID uint64
+	rows  []*row // newest first
 
 	// Column compaction cursor state: the current cycle number and the
 	// key frontier within the cycle (nil = start of keyspace).
@@ -92,214 +56,80 @@ type DB struct {
 	cursor []byte
 
 	liveBytes int64 // unconsumed container bytes
-
-	wg sync.WaitGroup
-}
-
-type handle struct {
-	mt  *memtable.MemTable
-	log *wal.Log
 }
 
 // Open creates a store.
 func Open(opts Options) (*DB, error) {
-	opts = opts.withDefaults()
-	space := vaddr.NewSpace()
-	db := &DB{
-		opts:  opts,
-		space: space,
-		dram:  nvm.NewDevice(space, nvm.DRAMProfile()),
-		nvm:   nvm.NewDevice(space, nvm.NVMProfile()),
-		st:    &stats.Recorder{},
+	db := &DB{budget: opts.NVMBufferSize, columnBytes: opts.ColumnBytes}
+	if db.budget <= 0 {
+		db.budget = 8 << 20
 	}
-	db.cond = sync.NewCond(&db.mu)
-	db.dram.SetSimulation(opts.Simulate)
-	db.nvm.SetSimulation(opts.Simulate)
-	db.dram.SetTimeScale(opts.TimeScale)
-	db.nvm.SetTimeScale(opts.TimeScale)
-
-	db.disk = opts.Disk
-	if db.disk == nil {
-		db.disk = vfs.NewDisk(vfs.NVMBlockProfile())
-	}
-	db.disk.SetSimulation(opts.Simulate)
-	db.disk.SetTimeScale(opts.TimeScale)
-	lo := opts.LSM
-	lo.Disk = db.disk
-	lo.Stats = db.st
-	db.lsm = lsm.New(lo)
-
-	mem, err := db.newHandle()
+	err := db.Init(baseline.Config{
+		MemTableSize: opts.MemTableSize,
+		LSM:          &opts.LSM,
+		Disk:         opts.Disk,
+		DisableWAL:   opts.DisableWAL,
+		Simulate:     opts.Simulate,
+		TimeScale:    opts.TimeScale,
+	}, baseline.Policy{
+		QueueBound: maxImms,
+		Hold:       db.farOverBudget,
+		Slowdown:   db.overBudget,
+		Retire:     db.flushToRow,
+		Get:        db.getRows,
+		Sources:    db.rowSources,
+	})
 	if err != nil {
 		return nil, err
 	}
-	db.mem = mem
-
-	db.wg.Add(2)
-	go db.flushLoop()
-	go db.columnLoop()
+	if db.columnBytes <= 0 {
+		db.columnBytes = 2 * db.MemTableSize()
+	}
+	db.Go(db.columnLoop)
 	return db, nil
 }
 
-func (db *DB) newHandle() (*handle, error) {
-	mt, err := memtable.New(db.dram, db.opts.MemTableSize, db.opts.ChunkSize)
-	if err != nil {
-		return nil, err
+// farOverBudget blocks writers outright at 4× the container budget.
+// MatrixKV's design goal is that column compaction keeps the container
+// from ever reaching this point (the paper reports zero interval
+// stalls), so this is a safety valve. Mu held.
+func (db *DB) farOverBudget() bool { return db.liveBytes >= 4*db.budget }
+
+// overBudget slows every write down once the container is over budget,
+// harder the further over — MatrixKV's remaining cumulative stalls
+// (62.5% of write time in the paper's Fig 2(a)). Mu held.
+func (db *DB) overBudget() time.Duration {
+	if db.liveBytes < db.budget {
+		return 0
 	}
-	h := &handle{mt: mt}
-	if !db.opts.DisableWAL {
-		h.log = wal.New(db.nvm, db.opts.ChunkSize)
-	}
-	return h, nil
+	return time.Duration(db.liveBytes/db.budget) * time.Millisecond
 }
 
-// Put stores a key-value pair.
-func (db *DB) Put(key, value []byte) error { return db.write(key, value, keys.KindSet) }
+// flushToRow serializes an immutable memtable into a container row.
+func (db *DB) flushToRow(b *baseline.Buffer) error {
+	start := time.Now()
+	db.Mu.Lock()
+	db.rowID++
+	id := db.rowID
+	db.Mu.Unlock()
 
-// Delete writes a tombstone.
-func (db *DB) Delete(key []byte) error { return db.write(key, nil, keys.KindDelete) }
+	r := buildRow(db.NVM, id, b.MT, db.ChunkSize(), db.St)
+	db.St.AddFlush(time.Since(start), b.MT.ApproximateBytes())
 
-func (db *DB) write(key, value []byte, kind keys.Kind) error {
-	if len(key) == 0 {
-		return fmt.Errorf("matrixkv: empty key")
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if err := db.makeRoomForWrite(); err != nil {
-		return err
-	}
-	db.seq++
-	seq := db.seq
-	db.mu.Lock()
-	mem := db.mem
-	db.mu.Unlock()
-	if mem.log != nil {
-		if err := mem.log.Append(key, value, seq, kind); err != nil {
-			return err
-		}
-	}
-	if err := mem.mt.Add(key, value, seq, kind); err != nil {
-		return err
-	}
-	db.st.Add(stats.UserBytes, int64(len(key)+len(value)))
-	if kind == keys.KindDelete {
-		db.st.Add(stats.Deletes, 1)
-	} else {
-		db.st.Add(stats.Puts, 1)
-	}
+	db.Mu.Lock()
+	// Stamp the consumption origin at publication time, under the
+	// same lock the column compactor advances the cursor with — a
+	// stamp taken earlier could predate a whole column extraction
+	// and wrongly mark the row's copy of that range as consumed. The
+	// row is published before the engine drops the buffer from its
+	// queue, so a reader always finds the data in one place or both.
+	r.joinCycle = db.cycle
+	r.sufFrom = db.cursor
+	db.rows = append([]*row{r}, db.rows...)
+	db.liveBytes += r.size
+	db.Cond.Broadcast()
+	db.Mu.Unlock()
 	return nil
-}
-
-// makeRoomForWrite throttles against the container budget instead of an
-// L0 file count: over budget, every write is delayed (cumulative stall);
-// at 2× budget it blocks (rare — column compaction is fine-grained, which
-// is exactly MatrixKV's contribution); and it rotates a full memtable.
-func (db *DB) makeRoomForWrite() error {
-	slowedDown := false
-	for {
-		db.mu.Lock()
-		if db.closed {
-			db.mu.Unlock()
-			return kvstore.ErrClosed
-		}
-		switch {
-		case db.liveBytes >= 4*db.opts.NVMBufferSize:
-			// Far over budget: block outright. MatrixKV's design goal is
-			// that column compaction keeps the container from ever
-			// reaching this point (the paper reports zero interval
-			// stalls), so this is a safety valve.
-			start := time.Now()
-			for db.liveBytes >= 4*db.opts.NVMBufferSize && !db.closed {
-				db.cond.Wait()
-			}
-			db.st.AddIntervalStall(time.Since(start))
-			db.mu.Unlock()
-			continue
-		case db.liveBytes >= db.opts.NVMBufferSize && !slowedDown:
-			// Over budget: slow every write down, harder the further
-			// over — MatrixKV's remaining cumulative stalls (62.5% of
-			// write time in the paper's Fig 2(a)).
-			over := time.Duration(db.liveBytes / db.opts.NVMBufferSize)
-			db.mu.Unlock()
-			delay := over * time.Millisecond
-			time.Sleep(delay)
-			db.st.Add(stats.CumulativeStallNs, int64(delay))
-			slowedDown = true
-			continue
-		case !db.mem.mt.Full():
-			db.mu.Unlock()
-			return nil
-		case len(db.imms) >= maxImms:
-			// RocksDB-style bounded immutable queue: block only when
-			// several flushes are backlogged.
-			start := time.Now()
-			for len(db.imms) >= maxImms && !db.closed {
-				db.cond.Wait()
-			}
-			db.st.AddIntervalStall(time.Since(start))
-			db.mu.Unlock()
-			continue
-		default:
-			fresh, err := db.newHandle()
-			if err != nil {
-				db.mu.Unlock()
-				return err
-			}
-			db.imms = append(db.imms, db.mem)
-			db.mem = fresh
-			db.cond.Broadcast()
-			db.mu.Unlock()
-			return nil
-		}
-	}
-}
-
-// maxImms bounds the immutable-memtable backlog (RocksDB's
-// max_write_buffer_number analogue).
-const maxImms = 4
-
-// flushLoop serializes immutable memtables into container rows.
-func (db *DB) flushLoop() {
-	defer db.wg.Done()
-	for {
-		db.mu.Lock()
-		for len(db.imms) == 0 && !db.closed {
-			db.cond.Wait()
-		}
-		if len(db.imms) == 0 && db.closed {
-			db.mu.Unlock()
-			return
-		}
-		imm := db.imms[0]
-		db.mu.Unlock()
-
-		start := time.Now()
-		db.mu.Lock()
-		db.rowID++
-		id := db.rowID
-		db.mu.Unlock()
-
-		r := buildRow(db.nvm, id, imm.mt, db.opts.ChunkSize, db.st)
-		db.st.AddFlush(time.Since(start), imm.mt.ApproximateBytes())
-
-		db.mu.Lock()
-		// Stamp the consumption origin at publication time, under the
-		// same lock the column compactor advances the cursor with — a
-		// stamp taken earlier could predate a whole column extraction
-		// and wrongly mark the row's copy of that range as consumed.
-		r.joinCycle = db.cycle
-		r.sufFrom = db.cursor
-		db.rows = append([]*row{r}, db.rows...)
-		db.liveBytes += r.size
-		db.imms = db.imms[1:]
-		db.cond.Broadcast()
-		db.mu.Unlock()
-
-		imm.mt.Release()
-		if imm.log != nil {
-			imm.log.Release()
-		}
-	}
 }
 
 // consumedLocked reports whether the row's copy of key has already been
@@ -343,26 +173,21 @@ func (db *DB) rowDeadLocked(r *row) bool {
 // rows and merges it directly into L1 — a small, bounded unit of work, so
 // the container drains smoothly instead of in L0-sized lurches.
 func (db *DB) columnLoop() {
-	defer db.wg.Done()
 	for {
-		db.mu.Lock()
-		for db.liveBytes < db.opts.NVMBufferSize*6/10 && !db.closed {
-			db.cond.Wait()
+		db.Mu.Lock()
+		for db.liveBytes < db.budget*6/10 && !db.ClosedLocked() {
+			db.Cond.Wait()
 		}
-		if db.closed && db.liveBytes == 0 {
-			db.mu.Unlock()
-			return
-		}
-		if db.closed && len(db.rows) == 0 {
-			db.mu.Unlock()
+		if db.ClosedLocked() && (db.liveBytes == 0 || len(db.rows) == 0) {
+			db.Mu.Unlock()
 			return
 		}
 		if len(db.rows) == 0 {
 			// Budget pressure can only come from rows; nothing to do.
-			db.mu.Unlock()
+			db.Mu.Unlock()
 			continue
 		}
-		db.mu.Unlock()
+		db.Mu.Unlock()
 		db.compactOneColumn()
 	}
 }
@@ -371,10 +196,10 @@ func (db *DB) columnLoop() {
 // into L1.
 func (db *DB) compactOneColumn() {
 	start := time.Now()
-	db.mu.Lock()
+	db.Mu.Lock()
 	rows := append([]*row(nil), db.rows...)
 	cycle, cursor := db.cycle, db.cursor
-	db.mu.Unlock()
+	db.Mu.Unlock()
 
 	// Gather per-row iterators positioned at the cursor. A row that
 	// joined mid-cycle already had its suffix consumed by this cycle's
@@ -382,7 +207,7 @@ func (db *DB) compactOneColumn() {
 	// exactly once in its lifetime.
 	var its []iterx.Iterator
 	for _, r := range rows {
-		it := r.newIter(db.st)
+		it := r.newIter(db.St)
 		if cursor == nil {
 			it.SeekToFirst()
 		} else {
@@ -404,7 +229,7 @@ func (db *DB) compactOneColumn() {
 	var lastKey []byte
 	for merged.Valid() {
 		k := merged.Key()
-		if colBytes >= db.opts.ColumnBytes && lastKey != nil && !bytes.Equal(k, lastKey) {
+		if colBytes >= db.columnBytes && lastKey != nil && !bytes.Equal(k, lastKey) {
 			break
 		}
 		col = append(col, columnEntry{
@@ -427,13 +252,13 @@ func (db *DB) compactOneColumn() {
 		// Feed the column into L1 as a sorted stream.
 		ci := &colIter{entries: col}
 		smallest, largest := col[0].key, col[len(col)-1].key
-		if err := db.lsm.MergeIntoLevel(1, ci, smallest, largest); err != nil {
+		if err := db.LSM.MergeIntoLevel(1, ci, smallest, largest); err != nil {
 			panic(err)
 		}
 	}
 
 	// Advance the cursor, retire consumed bytes, drop dead rows.
-	db.mu.Lock()
+	db.Mu.Lock()
 	// Rows published while this column was extracting were not part of
 	// the snapshot, so none of their entries moved — but they recorded
 	// sufFrom = the pre-column cursor, which would wrongly mark their
@@ -468,15 +293,15 @@ func (db *DB) compactOneColumn() {
 	var live []*row
 	for _, r := range db.rows {
 		if db.rowDeadLocked(r) {
-			r.release(db.nvm)
+			r.release(db.NVM)
 			continue
 		}
 		live = append(live, r)
 	}
 	db.rows = live
-	db.cond.Broadcast()
-	db.mu.Unlock()
-	db.st.AddCompaction(time.Since(start))
+	db.Cond.Broadcast()
+	db.Mu.Unlock()
+	db.St.AddCompaction(time.Since(start))
 }
 
 // columnEntry is one extracted entry of a column.
@@ -544,149 +369,52 @@ func (f *filteredIter) Value() []byte   { return f.in.Value() }
 func (f *filteredIter) Seq() uint64     { return f.in.Seq() }
 func (f *filteredIter) Kind() keys.Kind { return f.in.Kind() }
 
-// Get returns the newest live value: memtables, then the matrix container
-// rows newest-first (paying row deserialization), then L1+.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	db.st.Add(stats.Gets, 1)
-	db.mu.Lock()
-	mem := db.mem
-	imms := append([]*handle(nil), db.imms...)
+// getRows probes the matrix container rows newest first, paying row
+// deserialization, and skips a row's copy of a key that column
+// compaction has already moved into L1.
+func (db *DB) getRows(key []byte) ([]byte, keys.Kind, bool) {
+	db.Mu.Lock()
 	rows := append([]*row(nil), db.rows...)
-	db.mu.Unlock()
-
-	if v, _, kind, ok := mem.mt.Get(key); ok {
-		return finishGet(v, kind)
-	}
-	for i := len(imms) - 1; i >= 0; i-- { // newest first
-		if v, _, kind, ok := imms[i].mt.Get(key); ok {
-			return finishGet(v, kind)
-		}
-	}
+	db.Mu.Unlock()
 	for _, r := range rows {
-		db.mu.Lock()
+		db.Mu.Lock()
 		consumed := db.consumedLocked(r, key)
-		db.mu.Unlock()
+		db.Mu.Unlock()
 		if consumed {
 			continue
 		}
-		if v, _, kind, ok := r.get(key, db.st); ok {
-			return finishGet(v, kind)
+		if v, _, kind, ok := r.get(key, db.St); ok {
+			return v, kind, true
 		}
 	}
-	if v, _, kind, ok := db.lsm.Get(key); ok {
-		return finishGet(v, kind)
-	}
-	return nil, kvstore.ErrNotFound
+	return nil, 0, false
 }
 
-func finishGet(v []byte, kind keys.Kind) ([]byte, error) {
-	if kind == keys.KindDelete {
-		return nil, kvstore.ErrNotFound
-	}
-	return append([]byte(nil), v...), nil
-}
-
-// Scan walks live keys ≥ start in order. Rows are included in full; the
-// visibility wrapper collapses duplicates with L1+ copies (same versions).
-func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
-	db.st.Add(stats.Scans, 1)
-	db.mu.Lock()
-	sources := []iterx.Iterator{db.mem.mt.NewIterator()}
-	for _, h := range db.imms {
-		sources = append(sources, h.mt.NewIterator())
-	}
+// rowSources appends an iterator over every row, in full: the visibility
+// wrapper collapses a row's duplicates of L1+ copies (same versions).
+// Mu held.
+func (db *DB) rowSources(its []iterx.Iterator) []iterx.Iterator {
 	for _, r := range db.rows {
-		sources = append(sources, r.newIter(db.st))
+		its = append(its, r.newIter(db.St))
 	}
-	db.mu.Unlock()
-	sources = append(sources, db.lsm.Iterators()...)
-	it := iterx.NewVisible(iterx.NewMerging(sources...))
-	n := 0
-	for it.Seek(start); it.Valid(); it.Next() {
-		if limit > 0 && n >= limit {
-			break
-		}
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-		n++
-	}
-	return nil
+	return its
 }
 
 // Flush forces the memtable into the container and drains compactions.
 func (db *DB) Flush() error {
-	db.writeMu.Lock()
-	db.mu.Lock()
-	needRotate := !db.mem.mt.Empty()
-	db.mu.Unlock()
-	if needRotate {
-		for {
-			db.mu.Lock()
-			if len(db.imms) < maxImms {
-				fresh, err := db.newHandle()
-				if err != nil {
-					db.mu.Unlock()
-					db.writeMu.Unlock()
-					return err
-				}
-				db.imms = append(db.imms, db.mem)
-				db.mem = fresh
-				db.cond.Broadcast()
-				db.mu.Unlock()
-				break
-			}
-			db.cond.Wait()
-			db.mu.Unlock()
-		}
+	if err := db.Rotate(); err != nil {
+		return err
 	}
-	db.writeMu.Unlock()
-	db.mu.Lock()
-	for len(db.imms) > 0 && !db.closed {
-		db.cond.Wait()
-	}
-	db.mu.Unlock()
-	db.lsm.WaitIdle()
+	db.Drain()
 	return nil
-}
-
-// Stats returns cost accounting with device traffic and its rates.
-func (db *DB) Stats() stats.Snapshot {
-	s := db.st.Snapshot()
-	s.Devices = []stats.DeviceCounters{db.nvm.Counters().Stats(), db.disk.Counters().Stats()}
-	s.Derive()
-	return s
-}
-
-// ResetCounters clears device and cost counters between bench phases.
-func (db *DB) ResetCounters() {
-	db.dram.ResetCounters()
-	db.nvm.ResetCounters()
-	db.disk.ResetCounters()
-	db.st.Reset()
 }
 
 // ContainerBytes returns the live (unconsumed) bytes in the matrix
 // container (diagnostics).
 func (db *DB) ContainerBytes() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.Mu.Lock()
+	defer db.Mu.Unlock()
 	return db.liveBytes
-}
-
-// Close shuts the store down.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil
-	}
-	db.closed = true
-	db.cond.Broadcast()
-	db.mu.Unlock()
-	db.wg.Wait()
-	db.lsm.Close()
-	return nil
 }
 
 var _ kvstore.Store = (*DB)(nil)

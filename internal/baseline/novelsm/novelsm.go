@@ -17,23 +17,23 @@
 // NVM memtable is the slow, blocking step whose backlog produces the long
 // interval stalls of the paper's Fig 2(a); reads below the memtables pay
 // SSTable deserialization.
+//
+// The shared baseline.Engine carries the front end, the reads and the
+// lifecycle; this package adds the alternation, the NVM staging list and
+// the flushes that throttle against L0.
 package novelsm
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
+	"miodb/internal/baseline"
 	"miodb/internal/iterx"
 	"miodb/internal/keys"
 	"miodb/internal/kvstore"
 	"miodb/internal/lsm"
 	"miodb/internal/memtable"
-	"miodb/internal/nvm"
 	"miodb/internal/stats"
-	"miodb/internal/vaddr"
 	"miodb/internal/vfs"
-	"miodb/internal/wal"
 )
 
 // Options configures the store.
@@ -42,8 +42,6 @@ type Options struct {
 	MemTableSize int64
 	// NVMBufferSize is the big NVM memtable capacity (paper: 4 GB → 4 MB).
 	NVMBufferSize int64
-	// ChunkSize bounds the largest entry.
-	ChunkSize int
 	// NoSST selects the NoveLSM-NoSST variant: immutable DRAM memtables
 	// drain into one ever-growing NVM skip list and nothing is ever
 	// serialized.
@@ -65,53 +63,15 @@ type Options struct {
 	TimeScale float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.MemTableSize <= 0 {
-		o.MemTableSize = 64 << 10
-	}
-	if o.NVMBufferSize <= 0 {
-		o.NVMBufferSize = 4 << 20
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 256 << 10
-	}
-	if o.ChunkSize < int(o.MemTableSize/4) {
-		o.ChunkSize = int(o.MemTableSize)
-	}
-	if o.TimeScale == 0 {
-		o.TimeScale = 1
-	}
-	return o
-}
-
-// buffer is one write buffer in the alternating pipeline.
-type buffer struct {
-	mt    *memtable.MemTable
-	log   *wal.Log // nil for NVM-resident buffers (already persistent)
-	isNVM bool
-}
-
-// DB is a flat-NoveLSM store.
+// DB is a NoveLSM store: the shared baseline.Engine with NoveLSM's
+// buffering and flush policy.
 type DB struct {
-	opts  Options
-	space *vaddr.Space
-	dram  *nvm.Device
-	nvm   *nvm.Device
-	disk  *vfs.Disk
-	lsm   *lsm.Levels // nil in NoSST mode
-	st    *stats.Recorder
-
-	writeMu sync.Mutex
-	seq     uint64
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	active *buffer
-	queue  []*buffer          // immutable buffers, oldest first
-	nvmBig *memtable.MemTable // NoSST: the single big NVM skip list
-	closed bool
-
-	wg sync.WaitGroup
+	baseline.Engine
+	nvmSize int64
+	// nvmBig is the NVM skip list below the DRAM memtables of the NoSST
+	// and hierarchical variants (nil in the flat one). Only the retire
+	// loop replaces it, under Mu.
+	nvmBig *memtable.MemTable
 }
 
 // maxQueue bounds the immutable-buffer backlog before writers block.
@@ -119,400 +79,143 @@ const maxQueue = 2
 
 // Open creates a store.
 func Open(opts Options) (*DB, error) {
-	opts = opts.withDefaults()
-	space := vaddr.NewSpace()
-	db := &DB{
-		opts:  opts,
-		space: space,
-		dram:  nvm.NewDevice(space, nvm.DRAMProfile()),
-		nvm:   nvm.NewDevice(space, nvm.NVMProfile()),
-		st:    &stats.Recorder{},
+	db := &DB{nvmSize: opts.NVMBufferSize}
+	if db.nvmSize <= 0 {
+		db.nvmSize = 4 << 20
 	}
-	db.cond = sync.NewCond(&db.mu)
-	db.dram.SetSimulation(opts.Simulate)
-	db.nvm.SetSimulation(opts.Simulate)
-	db.dram.SetTimeScale(opts.TimeScale)
-	db.nvm.SetTimeScale(opts.TimeScale)
-
+	cfg := baseline.Config{
+		MemTableSize: opts.MemTableSize,
+		LSM:          &opts.LSM,
+		Disk:         opts.Disk,
+		DisableWAL:   opts.DisableWAL,
+		Simulate:     opts.Simulate,
+		TimeScale:    opts.TimeScale,
+	}
+	p := baseline.Policy{QueueBound: maxQueue, Next: db.alternate, Retire: db.flush}
+	staged := opts.NoSST || opts.Hierarchical
+	if staged {
+		// Only DRAM write buffers; immutables drain into the big NVM list.
+		p = baseline.Policy{QueueBound: maxQueue, Retire: db.drain, Get: db.getNVM, Sources: db.nvmSources}
+	}
+	bigSize := db.nvmSize
 	if opts.NoSST {
-		big, err := memtable.New(db.nvm, 1<<40, opts.ChunkSize)
-		if err != nil {
-			return nil, err
-		}
-		db.nvmBig = big
-	} else if opts.Hierarchical {
-		big, err := memtable.New(db.nvm, opts.NVMBufferSize, opts.ChunkSize)
-		if err != nil {
-			return nil, err
-		}
-		db.nvmBig = big
+		cfg.LSM = nil
+		bigSize = 1 << 40
 	}
-	if !opts.NoSST {
-		db.disk = opts.Disk
-		if db.disk == nil {
-			db.disk = vfs.NewDisk(vfs.NVMBlockProfile())
-		}
-		db.disk.SetSimulation(opts.Simulate)
-		db.disk.SetTimeScale(opts.TimeScale)
-		lo := opts.LSM
-		lo.Disk = db.disk
-		lo.Stats = db.st
-		db.lsm = lsm.New(lo)
-	}
-
-	active, err := db.newDRAMBuffer()
-	if err != nil {
+	if err := db.Init(cfg, p); err != nil {
 		return nil, err
 	}
-	db.active = active
-
-	db.wg.Add(1)
-	go db.flushLoop()
+	if staged {
+		big, err := db.NewBuffer(db.NVM, bigSize)
+		if err != nil {
+			db.Close()
+			return nil, err
+		}
+		db.nvmBig = big.MT
+	}
 	return db, nil
 }
 
-func (db *DB) newDRAMBuffer() (*buffer, error) {
-	mt, err := memtable.New(db.dram, db.opts.MemTableSize, db.opts.ChunkSize)
-	if err != nil {
-		return nil, err
+// alternate picks the buffer after a full one: a full DRAM memtable
+// overflows into a fresh big NVM memtable, written in place with no WAL
+// (persistent already — NoveLSM's stall mitigation), each insert paying
+// an O(log N) position search plus a copy on slow NVM; a full NVM
+// memtable returns writes to DRAM.
+func (db *DB) alternate(full *baseline.Buffer) (*baseline.Buffer, error) {
+	if full.NVM {
+		return db.NewBuffer(db.DRAM, db.MemTableSize())
 	}
-	b := &buffer{mt: mt}
-	if !db.opts.DisableWAL {
-		b.log = wal.New(db.nvm, db.opts.ChunkSize)
-	}
-	return b, nil
+	return db.NewBuffer(db.NVM, db.nvmSize)
 }
 
-func (db *DB) newNVMBuffer() (*buffer, error) {
-	mt, err := memtable.New(db.nvm, db.opts.NVMBufferSize, db.opts.ChunkSize)
-	if err != nil {
-		return nil, err
+// flush serializes an immutable buffer into L0; the big NVM memtable
+// spills as several SSTables.
+func (db *DB) flush(b *baseline.Buffer) error {
+	var maxBytes int64
+	if b.NVM {
+		maxBytes = db.LSM.Options().TableSize
 	}
-	return &buffer{mt: mt, isNVM: true}, nil
+	return db.spill(b.MT, maxBytes)
 }
 
-// Put stores a key-value pair.
-func (db *DB) Put(key, value []byte) error { return db.write(key, value, keys.KindSet) }
-
-// Delete writes a tombstone.
-func (db *DB) Delete(key []byte) error { return db.write(key, nil, keys.KindDelete) }
-
-func (db *DB) write(key, value []byte, kind keys.Kind) error {
-	if len(key) == 0 {
-		return fmt.Errorf("novelsm: empty key")
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-
+// spill serializes mt into L0 SSTables of at most maxBytes each (≤ 0:
+// one table). It first throttles against L0 like LevelDB's writer —
+// waiting out a stop, then sleeping one slowdown, both counted as
+// cumulative stalls — and the backlog this creates is what stalls the
+// writers.
+func (db *DB) spill(mt *memtable.MemTable, maxBytes int64) error {
 	for {
-		db.mu.Lock()
-		if db.closed {
-			db.mu.Unlock()
-			return kvstore.ErrClosed
-		}
-		active := db.active
-		if !active.mt.Full() {
-			db.seq++
-			seq := db.seq
-			db.mu.Unlock()
-			if active.log != nil {
-				if err := active.log.Append(key, value, seq, kind); err != nil {
-					return err
-				}
+		sleep, stop := db.LSM.WriteDelay()
+		if !stop {
+			if sleep > 0 {
+				time.Sleep(sleep)
+				db.St.Add(stats.CumulativeStallNs, int64(sleep))
 			}
-			if err := active.mt.Add(key, value, seq, kind); err != nil {
-				return err
-			}
-			db.st.Add(stats.UserBytes, int64(len(key)+len(value)))
-			if kind == keys.KindDelete {
-				db.st.Add(stats.Deletes, 1)
-			} else {
-				db.st.Add(stats.Puts, 1)
-			}
-			return nil
+			break
 		}
-		// Rotate the full active buffer.
-		if db.opts.NoSST || db.opts.Hierarchical {
-			// These variants keep only DRAM write buffers; immutables
-			// drain into the big NVM list.
-			if len(db.queue) >= maxQueue {
-				db.stallLocked()
-				continue
-			}
-			fresh, err := db.newDRAMBuffer()
-			if err != nil {
-				db.mu.Unlock()
-				return err
-			}
-			db.queue = append(db.queue, active)
-			db.active = fresh
-			db.cond.Broadcast()
-			db.mu.Unlock()
-			continue
-		}
-		if len(db.queue) >= maxQueue {
-			// Both buffers ahead are still flushing — the long interval
-			// stall NoveLSM suffers when the big NVM memtable drains.
-			db.stallLocked()
-			continue
-		}
-		var fresh *buffer
-		var err error
-		if active.isNVM {
-			fresh, err = db.newDRAMBuffer() // return to DRAM
-		} else {
-			fresh, err = db.newNVMBuffer() // overflow into NVM, in place
-		}
-		if err != nil {
-			db.mu.Unlock()
+		db.St.Add(stats.CumulativeStallNs, int64(db.LSM.WaitL0BelowStop()))
+	}
+	start := time.Now()
+	if err := db.LSM.FlushToL0(mt.NewIterator(), maxBytes); err != nil {
+		return err
+	}
+	db.St.AddFlush(time.Since(start), mt.ApproximateBytes())
+	return nil
+}
+
+// drain is the costly one-by-one merge of an immutable DRAM memtable
+// into the big NVM skip list (§4.1's log(N) probes + memcpy per KV). A
+// full hierarchical staging list then spills to L0 SSTables and is
+// replaced ("when the large NVM-based MemTable is flushed into SSD, the
+// KV store still suffers from serialization/deserialization costs",
+// §2.3). The spill runs on the retire loop, so DRAM flushes back up
+// behind it — the stall cascade the paper attributes to this design.
+// NoSST's list never fills.
+func (db *DB) drain(b *baseline.Buffer) error {
+	start := time.Now()
+	it := b.MT.NewIterator()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		if err := db.nvmBig.Add(it.Key(), it.Value(), it.Seq(), it.Kind()); err != nil {
 			return err
 		}
-		db.queue = append(db.queue, active)
-		db.active = fresh
-		db.cond.Broadcast()
-		db.mu.Unlock()
 	}
-}
-
-// stallLocked blocks the writer until the flush queue shortens, recording
-// the interval stall. Called with db.mu held; returns with it released.
-func (db *DB) stallLocked() {
-	start := time.Now()
-	for len(db.queue) >= maxQueue && !db.closed {
-		db.cond.Wait()
-	}
-	db.st.AddIntervalStall(time.Since(start))
-	db.mu.Unlock()
-}
-
-// flushLoop retires immutable buffers oldest-first: serialization into L0
-// SSTables (throttled by L0 pressure), or — in the NoSST variant —
-// entry-by-entry drains into the big NVM skip list, the costly one-by-one
-// merge the MioDB paper's §4.1 analysis counts.
-func (db *DB) flushLoop() {
-	defer db.wg.Done()
-	for {
-		db.mu.Lock()
-		for len(db.queue) == 0 && !db.closed {
-			db.cond.Wait()
-		}
-		if len(db.queue) == 0 && db.closed {
-			db.mu.Unlock()
-			return
-		}
-		b := db.queue[0]
-		db.mu.Unlock()
-
-		if db.opts.NoSST || db.opts.Hierarchical {
-			// The costly one-by-one merge into the big persistent skip
-			// list (§4.1's log(N) probes + memcpy per KV).
-			start := time.Now()
-			it := b.mt.NewIterator()
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-				if err := db.nvmBig.Add(it.Key(), it.Value(), it.Seq(), it.Kind()); err != nil {
-					panic(err)
-				}
-			}
-			db.st.AddFlush(time.Since(start), b.mt.ApproximateBytes())
-			if db.opts.Hierarchical && db.nvmBig.Full() {
-				db.spillHierarchical()
-			}
-		} else {
-			// Throttle against L0 like LevelDB; the backlog this creates
-			// is what stalls the writer above.
-			for {
-				sleep, block := db.lsm.WriteDelay()
-				if block {
-					d := db.lsm.WaitL0BelowStop()
-					db.st.Add(stats.CumulativeStallNs, int64(d))
-					continue
-				}
-				if sleep > 0 {
-					time.Sleep(sleep)
-					db.st.Add(stats.CumulativeStallNs, int64(sleep))
-				}
-				break
-			}
-			start := time.Now()
-			maxBytes := int64(1) << 62
-			if b.isNVM {
-				// The big NVM memtable spills as multiple SSTables.
-				maxBytes = db.lsm.Options().TableSize
-			}
-			if err := db.lsm.FlushToL0Sized(b.mt.NewIterator(), maxBytes); err != nil {
-				panic(err)
-			}
-			db.st.AddFlush(time.Since(start), b.mt.ApproximateBytes())
-		}
-
-		db.mu.Lock()
-		db.queue = db.queue[1:]
-		db.cond.Broadcast()
-		db.mu.Unlock()
-
-		b.mt.Release()
-		if b.log != nil {
-			b.log.Release()
-		}
-	}
-}
-
-// spillHierarchical serializes the full NVM staging memtable into L0
-// SSTables and replaces it with a fresh one — the hierarchical
-// architecture's big, blocking flush ("when the large NVM-based MemTable
-// is flushed into SSD, the KV store still suffers from
-// serialization/deserialization costs", §2.3). It runs on the drain
-// goroutine, so DRAM flushes back up behind it, which is exactly the
-// stall cascade the paper attributes to this design.
-func (db *DB) spillHierarchical() {
-	old := db.nvmBig
-	for {
-		sleep, block := db.lsm.WriteDelay()
-		if block {
-			d := db.lsm.WaitL0BelowStop()
-			db.st.Add(stats.CumulativeStallNs, int64(d))
-			continue
-		}
-		if sleep > 0 {
-			time.Sleep(sleep)
-			db.st.Add(stats.CumulativeStallNs, int64(sleep))
-		}
-		break
-	}
-	start := time.Now()
-	if err := db.lsm.FlushToL0Sized(old.NewIterator(), db.lsm.Options().TableSize); err != nil {
-		panic(err)
-	}
-	db.st.AddFlush(time.Since(start), old.ApproximateBytes())
-
-	fresh, err := memtable.New(db.nvm, db.opts.NVMBufferSize, db.opts.ChunkSize)
-	if err != nil {
-		panic(err)
-	}
-	db.mu.Lock()
-	db.nvmBig = fresh
-	db.cond.Broadcast()
-	db.mu.Unlock()
-	old.Release()
-}
-
-// Get returns the newest live value for key: active buffer, immutable
-// queue newest-first, the NVM staging list, then the SSTable tree.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	db.st.Add(stats.Gets, 1)
-	db.mu.Lock()
-	active := db.active
-	queue := append([]*buffer(nil), db.queue...)
-	nvmBig := db.nvmBig
-	db.mu.Unlock()
-
-	if v, _, kind, ok := active.mt.Get(key); ok {
-		return finishGet(v, kind)
-	}
-	for i := len(queue) - 1; i >= 0; i-- { // newest first
-		if v, _, kind, ok := queue[i].mt.Get(key); ok {
-			return finishGet(v, kind)
-		}
-	}
-	if nvmBig != nil {
-		if v, _, kind, ok := nvmBig.Get(key); ok {
-			return finishGet(v, kind)
-		}
-	}
-	if db.lsm != nil {
-		if v, _, kind, ok := db.lsm.Get(key); ok {
-			return finishGet(v, kind)
-		}
-	}
-	return nil, kvstore.ErrNotFound
-}
-
-func finishGet(v []byte, kind keys.Kind) ([]byte, error) {
-	if kind == keys.KindDelete {
-		return nil, kvstore.ErrNotFound
-	}
-	return append([]byte(nil), v...), nil
-}
-
-// Scan walks live keys ≥ start in order.
-func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
-	db.st.Add(stats.Scans, 1)
-	db.mu.Lock()
-	sources := []iterx.Iterator{db.active.mt.NewIterator()}
-	for _, b := range db.queue {
-		sources = append(sources, b.mt.NewIterator())
-	}
-	nvmBig := db.nvmBig
-	db.mu.Unlock()
-	if nvmBig != nil {
-		sources = append(sources, nvmBig.NewIterator())
-	}
-	if db.lsm != nil {
-		sources = append(sources, db.lsm.Iterators()...)
-	}
-	it := iterx.NewVisible(iterx.NewMerging(sources...))
-	n := 0
-	for it.Seek(start); it.Valid(); it.Next() {
-		if limit > 0 && n >= limit {
-			break
-		}
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-		n++
-	}
-	return nil
-}
-
-// Flush drains the immutable queue and background compactions. The active
-// buffer stays resident (NoveLSM keeps its memtables in memory).
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	for len(db.queue) > 0 && !db.closed {
-		db.cond.Wait()
-	}
-	db.mu.Unlock()
-	if db.lsm != nil {
-		db.lsm.WaitIdle()
-	}
-	return nil
-}
-
-// Stats returns cost accounting with device traffic and its rates.
-func (db *DB) Stats() stats.Snapshot {
-	s := db.st.Snapshot()
-	s.Devices = []stats.DeviceCounters{db.nvm.Counters().Stats()}
-	if db.disk != nil {
-		s.Devices = append(s.Devices, db.disk.Counters().Stats())
-	}
-	s.Derive()
-	return s
-}
-
-// ResetCounters clears device and cost counters between bench phases.
-func (db *DB) ResetCounters() {
-	db.dram.ResetCounters()
-	db.nvm.ResetCounters()
-	if db.disk != nil {
-		db.disk.ResetCounters()
-	}
-	db.st.Reset()
-}
-
-// Close shuts the store down.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	db.St.AddFlush(time.Since(start), b.MT.ApproximateBytes())
+	if !db.nvmBig.Full() {
 		return nil
 	}
-	db.closed = true
-	db.cond.Broadcast()
-	db.mu.Unlock()
-	db.wg.Wait()
-	if db.lsm != nil {
-		db.lsm.Close()
+	old := db.nvmBig
+	if err := db.spill(old, db.LSM.Options().TableSize); err != nil {
+		return err
 	}
+	fresh, err := db.NewBuffer(db.NVM, db.nvmSize)
+	if err != nil {
+		return err
+	}
+	db.Mu.Lock()
+	db.nvmBig = fresh.MT
+	db.Mu.Unlock()
+	old.Release()
+	return nil
+}
+
+// getNVM probes the big NVM skip list.
+func (db *DB) getNVM(key []byte) ([]byte, keys.Kind, bool) {
+	db.Mu.Lock()
+	big := db.nvmBig
+	db.Mu.Unlock()
+	v, _, kind, ok := big.Get(key)
+	return v, kind, ok
+}
+
+// nvmSources appends an iterator over the big NVM skip list (Mu held).
+func (db *DB) nvmSources(its []iterx.Iterator) []iterx.Iterator {
+	return append(its, db.nvmBig.NewIterator())
+}
+
+// Flush drains the immutable queue and background compactions. The
+// active buffer stays resident (NoveLSM keeps its memtables in memory).
+func (db *DB) Flush() error {
+	db.Drain()
 	return nil
 }
 

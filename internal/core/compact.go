@@ -264,7 +264,7 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 			if dead := deadFn(db.current.Load().rangeDels); dead != nil {
 				src = iterx.NewFiltered(src, keys.MaxSeq, dead)
 			}
-			return db.ssd.FlushToL0(src)
+			return db.ssd.FlushToL0(src, 0)
 		}); err != nil {
 			return fmt.Errorf("flush to L0: %w", err)
 		}

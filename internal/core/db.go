@@ -1103,6 +1103,9 @@ func (db *DB) ResetCounters() {
 	if db.vlogDisk != nil {
 		db.vlogDisk.ResetCounters()
 	}
+	if db.vlog != nil {
+		db.vlog.ResetCounters()
+	}
 	// Atomic field-wise reset: background flush/compaction goroutines may
 	// be updating the recorder concurrently, so a struct copy would race.
 	db.st.Reset()

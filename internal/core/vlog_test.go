@@ -155,6 +155,34 @@ func TestValueLogGCReclaimsAndPreservesLiveValues(t *testing.T) {
 	}
 }
 
+func TestResetCountersZeroesValueLogCounters(t *testing.T) {
+	// ResetCounters opens a new bench phase: the value log's cumulative
+	// counters start again from zero, while its segment gauge still
+	// describes the log as it stands.
+	db := mustOpen(t, vlogOpts())
+	defer db.Close()
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("reset%03d", i)
+		if err := db.Put([]byte(k), bigVal(k, 4<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.WaitIdle()
+	before := db.Stats().ValueLog
+	if before.Appends == 0 || before.Segments == 0 {
+		t.Fatalf("no value-log activity to reset: %+v", before)
+	}
+	db.ResetCounters()
+	after := db.Stats().ValueLog
+	if after.Appends != 0 || after.AppendedBytes != 0 {
+		t.Fatalf("after ResetCounters appends = %d, appended bytes = %d; want 0",
+			after.Appends, after.AppendedBytes)
+	}
+	if after.Segments != before.Segments {
+		t.Fatalf("ResetCounters changed the segment gauge: %d → %d", before.Segments, after.Segments)
+	}
+}
+
 func TestValueLogGCRespectsSnapshots(t *testing.T) {
 	db := mustOpen(t, vlogOpts())
 	defer db.Close()

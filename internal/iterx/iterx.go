@@ -198,6 +198,10 @@ func (v *Visible) Seq() uint64 { return v.in.Seq() }
 // Kind returns keys.KindSet (tombstones are filtered).
 func (v *Visible) Kind() keys.Kind { return v.in.Kind() }
 
+// Err returns nil: an Iterator raises no errors, so neither does the
+// view over it. It makes Visible a Cursor that Scan drives.
+func (v *Visible) Err() error { return nil }
+
 var _ Iterator = (*Visible)(nil)
 
 // Filtered hides entries a snapshot read must not see: entries with

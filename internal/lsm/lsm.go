@@ -130,11 +130,16 @@ func (l *Levels) Close() {
 // Options returns the effective options.
 func (l *Levels) Options() Options { return l.opts }
 
-// FlushToL0 serializes the iterator's content into one new L0 SSTable.
-// It blocks the caller for the full serialization + device write — the
-// flush cost the paper measures in Fig 2(c) and Table 1.
-func (l *Levels) FlushToL0(it iterx.Iterator) error {
-	metas, err := l.buildTables(it, 1<<62) // single table regardless of size
+// FlushToL0 serializes the iterator's content into new L0 SSTables of at
+// most maxBytes each, or into one table when maxBytes ≤ 0 — a very large
+// buffer (NoveLSM's NVM memtable) spills as several. It blocks the caller
+// for the full serialization + device write — the flush cost the paper
+// measures in Fig 2(c) and Table 1.
+func (l *Levels) FlushToL0(it iterx.Iterator, maxBytes int64) error {
+	if maxBytes <= 0 {
+		maxBytes = 1 << 62
+	}
+	metas, err := l.buildTables(it, maxBytes)
 	if err != nil {
 		return err
 	}
@@ -151,7 +156,6 @@ func (l *Levels) buildTables(it iterx.Iterator, maxBytes int64) ([]*FileMeta, er
 	var out []*FileMeta
 	var b *sstable.Builder
 	var meta *FileMeta
-	var w *vfs.Writer
 
 	finish := func() error {
 		if b == nil {
@@ -173,7 +177,7 @@ func (l *Levels) buildTables(it iterx.Iterator, maxBytes int64) ([]*FileMeta, er
 		meta.Smallest = t.Smallest
 		meta.Largest = t.Largest
 		out = append(out, meta)
-		b, meta, w = nil, nil, nil
+		b, meta = nil, nil
 		return nil
 	}
 
@@ -184,8 +188,7 @@ func (l *Levels) buildTables(it iterx.Iterator, maxBytes int64) ([]*FileMeta, er
 			l.nextID++
 			l.mu.Unlock()
 			meta = &FileMeta{ID: id, Name: fmt.Sprintf("%06d.sst", id)}
-			w = l.opts.Disk.Create(meta.Name)
-			b = sstable.NewBuilder(w, sstable.BuilderOptions{
+			b = sstable.NewBuilder(l.opts.Disk.Create(meta.Name), sstable.BuilderOptions{
 				BlockSize:       l.opts.BlockSize,
 				BloomBitsPerKey: l.opts.BloomBitsPerKey,
 				Stats:           l.opts.Stats,
@@ -204,7 +207,6 @@ func (l *Levels) buildTables(it iterx.Iterator, maxBytes int64) ([]*FileMeta, er
 	if err := finish(); err != nil {
 		return nil, err
 	}
-	_ = w
 	return out, nil
 }
 
@@ -380,22 +382,4 @@ func (l *Levels) compactionLoop() {
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	}
-}
-
-// FlushToL0Sized is FlushToL0 splitting the output into tables of at most
-// maxBytes each — used when a very large buffer (NoveLSM's NVM memtable)
-// spills into L0 as multiple SSTables.
-func (l *Levels) FlushToL0Sized(it iterx.Iterator, maxBytes int64) error {
-	if maxBytes <= 0 {
-		maxBytes = l.opts.TableSize
-	}
-	metas, err := l.buildTables(it, maxBytes)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.files[0] = append(metas, l.files[0]...)
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	return nil
 }

@@ -18,11 +18,11 @@ func TestFlushToL0SizedSplitsTables(t *testing.T) {
 		kvs[fmt.Sprintf("key-%05d", i)] = fmt.Sprintf("%0128d", i)
 	}
 	// ~56 KB of payload split into ≤8 KB tables → several L0 files.
-	if err := l.FlushToL0Sized(memIter(t, kvs, 1), 8<<10); err != nil {
+	if err := l.FlushToL0(memIter(t, kvs, 1), 8<<10); err != nil {
 		t.Fatal(err)
 	}
 	if n := l.L0Count(); n < 4 {
-		t.Errorf("FlushToL0Sized produced %d tables, expected a split", n)
+		t.Errorf("FlushToL0 produced %d tables, expected a split", n)
 	}
 	for k, v := range kvs {
 		got, _, _, ok := l.Get([]byte(k))
@@ -67,7 +67,7 @@ func TestMergeIntoLevelReplacesOverlaps(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		base[fmt.Sprintf("key-%05d", i)] = "old"
 	}
-	if err := l.FlushToL0(memIter(t, base, 1)); err != nil {
+	if err := l.FlushToL0(memIter(t, base, 1), 0); err != nil {
 		t.Fatal(err)
 	}
 	l.WaitIdle()
@@ -124,12 +124,12 @@ func TestL0GetPicksNewestBySeq(t *testing.T) {
 	l := New(testOptions(st))
 	defer l.Close()
 	older := &colSource{keys: []string{"k"}, vals: []string{"newer-seq"}, seqs: []uint64{100}}
-	if err := l.FlushToL0(older); err != nil {
+	if err := l.FlushToL0(older, 0); err != nil {
 		t.Fatal(err)
 	}
 	// This file is added later (newer by file order) but holds an older seq.
 	newerFile := &colSource{keys: []string{"k"}, vals: []string{"older-seq"}, seqs: []uint64{50}}
-	if err := l.FlushToL0(newerFile); err != nil {
+	if err := l.FlushToL0(newerFile, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, seq, _, ok := l.Get([]byte("k"))
@@ -148,7 +148,7 @@ func TestCompressedLevels(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		kvs[fmt.Sprintf("key-%05d", i)] = fmt.Sprintf("%0512d", i) // compressible
 	}
-	if err := l.FlushToL0(memIter(t, kvs, 1)); err != nil {
+	if err := l.FlushToL0(memIter(t, kvs, 1), 0); err != nil {
 		t.Fatal(err)
 	}
 	l.WaitIdle()

@@ -57,7 +57,7 @@ func TestFlushAndGet(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		kvs[fmt.Sprintf("key-%04d", i)] = fmt.Sprintf("val-%04d", i)
 	}
-	if err := l.FlushToL0(memIter(t, kvs, 1)); err != nil {
+	if err := l.FlushToL0(memIter(t, kvs, 1), 0); err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range kvs {
@@ -86,7 +86,7 @@ func TestCompactionReducesL0AndPreservesData(t *testing.T) {
 			kvs[k] = v
 			golden[k] = v
 		}
-		if err := l.FlushToL0(memIter(t, kvs, seq)); err != nil {
+		if err := l.FlushToL0(memIter(t, kvs, seq), 0); err != nil {
 			t.Fatal(err)
 		}
 		seq += 1000
@@ -124,14 +124,14 @@ func TestTombstonesShadowAndDropAtBottom(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		base[fmt.Sprintf("key-%03d", i)] = "v"
 	}
-	if err := l.FlushToL0(memIter(t, base, 1)); err != nil {
+	if err := l.FlushToL0(memIter(t, base, 1), 0); err != nil {
 		t.Fatal(err)
 	}
 	dels := map[string]string{}
 	for i := 0; i < 100; i += 2 {
 		dels[fmt.Sprintf("key-%03d", i)] = "<del>"
 	}
-	if err := l.FlushToL0(memIter(t, dels, 1000)); err != nil {
+	if err := l.FlushToL0(memIter(t, dels, 1000), 0); err != nil {
 		t.Fatal(err)
 	}
 	// Tombstones must shadow older values immediately.
@@ -156,7 +156,7 @@ func TestMergingScanAcrossLevels(t *testing.T) {
 			k := fmt.Sprintf("key-%05d", (flush*53+i*11)%500)
 			kvs[k] = fmt.Sprintf("v-%d-%d", flush, i)
 		}
-		if err := l.FlushToL0(memIter(t, kvs, seq)); err != nil {
+		if err := l.FlushToL0(memIter(t, kvs, seq), 0); err != nil {
 			t.Fatal(err)
 		}
 		seq += 1000
@@ -202,7 +202,7 @@ func TestWriteDelaySignals(t *testing.T) {
 	seq := uint64(1)
 	for i := 0; i < 6; i++ {
 		kvs := map[string]string{fmt.Sprintf("k%d", i): "v"}
-		if err := l.FlushToL0(memIter(t, kvs, seq)); err != nil {
+		if err := l.FlushToL0(memIter(t, kvs, seq), 0); err != nil {
 			t.Fatal(err)
 		}
 		seq += 10
@@ -234,7 +234,7 @@ func TestLevelSizeCapsRespectedEventually(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			kvs[fmt.Sprintf("key-%06d", rnd.Intn(5000))] = fmt.Sprintf("%0128d", i)
 		}
-		if err := l.FlushToL0(memIter(t, kvs, seq)); err != nil {
+		if err := l.FlushToL0(memIter(t, kvs, seq), 0); err != nil {
 			t.Fatal(err)
 		}
 		seq += 1000

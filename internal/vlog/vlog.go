@@ -717,6 +717,18 @@ func (s *Store) SetNextID(id uint32) {
 	s.mu.Unlock()
 }
 
+// ResetCounters zeroes the cumulative counters (appends, relocations,
+// reclaims) between bench phases. The segment, size and live-byte gauges
+// describe the log's state, not a phase's work, and stay as they are.
+func (s *Store) ResetCounters() {
+	s.appends.Store(0)
+	s.appendedBytes.Store(0)
+	s.relocations.Store(0)
+	s.relocatedBytes.Store(0)
+	s.reclaimedSegs.Store(0)
+	s.reclaimedBytes.Store(0)
+}
+
 // Counters returns a snapshot of the store's accounting.
 func (s *Store) Counters() Counters {
 	var c Counters
