@@ -19,7 +19,8 @@ test:
 # flush/close, the memory governor), the public DB that forwards to one
 # engine or to the router, the pipelined network front end
 # (reader/writer split, cross-connection batcher, tag-matched client),
-# the bloom filters merged in place under concurrent probes, the one
+# the bloom filters merged in place under concurrent probes, the
+# memtable filters its one committer fills while Gets probe them, the one
 # stats recorder that every foreground and background goroutine writes,
 # and the baselines' shared engine (one writer against one retire loop,
 # MatrixKV's column compactor and readers across every tier) must stay
@@ -27,7 +28,7 @@ test:
 # run again on one CPU and on two: the merger and its readers interleave
 # differently on each.
 race:
-	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/...
+	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/memtable ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/...
 	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$|TestSafeIteratorUnderConcurrentMerge$$' -count=1
 
 # One CPU: the runners that share it (one per background job, or one for
@@ -130,9 +131,11 @@ bench-wire:
 		-outputdir $(CURDIR)/profiles -o profiles/wire.test
 
 # The read path alone, bottom up: one skip-list search at memtable size
-# (384 entries) and repository size (60 000), one SafeIterator step through
-# a settled table and through a merging pair, and the engine's Scan(20)
-# over a preloaded store, with allocations. Leaves a CPU profile per
+# (384 entries) and repository size (60 000), one memtable Get (a hit, and
+# a miss its filter rules out, with and without the filter), one
+# SafeIterator step through a settled table and through a merging pair,
+# and the engine's Scan(20) over a preloaded store, with allocations.
+# Leaves a CPU profile per
 # layer; inspect with:
 #   go tool pprof -top profiles/read-skiplist.test profiles/read-skiplist-cpu.out
 bench-read:
@@ -140,6 +143,9 @@ bench-read:
 	$(GO) test ./internal/skiplist -run xxx -bench SeekGE -benchmem \
 		-cpuprofile read-skiplist-cpu.out \
 		-outputdir $(CURDIR)/profiles -o profiles/read-skiplist.test
+	$(GO) test ./internal/memtable -run xxx -bench Get -benchmem \
+		-cpuprofile read-memtable-cpu.out \
+		-outputdir $(CURDIR)/profiles -o profiles/read-memtable.test
 	$(GO) test ./internal/pmtable -run xxx -bench SafeIteratorNext -benchmem \
 		-cpuprofile read-pmtable-cpu.out \
 		-outputdir $(CURDIR)/profiles -o profiles/read-pmtable.test

@@ -153,7 +153,7 @@ func TestMaskProbesMatchModulo(t *testing.T) {
 		for i := 0; i < nbits/16; i++ {
 			k := key(i)
 			f.Add(k)
-			h := hash64(k)
+			h := Hash(k)
 			delta := h>>17 | h<<47
 			for p := 0; p < f.probes; p++ {
 				pos := h % uint64(nbits)

@@ -194,7 +194,7 @@ func (db *DB) copyMerge(m *pmtable.Merge) (*pmtable.Table, func(), error) {
 			return coveredAt(dels, key, seq, horizon)
 		})
 	}
-	result, err := pmtable.Build(db.nvm, db.opts.ChunkSize, merged, m.New.ID, db.fp)
+	result, err := pmtable.Build(db.nvm, db.opts.ChunkSize, merged, m.New.ID, db.fp, nil)
 	if err != nil {
 		return nil, nil, err
 	}

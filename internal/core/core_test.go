@@ -620,3 +620,75 @@ func TestCheckConsistencyAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMemtableFilterFollowsBloomOption: every memtable of a store with
+// bloom filters on has one of the tables' parameters, and a store with
+// BloomBitsPerKey < 0 has none; both answer every Get — sets, overwrites,
+// tombstones and never-written keys, live and through a snapshot taken
+// before a last round of overwrites — whichever buffer or table holds it.
+func TestMemtableFilterFollowsBloomOption(t *testing.T) {
+	for _, bits := range []int{0, -1} {
+		t.Run(fmt.Sprintf("BloomBitsPerKey=%d", bits), func(t *testing.T) {
+			opts := smallOpts()
+			opts.BloomBitsPerKey = bits
+			db := mustOpen(t, opts)
+			defer db.Close()
+			golden := map[string]string{}
+			write := func(round int) {
+				for i := 0; i < 600; i++ {
+					k := fmt.Sprintf("key-%05d", i*7%600)
+					if (i+round)%5 == 0 {
+						if err := db.Delete([]byte(k)); err != nil {
+							t.Fatal(err)
+						}
+						delete(golden, k)
+						continue
+					}
+					v := fmt.Sprintf("v%d-%d-%s", round, i, bytes.Repeat([]byte("x"), 40))
+					if err := db.Put([]byte(k), []byte(v)); err != nil {
+						t.Fatal(err)
+					}
+					golden[k] = v
+				}
+			}
+			check := func(get func([]byte) ([]byte, error), want map[string]string) {
+				t.Helper()
+				for i := 0; i < 700; i++ {
+					k := fmt.Sprintf("key-%05d", i)
+					v, err := get([]byte(k))
+					if w, ok := want[k]; ok != (err == nil) || ok && string(v) != w {
+						t.Fatalf("Get(%s) = %q, %v; want %q (present %v)", k, v, err, w, ok)
+					}
+				}
+			}
+			for round := 0; round < 3; round++ {
+				write(round)
+			}
+			snap, err := db.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			atSnap := make(map[string]string, len(golden))
+			for k, v := range golden {
+				atSnap[k] = v
+			}
+			write(3)
+			// The active memtable's filter has no writer but this goroutine;
+			// an immutable one's may already be an L0 table's, merging.
+			v := db.current.Load()
+			if f := v.mem.mt.Filter(); bits >= 0 && (f == nil || f.Keys() != int(v.mem.mt.Count())) {
+				t.Fatalf("active memtable of %d entries has filter %v", v.mem.mt.Count(), f)
+			}
+			for _, h := range append([]*memHandle{v.mem}, v.imms...) {
+				if f := h.mt.Filter(); (f == nil) != (bits < 0) {
+					t.Fatalf("BloomBitsPerKey %d, memtable filter %v", bits, f)
+				}
+			}
+			check(db.Get, golden)
+			check(snap.Get, atSnap)
+			if err := snap.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"miodb/internal/bloom"
 	"miodb/internal/iterx"
 	"miodb/internal/keys"
 	"miodb/internal/kvstore"
@@ -262,7 +263,9 @@ func (db *DB) applySimulation() {
 func (db *DB) newMemHandle() (*memHandle, error) {
 	// The capacity comes from the dynamic target, not opts: this is the
 	// rotation boundary where a SetMemTableTarget call takes effect.
-	mt, err := memtable.New(db.dram, db.memTarget.Load(), db.opts.ChunkSize)
+	// Its bloom filter, made with the tables' parameters, becomes the L0
+	// table's at the flush.
+	mt, err := memtable.NewFiltered(db.dram, db.memTarget.Load(), db.opts.ChunkSize, db.fp.NewFilter())
 	if err != nil {
 		return nil, err
 	}
@@ -644,13 +647,16 @@ func (db *DB) getFrom(v *version, key []byte, bound uint64) ([]byte, error) {
 // range tombstones. The search order follows the storage hierarchy, so
 // the first hit wins; the level probes feed the per-level bloom counters.
 // Reads (getFrom) and the value-log collector's liveness check
-// (vlogEntryLive) share it.
+// (vlogEntryLive) share it. The key is hashed once: every memtable and
+// every table has a bloom filter of the same parameters, and a buffer or
+// table whose filter misses is skipped without a search.
 func (db *DB) newest(v *version, key []byte, bound uint64) (value []byte, seq uint64, kind keys.Kind, ok bool) {
-	if value, seq, kind, ok = v.mem.mt.GetBounded(key, bound); ok {
+	h := bloom.Hash(key)
+	if value, seq, kind, ok = v.mem.mt.GetBounded(key, h, bound); ok {
 		return
 	}
 	for _, imm := range v.imms {
-		if value, seq, kind, ok = imm.mt.GetBounded(key, bound); ok {
+		if value, seq, kind, ok = imm.mt.GetBounded(key, h, bound); ok {
 			return
 		}
 	}
@@ -661,7 +667,7 @@ func (db *DB) newest(v *version, key []byte, bound uint64) (value []byte, seq ui
 		var probes, skips, fps int64
 		for _, e := range level {
 			probes++
-			if !e.mayContain(key) {
+			if !e.mayContain(h) {
 				skips++
 				continue
 			}

@@ -11,9 +11,10 @@ import (
 // L0 PMTable; the flush job drains the queue oldest-first.
 //
 // Timeline per memtable (§4.2): bulk arena copy to NVM + background
-// pointer swizzling + bloom build, all inside pmtable.Flush. The memtable
-// keeps serving reads until the version without it drains; only then are
-// its DRAM arena and WAL region released.
+// pointer swizzling, both inside pmtable.Flush; the table's bloom filter
+// is the memtable's own, filled as the entries were committed. The
+// memtable keeps serving reads until the version without it drains; only
+// then are its DRAM arena and WAL region released.
 //
 // A persistent device or manifest failure degrades the store; the
 // flushed-but-unreleased state is intentionally leaked so the last
@@ -32,8 +33,9 @@ func (db *DB) flushOne(h *memHandle) error {
 	if db.opts.DisableOnePieceFlush {
 		// Ablation: copy entries one by one into a fresh NVM skip list —
 		// each insert pays an NVM-resident position search plus a copy,
-		// the cost profile Fig 12 attributes to NoveLSM/MatrixKV.
-		t, err := pmtable.Build(db.nvm, db.opts.ChunkSize, h.mt.NewIterator(), db.tableID.Add(1), db.fp)
+		// the cost profile Fig 12 attributes to NoveLSM/MatrixKV. The
+		// filter is the memtable's here too: the arms differ in the copy.
+		t, err := pmtable.Build(db.nvm, db.opts.ChunkSize, h.mt.NewIterator(), db.tableID.Add(1), db.fp, h.mt.Filter())
 		if err != nil {
 			return fmt.Errorf("build: %w", err)
 		}

@@ -16,7 +16,9 @@ import (
 type levelEntry interface {
 	// get returns the newest version of key with sequence ≤ maxSeq.
 	get(key []byte, maxSeq uint64) (value []byte, seq uint64, kind keys.Kind, ok bool)
-	mayContain(key []byte) bool
+	// mayContain probes the entry's filters for a key hashed with
+	// bloom.Hash: false means the key is absent.
+	mayContain(h uint64) bool
 	iterator() iterx.Iterator
 	newestSeq() uint64
 }
@@ -30,7 +32,7 @@ type tableEntry struct{ t *pmtable.Table }
 func (e tableEntry) get(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind, bool) {
 	return e.t.GetBoundedSafe(key, maxSeq)
 }
-func (e tableEntry) mayContain(key []byte) bool { return e.t.MayContainSafe(key) }
+func (e tableEntry) mayContain(h uint64) bool { return e.t.MayContainSafeHash(h) }
 
 // iterator returns the table's scan source. Always the migration-safe
 // iterator: even a table that is settled when the scan starts can enter a
@@ -46,7 +48,7 @@ type mergeEntry struct{ m *pmtable.Merge }
 func (e mergeEntry) get(key []byte, maxSeq uint64) ([]byte, uint64, keys.Kind, bool) {
 	return e.m.Get(key, maxSeq)
 }
-func (e mergeEntry) mayContain(key []byte) bool { return e.m.MayContain(key) }
+func (e mergeEntry) mayContain(h uint64) bool { return e.m.MayContainHash(h) }
 
 // iterator reads both lists under the merge's seqlock, re-seeking each
 // step, and follows the result table once the merge completes mid-scan.

@@ -2,8 +2,11 @@ package memtable
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"miodb/internal/bloom"
 	"miodb/internal/keys"
 	"miodb/internal/nvm"
 	"miodb/internal/vaddr"
@@ -141,3 +144,155 @@ func TestSpilledArenaChargesWhatItReports(t *testing.T) {
 		t.Fatalf("clone commits %d B, memtable reports %d B", clone.Footprint(), mt.ApproximateBytes())
 	}
 }
+
+// newFilteredMT is newMT with a bloom filter of the store defaults' shape
+// scaled down, so that its words collide often under the race detector.
+func newFilteredMT(t testing.TB, capacity int64, expectedKeys int) *MemTable {
+	t.Helper()
+	dev := nvm.NewDevice(vaddr.NewSpace(), nvm.DRAMProfile())
+	mt, err := NewFiltered(dev, capacity, 64<<10, bloom.New(expectedKeys, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mt
+}
+
+// A filter miss answers "absent" without a search: no DRAM read at all.
+// A key that was added is found through the filter, tombstones included.
+func TestFilterSkipsAbsentKeys(t *testing.T) {
+	mt := newFilteredMT(t, 1<<20, 1024)
+	for i := 0; i < 200; i++ {
+		kind := keys.KindSet
+		if i%5 == 0 {
+			kind = keys.KindDelete
+		}
+		if err := mt.Add([]byte(fmt.Sprintf("k%04d", i)), []byte("v"), uint64(i+1), kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mt.Filter() == nil || mt.Filter().Keys() != 200 {
+		t.Fatalf("filter = %v, want one of 200 keys", mt.Filter())
+	}
+	for i := 0; i < 200; i++ {
+		_, _, kind, ok := mt.Get([]byte(fmt.Sprintf("k%04d", i)))
+		if !ok || (kind == keys.KindDelete) != (i%5 == 0) {
+			t.Fatalf("Get(k%04d) = ok %v kind %v", i, ok, kind)
+		}
+	}
+	dev := mt.dev
+	skipped := 0
+	for i := 0; i < 200; i++ {
+		key := []byte(fmt.Sprintf("absent-%04d", i))
+		before := dev.Counters().Reads
+		if _, _, _, ok := mt.Get(key); ok {
+			t.Fatalf("Get(%s) found an absent key", key)
+		}
+		if !mt.Filter().MayContain(key) {
+			skipped++
+			if got := dev.Counters().Reads - before; got != 0 {
+				t.Fatalf("Get(%s) ruled out by the filter still read DRAM %d times", key, got)
+			}
+		}
+	}
+	if skipped < 190 {
+		t.Fatalf("filter ruled out %d of 200 absent keys", skipped)
+	}
+	if newMT(t, 4<<10).Filter() != nil {
+		t.Fatal("New made a filtered memtable")
+	}
+}
+
+// TestConcurrentProbesNeverMissAckedKeys runs the one writer against
+// readers that probe keys the writer has acked (Add returned) and keys it
+// is about to add: an acked key — set or tombstone — is never reported
+// absent, because its filter bits are stored before its node is
+// published. Run it under -race: the filter words are written while they
+// are read.
+func TestConcurrentProbesNeverMissAckedKeys(t *testing.T) {
+	const n = 4000
+	mt := newFilteredMT(t, 8<<20, 256) // small: most words shared by many keys
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i*7919%n)) }
+	var acked atomic.Int64
+	acked.Store(-1)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rnd := uint64(r)*0x9e3779b97f4a7c15 + 1
+			for !stop.Load() {
+				a := int(acked.Load())
+				rnd ^= rnd << 13
+				rnd ^= rnd >> 7
+				rnd ^= rnd << 17
+				// Probe an acked key, then one at or just past the writer.
+				if a >= 0 {
+					i := int(rnd % uint64(a+1))
+					_, seq, kind, ok := mt.GetBounded(key(i), bloom.Hash(key(i)), keys.MaxSeq)
+					if !ok || seq != uint64(i+1) || (kind == keys.KindDelete) != (i%3 == 0) {
+						errs <- fmt.Errorf("acked key %d: ok %v seq %d kind %v", i, ok, seq, kind)
+						return
+					}
+				}
+				if j := a + 1 + int(rnd%3); j < n {
+					mt.Get(key(j))
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < n; i++ {
+		kind := keys.KindSet
+		if i%3 == 0 {
+			kind = keys.KindDelete
+		}
+		if err := mt.Add(key(i), []byte("value"), uint64(i+1), kind); err != nil {
+			t.Fatal(err)
+		}
+		acked.Store(int64(i))
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkGet is a memtable point read at the benchmark's memtable size
+// (384 entries of 16-byte keys and 128-byte values): a hit, and a miss the
+// filter rules out, with and without a filter.
+func BenchmarkGet(b *testing.B) {
+	const n = 384
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
+	value := make([]byte, 128)
+	for _, filtered := range []bool{false, true} {
+		mt := newMT(b, 1<<20)
+		if filtered {
+			mt = newFilteredMT(b, 1<<20, 16384)
+		}
+		for i := 0; i < n; i++ {
+			if err := mt.Add(key(i*7919%n), value, uint64(i+1), keys.KindSet); err != nil {
+				b.Fatal(err)
+			}
+		}
+		hits, misses := make([][]byte, 1024), make([][]byte, 1024)
+		for i := range hits {
+			hits[i], misses[i] = key(i*104729%n), key(n+i)
+		}
+		for _, tc := range []struct {
+			name  string
+			probe [][]byte
+		}{{"hit", hits}, {"miss", misses}} {
+			b.Run(fmt.Sprintf("filter=%v/%s", filtered, tc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, _, _, benchOK = mt.Get(tc.probe[i%len(tc.probe)])
+				}
+			})
+		}
+	}
+}
+
+var benchOK bool

@@ -1,6 +1,7 @@
 package pmtable
 
 import (
+	"miodb/internal/bloom"
 	"miodb/internal/iterx"
 	"miodb/internal/keys"
 	"miodb/internal/nvm"
@@ -20,13 +21,21 @@ import (
 // Entries must arrive in (key asc, seq desc) order; older duplicates are
 // dropped so the built table holds at most one version per key, matching
 // what a zero-copy merge would leave live.
-func Build(dev *nvm.Device, chunkSize int, it iterx.Iterator, id uint64, fp FilterParams) (*Table, error) {
+//
+// filter, when not nil, is adopted as the table's filter instead of one
+// built from fp as the entries are copied: a flushed memtable's, which
+// already covers every key it yields, so the ablated flush differs from
+// the one-piece Flush only in how the entries are copied.
+func Build(dev *nvm.Device, chunkSize int, it iterx.Iterator, id uint64, fp FilterParams, filter *bloom.Filter) (*Table, error) {
 	region := dev.NewRegion(chunkSize)
 	list, err := skiplist.New(region)
 	if err != nil {
 		return nil, err
 	}
-	filter := fp.newFilter()
+	built := filter == nil
+	if built {
+		filter = fp.NewFilter()
+	}
 	var minSeq, maxSeq uint64 = keys.MaxSeq, 0
 	var lastKey []byte
 	lastValid := false
@@ -40,7 +49,7 @@ func Build(dev *nvm.Device, chunkSize int, it iterx.Iterator, id uint64, fp Filt
 		if err := list.Insert(key, it.Value(), it.Seq(), it.Kind()); err != nil {
 			return nil, err
 		}
-		if filter != nil {
+		if built && filter != nil {
 			filter.Add(key)
 		}
 		if s := it.Seq(); s < minSeq {

@@ -246,7 +246,7 @@ func linkVersions(t testing.TB, space *vaddr.Space, meter vaddr.Meter, id uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	filter := fp().newFilter()
+	filter := fp().NewFilter()
 	for _, v := range vs {
 		if err := list.Insert([]byte(v.key), []byte(v.value), v.seq, v.kind); err != nil {
 			t.Fatal(err)

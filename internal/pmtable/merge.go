@@ -424,9 +424,10 @@ func (m *Merge) getOnce(key []byte, maxSeq uint64) (value []byte, seq uint64, ki
 	return value, seq, kind, ok
 }
 
-// MayContain consults both tables' filters.
-func (m *Merge) MayContain(key []byte) bool {
-	return m.New.MayContain(key) || m.Old.MayContain(key)
+// MayContainHash consults both tables' filters for a key hashed with
+// bloom.Hash.
+func (m *Merge) MayContainHash(h uint64) bool {
+	return m.New.mayContainHash(h) || m.Old.mayContainHash(h)
 }
 
 // Moved returns the number of nodes migrated into the oldtable.

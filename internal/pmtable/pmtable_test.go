@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"miodb/internal/bloom"
 	"miodb/internal/keys"
 	"miodb/internal/memtable"
 	"miodb/internal/nvm"
@@ -106,6 +107,80 @@ func TestFlushChargesOneBulkWrite(t *testing.T) {
 	}
 	if written > 4*tbl.UserBytes()+1<<16 {
 		t.Errorf("flush wrote %d bytes, suspiciously more than arena size (user=%d)", written, tbl.UserBytes())
+	}
+}
+
+// TestFlushAdoptsMemtableFilter: a filtered memtable's one-piece flush
+// hands its filter to the table as is and reads no key to build one; an
+// unfiltered memtable's flush builds the filter with one walk, which
+// costs exactly the walk's reads (a pointer per node and the head's, a key
+// per node) and nothing else. The ablated Build adopts the filter too.
+func TestFlushAdoptsMemtableFilter(t *testing.T) {
+	const n = 150
+	fill := func(mt *memtable.MemTable) {
+		for i := 0; i < n; i++ {
+			kind := keys.KindSet
+			if i%4 == 0 {
+				kind = keys.KindDelete
+			}
+			if err := mt.Add([]byte(fmt.Sprintf("key-%04d", i*37%n)), []byte("0123456789"), uint64(i+1), kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flush := func(filtered bool) (*memtable.MemTable, *Table, nvm.Counters) {
+		dram, nv := devices()
+		var f *bloom.Filter
+		if filtered {
+			f = fp().NewFilter()
+		}
+		mt, err := memtable.NewFiltered(dram, 1<<20, 1<<20, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(mt)
+		before := nv.Counters()
+		tbl := Flush(nv, mt, 1, 1, n, fp())
+		after := nv.Counters()
+		return mt, tbl, nvm.Counters{
+			Reads: after.Reads - before.Reads, BytesRead: after.BytesRead - before.BytesRead,
+			Writes: after.Writes - before.Writes, BytesWritten: after.BytesWritten - before.BytesWritten,
+		}
+	}
+	filteredMT, tf, cf := flush(true)
+	_, tu, cu := flush(false)
+	if tf.Filter() == nil || tf.Filter() != filteredMT.Filter() {
+		t.Fatalf("flush of a filtered memtable has filter %p, want the memtable's %p", tf.Filter(), filteredMT.Filter())
+	}
+	if tu.Filter() == nil {
+		t.Fatal("flush of an unfiltered memtable built no filter")
+	}
+	for _, tbl := range []*Table{tf, tu} {
+		if got := tbl.Filter().Keys(); got != n {
+			t.Fatalf("filter holds %d keys, want %d", got, n)
+		}
+		for i := 0; i < n; i++ {
+			if k := []byte(fmt.Sprintf("key-%04d", i)); !tbl.MayContain(k) {
+				t.Fatalf("filter misses %s", k)
+			}
+		}
+	}
+	walkReads, walkBytes := int64(2*n+1), int64(8*(n+1)+n*len("key-0000"))
+	if cu.Reads-cf.Reads != walkReads || cu.BytesRead-cf.BytesRead != walkBytes {
+		t.Fatalf("filtered flush read %d times (%d B), unfiltered %d (%d B): the difference should be the walk's %d (%d B)",
+			cf.Reads, cf.BytesRead, cu.Reads, cu.BytesRead, walkReads, walkBytes)
+	}
+	if cf.Writes != cu.Writes || cf.BytesWritten != cu.BytesWritten {
+		t.Fatalf("filtered flush wrote %+v, unfiltered %+v", cf, cu)
+	}
+
+	_, nv := devices()
+	built, err := Build(nv, 1<<20, filteredMT.NewIterator(), 2, fp(), filteredMT.Filter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Filter() != filteredMT.Filter() {
+		t.Fatal("Build did not adopt the filter it was given")
 	}
 }
 

@@ -81,7 +81,9 @@ type FilterParams struct {
 // read-optimization ablation).
 func (p FilterParams) Disabled() bool { return p.BitsPerKey < 0 }
 
-func (p FilterParams) newFilter() *bloom.Filter {
+// NewFilter returns an empty filter of these parameters, nil when
+// filtering is disabled. A store gives one to each memtable it opens.
+func (p FilterParams) NewFilter() *bloom.Filter {
 	if p.Disabled() {
 		return nil
 	}
@@ -94,10 +96,14 @@ func (p FilterParams) newFilter() *bloom.Filter {
 //  1. the memtable's DRAM arena is cloned to NVM as a single bulk copy,
 //  2. every pointer in the copy is swizzled to the new arena's addresses
 //     (offsets are identical, only the region base changes — §4.2's
-//     "relative address" observation),
-//  3. the table's bloom filter is built from one list walk.
+//     "relative address" observation).
 //
-// All three steps run on the caller (a background flusher goroutine); the
+// The table's bloom filter is the memtable's own, filled key by key as
+// the entries arrived (memtable.NewFiltered; it must have been made with
+// fp), so the flush reads no key to build one. Only an unfiltered
+// memtable costs a list walk that builds the filter from fp.
+//
+// Both steps run on the caller (a background flusher goroutine); the
 // original memtable keeps serving reads until the caller retires it.
 func Flush(dev *nvm.Device, mt *memtable.MemTable, id uint64, minSeq, maxSeq uint64, fp FilterParams) *Table {
 	src := mt.Region()
@@ -107,9 +113,10 @@ func Flush(dev *nvm.Device, mt *memtable.MemTable, id uint64, minSeq, maxSeq uin
 	list.SetCount(mt.Count())
 	list.AddUserBytes(mt.UserBytes())
 
-	filter := fp.newFilter()
-	if filter != nil {
+	filter := mt.Filter()
+	if filter == nil && !fp.Disabled() {
 		// One walk, one device charge for all its key reads.
+		filter = fp.NewFilter()
 		var w skiplist.Walk
 		for n := list.First(&w); !n.IsNil(); n = list.Next(&w, n) {
 			filter.Add(w.Key(n))
@@ -129,7 +136,7 @@ func Flush(dev *nvm.Device, mt *memtable.MemTable, id uint64, minSeq, maxSeq uin
 // Attach reconstructs a Table over an existing list head (recovery path).
 func Attach(space *vaddr.Space, head vaddr.Addr, id uint64, regions []*vaddr.Region, fp FilterParams) *Table {
 	list := skiplist.Attach(space, head, nil)
-	filter := fp.newFilter()
+	filter := fp.NewFilter()
 	count := int64(0)
 	var minSeq, maxSeq uint64 = keys.MaxSeq, 0
 	var w skiplist.Walk
@@ -217,24 +224,28 @@ func (t *Table) GetBoundedSafe(key []byte, maxSeq uint64) (value []byte, seq uin
 
 // MayContain consults the table's bloom filter; with filtering disabled
 // every probe must fall through to the list search.
-func (t *Table) MayContain(key []byte) bool {
-	if t.filter == nil {
-		return true
-	}
-	return t.filter.MayContain(key)
+func (t *Table) MayContain(key []byte) bool { return t.filter == nil || t.filter.MayContain(key) }
+
+// mayContainHash is MayContain for a key hashed with bloom.Hash.
+func (t *Table) mayContainHash(h uint64) bool {
+	return t.filter == nil || t.filter.MayContainHash(h)
 }
 
 // MayContainSafe is the filter probe matching GetSafe's protocol: a
 // drained table answers with its successor's (merged) filter, a merging
 // table with the union of the pair's filters.
-func (t *Table) MayContainSafe(key []byte) bool {
+func (t *Table) MayContainSafe(key []byte) bool { return t.MayContainSafeHash(bloom.Hash(key)) }
+
+// MayContainSafeHash is MayContainSafe for a key hashed with bloom.Hash:
+// a point read hashes its key once for every filter it probes.
+func (t *Table) MayContainSafeHash(h uint64) bool {
 	if f := t.Forward(); f != nil {
-		return f.MayContainSafe(key)
+		return f.MayContainSafeHash(h)
 	}
 	if m := t.ActiveMerge(); m != nil {
-		return m.MayContain(key)
+		return m.MayContainHash(h)
 	}
-	return t.MayContain(key)
+	return t.mayContainHash(h)
 }
 
 // Count returns the number of live entries.
