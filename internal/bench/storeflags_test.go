@@ -22,9 +22,9 @@ func TestStoreFlags(t *testing.T) {
 	if err != nil || cfg.Kind != MioDB || cfg.Shards != 1 || cfg.SSD || cfg.MemoryBudget != 0 || cfg.Governor != nil || cfg.ValueLog != nil {
 		t.Errorf("defaults: %+v, %v", cfg, err)
 	}
-	cfg, err = parse("-store", "matrixkv", "-shards", "4", "-ssd", "-memory_budget", "1024", "-governor", "-value_threshold", "2048", "-value_log_ssd")
+	cfg, err = parse("-store", "matrixkv", "-shards", "4", "-ssd", "-memory_budget", "1024", "-governor", "-value_threshold", "2048")
 	if err != nil || cfg.Kind != MatrixKV || cfg.Shards != 4 || !cfg.SSD || cfg.MemoryBudget != 1024 || cfg.Governor == nil ||
-		cfg.ValueLog == nil || cfg.ValueLog.Threshold != 2048 || !cfg.ValueLog.OnSSD {
+		cfg.ValueLog == nil || cfg.ValueLog.Threshold != 2048 {
 		t.Errorf("all set: %+v, %v", cfg, err)
 	}
 	if cfg, err = parse("-value_log"); err != nil || cfg.ValueLog == nil || cfg.ValueLog.Threshold != 0 {

@@ -83,7 +83,7 @@ type Config struct {
 
 // StoreFlags registers on fs the store flags that miodb-bench, miodb-ycsb
 // and miodb-server share: -store, -shards, -ssd, -memory_budget,
-// -governor and the three value-log flags. The returned function, called
+// -governor and the two value-log flags. The returned function, called
 // after fs is parsed, builds their Config; it refuses -shards below 1.
 // The memtable size and the latency models stay with each tool.
 func StoreFlags(fs *flag.FlagSet) func() (Config, error) {
@@ -95,7 +95,6 @@ func StoreFlags(fs *flag.FlagSet) func() (Config, error) {
 		governor = fs.Bool("governor", false, "adaptively rebalance the memtable budget across shards by write heat (requires -shards > 1)")
 		valueLog = fs.Bool("value_log", false, "miodb key-value separation: append large values to a value log, store 16-byte pointers in the LSM")
 		valueThr = fs.Int("value_threshold", 0, "minimum value size in bytes routed to the value log (0 = default 1024; implies -value_log)")
-		valueSSD = fs.Bool("value_log_ssd", false, "place value-log segments on the simulated SSD tier (implies -value_log)")
 	)
 	return func() (Config, error) {
 		if *shards < 1 {
@@ -105,8 +104,8 @@ func StoreFlags(fs *flag.FlagSet) func() (Config, error) {
 		if *governor {
 			cfg.Governor = &shard.GovernorOptions{}
 		}
-		if *valueLog || *valueThr > 0 || *valueSSD {
-			cfg.ValueLog = &core.ValueLogOptions{Threshold: *valueThr, OnSSD: *valueSSD}
+		if *valueLog || *valueThr > 0 {
+			cfg.ValueLog = &core.ValueLogOptions{Threshold: *valueThr}
 		}
 		return cfg, nil
 	}

@@ -268,7 +268,6 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 		}); err != nil {
 			return fmt.Errorf("flush to L0: %w", err)
 		}
-		t.MarkReclaimable()
 	}
 
 	db.mu.Lock()

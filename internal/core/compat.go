@@ -38,8 +38,8 @@ var compatTable = []struct {
 	}},
 	{"ValueLog", func(f features, _ Operation) bool { return f.ValueLog != nil }, [numOperations]error{}},
 	{"ValueLog.OnSSD", func(f features, _ Operation) bool { return f.ValueLog != nil && f.ValueLog.OnSSD }, [numOperations]error{
-		OpRecover:    errors.New("miodb: an SSD-resident value log (ValueLog.OnSSD) is not crash-recoverable"),
-		OpCheckpoint: errors.New("miodb: checkpoint does not cover an SSD-resident value log (ValueLog.OnSSD)"),
+		OpOpen:    errOnSSDRemoved,
+		OpRecover: errOnSSDRemoved,
 	}},
 	{"DisableWAL", func(f features, _ Operation) bool { return f.DisableWAL }, [numOperations]error{}},
 	{"Shards", func(f features, _ Operation) bool { return f.shards > 1 }, [numOperations]error{}},
@@ -54,6 +54,11 @@ var compatTable = []struct {
 	{"DisableParallelCompaction", func(f features, _ Operation) bool { return f.DisableParallelCompaction }, [numOperations]error{}},
 	{"BloomBitsPerKey < 0", func(f features, _ Operation) bool { return f.BloomBitsPerKey < 0 }, [numOperations]error{}},
 }
+
+// errOnSSDRemoved refuses ValueLog.OnSSD wherever a store comes into
+// being; no store can hold an SSD-resident value log, so no other
+// operation meets one.
+var errOnSSDRemoved = errors.New("miodb: ValueLog.OnSSD is no longer supported: the SSD-resident value log was removed and every segment lives in NVM")
 
 // Refusal returns the table's error for op on a store with these options,
 // run as shards engines and, if governed, under the memory governor; nil

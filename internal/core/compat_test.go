@@ -55,7 +55,13 @@ func runRefused(t *testing.T, op Operation, c compatCase) error {
 		}
 		return err
 	}
-	db := mustOpen(t, c.opts)
+	// A feature refused at Open has no store of its own: the other
+	// operations are asked of a store opened without it.
+	open := c.opts
+	if Refusal(OpOpen, open, 1, false) != nil {
+		open = tortureOpts()
+	}
+	db := mustOpen(t, open)
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("k%04d", i))
 		if err := db.Put(k, k); err != nil {

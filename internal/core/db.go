@@ -45,8 +45,7 @@ type DB struct {
 
 	// vlog is the value log behind key-value separation (nil when
 	// Options.ValueLog is nil — the byte-for-byte inline engine).
-	vlog     *vlog.Store
-	vlogDisk *vfs.Disk // SSD-offload backing (OnSSD); nil otherwise
+	vlog *vlog.Store
 
 	// commitMu serializes commits: every Put, Delete, DeleteRange, batch
 	// and value-log GC relocation runs the one commit body (commitLocked)
@@ -284,16 +283,7 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 // the first pointer into it can commit.
 func (db *DB) initValueLog() {
 	vc := db.opts.ValueLog
-	cfg := vlog.Config{SegmentSize: vc.SegmentSize, GCDeadRatio: vc.GCDeadRatio}
-	if vc.OnSSD {
-		disk := vfs.NewDisk(vfs.SSDProfile())
-		disk.SetSimulation(db.opts.Simulate)
-		disk.SetTimeScale(db.opts.TimeScale)
-		db.vlogDisk = disk
-		db.vlog = vlog.NewSSD(disk, cfg)
-	} else {
-		db.vlog = vlog.NewNVM(db.nvm, cfg)
-	}
+	db.vlog = vlog.NewNVM(db.nvm, vlog.Config{SegmentSize: vc.SegmentSize, GCDeadRatio: vc.GCDeadRatio})
 	db.vlog.OnNewSegment = db.logVlogSegment
 }
 
@@ -1034,11 +1024,6 @@ func (db *DB) Stats() stats.Snapshot {
 	if db.ssd != nil {
 		s.Devices = append(s.Devices, db.ssd.Options().Disk.Counters().Stats())
 	}
-	if db.vlogDisk != nil {
-		d := db.vlogDisk.Counters().Stats()
-		d.Name = "vlog-" + d.Name
-		s.Devices = append(s.Devices, d)
-	}
 	s.BloomLevels = make([]stats.BloomLevelCounters, len(db.readLevels))
 	for i := range db.readLevels {
 		rl, l := &db.readLevels[i], &s.BloomLevels[i]
@@ -1105,9 +1090,6 @@ func (db *DB) ResetCounters() {
 	db.nvm.ResetCounters()
 	if db.ssd != nil {
 		db.ssd.Options().Disk.ResetCounters()
-	}
-	if db.vlogDisk != nil {
-		db.vlogDisk.ResetCounters()
 	}
 	if db.vlog != nil {
 		db.vlog.ResetCounters()

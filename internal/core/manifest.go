@@ -555,16 +555,12 @@ func (db *DB) logRangeDropLocked(seq uint64) error {
 	})
 }
 
-// logVlogSegment records a freshly created NVM value-log segment before
-// any pointer naming it can reach the WAL. It is the vlog.Store's
+// logVlogSegment records a freshly created value-log segment before any
+// pointer naming it can reach the WAL. It is the vlog.Store's
 // OnNewSegment callback: invoked from vlog.Append under commitMu but
 // outside both the vlog's own mutex and db.mu (lock order
-// commitMu → mu). SSD segments (name != "") are not crash-recoverable
-// and are not logged.
-func (db *DB) logVlogSegment(id uint32, regionIdx uint32, name string) error {
-	if name != "" {
-		return nil
-	}
+// commitMu → mu).
+func (db *DB) logVlogSegment(id uint32, regionIdx uint32) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.appendManifestLocked(recVlogSeg, func(e *encoder) {

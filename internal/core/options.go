@@ -78,9 +78,10 @@ type ValueLogOptions struct {
 	// garbage-collected (live values relocated, segment reclaimed).
 	// Default 0.5.
 	GCDeadRatio float64
-	// OnSSD places segments on the simulated SSD tier instead of NVM —
-	// the large-value offload arm. Checkpoint images and crash recovery
-	// do not cover SSD-resident segments.
+	// OnSSD once placed segments on the simulated SSD tier.
+	//
+	// Deprecated: the SSD-resident value log has been removed; segments
+	// always live in NVM. Open and Recover refuse true.
 	OnSSD bool
 }
 

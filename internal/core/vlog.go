@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"miodb/internal/keys"
-	"miodb/internal/vfs"
 	"miodb/internal/vlog"
 )
 
@@ -226,11 +225,6 @@ func (db *DB) onEntryDrop(value []byte, kind keys.Kind) {
 		db.vlog.MarkDead(a)
 	}
 }
-
-// ValueLogDiskForTest returns the simulated SSD an SSD-resident value
-// log (ValueLogOptions.OnSSD) lives on, so a test can fail its reads with
-// a fault plan; nil for any other store. Test use only.
-func (db *DB) ValueLogDiskForTest() *vfs.Disk { return db.vlogDisk }
 
 // ValueLogEnabled reports whether key-value separation is active.
 func (db *DB) ValueLogEnabled() bool { return db.vlog != nil }

@@ -293,7 +293,7 @@ func TestValueLogAnnouncementFailsAfterSnapshot(t *testing.T) {
 
 	refused := errors.New("announcement refused")
 	db.commitMu.Lock() // every value-log append runs under commitMu
-	db.vlog.OnNewSegment = func(uint32, uint32, string) error {
+	db.vlog.OnNewSegment = func(uint32, uint32) error {
 		db.mu.Lock()
 		err := db.writeManifestLocked()
 		db.mu.Unlock()
@@ -390,26 +390,31 @@ func TestValueLogRecoveryOptionMismatch(t *testing.T) {
 	}
 }
 
+// TestValueLogOnSSDRefusals: the SSD-resident value log is gone, so the
+// deprecated OnSSD field is refused by the table's one error wherever a
+// store comes into being — Open, and Recover of a real crash image.
 func TestValueLogOnSSDRefusals(t *testing.T) {
 	opts := vlogOpts()
 	opts.ValueLog.OnSSD = true
-	db := mustOpen(t, opts)
-	defer db.Close()
-	large := bigVal("ssd", 4<<10)
-	if err := db.Put([]byte("k"), large); err != nil {
+	want := Refusal(OpOpen, opts, 1, false)
+	if want == nil || Refusal(OpRecover, opts, 1, false) != want {
+		t.Fatalf("the compatibility table refuses OnSSD with %v at Open; want one error at Open and Recover", want)
+	}
+	if db, err := Open(opts); err != want {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open with OnSSD: err = %v, want %v", err, want)
+	}
+	db := mustOpen(t, vlogOpts())
+	if err := db.Put([]byte("k"), bigVal("k", 4<<10)); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := db.Get([]byte("k")); err != nil || !bytes.Equal(v, large) {
-		t.Fatalf("Get over SSD vlog: %v", err)
-	}
-	if c := db.ValueLogCounters(); c.Appends != 1 {
-		t.Fatalf("appends = %d", c.Appends)
-	}
-	if err := db.Checkpoint(t.TempDir() + "/img"); err == nil {
-		t.Fatal("checkpoint of SSD-resident value log accepted")
-	}
-	if _, err := Recover(&CrashImage{}, opts); err == nil {
-		t.Fatal("recovery of SSD-resident value log accepted")
+	if re, err := Recover(db.CrashForTest(), opts); err != want {
+		if err == nil {
+			re.Close()
+		}
+		t.Fatalf("Recover with OnSSD: err = %v, want %v", err, want)
 	}
 }
 

@@ -57,7 +57,6 @@ func absorbTwoSearches(r *Repository, t *Table, p AbsorbPolicy) error {
 			if _, err := r.list.InsertEntry(key, nil, it.Seq(), keys.KindDelete); err != nil {
 				return err
 			}
-			r.copied += int64(len(key))
 			continue
 		}
 		value := it.Value()
@@ -65,7 +64,6 @@ func absorbTwoSearches(r *Repository, t *Table, p AbsorbPolicy) error {
 		if err != nil {
 			return err
 		}
-		r.copied += int64(len(key) + len(value))
 		for p.canDrop(it.Seq()) {
 			d := r.list.RemoveAfter(n)
 			if d.IsNil() {
@@ -75,7 +73,6 @@ func absorbTwoSearches(r *Repository, t *Table, p AbsorbPolicy) error {
 			p.onDrop(d.Value(), d.Kind())
 		}
 	}
-	t.MarkReclaimable()
 	return nil
 }
 
@@ -108,11 +105,9 @@ func sameAbsorb(t *testing.T, what string, got, want *absorbSide) {
 	if fmt.Sprint(got.drops) != fmt.Sprint(want.drops) {
 		t.Fatalf("%s: drops observed %v, reference %v", what, got.drops, want.drops)
 	}
-	if got.repo.GarbageBytes() != want.repo.GarbageBytes() || got.repo.CopiedBytes() != want.repo.CopiedBytes() ||
-		got.repo.UserBytes() != want.repo.UserBytes() {
-		t.Fatalf("%s: garbage/copied/user bytes %d/%d/%d, reference %d/%d/%d", what,
-			got.repo.GarbageBytes(), got.repo.CopiedBytes(), got.repo.UserBytes(),
-			want.repo.GarbageBytes(), want.repo.CopiedBytes(), want.repo.UserBytes())
+	if got.repo.GarbageBytes() != want.repo.GarbageBytes() || got.repo.UserBytes() != want.repo.UserBytes() {
+		t.Fatalf("%s: garbage/user bytes %d/%d, reference %d/%d", what,
+			got.repo.GarbageBytes(), got.repo.UserBytes(), want.repo.GarbageBytes(), want.repo.UserBytes())
 	}
 }
 
@@ -185,9 +180,9 @@ func mix(x uint64) uint64 {
 // that overlap the repository's, interleave with them or miss them
 // entirely, gates that retain some duplicates (Drop false) and skip some
 // entries — draining with a carried splice leaves the list, the garbage
-// and copied accounting and the OnDrop sequence of a search from the head
-// per entry. The stores are the same stores (device writes and bytes
-// written equal: write amplification cannot move); only reads are saved.
+// accounting and the OnDrop sequence of a search from the head per entry.
+// The stores are the same stores (device writes and bytes written equal:
+// write amplification cannot move); only reads are saved.
 func TestAbsorbFingerMatchesFindSplice(t *testing.T) {
 	var fingerReads, searchReads int64
 	for seed := int64(1); seed <= 40; seed++ {

@@ -358,8 +358,6 @@ func (m *Merge) finish() *Table {
 	// skeletons keep their region slices until the engine drops them
 	// under its structural lock (DropRegions) — clearing them here would
 	// race with a concurrent manifest snapshot reading Regions().
-	m.New.MarkReclaimable()
-	m.Old.MarkReclaimable()
 	m.result = result
 	m.done.Store(true)
 	return result

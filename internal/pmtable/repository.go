@@ -29,7 +29,6 @@ type Repository struct {
 	list *skiplist.List
 
 	garbage int64 // bytes of unlinked (superseded) repository nodes
-	copied  int64 // user bytes physically copied in (lazy-copy traffic)
 }
 
 // NewRepository creates an empty repository on the NVM device.
@@ -89,14 +88,6 @@ func (r *Repository) GarbageBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.garbage
-}
-
-// CopiedBytes returns the cumulative user bytes physically copied by
-// lazy-copy compactions (the ≤1× component of write amplification).
-func (r *Repository) CopiedBytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.copied
 }
 
 // NewIterator iterates the repository in key order.
@@ -180,7 +171,6 @@ func (r *Repository) AbsorbWith(t *Table, p AbsorbPolicy) error {
 			return err
 		}
 	}
-	t.MarkReclaimable()
 	return nil
 }
 
@@ -250,14 +240,12 @@ func (d *absorbDrain) step(n skiplist.Node) error {
 		if _, err := r.list.InsertEntryWithSplice(w, key, nil, seq, keys.KindDelete, &d.splice); err != nil {
 			return err
 		}
-		r.copied += int64(len(key))
 		return nil
 	}
 	value := w.Value(n)
 	if _, err := r.list.InsertEntryWithSplice(w, key, value, seq, kind, &d.splice); err != nil {
 		return err
 	}
-	r.copied += int64(len(key) + len(value))
 	if p.canDrop(seq) {
 		d.unlinkVersions(key)
 	}
@@ -345,8 +333,5 @@ func (r *Repository) CompactedWith(chunkSize int, dead func(key []byte, seq uint
 			return nil, err
 		}
 	}
-	r.mu.Lock()
-	nr.copied = r.copied // carry the cumulative lazy-copy accounting
-	r.mu.Unlock()
 	return nr, nil
 }

@@ -44,9 +44,6 @@ type Table struct {
 	// reclamation (the cost lazy freeing defers).
 	garbage atomic.Int64
 
-	// reclaimable marks a table whose content has been fully merged away.
-	reclaimable atomic.Bool
-
 	// activeMerge points at the zero-copy merge currently draining or
 	// filling this table, if any. Readers that reached the table through
 	// a snapshot taken before the merge began must detect it and re-read
@@ -268,13 +265,6 @@ func (t *Table) Regions() []*vaddr.Region { return t.regions }
 
 // NewIterator iterates the table in internal-key order.
 func (t *Table) NewIterator() *skiplist.Iterator { return t.list.NewIterator() }
-
-// Reclaimable reports whether the table's content has been merged away and
-// its arenas may be released once no readers remain.
-func (t *Table) Reclaimable() bool { return t.reclaimable.Load() }
-
-// MarkReclaimable flags the table for deferred arena release.
-func (t *Table) MarkReclaimable() { t.reclaimable.Store(true) }
 
 // ReleaseRegions returns every arena to the device. The caller must
 // guarantee quiescence (the store's version reference counting does).

@@ -373,7 +373,7 @@ func TestIteratorAfterShardClose(t *testing.T) {
 // the merged Iterator's Err.
 func TestScanSurfacesShardReadError(t *testing.T) {
 	opts := testOpts()
-	opts.ValueLog = &core.ValueLogOptions{Threshold: 32, OnSSD: true}
+	opts.ValueLog = &core.ValueLogOptions{Threshold: 32}
 	r, err := Open(4, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -395,12 +395,9 @@ func TestScanSurfacesShardReadError(t *testing.T) {
 		t.Fatalf("healthy scan: %d keys, err %v", seen, err)
 	}
 
-	disk := r.Shard(2).ValueLogDiskForTest()
-	if disk == nil {
-		t.Fatal("shard 2 has no SSD-resident value log")
-	}
-	disk.SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(1))
-	defer disk.SetFaultPlan(nil)
+	_, dev := r.Shard(2).Devices()
+	dev.SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(1))
+	defer dev.SetFaultPlan(nil)
 
 	all := func(k, v []byte) bool { return true }
 	if err := r.Scan(nil, 0, all); !errors.Is(err, kvstore.ErrValueLogCorrupt) {

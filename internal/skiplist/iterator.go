@@ -75,54 +75,3 @@ func Swizzle(dst, src *vaddr.Region, oldHead vaddr.Addr) vaddr.Addr {
 	w.Done()
 	return head
 }
-
-// findLast returns the last node of the list, or the nil node. Skip lists
-// are forward-linked, so the search descends the towers rightward —
-// O(log n), the same technique LevelDB's memtable uses for backward
-// iteration.
-func (l *List) findLast() Node {
-	var w Walk
-	cur := l.headNode()
-	for level := MaxHeight - 1; level >= 0; level-- {
-		for {
-			next := w.next(cur, level)
-			if next.IsNil() {
-				break
-			}
-			cur = l.Node(next)
-		}
-	}
-	w.Done()
-	if cur.addr == l.head {
-		return Node{}
-	}
-	return cur
-}
-
-// findLT returns the rightmost node ordered strictly before (key, seq),
-// or the nil node.
-func (l *List) findLT(key []byte, seq uint64) Node {
-	var w Walk
-	cur := l.headNode()
-	for level := MaxHeight - 1; level >= 0; level-- {
-		cur, _ = l.walkLevel(&w, cur, level, key, seq)
-	}
-	w.Done()
-	if cur.addr == l.head {
-		return Node{}
-	}
-	return cur
-}
-
-// SeekToLast positions on the last entry.
-func (it *Iterator) SeekToLast() { it.n = it.l.findLast() }
-
-// Prev retreats to the preceding entry. Each step costs a fresh O(log n)
-// descent (the list is forward-linked only); backward scans are therefore
-// log-factor slower than forward scans, as in LevelDB's memtable.
-func (it *Iterator) Prev() {
-	if it.n.IsNil() {
-		return
-	}
-	it.n = it.l.findLT(it.n.Key(), it.n.Seq())
-}

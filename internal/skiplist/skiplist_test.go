@@ -567,60 +567,3 @@ func TestSpliceAPIsMatchSearchBased(t *testing.T) {
 		}
 	}
 }
-
-func TestBackwardIteration(t *testing.T) {
-	l := newList(t)
-	const n = 100
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key-%03d", i))
-		if err := l.Insert(k, []byte("v"), uint64(i+1), keys.KindSet); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it := l.NewIterator()
-	it.SeekToLast()
-	for i := n - 1; i >= 0; i-- {
-		if !it.Valid() {
-			t.Fatalf("iterator invalid at reverse position %d", i)
-		}
-		want := fmt.Sprintf("key-%03d", i)
-		if string(it.Key()) != want {
-			t.Fatalf("reverse[%d] = %q, want %q", i, it.Key(), want)
-		}
-		it.Prev()
-	}
-	if it.Valid() {
-		t.Error("iterator valid past the front")
-	}
-	// Prev after Seek retreats correctly.
-	it.Seek([]byte("key-050"))
-	it.Prev()
-	if !it.Valid() || string(it.Key()) != "key-049" {
-		t.Fatalf("Prev after Seek = %q", it.Key())
-	}
-	// Empty list.
-	empty := newList(t)
-	eit := empty.NewIterator()
-	eit.SeekToLast()
-	if eit.Valid() {
-		t.Error("SeekToLast valid on empty list")
-	}
-}
-
-func TestBackwardThroughVersions(t *testing.T) {
-	l := newList(t)
-	l.Insert([]byte("a"), []byte("a1"), 1, keys.KindSet)
-	l.Insert([]byte("a"), []byte("a2"), 2, keys.KindSet)
-	l.Insert([]byte("b"), []byte("b3"), 3, keys.KindSet)
-	it := l.NewIterator()
-	it.SeekToLast()
-	// Reverse order: (b,3), (a,1), (a,2) — key desc, then seq asc within
-	// a key (the mirror of forward order).
-	wantSeqs := []uint64{3, 1, 2}
-	for i, w := range wantSeqs {
-		if !it.Valid() || it.Seq() != w {
-			t.Fatalf("reverse version %d: seq=%d want=%d", i, it.Seq(), w)
-		}
-		it.Prev()
-	}
-}

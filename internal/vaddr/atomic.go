@@ -53,14 +53,6 @@ func (r *Region) Store64(addr Addr, v uint64) {
 	atomic.StoreUint64(r.word(addr), v)
 }
 
-// CompareAndSwap64 atomically compares-and-swaps the word at addr.
-func (r *Region) CompareAndSwap64(addr Addr, old, new uint64) bool {
-	if r.meter != nil {
-		r.meter.OnWrite(8)
-	}
-	return atomic.CompareAndSwapUint64(r.word(addr), old, new)
-}
-
 // PutUint64 writes v non-atomically (little endian) without metering; used
 // while initializing freshly allocated, not-yet-published objects.
 func (r *Region) PutUint64(addr Addr, v uint64) {

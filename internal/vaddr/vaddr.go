@@ -459,15 +459,6 @@ func (r *Region) Write(addr Addr, data []byte) {
 // Meter returns the region's meter (may be nil).
 func (r *Region) Meter() Meter { return r.meter }
 
-// ChargeRead charges the region's meter for an n-byte read without
-// returning data. Callers use it when they access bytes through an
-// unmetered path but still owe the device model the traffic.
-func (r *Region) ChargeRead(n int) {
-	if r.meter != nil {
-		r.meter.OnRead(n)
-	}
-}
-
 // ChargeWrite charges the region's meter for an n-byte write.
 func (r *Region) ChargeWrite(n int) {
 	if r.meter != nil {

@@ -1,8 +1,8 @@
 // Package vlog implements the value log behind MioDB's key-value
 // separation (DESIGN.md §14). Values at or above a configurable threshold
-// are appended to segmented logs — NVM arenas by default, files on the
-// simulated SSD tier when offloaded — and the LSM structure stores a
-// compact 16-byte address in their place. Compaction then moves pointers,
+// are appended to segmented logs in NVM arenas, beside the rest of the
+// paper's NVM-resident data, and the LSM structure stores a compact
+// 16-byte address in their place. Compaction then moves pointers,
 // not value bytes: the write-amplification win WiscKey-style separation
 // is known for, applied to the paper's NVM-resident design.
 //
@@ -18,6 +18,7 @@ package vlog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -27,7 +28,6 @@ import (
 	"miodb/internal/kvstore"
 	"miodb/internal/nvm"
 	"miodb/internal/vaddr"
-	"miodb/internal/vfs"
 )
 
 // ErrCorrupt reports a value-log entry that failed validation: an unknown
@@ -92,15 +92,12 @@ type Config struct {
 	GCDeadRatio float64
 }
 
-// segment is one append-only log extent: an NVM arena region, or a file
-// on the SSD tier. size and live are atomics because readers and the
-// dead-byte accounting hooks run without the store mutex.
+// segment is one append-only log extent: an NVM arena region. size and
+// live are atomics because readers and the dead-byte accounting hooks run
+// without the store mutex.
 type segment struct {
 	id     uint32
-	region *vaddr.Region // NVM-backed
-	name   string        // SSD-backed
-	w      *vfs.Writer
-	r      *vfs.Reader
+	region *vaddr.Region
 	cap    int64
 	size   atomic.Int64
 	live   atomic.Int64
@@ -126,8 +123,7 @@ type segment struct {
 	trusted bool
 }
 
-// newDeadSet sizes a dead set for entry offsets up to and including cap
-// (an SSD segment's last entry may be padded a few bytes past it).
+// newDeadSet sizes a dead set for entry offsets below cap.
 func newDeadSet(cap int64) []atomic.Uint64 {
 	return make([]atomic.Uint64, cap>>9+1)
 }
@@ -193,9 +189,8 @@ func (c Counters) DeadRatio() float64 {
 // (they run under the engine's commit lock); reads are lock-free against
 // a copy-on-write segment map, mirroring how vaddr resolves regions.
 type Store struct {
-	dev  *nvm.Device // NVM backing (nil when on SSD)
-	disk *vfs.Disk   // SSD backing (nil when on NVM)
-	cfg  Config
+	dev *nvm.Device
+	cfg Config
 
 	// OnNewSegment, when non-nil, is invoked synchronously right after a
 	// fresh segment is installed, before any entry lands in it. The engine
@@ -204,7 +199,7 @@ type Store struct {
 	// store mutex held (the callback takes engine locks that themselves
 	// order before this store's mutex); an error uninstalls the segment
 	// and aborts the append.
-	OnNewSegment func(id uint32, regionIndex uint32, name string) error
+	OnNewSegment func(id uint32, regionIndex uint32) error
 
 	mu     sync.Mutex
 	segs   atomic.Pointer[map[uint32]*segment]
@@ -212,9 +207,6 @@ type Store struct {
 	// active is the segment appends land in. Only the serialized appender
 	// installs one (newSegment); sealers and Free reach it without s.mu.
 	active atomic.Pointer[segment]
-	// stage is the SSD path's encode buffer, owned by the appender: a file
-	// write takes a whole entry, so it cannot be encoded in place.
-	stage []byte
 
 	appends, appendedBytes        atomic.Int64
 	relocations, relocatedBytes   atomic.Int64
@@ -224,14 +216,6 @@ type Store struct {
 // NewNVM creates a value log over byte-addressable NVM arenas.
 func NewNVM(dev *nvm.Device, cfg Config) *Store {
 	s := &Store{dev: dev, cfg: cfg}
-	empty := map[uint32]*segment{}
-	s.segs.Store(&empty)
-	return s
-}
-
-// NewSSD creates a value log over files on the simulated SSD tier.
-func NewSSD(disk *vfs.Disk, cfg Config) *Store {
-	s := &Store{disk: disk, cfg: cfg}
 	empty := map[uint32]*segment{}
 	s.segs.Store(&empty)
 	return s
@@ -276,7 +260,7 @@ func (s *Store) removeLocked(id uint32) *segment {
 // capacity is at least minCap bytes. Install happens before the
 // OnNewSegment announcement so a concurrently rolled manifest snapshot
 // can never miss the segment. On announcement failure the (still empty)
-// segment is uninstalled, but an NVM segment's region is left allocated:
+// segment is uninstalled, but its region is left allocated:
 // that snapshot may already be durable and name it, and recovery's
 // orphan sweep frees the region if nothing durable does. Callers are the
 // serialized appender — never holding s.mu.
@@ -284,32 +268,14 @@ func (s *Store) newSegment(minCap int64) (*segment, error) {
 	s.mu.Lock()
 	id := s.nextID
 	s.nextID = id + 1
-	g := &segment{id: id}
-	if s.dev != nil {
-		chunk := s.cfg.SegmentSize
-		if int64(chunk) < minCap {
-			chunk = int(minCap)
-		}
-		region := s.dev.NewRegion(chunk)
-		g.region = region
-		g.cap = int64(region.ChunkSize()) // pow2-rounded: keeps every segment single-chunk
-	} else {
-		g.name = fmt.Sprintf("vlog-%06d", id)
-		g.cap = int64(s.cfg.SegmentSize)
-		if g.cap < minCap {
-			g.cap = minCap
-		}
-		g.w = s.disk.Create(g.name)
-		r, err := s.disk.Open(g.name)
-		if err != nil {
-			s.mu.Unlock()
-			s.disk.Remove(g.name)
-			return nil, err
-		}
-		g.r = r
+	chunk := s.cfg.SegmentSize
+	if int64(chunk) < minCap {
+		chunk = int(minCap)
 	}
+	region := s.dev.NewRegion(chunk)
+	// The chunk size is pow2-rounded: it keeps every segment single-chunk.
+	g := &segment{id: id, region: region, cap: int64(region.ChunkSize()), trusted: true}
 	g.dead = newDeadSet(g.cap)
-	g.trusted = true
 	// The segment being rolled past is full (or errored): seal it so it
 	// becomes a GC candidate.
 	s.SealActive()
@@ -318,20 +284,11 @@ func (s *Store) newSegment(minCap int64) (*segment, error) {
 	s.mu.Unlock()
 
 	if s.OnNewSegment != nil {
-		var err error
-		if g.region != nil {
-			err = s.OnNewSegment(id, g.region.Index(), "")
-		} else {
-			err = s.OnNewSegment(id, 0, g.name)
-		}
-		if err != nil {
+		if err := s.OnNewSegment(id, region.Index()); err != nil {
 			s.mu.Lock()
 			s.removeLocked(id)
 			s.mu.Unlock()
 			s.active.CompareAndSwap(g, nil)
-			if g.region == nil {
-				s.disk.Remove(g.name)
-			}
 			return nil, err
 		}
 	}
@@ -368,13 +325,7 @@ func (s *Store) Append(key, value []byte, seq uint64) (Addr, error) {
 		}
 	}
 
-	var off int64
-	var err error
-	if g.region != nil {
-		off, err = s.appendNVM(g, key, value, seq, entryLen)
-	} else {
-		off, err = s.appendSSD(g, key, value, seq, entryLen)
-	}
+	off, err := s.appendNVM(g, key, value, seq, entryLen)
 	if err != nil {
 		g.sealed.Store(true)
 		return Addr{}, err
@@ -411,41 +362,23 @@ func (s *Store) appendNVM(g *segment, key, value []byte, seq uint64, entryLen in
 	return a.Offset(), nil
 }
 
-// appendSSD encodes the entry in the store's staging buffer and writes it
-// to the segment file, padded to the 8-byte grid addresses live on so file
-// offsets and segment offsets stay equal.
-func (s *Store) appendSSD(g *segment, key, value []byte, seq uint64, entryLen int) (int64, error) {
-	padded := int(alignUp(int64(entryLen)))
-	if cap(s.stage) < padded {
-		s.stage = make([]byte, padded)
-	}
-	buf := s.stage[:padded]
-	encodeEntry(buf[:entryLen], key, value, seq)
-	clear(buf[entryLen:])
-	off := g.size.Load()
-	if _, err := g.w.Write(buf); err != nil {
-		return 0, err
-	}
-	return off, nil
-}
-
-// read returns the n bytes at off: an alias of log storage on NVM, a
-// fresh copy from the file on SSD.
-func (g *segment) read(off int64, n int) ([]byte, error) {
-	if g.region != nil {
-		return g.region.Read(g.region.Base().Add(off), n), nil
-	}
-	buf := make([]byte, n)
-	if _, err := g.r.ReadAt(buf, off); err != nil {
+// read returns the n bytes at off, an alias of log storage, once the
+// device's fault plan lets the read through. An injected read fault is
+// ErrCorrupt, like every other failure to resolve an entry. A crashed
+// plan does not fail it: a crash freezes the media, and the engine's
+// other NVM reads go on seeing it, as the crash harness's probes expect.
+func (s *Store) read(g *segment, off int64, n int) ([]byte, error) {
+	if err := s.dev.CheckRead(n); err != nil && !errors.Is(err, nvm.ErrCrashed) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return buf, nil
+	return g.region.Read(g.region.Base().Add(off), n), nil
 }
 
 // Read resolves a pointer to its (key, value, seq). The returned slices
-// alias log storage for NVM segments and must be copied before the caller
-// releases its version pin. A failure is ErrCorrupt (wrapped with
-// detail): unknown segment, out-of-bounds address, or checksum mismatch.
+// alias log storage and must be copied before the caller releases its
+// version pin. A failure is ErrCorrupt (wrapped with detail): unknown
+// segment, out-of-bounds address, checksum mismatch, or a device read
+// fault.
 func (s *Store) Read(a Addr) (key, value []byte, seq uint64, err error) {
 	g := s.lookup(a.Seg)
 	if g == nil {
@@ -454,7 +387,7 @@ func (s *Store) Read(a Addr) (key, value []byte, seq uint64, err error) {
 	if a.Len < entryHeaderSize || a.Off < 0 || a.Off+int64(a.Len) > g.size.Load() {
 		return nil, nil, 0, fmt.Errorf("%w: address %d:%d+%d out of bounds", ErrCorrupt, a.Seg, a.Off, a.Len)
 	}
-	buf, err := g.read(a.Off, int(a.Len))
+	buf, err := s.read(g, a.Off, int(a.Len))
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -538,7 +471,7 @@ func (s *Store) Walk(id uint32, fn func(key []byte, seq uint64, a Addr) bool) er
 	}
 	size := g.size.Load()
 	for off := int64(0); off+entryHeaderSize <= size; {
-		hdr, err := g.read(off, entryHeaderSize)
+		hdr, err := s.read(g, off, entryHeaderSize)
 		if err != nil {
 			return err
 		}
@@ -550,7 +483,7 @@ func (s *Store) Walk(id uint32, fn func(key []byte, seq uint64, a Addr) bool) er
 			return fmt.Errorf("%w: malformed entry at %d:%d inside the segment's extent", ErrCorrupt, id, off)
 		}
 		if !(g.trusted && g.markedDead(off)) {
-			key, err := g.read(off+entryHeaderSize, int(keyLen))
+			key, err := s.read(g, off+entryHeaderSize, int(keyLen))
 			if err != nil {
 				return err
 			}
@@ -594,11 +527,7 @@ func (s *Store) Free(id uint32) {
 		return
 	}
 	s.active.CompareAndSwap(g, nil)
-	if g.region != nil {
-		s.dev.Release(g.region)
-	} else {
-		s.disk.Remove(g.name)
-	}
+	s.dev.Release(g.region)
 }
 
 // AddRelocation accounts one live value moved by GC.
@@ -661,28 +590,25 @@ func (s *Store) Segments() []uint32 {
 	return out
 }
 
-// Regions returns the NVM regions backing installed segments.
+// Regions returns the regions backing installed segments.
 func (s *Store) Regions() []*vaddr.Region {
 	m := *s.segs.Load()
 	out := make([]*vaddr.Region, 0, len(m))
 	for _, g := range m {
-		if g.region != nil {
-			out = append(out, g.region)
-		}
+		out = append(out, g.region)
 	}
 	return out
 }
 
-// SegmentRef identifies one installed NVM segment for manifest snapshots.
+// SegmentRef identifies one installed segment for manifest snapshots.
 type SegmentRef struct {
 	ID     uint32
 	Region uint32
 }
 
-// SnapshotState returns the next segment id and the installed NVM
-// segments sorted by id — what a manifest full-state snapshot embeds.
-// SSD segments are excluded (not crash-recoverable), and so are condemned
-// ones: their live entries are already relocated and their region is
+// SnapshotState returns the next segment id and the installed segments
+// sorted by id — what a manifest full-state snapshot embeds. Condemned
+// segments are excluded: their live entries are already relocated and their region is
 // about to be freed, so a snapshot that named one (say, rolled in place
 // of its free record) would outlive the region.
 func (s *Store) SnapshotState() (next uint32, segs []SegmentRef) {
@@ -690,7 +616,7 @@ func (s *Store) SnapshotState() (next uint32, segs []SegmentRef) {
 	next = s.nextID
 	s.mu.Unlock()
 	for id, g := range *s.segs.Load() {
-		if g.region != nil && !g.condemned.Load() {
+		if !g.condemned.Load() {
 			segs = append(segs, SegmentRef{ID: id, Region: g.region.Index()})
 		}
 	}

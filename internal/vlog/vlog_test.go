@@ -9,7 +9,6 @@ import (
 
 	"miodb/internal/nvm"
 	"miodb/internal/vaddr"
-	"miodb/internal/vfs"
 )
 
 func newTestNVM(segSize int) (*Store, *nvm.Device) {
@@ -65,56 +64,50 @@ func walked(t testing.TB, s *Store, id uint32) []Addr {
 }
 
 // TestAppendReadRoundTrip: entries of every length modulo the 8-byte grid
-// come back intact from both media, and the address round-trips through
-// its 16-byte encoding.
+// come back intact, and the address round-trips through its 16-byte
+// encoding.
 func TestAppendReadRoundTrip(t *testing.T) {
-	nvmStore, _ := newTestNVM(1 << 16)
-	stores := map[string]*Store{
-		"nvm": nvmStore,
-		"ssd": NewSSD(vfs.NewDisk(vfs.SSDProfile()), Config{SegmentSize: 1 << 16, GCDeadRatio: 0.5}),
-	}
-	for name, s := range stores {
-		t.Run(name, func(t *testing.T) {
-			type rec struct {
-				a     Addr
-				key   string
-				value []byte
+	s, _ := newTestNVM(1 << 16)
+	t.Run("nvm", func(t *testing.T) {
+		type rec struct {
+			a     Addr
+			key   string
+			value []byte
+		}
+		var recs []rec
+		for i := 0; i < 24; i++ {
+			key := fmt.Sprintf("key-%03d", i)[:4+i%4]
+			value := val(key, 300+i)
+			a := mustAppend(t, s, key, value, uint64(100+i))
+			if a.Off&7 != 0 || int(a.Len) != entryHeaderSize+len(key)+len(value) {
+				t.Fatalf("address %+v is off the grid or mis-sized", a)
 			}
-			var recs []rec
-			for i := 0; i < 24; i++ {
-				key := fmt.Sprintf("key-%03d", i)[:4+i%4]
-				value := val(key, 300+i)
-				a := mustAppend(t, s, key, value, uint64(100+i))
-				if a.Off&7 != 0 || int(a.Len) != entryHeaderSize+len(key)+len(value) {
-					t.Fatalf("address %+v is off the grid or mis-sized", a)
-				}
-				if got, ok := DecodeAddr(a.Encode(nil)); !ok || got != a {
-					t.Fatalf("address %+v decodes to %+v, %v", a, got, ok)
-				}
-				recs = append(recs, rec{a, key, value})
+			if got, ok := DecodeAddr(a.Encode(nil)); !ok || got != a {
+				t.Fatalf("address %+v decodes to %+v, %v", a, got, ok)
 			}
-			for i, r := range recs {
-				mustRead(t, s, r.a, r.key, r.value, uint64(100+i))
+			recs = append(recs, rec{a, key, value})
+		}
+		for i, r := range recs {
+			mustRead(t, s, r.a, r.key, r.value, uint64(100+i))
+		}
+		var n int
+		if err := s.Walk(recs[0].a.Seg, func(key []byte, seq uint64, a Addr) bool {
+			if a != recs[n].a || string(key) != recs[n].key || seq != uint64(100+n) {
+				t.Fatalf("walk entry %d = (%q, %d, %+v)", n, key, seq, a)
 			}
-			var n int
-			if err := s.Walk(recs[0].a.Seg, func(key []byte, seq uint64, a Addr) bool {
-				if a != recs[n].a || string(key) != recs[n].key || seq != uint64(100+n) {
-					t.Fatalf("walk entry %d = (%q, %d, %+v)", n, key, seq, a)
-				}
-				n++
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if n != len(recs) {
-				t.Fatalf("walk yielded %d of %d entries", n, len(recs))
-			}
-			c := s.Counters()
-			if c.Appends != int64(len(recs)) || c.LiveBytes != c.AppendedBytes {
-				t.Fatalf("counters %+v after %d appends", c, len(recs))
-			}
-		})
-	}
+			n++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(recs) {
+			t.Fatalf("walk yielded %d of %d entries", n, len(recs))
+		}
+		c := s.Counters()
+		if c.Appends != int64(len(recs)) || c.LiveBytes != c.AppendedBytes {
+			t.Fatalf("counters %+v after %d appends", c, len(recs))
+		}
+	})
 }
 
 func TestReadRejectsBadAddresses(t *testing.T) {
@@ -137,6 +130,26 @@ func TestReadRejectsBadAddresses(t *testing.T) {
 	if _, _, _, err := s.Read(a); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("read of a corrupted entry: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestReadFaultIsCorrupt: segment reads gate on the device's fault plan,
+// and an injected read fault reaches Read and Walk as ErrCorrupt; a
+// crashed plan leaves the frozen media readable.
+func TestReadFaultIsCorrupt(t *testing.T) {
+	s, dev := newTestNVM(1 << 16)
+	a := mustAppend(t, s, "k", val("v", 100), 1)
+	dev.SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(1))
+	if _, _, _, err := s.Read(a); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read under a failing plan: %v, want ErrCorrupt", err)
+	}
+	if err := s.Walk(a.Seg, func([]byte, uint64, Addr) bool { return true }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("walk under a failing plan: %v, want ErrCorrupt", err)
+	}
+	dev.SetFaultPlan(nvm.NewFaultPlan(1).CrashAfterWrites(1))
+	if out := dev.CheckWrite(8); !errors.Is(out.Err, nvm.ErrCrashed) {
+		t.Fatalf("armed crash did not fire: %v", out.Err)
+	}
+	mustRead(t, s, a, "k", val("v", 100), 1)
 }
 
 // TestOversizedEntryGetsOwnSegment: an entry larger than SegmentSize lands
@@ -391,7 +404,7 @@ func TestNewSegmentAnnouncementFailure(t *testing.T) {
 	s, dev := newTestNVM(1 << 12)
 	refuse := errors.New("manifest full")
 	var announced uint32
-	s.OnNewSegment = func(_ uint32, region uint32, _ string) error {
+	s.OnNewSegment = func(_ uint32, region uint32) error {
 		announced = region
 		return refuse
 	}

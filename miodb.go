@@ -176,11 +176,11 @@ type AdmissionOptions struct {
 
 // ValueLogOptions configures key-value separation (Options.ValueLog).
 // Zero fields select defaults: Threshold 1 KiB, SegmentSize 4× the
-// memtable, GCDeadRatio 0.5. OnSSD places segments on the simulated SSD
-// tier (the large-value offload arm); SSD-resident value logs are not
-// covered by Checkpoint images or crash recovery, and both refuse rather
-// than silently dropping the data (DESIGN.md §7, "Feature combinations").
-// See core.ValueLogOptions for field semantics.
+// memtable, GCDeadRatio 0.5. Segments live in NVM, so Checkpoint images
+// and crash recovery cover them. OnSSD is deprecated: the SSD-resident
+// value log has been removed, and Open and OpenImage refuse true
+// (DESIGN.md §7, "Feature combinations"). See core.ValueLogOptions for
+// field semantics.
 type ValueLogOptions = core.ValueLogOptions
 
 // maxLevels bounds Options.Levels: beyond this each extra level is one
@@ -582,10 +582,10 @@ func (db *DB) Checkpoint(path string) error {
 // mismatched Shards value is rejected (Shards = 0 adopts the recorded
 // count), as is restoring a single-engine image with Shards > 1.
 // MemoryBudget is split across the restored shards as Open splits it.
-// Restoring with UseSSD, an SSD-resident value log or a Governor is
-// rejected, before the file is read: images hold the NVM state only, and
-// a restored store runs ungoverned. DESIGN.md §7, "Feature combinations",
-// lists every refusal.
+// Restoring with UseSSD (images hold the NVM state only), the removed
+// ValueLog.OnSSD, or a Governor (a restored store runs ungoverned) is
+// rejected before the file is read. DESIGN.md §7, "Feature
+// combinations", lists every refusal.
 func OpenImage(path string, opts *Options) (*DB, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

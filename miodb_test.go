@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"miodb/internal/core"
 	"miodb/internal/kvstore"
 )
 
@@ -267,7 +268,42 @@ func TestOpenRefusesGovernorWithoutShards(t *testing.T) {
 	}
 }
 
-// TestOpenImageKeepsMemoryBudget: OpenImage splits MemoryBudget across
+// TestOpenRefusesValueLogOnSSD: the deprecated OnSSD field reaches the
+// engine's one refusal whether the store opens as one engine or as
+// shards, and so does a restore of a real image.
+func TestOpenRefusesValueLogOnSSD(t *testing.T) {
+	vl := &ValueLogOptions{OnSSD: true}
+	want := core.Refusal(core.OpOpen, core.Options{ValueLog: vl}, 1, false)
+	if want == nil {
+		t.Fatal("the compatibility table does not refuse ValueLog.OnSSD")
+	}
+	for _, shards := range []int{0, 4} {
+		if db, err := Open(&Options{Shards: shards, ValueLog: vl}); err != want {
+			if err == nil {
+				db.Close()
+			}
+			t.Errorf("Shards %d: Open err = %v, want %v", shards, err, want)
+		}
+	}
+	path := t.TempDir() + "/plain.img"
+	db, err := Open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Put([]byte("k"), []byte("v"))
+	if err := db.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	if re, err := OpenImage(path, &Options{ValueLog: vl}); err != want {
+		if err == nil {
+			re.Close()
+		}
+		t.Errorf("OpenImage err = %v, want %v", err, want)
+	}
+}
+
+// TestOpenImageKeepsMemoryBudget:OpenImage splits MemoryBudget across
 // the restored shards exactly as Open does — a sharded image opened with
 // Shards 0 takes the count from the image — and refuses a Governor
 // rather than restoring an ungoverned store. Earlier versions dropped
