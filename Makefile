@@ -26,10 +26,14 @@ test:
 # MatrixKV's column compactor and readers across every tier) must stay
 # race-clean. The merge reader tests — point reads and scans —
 # run again on one CPU and on two: the merger and its readers interleave
-# differently on each.
+# differently on each. The paper regenerator's one op loop
+# (internal/bench) serves every thread count, so its goroutines share one
+# histogram, one miss counter and one error slot: its driver tests run
+# too, filtered, as the package's experiments are too slow under -race.
 race:
 	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/memtable ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/...
 	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$|TestSafeIteratorUnderConcurrentMerge$$' -count=1
+	$(GO) test -race ./internal/bench -run 'TestDriver|TestConcurrentReadRunners' -count=1
 
 # One CPU: the runners that share it (one per background job, or one for
 # every merge under DisableParallelCompaction) must neither starve a job

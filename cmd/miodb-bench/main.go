@@ -29,9 +29,9 @@ func main() {
 		memtable    = flag.Int64("write_buffer_size", 64<<10, "memtable size in bytes")
 		levels      = flag.Int("levels", 8, "miodb elastic-buffer levels")
 		seed        = flag.Int64("seed", 1, "workload seed")
-		threads     = flag.Int("threads", 1, "concurrent goroutines for fill and readrandom benchmarks")
-		batch       = flag.Int("batch", 1, "client-side batch size for concurrent fills (uses MPUT-style batches when > 1)")
-		zipfian     = flag.Bool("zipfian", false, "use zipfian keys for concurrent fills (default uniform)")
+		threads     = flag.Int("threads", 1, "goroutines for the fillrandom and readrandom benchmarks")
+		batch       = flag.Int("batch", 1, "client-side batch size for fillrandom (uses MPUT-style batches when > 1)")
+		zipfian     = flag.Bool("zipfian", false, "use zipfian keys for fillrandom (default uniform)")
 		jsonOut     = flag.String("json", "", "write a machine-readable record of every run to this path")
 		reps        = flag.Int("reps", 1, "repetitions per benchmark (reported best; all reps recorded in -json output)")
 		storeConfig = bench.StoreFlags(flag.CommandLine)
@@ -97,26 +97,28 @@ func main() {
 		}
 	}
 
+	// threaded names a run by its goroutine count when there are several.
+	threaded := func(name string) string {
+		if *threads > 1 {
+			return fmt.Sprintf("%s×%d", name, *threads)
+		}
+		return name
+	}
+
 	for _, b := range strings.Split(*benchmarks, ",") {
 		switch strings.TrimSpace(b) {
 		case "fillseq":
 			measure("fillseq", func(int) (bench.RunResult, error) {
-				return bench.FillSeq(s, *num, *valueSize, nil)
+				return bench.FillSeq(s, *num, *valueSize)
 			})
 		case "fillrandom":
-			if *threads > 1 {
-				dist := bench.Uniform
-				if *zipfian {
-					dist = bench.Zipfian
-				}
-				measure(fmt.Sprintf("fillrandom×%d", *threads), func(rep int) (bench.RunResult, error) {
-					return bench.ConcurrentBatchFill(s, *num, uint64(*num), *valueSize, *seed+int64(rep), *threads, *batch, dist)
-				})
-			} else {
-				measure("fillrandom", func(rep int) (bench.RunResult, error) {
-					return bench.FillRandom(s, *num, uint64(*num), *valueSize, *seed+int64(rep), nil)
-				})
+			dist := bench.Uniform
+			if *zipfian {
+				dist = bench.Zipfian
 			}
+			measure(threaded("fillrandom"), func(rep int) (bench.RunResult, error) {
+				return bench.FillRandom(s, *num, uint64(*num), *valueSize, *seed+int64(rep), *threads, *batch, dist)
+			})
 		case "readseq":
 			exitOn(s.Flush())
 			measure("readseq", func(int) (bench.RunResult, error) {
@@ -125,19 +127,11 @@ func main() {
 		case "readrandom":
 			exitOn(s.Flush())
 			var misses int
-			if *threads > 1 {
-				measure(fmt.Sprintf("readrandom×%d", *threads), func(rep int) (bench.RunResult, error) {
-					r, m, err := bench.ConcurrentReadRandom(s, *reads, uint64(*num), *seed+1+int64(rep), *threads)
-					misses = m
-					return r, err
-				})
-			} else {
-				measure("readrandom", func(rep int) (bench.RunResult, error) {
-					r, m, err := bench.ReadRandom(s, *reads, uint64(*num), *seed+1+int64(rep))
-					misses = m
-					return r, err
-				})
-			}
+			measure(threaded("readrandom"), func(rep int) (bench.RunResult, error) {
+				r, m, err := bench.ReadRandom(s, *reads, uint64(*num), *seed+1+int64(rep), *threads)
+				misses = m
+				return r, err
+			})
 			if misses > 0 {
 				fmt.Printf("  (%d of %d reads missed — fillrandom leaves key gaps)\n", misses, *reads)
 			}

@@ -26,7 +26,7 @@ func TestAblationEffectsMeasurable(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if _, err := FillRandom(s, n, uint64(n), valueSize, 1, nil); err != nil {
+		if _, err := FillRandom(s, n, uint64(n), valueSize, 1, 1, 1, Uniform); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil {

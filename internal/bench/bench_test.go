@@ -99,20 +99,20 @@ func TestRunnersProduceSaneResults(t *testing.T) {
 	}
 	defer s.Close()
 
-	wres, err := FillRandom(s, 1000, 1000, 256, 1, nil)
+	wres, err := FillRandom(s, 1000, 1000, 256, 1, 1, 1, Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wres.Ops != 1000 || wres.KIOPS <= 0 || wres.Latency.Count != 1000 {
 		t.Errorf("FillRandom result: %+v", wres)
 	}
-	if _, err := FillSeq(s, 500, 256, nil); err != nil {
+	if _, err := FillSeq(s, 500, 256); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rres, misses, err := ReadRandom(s, 500, 500, 2)
+	rres, misses, err := ReadRandom(s, 500, 500, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

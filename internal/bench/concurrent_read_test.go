@@ -28,7 +28,7 @@ func BenchmarkConcurrentReads(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := FillRandom(s, entries, entries, valueSize, 1, nil); err != nil {
+				if _, err := FillRandom(s, entries, entries, valueSize, 1, 1, 1, Uniform); err != nil {
 					b.Fatal(err)
 				}
 				if err := s.Flush(); err != nil {
@@ -36,7 +36,7 @@ func BenchmarkConcurrentReads(b *testing.B) {
 				}
 				s.ResetCounters()
 				b.StartTimer()
-				r, _, err := ConcurrentReadRandom(s, ops, entries, 2, threads)
+				r, _, err := ReadRandom(s, ops, entries, 2, threads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -53,9 +53,9 @@ func BenchmarkConcurrentReads(b *testing.B) {
 	}
 }
 
-// TestConcurrentReadRunners smoke-tests the concurrent read driver and
-// the read-path observability it feeds: counters must be populated and
-// internally consistent after a run.
+// TestConcurrentReadRunners smoke-tests the random-read runner on four
+// goroutines and the read-path observability it feeds: counters must be
+// populated and internally consistent after a run.
 func TestConcurrentReadRunners(t *testing.T) {
 	t.Run("epoch", func(t *testing.T) {
 		s, err := OpenStore(Config{Kind: MioDB})
@@ -64,13 +64,13 @@ func TestConcurrentReadRunners(t *testing.T) {
 		}
 		defer s.Close()
 		const n = 3000
-		if _, err := FillRandom(s, n, n, 64, 1, nil); err != nil {
+		if _, err := FillRandom(s, n, n, 64, 1, 1, 1, Uniform); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if r, _, err := ConcurrentReadRandom(s, 2000, n, 2, 4); err != nil {
+		if r, _, err := ReadRandom(s, 2000, n, 2, 4); err != nil {
 			t.Fatal(err)
 		} else if r.Ops != 2000 {
 			t.Fatalf("readrandom ops = %d, want 2000", r.Ops)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"miodb/internal/histogram"
+	"miodb/internal/stats"
 )
 
 // Params scales and directs an experiment run. The paper's sizes are
@@ -105,12 +106,92 @@ func FindExperiment(id string) (Experiment, bool) {
 // inMemoryKinds is the §5.1–5.3 comparison set.
 func inMemoryKinds() []StoreKind { return []StoreKind{MioDB, MatrixKV, NoveLSM} }
 
-func open(p Params, kind StoreKind, mutate ...func(*Config)) (Store, error) {
+func open(kind StoreKind, mutate ...func(*Config)) (Store, error) {
 	cfg := Config{Kind: kind, Simulate: true}
 	for _, m := range mutate {
 		m(&cfg)
 	}
 	return OpenStore(cfg)
+}
+
+// pass is what an experiment does with one fresh store. By default it
+// fills n random keys of valueSize bytes, drains the store with Flush,
+// reads reads random keys (none when reads is 0) and takes the store's
+// stats, threads goroutines driving both phases; seq makes the phases
+// fillseq and readseq. With workloads set it loads n YCSB records
+// instead and runs ops operations of each workload in turn, the i-th
+// seeded seed+i, with neither drain nor reads.
+type pass struct {
+	n, valueSize, reads, threads int
+	seq                          bool
+	seed                         int64
+
+	workloads []string
+	ops       int
+	tl        *histogram.Timeline
+}
+
+// measured is what one pass saw.
+type measured struct {
+	fill, read RunResult
+	runs       []RunResult   // one per workload
+	drain      time.Duration // the Flush between fill and read
+	st         stats.Snapshot
+}
+
+// newPass is the experiments' usual pass at valueSize: the scaled
+// dataset, the scaled read count, one goroutine.
+func (p Params) newPass(valueSize int) pass {
+	return pass{n: p.entries(valueSize), valueSize: valueSize, reads: p.readOps(), threads: 1, seed: p.Seed}
+}
+
+// run makes the pass on the store open returned. It takes open's results
+// as they come, so a failed open is returned and an opened store is
+// closed on every path.
+func (ps pass) run(s Store, openErr error) (m measured, err error) {
+	if openErr != nil {
+		return m, openErr
+	}
+	defer func() {
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if ps.workloads != nil {
+		if m.fill, err = YCSBLoad(s, uint64(ps.n), ps.valueSize); err != nil {
+			return m, err
+		}
+		for i, w := range ps.workloads {
+			r, err := YCSBRun(s, w, ps.ops, uint64(ps.n), ps.valueSize, ps.seed+int64(i), ps.tl)
+			if err != nil {
+				return m, err
+			}
+			m.runs = append(m.runs, r)
+		}
+		return m, nil
+	}
+	if ps.seq {
+		m.fill, err = FillSeq(s, ps.n, ps.valueSize)
+	} else {
+		m.fill, err = FillRandom(s, ps.n, uint64(ps.n), ps.valueSize, ps.seed, ps.threads, 1, Uniform)
+	}
+	if err != nil {
+		return m, err
+	}
+	t0 := time.Now()
+	if err := s.Flush(); err != nil {
+		return m, err
+	}
+	m.drain = time.Since(t0)
+	switch {
+	case ps.reads == 0:
+	case ps.seq:
+		m.read, err = ReadSeq(s, ps.reads)
+	default:
+		m.read, _, err = ReadRandom(s, ps.reads, uint64(ps.n), ps.seed+1, ps.threads)
+	}
+	m.st = s.Stats()
+	return m, err
 }
 
 // Fig2Motivation reproduces Figure 2: the baselines' write time split into
@@ -119,39 +200,24 @@ func open(p Params, kind StoreKind, mutate ...func(*Config)) (Store, error) {
 func Fig2Motivation(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig2", "Motivation: NoveLSM and MatrixKV costs (4 KB values)", p.Out)
-	const valueSize = 4 << 10
 	rows := [][]string{}
 	for _, kind := range []StoreKind{NoveLSM, MatrixKV} {
-		s, err := open(p, kind)
+		m, err := p.newPass(4 << 10).run(open(kind))
 		if err != nil {
 			return nil, err
 		}
-		n := p.entries(valueSize)
-		wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Flush(); err != nil {
-			return nil, err
-		}
-		rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		st := s.Stats()
-		stall := st.IntervalStall + st.CumulativeStall
+		st := m.st
 		flushMBps := 0.0
 		if st.FlushTime > 0 {
 			flushMBps = float64(st.FlushBytes) / st.FlushTime.Seconds() / (1 << 20)
 		}
 		rows = append(rows, []string{
 			string(kind),
-			msec(wres.Duration), msec(stall),
-			msec(rres.Duration), msec(st.DeserializeTime),
+			msec(m.fill.Duration), msec(st.IntervalStall + st.CumulativeStall),
+			msec(m.read.Duration), msec(st.DeserializeTime),
 			f1(flushMBps),
 			f2(st.WriteAmplification),
 		})
-		s.Close()
 	}
 	r.Table([]string{"store", "write-ms", "stall-ms", "read-ms", "deser-ms", "flush-MB/s", "WA"}, rows)
 	r.Printf("shape: both baselines lose a large share of write time to stalls and of read time to deserialization; WA well above 3.")
@@ -163,52 +229,25 @@ func Fig2Motivation(p Params) (*Report, error) {
 func Fig6MicroThroughput(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig6", "db_bench throughput vs value size (KIOPS, in-memory mode)", p.Out)
-	valueSizes := []int{1 << 10, 4 << 10, 16 << 10, 64 << 10}
 	header := []string{"store", "value", "fillrandom", "fillseq", "readrandom", "readseq"}
 	rows := [][]string{}
 	for _, kind := range inMemoryKinds() {
-		for _, vs := range valueSizes {
-			n := p.entries(vs)
-
-			// Random write + random read on the same instance.
-			s, err := open(p, kind)
+		for _, vs := range []int{1 << 10, 4 << 10, 16 << 10, 64 << 10} {
+			// Random write + random read, then sequential write +
+			// sequential read on a fresh instance.
+			rnd, err := p.newPass(vs).run(open(kind))
 			if err != nil {
 				return nil, err
 			}
-			wr, err := FillRandom(s, n, uint64(n), vs, p.Seed, nil)
+			ps := p.newPass(vs)
+			ps.seq = true
+			seq, err := ps.run(open(kind))
 			if err != nil {
 				return nil, err
 			}
-			if err := s.Flush(); err != nil {
-				return nil, err
-			}
-			rr, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
-			if err != nil {
-				return nil, err
-			}
-			s.Close()
-
-			// Sequential write + sequential read on a fresh instance.
-			s2, err := open(p, kind)
-			if err != nil {
-				return nil, err
-			}
-			ws, err := FillSeq(s2, n, vs, nil)
-			if err != nil {
-				return nil, err
-			}
-			if err := s2.Flush(); err != nil {
-				return nil, err
-			}
-			rs, err := ReadSeq(s2, p.readOps())
-			if err != nil {
-				return nil, err
-			}
-			s2.Close()
-
 			rows = append(rows, []string{
 				string(kind), fmt.Sprintf("%dK", vs>>10),
-				f1(wr.KIOPS), f1(ws.KIOPS), f1(rr.KIOPS), f1(rs.KIOPS),
+				f1(rnd.fill.KIOPS), f1(seq.fill.KIOPS), f1(rnd.read.KIOPS), f1(seq.read.KIOPS),
 			})
 		}
 	}
@@ -223,24 +262,13 @@ func Fig6MicroThroughput(p Params) (*Report, error) {
 func Table1CostAnalysis(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("table1", "Cost analysis (4 KB values)", p.Out)
-	const valueSize = 4 << 10
 	rows := [][]string{}
 	for _, kind := range inMemoryKinds() {
-		s, err := open(p, kind)
+		m, err := p.newPass(4 << 10).run(open(kind))
 		if err != nil {
 			return nil, err
 		}
-		n := p.entries(valueSize)
-		if _, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil); err != nil {
-			return nil, err
-		}
-		if err := s.Flush(); err != nil {
-			return nil, err
-		}
-		if _, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1); err != nil {
-			return nil, err
-		}
-		st := s.Stats()
+		st := m.st
 		rows = append(rows, []string{
 			string(kind),
 			msec(st.IntervalStall),
@@ -249,11 +277,18 @@ func Table1CostAnalysis(p Params) (*Report, error) {
 			msec(st.FlushTime),
 			f2(st.WriteAmplification),
 		})
-		s.Close()
 	}
 	r.Table([]string{"store", "interval-stall-ms", "cumulative-stall-ms", "deserialize-ms", "flushing-ms", "WA"}, rows)
 	r.Printf("shape: MioDB's measured stall counters stay at or near zero (its writers rotate into the elastic buffer instead of waiting — the deferred backlog shows in the PendingImms gauge), deserialization is near-zero, flushing far faster, and WA ≈ 3 (paper: 2.9× vs 5.6×/6.6×).")
 	return r, nil
+}
+
+// ycsbPass loads the scaled dataset of valueSize-byte records and runs
+// ops operations of each workload.
+func (p Params) ycsbPass(valueSize, ops int, workloads ...string) pass {
+	ps := p.newPass(valueSize)
+	ps.workloads, ps.ops = workloads, ops
+	return ps
 }
 
 // Fig7YCSB reproduces Figure 7: YCSB Load and A–F throughput for the four
@@ -267,25 +302,15 @@ func Fig7YCSB(p Params) (*Report, error) {
 		header := append([]string{"store", "value", "Load"}, workloads...)
 		rows := [][]string{}
 		for _, kind := range kinds {
-			s, err := open(p, kind)
+			m, err := p.ycsbPass(vs, p.ycsbOps(), workloads...).run(open(kind))
 			if err != nil {
 				return nil, err
 			}
-			records := uint64(p.entries(vs))
-			loadRes, err := YCSBLoad(s, records, vs)
-			if err != nil {
-				return nil, err
-			}
-			row := []string{string(kind), fmt.Sprintf("%dK", vs>>10), f1(loadRes.KIOPS)}
-			for wi, w := range workloads {
-				res, err := YCSBRun(s, w, p.ycsbOps(), records, vs, p.Seed+int64(wi), nil)
-				if err != nil {
-					return nil, err
-				}
+			row := []string{string(kind), fmt.Sprintf("%dK", vs>>10), f1(m.fill.KIOPS)}
+			for _, res := range m.runs {
 				row = append(row, f1(res.KIOPS))
 			}
 			rows = append(rows, row)
-			s.Close()
 		}
 		r.Table(header, rows)
 	}
@@ -309,24 +334,15 @@ func tailLatencyTable(p Params, id string, ssd bool) (*Report, error) {
 	rows := [][]string{}
 	for _, vs := range []int{4 << 10, 1 << 10} {
 		for _, kind := range inMemoryKinds() {
-			s, err := open(p, kind, func(c *Config) { c.SSD = ssd })
+			m, err := p.ycsbPass(vs, p.ycsbOps(), "A").run(open(kind, func(c *Config) { c.SSD = ssd }))
 			if err != nil {
 				return nil, err
 			}
-			records := uint64(p.entries(vs))
-			if _, err := YCSBLoad(s, records, vs); err != nil {
-				return nil, err
-			}
-			res, err := YCSBRun(s, "A", p.ycsbOps(), records, vs, p.Seed, nil)
-			if err != nil {
-				return nil, err
-			}
-			l := res.Latency
+			l := m.runs[0].Latency
 			rows = append(rows, []string{
 				fmt.Sprintf("%dK", vs>>10), string(kind),
 				usec(l.Mean), usec(l.P90), usec(l.P99), usec(l.P999),
 			})
-			s.Close()
 		}
 	}
 	r.Table([]string{"value", "store", "avg", "p90", "p99", "p99.9"}, rows)
@@ -339,24 +355,15 @@ func tailLatencyTable(p Params, id string, ssd bool) (*Report, error) {
 func Fig8LatencyTimeline(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig8", "YCSB-A latency over time (4 KB values)", p.Out)
-	const valueSize = 4 << 10
 	for _, kind := range inMemoryKinds() {
-		s, err := open(p, kind)
-		if err != nil {
-			return nil, err
-		}
-		records := uint64(p.entries(valueSize))
-		if _, err := YCSBLoad(s, records, valueSize); err != nil {
-			return nil, err
-		}
-		tl := histogram.NewTimeline(20 * time.Millisecond)
-		res, err := YCSBRun(s, "A", p.ycsbOps(), records, valueSize, p.Seed, tl)
+		ps := p.ycsbPass(4<<10, p.ycsbOps(), "A")
+		ps.tl = histogram.NewTimeline(20 * time.Millisecond)
+		m, err := ps.run(open(kind))
 		if err != nil {
 			return nil, err
 		}
 		r.Printf("%-14s spike-factor=%6.1f  max=%8s µs  trace: %s",
-			kind, tl.SpikeFactor(), usec(res.Latency.Max), tl.Sparkline())
-		s.Close()
+			kind, ps.tl.SpikeFactor(), usec(m.runs[0].Latency.Max), ps.tl.Sparkline())
 	}
 	r.Printf("shape: the baselines' traces show tall periodic spikes (write stalls); MioDB's trace is flat (paper Fig 8).")
 	return r, nil
@@ -368,68 +375,45 @@ func Fig8LatencyTimeline(p Params) (*Report, error) {
 func Fig9LevelSweep(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig9", "MioDB: levels (compaction threads) sensitivity", p.Out)
-	const valueSize = 4 << 10
 	rows := [][]string{}
 	for _, levels := range []int{2, 4, 6, 8, 10} {
-		s, err := open(p, MioDB, func(c *Config) { c.Levels = levels })
-		if err != nil {
-			return nil, err
-		}
-		n := p.entries(valueSize)
-		wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Flush(); err != nil {
-			return nil, err
-		}
-		rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
+		m, err := p.newPass(4 << 10).run(open(MioDB, func(c *Config) { c.Levels = levels }))
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", levels),
-			usec(wres.Latency.Mean), f1(wres.KIOPS), f1(rres.KIOPS),
+			usec(m.fill.Latency.Mean), f1(m.fill.KIOPS), f1(m.read.KIOPS),
 		})
-		s.Close()
 	}
 	r.Table([]string{"levels", "write-avg-µs", "write-KIOPS", "read-KIOPS"}, rows)
 	r.Printf("shape: write performance is flat across levels (flushing is the only write-path cost); read throughput improves with depth and saturates around 8 (the paper's chosen default).")
 	return r, nil
 }
 
+// datasetFractions are Figures 10 and 11's dataset sizes as fractions of
+// the 80 MB base (paper: 40–200 GB → 40–200 MB).
+var datasetFractions = []float64{0.5, 1.0, 1.5, 2.0, 2.5}
+
 // Fig10DatasetSweep reproduces Figure 10: random write and read
-// throughput as the dataset grows (paper: 40–200 GB → 40–200 MB).
+// throughput as the dataset grows.
 func Fig10DatasetSweep(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig10", "Dataset size sensitivity (KIOPS)", p.Out)
-	const valueSize = 4 << 10
-	fractions := []float64{0.5, 1.0, 1.5, 2.0, 2.5} // of the 80 MB base
 	rows := [][]string{}
 	for _, kind := range inMemoryKinds() {
-		for _, f := range fractions {
-			s, err := open(p, kind)
-			if err != nil {
-				return nil, err
-			}
-			n := int(float64(p.entries(valueSize)) * f)
-			wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Flush(); err != nil {
-				return nil, err
-			}
-			rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
+		for _, f := range datasetFractions {
+			ps := p.newPass(4 << 10)
+			ps.n = int(float64(ps.n) * f)
+			m, err := ps.run(open(kind))
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, []string{
 				string(kind),
 				fmt.Sprintf("%dMB-equiv", int(80*f*p.Scale)),
-				f1(wres.KIOPS), f1(rres.KIOPS),
+				f1(m.fill.KIOPS), f1(m.read.KIOPS),
 			})
-			s.Close()
 		}
 	}
 	r.Table([]string{"store", "dataset", "fillrandom", "readrandom"}, rows)
@@ -441,29 +425,20 @@ func Fig10DatasetSweep(p Params) (*Report, error) {
 func Fig11WriteAmp(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig11", "Write amplification vs dataset size", p.Out)
-	const valueSize = 4 << 10
-	fractions := []float64{0.5, 1.0, 1.5, 2.0, 2.5}
 	rows := [][]string{}
 	for _, kind := range inMemoryKinds() {
-		for _, f := range fractions {
-			s, err := open(p, kind)
+		for _, f := range datasetFractions {
+			ps := p.newPass(4 << 10)
+			ps.n, ps.reads = int(float64(ps.n)*f), 0
+			m, err := ps.run(open(kind))
 			if err != nil {
 				return nil, err
 			}
-			n := int(float64(p.entries(valueSize)) * f)
-			if _, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil); err != nil {
-				return nil, err
-			}
-			if err := s.Flush(); err != nil {
-				return nil, err
-			}
-			st := s.Stats()
 			rows = append(rows, []string{
 				string(kind),
 				fmt.Sprintf("%dMB-equiv", int(80*f*p.Scale)),
-				f2(st.WriteAmplification),
+				f2(m.st.WriteAmplification),
 			})
-			s.Close()
 		}
 	}
 	r.Table([]string{"store", "dataset", "WA"}, rows)
@@ -476,44 +451,34 @@ func Fig11WriteAmp(p Params) (*Report, error) {
 func Fig12MemtableSweep(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig12", "MemTable size sensitivity", p.Out)
-	const valueSize = 4 << 10
-	sizes := []int64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 	rows := [][]string{}
 	for _, kind := range inMemoryKinds() {
-		for _, ms := range sizes {
-			s, err := open(p, kind, func(c *Config) { c.MemTableSize = ms })
+		for _, ms := range []int64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10} {
+			m, err := p.newPass(4 << 10).run(open(kind, func(c *Config) { c.MemTableSize = ms }))
 			if err != nil {
 				return nil, err
-			}
-			n := p.entries(valueSize)
-			wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Flush(); err != nil {
-				return nil, err
-			}
-			rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
-			if err != nil {
-				return nil, err
-			}
-			st := s.Stats()
-			avgFlush := time.Duration(0)
-			if st.Flushes > 0 {
-				avgFlush = st.FlushTime / time.Duration(st.Flushes)
 			}
 			rows = append(rows, []string{
 				string(kind), fmt.Sprintf("%dK", ms>>10),
-				msec(avgFlush), msec(st.FlushTime),
-				f1(wres.KIOPS), f1(rres.KIOPS),
+				msec(avgFlush(m.st)), msec(m.st.FlushTime),
+				f1(m.fill.KIOPS), f1(m.read.KIOPS),
 			})
-			s.Close()
 		}
 	}
 	r.Table([]string{"store", "memtable", "flush-avg-ms", "flush-total-ms", "fillrandom-KIOPS", "readrandom-KIOPS"}, rows)
 	r.Printf("shape: MioDB's per-flush latency is an order of magnitude below the baselines (paper: 37.6×/11.9× shorter) and total flush time is flat; throughput barely moves with memtable size for all stores.")
 	return r, nil
 }
+
+// avgFlush is the mean time of one flush.
+func avgFlush(st stats.Snapshot) time.Duration {
+	if st.Flushes == 0 {
+		return 0
+	}
+	return st.FlushTime / time.Duration(st.Flushes)
+}
+
+func onSSD(c *Config) { c.SSD = true }
 
 // Fig13SSDMode reproduces Figure 13: the DRAM-NVM-SSD hierarchy —
 // db_bench random read/write plus YCSB Load and A–F throughput.
@@ -524,24 +489,11 @@ func Fig13SSDMode(p Params) (*Report, error) {
 	// db_bench half.
 	rows := [][]string{}
 	for _, kind := range inMemoryKinds() {
-		s, err := open(p, kind, func(c *Config) { c.SSD = true })
+		m, err := p.newPass(valueSize).run(open(kind, onSSD))
 		if err != nil {
 			return nil, err
 		}
-		n := p.entries(valueSize)
-		wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Flush(); err != nil {
-			return nil, err
-		}
-		rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, []string{string(kind), f1(wres.KIOPS), f1(rres.KIOPS)})
-		s.Close()
+		rows = append(rows, []string{string(kind), f1(m.fill.KIOPS), f1(m.read.KIOPS)})
 	}
 	r.Table([]string{"store", "fillrandom", "readrandom"}, rows)
 
@@ -549,33 +501,20 @@ func Fig13SSDMode(p Params) (*Report, error) {
 	// scan seeks one block in every live SSTable at ~80 µs), so the op
 	// count is reduced to a third of the in-memory experiments' — still
 	// thousands of operations per cell, and throughput is rate-like.
-	ssdOps := p.ycsbOps() / 3
-	if ssdOps < 1000 {
-		ssdOps = 1000
-	}
+	ssdOps := max(p.ycsbOps()/3, 1000)
 	workloads := []string{"A", "B", "C", "D", "E", "F"}
 	header := append([]string{"store", "Load"}, workloads...)
 	rows = [][]string{}
 	for _, kind := range inMemoryKinds() {
-		s, err := open(p, kind, func(c *Config) { c.SSD = true })
+		m, err := p.ycsbPass(valueSize, ssdOps, workloads...).run(open(kind, onSSD))
 		if err != nil {
 			return nil, err
 		}
-		records := uint64(p.entries(valueSize))
-		loadRes, err := YCSBLoad(s, records, valueSize)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{string(kind), f1(loadRes.KIOPS)}
-		for wi, w := range workloads {
-			res, err := YCSBRun(s, w, ssdOps, records, valueSize, p.Seed+int64(wi), nil)
-			if err != nil {
-				return nil, err
-			}
+		row := []string{string(kind), f1(m.fill.KIOPS)}
+		for _, res := range m.runs {
 			row = append(row, f1(res.KIOPS))
 		}
 		rows = append(rows, row)
-		s.Close()
 	}
 	r.Table(header, rows)
 	r.Printf("shape: MioDB's elastic buffer absorbs bursts before the SSD, keeping its lead (paper: 10.5×/11.2× random write, 11.8×/12.1× Load).")
@@ -585,8 +524,7 @@ func Fig13SSDMode(p Params) (*Report, error) {
 // Table3SSDTailLatency reproduces Table 3: workload A percentiles in the
 // DRAM-NVM-SSD hierarchy.
 func Table3SSDTailLatency(p Params) (*Report, error) {
-	rep, err := tailLatencyTable(p, "table3", true)
-	return rep, err
+	return tailLatencyTable(p, "table3", true)
 }
 
 // Fig14BufferSweep reproduces Figure 14: random read/write throughput as
@@ -595,43 +533,21 @@ func Table3SSDTailLatency(p Params) (*Report, error) {
 func Fig14BufferSweep(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("fig14", "NVM buffer size sensitivity (DRAM-NVM-SSD, KIOPS)", p.Out)
-	const valueSize = 4 << 10
-	sizes := []int64{8 << 20, 16 << 20, 32 << 20, 64 << 20}
 	rows := [][]string{}
-	run := func(kind StoreKind, label string, mutate func(*Config)) error {
-		s, err := open(p, kind, func(c *Config) {
-			c.SSD = true
-			if mutate != nil {
-				mutate(c)
-			}
-		})
+	run := func(kind StoreKind, label string, bufferSize int64) error {
+		m, err := p.newPass(4 << 10).run(open(kind, onSSD, func(c *Config) { c.NVMBufferSize = bufferSize }))
 		if err != nil {
 			return err
 		}
-		n := p.entries(valueSize)
-		wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-		if err != nil {
-			return err
-		}
-		if err := s.Flush(); err != nil {
-			return err
-		}
-		rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, []string{string(kind), label, f1(wres.KIOPS), f1(rres.KIOPS)})
-		s.Close()
+		rows = append(rows, []string{string(kind), label, f1(m.fill.KIOPS), f1(m.read.KIOPS)})
 		return nil
 	}
-	if err := run(MioDB, "elastic", nil); err != nil {
+	if err := run(MioDB, "elastic", 0); err != nil {
 		return nil, err
 	}
 	for _, kind := range []StoreKind{MatrixKV, NoveLSM} {
-		for _, bs := range sizes {
-			bs := bs
-			label := fmt.Sprintf("%dMB", bs>>20)
-			if err := run(kind, label, func(c *Config) { c.NVMBufferSize = bs }); err != nil {
+		for _, bs := range []int64{8 << 20, 16 << 20, 32 << 20, 64 << 20} {
+			if err := run(kind, fmt.Sprintf("%dMB", bs>>20), bs); err != nil {
 				return nil, err
 			}
 		}
@@ -645,12 +561,11 @@ func Fig14BufferSweep(p Params) (*Report, error) {
 func Ablations(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("ablation", "MioDB design ablations (4 KB values)", p.Out)
-	const valueSize = 4 << 10
 	variants := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{"baseline", nil},
+		{"baseline", func(*Config) {}},
 		{"no-one-piece-flush", func(c *Config) { c.DisableOnePieceFlush = true }},
 		{"no-zero-copy-merge", func(c *Config) { c.DisableZeroCopyMerge = true }},
 		{"no-parallel-compaction", func(c *Config) { c.DisableParallelCompaction = true }},
@@ -659,40 +574,16 @@ func Ablations(p Params) (*Report, error) {
 	}
 	rows := [][]string{}
 	for _, v := range variants {
-		muts := []func(*Config){}
-		if v.mutate != nil {
-			muts = append(muts, v.mutate)
-		}
-		s, err := open(p, MioDB, muts...)
+		m, err := p.newPass(4 << 10).run(open(MioDB, v.mutate))
 		if err != nil {
 			return nil, err
-		}
-		n := p.entries(valueSize)
-		wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		flushStart := time.Now()
-		if err := s.Flush(); err != nil {
-			return nil, err
-		}
-		drain := time.Since(flushStart)
-		rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		st := s.Stats()
-		avgFlush := time.Duration(0)
-		if st.Flushes > 0 {
-			avgFlush = st.FlushTime / time.Duration(st.Flushes)
 		}
 		rows = append(rows, []string{
 			v.name,
-			f1(wres.KIOPS), f1(rres.KIOPS),
-			f2(st.WriteAmplification),
-			msec(avgFlush), msec(drain),
+			f1(m.fill.KIOPS), f1(m.read.KIOPS),
+			f2(m.st.WriteAmplification),
+			msec(avgFlush(m.st)), msec(m.drain),
 		})
-		s.Close()
 	}
 	r.Table([]string{"variant", "fillrandom-KIOPS", "readrandom-KIOPS", "WA", "flush-avg-ms", "drain-ms"}, rows)
 	r.Printf("shape: removing one-piece flush slows flushes; removing zero-copy raises WA; removing bloom filters hurts reads; removing parallel compaction slows the drain.")

@@ -1,7 +1,5 @@
 package bench
 
-import "fmt"
-
 // The extra experiments validate claims the paper makes in prose rather
 // than in a numbered figure.
 
@@ -13,29 +11,38 @@ func ExtraScanSettle(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("extra-escan", "Workload E immediately after load vs after compactions settle", p.Out)
 	const valueSize = 4 << 10
+	records := uint64(p.entries(valueSize))
+	// scanE loads a store, runs workload E, lets the elastic buffer
+	// settle and runs E again; it closes the store on every path.
+	scanE := func(kind StoreKind) (immediate, settled RunResult, err error) {
+		s, err := open(kind)
+		if err != nil {
+			return
+		}
+		defer func() {
+			if cerr := s.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		if _, err = YCSBLoad(s, records, valueSize); err != nil {
+			return
+		}
+		if immediate, err = YCSBRun(s, "E", p.ycsbOps()/2, records, valueSize, p.Seed, nil); err != nil {
+			return
+		}
+		if err = s.Flush(); err != nil {
+			return
+		}
+		settled, err = YCSBRun(s, "E", p.ycsbOps()/2, records, valueSize, p.Seed+1, nil)
+		return
+	}
 	rows := [][]string{}
 	for _, kind := range []StoreKind{MioDB, NoveLSMNoSST} {
-		s, err := open(p, kind)
-		if err != nil {
-			return nil, err
-		}
-		records := uint64(p.entries(valueSize))
-		if _, err := YCSBLoad(s, records, valueSize); err != nil {
-			return nil, err
-		}
-		immediate, err := YCSBRun(s, "E", p.ycsbOps()/2, records, valueSize, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Flush(); err != nil { // let the elastic buffer settle
-			return nil, err
-		}
-		settled, err := YCSBRun(s, "E", p.ycsbOps()/2, records, valueSize, p.Seed+1, nil)
+		immediate, settled, err := scanE(kind)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []string{string(kind), f1(immediate.KIOPS), f1(settled.KIOPS)})
-		s.Close()
 	}
 	r.Table([]string{"store", "E-immediate", "E-settled"}, rows)
 	r.Printf("shape: MioDB's scan throughput right after load lags NoveLSM-NoSST (ongoing compactions, many small PMTables); once settled into the repository it approaches the single-big-skip-list result, as §5.2 predicts.")
@@ -49,33 +56,18 @@ func ExtraScanSettle(p Params) (*Report, error) {
 func ExtraNoveLSMVariants(p Params) (*Report, error) {
 	p = p.norm()
 	r := NewReport("extra-novelsm", "NoveLSM architecture comparison (flat vs hierarchical vs NoSST)", p.Out)
-	const valueSize = 4 << 10
 	rows := [][]string{}
 	for _, kind := range []StoreKind{NoveLSM, NoveLSMHier, NoveLSMNoSST} {
-		s, err := open(p, kind)
+		m, err := p.newPass(4 << 10).run(open(kind))
 		if err != nil {
 			return nil, err
 		}
-		n := p.entries(valueSize)
-		wres, err := FillRandom(s, n, uint64(n), valueSize, p.Seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Flush(); err != nil {
-			return nil, err
-		}
-		rres, _, err := ReadRandom(s, p.readOps(), uint64(n), p.Seed+1)
-		if err != nil {
-			return nil, err
-		}
-		st := s.Stats()
 		rows = append(rows, []string{
 			string(kind),
-			f1(wres.KIOPS), f1(rres.KIOPS),
-			fmt.Sprintf("%.1f", (st.IntervalStall+st.CumulativeStall).Seconds()*1e3),
-			f2(st.WriteAmplification),
+			f1(m.fill.KIOPS), f1(m.read.KIOPS),
+			msec(m.st.IntervalStall + m.st.CumulativeStall),
+			f2(m.st.WriteAmplification),
 		})
-		s.Close()
 	}
 	r.Table([]string{"variant", "fillrandom", "readrandom", "stalls-ms", "WA"}, rows)
 	r.Printf("shape: flat beats hierarchical on writes (the paper's reason for evaluating flat); NoSST avoids serialization entirely at the cost of unbounded NVM growth.")

@@ -106,8 +106,22 @@ func MemBalance(p Params) (*Report, error) {
 			}
 		}()
 
-		latTL := histogram.NewTimeline(binWidth)
-		res, err := skewedShardFill(router, pools, n, valueSize, p.Seed, writers, latTL)
+		// Each op picks a shard by scrambled zipfian, then a uniform key
+		// from that shard's pool.
+		res, _, err := drive(n, writers, histogram.NewTimeline(binWidth), func(g int) op {
+			choose := ycsb.NewZipfianChooser(shards, p.Seed+int64(g)*7919)
+			rnd := rand.New(rand.NewSource(p.Seed + int64(g)*104729))
+			pool := newValuePool(g+1, valueSize, 64)
+			var k, v []byte
+			return op{
+				prep: func(int, int) int {
+					keys := pools[choose.Choose(shards)]
+					k, v = dbKey(keys[rnd.Intn(len(keys))]), pool.value()
+					return 1
+				},
+				call: func() error { return router.Put(k, v) },
+			}
+		})
 		close(sampleDie)
 		sampleWG.Wait()
 		if err != nil {
@@ -187,58 +201,6 @@ func coreConfigFor(budget int64) core.Options {
 		Simulate:     true,
 		TimeScale:    1,
 	}
-}
-
-// skewedShardFill drives total writes from `writers` goroutines: each op
-// picks a target shard by scrambled zipfian over the shard indices, then
-// a uniform key from that shard's pool. Latencies land in one shared
-// histogram and timeline.
-func skewedShardFill(s *shard.Router, pools [][]uint64, total, valueSize int, seed int64, writers int, tl *histogram.Timeline) (RunResult, error) {
-	if writers < 1 {
-		writers = 1
-	}
-	h := histogram.New()
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers)
-	per := total / writers
-	start := time.Now()
-	for g := 0; g < writers; g++ {
-		n := per
-		if g == 0 {
-			n += total - per*writers
-		}
-		wg.Add(1)
-		go func(g, n int) {
-			defer wg.Done()
-			choose := ycsb.NewZipfianChooser(uint64(len(pools)), seed+int64(g)*7919)
-			rnd := rand.New(rand.NewSource(seed + int64(g)*104729))
-			pool := newValuePool(g+1, valueSize, 64)
-			for i := 0; i < n; i++ {
-				sh := int(choose.Choose(uint64(len(pools))))
-				keys := pools[sh]
-				if len(keys) == 0 {
-					continue
-				}
-				k := dbKey(keys[rnd.Intn(len(keys))])
-				v := pool.value()
-				t0 := time.Now()
-				if err := s.Put(k, v); err != nil {
-					errCh <- fmt.Errorf("writer %d: %w", g, err)
-					return
-				}
-				d := time.Since(t0)
-				h.Record(d)
-				tl.Record(d)
-			}
-		}(g, n)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return RunResult{}, err
-	default:
-	}
-	return finishRun(int64(total), time.Since(start), h, tl), nil
 }
 
 // perShardInts renders a compact per-shard int list for report lines.

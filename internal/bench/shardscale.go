@@ -35,47 +35,22 @@ func ShardScale(p Params) (*Report, error) {
 		var maxImbalance float64
 		var fillRuns, readRuns []RunResult
 		for rep := 0; rep < reps; rep++ {
-			s, err := OpenStore(cfg)
+			m, err := pass{n: n, valueSize: valueSize, reads: n, threads: threads, seed: p.Seed + int64(rep)}.run(OpenStore(cfg))
 			if err != nil {
 				return nil, err
 			}
-			fill, err := ConcurrentFill(s, n, uint64(n), valueSize, p.Seed+int64(rep), threads, Uniform)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			if err := s.Flush(); err != nil {
-				s.Close()
-				return nil, err
-			}
-			read, _, err := ConcurrentReadRandom(s, n, uint64(n), p.Seed+int64(rep)+1, threads)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			st := s.Stats()
-			s.Close()
-			fillRuns = append(fillRuns, fill)
-			readRuns = append(readRuns, read)
-			if fill.KIOPS > bestFill {
-				bestFill = fill.KIOPS
-			}
-			if read.KIOPS > bestRead {
-				bestRead = read.KIOPS
-			}
+			fillRuns = append(fillRuns, m.fill)
+			readRuns = append(readRuns, m.read)
+			bestFill = max(bestFill, m.fill.KIOPS)
+			bestRead = max(bestRead, m.read.KIOPS)
 			// Routing balance: max shard's write share over the ideal
 			// 1/shards share (1.00 = perfectly even).
-			if len(st.Shards) > 0 {
+			if st := m.st; len(st.Shards) > 0 {
 				var maxPuts int64
 				for _, sh := range st.Shards {
-					if sh.Puts > maxPuts {
-						maxPuts = sh.Puts
-					}
+					maxPuts = max(maxPuts, sh.Puts)
 				}
-				imb := float64(maxPuts) * float64(len(st.Shards)) / float64(st.Puts)
-				if imb > maxImbalance {
-					maxImbalance = imb
-				}
+				maxImbalance = max(maxImbalance, float64(maxPuts)*float64(len(st.Shards))/float64(st.Puts))
 			}
 		}
 		balance := "-"

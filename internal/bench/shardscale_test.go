@@ -31,7 +31,7 @@ func BenchmarkShardScale(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				r, err := ConcurrentFill(s, entries, entries, valueSize, 1, threads, Uniform)
+				r, err := FillRandom(s, entries, entries, valueSize, 1, threads, 1, Uniform)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -48,7 +48,7 @@ func BenchmarkShardScale(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := FillRandom(s, entries, entries, valueSize, 1, nil); err != nil {
+				if _, err := FillRandom(s, entries, entries, valueSize, 1, 1, 1, Uniform); err != nil {
 					b.Fatal(err)
 				}
 				if err := s.Flush(); err != nil {
@@ -56,7 +56,7 @@ func BenchmarkShardScale(b *testing.B) {
 				}
 				s.ResetCounters()
 				b.StartTimer()
-				r, _, err := ConcurrentReadRandom(s, entries, entries, 2, threads)
+				r, _, err := ReadRandom(s, entries, entries, 2, threads)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -121,11 +121,16 @@ func (db *DB) gcSegment() (bool, error) {
 		db.releaseVersion(pin)
 		return false, nil
 	}
-	err := db.vlog.Walk(id, func(key []byte, _ uint64, a vlog.Addr) bool {
-		if db.vlogEntryLive(pin.v, key, a) {
-			live = append(live, liveEntry{key: append([]byte(nil), key...), addr: a})
-		}
-		return true
+	// A transient read fault restarts the walk; relocation reads below,
+	// under commitMu, are not retried.
+	err := db.runDeviceOp(func() error {
+		live = live[:0]
+		return db.vlog.Walk(id, func(key []byte, _ uint64, a vlog.Addr) bool {
+			if db.vlogEntryLive(pin.v, key, a) {
+				live = append(live, liveEntry{key: append([]byte(nil), key...), addr: a})
+			}
+			return true
+		})
 	})
 	db.releaseVersion(pin)
 	if err != nil {

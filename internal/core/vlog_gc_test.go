@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"miodb/internal/keys"
+	"miodb/internal/nvm"
+	"miodb/internal/vlog"
 )
 
 // TestValueLogGCAfterReplayDuplicates pins the dead-mark trust rule
@@ -187,5 +189,66 @@ func TestWaitIdleCoversValueLogGC(t *testing.T) {
 	}
 	if err := db.CheckRegionAccounting(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValueLogGCRetriesTransientPreScanFault: a transient read fault met
+// by the collector's pre-scan restarts the walk instead of ending the
+// pass — the retry is counted in DeviceRetries and the segment is still
+// reclaimed.
+func TestValueLogGCRetriesTransientPreScanFault(t *testing.T) {
+	db := mustOpen(t, vlogOpts())
+	defer db.Close()
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("fault%03d", i)), bigVal("fault", 1<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Kill every value as TestValueLogGCPacing does: tombstones in the
+	// memtable, dead marks set by hand. Nothing is left to relocate, so
+	// the pre-scans make every read the collector does.
+	for i := 0; i < n; i++ {
+		if err := db.Delete([]byte(fmt.Sprintf("fault%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range db.vlog.Segments() {
+		if err := db.vlog.Walk(id, func(_ []byte, _ uint64, a vlog.Addr) bool {
+			db.vlog.MarkDead(a)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The next checked read fails transiently, and no later one in this
+	// test does: the plan fails every 65536th read and has counted all but
+	// one of the first.
+	const every = 1 << 16
+	plan := nvm.NewFaultPlan(1).FailReadsEvery(every).AllTransient()
+	for i := 1; i < every; i++ {
+		if err := plan.CheckRead(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, dev := db.Devices()
+	dev.SetFaultPlan(plan)
+	defer dev.SetFaultPlan(nil)
+
+	if _, err := db.RunValueLogGC(); err != nil {
+		t.Fatalf("GC under one transient read fault: %v", err)
+	}
+	if got := plan.Stats().InjectedReads; got != 1 {
+		t.Fatalf("%d read faults injected, want 1", got)
+	}
+	if got := db.Stats().DeviceRetries; got < 1 {
+		t.Fatalf("DeviceRetries = %d, want the pre-scan's retry counted", got)
+	}
+	if c := db.ValueLogCounters(); c.GCSegmentsReclaimed == 0 {
+		t.Fatalf("no segment reclaimed: %+v", c)
 	}
 }

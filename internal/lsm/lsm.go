@@ -45,9 +45,6 @@ type Options struct {
 	BlockSize int
 	// BloomBitsPerKey sizes per-table bloom filters.
 	BloomBitsPerKey int
-	// Compression flate-compresses SSTable data blocks (off by default;
-	// see sstable.BuilderOptions.Compression).
-	Compression bool
 	// L0Slowdown and L0Stop are L0 file-count thresholds for write
 	// throttling and write blocking.
 	L0Slowdown, L0Stop int
@@ -192,7 +189,6 @@ func (l *Levels) buildTables(it iterx.Iterator, maxBytes int64) ([]*FileMeta, er
 				BlockSize:       l.opts.BlockSize,
 				BloomBitsPerKey: l.opts.BloomBitsPerKey,
 				Stats:           l.opts.Stats,
-				Compression:     l.opts.Compression,
 			})
 		}
 		if err := b.Add(it.Key(), it.Seq(), it.Kind(), it.Value()); err != nil {

@@ -137,29 +137,3 @@ func TestL0GetPicksNewestBySeq(t *testing.T) {
 		t.Fatalf("L0 Get = %q seq=%d, want newest by sequence", v, seq)
 	}
 }
-
-func TestCompressedLevels(t *testing.T) {
-	st := &stats.Recorder{}
-	opts := testOptions(st)
-	opts.Compression = true
-	l := New(opts)
-	defer l.Close()
-	kvs := map[string]string{}
-	for i := 0; i < 300; i++ {
-		kvs[fmt.Sprintf("key-%05d", i)] = fmt.Sprintf("%0512d", i) // compressible
-	}
-	if err := l.FlushToL0(memIter(t, kvs, 1), 0); err != nil {
-		t.Fatal(err)
-	}
-	l.WaitIdle()
-	for k, v := range kvs {
-		got, _, _, ok := l.Get([]byte(k))
-		if !ok || string(got) != v {
-			t.Fatalf("compressed-levels Get(%s) broken", k)
-		}
-	}
-	// Disk footprint must be well below the raw payload.
-	if sz := l.opts.Disk.TotalSize(); sz > 300*512/2 {
-		t.Errorf("compressed levels hold %d bytes for ~150KB payload", sz)
-	}
-}

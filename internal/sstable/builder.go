@@ -13,8 +13,6 @@
 package sstable
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"time"
 
@@ -27,10 +25,6 @@ import (
 const (
 	// Magic terminates every table file.
 	Magic = 0x6d696f5353546230 // "mioSSTb0"
-	// MagicCompressed marks a table whose data blocks are
-	// flate-compressed (LevelDB compresses blocks with snappy; flate is
-	// the stdlib equivalent). Index and filter blocks stay raw.
-	MagicCompressed = 0x6d696f5353546231 // "mioSSTb1"
 
 	footerSize      = 40
 	restartInterval = 16
@@ -41,7 +35,7 @@ const (
 
 // BuilderOptions configures table construction.
 type BuilderOptions struct {
-	// BlockSize is the uncompressed data block target size.
+	// BlockSize is the data block target size.
 	BlockSize int
 	// BloomBitsPerKey sizes the table's bloom filter (0 disables).
 	BloomBitsPerKey int
@@ -49,11 +43,6 @@ type BuilderOptions struct {
 	ExpectedKeys int
 	// Stats receives serialization time; may be nil.
 	Stats *stats.Recorder
-	// Compression flate-compresses data blocks. Off by default: the
-	// paper's comparison isolates serialization structure, not codec
-	// choice, and compression would skew the byte-traffic accounting
-	// between stores.
-	Compression bool
 }
 
 func (o BuilderOptions) withDefaults() BuilderOptions {
@@ -156,29 +145,14 @@ func (b *Builder) finishBlock() error {
 	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b.restarts)))
 	b.block = append(b.block, tmp[:4]...)
 
-	payload := b.block
-	if b.opts.Compression {
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
-			return err
-		}
-		if _, err := zw.Write(b.block); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
-			return err
-		}
-		payload = buf.Bytes()
-	}
 	offset := uint64(b.w.Offset())
-	if _, err := b.w.Write(payload); err != nil {
+	if _, err := b.w.Write(b.block); err != nil {
 		return err
 	}
 	b.index = append(b.index, indexEntry{
 		lastIKey: append([]byte(nil), b.blockLast...),
 		offset:   offset,
-		size:     uint64(len(payload)),
+		size:     uint64(len(b.block)),
 	})
 	b.block = b.block[:0]
 	b.restarts = b.restarts[:0]
@@ -225,11 +199,7 @@ func (b *Builder) Finish() error {
 	binary.LittleEndian.PutUint64(footer[8:16], indexLen)
 	binary.LittleEndian.PutUint64(footer[16:24], filterOff)
 	binary.LittleEndian.PutUint64(footer[24:32], filterLen)
-	magic := uint64(Magic)
-	if b.opts.Compression {
-		magic = MagicCompressed
-	}
-	binary.LittleEndian.PutUint64(footer[32:40], magic)
+	binary.LittleEndian.PutUint64(footer[32:40], Magic)
 	if _, err := b.w.Write(footer[:]); err != nil {
 		return err
 	}

@@ -2,10 +2,8 @@ package sstable
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -21,11 +19,10 @@ import (
 // deserialized on demand, charging the device and the deserialization
 // clock each time.
 type Table struct {
-	r          *vfs.Reader
-	st         *stats.Recorder
-	index      []indexEntry
-	filter     *bloom.Filter
-	compressed bool
+	r      *vfs.Reader
+	st     *stats.Recorder
+	index  []indexEntry
+	filter *bloom.Filter
 
 	// Smallest and Largest bound the table's user keys (for leveled
 	// compaction overlap checks).
@@ -44,12 +41,7 @@ func Open(r *vfs.Reader, st *stats.Recorder) (*Table, error) {
 	if _, err := r.ReadAt(footer[:], size-footerSize); err != nil {
 		return nil, err
 	}
-	compressed := false
-	switch binary.LittleEndian.Uint64(footer[32:40]) {
-	case Magic:
-	case MagicCompressed:
-		compressed = true
-	default:
+	if binary.LittleEndian.Uint64(footer[32:40]) != Magic {
 		return nil, fmt.Errorf("sstable: bad magic")
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(footer[0:8]))
@@ -57,7 +49,7 @@ func Open(r *vfs.Reader, st *stats.Recorder) (*Table, error) {
 	filterOff := int64(binary.LittleEndian.Uint64(footer[16:24]))
 	filterLen := int64(binary.LittleEndian.Uint64(footer[24:32]))
 
-	t := &Table{r: r, st: st, Size: size, compressed: compressed}
+	t := &Table{r: r, st: st, Size: size}
 
 	if filterLen > 0 {
 		fb := make([]byte, filterLen)
@@ -152,15 +144,6 @@ func (t *Table) readBlock(i int) (*block, error) {
 			t.st.Add(stats.DeserializeNs, int64(time.Since(start)))
 		}
 	}()
-	if t.compressed {
-		zr := flate.NewReader(bytes.NewReader(raw))
-		inflated, err := io.ReadAll(io.LimitReader(zr, 64<<20))
-		zr.Close()
-		if err != nil {
-			return nil, fmt.Errorf("sstable: block %d inflate: %w", i, err)
-		}
-		raw = inflated
-	}
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("sstable: block %d too small", i)
 	}

@@ -209,65 +209,3 @@ func TestBloomFilterSkipsAbsent(t *testing.T) {
 		t.Errorf("%d false negatives", misses)
 	}
 }
-
-func TestCompressedTableRoundTrip(t *testing.T) {
-	disk := vfs.NewDisk(vfs.NVMBlockProfile())
-	w := disk.Create("c.sst")
-	b := NewBuilder(w, BuilderOptions{BloomBitsPerKey: 16, Compression: true})
-	// Highly compressible values.
-	val := bytes.Repeat([]byte("abcdefgh"), 128) // 1 KiB
-	const n = 500
-	for i := 0; i < n; i++ {
-		if err := b.Add([]byte(fmt.Sprintf("key-%06d", i)), uint64(i+1), keys.KindSet, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := disk.Open("c.sst")
-	// Compression must actually shrink the file well below the payload.
-	if r.Size() > int64(n*len(val))/4 {
-		t.Errorf("compressed table %d bytes for %d of payload", r.Size(), n*len(val))
-	}
-	tbl, err := Open(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		v, seq, _, ok := tbl.Get([]byte(fmt.Sprintf("key-%06d", i)))
-		if !ok || seq != uint64(i+1) || !bytes.Equal(v, val) {
-			t.Fatalf("compressed Get(%d): ok=%v seq=%d", i, ok, seq)
-		}
-	}
-	it := tbl.NewIterator()
-	count := 0
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		count++
-	}
-	if count != n {
-		t.Fatalf("compressed scan saw %d entries", count)
-	}
-}
-
-func TestCompressedAndRawInterop(t *testing.T) {
-	// A reader must never misinterpret one format as the other.
-	disk := vfs.NewDisk(vfs.NVMBlockProfile())
-	for _, compress := range []bool{false, true} {
-		name := fmt.Sprintf("t-%v.sst", compress)
-		w := disk.Create(name)
-		b := NewBuilder(w, BuilderOptions{Compression: compress})
-		b.Add([]byte("k"), 1, keys.KindSet, []byte("v"))
-		if err := b.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		r, _ := disk.Open(name)
-		tbl, err := Open(r, nil)
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if v, _, _, ok := tbl.Get([]byte("k")); !ok || string(v) != "v" {
-			t.Fatalf("compress=%v: Get broken", compress)
-		}
-	}
-}

@@ -364,12 +364,13 @@ func (s *Store) appendNVM(g *segment, key, value []byte, seq uint64, entryLen in
 
 // read returns the n bytes at off, an alias of log storage, once the
 // device's fault plan lets the read through. An injected read fault is
-// ErrCorrupt, like every other failure to resolve an entry. A crashed
+// ErrCorrupt, like every other failure to resolve an entry, and keeps
+// its cause: nvm.IsTransient tells a retryable fault apart. A crashed
 // plan does not fail it: a crash freezes the media, and the engine's
 // other NVM reads go on seeing it, as the crash harness's probes expect.
 func (s *Store) read(g *segment, off int64, n int) ([]byte, error) {
 	if err := s.dev.CheckRead(n); err != nil && !errors.Is(err, nvm.ErrCrashed) {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return g.region.Read(g.region.Base().Add(off), n), nil
 }

@@ -133,14 +133,21 @@ func TestReadRejectsBadAddresses(t *testing.T) {
 }
 
 // TestReadFaultIsCorrupt: segment reads gate on the device's fault plan,
-// and an injected read fault reaches Read and Walk as ErrCorrupt; a
-// crashed plan leaves the frozen media readable.
+// and an injected read fault reaches Read and Walk as ErrCorrupt that
+// keeps its cause, so a transient fault can be retried; a crashed plan
+// leaves the frozen media readable.
 func TestReadFaultIsCorrupt(t *testing.T) {
 	s, dev := newTestNVM(1 << 16)
 	a := mustAppend(t, s, "k", val("v", 100), 1)
 	dev.SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(1))
 	if _, _, _, err := s.Read(a); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("read under a failing plan: %v, want ErrCorrupt", err)
+	} else if !errors.Is(err, nvm.ErrInjected) {
+		t.Fatalf("read under a failing plan: %v, want the injected fault as its cause", err)
+	}
+	dev.SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(1).AllTransient())
+	if _, _, _, err := s.Read(a); !errors.Is(err, ErrCorrupt) || !nvm.IsTransient(err) {
+		t.Fatalf("read under a transient plan: %v, want a transient ErrCorrupt", err)
 	}
 	if err := s.Walk(a.Seg, func([]byte, uint64, Addr) bool { return true }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("walk under a failing plan: %v, want ErrCorrupt", err)
