@@ -22,24 +22,29 @@ test:
 # the bloom filters merged in place under concurrent probes, the
 # memtable filters its one committer fills while Gets probe them, the one
 # stats recorder that every foreground and background goroutine writes,
-# and the baselines' shared engine (one writer against one retire loop,
-# MatrixKV's column compactor and readers across every tier) must stay
-# race-clean. The merge reader tests — point reads and scans —
+# the baselines' shared engine (one writer against its retire job,
+# MatrixKV's column job and readers across every tier), the SSTable tree
+# (its compaction runner against flushes, column merges and readers) and
+# the one job table all four engines run their background work on must
+# stay race-clean. The merge reader tests — point reads and scans —
 # run again on one CPU and on two: the merger and its readers interleave
 # differently on each. The paper regenerator's one op loop
 # (internal/bench) serves every thread count, so its goroutines share one
 # histogram, one miss counter and one error slot: its driver tests run
 # too, filtered, as the package's experiments are too slow under -race.
 race:
-	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/memtable ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/...
+	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/memtable ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/... ./internal/lsm ./internal/jobs
 	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$|TestSafeIteratorUnderConcurrentMerge$$' -count=1
 	$(GO) test -race ./internal/bench -run 'TestDriver|TestConcurrentReadRunners' -count=1
 
 # One CPU: the runners that share it (one per background job, or one for
 # every merge under DisableParallelCompaction) must neither starve a job
-# nor deadlock when only one goroutine runs at a time.
+# nor deadlock when only one goroutine runs at a time — in core, in the
+# job table itself, and in the baselines (retire and column jobs beside
+# the tree's compaction runner).
 test-1cpu:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade' -count=1
+	GOMAXPROCS=1 $(GO) test ./internal/jobs ./internal/baseline/... -count=1
 
 # Crash-torture: randomized power failures, torn writes, and interrupted
 # recoveries under the race detector (50+ cycles), and the compatibility

@@ -336,9 +336,10 @@ func TestMatrixKVColumnCompactionDrainsContainer(t *testing.T) {
 			t.Fatalf("Get(%s) = %q, %v; want %q", k, got, err, v)
 		}
 	}
-	// MatrixKV's design goal: no interval stalls under this load.
-	if db.ContainerBytes() > 2*(24<<10) {
-		t.Errorf("container never drained: %d live bytes", db.ContainerBytes())
+	// Flush drains the column job: the container ends below its 60 %
+	// soft watermark.
+	if db.ContainerBytes() >= (24<<10)*6/10 {
+		t.Errorf("container not drained below its watermark: %d live bytes", db.ContainerBytes())
 	}
 }
 

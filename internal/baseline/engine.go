@@ -1,11 +1,12 @@
 // Package baseline is the engine the three comparison stores share: the
 // devices, a DRAM memtable + WAL front end with a bounded queue of
-// immutable buffers, one retire loop, the read fan-out and the
-// lifecycle. Each of leveldbkv, matrixkv and novelsm embeds an Engine
-// and adds only what its paper changes — what throttles a write, which
-// buffer follows a full one, where a retired buffer goes, and the tier
-// read between the buffers and the SSTable tree — so the differences the
-// experiments measure come from those designs alone.
+// immutable buffers, a background job table (internal/jobs) with one
+// retire job, the read fan-out and the lifecycle. Each of leveldbkv,
+// matrixkv and novelsm embeds an Engine and adds only what its paper
+// changes — what throttles a write, which buffer follows a full one,
+// where a retired buffer goes, and the tier read between the buffers and
+// the SSTable tree — so the differences the experiments measure come
+// from those designs alone.
 package baseline
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"miodb/internal/iterx"
+	"miodb/internal/jobs"
 	"miodb/internal/keys"
 	"miodb/internal/kvstore"
 	"miodb/internal/lsm"
@@ -47,7 +49,7 @@ type Policy struct {
 	// before a rotating writer blocks.
 	QueueBound int
 	// Hold (Mu held) reports that writes must wait outright; the writer
-	// waits on Cond until it clears, an interval stall.
+	// waits on the job table until it clears, an interval stall.
 	Hold func() bool
 	// Slowdown (Mu held) returns how long to delay a write, at most once
 	// per write, before its room check: a cumulative stall.
@@ -60,9 +62,13 @@ type Policy struct {
 	// (default: a fresh DRAM buffer).
 	Next func(full *Buffer) (*Buffer, error)
 	// Retire moves the oldest immutable buffer's data to where the
-	// baseline keeps it. It runs on the retire loop without Mu; the
+	// baseline keeps it. It runs as the retire job, without Mu; the
 	// buffer stays queued, and so visible to readers, until it returns.
 	Retire func(b *Buffer) error
+	// Compact is a background job of the baseline's own, served by its
+	// own runner on the engine's job table beside the retire job (nil:
+	// none). Drain waits for it too.
+	Compact *jobs.Job
 	// Get reads the baseline's tier between the buffers and the SSTable
 	// tree.
 	Get func(key []byte) (value []byte, kind keys.Kind, ok bool)
@@ -103,20 +109,17 @@ type Engine struct {
 	seq     uint64
 
 	// Mu guards the buffers, the queue and any state a policy keeps
-	// beside them; Cond is broadcast whenever any of it changes.
+	// beside them; bg is the job table on Mu.
 	Mu     sync.Mutex
-	Cond   *sync.Cond
+	bg     *jobs.Table
 	active *Buffer
 	queue  []*Buffer // immutable buffers, oldest first
-	closed bool
-
-	wg sync.WaitGroup
 }
 
 var errEmptyKey = errors.New("baseline: empty key")
 
 // Init sets up the devices, the SSTable tree and the first buffer, and
-// starts the retire loop.
+// starts the retire job and the policy's Compact job.
 func (e *Engine) Init(c Config, p Policy) error {
 	if c.MemTableSize <= 0 {
 		c.MemTableSize = 64 << 10
@@ -134,7 +137,7 @@ func (e *Engine) Init(c Config, p Policy) error {
 	e.logged = !c.DisableWAL
 	e.p = p
 	e.St = &stats.Recorder{}
-	e.Cond = sync.NewCond(&e.Mu)
+	e.bg = jobs.New(&e.Mu, nil)
 
 	space := vaddr.NewSpace()
 	e.DRAM = nvm.NewDevice(space, nvm.DRAMProfile())
@@ -161,7 +164,12 @@ func (e *Engine) Init(c Config, p Policy) error {
 		return err
 	}
 	e.active = active
-	e.Go(e.retireLoop)
+	retire := &jobs.Job{Name: "retire", Ready: func() bool { return len(e.queue) > 0 }, Run: e.retireOne}
+	runners := [][]*jobs.Job{{retire}}
+	if p.Compact != nil {
+		runners = append(runners, []*jobs.Job{p.Compact})
+	}
+	e.bg.Start(runners...)
 	return nil
 }
 
@@ -186,17 +194,8 @@ func (e *Engine) NewBuffer(dev *nvm.Device, capacity int64) (*Buffer, error) {
 	return b, nil
 }
 
-// Go runs fn on a background goroutine that Close waits for.
-func (e *Engine) Go(fn func()) {
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		fn()
-	}()
-}
-
 // ClosedLocked reports whether Close has begun (Mu held).
-func (e *Engine) ClosedLocked() bool { return e.closed }
+func (e *Engine) ClosedLocked() bool { return e.bg.ClosedLocked() }
 
 // Put stores a key-value pair.
 func (e *Engine) Put(key, value []byte) error { return e.write(key, value, keys.KindSet) }
@@ -241,7 +240,7 @@ func (e *Engine) makeRoom() (*Buffer, error) {
 	slowed := false
 	for {
 		e.Mu.Lock()
-		if e.closed {
+		if e.bg.ClosedLocked() {
 			e.Mu.Unlock()
 			return nil, kvstore.ErrClosed
 		}
@@ -285,9 +284,7 @@ func (e *Engine) queueFullLocked() bool { return len(e.queue) >= e.p.QueueBound 
 // stall. Called with Mu held; returns with it released.
 func (e *Engine) stallLocked(cond func() bool) {
 	start := time.Now()
-	for cond() && !e.closed {
-		e.Cond.Wait()
-	}
+	e.bg.Wait(func() bool { return !cond() })
 	e.St.AddIntervalStall(time.Since(start))
 	e.Mu.Unlock()
 }
@@ -304,36 +301,26 @@ func (e *Engine) rotateLocked() error {
 	}
 	e.queue = append(e.queue, e.active)
 	e.active = fresh
-	e.Cond.Broadcast()
+	e.bg.Broadcast()
 	return nil
 }
 
-// retireLoop hands immutable buffers, oldest first, to the policy's
-// Retire, then drops them from the queue and frees them. After Close it
-// drains what is queued and exits.
-func (e *Engine) retireLoop() {
-	for {
-		e.Mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.Cond.Wait()
-		}
-		if len(e.queue) == 0 {
-			e.Mu.Unlock()
-			return
-		}
-		b := e.queue[0]
-		e.Mu.Unlock()
-
-		if err := e.p.Retire(b); err != nil {
-			panic(err)
-		}
-
-		e.Mu.Lock()
-		e.queue = e.queue[1:]
-		e.Cond.Broadcast()
-		e.Mu.Unlock()
-		b.release()
+// retireOne, the retire job, hands the oldest immutable buffer to the
+// policy's Retire, then drops it from the queue and frees it. Close
+// drains what is queued.
+func (e *Engine) retireOne() error {
+	e.Mu.Lock()
+	b := e.queue[0]
+	e.Mu.Unlock()
+	if err := e.p.Retire(b); err != nil {
+		panic(err)
 	}
+	e.Mu.Lock()
+	e.queue = e.queue[1:]
+	e.bg.Broadcast() // the policy's Compact job may be ready now
+	e.Mu.Unlock()
+	b.release()
+	return nil
 }
 
 // Rotate queues a non-empty active buffer for retirement, waiting for
@@ -346,19 +333,15 @@ func (e *Engine) Rotate() error {
 	if e.active.MT.Empty() {
 		return nil
 	}
-	for e.queueFullLocked() && !e.closed {
-		e.Cond.Wait()
-	}
+	e.bg.Wait(func() bool { return !e.queueFullLocked() })
 	return e.rotateLocked()
 }
 
-// Drain waits until every queued buffer has retired and the SSTable
-// tree's compactions are idle.
+// Drain waits until every queued buffer has retired, the policy's
+// Compact job is idle, and then the SSTable tree's compactions are.
 func (e *Engine) Drain() {
 	e.Mu.Lock()
-	for len(e.queue) > 0 && !e.closed {
-		e.Cond.Wait()
-	}
+	e.bg.WaitIdle()
 	e.Mu.Unlock()
 	if e.LSM != nil {
 		e.LSM.WaitIdle()
@@ -441,15 +424,7 @@ func (e *Engine) ResetCounters() {
 // Close shuts the store down: stalled writers return ErrClosed, and the
 // background goroutines finish what is queued before it returns.
 func (e *Engine) Close() error {
-	e.Mu.Lock()
-	if e.closed {
-		e.Mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	e.Cond.Broadcast()
-	e.Mu.Unlock()
-	e.wg.Wait()
+	e.bg.Close()
 	if e.LSM != nil {
 		e.LSM.Close()
 	}

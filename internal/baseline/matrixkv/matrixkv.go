@@ -6,6 +6,7 @@ import (
 
 	"miodb/internal/baseline"
 	"miodb/internal/iterx"
+	"miodb/internal/jobs"
 	"miodb/internal/keys"
 	"miodb/internal/kvstore"
 	"miodb/internal/lsm"
@@ -64,6 +65,15 @@ func Open(opts Options) (*DB, error) {
 	if db.budget <= 0 {
 		db.budget = 8 << 20
 	}
+	// The column job works whenever the container is over its soft
+	// watermark and, once the store is closing, until it is empty.
+	column := &jobs.Job{
+		Name: "column compaction",
+		Ready: func() bool {
+			return len(db.rows) > 0 && (db.liveBytes >= db.budget*6/10 || db.ClosedLocked() && db.liveBytes > 0)
+		},
+		Run: db.compactOneColumn,
+	}
 	err := db.Init(baseline.Config{
 		MemTableSize: opts.MemTableSize,
 		LSM:          &opts.LSM,
@@ -76,6 +86,7 @@ func Open(opts Options) (*DB, error) {
 		Hold:       db.farOverBudget,
 		Slowdown:   db.overBudget,
 		Retire:     db.flushToRow,
+		Compact:    column,
 		Get:        db.getRows,
 		Sources:    db.rowSources,
 	})
@@ -83,9 +94,9 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if db.columnBytes <= 0 {
+		// The column job reads it only once rows exist, after Open.
 		db.columnBytes = 2 * db.MemTableSize()
 	}
-	db.Go(db.columnLoop)
 	return db, nil
 }
 
@@ -118,7 +129,7 @@ func (db *DB) flushToRow(b *baseline.Buffer) error {
 
 	db.Mu.Lock()
 	// Stamp the consumption origin at publication time, under the
-	// same lock the column compactor advances the cursor with — a
+	// same lock the column job advances the cursor with — a
 	// stamp taken earlier could predate a whole column extraction
 	// and wrongly mark the row's copy of that range as consumed. The
 	// row is published before the engine drops the buffer from its
@@ -127,7 +138,6 @@ func (db *DB) flushToRow(b *baseline.Buffer) error {
 	r.sufFrom = db.cursor
 	db.rows = append([]*row{r}, db.rows...)
 	db.liveBytes += r.size
-	db.Cond.Broadcast()
 	db.Mu.Unlock()
 	return nil
 }
@@ -168,33 +178,11 @@ func (db *DB) rowDeadLocked(r *row) bool {
 	}
 }
 
-// columnLoop runs fine-grained column compactions whenever the container
-// is over its soft watermark: it extracts one key-range column across all
-// rows and merges it directly into L1 — a small, bounded unit of work, so
-// the container drains smoothly instead of in L0-sized lurches.
-func (db *DB) columnLoop() {
-	for {
-		db.Mu.Lock()
-		for db.liveBytes < db.budget*6/10 && !db.ClosedLocked() {
-			db.Cond.Wait()
-		}
-		if db.ClosedLocked() && (db.liveBytes == 0 || len(db.rows) == 0) {
-			db.Mu.Unlock()
-			return
-		}
-		if len(db.rows) == 0 {
-			// Budget pressure can only come from rows; nothing to do.
-			db.Mu.Unlock()
-			continue
-		}
-		db.Mu.Unlock()
-		db.compactOneColumn()
-	}
-}
-
-// compactOneColumn extracts the next column [cursor, end) and merges it
-// into L1.
-func (db *DB) compactOneColumn() {
+// compactOneColumn, the column job, extracts the next column [cursor,
+// end) across all rows and merges it directly into L1 — a small, bounded
+// unit of work, so the container drains smoothly instead of in L0-sized
+// lurches.
+func (db *DB) compactOneColumn() error {
 	start := time.Now()
 	db.Mu.Lock()
 	rows := append([]*row(nil), db.rows...)
@@ -299,9 +287,9 @@ func (db *DB) compactOneColumn() {
 		live = append(live, r)
 	}
 	db.rows = live
-	db.Cond.Broadcast()
 	db.Mu.Unlock()
 	db.St.AddCompaction(time.Since(start))
+	return nil
 }
 
 // columnEntry is one extracted entry of a column.

@@ -70,7 +70,7 @@ type DB struct {
 	nvmSize int64
 	// nvmBig is the NVM skip list below the DRAM memtables of the NoSST
 	// and hierarchical variants (nil in the flat one). Only the retire
-	// loop replaces it, under Mu.
+	// job replaces it, under Mu.
 	nvmBig *memtable.MemTable
 }
 
@@ -168,7 +168,7 @@ func (db *DB) spill(mt *memtable.MemTable, maxBytes int64) error {
 // full hierarchical staging list then spills to L0 SSTables and is
 // replaced ("when the large NVM-based MemTable is flushed into SSD, the
 // KV store still suffers from serialization/deserialization costs",
-// §2.3). The spill runs on the retire loop, so DRAM flushes back up
+// §2.3). The spill runs as the retire job, so DRAM flushes back up
 // behind it — the stall cascade the paper attributes to this design.
 // NoSST's list never fills.
 func (db *DB) drain(b *baseline.Buffer) error {

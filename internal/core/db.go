@@ -9,6 +9,7 @@ import (
 
 	"miodb/internal/bloom"
 	"miodb/internal/iterx"
+	"miodb/internal/jobs"
 	"miodb/internal/keys"
 	"miodb/internal/kvstore"
 	"miodb/internal/lsm"
@@ -113,12 +114,10 @@ type DB struct {
 	readLevels []readLevelWork
 
 	// mu guards the version-chain edits and all structural state below.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	oldest  *version
-	jobs    []*bgJob // the background job table (runner.go)
-	closed  bool
-	abandon bool // simulated crash: runners exit without draining
+	mu     sync.Mutex
+	bg     *jobs.Table // the background job table on mu (runner.go)
+	oldest *version
+	closed bool
 	// vlogPending asks the value-log GC job for a pass
 	// (kickValueLogGCLocked); the store is not idle while it is set.
 	vlogPending bool
@@ -185,7 +184,7 @@ func Open(opts Options) (*DB, error) {
 			BitsPerKey:   opts.BloomBitsPerKey,
 		},
 	}
-	db.cond = sync.NewCond(&db.mu)
+	db.bg = jobs.New(&db.mu, &db.wg)
 	db.memTarget.Store(opts.MemTableSize)
 	db.levelStats = make([]levelWork, opts.Levels)
 	db.readLevels = make([]readLevelWork, opts.Levels)
@@ -927,11 +926,9 @@ func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) err
 // between load and read phases).
 func (db *DB) WaitIdle() {
 	db.mu.Lock()
-	// A degraded store's background runners have stopped: queued work will
-	// never drain, so waiting on it would hang forever.
-	for !db.idleLocked() && !db.closed && db.bgErr == nil {
-		db.cond.Wait()
-	}
+	// A degraded store's background runners have stopped: the table's
+	// WaitIdle does not wait for queued work that will never drain.
+	db.bg.WaitIdle()
 	db.mu.Unlock()
 	if db.ssd != nil {
 		db.ssd.WaitIdle()
@@ -1004,9 +1001,8 @@ func (db *DB) Close() error {
 	}
 	db.closed = true
 	db.closedFlag.Store(true)
-	db.cond.Broadcast()
 	db.mu.Unlock()
-	db.wg.Wait()
+	db.bg.Close()
 	db.waitReadersDrained()
 	if db.ssd != nil {
 		db.ssd.Close()

@@ -45,8 +45,8 @@ func (db *DB) degradeLocked(op string, err error) {
 	db.bgErr = fmt.Errorf("%w (%s): %w", ErrDegraded, op, err)
 	db.degraded.Store(true)
 	db.st.Add(stats.BackgroundErrors, 1)
-	// Wake background runners (they exit), WaitIdle callers, and writers.
-	db.cond.Broadcast()
+	// Stop the background runners; wake WaitIdle callers and writers.
+	db.bg.StopLocked()
 	// Background runners stop on the latch, so no further version edits (and
 	// their synchronous sweeps) may ever run; kick one last opportunistic
 	// sweep so retired versions whose grace period has already elapsed are

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
+	"miodb/internal/jobs"
 	"miodb/internal/keys"
 	"miodb/internal/nvm"
 	"miodb/internal/pmtable"
@@ -29,7 +29,7 @@ type CrashImage struct {
 // would), and the NVM state is handed back for recovery. The DB is
 // unusable afterwards.
 //
-// A job already running completes before its runner observes the abandon
+// A job already running completes before its runner observes the stop
 // flag — goroutines cannot be killed mid-instruction in-process — except
 // a value-log GC pass, which stops before its next relocation. Mid-merge
 // crash recovery is exercised directly at the pmtable level (Merge.Resume)
@@ -39,8 +39,7 @@ func (db *DB) CrashForTest() *CrashImage {
 	db.mu.Lock()
 	db.closed = true
 	db.closedFlag.Store(true)
-	db.abandon = true
-	db.cond.Broadcast()
+	db.bg.StopLocked()
 	db.mu.Unlock()
 	db.wg.Wait()
 	if db.ssd != nil {
@@ -81,7 +80,7 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 			BitsPerKey:   opts.BloomBitsPerKey,
 		},
 	}
-	db.cond = sync.NewCond(&db.mu)
+	db.bg = jobs.New(&db.mu, &db.wg)
 	db.memTarget.Store(opts.MemTableSize)
 	db.levelStats = make([]levelWork, opts.Levels)
 	db.readLevels = make([]readLevelWork, opts.Levels)

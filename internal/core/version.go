@@ -138,7 +138,7 @@ func newRootVersion() *version {
 func (db *DB) queueReleaseLocked(fn func()) {
 	cur := db.current.Load()
 	cur.releaseFns = append(cur.releaseFns, fn)
-	if db.idleLocked() {
+	if db.bg.IdleLocked() {
 		db.editVersionLocked(func(*version) {})
 	}
 }
@@ -179,5 +179,5 @@ func (db *DB) editVersionLocked(edit func(v *version), garbage ...func()) {
 	db.sweepMu.Lock()
 	db.advanceAndSweepLocked()
 	db.sweepMu.Unlock()
-	db.cond.Broadcast()
+	db.bg.Broadcast()
 }

@@ -49,7 +49,7 @@ func (db *DB) kickValueLogGCLocked() {
 		return
 	}
 	db.vlogPending = true
-	db.cond.Broadcast()
+	db.bg.Broadcast()
 }
 
 // vlogGCPass is one background pass, paced by log growth: it reclaims at
@@ -183,7 +183,7 @@ func (db *DB) gcSegment() (bool, error) {
 	// version chain (see file comment).
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.closed || db.abandon || db.bgErr != nil {
+	if db.closed || db.bgErr != nil {
 		return false, nil
 	}
 	if err := db.logVlogFreeLocked(id); err != nil {

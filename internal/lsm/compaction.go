@@ -9,78 +9,71 @@ import (
 	"miodb/internal/keys"
 )
 
-// compactLevel performs one compaction from level into level+1:
-// pick inputs (all of L0, or one round-robin file of Ln), gather every
-// overlapping file in the next level, merge-sort them dropping shadowed
-// versions, and write fresh SSTables into the next level. The rewrite of
+// compact, the compaction job, performs one compaction from the level
+// most in need of it (pickLocked) into the next: its inputs are all of L0
+// or one round-robin file of Ln, merged with every overlapping file of
+// the next level into fresh SSTables there (mergeInto). The rewrite of
 // next-level data is the write amplification the paper's Fig 2(d) and
 // Fig 11 measure; while L0 is being compacted, incoming flushes stack up
 // and the write path throttles — the stall mechanics of §2.3.
-func (l *Levels) compactLevel(level int) {
-	start := time.Now()
-
+func (l *Levels) compact() error {
 	l.mu.Lock()
-	var inputs []*FileMeta
-	if level == 0 {
-		// All L0 files participate (they overlap arbitrarily).
-		inputs = append(inputs, l.files[0]...)
-	} else {
-		if len(l.files[level]) == 0 {
-			l.mu.Unlock()
-			return
-		}
+	level := l.pickLocked()
+	if level < 0 || len(l.files[level]) == 0 {
+		l.mu.Unlock()
+		return nil
+	}
+	// All L0 files participate (they overlap arbitrarily).
+	inputs := append([]*FileMeta(nil), l.files[0]...)
+	if level > 0 {
 		ptr := l.compactPtr[level] % len(l.files[level])
-		inputs = append(inputs, l.files[level][ptr])
+		inputs = []*FileMeta{l.files[level][ptr]}
 		l.compactPtr[level]++
 	}
-	// Key range of the inputs.
+	l.mu.Unlock()
+
 	var smallest, largest []byte
-	for _, f := range inputs {
+	srcs := make([]iterx.Iterator, len(inputs))
+	for i, f := range inputs {
 		if smallest == nil || bytes.Compare(f.Smallest, smallest) < 0 {
 			smallest = f.Smallest
 		}
 		if largest == nil || bytes.Compare(f.Largest, largest) > 0 {
 			largest = f.Largest
 		}
+		srcs[i] = f.table.NewIterator()
 	}
-	// Every next-level file overlapping that range joins the merge.
-	next := level + 1
-	var overlaps []*FileMeta
-	for _, f := range l.files[next] {
-		if bytes.Compare(f.Largest, smallest) < 0 || bytes.Compare(f.Smallest, largest) > 0 {
-			continue
-		}
-		overlaps = append(overlaps, f)
-	}
-	l.mu.Unlock()
-
-	// Merge all inputs. Older duplicates are dropped; tombstones are
-	// dropped only when nothing deeper can hold the key.
-	all := make([]iterx.Iterator, 0, len(inputs)+len(overlaps))
-	for _, f := range inputs {
-		all = append(all, f.table.NewIterator())
-	}
-	for _, f := range overlaps {
-		all = append(all, f.table.NewIterator())
-	}
-	merged := iterx.NewMerging(all...)
-	dropTombstones := l.isBottom(next)
-	src := iterx.Iterator(newDedup(merged, dropTombstones))
-
-	outputs, err := l.buildTables(src, l.opts.TableSize)
-	if err != nil {
+	if err := l.mergeInto(level+1, srcs, inputs, smallest, largest); err != nil {
 		// The simulated disk cannot fail; a build error is a programming
 		// error worth surfacing loudly in tests.
 		panic(err)
 	}
+	return nil
+}
 
-	// Install: drop inputs from both levels, splice outputs into next.
+// mergeInto merges srcs with every file of level next overlapping
+// [smallest, largest] — older duplicates dropped, tombstones only when
+// nothing deeper can hold the key — and installs the result in next in
+// place of those files, dropping inputs from the level above. Only the
+// compaction job calls it, so the files it read are still there.
+func (l *Levels) mergeInto(next int, srcs []iterx.Iterator, inputs []*FileMeta, smallest, largest []byte) error {
+	start := time.Now()
 	l.mu.Lock()
-	drop := map[uint64]bool{}
-	for _, f := range inputs {
-		drop[f.ID] = true
+	dead := inputs
+	for _, f := range l.files[next] {
+		if bytes.Compare(f.Largest, smallest) >= 0 && bytes.Compare(f.Smallest, largest) <= 0 {
+			dead = append(dead, f)
+			srcs = append(srcs, f.table.NewIterator())
+		}
 	}
-	for _, f := range overlaps {
+	l.mu.Unlock()
+	outputs, err := l.buildTables(newDedup(iterx.NewMerging(srcs...), l.isBottom(next)), l.opts.TableSize)
+	if err != nil {
+		return err
+	}
+
+	drop := map[uint64]bool{}
+	for _, f := range dead {
 		drop[f.ID] = true
 	}
 	keep := func(fs []*FileMeta) []*FileMeta {
@@ -92,23 +85,20 @@ func (l *Levels) compactLevel(level int) {
 		}
 		return out
 	}
-	l.files[level] = keep(l.files[level])
-	merged2 := append(keep(l.files[next]), outputs...)
-	sortBySmallest(merged2)
-	l.files[next] = merged2
+	l.mu.Lock()
+	l.files[next-1] = keep(l.files[next-1])
+	l.files[next] = append(keep(l.files[next]), outputs...)
+	sortBySmallest(l.files[next])
 	l.mu.Unlock()
 
-	// Remove obsolete files from the disk; open readers hold their data.
-	for _, f := range inputs {
+	// Remove the replaced files from the disk; open readers hold their data.
+	for _, f := range dead {
 		l.opts.Disk.Remove(f.Name)
 	}
-	for _, f := range overlaps {
-		l.opts.Disk.Remove(f.Name)
-	}
-
 	if l.opts.Stats != nil {
 		l.opts.Stats.AddCompaction(time.Since(start))
 	}
+	return nil
 }
 
 // isBottom reports whether no level below `level` holds data, so
@@ -190,55 +180,16 @@ var _ iterx.Iterator = (*dedup)(nil)
 // installs the result back into that level. MatrixKV's column compaction
 // uses it to push matrix-container columns straight into L1, bypassing
 // the L0 file-count machinery entirely — the fine-grained compaction that
-// shortens its stalls.
+// shortens its stalls. It runs as the compaction job (jobs.Exclusive): a
+// tree compaction reading the same files would otherwise install what the
+// merge replaced, and while the level below is still empty the merge
+// drops its tombstones as bottom-level ones — a deleted key would come
+// back.
 func (l *Levels) MergeIntoLevel(level int, extra iterx.Iterator, smallest, largest []byte) error {
 	if level < 1 || level >= len(l.files) {
 		return fmt.Errorf("lsm: MergeIntoLevel(%d) out of range", level)
 	}
-	start := time.Now()
-	l.mu.Lock()
-	var overlaps []*FileMeta
-	for _, f := range l.files[level] {
-		if bytes.Compare(f.Largest, smallest) < 0 || bytes.Compare(f.Smallest, largest) > 0 {
-			continue
-		}
-		overlaps = append(overlaps, f)
-	}
-	l.mu.Unlock()
-
-	all := make([]iterx.Iterator, 0, len(overlaps)+1)
-	all = append(all, extra)
-	for _, f := range overlaps {
-		all = append(all, f.table.NewIterator())
-	}
-	src := newDedup(iterx.NewMerging(all...), l.isBottom(level))
-	outputs, err := l.buildTables(src, l.opts.TableSize)
-	if err != nil {
-		return err
-	}
-
-	l.mu.Lock()
-	drop := map[uint64]bool{}
-	for _, f := range overlaps {
-		drop[f.ID] = true
-	}
-	kept := l.files[level][:0:0]
-	for _, f := range l.files[level] {
-		if !drop[f.ID] {
-			kept = append(kept, f)
-		}
-	}
-	kept = append(kept, outputs...)
-	sortBySmallest(kept)
-	l.files[level] = kept
-	l.cond.Broadcast()
-	l.mu.Unlock()
-
-	for _, f := range overlaps {
-		l.opts.Disk.Remove(f.Name)
-	}
-	if l.opts.Stats != nil {
-		l.opts.Stats.AddCompaction(time.Since(start))
-	}
-	return nil
+	return l.bg.Exclusive(l.compaction, func() error {
+		return l.mergeInto(level, []iterx.Iterator{extra}, nil, smallest, largest)
+	})
 }

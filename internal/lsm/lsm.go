@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"miodb/internal/iterx"
+	"miodb/internal/jobs"
 	"miodb/internal/keys"
 	"miodb/internal/sstable"
 	"miodb/internal/stats"
@@ -85,22 +86,21 @@ type FileMeta struct {
 }
 
 // Levels is the leveled tree. All public methods are safe for concurrent
-// use; one background goroutine runs compactions.
+// use. Compaction is one job on a job table (internal/jobs) with its own
+// runner; a level merge from outside (MergeIntoLevel) excludes it, so the
+// two never read the same file at once.
 type Levels struct {
 	opts Options
 
 	mu         sync.Mutex
-	cond       *sync.Cond // signaled when shape changes (L0 drained, etc.)
+	bg         *jobs.Table // on mu; broadcast when the shape changes
+	compaction *jobs.Job
 	files      [][]*FileMeta
 	nextID     uint64
-	compacting bool
-	closed     bool
 	compactPtr []int // round-robin compaction cursor per level
-
-	wg sync.WaitGroup
 }
 
-// New creates an empty tree and starts its compaction goroutine.
+// New creates an empty tree and starts its compaction runner.
 func New(opts Options) *Levels {
 	opts = opts.withDefaults()
 	l := &Levels{
@@ -109,20 +109,19 @@ func New(opts Options) *Levels {
 		compactPtr: make([]int, opts.NumLevels),
 		nextID:     1,
 	}
-	l.cond = sync.NewCond(&l.mu)
-	l.wg.Add(1)
-	go l.compactionLoop()
+	l.bg = jobs.New(&l.mu, nil)
+	l.compaction = &jobs.Job{
+		Name:  "compaction",
+		Ready: func() bool { return l.pickLocked() >= 0 },
+		Run:   l.compact,
+	}
+	l.bg.Start([]*jobs.Job{l.compaction})
 	return l
 }
 
-// Close stops the compaction goroutine (after finishing in-flight work).
-func (l *Levels) Close() {
-	l.mu.Lock()
-	l.closed = true
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	l.wg.Wait()
-}
+// Close stops the compaction runner: a compaction in flight finishes,
+// none starts.
+func (l *Levels) Close() { l.bg.Abandon() }
 
 // Options returns the effective options.
 func (l *Levels) Options() Options { return l.opts }
@@ -143,7 +142,7 @@ func (l *Levels) FlushToL0(it iterx.Iterator, maxBytes int64) error {
 	l.mu.Lock()
 	// L0 is ordered newest first.
 	l.files[0] = append(metas, l.files[0]...)
-	l.cond.Broadcast()
+	l.bg.Broadcast()
 	l.mu.Unlock()
 	return nil
 }
@@ -234,9 +233,7 @@ func (l *Levels) WriteDelay() (sleep time.Duration, block bool) {
 func (l *Levels) WaitL0BelowStop() time.Duration {
 	start := time.Now()
 	l.mu.Lock()
-	for len(l.files[0]) >= l.opts.L0Stop && !l.closed {
-		l.cond.Wait()
-	}
+	l.bg.Wait(func() bool { return len(l.files[0]) < l.opts.L0Stop })
 	l.mu.Unlock()
 	return time.Since(start)
 }
@@ -320,9 +317,7 @@ func (l *Levels) LevelSizes() []int64 {
 // call it to separate load and read phases).
 func (l *Levels) WaitIdle() {
 	l.mu.Lock()
-	for (l.compacting || l.pickLocked() >= 0) && !l.closed {
-		l.cond.Wait()
-	}
+	l.bg.WaitIdle()
 	l.mu.Unlock()
 }
 
@@ -354,28 +349,4 @@ func (l *Levels) pickLocked() int {
 		}
 	}
 	return bestLevel
-}
-
-func (l *Levels) compactionLoop() {
-	defer l.wg.Done()
-	for {
-		l.mu.Lock()
-		for l.pickLocked() < 0 && !l.closed {
-			l.cond.Wait()
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		level := l.pickLocked()
-		l.compacting = true
-		l.mu.Unlock()
-
-		l.compactLevel(level)
-
-		l.mu.Lock()
-		l.compacting = false
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	}
 }

@@ -137,3 +137,40 @@ func TestL0GetPicksNewestBySeq(t *testing.T) {
 		t.Fatalf("L0 Get = %q seq=%d, want newest by sequence", v, seq)
 	}
 }
+
+// TestMergeIntoLevelExcludesCompaction: a column merge into L1 and the
+// tree's own L1→L2 compaction never run at once. Seeding L1 past its cap
+// queues that compaction; tombstones merged straight after must shadow
+// every seeded key. Were the two to overlap, the merge would see L2 empty,
+// drop its tombstones as bottom-level, and the compaction would then
+// install the seeded values in L2, readable again.
+func TestMergeIntoLevelExcludesCompaction(t *testing.T) {
+	const rounds, n = 200, 400
+	seed, dels := map[string]string{}, map[string]string{}
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("key-%05d", i)
+		seed[k], dels[k] = fmt.Sprintf("%0100d", i), "<del>"
+	}
+	leaked := 0
+	for r := 0; r < rounds; r++ {
+		l := New(testOptions(&stats.Recorder{}))
+		lo, hi := []byte("key-00000"), []byte(fmt.Sprintf("key-%05d", n-1))
+		if err := l.MergeIntoLevel(1, memIter(t, seed, 1), lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.MergeIntoLevel(1, memIter(t, dels, n+1), lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		l.WaitIdle()
+		for k := range seed {
+			if _, _, kind, ok := l.Get([]byte(k)); ok && kind != keys.KindDelete {
+				leaked++
+				break
+			}
+		}
+		l.Close()
+	}
+	if leaked > 0 {
+		t.Fatalf("%d of %d rounds left a deleted key readable", leaked, rounds)
+	}
+}
