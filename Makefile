@@ -23,10 +23,10 @@ test:
 # memtable filters its one committer fills while Gets probe them, the one
 # stats recorder that every foreground and background goroutine writes,
 # the baselines' shared engine (one writer against its retire job,
-# MatrixKV's column job and readers across every tier), the SSTable tree
-# (its compaction runner against flushes, column merges and readers) and
-# the one job table all four engines run their background work on must
-# stay race-clean. The merge reader tests — point reads and scans —
+# MatrixKV's column job, the SSTable tree's compaction job and readers
+# across every tier), the SSTable tree (its compaction job, on its owner's
+# table, against flushes, column merges and readers) and the one job
+# table every store runs its background work on must stay race-clean. The merge reader tests — point reads and scans —
 # run again on one CPU and on two: the merger and its readers interleave
 # differently on each. The paper regenerator's one op loop
 # (internal/bench) serves every thread count, so its goroutines share one
@@ -39,11 +39,12 @@ race:
 
 # One CPU: the runners that share it (one per background job, or one for
 # every merge under DisableParallelCompaction) must neither starve a job
-# nor deadlock when only one goroutine runs at a time — in core, in the
-# job table itself, and in the baselines (retire and column jobs beside
-# the tree's compaction runner).
+# nor deadlock when only one goroutine runs at a time — in core (SSD mode
+# adds the tree's compaction job to its table), in the job table itself,
+# and in the baselines (retire, column and tree compaction jobs on one
+# table).
 test-1cpu:
-	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade' -count=1
+	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade|SSDMode' -count=1
 	GOMAXPROCS=1 $(GO) test ./internal/jobs ./internal/baseline/... -count=1
 
 # Crash-torture: randomized power failures, torn writes, and interrupted

@@ -425,3 +425,92 @@ func TestCloseWhileWriterStalled(t *testing.T) {
 		t.Fatal("writer deadlocked across Close")
 	}
 }
+
+// TestL0InstallWakesTreeCompaction: the tree's compaction is a job on
+// the engine's table, made ready by an L0 install inside the retire job.
+// After the last install nothing else touches the table — no writer, no
+// Rotate waiting for room, no Drain — so the retire job's own broadcast
+// must wake the compaction runner, or L0 never drains.
+func TestL0InstallWakesTreeCompaction(t *testing.T) {
+	db, err := leveldbkv.Open(leveldbkv.Options{
+		MemTableSize: 8 << 10,
+		LSM:          lsm.Options{TableSize: 8 << 10, L1Size: 32 << 10, NumLevels: 5, L0Slowdown: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for r := 0; r < 2; r++ {
+		for i := 0; i < 10; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("k%d-%02d", r, i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	below := func() (n int64) {
+		for _, size := range db.LSM.LevelSizes()[1:] {
+			n += size
+		}
+		return n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for below() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("L0 holds %d tables and the tree never compacted", db.LSM.L0Count())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := db.LSM.L0Count(); n != 0 {
+		t.Errorf("L0 holds %d tables after the compaction", n)
+	}
+}
+
+// TestNoveLSMCloseWhileSpillAtStop: a spill waiting for L0 to drop below
+// its stop threshold — which here it never does, as compaction starts
+// only at 100 tables — is released by Close and goes ahead: the wait
+// returns once the table closes with L0 still at stop, and the spill must
+// neither spin nor wait again.
+func TestNoveLSMCloseWhileSpillAtStop(t *testing.T) {
+	db, err := novelsm.Open(novelsm.Options{
+		MemTableSize: 4 << 10, NVMBufferSize: 8 << 10,
+		LSM: lsm.Options{TableSize: 4 << 10, NumLevels: 3, L0Slowdown: 100, L0Stop: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; err == nil; i++ {
+			err = db.Put([]byte(fmt.Sprintf("k%06d", i)), bytes.Repeat([]byte("v"), 512))
+		}
+		wrote <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for db.LSM.L0Count() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // the next spill reaches its wait
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned past a spill waiting at L0 stop")
+	}
+	if err := <-wrote; err != kvstore.ErrClosed {
+		t.Fatalf("writer returned %v, want ErrClosed", err)
+	}
+	if db.LSM.L0Count() < 2 {
+		t.Errorf("L0 holds %d tables: the waiting spill never went ahead", db.LSM.L0Count())
+	}
+	if db.Stats().CumulativeStall == 0 {
+		t.Error("the spill's wait at L0 stop was not counted as a cumulative stall")
+	}
+}

@@ -1,12 +1,12 @@
 // Package baseline is the engine the three comparison stores share: the
 // devices, a DRAM memtable + WAL front end with a bounded queue of
-// immutable buffers, a background job table (internal/jobs) with one
-// retire job, the read fan-out and the lifecycle. Each of leveldbkv,
-// matrixkv and novelsm embeds an Engine and adds only what its paper
-// changes — what throttles a write, which buffer follows a full one,
-// where a retired buffer goes, and the tier read between the buffers and
-// the SSTable tree — so the differences the experiments measure come
-// from those designs alone.
+// immutable buffers, a job table (internal/jobs) running the retire job
+// and the SSTable tree's compaction, the read fan-out and the lifecycle.
+// Each of leveldbkv, matrixkv and novelsm embeds an Engine and adds only
+// what its paper changes — what throttles a write, which buffer follows a
+// full one, where a retired buffer goes, and the tier read between the
+// buffers and the SSTable tree — so the differences the experiments
+// measure come from those designs alone.
 package baseline
 
 import (
@@ -54,9 +54,9 @@ type Policy struct {
 	// Slowdown (Mu held) returns how long to delay a write, at most once
 	// per write, before its room check: a cumulative stall.
 	Slowdown func() time.Duration
-	// AtRotation (Mu held) runs when a full active buffer is about to
-	// rotate into a queue with room. It returns true when it has
-	// released Mu after stalling the writer; the write then starts over.
+	// AtRotation (Mu held) reports that a full active buffer must not
+	// rotate yet, though the queue has room; the writer waits on the job
+	// table until it clears, an interval stall.
 	AtRotation func() bool
 	// Next (Mu held) makes the buffer that replaces the full active one
 	// (default: a fresh DRAM buffer).
@@ -66,8 +66,8 @@ type Policy struct {
 	// buffer stays queued, and so visible to readers, until it returns.
 	Retire func(b *Buffer) error
 	// Compact is a background job of the baseline's own, served by its
-	// own runner on the engine's job table beside the retire job (nil:
-	// none). Drain waits for it too.
+	// own runner on the engine's job table beside the retire job and the
+	// tree's compaction (nil: none). Drain waits for it too.
 	Compact *jobs.Job
 	// Get reads the baseline's tier between the buffers and the SSTable
 	// tree.
@@ -119,7 +119,7 @@ type Engine struct {
 var errEmptyKey = errors.New("baseline: empty key")
 
 // Init sets up the devices, the SSTable tree and the first buffer, and
-// starts the retire job and the policy's Compact job.
+// starts the retire, Compact and tree compaction jobs, a runner each.
 func (e *Engine) Init(c Config, p Policy) error {
 	if c.MemTableSize <= 0 {
 		c.MemTableSize = 64 << 10
@@ -156,7 +156,7 @@ func (e *Engine) Init(c Config, p Policy) error {
 		lo := *c.LSM
 		lo.Disk = e.Disk
 		lo.Stats = e.St
-		e.LSM = lsm.New(lo)
+		e.LSM = lsm.New(lo, e.bg)
 	}
 
 	active, err := e.NewBuffer(e.DRAM, e.memTableSize)
@@ -168,6 +168,9 @@ func (e *Engine) Init(c Config, p Policy) error {
 	runners := [][]*jobs.Job{{retire}}
 	if p.Compact != nil {
 		runners = append(runners, []*jobs.Job{p.Compact})
+	}
+	if e.LSM != nil {
+		runners = append(runners, []*jobs.Job{e.LSM.Compaction()})
 	}
 	e.bg.Start(runners...)
 	return nil
@@ -265,6 +268,7 @@ func (e *Engine) makeRoom() (*Buffer, error) {
 			continue
 		}
 		if e.p.AtRotation != nil && e.p.AtRotation() {
+			e.stallLocked(e.p.AtRotation)
 			continue
 		}
 		if err := e.rotateLocked(); err != nil {
@@ -283,10 +287,26 @@ func (e *Engine) queueFullLocked() bool { return len(e.queue) >= e.p.QueueBound 
 // stallLocked blocks the writer while cond holds, recording the interval
 // stall. Called with Mu held; returns with it released.
 func (e *Engine) stallLocked(cond func() bool) {
+	e.St.AddIntervalStall(e.WaitWhile(cond))
+	e.Mu.Unlock()
+}
+
+// WaitWhile (Mu held) blocks on the job table while cond holds, or until
+// Close begins, and returns how long it blocked.
+func (e *Engine) WaitWhile(cond func() bool) time.Duration {
+	if !cond() {
+		return 0
+	}
 	start := time.Now()
 	e.bg.Wait(func() bool { return !cond() })
-	e.St.AddIntervalStall(time.Since(start))
-	e.Mu.Unlock()
+	return time.Since(start)
+}
+
+// L0AtStop reports whether the SSTable tree's L0 is at its stop
+// threshold, where LevelDB holds a full memtable and NoveLSM its spill.
+func (e *Engine) L0AtStop() bool {
+	_, stop := e.LSM.WriteDelay()
+	return stop
 }
 
 // rotateLocked queues the active buffer and installs its successor.
@@ -317,7 +337,7 @@ func (e *Engine) retireOne() error {
 	}
 	e.Mu.Lock()
 	e.queue = e.queue[1:]
-	e.bg.Broadcast() // the policy's Compact job may be ready now
+	e.bg.Broadcast() // Compact or the tree's compaction may be ready now
 	e.Mu.Unlock()
 	b.release()
 	return nil
@@ -333,19 +353,16 @@ func (e *Engine) Rotate() error {
 	if e.active.MT.Empty() {
 		return nil
 	}
-	e.bg.Wait(func() bool { return !e.queueFullLocked() })
+	e.WaitWhile(e.queueFullLocked)
 	return e.rotateLocked()
 }
 
-// Drain waits until every queued buffer has retired, the policy's
-// Compact job is idle, and then the SSTable tree's compactions are.
+// Drain waits until every queued buffer has retired and the policy's
+// Compact job and the SSTable tree's compaction are idle.
 func (e *Engine) Drain() {
 	e.Mu.Lock()
 	e.bg.WaitIdle()
 	e.Mu.Unlock()
-	if e.LSM != nil {
-		e.LSM.WaitIdle()
-	}
 }
 
 // Get returns the newest live value for key: the active buffer, the
@@ -422,11 +439,8 @@ func (e *Engine) ResetCounters() {
 }
 
 // Close shuts the store down: stalled writers return ErrClosed, and the
-// background goroutines finish what is queued before it returns.
+// runners finish the ready work, tree compactions included, first.
 func (e *Engine) Close() error {
 	e.bg.Close()
-	if e.LSM != nil {
-		e.LSM.Close()
-	}
 	return nil
 }

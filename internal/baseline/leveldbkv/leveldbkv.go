@@ -59,7 +59,7 @@ func Open(opts Options) (*DB, error) {
 	}, baseline.Policy{
 		QueueBound: maxImms,
 		Slowdown:   db.l0Slowdown,
-		AtRotation: db.l0Stop,
+		AtRotation: db.L0AtStop, // the writer blocks until compaction drains L0
 		Retire:     db.flush,
 	})
 	if err != nil {
@@ -72,18 +72,6 @@ func Open(opts Options) (*DB, error) {
 func (db *DB) l0Slowdown() time.Duration {
 	sleep, _ := db.LSM.WriteDelay()
 	return sleep
-}
-
-// l0Stop holds a full memtable's rotation while L0 is at its stop
-// limit: the writer blocks until compaction drains L0, an interval
-// stall. Called with Mu held; it releases Mu when it stalls.
-func (db *DB) l0Stop() bool {
-	if _, stop := db.LSM.WriteDelay(); !stop {
-		return false
-	}
-	db.Mu.Unlock()
-	db.St.AddIntervalStall(db.LSM.WaitL0BelowStop())
-	return true
 }
 
 // flush serializes an immutable memtable into one L0 SSTable.

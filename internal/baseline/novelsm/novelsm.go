@@ -140,20 +140,17 @@ func (db *DB) flush(b *baseline.Buffer) error {
 
 // spill serializes mt into L0 SSTables of at most maxBytes each (≤ 0:
 // one table). It first throttles against L0 like LevelDB's writer —
-// waiting out a stop, then sleeping one slowdown, both counted as
-// cumulative stalls — and the backlog this creates is what stalls the
-// writers.
+// waiting out a stop on the job table, then sleeping one slowdown, both
+// counted as cumulative stalls — and the backlog this creates is what
+// stalls the writers. Only spills add L0 files, so one wait suffices;
+// once Close begins it returns at once and the spill goes ahead.
 func (db *DB) spill(mt *memtable.MemTable, maxBytes int64) error {
-	for {
-		sleep, stop := db.LSM.WriteDelay()
-		if !stop {
-			if sleep > 0 {
-				time.Sleep(sleep)
-				db.St.Add(stats.CumulativeStallNs, int64(sleep))
-			}
-			break
-		}
-		db.St.Add(stats.CumulativeStallNs, int64(db.LSM.WaitL0BelowStop()))
+	db.Mu.Lock()
+	db.St.Add(stats.CumulativeStallNs, int64(db.WaitWhile(db.L0AtStop)))
+	db.Mu.Unlock()
+	if sleep, _ := db.LSM.WriteDelay(); sleep > 0 {
+		time.Sleep(sleep)
+		db.St.Add(stats.CumulativeStallNs, int64(sleep))
 	}
 	start := time.Now()
 	if err := db.LSM.FlushToL0(mt.NewIterator(), maxBytes); err != nil {

@@ -98,9 +98,10 @@ func MemBalance(p Params) (*Report, error) {
 				select {
 				case <-sampleDie:
 					return
-				case <-tick.C:
+				case now := <-tick.C:
+					// One time per tick keeps the shards' bins aligned.
 					for i, t := range router.MemTableTargets() {
-						targetTLs[i].Record(time.Duration(t))
+						targetTLs[i].RecordAt(now, time.Duration(t))
 					}
 				}
 			}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"miodb/internal/lsm"
 )
 
 // smallOpts forces frequent flushes and merges so short tests exercise the
@@ -440,7 +442,9 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 
 func TestSSDModeEndToEnd(t *testing.T) {
 	opts := smallOpts()
-	opts.SSD = &SSDOptions{}
+	// Two L0 tables start a tree compaction, so the load leaves some
+	// for WaitIdle.
+	opts.SSD = &SSDOptions{LSM: lsm.Options{L0Slowdown: 2}}
 	db := mustOpen(t, opts)
 	defer db.Close()
 	golden := map[string]string{}
@@ -452,6 +456,18 @@ func TestSSDModeEndToEnd(t *testing.T) {
 		golden[k] = v
 	}
 	db.WaitIdle()
+	// The tree's compaction is a job on the store's table: WaitIdle
+	// leaves none pending.
+	if n, slow := db.ssd.L0Count(), db.ssd.Options().L0Slowdown; n >= slow {
+		t.Errorf("WaitIdle returned with %d L0 tables, slowdown at %d", n, slow)
+	}
+	var below int64
+	for _, n := range db.ssd.LevelSizes()[1:] {
+		below += n
+	}
+	if below == 0 {
+		t.Error("no tree compaction ran")
+	}
 	for k, v := range golden {
 		got, err := db.Get([]byte(k))
 		if err != nil || string(got) != v {

@@ -213,7 +213,7 @@ func Open(opts Options) (*DB, error) {
 		lo := opts.SSD.LSM
 		lo.Disk = disk
 		lo.Stats = db.st
-		db.ssd = lsm.New(lo)
+		db.ssd = lsm.New(lo, db.bg)
 	} else {
 		repo, err := pmtable.NewRepository(db.nvm, opts.ChunkSize)
 		if err != nil {
@@ -922,17 +922,15 @@ func (db *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) err
 }
 
 // WaitIdle blocks until all queued flushes, zero-copy merges, lazy-copy
-// compactions and value-log GC passes have drained (benchmarks call it
-// between load and read phases).
+// compactions, value-log GC passes and, in SSD mode, SSTable tree
+// compactions have drained (benchmarks call it between load and read
+// phases).
 func (db *DB) WaitIdle() {
 	db.mu.Lock()
 	// A degraded store's background runners have stopped: the table's
 	// WaitIdle does not wait for queued work that will never drain.
 	db.bg.WaitIdle()
 	db.mu.Unlock()
-	if db.ssd != nil {
-		db.ssd.WaitIdle()
-	}
 }
 
 // FlushAll forces the active memtable out and waits for the store to
@@ -980,9 +978,9 @@ func (db *DB) FlushAll() error {
 // Close drains background work and shuts the store down. After the
 // closed flag latches, Close waits for every reader epoch to drain —
 // readers re-validate the flag right after pinning, so in-flight
-// Get/Scan calls exit promptly and no snapshot outlives the teardown of
-// the SSD tier. An Iterator the caller forgot to Close holds its epoch
-// pin and therefore blocks Close by design.
+// Get/Scan calls exit promptly and no snapshot outlives Close. An
+// Iterator the caller forgot to Close holds its epoch pin and therefore
+// blocks Close by design.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -1004,9 +1002,6 @@ func (db *DB) Close() error {
 	db.mu.Unlock()
 	db.bg.Close()
 	db.waitReadersDrained()
-	if db.ssd != nil {
-		db.ssd.Close()
-	}
 	return nil
 }
 

@@ -226,8 +226,8 @@ func (db *DB) readersQuiescent() bool {
 }
 
 // waitReadersDrained blocks until every reader epoch has drained — Close
-// calls it after latching the store closed, so teardown (and the SSD
-// tier's Close) never races an in-flight Get/Scan/iterator. Readers
+// calls it after latching the store closed, so its return never races an
+// in-flight Get/Scan/iterator. Readers
 // re-validate the closed flag right after pinning, so in-flight
 // operations exit promptly; a leaked open Iterator blocks Close by
 // design (the caller owns its lifetime).

@@ -25,8 +25,8 @@ type CrashImage struct {
 
 // CrashForTest simulates a power failure: every background runner exits
 // at its next pick without starting another job (queued flushes, merges,
-// lazy copies and GC passes are dropped on the floor, exactly as a crash
-// would), and the NVM state is handed back for recovery. The DB is
+// lazy copies, GC passes and tree compactions are dropped, as a crash
+// would drop them), and the NVM state is handed back for recovery. The DB is
 // unusable afterwards.
 //
 // A job already running completes before its runner observes the stop
@@ -42,9 +42,6 @@ func (db *DB) CrashForTest() *CrashImage {
 	db.bg.StopLocked()
 	db.mu.Unlock()
 	db.wg.Wait()
-	if db.ssd != nil {
-		db.ssd.Close()
-	}
 	return &CrashImage{Space: db.space, NVM: db.nvm}
 }
 

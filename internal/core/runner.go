@@ -10,9 +10,10 @@ import (
 // per job — the paper's per-level parallel compaction (§4.5), where a
 // slow merge below never blocks a merge above — or, under
 // DisableParallelCompaction, one runner shared round-robin by every merge
-// job, the ablation. A job's error degrades the store under the job's
-// name. The end of the last busy job retires the version, so the releases
-// queued on it run (they skipped the retire-at-idle edit meanwhile).
+// job, the ablation; SSD mode's tree compaction has a runner of its own.
+// A job's error degrades the store under the job's name. The end of the
+// last busy job retires the version, so the releases queued on it run
+// (they skipped the retire-at-idle edit meanwhile).
 func (db *DB) startBackground() {
 	last := db.opts.Levels - 1
 	flush := &jobs.Job{
@@ -67,6 +68,9 @@ func (db *DB) startBackground() {
 			},
 		}
 		runners = append(runners, []*jobs.Job{gc})
+	}
+	if db.ssd != nil {
+		runners = append(runners, []*jobs.Job{db.ssd.Compaction()})
 	}
 	db.bg.OnError = db.degradeLocked
 	db.bg.OnIdle = func() {

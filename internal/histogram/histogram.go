@@ -243,25 +243,34 @@ func (s Snapshot) String() string {
 // Timeline bins per-operation latencies by wall-clock elapsed time,
 // reproducing Fig 8's latency-over-time trace: each bin keeps the mean and
 // max latency of operations issued during that interval, so compaction- or
-// flush-induced latency spikes are visible.
+// flush-induced latency spikes are visible. Its clock starts at the first
+// record, so the setup before the traced phase adds no bins.
 type Timeline struct {
 	mu     sync.Mutex
-	start  time.Time
+	start  time.Time // the first record's time; zero before it
 	width  time.Duration
 	sums   []time.Duration
 	maxs   []time.Duration
 	counts []int64
 }
 
-// NewTimeline starts a timeline with the given bin width.
+// NewTimeline makes a timeline with the given bin width.
 func NewTimeline(binWidth time.Duration) *Timeline {
-	return &Timeline{start: time.Now(), width: binWidth}
+	return &Timeline{width: binWidth}
 }
 
 // Record logs one operation latency at the current time.
-func (t *Timeline) Record(d time.Duration) {
-	idx := int(time.Since(t.start) / t.width)
+func (t *Timeline) Record(d time.Duration) { t.RecordAt(time.Now(), d) }
+
+// RecordAt logs one latency at time at. Timelines fed the same time for
+// their first record start together, so their bins line up.
+func (t *Timeline) RecordAt(at time.Time, d time.Duration) {
 	t.mu.Lock()
+	if t.start.IsZero() {
+		t.start = at
+	}
+	// A concurrent recorder may have read the clock before the first.
+	idx := max(int(at.Sub(t.start)/t.width), 0)
 	for len(t.sums) <= idx {
 		t.sums = append(t.sums, 0)
 		t.maxs = append(t.maxs, 0)
@@ -301,7 +310,8 @@ func (t *Timeline) Bins() []Bin {
 }
 
 // Sparkline renders max-latency bins as a compact ASCII trace — enough to
-// eyeball whether a store exhibits Fig 8's periodic spikes.
+// eyeball whether a store exhibits Fig 8's periodic spikes. An empty bin
+// (a stall longer than the bin) draws as '·', not as the fastest bar.
 func (t *Timeline) Sparkline() string {
 	bins := t.Bins()
 	if len(bins) == 0 {
@@ -316,6 +326,10 @@ func (t *Timeline) Sparkline() string {
 	}
 	var sb strings.Builder
 	for _, b := range bins {
+		if b.Count == 0 {
+			sb.WriteRune('·')
+			continue
+		}
 		// log scale: spikes of 100× read as near-full bars
 		f := math.Log1p(float64(b.Max)) / math.Log1p(float64(maxv))
 		i := int(f * float64(len(glyphs)-1))

@@ -146,6 +146,58 @@ func TestTimelineBinsAndSpikes(t *testing.T) {
 	}
 }
 
+// TestTimelineStartsAtFirstRecord: time between making a timeline and
+// its first operation (a store's open and load) adds no bins.
+func TestTimelineStartsAtFirstRecord(t *testing.T) {
+	tl := NewTimeline(10 * time.Millisecond)
+	time.Sleep(35 * time.Millisecond)
+	tl.Record(time.Microsecond)
+	bins := tl.Bins()
+	if len(bins) != 1 || bins[0].Start != 0 || bins[0].Count != 1 {
+		t.Fatalf("bins = %+v, want one bin at 0 holding the record", bins)
+	}
+}
+
+// TestTimelineSparklineMarksEmptyBins: a bin no operation completed in is
+// drawn apart from every bar.
+func TestTimelineSparklineMarksEmptyBins(t *testing.T) {
+	tl := NewTimeline(10 * time.Millisecond)
+	tl.Record(time.Microsecond)
+	time.Sleep(25 * time.Millisecond)
+	tl.Record(time.Microsecond)
+	line := []rune(tl.Sparkline())
+	if len(line) < 3 || line[0] == '·' || line[len(line)-1] == '·' {
+		t.Fatalf("sparkline %q: want bars for the recorded bins at both ends", string(line))
+	}
+	for _, r := range line[1 : len(line)-1] {
+		if r != '·' {
+			t.Fatalf("sparkline %q: an empty bin drawn as %q", string(line), r)
+		}
+	}
+}
+
+// TestTimelinesAlignOnSharedTime: timelines whose samples carry one
+// shared time bin them identically, whenever each was made.
+func TestTimelinesAlignOnSharedTime(t *testing.T) {
+	a := NewTimeline(10 * time.Millisecond)
+	time.Sleep(5 * time.Millisecond)
+	b := NewTimeline(10 * time.Millisecond)
+	t0 := time.Now()
+	for _, at := range []time.Duration{0, 8, 12, 31} {
+		a.RecordAt(t0.Add(at*time.Millisecond), time.Microsecond)
+		b.RecordAt(t0.Add(at*time.Millisecond), 2*time.Microsecond)
+	}
+	ab, bb := a.Bins(), b.Bins()
+	if len(ab) != 4 || len(bb) != 4 {
+		t.Fatalf("bins: %d and %d, want 4 each", len(ab), len(bb))
+	}
+	for i := range ab {
+		if ab[i].Start != bb[i].Start || ab[i].Count != bb[i].Count {
+			t.Errorf("bin %d: %+v vs %+v", i, ab[i], bb[i])
+		}
+	}
+}
+
 func TestTimelineFlatProfile(t *testing.T) {
 	tl := NewTimeline(10 * time.Millisecond)
 	for i := 0; i < 100; i++ {

@@ -1,7 +1,7 @@
-// Package jobs is the one background-job table of the module: MioDB's
-// flush, merges, lazy copy and value-log GC (internal/core), the
-// baselines' retire job and MatrixKV's column job (internal/baseline),
-// and the SSTable tree's compaction (internal/lsm) all run on it.
+// Package jobs is the background-job table of the module, one per store:
+// MioDB's flush, merges, lazy copy and value-log GC (internal/core), the
+// baselines' retire and MatrixKV's column job (internal/baseline), and
+// the SSTable tree's compaction (internal/lsm), on its owner's table.
 //
 // A runner goroutine serves a list of jobs round-robin, so a shared
 // runner starves none. The caller supplies the lock; the table owns the

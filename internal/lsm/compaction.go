@@ -189,7 +189,7 @@ func (l *Levels) MergeIntoLevel(level int, extra iterx.Iterator, smallest, large
 	if level < 1 || level >= len(l.files) {
 		return fmt.Errorf("lsm: MergeIntoLevel(%d) out of range", level)
 	}
-	return l.bg.Exclusive(l.compaction, func() error {
+	return l.owner.Exclusive(l.compaction, func() error {
 		return l.mergeInto(level, []iterx.Iterator{extra}, nil, smallest, largest)
 	})
 }

@@ -12,6 +12,8 @@
 // compaction with a 10× fanout, L0 file-count write throttling (slowdown)
 // and blocking (stop) — the sources of cumulative and interval stalls —
 // and the compaction rewrite traffic that dominates write amplification.
+// The tree starts no goroutine: compaction is one job on its owner's
+// table (internal/jobs). Lock order: the owner's lock, then the tree's.
 package lsm
 
 import (
@@ -86,42 +88,46 @@ type FileMeta struct {
 }
 
 // Levels is the leveled tree. All public methods are safe for concurrent
-// use. Compaction is one job on a job table (internal/jobs) with its own
-// runner; a level merge from outside (MergeIntoLevel) excludes it, so the
-// two never read the same file at once.
+// use. Compaction is one job on the owner's job table; a level merge from
+// outside (MergeIntoLevel) excludes it, so the two never read the same
+// file at once.
 type Levels struct {
 	opts Options
 
-	mu         sync.Mutex
-	bg         *jobs.Table // on mu; broadcast when the shape changes
+	owner      *jobs.Table // the owner's table, which runs compaction
 	compaction *jobs.Job
+	mu         sync.Mutex
 	files      [][]*FileMeta
 	nextID     uint64
 	compactPtr []int // round-robin compaction cursor per level
 }
 
-// New creates an empty tree and starts its compaction runner.
-func New(opts Options) *Levels {
+// New creates an empty tree whose compaction runs on owner, which starts
+// Compaction on a runner of its own. A FlushToL0 must run inside an owner
+// job that broadcasts the table afterwards, waking the compaction runner.
+func New(opts Options, owner *jobs.Table) *Levels {
 	opts = opts.withDefaults()
 	l := &Levels{
 		opts:       opts,
+		owner:      owner,
 		files:      make([][]*FileMeta, opts.NumLevels),
 		compactPtr: make([]int, opts.NumLevels),
 		nextID:     1,
 	}
-	l.bg = jobs.New(&l.mu, nil)
 	l.compaction = &jobs.Job{
-		Name:  "compaction",
-		Ready: func() bool { return l.pickLocked() >= 0 },
-		Run:   l.compact,
+		Name: "tree compaction",
+		Ready: func() bool {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return l.pickLocked() >= 0
+		},
+		Run: l.compact,
 	}
-	l.bg.Start([]*jobs.Job{l.compaction})
 	return l
 }
 
-// Close stops the compaction runner: a compaction in flight finishes,
-// none starts.
-func (l *Levels) Close() { l.bg.Abandon() }
+// Compaction is the tree's compaction job, for the owner to start.
+func (l *Levels) Compaction() *jobs.Job { return l.compaction }
 
 // Options returns the effective options.
 func (l *Levels) Options() Options { return l.opts }
@@ -142,7 +148,6 @@ func (l *Levels) FlushToL0(it iterx.Iterator, maxBytes int64) error {
 	l.mu.Lock()
 	// L0 is ordered newest first.
 	l.files[0] = append(metas, l.files[0]...)
-	l.bg.Broadcast()
 	l.mu.Unlock()
 	return nil
 }
@@ -228,16 +233,6 @@ func (l *Levels) WriteDelay() (sleep time.Duration, block bool) {
 	}
 }
 
-// WaitL0BelowStop blocks until L0 drains below the stop threshold,
-// returning the time spent blocked (the interval stall).
-func (l *Levels) WaitL0BelowStop() time.Duration {
-	start := time.Now()
-	l.mu.Lock()
-	l.bg.Wait(func() bool { return len(l.files[0]) < l.opts.L0Stop })
-	l.mu.Unlock()
-	return time.Since(start)
-}
-
 // Get searches the tree for the newest version of key.
 func (l *Levels) Get(key []byte) (value []byte, seq uint64, kind keys.Kind, ok bool) {
 	l.mu.Lock()
@@ -311,14 +306,6 @@ func (l *Levels) LevelSizes() []int64 {
 		}
 	}
 	return out
-}
-
-// WaitIdle blocks until no compaction is needed or running (benchmarks
-// call it to separate load and read phases).
-func (l *Levels) WaitIdle() {
-	l.mu.Lock()
-	l.bg.WaitIdle()
-	l.mu.Unlock()
 }
 
 // maxLevelBytes returns the size cap of a level (level ≥ 1).

@@ -11,7 +11,7 @@ import (
 
 func TestFlushToL0SizedSplitsTables(t *testing.T) {
 	st := &stats.Recorder{}
-	l := New(testOptions(st))
+	l := newTree(t, testOptions(st))
 	defer l.Close()
 	kvs := map[string]string{}
 	for i := 0; i < 400; i++ {
@@ -59,7 +59,7 @@ func TestMergeIntoLevelReplacesOverlaps(t *testing.T) {
 	st := &stats.Recorder{}
 	opts := testOptions(st)
 	opts.L0Slowdown = 1 // drain L0 eagerly so the seed data settles in L1
-	l := New(opts)
+	l := newTree(t, opts)
 	defer l.Close()
 
 	// Seed L1 via a normal flush + compaction drain.
@@ -107,7 +107,7 @@ func TestMergeIntoLevelReplacesOverlaps(t *testing.T) {
 
 func TestMergeIntoLevelValidation(t *testing.T) {
 	st := &stats.Recorder{}
-	l := New(testOptions(st))
+	l := newTree(t, testOptions(st))
 	defer l.Close()
 	if err := l.MergeIntoLevel(0, &colSource{}, nil, nil); err == nil {
 		t.Error("MergeIntoLevel(0) accepted")
@@ -121,7 +121,7 @@ func TestL0GetPicksNewestBySeq(t *testing.T) {
 	// Two L0 tables with interleaved sequence ranges for the same key —
 	// the NoveLSM dual-pipeline case. File order must not decide.
 	st := &stats.Recorder{}
-	l := New(testOptions(st))
+	l := newTree(t, testOptions(st))
 	defer l.Close()
 	older := &colSource{keys: []string{"k"}, vals: []string{"newer-seq"}, seqs: []uint64{100}}
 	if err := l.FlushToL0(older, 0); err != nil {
@@ -153,7 +153,7 @@ func TestMergeIntoLevelExcludesCompaction(t *testing.T) {
 	}
 	leaked := 0
 	for r := 0; r < rounds; r++ {
-		l := New(testOptions(&stats.Recorder{}))
+		l := newTree(t, testOptions(&stats.Recorder{}))
 		lo, hi := []byte("key-00000"), []byte(fmt.Sprintf("key-%05d", n-1))
 		if err := l.MergeIntoLevel(1, memIter(t, seed, 1), lo, hi); err != nil {
 			t.Fatal(err)

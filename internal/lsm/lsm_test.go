@@ -3,10 +3,12 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"miodb/internal/iterx"
+	"miodb/internal/jobs"
 	"miodb/internal/keys"
 	"miodb/internal/memtable"
 	"miodb/internal/nvm"
@@ -14,6 +16,44 @@ import (
 	"miodb/internal/vaddr"
 	"miodb/internal/vfs"
 )
+
+// tree is a Levels on a job table of its own, as an owner would hold it:
+// the compaction job on its own runner.
+type tree struct {
+	*Levels
+	ownerMu sync.Mutex
+	bg      *jobs.Table
+}
+
+// newTree opens a tree and starts its compaction runner.
+func newTree(t testing.TB, opts Options) *tree {
+	t.Helper()
+	tr := &tree{}
+	tr.bg = jobs.New(&tr.ownerMu, nil)
+	tr.Levels = New(opts, tr.bg)
+	tr.bg.Start([]*jobs.Job{tr.Compaction()})
+	return tr
+}
+
+// FlushToL0 installs as an owner's job does: the broadcast under the
+// owner's lock afterwards wakes the compaction runner.
+func (tr *tree) FlushToL0(it iterx.Iterator, maxBytes int64) error {
+	err := tr.Levels.FlushToL0(it, maxBytes)
+	tr.ownerMu.Lock()
+	tr.bg.Broadcast()
+	tr.ownerMu.Unlock()
+	return err
+}
+
+// WaitIdle blocks until no compaction is needed or running.
+func (tr *tree) WaitIdle() {
+	tr.ownerMu.Lock()
+	tr.bg.WaitIdle()
+	tr.ownerMu.Unlock()
+}
+
+// Close drains the ready compactions and stops the runner.
+func (tr *tree) Close() { tr.bg.Close() }
 
 func testOptions(st *stats.Recorder) Options {
 	return Options{
@@ -51,7 +91,7 @@ func memIter(t testing.TB, kvs map[string]string, seqBase uint64) iterx.Iterator
 
 func TestFlushAndGet(t *testing.T) {
 	st := &stats.Recorder{}
-	l := New(testOptions(st))
+	l := newTree(t, testOptions(st))
 	defer l.Close()
 	kvs := map[string]string{}
 	for i := 0; i < 200; i++ {
@@ -73,7 +113,7 @@ func TestFlushAndGet(t *testing.T) {
 
 func TestCompactionReducesL0AndPreservesData(t *testing.T) {
 	st := &stats.Recorder{}
-	l := New(testOptions(st))
+	l := newTree(t, testOptions(st))
 	defer l.Close()
 	golden := map[string]string{}
 	rnd := rand.New(rand.NewSource(7))
@@ -118,7 +158,7 @@ func TestCompactionReducesL0AndPreservesData(t *testing.T) {
 
 func TestTombstonesShadowAndDropAtBottom(t *testing.T) {
 	st := &stats.Recorder{}
-	l := New(testOptions(st))
+	l := newTree(t, testOptions(st))
 	defer l.Close()
 	base := map[string]string{}
 	for i := 0; i < 100; i++ {
@@ -146,7 +186,7 @@ func TestTombstonesShadowAndDropAtBottom(t *testing.T) {
 
 func TestMergingScanAcrossLevels(t *testing.T) {
 	st := &stats.Recorder{}
-	l := New(testOptions(st))
+	l := newTree(t, testOptions(st))
 	defer l.Close()
 	golden := map[string]string{}
 	seq := uint64(1)
@@ -193,7 +233,7 @@ func TestWriteDelaySignals(t *testing.T) {
 	opts := testOptions(st)
 	opts.L0Slowdown = 2
 	opts.L0Stop = 4
-	l := New(opts)
+	l := newTree(t, opts)
 	defer l.Close()
 
 	if sleep, block := l.WriteDelay(); sleep != 0 || block {
@@ -225,7 +265,7 @@ func TestWriteDelaySignals(t *testing.T) {
 func TestLevelSizeCapsRespectedEventually(t *testing.T) {
 	st := &stats.Recorder{}
 	opts := testOptions(st)
-	l := New(opts)
+	l := newTree(t, opts)
 	defer l.Close()
 	seq := uint64(1)
 	rnd := rand.New(rand.NewSource(3))
