@@ -25,15 +25,18 @@ test:
 # the baselines' shared engine (one writer against its retire job,
 # MatrixKV's column job, the SSTable tree's compaction job and readers
 # across every tier), the SSTable tree (its compaction job, on its owner's
-# table, against flushes, column merges and readers) and the one job
-# table every store runs its background work on must stay race-clean. The merge reader tests — point reads and scans —
+# table, against flushes, column merges and readers), the simulated disk
+# under it (files written by the tree's compaction while Gets read them,
+# metered through one shared device) and the one job table every store
+# runs its background work on must stay race-clean. The merge reader
+# tests — point reads and scans —
 # run again on one CPU and on two: the merger and its readers interleave
 # differently on each. The paper regenerator's one op loop
 # (internal/bench) serves every thread count, so its goroutines share one
 # histogram, one miss counter and one error slot: its driver tests run
 # too, filtered, as the package's experiments are too slow under -race.
 race:
-	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/memtable ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/... ./internal/lsm ./internal/jobs
+	$(GO) test -race . ./internal/core ./internal/wal ./internal/shard ./internal/server ./internal/client ./internal/skiplist ./internal/memtable ./internal/pmtable ./internal/vaddr ./internal/nvm ./internal/vlog ./internal/bloom ./internal/stats ./internal/baseline/... ./internal/lsm ./internal/jobs ./internal/vfs
 	$(GO) test -race -cpu 1,2 ./internal/pmtable -run 'TestConcurrentReadsDuring(Run)?Merge$$|TestSafeIteratorUnderConcurrentMerge$$' -count=1
 	$(GO) test -race ./internal/bench -run 'TestDriver|TestConcurrentReadRunners' -count=1
 

@@ -96,9 +96,11 @@ func (b *Buffer) release() {
 type Engine struct {
 	DRAM *nvm.Device
 	NVM  *nvm.Device // hosts the WAL and every NVM structure
-	Disk *vfs.Disk   // nil without an SSTable tree
 	LSM  *lsm.Levels // nil without an SSTable tree
 	St   *stats.Recorder
+
+	// devices lists DRAM, NVM and, with an SSTable tree, its disk's.
+	devices nvm.Devices
 
 	memTableSize int64
 	chunkSize    int
@@ -142,22 +144,18 @@ func (e *Engine) Init(c Config, p Policy) error {
 	space := vaddr.NewSpace()
 	e.DRAM = nvm.NewDevice(space, nvm.DRAMProfile())
 	e.NVM = nvm.NewDevice(space, nvm.NVMProfile())
-	for _, d := range []*nvm.Device{e.DRAM, e.NVM} {
-		d.SetSimulation(c.Simulate)
-		d.SetTimeScale(c.TimeScale)
-	}
+	e.devices = nvm.Devices{e.DRAM, e.NVM}
 	if c.LSM != nil {
-		e.Disk = c.Disk
-		if e.Disk == nil {
-			e.Disk = vfs.NewDisk(vfs.NVMBlockProfile())
-		}
-		e.Disk.SetSimulation(c.Simulate)
-		e.Disk.SetTimeScale(c.TimeScale)
 		lo := *c.LSM
-		lo.Disk = e.Disk
+		lo.Disk = c.Disk
+		if lo.Disk == nil {
+			lo.Disk = vfs.NewDisk(vfs.NVMBlockProfile())
+		}
 		lo.Stats = e.St
+		e.devices = append(e.devices, lo.Disk.Device())
 		e.LSM = lsm.New(lo, e.bg)
 	}
+	e.devices.Simulate(c.Simulate, c.TimeScale)
 
 	active, err := e.NewBuffer(e.DRAM, e.memTableSize)
 	if err != nil {
@@ -420,21 +418,14 @@ func (e *Engine) Scan(start []byte, limit int, fn func(key, value []byte) bool) 
 // Stats returns cost accounting with device traffic and its rates.
 func (e *Engine) Stats() stats.Snapshot {
 	s := e.St.Snapshot()
-	s.Devices = []stats.DeviceCounters{e.NVM.Counters().Stats()}
-	if e.Disk != nil {
-		s.Devices = append(s.Devices, e.Disk.Counters().Stats())
-	}
+	s.Devices = e.devices.Stats()
 	s.Derive()
 	return s
 }
 
 // ResetCounters clears device and cost counters between bench phases.
 func (e *Engine) ResetCounters() {
-	e.DRAM.ResetCounters()
-	e.NVM.ResetCounters()
-	if e.Disk != nil {
-		e.Disk.ResetCounters()
-	}
+	e.devices.ResetCounters()
 	e.St.Reset()
 }
 

@@ -187,7 +187,7 @@ func OpenStore(c Config) (Store, error) {
 			opts.BloomBitsPerKey = -1
 		}
 		if c.SSD {
-			// Disk is nil: each shard's engine builds a disk of its own.
+			// Each shard's engine builds a disk of its own.
 			opts.SSD = &core.SSDOptions{LSM: lsmOptions()}
 		}
 		// A Governor goes to the router even with one shard, where the

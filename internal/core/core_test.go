@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"miodb/internal/lsm"
+	"miodb/internal/stats"
 )
 
 // smallOpts forces frequent flushes and merges so short tests exercise the
@@ -474,17 +476,6 @@ func TestSSDModeEndToEnd(t *testing.T) {
 			t.Fatalf("SSD mode Get(%s) = %q, %v; want %q", k, got, err, v)
 		}
 	}
-	// Data must actually have reached the SSD tier.
-	s := db.Stats()
-	var ssdWritten int64
-	for _, d := range s.Devices {
-		if d.Name == "ssd" {
-			ssdWritten = d.BytesWritten
-		}
-	}
-	if ssdWritten == 0 {
-		t.Error("nothing was written to the SSD tier")
-	}
 	// Scans cross the NVM/SSD boundary.
 	seen := 0
 	it := db.NewIterator()
@@ -494,6 +485,53 @@ func TestSSDModeEndToEnd(t *testing.T) {
 	}
 	if seen != len(golden) {
 		t.Fatalf("SSD-mode scan saw %d keys, want %d", seen, len(golden))
+	}
+	// Data must actually have reached the SSD tier, which is one of the
+	// store's devices: listed in its stats, zeroed by ResetCounters.
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if ssdCounters(t, db).BytesWritten == 0 {
+		t.Error("nothing was written to the SSD tier")
+	}
+	db.ResetCounters()
+	if c := ssdCounters(t, db); c.BytesWritten != 0 || c.BytesRead != 0 {
+		t.Errorf("ResetCounters left the SSD at %+v", c)
+	}
+}
+
+// ssdCounters returns the "ssd" entry of db's device stats.
+func ssdCounters(t *testing.T, db *DB) stats.DeviceCounters {
+	t.Helper()
+	for _, d := range db.Stats().Devices {
+		if d.Name == "ssd" {
+			return d
+		}
+	}
+	t.Fatal("the SSD is not among the store's devices")
+	return stats.DeviceCounters{}
+}
+
+// TestSSDModeSimulation: Open passes Simulate and TimeScale to the SSD's
+// device as to the memory devices, so ten syncs at 4× the SSD's write
+// latency take at least 40 latencies.
+func TestSSDModeSimulation(t *testing.T) {
+	opts := smallOpts()
+	opts.SSD = &SSDOptions{}
+	opts.Simulate, opts.TimeScale = true, 4
+	db := mustOpen(t, opts)
+	defer db.Close()
+	disk := db.ssd.Options().Disk
+	if last := db.devices[len(db.devices)-1]; last != disk.Device() {
+		t.Fatal("the tree's disk is not the store's last device")
+	}
+	w := disk.Create("probe")
+	start := time.Now()
+	for i := 0; i < 10; i++ {
+		w.Sync()
+	}
+	if took, want := time.Since(start), 40*disk.Device().Profile().WriteLatency; took < want {
+		t.Fatalf("ten simulated syncs took %v, want ≥ %v", took, want)
 	}
 }
 

@@ -44,6 +44,9 @@ type DB struct {
 	st    *stats.Recorder
 	fp    pmtable.FilterParams
 
+	// devices lists dram, nvm and, in SSD mode, the SSD's (listDevices).
+	devices nvm.Devices
+
 	// vlog is the value log behind key-value separation (nil when
 	// Options.ValueLog is nil — the byte-for-byte inline engine).
 	vlog *vlog.Store
@@ -189,7 +192,11 @@ func Open(opts Options) (*DB, error) {
 	db.levelStats = make([]levelWork, opts.Levels)
 	db.readLevels = make([]readLevelWork, opts.Levels)
 	db.initEpochs()
-	db.applySimulation()
+	var disk *vfs.Disk
+	if opts.SSD != nil {
+		disk = vfs.NewDisk(vfs.SSDProfile())
+	}
+	db.listDevices(disk)
 
 	// The superblock occupies the space's first region so that recovery
 	// can find it without any external root.
@@ -204,12 +211,6 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	if opts.SSD != nil {
-		disk := opts.SSD.Disk
-		if disk == nil {
-			disk = vfs.NewDisk(vfs.SSDProfile())
-		}
-		disk.SetSimulation(opts.Simulate)
-		disk.SetTimeScale(opts.TimeScale)
 		lo := opts.SSD.LSM
 		lo.Disk = disk
 		lo.Stats = db.st
@@ -251,11 +252,14 @@ func (db *DB) Devices() (dram, nvmDev *nvm.Device) { return db.dram, db.nvm }
 // LastSeq returns the newest assigned sequence number.
 func (db *DB) LastSeq() uint64 { return db.seq.Load() }
 
-func (db *DB) applySimulation() {
-	db.dram.SetSimulation(db.opts.Simulate)
-	db.nvm.SetSimulation(db.opts.Simulate)
-	db.dram.SetTimeScale(db.opts.TimeScale)
-	db.nvm.SetTimeScale(db.opts.TimeScale)
+// listDevices builds the store's one device list — DRAM, NVM and, with
+// an SSTable tree, the disk's — and applies the simulation options to it.
+func (db *DB) listDevices(disk *vfs.Disk) {
+	db.devices = nvm.Devices{db.dram, db.nvm}
+	if disk != nil {
+		db.devices = append(db.devices, disk.Device())
+	}
+	db.devices.Simulate(db.opts.Simulate, db.opts.TimeScale)
 }
 
 func (db *DB) newMemHandle() (*memHandle, error) {
@@ -1011,10 +1015,7 @@ func (db *DB) Close() error {
 // rates derived from them.
 func (db *DB) Stats() stats.Snapshot {
 	s := db.st.Snapshot()
-	s.Devices = []stats.DeviceCounters{db.dram.Counters().Stats(), db.nvm.Counters().Stats()}
-	if db.ssd != nil {
-		s.Devices = append(s.Devices, db.ssd.Options().Disk.Counters().Stats())
-	}
+	s.Devices = db.devices.Stats()
 	s.BloomLevels = make([]stats.BloomLevelCounters, len(db.readLevels))
 	for i := range db.readLevels {
 		rl, l := &db.readLevels[i], &s.BloomLevels[i]
@@ -1077,11 +1078,7 @@ func backlogOf(v *version) (imms, immBytes, l0Tables, l0Bytes int64) {
 
 // ResetCounters clears device and cost counters (between bench phases).
 func (db *DB) ResetCounters() {
-	db.dram.ResetCounters()
-	db.nvm.ResetCounters()
-	if db.ssd != nil {
-		db.ssd.Options().Disk.ResetCounters()
-	}
+	db.devices.ResetCounters()
 	if db.vlog != nil {
 		db.vlog.ResetCounters()
 	}

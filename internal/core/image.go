@@ -97,12 +97,19 @@ func writeRegionData(w io.Writer, r *vaddr.Region, extent int64) error {
 // Checkpoint quiesces the store and writes a checkpoint image to path
 // (atomically, via a temporary file). The store keeps running afterwards.
 func (db *DB) Checkpoint(path string) error {
+	return WriteFileAtomic(path, func(f *os.File) error { return db.CheckpointTo(f) })
+}
+
+// WriteFileAtomic has write fill a temporary file beside path, then
+// renames it over path; on any error the temporary file is removed and
+// path is left as it was.
+func WriteFileAtomic(path string, write func(*os.File) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	err = db.CheckpointTo(f)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -9,8 +9,6 @@ import (
 	"fmt"
 
 	"miodb/internal/lsm"
-	"miodb/internal/nvm"
-	"miodb/internal/vfs"
 )
 
 // Options configures a DB. The zero value is usable: defaults reproduce
@@ -85,10 +83,9 @@ type ValueLogOptions struct {
 	OnSSD bool
 }
 
-// SSDOptions configures the SSD tier.
+// SSDOptions configures the SSD tier, a leveled tree on a simulated SSD
+// (vfs.SSDProfile) the store makes at open.
 type SSDOptions struct {
-	// Disk is the simulated SSD; if nil one is created with SSDProfile.
-	Disk *vfs.Disk
 	// LSM tunes the on-SSD leveled tree.
 	LSM lsm.Options
 }
@@ -155,10 +152,4 @@ func (o Options) withDefaults() (Options, error) {
 		o.ValueLog = &vc
 	}
 	return o, nil
-}
-
-// devices bundles the memory devices of one store instance.
-type devices struct {
-	dram *nvm.Device
-	nvm  *nvm.Device
 }

@@ -82,7 +82,7 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 	db.levelStats = make([]levelWork, opts.Levels)
 	db.readLevels = make([]readLevelWork, opts.Levels)
 	db.initEpochs()
-	db.applySimulation()
+	db.listDevices(nil)
 	manifest, err := attachManifestLog(db.nvm, img.Space.Region(0))
 	if err != nil {
 		return nil, fmt.Errorf("miodb: %w", err)

@@ -9,9 +9,9 @@
 // end broadcasts only when it leaves the table idle or a goroutine waits
 // in Wait or Exclusive: a Run that makes another job ready broadcasts
 // itself (Broadcast). A table ends in one of three ways: Close lets the
-// runners drain the ready work; StopLocked (Abandon) makes them exit at
-// their next pick, dropping it; a job's error stops them the same way
-// and calls OnError once.
+// runners drain the ready work; StopLocked makes them exit at their next
+// pick, dropping it; a job's error stops them the same way and calls
+// OnError once.
 //
 // Seam for deterministic tests: a Step(rng) method could run one ready,
 // not-busy job, chosen by rng, inline on the caller's goroutine of a table
@@ -167,14 +167,6 @@ func (t *Table) Close() {
 	t.mu.Lock()
 	t.closed = true
 	t.cond.Broadcast()
-	t.mu.Unlock()
-	t.wg.Wait()
-}
-
-// Abandon stops the runners and waits for them.
-func (t *Table) Abandon() {
-	t.mu.Lock()
-	t.StopLocked()
 	t.mu.Unlock()
 	t.wg.Wait()
 }

@@ -87,7 +87,6 @@ func TestCloseDrainsAbandonDrops(t *testing.T) {
 	if pending < 9 {
 		t.Fatalf("a stopped table ran %d units", 10-pending)
 	}
-	within(t, "Abandon", tb.Abandon)
 }
 
 // TestWaitReturnsOnClose: a writer waiting for a predicate that never

@@ -51,8 +51,8 @@ type FaultStats struct {
 	Crashed                       bool
 }
 
-// FaultPlan is an injectable fault schedule shared by the byte-addressable
-// devices (nvm.Device) and the block devices (vfs.Disk). A nil plan
+// FaultPlan is an injectable fault schedule installed on a Device, the
+// byte-addressable ones and a block device's (vfs.Disk) alike. A nil plan
 // injects nothing. All methods are safe for concurrent use.
 //
 // Three trigger families compose:

@@ -15,7 +15,8 @@
 //
 // Devices also count bytes read/written, which feeds the write-amplification
 // ratio (device write traffic ÷ user-written bytes) reported in Fig 2(d),
-// Table 1, and Fig 11.
+// Table 1, and Fig 11. The block devices of internal/vfs meter, delay and
+// fail their file I/O through a Device too, one with no address space.
 package nvm
 
 import (
@@ -86,14 +87,16 @@ type Device struct {
 
 	// faults, when non-nil, is consulted by the error-returning seams of
 	// the storage stack (WAL appends, manifest appends, flush/compaction
-	// entry points) via CheckWrite/CheckRead. The metering callbacks
+	// entry points, a disk's file I/O) via CheckWrite/CheckRead. The metering callbacks
 	// OnRead/OnWrite stay infallible: raw pointer stores into mapped NVM
 	// cannot fail on real hardware either.
 	faults atomic.Pointer[FaultPlan]
 }
 
 // NewDevice creates a device over the given space. Latency simulation
-// starts disabled; call SetSimulation(true) for benchmark runs.
+// starts disabled; call SetSimulation(true) for benchmark runs. A device
+// that meters without regions (a vfs.Disk's) takes a nil space and is
+// charged through OnReads/OnWrites only.
 func NewDevice(space *vaddr.Space, profile Profile) *Device {
 	d := &Device{space: space, profile: profile}
 	d.free = profile.ReadLatency == 0 && profile.WriteLatency == 0 &&
@@ -241,6 +244,35 @@ func (d *Device) ResetCounters() {
 	d.bytesWritten.Store(0)
 	d.reads.Store(0)
 	d.writes.Store(0)
+}
+
+// Devices is one store's device list, built once at open: its options
+// reach every device through it, and its stats and counter resets are
+// read from it.
+type Devices []*Device
+
+// Simulate sets latency injection and its time scale on every device.
+func (ds Devices) Simulate(on bool, scale float64) {
+	for _, d := range ds {
+		d.SetSimulation(on)
+		d.SetTimeScale(scale)
+	}
+}
+
+// Stats returns every device's traffic, in list order.
+func (ds Devices) Stats() []stats.DeviceCounters {
+	out := make([]stats.DeviceCounters, len(ds))
+	for i, d := range ds {
+		out[i] = d.Counters().Stats()
+	}
+	return out
+}
+
+// ResetCounters zeroes every device's traffic counters.
+func (ds Devices) ResetCounters() {
+	for _, d := range ds {
+		d.ResetCounters()
+	}
 }
 
 // Spin delays the calling goroutine for roughly dur. Short waits poll the

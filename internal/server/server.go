@@ -384,8 +384,8 @@ func (c *conn) writeLoop() {
 		// flight: theirs are likely a scheduler slice away (the batcher
 		// and a burst's reads complete in a row, and the first completion
 		// woke this loop), so yield once before draining rather than pay
-		// one write per response. The gate is commitOps's
-		// (internal/core): a lone request never donates its slice.
+		// one write per response. The gate is more than one request in
+		// flight: a lone request never donates its slice.
 		if len(c.writeCh) == 0 && len(c.window) > 1 {
 			runtime.Gosched()
 		}

@@ -30,20 +30,7 @@ const shardImageMagic = 0x4d696f4442736864 // "MioDBshd"
 // and not an earlier one's. Callers wanting one cross-shard-consistent
 // cut must pause writes for the duration.
 func (r *Router) Checkpoint(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = r.writeImage(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return core.WriteFileAtomic(path, r.writeImage)
 }
 
 func (r *Router) writeImage(f *os.File) error {

@@ -17,7 +17,7 @@ func TestWriterTornWrite(t *testing.T) {
 
 	// Budget of 150 bytes: first 100-byte write lands whole, second is
 	// torn at 50.
-	d.SetFaultPlan(nvm.NewFaultPlan(1).CrashAfterBytes(150))
+	d.Device().SetFaultPlan(nvm.NewFaultPlan(1).CrashAfterBytes(150))
 	n, err := w.Write(payload)
 	if err != nil || n != 100 {
 		t.Fatalf("first write: n=%d err=%v", n, err)
@@ -34,7 +34,7 @@ func TestWriterTornWrite(t *testing.T) {
 	}
 
 	// The media holds exactly 150 bytes; reads past the crash fail.
-	d.SetFaultPlan(nil)
+	d.Device().SetFaultPlan(nil)
 	r, err := d.Open("sst")
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestReaderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(2))
+	d.Device().SetFaultPlan(nvm.NewFaultPlan(1).FailReadsEvery(2))
 	buf := make([]byte, 5)
 	if _, err := r.ReadAt(buf, 0); err != nil {
 		t.Fatalf("first read should pass: %v", err)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"miodb/internal/nvm"
@@ -43,21 +42,14 @@ func NVMBlockProfile() nvm.Profile {
 	return p
 }
 
-// Disk is a simulated block device holding named files.
+// Disk is a simulated block device holding named files. Its latency,
+// traffic counters and fault plan are its nvm.Device's: a device with no
+// address space, charged by every Write, Sync and ReadAt.
 type Disk struct {
-	profile  nvm.Profile
-	simulate atomic.Bool
-	scale    atomic.Int64 // time scale ×1e6
+	dev *nvm.Device
 
 	mu    sync.Mutex
 	files map[string]*file
-
-	bytesRead    atomic.Int64
-	bytesWritten atomic.Int64
-
-	// faults, when non-nil, gates file writes (torn-write truncation on
-	// injected failures) and reads, sharing the nvm fault vocabulary.
-	faults atomic.Pointer[nvm.FaultPlan]
 }
 
 type file struct {
@@ -66,53 +58,13 @@ type file struct {
 }
 
 // NewDisk creates an empty disk with the given profile. Latency simulation
-// starts disabled, matching nvm.Device.
+// starts disabled, as on every nvm.Device.
 func NewDisk(profile nvm.Profile) *Disk {
-	d := &Disk{profile: profile, files: map[string]*file{}}
-	d.scale.Store(1_000_000)
-	return d
+	return &Disk{dev: nvm.NewDevice(nil, profile), files: map[string]*file{}}
 }
 
-// SetSimulation toggles latency injection.
-func (d *Disk) SetSimulation(on bool) { d.simulate.Store(on) }
-
-// SetTimeScale scales injected delays (0 disables, 1 = full model).
-func (d *Disk) SetTimeScale(scale float64) { d.scale.Store(int64(scale * 1e6)) }
-
-// Profile returns the device profile.
-func (d *Disk) Profile() nvm.Profile { return d.profile }
-
-// SetFaultPlan installs (or, with nil, removes) a fault-injection plan.
-func (d *Disk) SetFaultPlan(p *nvm.FaultPlan) { d.faults.Store(p) }
-
-// Faults returns the installed fault plan, or nil.
-func (d *Disk) Faults() *nvm.FaultPlan { return d.faults.Load() }
-
-func (d *Disk) delay(lat time.Duration, nsPerByte float64, n int) {
-	if !d.simulate.Load() {
-		return
-	}
-	scale := float64(d.scale.Load()) / 1e6
-	if scale <= 0 {
-		return
-	}
-	nvm.Spin(time.Duration(scale * (float64(lat) + nsPerByte*float64(n))))
-}
-
-// Counters returns accumulated traffic (feeds write amplification).
-func (d *Disk) Counters() nvm.Counters {
-	return nvm.Counters{
-		Name:         d.profile.Name,
-		BytesRead:    d.bytesRead.Load(),
-		BytesWritten: d.bytesWritten.Load(),
-	}
-}
-
-// ResetCounters zeroes traffic counters between benchmark phases.
-func (d *Disk) ResetCounters() {
-	d.bytesRead.Store(0)
-	d.bytesWritten.Store(0)
-}
+// Device returns the device that meters, delays and fails the disk's I/O.
+func (d *Disk) Device() *nvm.Device { return d.dev }
 
 // Create creates (or truncates) a file and returns a sequential writer.
 func (d *Disk) Create(name string) *Writer {
@@ -153,19 +105,6 @@ func (d *Disk) List() []string {
 	return names
 }
 
-// TotalSize returns the bytes currently stored on the disk.
-func (d *Disk) TotalSize() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var total int64
-	for _, f := range d.files {
-		f.mu.RLock()
-		total += int64(len(f.data))
-		f.mu.RUnlock()
-	}
-	return total
-}
-
 // Writer appends to a file sequentially. Not safe for concurrent use.
 type Writer struct {
 	disk *Disk
@@ -178,35 +117,27 @@ type Writer struct {
 // prefix of p on the media (per the plan's WriteOutcome) before
 // returning the error — the partial state recovery must tolerate.
 func (w *Writer) Write(p []byte) (int, error) {
-	if out := w.disk.faults.Load().CheckWrite(len(p)); out.Err != nil {
-		n := 0
-		if out.Torn > 0 {
-			n = out.Torn
-			w.disk.bytesWritten.Add(int64(n))
-			w.f.mu.Lock()
-			w.f.data = append(w.f.data, p[:n]...)
-			w.f.mu.Unlock()
-			w.off += int64(n)
-		}
-		return n, out.Err
+	out := w.disk.dev.CheckWrite(len(p))
+	n := len(p)
+	if out.Err != nil {
+		n = max(out.Torn, 0)
 	}
-	w.disk.bytesWritten.Add(int64(len(p)))
-	w.disk.delay(0, w.disk.profile.WriteNanosPerByte, len(p))
-	w.f.mu.Lock()
-	w.f.data = append(w.f.data, p...)
-	w.f.mu.Unlock()
-	w.off += int64(len(p))
-	return len(p), nil
+	if n > 0 {
+		w.disk.dev.OnWrites(0, n)
+		w.f.mu.Lock()
+		w.f.data = append(w.f.data, p[:n]...)
+		w.f.mu.Unlock()
+		w.off += int64(n)
+	}
+	return n, out.Err
 }
 
 // Offset returns the bytes written so far (the current file size).
 func (w *Writer) Offset() int64 { return w.off }
 
-// Sync charges one device write latency, modeling the flush of buffered
-// data to stable media.
-func (w *Writer) Sync() {
-	w.disk.delay(w.disk.profile.WriteLatency, 0, 0)
-}
+// Sync charges one device write of no bytes, modeling the flush of
+// buffered data to stable media.
+func (w *Writer) Sync() { w.disk.dev.OnWrites(1, 0) }
 
 // Reader reads a file at arbitrary offsets. Safe for concurrent use.
 type Reader struct {
@@ -225,11 +156,10 @@ func (r *Reader) Size() int64 {
 // bandwidth — the block-granularity cost MioDB's byte-addressable design
 // avoids.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
-	if err := r.disk.faults.Load().CheckRead(len(p)); err != nil {
+	if err := r.disk.dev.CheckRead(len(p)); err != nil {
 		return 0, err
 	}
-	r.disk.bytesRead.Add(int64(len(p)))
-	r.disk.delay(r.disk.profile.ReadLatency, r.disk.profile.ReadNanosPerByte, len(p))
+	r.disk.dev.OnReads(1, len(p))
 	r.f.mu.RLock()
 	defer r.f.mu.RUnlock()
 	if off < 0 || off > int64(len(r.f.data)) {

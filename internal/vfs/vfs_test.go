@@ -70,20 +70,44 @@ func TestOpenMissingAndRemove(t *testing.T) {
 
 func TestCountersAndTotalSize(t *testing.T) {
 	d := NewDisk(NVMBlockProfile())
+	dev := d.Device()
 	w := d.Create("f")
 	w.Write(make([]byte, 1000))
 	r, _ := d.Open("f")
 	r.ReadAt(make([]byte, 400), 0)
-	c := d.Counters()
+	c := dev.Counters()
 	if c.BytesWritten != 1000 || c.BytesRead != 400 {
 		t.Errorf("counters = %+v", c)
 	}
-	if d.TotalSize() != 1000 {
-		t.Errorf("TotalSize = %d", d.TotalSize())
-	}
-	d.ResetCounters()
-	if c := d.Counters(); c.BytesWritten != 0 || c.BytesRead != 0 {
+	dev.ResetCounters()
+	if c := dev.Counters(); c.BytesWritten != 0 || c.BytesRead != 0 {
 		t.Error("ResetCounters did not zero")
+	}
+}
+
+// TestTrafficIsTheDevices: a disk's traffic is its device's. A Write
+// counts its bytes but no op, a Sync one write and no bytes, a ReadAt one
+// read and its bytes.
+func TestTrafficIsTheDevices(t *testing.T) {
+	d := NewDisk(SSDProfile())
+	dev := d.Device()
+	w := d.Create("f")
+	w.Write(make([]byte, 300))
+	if c := dev.Counters(); c.Writes != 0 || c.BytesWritten != 300 {
+		t.Fatalf("after Write: %+v, want 0 writes, 300 bytes", c)
+	}
+	w.Sync()
+	if c := dev.Counters(); c.Writes != 1 || c.BytesWritten != 300 {
+		t.Fatalf("after Sync: %+v, want 1 write, 300 bytes", c)
+	}
+	r, _ := d.Open("f")
+	r.ReadAt(make([]byte, 100), 0)
+	r.ReadAt(make([]byte, 50), 100)
+	if c := dev.Counters(); c.Reads != 2 || c.BytesRead != 150 {
+		t.Fatalf("after two ReadAts: %+v, want 2 reads, 150 bytes", c)
+	}
+	if c := dev.Counters(); c.Name != "ssd" {
+		t.Fatalf("device name %q, want the profile's", c.Name)
 	}
 }
 
@@ -100,7 +124,7 @@ func TestLatencyInjection(t *testing.T) {
 	}
 	fast := time.Since(start)
 
-	d.SetSimulation(true)
+	d.Device().SetSimulation(true)
 	start = time.Now()
 	for i := 0; i < 10; i++ {
 		r.ReadAt(make([]byte, 64), 0)
@@ -114,7 +138,7 @@ func TestLatencyInjection(t *testing.T) {
 	}
 
 	// TimeScale 0 disables delays again.
-	d.SetTimeScale(0)
+	d.Device().SetTimeScale(0)
 	start = time.Now()
 	for i := 0; i < 10; i++ {
 		r.ReadAt(make([]byte, 64), 0)
