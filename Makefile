@@ -43,11 +43,13 @@ race:
 # One CPU: the runners that share it (one per background job, or one for
 # every merge under DisableParallelCompaction) must neither starve a job
 # nor deadlock when only one goroutine runs at a time — in core (SSD mode
-# adds the tree's compaction job to its table), in the job table itself,
-# and in the baselines (retire, column and tree compaction jobs on one
-# table).
+# adds the tree's compaction job to its table; every store, a fresh one
+# too, starts its runners from the recovery path, after WAL replay and
+# merge resume, so the recovery, manifest and image tests run here), in
+# the job table itself, and in the baselines (retire, column and tree
+# compaction jobs on one table).
 test-1cpu:
-	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade|SSDMode' -count=1
+	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade|SSDMode|Recover|Manifest|Image' -count=1
 	GOMAXPROCS=1 $(GO) test ./internal/jobs ./internal/baseline/... -count=1
 
 # Crash-torture: randomized power failures, torn writes, and interrupted

@@ -18,7 +18,6 @@ import (
 	"miodb/internal/pmtable"
 	"miodb/internal/stats"
 	"miodb/internal/vaddr"
-	"miodb/internal/vfs"
 	"miodb/internal/vlog"
 	"miodb/internal/wal"
 )
@@ -44,7 +43,7 @@ type DB struct {
 	st    *stats.Recorder
 	fp    pmtable.FilterParams
 
-	// devices lists dram, nvm and, in SSD mode, the SSD's (listDevices).
+	// devices lists dram, nvm and, in SSD mode, the SSD's (bringUp).
 	devices nvm.Devices
 
 	// vlog is the value log behind key-value separation (nil when
@@ -54,8 +53,8 @@ type DB struct {
 	// commitMu serializes commits: every Put, Delete, DeleteRange, batch
 	// and value-log GC relocation runs the one commit body (commitLocked)
 	// under it, and so does every memtable rotation (makeRoomForWrite,
-	// FlushAll, Checkpoint), so rotation and an insert can never
-	// interleave. Lock order: commitMu → mu.
+	// FlushAll), so rotation and an insert can never interleave. Lock
+	// order: commitMu → mu.
 	commitMu sync.Mutex
 
 	seq     atomic.Uint64
@@ -166,7 +165,10 @@ type readLevelWork struct {
 	_    [128 - 4*8]byte
 }
 
-// Open creates a fresh DB.
+// Open creates a fresh DB. A fresh store is the recovery of an empty
+// image: Open lays down region 0 with its mark slots and one generation
+// holding an empty snapshot (formatSuperblock), then comes up through
+// Recover's own path (bringUp).
 func Open(opts Options) (*DB, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -176,73 +178,11 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	space := vaddr.NewSpace()
-	db := &DB{
-		opts:  opts,
-		space: space,
-		dram:  nvm.NewDevice(space, nvm.DRAMProfile()),
-		nvm:   nvm.NewDevice(space, nvm.NVMProfile()),
-		st:    &stats.Recorder{},
-		fp: pmtable.FilterParams{
-			ExpectedKeys: opts.FilterCapacity,
-			BitsPerKey:   opts.BloomBitsPerKey,
-		},
-	}
-	db.bg = jobs.New(&db.mu, &db.wg)
-	db.memTarget.Store(opts.MemTableSize)
-	db.levelStats = make([]levelWork, opts.Levels)
-	db.readLevels = make([]readLevelWork, opts.Levels)
-	db.initEpochs()
-	var disk *vfs.Disk
-	if opts.SSD != nil {
-		disk = vfs.NewDisk(vfs.SSDProfile())
-	}
-	db.listDevices(disk)
-
-	// The superblock occupies the space's first region so that recovery
-	// can find it without any external root.
-	db.manifest = newManifestLog(db.nvm, opts.Levels)
-	db.markSlots = make([]vaddr.Addr, opts.Levels)
-	for i := range db.markSlots {
-		slot, err := db.manifest.allocSlot()
-		if err != nil {
-			return nil, err
-		}
-		db.markSlots[i] = slot
-	}
-
-	if opts.SSD != nil {
-		lo := opts.SSD.LSM
-		lo.Disk = disk
-		lo.Stats = db.st
-		db.ssd = lsm.New(lo, db.bg)
-	} else {
-		repo, err := pmtable.NewRepository(db.nvm, opts.ChunkSize)
-		if err != nil {
-			return nil, err
-		}
-		db.repo = repo
-	}
-
-	if opts.ValueLog != nil {
-		db.initValueLog()
-	}
-
-	mem, err := db.newMemHandle()
-	if err != nil {
+	img := &CrashImage{Space: space, NVM: nvm.NewDevice(space, nvm.NVMProfile())}
+	if err := formatSuperblock(img.NVM, opts.Levels); err != nil {
 		return nil, err
 	}
-	root := newRootVersion()
-	root.mem = mem
-	root.levels = make([][]levelEntry, opts.Levels)
-	root.repo = db.repo
-	db.current.Store(root)
-	db.oldest = root
-
-	if err := db.writeManifestLocked(); err != nil {
-		return nil, err
-	}
-	db.startBackground()
-	return db, nil
+	return bringUp(img, opts)
 }
 
 // Devices exposes the DRAM and NVM device models (fault-injection hooks
@@ -251,16 +191,6 @@ func (db *DB) Devices() (dram, nvmDev *nvm.Device) { return db.dram, db.nvm }
 
 // LastSeq returns the newest assigned sequence number.
 func (db *DB) LastSeq() uint64 { return db.seq.Load() }
-
-// listDevices builds the store's one device list — DRAM, NVM and, with
-// an SSTable tree, the disk's — and applies the simulation options to it.
-func (db *DB) listDevices(disk *vfs.Disk) {
-	db.devices = nvm.Devices{db.dram, db.nvm}
-	if disk != nil {
-		db.devices = append(db.devices, disk.Device())
-	}
-	db.devices.Simulate(db.opts.Simulate, db.opts.TimeScale)
-}
 
 func (db *DB) newMemHandle() (*memHandle, error) {
 	// The capacity comes from the dynamic target, not opts: this is the
@@ -279,15 +209,6 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 		h.log = wal.Attach(db.nvm, db.nvm.NewRegionGrain(db.opts.ChunkSize, mt.Region().Grain()))
 	}
 	return h, nil
-}
-
-// initValueLog builds the value-log store. The manifest must already
-// exist: every new segment is announced through a manifest record before
-// the first pointer into it can commit.
-func (db *DB) initValueLog() {
-	vc := db.opts.ValueLog
-	db.vlog = vlog.NewNVM(db.nvm, vlog.Config{SegmentSize: vc.SegmentSize, GCDeadRatio: vc.GCDeadRatio})
-	db.vlog.OnNewSegment = db.logVlogSegment
 }
 
 // Put writes a key-value pair.
@@ -556,24 +477,28 @@ func (db *DB) DeleteRange(start, end []byte) error {
 }
 
 // makeRoomForWrite rotates a full memtable into the immutable queue. It
-// runs inside a commit: only a committing writer (or FlushAll/Checkpoint,
-// which take the same commitMu) rotates, so a rotation can never slide
+// runs inside a commit: only a committing writer (or FlushAll, which
+// takes the same commitMu) rotates, so a rotation can never slide
 // under an insert. Because every level of the elastic buffer is
 // unbounded, rotation never waits on flushing or compaction progress.
 func (db *DB) makeRoomForWrite() error {
 	if !db.current.Load().mem.mt.Full() {
 		return nil
 	}
+	return db.rotate()
+}
+
+// rotate seals the active memtable behind a fresh one and appends the
+// rotate record that names the fresh WAL region, under one db.mu hold so
+// no manifest roll lands between the edit and its record. Callers hold
+// commitMu.
+func (db *DB) rotate() error {
 	fresh, err := db.newMemHandle()
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
-	old := db.current.Load().mem
-	db.editVersionLocked(func(v *version) {
-		v.imms = append([]*memHandle{old}, v.imms...)
-		v.mem = fresh
-	})
+	db.sealLocked(fresh)
 	err = db.logRotateLocked(fresh)
 	db.mu.Unlock()
 	db.st.Add(stats.Rotations, 1)
@@ -581,6 +506,17 @@ func (db *DB) makeRoomForWrite() error {
 	// fresh WAL region is unknown to the recoverable manifest, so writes
 	// into it could never be replayed); surface the refusal to the writer.
 	return err
+}
+
+// sealLocked makes fresh the active memtable and moves the sealed one to
+// the front of the immutable queue, in one version edit. Callers hold
+// commitMu (or replay the WAL before any writer exists) and db.mu.
+func (db *DB) sealLocked(fresh *memHandle) {
+	sealed := db.current.Load().mem
+	db.editVersionLocked(func(v *version) {
+		v.imms = append([]*memHandle{sealed}, v.imms...)
+		v.mem = fresh
+	})
 }
 
 // Get returns the newest live value for key. The search order follows the
@@ -947,31 +883,13 @@ func (db *DB) FlushAll() error {
 		db.commitMu.Unlock()
 		return err
 	}
-	fresh, err := db.newMemHandle()
-	if err != nil {
-		db.commitMu.Unlock()
-		return err
-	}
-	db.mu.Lock()
 	if db.current.Load().mem.mt.Empty() {
-		db.mu.Unlock()
 		db.commitMu.Unlock()
-		fresh.mt.Release()
-		if fresh.log != nil {
-			fresh.log.Release()
-		}
 		db.WaitIdle()
 		return nil
 	}
-	old := db.current.Load().mem
-	db.editVersionLocked(func(v *version) {
-		v.imms = append([]*memHandle{old}, v.imms...)
-		v.mem = fresh
-	})
-	err = db.logRotateLocked(fresh)
-	db.mu.Unlock()
+	err := db.rotate()
 	db.commitMu.Unlock()
-	db.st.Add(stats.Rotations, 1)
 	if err != nil {
 		return err
 	}

@@ -85,12 +85,6 @@ type epochSlot struct {
 	_      [128 - 3*8]byte
 }
 
-// initEpochs sets up the reader-reclamation machinery (Open and Recover).
-func (db *DB) initEpochs() {
-	db.epoch.Store(firstEpoch)
-	db.epochSlots = make([]epochSlot, epochSlotCount)
-}
-
 // versionPin is a reader's hold on a version snapshot: the version and the
 // slot/bucket the reader announced in.
 type versionPin struct {

@@ -57,14 +57,27 @@ const (
 	genMinChunk = 16 << 10 // floor of a generation's one chunk
 )
 
-// newManifestLog lays down region 0 with its nil word and generation
-// pointer; Open allocates the mark slots and rolls the first generation.
-func newManifestLog(dev *nvm.Device, levels int) *manifestLog {
-	super := dev.NewRegion(genPtrOff + 8 + 8*levels) // a 4 KiB stride, backed by just these words
-	if _, err := super.Alloc(8); err != nil {
-		panic(err)
+// formatSuperblock lays down region 0 of a fresh space — after the nil
+// word the space reserves, the generation pointer and one zeroed mark
+// slot per level — and rolls the first generation: an empty snapshot of
+// levels empty levels, with no repository and no WAL regions. Open comes
+// up from it through Recover's path, as from any crash image.
+func formatSuperblock(dev *nvm.Device, levels int) error {
+	// A 4 KiB stride, backed by just these words.
+	m := &manifestLog{dev: dev, super: dev.NewRegion(genPtrOff + 8 + 8*levels)}
+	if _, err := m.super.Alloc(8); err != nil { // the generation pointer
+		return err
 	}
-	return &manifestLog{dev: dev, super: super}
+	empty := &manifestState{levels: make([][]entryState, levels)}
+	for range levels {
+		slot, err := m.super.Alloc(8)
+		if err != nil {
+			return err
+		}
+		m.super.PutUint64(slot, 0)
+		empty.markSlots = append(empty.markSlots, uint64(slot))
+	}
+	return m.roll(append([]byte{recSnapshot}, empty.encode()...))
 }
 
 // attachManifestLog opens the generation region 0 points at.
@@ -78,16 +91,6 @@ func attachManifestLog(dev *nvm.Device, super *vaddr.Region) (*manifestLog, erro
 		return nil, errNoGeneration
 	}
 	return &manifestLog{dev: dev, super: super, gen: gen}, nil
-}
-
-// allocSlot reserves an 8-byte persisted slot (insertion marks).
-func (m *manifestLog) allocSlot() (vaddr.Addr, error) {
-	a, err := m.super.Alloc(8)
-	if err != nil {
-		return vaddr.NilAddr, err
-	}
-	m.super.PutUint64(a, 0)
-	return a, nil
 }
 
 // fits reports whether a record of n payload bytes fits in what remains

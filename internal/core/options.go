@@ -91,8 +91,9 @@ type SSDOptions struct {
 }
 
 // withDefaults fills in every zero field, and refuses a memtable below
-// the floor SetMemTableTarget clamps to: Open and Recover both go
-// through it, so every entry point (a MemTableSize, or a MemoryBudget
+// the floor SetMemTableTarget clamps to. Open and Recover each run it,
+// and their compatibility check, before the one bring-up they share
+// (bringUp), so every entry point (a MemTableSize, or a MemoryBudget
 // split across shards) meets the same floor.
 func (o Options) withDefaults() (Options, error) {
 	if o.MemTableSize <= 0 {

@@ -6,10 +6,13 @@ import (
 
 	"miodb/internal/jobs"
 	"miodb/internal/keys"
+	"miodb/internal/lsm"
 	"miodb/internal/nvm"
 	"miodb/internal/pmtable"
 	"miodb/internal/stats"
 	"miodb/internal/vaddr"
+	"miodb/internal/vfs"
+	"miodb/internal/vlog"
 	"miodb/internal/wal"
 )
 
@@ -52,7 +55,8 @@ func (db *DB) CrashForTest() *CrashImage {
 // PMTable and the repository, resumes any interrupted zero-copy merge via
 // its persisted insertion mark, replays the write-ahead logs (oldest
 // first) into a fresh memtable, and publishes the result by rolling a new
-// generation, so nothing is ever appended behind a torn record.
+// generation, so nothing is ever appended behind a torn record. Open
+// comes up the same way, from an image whose generation is empty.
 //
 // opts must match the crashed store's structural options (Levels). The
 // compatibility table (compat.go) refuses SSD-resident state: the simulated
@@ -65,24 +69,40 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 	if err := Refusal(OpRecover, opts, 1, false); err != nil {
 		return nil, err
 	}
+	return bringUp(img, opts)
+}
 
+// bringUp is the one way a store comes up, for Open (an empty image) and
+// Recover alike; opts are defaulted and admitted by the caller. In SSD
+// mode it builds the SSTable tree on a disk of its own; only Open reaches
+// that, since the compatibility table refuses SSD at Recover.
+func bringUp(img *CrashImage, opts Options) (*DB, error) {
 	db := &DB{
-		opts:  opts,
-		space: img.Space,
-		dram:  nvm.NewDevice(img.Space, nvm.DRAMProfile()),
-		nvm:   img.NVM,
-		st:    &stats.Recorder{},
+		opts:       opts,
+		space:      img.Space,
+		dram:       nvm.NewDevice(img.Space, nvm.DRAMProfile()),
+		nvm:        img.NVM,
+		st:         &stats.Recorder{},
+		epochSlots: make([]epochSlot, epochSlotCount),
 		fp: pmtable.FilterParams{
 			ExpectedKeys: opts.FilterCapacity,
 			BitsPerKey:   opts.BloomBitsPerKey,
 		},
+		levelStats: make([]levelWork, opts.Levels),
+		readLevels: make([]readLevelWork, opts.Levels),
 	}
 	db.bg = jobs.New(&db.mu, &db.wg)
+	db.epoch.Store(firstEpoch)
 	db.memTarget.Store(opts.MemTableSize)
-	db.levelStats = make([]levelWork, opts.Levels)
-	db.readLevels = make([]readLevelWork, opts.Levels)
-	db.initEpochs()
-	db.listDevices(nil)
+	db.devices = nvm.Devices{db.dram, db.nvm}
+	if opts.SSD != nil {
+		lo := opts.SSD.LSM
+		lo.Disk = vfs.NewDisk(vfs.SSDProfile())
+		lo.Stats = db.st
+		db.ssd = lsm.New(lo, db.bg)
+		db.devices = append(db.devices, lo.Disk.Device())
+	}
+	db.devices.Simulate(opts.Simulate, opts.TimeScale)
 	manifest, err := attachManifestLog(db.nvm, img.Space.Region(0))
 	if err != nil {
 		return nil, fmt.Errorf("miodb: %w", err)
@@ -112,8 +132,9 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("miodb: crash image has %d value-log segments, options disable the value log",
 			len(state.vlogSegs))
 	}
-	if opts.ValueLog != nil {
-		db.initValueLog()
+	if vc := opts.ValueLog; vc != nil {
+		db.vlog = vlog.NewNVM(db.nvm, vlog.Config{SegmentSize: vc.SegmentSize, GCDeadRatio: vc.GCDeadRatio})
+		db.vlog.OnNewSegment = db.logVlogSegment
 		for _, g := range state.vlogSegs {
 			r := img.Space.Region(g.region)
 			if r == nil {
@@ -143,14 +164,14 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 		return nil, err
 	}
 
-	// Repository.
+	// Repository; an SSD-mode store has the tree in its place.
 	if state.hasRepo {
 		repoRegion := img.Space.Region(state.repoRegion)
 		if repoRegion == nil {
 			return nil, fmt.Errorf("miodb: repository region %d missing", state.repoRegion)
 		}
 		db.repo = pmtable.AttachRepository(db.nvm, repoRegion, vaddr.Addr(state.repoHead))
-	} else {
+	} else if db.ssd == nil {
 		repo, err := pmtable.NewRepository(db.nvm, opts.ChunkSize)
 		if err != nil {
 			return nil, err
@@ -253,12 +274,8 @@ func Recover(img *CrashImage, opts Options) (*DB, error) {
 					return err
 				}
 				freshHandles = append(freshHandles, fresh)
-				sealed := mem
 				db.mu.Lock()
-				db.editVersionLocked(func(v *version) {
-					v.imms = append([]*memHandle{sealed}, v.imms...)
-					v.mem = fresh
-				})
+				db.sealLocked(fresh)
 				db.mu.Unlock()
 				mem = fresh
 			}

@@ -91,7 +91,7 @@ func OpenGoverned(n int, opts core.Options, gov *GovernorOptions) (*Router, erro
 	if gov == nil {
 		return Open(n, opts)
 	}
-	g := gov.withDefaults(n)
+	g := *gov
 	if g.Budget > 0 {
 		opts.MemTableSize = SplitBudget(g.Budget, n)
 	}
@@ -106,7 +106,8 @@ func OpenGoverned(n int, opts core.Options, gov *GovernorOptions) (*Router, erro
 			g.Budget += db.MemTableTarget()
 		}
 	}
-	r.gov = newGovernor(r.shards, g)
+	// The budget is resolved first: the floor's default derives from it.
+	r.gov = newGovernor(r.shards, g.withDefaults(n))
 	go r.gov.run()
 	return r, nil
 }

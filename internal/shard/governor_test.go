@@ -84,6 +84,32 @@ func TestOpenGovernedRejectsTinyBudget(t *testing.T) {
 	}
 }
 
+// TestGovernorAdoptedBudgetResolvesLikeExplicit: a zero Budget adopts the
+// static total, and the defaults that derive from the budget (the floor,
+// Budget/(4n)) follow the adopted budget exactly as they follow the same
+// budget given explicitly.
+func TestGovernorAdoptedBudgetResolvesLikeExplicit(t *testing.T) {
+	opts := testOpts()
+	opts.MemTableSize = 64 << 10
+	resolved := func(g GovernorOptions) GovernorOptions {
+		t.Helper()
+		r, err := OpenGoverned(4, opts, &g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		return r.gov.opts
+	}
+	adopted := resolved(GovernorOptions{})
+	explicit := resolved(GovernorOptions{Budget: 4 * opts.MemTableSize})
+	if adopted != explicit {
+		t.Errorf("adopted budget resolves to %+v, explicit to %+v", adopted, explicit)
+	}
+	if want := 4 * opts.MemTableSize / 16; adopted.FloorBytes != want {
+		t.Errorf("floor %d, want Budget/(4n) = %d", adopted.FloorBytes, want)
+	}
+}
+
 // TestGovernorRebalanceShiftsBudget drives rebalance() by hand — no
 // ticker, fully deterministic: heat on one shard must grow its target at
 // the cold shards' expense, the applied targets must never sum past the

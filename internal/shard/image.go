@@ -111,33 +111,22 @@ func OpenImage(path string, shards int, opts core.Options) (*Router, error) {
 	if shards != 0 && shards != count {
 		return nil, fmt.Errorf("miodb/shard: shard-count mismatch: image has %d shards, options request %d", count, shards)
 	}
-	r := &Router{shards: make([]*core.DB, 0, count)}
-	for i := 0; i < count; i++ {
+	return build(count, "image", func(int) (*core.DB, error) {
 		var lw [8]byte
 		if _, err := io.ReadFull(f, lw[:]); err != nil {
-			r.Close()
-			return nil, fmt.Errorf("miodb/shard: image shard %d length: %w", i, err)
+			return nil, fmt.Errorf("length: %w", err)
 		}
-		n := int64(binary.LittleEndian.Uint64(lw[:]))
-		lim := io.LimitReader(f, n)
+		lim := io.LimitReader(f, int64(binary.LittleEndian.Uint64(lw[:])))
 		img, err := core.ReadImage(lim)
 		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("miodb/shard: image shard %d: %w", i, err)
+			return nil, err
 		}
 		// The core image reader stops at its own region table; drain any
 		// remainder of this shard's extent so the next length word is
 		// read from the right offset.
 		if _, err := io.Copy(io.Discard, lim); err != nil {
-			r.Close()
 			return nil, err
 		}
-		db, err := core.Recover(img, opts)
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("miodb/shard: recover shard %d: %w", i, err)
-		}
-		r.shards = append(r.shards, db)
-	}
-	return r, nil
+		return core.Recover(img, opts)
+	})
 }

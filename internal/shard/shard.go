@@ -65,12 +65,19 @@ func Open(n int, opts core.Options) (*Router, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("miodb/shard: shard count %d out of range (need ≥ 1)", n)
 	}
+	return build(n, "open", func(int) (*core.DB, error) { return core.Open(opts) })
+}
+
+// build makes a router over n engines, engine i from newShard(i). If one
+// fails, it closes the engines made so far and names the failed one in
+// the error, with verb for what making it was.
+func build(n int, verb string, newShard func(i int) (*core.DB, error)) (*Router, error) {
 	r := &Router{shards: make([]*core.DB, 0, n)}
 	for i := 0; i < n; i++ {
-		db, err := core.Open(opts)
+		db, err := newShard(i)
 		if err != nil {
 			r.Close()
-			return nil, fmt.Errorf("miodb/shard: open shard %d: %w", i, err)
+			return nil, fmt.Errorf("miodb/shard: %s shard %d: %w", verb, i, err)
 		}
 		r.shards = append(r.shards, db)
 	}
@@ -403,16 +410,7 @@ func (r *Router) CrashForTest() []*core.CrashImage {
 // RecoverShards rebuilds a router from per-shard crash images, running
 // each shard through the standard crash-recovery path.
 func RecoverShards(imgs []*core.CrashImage, opts core.Options) (*Router, error) {
-	r := &Router{shards: make([]*core.DB, 0, len(imgs))}
-	for i, img := range imgs {
-		db, err := core.Recover(img, opts)
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("miodb/shard: recover shard %d: %w", i, err)
-		}
-		r.shards = append(r.shards, db)
-	}
-	return r, nil
+	return build(len(imgs), "recover", func(i int) (*core.DB, error) { return core.Recover(imgs[i], opts) })
 }
 
 var (
