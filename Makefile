@@ -47,9 +47,11 @@ race:
 # too, starts its runners from the recovery path, after WAL replay and
 # merge resume, so the recovery, manifest and image tests run here), in
 # the job table itself, and in the baselines (retire, column and tree
-# compaction jobs on one table).
+# compaction jobs on one table). Core's free-list reuse tests run here
+# too: the release functions that fill the lists run from the epoch
+# sweep, whose timing against rotations differs on one CPU.
 test-1cpu:
-	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade|SSDMode|Recover|Manifest|Image' -count=1
+	GOMAXPROCS=1 $(GO) test ./internal/core -run 'Ablation|Idle|ValueLogGC|Degrade|SSDMode|Recover|Manifest|Image|Reuse' -count=1
 	GOMAXPROCS=1 $(GO) test ./internal/jobs ./internal/baseline/... -count=1
 
 # Crash-torture: randomized power failures, torn writes, and interrupted

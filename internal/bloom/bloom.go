@@ -88,6 +88,14 @@ func (f *Filter) Add(key []byte) {
 	f.nkeys++
 }
 
+// Reset empties f for reuse as a fresh filter of the same size and probe
+// count. No reader may probe f meanwhile: a store resets a filter only
+// after its readers' grace period has freed it.
+func (f *Filter) Reset() {
+	clear(f.bits)
+	f.nkeys = 0
+}
+
 // MayContain reports whether key was possibly added. False means definitely
 // absent. It is safe beside a concurrent Add or Merge into f.
 func (f *Filter) MayContain(key []byte) bool { return f.MayContainHash(Hash(key)) }

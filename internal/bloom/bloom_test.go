@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -248,5 +249,24 @@ func TestConcurrentProbesDuringMerge(t *testing.T) {
 				t.Fatalf("false negative for %s after the merge", k)
 			}
 		}
+	}
+}
+
+// TestResetEqualsNew: a reset filter is indistinguishable from a new one
+// of the same parameters — no bit, no key count — and still merges with
+// its peers.
+func TestResetEqualsNew(t *testing.T) {
+	f := New(1000, 16)
+	for i := 0; i < 1000; i++ {
+		f.Add([]byte(fmt.Sprintf("key-%d", i)))
+	}
+	f.Reset()
+	if !bytes.Equal(f.Encode(), New(1000, 16).Encode()) {
+		t.Fatal("a reset filter differs from a new one")
+	}
+	g := New(1000, 16)
+	g.Add([]byte("other"))
+	if err := f.Merge(g); err != nil || !f.MayContain([]byte("other")) || f.Keys() != 1 {
+		t.Fatalf("merge into a reset filter: %v, keys %d", err, f.Keys())
 	}
 }

@@ -165,6 +165,11 @@ func (db *DB) mergeOnce(level int) error {
 		// the durable manifest; queue them for release once every reader
 		// version referencing the pair drains.
 		db.queueReleaseLocked(release)
+	} else if f := m.New.Filter(); f != nil {
+		// The result kept the Old table's filter with the New one's bits
+		// ORed in; the drained New filter is free once the readers that
+		// probe it through the merge entry have drained.
+		db.queueReleaseLocked(func() { db.spares.putFilter(f) })
 	}
 	// Dropped pointer entries may have pushed a segment past the GC
 	// threshold.
@@ -294,9 +299,10 @@ func (db *DB) lazyOne(last int, t *pmtable.Table) error {
 	// The paper's lazy memory freeing: every arena the absorbed table
 	// accumulated across its zero-copy merges is returned at once, after
 	// the last reader drains — and only now that the absorption is
-	// durably logged.
+	// durably logged. Its filter goes to the free list for a memtable.
 	db.queueReleaseLocked(func() {
 		t.ReleaseRegions(db.nvm)
+		db.spares.putFilter(t.Filter())
 	})
 	if rebuild == nil {
 		db.kickValueLogGCLocked() // else compactRepo kicks, after its own drops

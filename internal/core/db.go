@@ -70,6 +70,11 @@ type DB struct {
 	// configuration.
 	memTarget atomic.Int64
 
+	// spares are the free lists of memtable arena chunks, WAL chunks and
+	// bloom filters that release functions fill and newMemHandle takes
+	// from (spares.go).
+	spares spares
+
 	// current publishes the installed version snapshot to the lock-free
 	// read path; it is written only under db.mu (editVersionLocked) but
 	// read by anyone. See epoch.go for the reclamation protocol.
@@ -196,8 +201,15 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 	// The capacity comes from the dynamic target, not opts: this is the
 	// rotation boundary where a SetMemTableTarget call takes effect.
 	// Its bloom filter, made with the tables' parameters, becomes the L0
-	// table's at the flush.
-	mt, err := memtable.NewFiltered(db.dram, db.memTarget.Load(), db.opts.ChunkSize, db.fp.NewFilter())
+	// table's at the flush. Arena, log and filter come from the free
+	// lists when a retired memtable or table left ones that fit.
+	target, chunkSize := db.memTarget.Load(), db.opts.ChunkSize
+	grain := memtable.Grain(target, chunkSize)
+	arena, logChunk, filter := db.spares.take(chunkSize, grain)
+	if filter == nil {
+		filter = db.fp.NewFilter()
+	}
+	mt, err := memtable.NewFiltered(db.dram, target, chunkSize, filter, arena)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +218,7 @@ func (db *DB) newMemHandle() (*memHandle, error) {
 		// The log is sized like its memtable: a record never outgrows the
 		// node that holds the same entry, so the log spills past its first
 		// chunk only when the memtable does.
-		h.log = wal.Attach(db.nvm, db.nvm.NewRegionGrain(db.opts.ChunkSize, mt.Region().Grain()))
+		h.log = wal.Attach(db.nvm, db.nvm.NewRegionSpare(chunkSize, grain, logChunk))
 	}
 	return h, nil
 }

@@ -69,11 +69,13 @@ func (db *DB) flushOne(h *memHandle) error {
 	// arena and WAL region be queued for release once every reader
 	// version referencing them drains. Appending to the current version's
 	// queue is safe here: releaseFns mutate only under db.mu while the
-	// version is current, and retired versions' queues are frozen.
+	// version is current, and retired versions' queues are frozen. Their
+	// first chunks go to the free lists for a later memtable; the filter
+	// is the L0 table's now.
 	db.queueReleaseLocked(func() {
-		mt.Release()
+		db.spares.putArena(db.dram.Recycle(mt.Region()))
 		if log != nil {
-			log.Release()
+			db.spares.putLog(db.nvm.Recycle(log.Region()))
 		}
 	})
 	db.mu.Unlock()

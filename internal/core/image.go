@@ -137,11 +137,14 @@ func (db *DB) CheckpointTo(w io.Writer) error {
 		return err
 	}
 	// Hold the commit lock (WAL appends + memtable inserts happen under it)
-	// and the structural lock so nothing mutates the NVM during the copy;
-	// reads keep flowing.
+	// and the structural lock so nothing mutates the NVM during the copy,
+	// and the sweep lock so no release function recycles a WAL region the
+	// copy is reading; reads keep flowing.
 	db.commitMu.Lock()
 	db.mu.Lock()
+	db.sweepMu.Lock()
 	err := db.WriteImage(w)
+	db.sweepMu.Unlock()
 	db.mu.Unlock()
 	db.commitMu.Unlock()
 	return err

@@ -55,6 +55,10 @@ var errNoGeneration = errors.New("manifest: superblock names no generation")
 const (
 	genPtrOff   = 8        // the generation pointer's offset in region 0
 	genMinChunk = 16 << 10 // floor of a generation's one chunk
+	// formatChunk floors the chunk of the empty generation formatSuperblock
+	// rolls: the stride floor, since bringUp's publishing roll supersedes
+	// that generation before any delta is appended to it.
+	formatChunk = 4 << 10
 )
 
 // formatSuperblock lays down region 0 of a fresh space — after the nil
@@ -77,7 +81,7 @@ func formatSuperblock(dev *nvm.Device, levels int) error {
 		m.super.PutUint64(slot, 0)
 		empty.markSlots = append(empty.markSlots, uint64(slot))
 	}
-	return m.roll(append([]byte{recSnapshot}, empty.encode()...))
+	return m.roll(append([]byte{recSnapshot}, empty.encode()...), formatChunk)
 }
 
 // attachManifestLog opens the generation region 0 points at.
@@ -129,14 +133,15 @@ func (m *manifestLog) write(reg *vaddr.Region, payload []byte) error {
 }
 
 // roll opens a new generation with snapshot as its first record, its one
-// chunk the next power of two of at least four times the snapshot so the
-// deltas after it fit, points region 0 at it and releases the old one.
+// chunk the next power of two of at least minChunk and four times the
+// snapshot so the deltas after it fit, points region 0 at it and releases
+// the old one.
 // Until the pointer store lands nothing durable names the new region, so
 // a failure before it releases the new region; a pointer store that
 // reached the media although the device reported a crash still
 // publishes.
-func (m *manifestLog) roll(snapshot []byte) error {
-	chunk := genMinChunk
+func (m *manifestLog) roll(snapshot []byte, minChunk int) error {
+	chunk := minChunk
 	for chunk < 4*(8+len(snapshot)) {
 		chunk <<= 1
 	}
@@ -856,7 +861,7 @@ func (db *DB) writeManifestLocked() error {
 		}
 	}
 	payload := append([]byte{recSnapshot}, s.encode()...)
-	if err := db.runDeviceOp(func() error { return db.manifest.roll(payload) }); err != nil {
+	if err := db.runDeviceOp(func() error { return db.manifest.roll(payload, genMinChunk) }); err != nil {
 		return err
 	}
 	db.manifestEdits = 0

@@ -44,9 +44,15 @@ func TestPutDoesNotAllocate(t *testing.T) {
 // the drained filter into the surviving one in place instead of cloning
 // a 32 KiB filter per merge, it reads 676.9–677.8 B (amd64, Go 1.24,
 // 2 vCPUs; 677–680 B at GOMAXPROCS 1 to 8 and under the race detector).
-// The bound is 678 B plus 10 %.
+// Since a new memtable takes its arena chunk, log chunk and filter from
+// the free lists that retired memtables and tables fill, it reads 245.7–
+// 313.1 B over 42 runs alone (median 267) and up to 325.5 B beside the
+// other packages' tests in `go test ./...`; 230.7–243.4 B under the race
+// detector. How much is reused depends on the flusher keeping pace with
+// the writer: at GOMAXPROCS 1 it falls behind and this reads 439–525 B,
+// above the bound. The bound is 330 B plus 10 %.
 func TestWriteHeapPerPut(t *testing.T) {
-	const puts, distinct, bound = 30_000, 10_000, 678 * 1.1
+	const puts, distinct, bound = 30_000, 10_000, 330 * 1.1
 	perPut := writeHeapPerPut(t, puts, distinct)
 	t.Logf("%.1f B of Go heap per Put", perPut)
 	if perPut > bound {
@@ -80,4 +86,34 @@ func writeHeapPerPut(t *testing.T, puts, distinct int) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(puts)
+}
+
+// TestOpenHeap gates the Go heap an Open and Close of an empty default
+// store allocate, averaged over 20 pairs. Most of it is the first
+// memtable's arena, log and filter and the repository's first chunk.
+//
+// When Open first came up through the recovery path, the empty generation
+// it formats had a 16 KiB chunk and this read 469 632–470 348 B; with the
+// 4 KiB stride floor for that throwaway generation it reads 457 601–
+// 457 816 B (amd64, Go 1.24, 2 vCPUs). The bound is 458 000 B plus 10 %.
+func TestOpenHeap(t *testing.T) {
+	const runs, bound = 20, 458_000 * 1.1
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		db, err := Open(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOpen := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f B of Go heap per Open+Close", perOpen)
+	if perOpen > bound {
+		t.Fatalf("Open+Close allocates %.0f B, bound %.0f B", perOpen, float64(bound))
+	}
 }

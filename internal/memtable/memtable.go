@@ -32,17 +32,21 @@ type MemTable struct {
 // New creates a memtable with the given soft capacity. chunkSize is the
 // arena's stride and bounds the largest single entry; it should comfortably
 // exceed the largest value the store accepts. The arena's chunks are backed
-// by grain(capacity) bytes, not by the stride: a rotation commits what the
+// by Grain(capacity) bytes, not by the stride: a rotation commits what the
 // memtable will fill.
 func New(dev *nvm.Device, capacity int64, chunkSize int) (*MemTable, error) {
-	return NewFiltered(dev, capacity, chunkSize, nil)
+	return NewFiltered(dev, capacity, chunkSize, nil, vaddr.Spare{})
 }
 
 // NewFiltered is New with filter, which must be empty, as the memtable's
-// bloom filter (nil for none). A store makes it with its tables' filter
+// bloom filter (nil for none), over an arena whose first chunk is spare,
+// a retired arena's chunk, when spare fits the arena's stride and
+// Grain(capacity, chunkSize) (vaddr.Space.NewRegionSpare); the zero Spare,
+// or one that does not fit, gives a fresh chunk. The arena reads as zero
+// either way. A store makes the filter with its tables' filter
 // parameters, so the one-piece flush can hand it to the PMTable as is.
-func NewFiltered(dev *nvm.Device, capacity int64, chunkSize int, filter *bloom.Filter) (*MemTable, error) {
-	region := dev.NewRegionGrain(chunkSize, grain(capacity, chunkSize))
+func NewFiltered(dev *nvm.Device, capacity int64, chunkSize int, filter *bloom.Filter, spare vaddr.Spare) (*MemTable, error) {
+	region := dev.NewRegionSpare(chunkSize, Grain(capacity, chunkSize), spare)
 	list, err := skiplist.New(region)
 	if err != nil {
 		return nil, err
@@ -50,12 +54,12 @@ func NewFiltered(dev *nvm.Device, capacity int64, chunkSize int, filter *bloom.F
 	return &MemTable{dev: dev, region: region, list: list, filter: filter, limit: capacity}, nil
 }
 
-// grain returns the backing size of a memtable arena's chunks: the
+// Grain returns the backing size of a memtable arena's chunks: the
 // capacity plus an eighth for the entries that land after the arena first
 // reads Full — the rotation check runs before each commit, not inside it —
 // rounded up to 8 KiB and capped at the stride. A memtable that overshoots
 // further spills into another chunk of the same grain.
-func grain(capacity int64, chunkSize int) int {
+func Grain(capacity int64, chunkSize int) int {
 	const page = 8 << 10
 	g := (capacity + capacity/8 + page - 1) &^ (page - 1)
 	return int(min(g, int64(chunkSize)))

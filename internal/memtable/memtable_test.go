@@ -105,8 +105,8 @@ func TestGrainFollowsCapacity(t *testing.T) {
 		{240 << 10, 256 << 10, 256 << 10}, // capped at the stride
 		{1 << 40, 256 << 10, 256 << 10},
 	} {
-		if got := grain(c.capacity, c.chunk); got != c.want {
-			t.Errorf("grain(%d, %d) = %d, want %d", c.capacity, c.chunk, got, c.want)
+		if got := Grain(c.capacity, c.chunk); got != c.want {
+			t.Errorf("Grain(%d, %d) = %d, want %d", c.capacity, c.chunk, got, c.want)
 		}
 	}
 	if g := newMT(t, 16<<10).Region().Grain(); g != 24<<10 {
@@ -150,7 +150,7 @@ func TestSpilledArenaChargesWhatItReports(t *testing.T) {
 func newFilteredMT(t testing.TB, capacity int64, expectedKeys int) *MemTable {
 	t.Helper()
 	dev := nvm.NewDevice(vaddr.NewSpace(), nvm.DRAMProfile())
-	mt, err := NewFiltered(dev, capacity, 64<<10, bloom.New(expectedKeys, 16))
+	mt, err := NewFiltered(dev, capacity, 64<<10, bloom.New(expectedKeys, 16), vaddr.Spare{})
 	if err != nil {
 		t.Fatal(err)
 	}

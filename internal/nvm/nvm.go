@@ -151,6 +151,12 @@ func (d *Device) NewRegionGrain(chunkSize, grain int) *vaddr.Region {
 	return d.space.NewRegionGrain(chunkSize, grain, d)
 }
 
+// NewRegionSpare is NewRegionGrain with a recycled chunk as the first
+// chunk when it fits (vaddr.Space.NewRegionSpare).
+func (d *Device) NewRegionSpare(chunkSize, grain int, spare vaddr.Spare) *vaddr.Region {
+	return d.space.NewRegionSpare(chunkSize, grain, d, spare)
+}
+
 // Clone bulk-copies src into a new region on this device (the one-piece
 // flush transfer). The whole extent is charged as a single streaming write.
 func (d *Device) Clone(src *vaddr.Region) *vaddr.Region {
@@ -159,6 +165,10 @@ func (d *Device) Clone(src *vaddr.Region) *vaddr.Region {
 
 // Release returns a region's memory to the system.
 func (d *Device) Release(r *vaddr.Region) { d.space.Release(r) }
+
+// Recycle releases a region no reader holds any more and returns its
+// first chunk for a later region of the same shape (vaddr.Space.Recycle).
+func (d *Device) Recycle(r *vaddr.Region) (vaddr.Spare, bool) { return d.space.Recycle(r) }
 
 // OnRead implements vaddr.Meter.
 func (d *Device) OnRead(n int) { d.OnReads(1, n) }

@@ -134,7 +134,7 @@ func TestFlushAdoptsMemtableFilter(t *testing.T) {
 		if filtered {
 			f = fp().NewFilter()
 		}
-		mt, err := memtable.NewFiltered(dram, 1<<20, 1<<20, f)
+		mt, err := memtable.NewFiltered(dram, 1<<20, 1<<20, f, vaddr.Spare{})
 		if err != nil {
 			t.Fatal(err)
 		}

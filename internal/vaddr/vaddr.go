@@ -18,6 +18,8 @@
 // the stride (see Region). Chunks never move once allocated, so readers
 // may hold byte slices into a region while other goroutines allocate —
 // the single-writer / many-reader discipline used throughout the store.
+// A chunk outlives its region only through Recycle, which passes a
+// released region's first chunk to a new region of the same shape.
 //
 // Addr 0 is the nil address: region 0 reserves its first word so that no
 // live object is ever placed at address 0.
@@ -122,6 +124,20 @@ func (s *Space) NewRegion(chunkSize int, meter Meter) *Region {
 // allocation larger than the grain opens a chunk backed by its own size.
 // With grain equal to the stride this is NewRegion.
 func (s *Space) NewRegionGrain(chunkSize, grain int, meter Meter) *Region {
+	return s.NewRegionSpare(chunkSize, grain, meter, Spare{})
+}
+
+// NewRegionSpare is NewRegionGrain with spare, a chunk Recycle took from
+// a released region, as the first chunk when it Fits the new region's
+// shape; a spare that does not fit is dropped. The region attaches the
+// chunk at its first Alloc, and only if that Alloc opens a chunk of the
+// grain; until then it commits nothing, so Footprint reads 0 as for a
+// fresh region. Attaching clears the chunk, uncharged, as a fresh chunk's
+// zero memory is uncharged: a reused chunk reads all zero, so a log in it
+// never replays a record of the chunk's previous life. The region's index
+// is a fresh one, never the released region's, so the space hands out
+// indices in the same order whether or not a chunk is reused.
+func (s *Space) NewRegionSpare(chunkSize, grain int, meter Meter, spare Spare) *Region {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx := s.next
@@ -129,6 +145,9 @@ func (s *Space) NewRegionGrain(chunkSize, grain int, meter Meter) *Region {
 		panic("vaddr: region index space exhausted")
 	}
 	r := s.makeRegion(idx, chunkSize, grain, meter)
+	if spare.Fits(r.chunkSize, r.grain) {
+		r.spare = spare.chunk
+	}
 	if idx == 0 {
 		// Reserve the first word of region 0 so that Addr 0 is never a
 		// live object: the nil-address invariant.
@@ -189,14 +208,7 @@ var noChunks = new([][]byte)
 // rounded up to a power of two (minimum 4 KiB) so offset math is a shift
 // and a mask, both fixed here once.
 func (s *Space) makeRegion(index uint32, chunkSize, grain int, meter Meter) *Region {
-	cs := 4096
-	for cs < chunkSize {
-		cs <<= 1
-	}
-	grain = (grain + 7) &^ 7
-	if grain <= 0 || grain > cs {
-		grain = cs
-	}
+	cs, grain := shape(chunkSize, grain)
 	r := &Region{
 		space:      s,
 		index:      index,
@@ -209,6 +221,21 @@ func (s *Space) makeRegion(index uint32, chunkSize, grain int, meter Meter) *Reg
 	}
 	r.chunks.Store(noChunks)
 	return r
+}
+
+// shape rounds a requested stride and grain the way every region does:
+// the stride up to a power of two of at least 4 KiB, the grain up to 8
+// bytes and capped at the stride (a grain of 0 or less is the stride).
+func shape(chunkSize, grain int) (int, int) {
+	cs := 4096
+	for cs < chunkSize {
+		cs <<= 1
+	}
+	grain = (grain + 7) &^ 7
+	if grain <= 0 || grain > cs {
+		grain = cs
+	}
+	return cs, grain
 }
 
 // Region returns the region with the given index, or nil if none exists.
@@ -236,7 +263,10 @@ func (s *Space) RegionOf(addr Addr) *Region {
 // intact (stale but consistent) data — the property the stores rely on
 // when they retire memtables and arenas while lock-free readers may still
 // be traversing them (arena-granularity garbage collection, mirroring the
-// paper's lazy memory freeing).
+// paper's lazy memory freeing). Recycle is the other way out of the
+// space: it hands r's first chunk to a new region, so a reader still
+// holding r must not exist, and one that does panics rather than read
+// the new region's data.
 func (s *Space) Release(r *Region) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,6 +276,45 @@ func (s *Space) Release(r *Region) {
 	}
 	t[r.index].Store(nil)
 	r.released.Store(true)
+}
+
+// Spare is the first chunk of a region Recycle released, held for a new
+// region of the same shape (NewRegionSpare). The zero Spare holds none.
+type Spare struct {
+	chunk     []byte // its region's grain long
+	chunkSize int
+}
+
+// Fits reports whether a region made with chunkSize and grain, rounded as
+// NewRegionGrain rounds them, takes sp's chunk.
+func (sp Spare) Fits(chunkSize, grain int) bool {
+	cs, g := shape(chunkSize, grain)
+	return sp.chunkSize == cs && len(sp.chunk) == g
+}
+
+// Recycle is Release for a region whose first chunk a later region of
+// the same shape takes over (NewRegionSpare). It differs from Release's
+// stale-reader contract: r keeps no chunks, so an access through r
+// panics instead of reading what the chunk's next region writes. The
+// caller must know that no reader still holds r — a store recycles only
+// in a release function that runs after its readers' grace period. A
+// region that committed nothing passes on the spare it was made with. ok
+// is false when r has no chunk of its grain to pass on: a clone, or a
+// region whose first chunk an allocation larger than its grain opened.
+func (s *Space) Recycle(r *Region) (sp Spare, ok bool) {
+	s.Release(r)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	first := r.spare
+	if chunks := *r.chunks.Load(); len(chunks) > 0 {
+		first = chunks[0]
+	}
+	r.chunks.Store(noChunks)
+	r.spare = nil
+	if r.clone || len(first) != r.grain {
+		return Spare{}, false
+	}
+	return Spare{chunk: first, chunkSize: r.chunkSize}, true
 }
 
 // Regions returns a snapshot of the live regions.
@@ -286,9 +355,13 @@ type Region struct {
 	// are cut to the copied bytes, so it can never be allocated from.
 	clone bool
 
-	mu       sync.Mutex // guards allocOff and chunk growth
+	mu       sync.Mutex // guards allocOff, chunk growth and spare
 	allocOff int64
 	chunks   atomic.Pointer[[][]byte] // republished on growth; chunks never move
+	// spare is a recycled chunk of the grain, attached as the first chunk
+	// when the first Alloc opens one (NewRegionSpare); nil once attached or
+	// passed over.
+	spare []byte
 }
 
 // Index returns the region's index within its Space.
@@ -412,8 +485,14 @@ func (r *Region) ensureLocked(need, size int) {
 	}
 	next := cur
 	for len(next) < need {
-		next = append(next, alignedChunk(size))
+		if len(next) == 0 && len(r.spare) == size {
+			clear(r.spare)
+			next = append(next, r.spare)
+		} else {
+			next = append(next, alignedChunk(size))
+		}
 	}
+	r.spare = nil
 	r.chunks.Store(&next)
 }
 
